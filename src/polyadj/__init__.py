@@ -23,7 +23,6 @@ from .adjunction import (
     critical_shift,
     qcodegree,
     raw_critical_shift,
-    slack_lift,
     verify_lemmas,
 )
 from .errors import (
@@ -46,7 +45,6 @@ from .fan import (
     Cone,
     GorensteinCertificate,
     NormalFan,
-    all_cones,
     canonicity_threshold,
     cone,
     fan_canonicity_threshold,

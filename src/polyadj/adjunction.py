@@ -54,19 +54,6 @@ def adjoint(p: HPolytope, c) -> InequalitySystem:
     return InequalitySystem(p.dim, p.normals, tuple(b - c for b in p.rhs))
 
 
-def slack_lift(p: HPolytope) -> HPolytope:
-    """The polytope {(x, t) : A x + t 1 <= b, t >= 0} one dimension up.
-
-    Its slice at height t is adjoint(p, t), so maximizing the last
-    coordinate computes the critical shift. Each row of p stays a facet,
-    so the rows below are already irredundant.
-    """
-    rows = [(tuple(a) + (1,), b) for a, b in zip(p.normals, p.rhs)]
-    rows.append((tuple([0] * p.dim) + (-1,), Fraction(0)))
-    pairs = sorted((a, Fraction(b)) for a, b in rows)
-    return HPolytope(p.dim + 1, tuple(a for a, _ in pairs), tuple(b for _, b in pairs))
-
-
 def critical_shift(p: HPolytope) -> Fraction:
     """c* = max {c >= 0 : adjoint(p, c) is nonempty}; positive for full-dimensional p."""
     return raw_critical_shift(list(zip(p.normals, p.rhs)))
@@ -81,19 +68,11 @@ def raw_critical_shift(rows: Sequence[tuple[Sequence[int], object]]) -> Fraction
     """
     if not rows:
         raise UnboundedPolytopeError("no constraints given")
-    d = len(rows[0][0])
-    lift_rows = []
-    lift_rhs = []
-    for a, b in rows:
-        vec = tuple(int(x) for x in a)
-        if len(vec) != d:
-            raise ValueError("mixed normal lengths")
-        lift_rows.append(vec + (1,))
-        lift_rhs.append(Fraction(b))
-    lift_rows.append(tuple([0] * d) + (-1,))
-    lift_rhs.append(Fraction(0))
-    objective = [Fraction(0)] * d + [Fraction(1)]
-    res = lp.solve(lp.make_problem(lift_rows, lift_rhs, objective, "max"))
+    system = make_system(rows)
+    d = system.dim
+    # maximize t >= 0 subject to A x + t 1 <= b
+    res = lp.solve(lp.make_problem([a + (1,) for a in system.normals], system.rhs,
+                                   [0] * d + [1], "max", nonneg=(d,)))
     if res.status == "infeasible":
         raise EmptyPolytopeError("the system has no solution at level 0")
     if res.status == "unbounded":

@@ -141,20 +141,8 @@ def _is_pointed(gens, d) -> bool:
 
 def _in_cone_hull(gens, target) -> bool:
     """Whether target is a nonnegative combination of gens."""
-    m = len(gens)
-    d = len(target)
-    rows = []
-    rhs = []
-    for j in range(d):
-        coeffs = tuple(g[j] for g in gens)
-        rows.append(coeffs)
-        rhs.append(Fraction(target[j]))
-        rows.append(tuple(-c for c in coeffs))
-        rhs.append(Fraction(-target[j]))
-    for i in range(m):
-        rows.append(tuple(-1 if i == k else 0 for k in range(m)))
-        rhs.append(Fraction(0))
-    return lp.is_feasible(rows, rhs)
+    eq_rows = [tuple(g[j] for g in gens) for j in range(len(target))]
+    return lp.is_feasible((), (), eq_normals=eq_rows, eq_rhs=target, nonneg=range(len(gens)))
 
 
 def normal_fan(p: HPolytope) -> NormalFan:
@@ -169,46 +157,6 @@ def normal_fan(p: HPolytope) -> NormalFan:
             raise InternalInconsistencyError("vertex cone is not full-dimensional")
         cones.append(Cone(p.dim, tight))
     return NormalFan(p.dim, p.normals, verts, tuple(cones))
-
-
-def all_cones(fan: NormalFan) -> tuple[Cone, ...]:
-    """Every nonzero face of every maximal cone, without duplicates.
-
-    A subset T of a maximal cone's rays spans a face iff some functional
-    vanishes on T and is negative on the remaining rays; for simplicial
-    cones every subset qualifies, so the LP is skipped there.
-    """
-    seen: set[tuple[IntVector, ...]] = set()
-    out: list[Cone] = []
-    for c in fan.maximal_cones:
-        simplicial = c.is_simplicial()
-        n = c.n_rays
-        for size in range(1, n + 1):
-            for subset in itertools.combinations(range(n), size):
-                key = tuple(c.rays[i] for i in subset)
-                if key in seen:
-                    continue
-                if size == n or simplicial or _is_face(c.rays, subset):
-                    seen.add(key)
-                    out.append(Cone(c.ambient_dim, key))
-    return tuple(sorted(out, key=lambda c: (c.n_rays, c.rays)))
-
-
-def _is_face(rays, subset) -> bool:
-    d = len(rays[0])
-    inside = set(subset)
-    rows = []
-    rhs = []
-    for i, g in enumerate(rays):
-        if i in inside:
-            rows.append(tuple(g))
-            rhs.append(Fraction(0))
-            rows.append(tuple(-x for x in g))
-            rhs.append(Fraction(0))
-        else:
-            rows.append(tuple(g))
-            rhs.append(Fraction(-1))
-    return lp.is_feasible(rows, rhs)
 
 
 def height(c: Cone, point: Sequence) -> Fraction:
@@ -230,20 +178,9 @@ def height(c: Cone, point: Sequence) -> Fraction:
         if any(l < 0 for l in lams):
             raise NotInConeError("point has a negative generator weight")
         return sum(lams, Fraction(0))
-    m = c.n_rays
-    rows = []
-    rhs = []
-    for j in range(c.ambient_dim):
-        coeffs = tuple(g[j] for g in c.rays)
-        rows.append(coeffs)
-        rhs.append(target[j])
-        rows.append(tuple(-x for x in coeffs))
-        rhs.append(-target[j])
-    for i in range(m):
-        rows.append(tuple(-1 if i == k else 0 for k in range(m)))
-        rhs.append(Fraction(0))
-    obj = [Fraction(1)] * m
-    res = lp.solve(lp.make_problem(rows, rhs, obj, "max"))
+    eq_rows = [tuple(g[j] for g in c.rays) for j in range(c.ambient_dim)]
+    res = lp.solve(lp.make_problem((), (), [1] * c.n_rays, "max", eq_normals=eq_rows,
+                                   eq_rhs=target, nonneg=range(c.n_rays)))
     if res.status == "infeasible":
         raise NotInConeError("point is not in the cone")
     if res.status != "optimal":

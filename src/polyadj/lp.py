@@ -1,12 +1,19 @@
-"""Exact rational linear programming over systems A x <= b with free x.
+"""Exact rational linear programming.
 
-A two-phase primal simplex on Fraction tableaus. Free variables are split
-as x = u - w with u, w >= 0; rows with negative right hand side are sign
-normalized and receive artificial variables for phase 1. Pivoting follows
-Bland's rule (lexicographically smallest entering index, ratio ties broken
-by the smallest basis variable index), so runs are deterministic and never
-cycle. Every optimal solve recovers dual multipliers from the final basis
-and validates weak duality exactly; a violation raises
+A problem optimizes c.x subject to inequality rows A x <= b, equality rows
+E x = f, and x_j >= 0 for the variables listed in nonneg; every other
+variable is free. The solver is a two-phase primal simplex on Fraction
+tableaus over the internal form M z = r, z >= 0. Each variable gets a
+column u_j, a free one also a column w_j with x_j = u_j - w_j, and each
+inequality row a slack. Rows are sign normalized so that r >= 0; inequality
+rows with negative right hand side and all equality rows receive
+artificial variables for phase 1. Pivoting follows Bland's rule
+(lexicographically smallest entering index, ratio ties broken by the
+smallest basis variable index), so runs are deterministic and never cycle.
+Every optimal solve recovers dual multipliers y from the final basis and
+validates them exactly: y >= 0 on inequality rows (free on equality rows),
+y.A_j = c_j on free variables and >= c_j on nonnegative ones, and
+y.(b, f) equal to the optimum. A violation raises
 InternalInconsistencyError since it can only mean a bug, never roundoff.
 """
 
@@ -14,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Optional, Sequence
+from typing import Iterable, Literal, Optional, Sequence
 
 from .errors import DimensionMismatchError, InternalInconsistencyError
 from .ratmath import dot, solve_linear
@@ -28,26 +35,39 @@ class LpProblem:
     rhs: tuple[Fraction, ...]
     objective: tuple[Fraction, ...]
     direction: Literal["max", "min"] = "max"
+    eq_normals: tuple[tuple[Fraction, ...], ...] = ()
+    eq_rhs: tuple[Fraction, ...] = ()
+    nonneg: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
 class LpResult:
+    """Outcome of a solve; tight lists the inequality rows tight at point."""
+
     status: Status
     value: Optional[Fraction]
     point: Optional[tuple[Fraction, ...]]
     tight: tuple[int, ...]
 
 
-def make_problem(normals, rhs, objective, direction="max") -> LpProblem:
+def make_problem(normals, rhs, objective, direction="max", *,
+                 eq_normals=(), eq_rhs=(), nonneg: Iterable[int] = ()) -> LpProblem:
     normals = tuple(tuple(Fraction(x) for x in row) for row in normals)
     rhs = tuple(Fraction(b) for b in rhs)
+    eq_normals = tuple(tuple(Fraction(x) for x in row) for row in eq_normals)
+    eq_rhs = tuple(Fraction(b) for b in eq_rhs)
     objective = tuple(Fraction(c) for c in objective)
     d = len(objective)
-    if any(len(row) != d for row in normals) or len(normals) != len(rhs):
+    if (any(len(row) != d for row in normals + eq_normals) or len(normals) != len(rhs)
+            or len(eq_normals) != len(eq_rhs)):
         raise DimensionMismatchError("inconsistent LP dimensions")
+    nonneg = set(nonneg)
+    if not nonneg <= set(range(d)):
+        raise DimensionMismatchError(f"nonneg indices must lie in range({d})")
     if direction not in ("max", "min"):
         raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
-    return LpProblem(normals, rhs, objective, direction)
+    return LpProblem(normals, rhs, objective, direction, eq_normals, eq_rhs,
+                     tuple(j for j in range(d) if j in nonneg))
 
 
 class _Tableau:
@@ -109,30 +129,35 @@ class _Tableau:
 
 
 def _setup(problem: LpProblem):
-    # internal minimization of c~.z over M z = r, z >= 0
+    # internal minimization of c~.z over M z = r, z >= 0. Columns: u_j per
+    # variable, w_j per free variable, then a slack per inequality row.
+    # start[i] is the slack column basic in row i when phase 1 begins, or
+    # None when the row needs an artificial.
     n = len(problem.rhs)
-    d = len(problem.objective)
-    sigma = [1 if b >= 0 else -1 for b in problem.rhs]
-    ncols = 2 * d + n
-    columns = []
-    for j in range(d):  # u_j
-        columns.append([sigma[i] * problem.normals[i][j] for i in range(n)])
-    for j in range(d):  # w_j
-        columns.append([-sigma[i] * problem.normals[i][j] for i in range(n)])
-    for i in range(n):  # slack s_i
-        col = [Fraction(0)] * n
+    rows = problem.normals + problem.eq_normals
+    b = problem.rhs + problem.eq_rhs
+    m = len(rows)
+    sigma = [1 if v >= 0 else -1 for v in b]
+    columns = [[sigma[i] * rows[i][j] for i in range(m)] for j in range(len(problem.objective))]
+    columns += [[-sigma[i] * rows[i][j] for i in range(m)]
+                for j in range(len(problem.objective)) if j not in problem.nonneg]
+    start: list[Optional[int]] = [None] * m
+    for i in range(n):
+        col = [Fraction(0)] * m
         col[i] = Fraction(sigma[i])
+        if sigma[i] > 0:
+            start[i] = len(columns)
         columns.append(col)
-    rhs = [sigma[i] * problem.rhs[i] for i in range(n)]
-    return sigma, columns, rhs, ncols
+    rhs = [sigma[i] * b[i] for i in range(m)]
+    return sigma, columns, rhs, start
 
 
-def _phase1(tab: _Tableau, sigma, ncols_core):
+def _phase1(tab: _Tableau, start, ncols_core):
     n = tab.m
     art_cols = {}
     for i in range(n):
-        if sigma[i] >= 0:
-            tab.basis[i] = ncols_core - n + i  # its own slack column
+        if start[i] is not None:
+            tab.basis[i] = start[i]
         else:
             col = [Fraction(0)] * n
             col[i] = Fraction(1)
@@ -172,26 +197,24 @@ def _phase1(tab: _Tableau, sigma, ncols_core):
 
 def solve(problem: LpProblem) -> LpResult:
     """Solve an LP exactly; see the module docstring for the method."""
-    problem = make_problem(problem.normals, problem.rhs, problem.objective, problem.direction)
-    n = len(problem.rhs)
+    problem = make_problem(problem.normals, problem.rhs, problem.objective, problem.direction,
+                           eq_normals=problem.eq_normals, eq_rhs=problem.eq_rhs,
+                           nonneg=problem.nonneg)
     d = len(problem.objective)
     obj = problem.objective if problem.direction == "max" else tuple(-c for c in problem.objective)
 
-    if n == 0:
-        # no constraints: optimal at 0 only for a zero objective
-        if all(c == 0 for c in obj):
-            return LpResult("optimal", Fraction(0), tuple(Fraction(0) for _ in range(d)), ())
-        return LpResult("unbounded", None, None, ())
-
-    sigma, columns, rhs, ncols_core = _setup(problem)
+    sigma, columns, rhs, start = _setup(problem)
+    ncols_core = len(columns)
     tab = _Tableau(columns, rhs)
-    if not _phase1(tab, sigma, ncols_core):
+    if not _phase1(tab, start, ncols_core):
         return LpResult("infeasible", None, None, ())
 
+    free = [j for j in range(d) if j not in problem.nonneg]
     cost = [Fraction(0)] * tab.ncols
     for j in range(d):
         cost[j] = -obj[j]
-        cost[d + j] = obj[j]
+    for k, j in enumerate(free):
+        cost[d + k] = obj[j]
     allowed = [j < ncols_core for j in range(tab.ncols)]
     status = tab.run(cost, allowed)
     if status == "unbounded":
@@ -200,17 +223,21 @@ def solve(problem: LpProblem) -> LpResult:
     z = [Fraction(0)] * tab.ncols
     for i, bj in enumerate(tab.basis):
         z[bj] = tab.rows[i][-1]
-    point = tuple(z[j] - z[d + j] for j in range(d))
+    x = z[:d]
+    for k, j in enumerate(free):
+        x[j] -= z[d + k]
+    point = tuple(x)
     value = dot(obj, point)
     _validate_certificate(problem, tab, cost, columns, sigma, obj, value)
-    tight = tuple(i for i in range(n) if dot(problem.normals[i], point) == problem.rhs[i])
+    tight = tuple(i for i, (a, b) in enumerate(zip(problem.normals, problem.rhs)) if dot(a, point) == b)
     out_value = value if problem.direction == "max" else -value
     return LpResult("optimal", out_value, point, tight)
 
 
 def _validate_certificate(problem, tab, cost, columns, sigma, obj, value):
-    # recover duals from the optimal basis and check weak duality exactly
-    n0 = len(problem.rhs)
+    # recover duals from the optimal basis and check them exactly
+    rows = problem.normals + problem.eq_normals
+    b = problem.rhs + problem.eq_rhs
     for bj in tab.basis:
         if bj >= len(columns):
             raise InternalInconsistencyError("artificial variable left in the final basis")
@@ -219,32 +246,36 @@ def _validate_certificate(problem, tab, cost, columns, sigma, obj, value):
     for bj in tab.basis:
         col = columns[bj]
         basis_matrix.append([col[i] for i in live])
-    sol = solve_linear(basis_matrix, [cost[bj] for bj in tab.basis])
+    # with no rows left (none given, or all redundant equalities) y is empty
+    sol = solve_linear(basis_matrix, [cost[bj] for bj in tab.basis]) if live else ((), ())
     if sol is None:
         raise InternalInconsistencyError("dual system inconsistent at the optimal basis")
     pi, _ = sol
-    y = [Fraction(0)] * n0
+    y = [Fraction(0)] * len(rows)
     for pos, orig in enumerate(live):
         y[orig] = -sigma[orig] * pi[pos]
-    if any(yi < 0 for yi in y):
-        raise InternalInconsistencyError("negative dual multiplier")
+    if any(yi < 0 for yi in y[:len(problem.rhs)]):
+        raise InternalInconsistencyError("negative dual multiplier on an inequality row")
     for j in range(len(obj)):
-        if sum(y[i] * problem.normals[i][j] for i in range(n0)) != obj[j]:
+        reduced = sum(y[i] * rows[i][j] for i in range(len(rows))) - obj[j]
+        if reduced < 0 or (reduced > 0 and j not in problem.nonneg):
             raise InternalInconsistencyError("dual multipliers do not reproduce the objective")
-    if sum(y[i] * problem.rhs[i] for i in range(n0)) != value:
+    if sum(y[i] * b[i] for i in range(len(rows))) != value:
         raise InternalInconsistencyError("duality gap in exact arithmetic")
 
 
-def is_feasible(normals: Sequence, rhs: Sequence) -> bool:
-    """Exact feasibility of A x <= b via phase 1 only. Empty systems are feasible."""
-    rows = [tuple(Fraction(x) for x in row) for row in normals]
-    b = [Fraction(v) for v in rhs]
-    if len(rows) != len(b):
+def is_feasible(normals: Sequence, rhs: Sequence, *, eq_normals: Sequence = (),
+                eq_rhs: Sequence = (), nonneg: Iterable[int] = ()) -> bool:
+    """Exact feasibility via phase 1 only; the arguments are as in make_problem.
+
+    Systems without rows are feasible.
+    """
+    if len(normals) != len(rhs) or len(eq_normals) != len(eq_rhs):
         raise DimensionMismatchError("inconsistent system dimensions")
-    if not rows:
+    if not normals and not eq_normals:
         return True
-    d = len(rows[0])
-    problem = make_problem(rows, b, [Fraction(0)] * d, "max")
-    sigma, columns, rhs_n, ncols_core = _setup(problem)
-    tab = _Tableau(columns, rhs_n)
-    return _phase1(tab, sigma, ncols_core)
+    d = len(normals[0] if normals else eq_normals[0])
+    problem = make_problem(normals, rhs, [Fraction(0)] * d,
+                           eq_normals=eq_normals, eq_rhs=eq_rhs, nonneg=nonneg)
+    _, columns, rhs_n, start = _setup(problem)
+    return _phase1(_Tableau(columns, rhs_n), start, len(columns))

@@ -13,7 +13,7 @@ AffineSubspace plus a full-dimensional polytope in local coordinates
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor, gcd
 from typing import Optional, Sequence
@@ -44,11 +44,16 @@ from .ratmath import (
 
 @dataclass(frozen=True)
 class HPolytope:
-    """Bounded full-dimensional polytope {x : normals[i] . x <= rhs[i]}."""
+    """Bounded full-dimensional polytope {x : normals[i] . x <= rhs[i]}.
+
+    vertex_cache holds the VPolytope once vertices() has computed it, or
+    once a constructor that knows the vertices has passed them in.
+    """
 
     dim: int
     normals: tuple[IntVector, ...]
     rhs: tuple[Fraction, ...]
+    vertex_cache: Optional[VPolytope] = field(default=None, compare=False, repr=False)
 
     @property
     def n_facets(self) -> int:
@@ -157,9 +162,6 @@ class InequalitySystem:
         return not lp.is_feasible(self.normals, self.rhs)
 
 
-_VERTEX_CACHE: dict[HPolytope, VPolytope] = {}
-
-
 def _as_int_vector(v: Sequence) -> IntVector:
     out = []
     for x in v:
@@ -227,7 +229,7 @@ def from_inequalities(rows: Sequence[tuple[Sequence, object]]) -> HPolytope:
             obj[j] = Fraction(sign)
             if lp.solve(lp.make_problem(normals, rhs, obj, "max")).status == "unbounded":
                 raise UnboundedPolytopeError(f"coordinate {j} unbounded")
-    if _interior_radius(normals, rhs) <= 0:
+    if _interior_lp(normals, rhs, d).value <= 0:
         raise LowerDimensionalError("system has empty interior")
 
     # one pass of sequential redundancy removal leaves an irredundant system
@@ -243,22 +245,27 @@ def from_inequalities(rows: Sequence[tuple[Sequence, object]]) -> HPolytope:
     return HPolytope(d, tuple(a for a, _ in pairs), tuple(b for _, b in pairs))
 
 
-def _interior_radius(normals, rhs) -> Fraction:
-    # max t with <a_i, x> + t <= b_i and t <= 1; positive iff full-dimensional
-    d = len(normals[0])
+def _interior_lp(normals, rhs, d: int) -> lp.LpResult:
+    """max t with <a_i, x> + t <= b_i and t <= 1, at the point (x, t).
+
+    t is free, so the LP is always feasible and bounded. The optimum is
+    positive iff the system is full-dimensional, and negative iff it is
+    infeasible, which raises EmptyPolytopeError.
+    """
     ext = [tuple(a) + (1,) for a in normals] + [tuple([0] * d) + (1,)]
     res = lp.solve(lp.make_problem(ext, list(rhs) + [Fraction(1)],
                                    [Fraction(0)] * d + [Fraction(1)], "max"))
     if res.status != "optimal":
         raise InternalInconsistencyError("interior LP must be bounded and feasible")
-    return res.value
+    if res.value < 0:
+        raise EmptyPolytopeError("system has no solution")
+    return res
 
 
 def vertices(p: HPolytope) -> VPolytope:
     """All vertices, by exhaustive search over independent d-subsets of rows."""
-    cached = _VERTEX_CACHE.get(p)
-    if cached is not None:
-        return cached
+    if p.vertex_cache is not None:
+        return p.vertex_cache
     d = p.dim
     n = p.n_facets
     found: set[tuple[Fraction, ...]] = set()
@@ -287,7 +294,7 @@ def vertices(p: HPolytope) -> VPolytope:
 
     rec(0, [], [])
     result = VPolytope(d, tuple(sorted(found)))
-    _VERTEX_CACHE[p] = result
+    object.__setattr__(p, "vertex_cache", result)
     return result
 
 
@@ -341,8 +348,7 @@ def from_vertices(points: Sequence[Sequence]) -> HPolytope:
     pairs = sorted(facets.items())
     poly = HPolytope(d, tuple(a for a, _ in pairs), tuple(b for _, b in pairs))
     vert = tuple(sorted(pt for pt in pts if _tight_rank(poly, pt) == d))
-    _VERTEX_CACHE[poly] = VPolytope(d, vert)
-    return poly
+    return HPolytope(d, poly.normals, poly.rhs, VPolytope(d, vert))
 
 
 def _tight_rank(p: HPolytope, point) -> int:
@@ -396,14 +402,7 @@ def implicit_equalities(system: InequalitySystem) -> tuple[int, ...]:
     """
     n = len(system.normals)
     d = system.dim
-    radius = lp.solve(lp.make_problem(
-        [tuple(a) + (1,) for a in system.normals] + [tuple([0] * d) + (1,)],
-        list(system.rhs) + [Fraction(1)],
-        [Fraction(0)] * d + [Fraction(1)], "max"))
-    if radius.status == "infeasible":
-        raise EmptyPolytopeError("system has no solution")
-    if radius.status != "optimal":
-        raise InternalInconsistencyError("capped interior LP must be bounded")
+    radius = _interior_lp(system.normals, system.rhs, d)
     if radius.value > 0:
         return ()
     x0 = radius.point[:d]
@@ -425,12 +424,9 @@ def implicit_equalities(system: InequalitySystem) -> tuple[int, ...]:
             up[d + pos] = Fraction(1)
             prob_rows.append(tuple(up))
             prob_rhs.append(Fraction(1))
-            lo = [Fraction(0)] * cols
-            lo[d + pos] = Fraction(-1)
-            prob_rows.append(tuple(lo))
-            prob_rhs.append(Fraction(0))
         objective = [Fraction(0)] * d + [Fraction(1)] * m
-        res = lp.solve(lp.make_problem(prob_rows, prob_rhs, objective, "max"))
+        res = lp.solve(lp.make_problem(prob_rows, prob_rhs, objective, "max",
+                                       nonneg=range(d, cols)))
         if res.status != "optimal":
             raise InternalInconsistencyError("capped slack LP must be bounded")
         if res.value == 0:
@@ -687,12 +683,11 @@ def transform(p: HPolytope, u: Sequence[Sequence[int]], shift: Sequence[int]) ->
         w, _ = primitivize(w)
         new_rows.append((w, b + dot(w, tvec)))
     pairs = sorted(new_rows)
-    result = HPolytope(d, tuple(a for a, _ in pairs), tuple(b for _, b in pairs))
-    cached = _VERTEX_CACHE.get(p)
-    if cached is not None:
-        imgs = tuple(sorted(tuple(vec_add(_mat_vec(urows, v), tvec)) for v in cached.vertices))
-        _VERTEX_CACHE[result] = VPolytope(d, imgs)
-    return result
+    imgs = None
+    if p.vertex_cache is not None:
+        imgs = VPolytope(d, tuple(sorted(tuple(vec_add(_mat_vec(urows, v), tvec))
+                                         for v in p.vertex_cache.vertices)))
+    return HPolytope(d, tuple(a for a, _ in pairs), tuple(b for _, b in pairs), imgs)
 
 
 def _mat_vec(rows, v):
@@ -704,8 +699,7 @@ def dilate(p: HPolytope, factor: int) -> HPolytope:
     k = int(factor)
     if k < 1 or k != factor:
         raise ValueError("dilation factor must be a positive integer")
-    result = HPolytope(p.dim, p.normals, tuple(b * k for b in p.rhs))
-    cached = _VERTEX_CACHE.get(p)
-    if cached is not None:
-        _VERTEX_CACHE[result] = VPolytope(p.dim, tuple(sorted(tuple(k * c for c in v) for v in cached.vertices)))
-    return result
+    scaled = None
+    if p.vertex_cache is not None:
+        scaled = VPolytope(p.dim, tuple(sorted(tuple(k * c for c in v) for v in p.vertex_cache.vertices)))
+    return HPolytope(p.dim, p.normals, tuple(b * k for b in p.rhs), scaled)

@@ -82,27 +82,13 @@ def validate_config(cfg: CoreNormalConfig) -> None:
     a barycentric expression of 0 with all weights positive.
     """
     m = cfg.n_rows
-    d = cfg.dim
-    rows = []
-    rhs = []
-    for j in range(d):
-        coeffs = tuple(a[j] for a in cfg.normals) + (0,)
-        rows.append(coeffs)
-        rhs.append(Fraction(0))
-        rows.append(tuple(-x for x in coeffs))
-        rhs.append(Fraction(0))
-    ones = tuple([1] * m) + (0,)
-    rows.append(ones)
-    rhs.append(Fraction(1))
-    rows.append(tuple(-x for x in ones))
-    rhs.append(Fraction(-1))
-    for i in range(m):
-        rows.append(tuple(-1 if k == i else 0 for k in range(m)) + (1,))
-        rhs.append(Fraction(0))
+    # variables (lambda_1..lambda_m, t); rows t - lambda_i <= 0 and t <= 1
+    rows = [tuple(-1 if k == i else 0 for k in range(m)) + (1,) for i in range(m)]
     rows.append(tuple([0] * m) + (1,))
-    rhs.append(Fraction(1))
-    objective = [Fraction(0)] * m + [Fraction(1)]
-    res = lp.solve(lp.make_problem(rows, rhs, objective, "max"))
+    eq_rows = [tuple(a[j] for a in cfg.normals) + (0,) for j in range(cfg.dim)]
+    eq_rows.append(tuple([1] * m) + (0,))
+    res = lp.solve(lp.make_problem(rows, [0] * m + [1], [0] * m + [1], "max",
+                                   eq_normals=eq_rows, eq_rhs=[0] * cfg.dim + [1]))
     if res.status == "infeasible" or (res.status == "optimal" and res.value <= 0):
         raise InvalidConfigError("0 must lie in the relative interior of conv(rows)")
     if res.status != "optimal":
@@ -125,6 +111,14 @@ def _phi(cfg: CoreNormalConfig, vector: Sequence[Fraction]) -> Fraction:
     return sol[0][cfg.dim]
 
 
+def _step_basis(cfg: CoreNormalConfig) -> tuple[tuple[IntVector, ...], list[Fraction]]:
+    """A basis of Z^m intersected with span(columns of A, 1), and the
+    1-coefficient _phi of each basis vector."""
+    cols = [tuple(a[j] for a in cfg.normals) for j in range(cfg.dim)]
+    basis = saturate(cols + [tuple([1] * cfg.n_rows)])
+    return basis, [_phi(cfg, v) for v in basis]
+
+
 def codegree_step(cfg: CoreNormalConfig) -> Fraction:
     """The positive generator g of {c : A y + c 1 is integral for some y}.
 
@@ -133,10 +127,7 @@ def codegree_step(cfg: CoreNormalConfig) -> Fraction:
     1-coefficients of a basis of that lattice. Returns 0 when only c = 0
     is achievable.
     """
-    m = cfg.n_rows
-    cols = [tuple(a[j] for a in cfg.normals) for j in range(cfg.dim)]
-    basis = saturate(cols + [tuple([1] * m)])
-    return fraction_gcd([_phi(cfg, v) for v in basis])
+    return fraction_gcd(_step_basis(cfg)[1])
 
 
 def spectrum_superset(cfg: CoreNormalConfig, epsilon) -> SpectrumSuperset:
@@ -161,9 +152,7 @@ def check_necessary_condition(cfg: CoreNormalConfig, c) -> tuple[bool, Optional[
     """
     c = Fraction(c)
     m = cfg.n_rows
-    cols = [tuple(a[j] for a in cfg.normals) for j in range(cfg.dim)]
-    basis = saturate(cols + [tuple([1] * m)])
-    phis = [_phi(cfg, v) for v in basis]
+    basis, phis = _step_basis(cfg)
     g = fraction_gcd(phis)
     if g == 0:
         if c != 0:

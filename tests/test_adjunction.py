@@ -16,13 +16,12 @@ from polyadj.adjunction import (
     fan_summary,
     qcodegree,
     raw_critical_shift,
-    slack_lift,
     verify_lemmas,
 )
-from polyadj.errors import NotLatticePolytopeError
+from polyadj.errors import DimensionMismatchError, NotLatticePolytopeError
 from polyadj.fan import normal_fan
 from polyadj.generators import cube, fig1, scaled_simplex
-from polyadj.polytope import from_inequalities, lattice_points
+from polyadj.polytope import from_inequalities, lattice_points, vertices
 
 TRIANGLE_ROWS = [((-1, 0), 0), ((0, -1), 0), ((3, 1), 3)]
 
@@ -45,6 +44,14 @@ def test_raw_shift_penalizes_redundant_and_scaled_rows():
     assert raw_critical_shift(TRIANGLE_ROWS[:2] + [((6, 2), 6)]) == Fraction(2, 3)
 
 
+def test_raw_shift_rejects_rational_and_mixed_normals():
+    # truncating (1/2, -1) to (0, -1) would give the shift 1 of another system
+    with pytest.raises(ValueError):
+        raw_critical_shift([((Fraction(1, 2), -1), 0), ((-1, 0), 0), ((1, 1), 3)])
+    with pytest.raises(DimensionMismatchError):
+        raw_critical_shift(TRIANGLE_ROWS + [((1, 0, 0), 1)])
+
+
 def test_canonicalization_undoes_the_penalty():
     assert critical_shift(from_inequalities(TRIANGLE_ROWS + [((1, 0), 1)])) == Fraction(3, 5)
     assert critical_shift(from_inequalities(TRIANGLE_ROWS[:2] + [((6, 2), 6)])) == Fraction(3, 5)
@@ -61,11 +68,12 @@ def test_adjoint_shifts_every_row_once():
 
 
 def test_slack_lift_shape_and_value():
+    # {(x, t) : A x + t 1 <= b, t >= 0}: its slice at height t is adjoint(p, t)
     p = fig1()
-    lifted = slack_lift(p)
+    lifted = from_inequalities([(tuple(a) + (1,), b) for a, b in zip(p.normals, p.rhs)]
+                               + [(tuple([0] * p.dim) + (-1,), 0)])
     assert lifted.dim == p.dim + 1
     assert lifted.n_facets == p.n_facets + 1
-    from polyadj.polytope import vertices
     assert max(v[-1] for v in vertices(lifted).vertices) == critical_shift(p)
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import fm_maximize, fm_project_feasible
 from polyadj.errors import DimensionMismatchError
 from polyadj.lp import is_feasible, make_problem, solve
+from polyadj.ratmath import dot
 
 small = st.integers(min_value=-5, max_value=5)
 
@@ -18,6 +19,27 @@ def lp_instances(m, d):
         st.lists(small, min_size=m, max_size=m),
         st.lists(small, min_size=d, max_size=d),
     )
+
+
+def mixed_instances(d):
+    """(inequality rows, equality rows, nonneg indices, objective)."""
+    rows = st.tuples(st.lists(small, min_size=d, max_size=d), small)
+    return st.tuples(st.lists(rows, max_size=3), st.lists(rows, max_size=2),
+                     st.sets(st.integers(min_value=0, max_value=d - 1)),
+                     st.lists(small, min_size=d, max_size=d))
+
+
+def mixed_problem(ineqs, eqs, nonneg, obj):
+    return make_problem([a for a, _ in ineqs], [b for _, b in ineqs], obj,
+                        eq_normals=[a for a, _ in eqs], eq_rhs=[b for _, b in eqs], nonneg=nonneg)
+
+
+def as_inequalities(ineqs, eqs, nonneg, d):
+    """The same system with each equality as two opposite rows and each
+    sign constraint as a -x_j <= 0 row."""
+    rows = list(ineqs) + list(eqs) + [([-x for x in a], -b) for a, b in eqs]
+    rows += [([-1 if k == j else 0 for k in range(d)], 0) for j in sorted(nonneg)]
+    return [a for a, _ in rows], [b for _, b in rows]
 
 
 def test_known_box_maximum():
@@ -72,8 +94,29 @@ def test_tight_rows_reported():
 def test_dimension_mismatch_rejected():
     with pytest.raises(DimensionMismatchError):
         make_problem([[1, 2]], [1, 2], [1, 1])
+    with pytest.raises(DimensionMismatchError):
+        make_problem([[1, 2]], [1], [1, 1], eq_normals=[[1, 0]], eq_rhs=[1, 2])
+    with pytest.raises(DimensionMismatchError):
+        make_problem([[1, 2]], [1], [1, 1], eq_normals=[[1]], eq_rhs=[1])
+    with pytest.raises(DimensionMismatchError):
+        make_problem([[1, 2]], [1], [1, 1], nonneg=[2])
+    with pytest.raises(DimensionMismatchError):
+        make_problem([[1, 2]], [1], [1, 1], nonneg=[-1])
     with pytest.raises(ValueError):
         make_problem([[1]], [1], [1], direction="sideways")
+
+
+def test_certificates_with_free_equality_duals_and_priced_out_columns():
+    # max x - y over x <= 1 with x, y >= 0: the only dual y = (1) gives
+    # y.A_y = 0 > -1 on the nonnegative column of y
+    res = solve(make_problem([[1, 0]], [1], [1, -1], nonneg=[0, 1]))
+    assert (res.status, res.value, res.point, res.tight) == ("optimal", 1, (1, 0), (0,))
+    # max x over -x = -2: the equality row's dual is -1
+    res = solve(make_problem([], [], [1], eq_normals=[[-1]], eq_rhs=[-2]))
+    assert (res.status, res.value, res.point, res.tight) == ("optimal", 2, (2,), ())
+    # a redundant equality row is dropped in phase 1, leaving no rows at all
+    res = solve(make_problem([], [], [-1, 0], eq_normals=[[0, 0]], eq_rhs=[0], nonneg=[0, 1]))
+    assert (res.status, res.value, res.point) == ("optimal", 0, (0, 0))
 
 
 @settings(deadline=None, max_examples=150)
@@ -117,3 +160,38 @@ def test_minimum_is_negated_maximum(data):
     assert mn.status == mx.status
     if mn.status == "optimal":
         assert mn.value == -mx.value
+
+
+def check_mixed_against_elimination(data, d):
+    ineqs, eqs, nonneg, obj = data
+    res = solve(mixed_problem(ineqs, eqs, nonneg, obj))
+    status, value = fm_maximize(*as_inequalities(ineqs, eqs, nonneg, d), obj)
+    assert res.status == status
+    if status == "optimal":
+        x = res.point
+        assert res.value == value == dot(obj, x)
+        assert all(dot(a, x) <= b for a, b in ineqs)
+        assert all(dot(a, x) == b for a, b in eqs)
+        assert all(x[j] >= 0 for j in nonneg)
+        assert res.tight == tuple(i for i, (a, b) in enumerate(ineqs) if dot(a, x) == b)
+
+
+@settings(deadline=None, max_examples=200)
+@given(mixed_instances(2))
+def test_equalities_and_signs_agree_with_elimination_2d(data):
+    check_mixed_against_elimination(data, 2)
+
+
+@settings(deadline=None, max_examples=60)
+@given(mixed_instances(3))
+def test_equalities_and_signs_agree_with_elimination_3d(data):
+    check_mixed_against_elimination(data, 3)
+
+
+@settings(deadline=None, max_examples=150)
+@given(mixed_instances(3))
+def test_feasibility_with_equalities_and_signs_agrees_with_projection(data):
+    ineqs, eqs, nonneg, _ = data
+    assert is_feasible([a for a, _ in ineqs], [b for _, b in ineqs],
+                       eq_normals=[a for a, _ in eqs], eq_rhs=[b for _, b in eqs], nonneg=nonneg) \
+        == fm_project_feasible(*as_inequalities(ineqs, eqs, nonneg, 3))

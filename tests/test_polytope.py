@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import box_lattice_points, brute_vertices
+from polyadj import lp
 from polyadj.errors import (
     EmptyPolytopeError,
     LowerDimensionalError,
@@ -129,6 +130,26 @@ def test_implicit_equalities_found_by_slack_maximization():
     assert emb.dim == 1
     assert set(eq_idx) == {2, 3}
     assert emb.vertices == ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)))
+
+
+def test_implicit_equalities_reject_empty_and_prune_loose_candidates(monkeypatch):
+    with pytest.raises(EmptyPolytopeError):
+        implicit_equalities(make_system([((1, 0), 0), ((-1, 0), -1)]))
+    assert implicit_equalities(make_system(TRIANGLE_ROWS)) == ()
+    # x = 0 and -1 <= y <= 0: one y row is tight at the interior LP's point,
+    # so a slack LP with optimum 1 must discard it before x = 0 is proved
+    values = []
+    solve = lp.solve
+
+    def recording_solve(problem):
+        res = solve(problem)
+        values.append(res.value)
+        return res
+
+    monkeypatch.setattr(lp, "solve", recording_solve)
+    sys_ = make_system([((1, 0), 0), ((-1, 0), 0), ((0, 1), 0), ((0, -1), 1)])
+    assert implicit_equalities(sys_) == (0, 1)
+    assert values == [0, 1, 0]
 
 
 def test_embed_system_single_point():
