@@ -43,7 +43,7 @@ from .polytope import (
     make_system,
     relative_interior_point,
 )
-from .ratmath import IntVector, dot, vec_add
+from .ratmath import IntVector, dot
 
 
 def adjoint(p: HPolytope, c) -> InequalitySystem:

@@ -12,7 +12,6 @@ are no smaller, which makes the maximal cones sufficient.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -25,7 +24,7 @@ from .errors import (
     NotInConeError,
     NotLatticePolytopeError,
 )
-from .polytope import HPolytope, from_vertices, is_lattice_polytope, lattice_points, vertices
+from .polytope import HPolytope, extreme_rays, from_vertices, is_lattice_polytope, lattice_points, vertices
 from .ratmath import (
     IntVector,
     det,
@@ -188,25 +187,19 @@ def height(c: Cone, point: Sequence) -> Fraction:
     return res.value
 
 
-def _dual_height_vertices(rays: Sequence[IntVector], d: int) -> list[tuple[Fraction, ...]]:
-    """Vertices of {u : <ray, u> >= 1 for all rays}, for full-rank ray sets.
+def _dual_height_vertices(rays: Sequence[IntVector], d: int) -> list[IntVector]:
+    """Vertices u / s of {u : <ray, u> >= 1 for all rays}, for full-rank ray sets.
 
-    By LP duality the height of any point w of the cone is the minimum of
-    <u, w> over this region, and the region is pointed, so the minimum is
-    attained at one of these vertices.
+    Each is the primitive integer (u, s), s > 0, of an extreme ray of the
+    cone {(u, s) : <ray, u> >= s, s >= 0}. By LP duality the height of any
+    point w of the cone is the minimum of <u, w> over the region, and the
+    region is pointed, so the minimum is attained at a vertex.
     """
-    n = len(rays)
-    out: set[tuple[Fraction, ...]] = set()
-    for subset in itertools.combinations(range(n), d):
-        sol = solve_linear([list(rays[i]) for i in subset], [Fraction(1)] * d)
-        if sol is None or sol[1]:
-            continue
-        u = tuple(sol[0])
-        if all(dot(r, u) >= 1 for r in rays):
-            out.add(u)
+    rows = [tuple(r) + (-1,) for r in rays] + [(0,) * d + (1,)]
+    out = [z for z in extreme_rays(rows, d + 1) if z[d] > 0]
     if not out:
         raise InternalInconsistencyError("dual height region of a full-rank cone has a vertex")
-    return sorted(out)
+    return out
 
 
 def canonicity_threshold(c: Cone) -> tuple[Fraction, Optional[CanonicityWitness]]:
@@ -237,11 +230,8 @@ def canonicity_threshold(c: Cone) -> tuple[Fraction, Optional[CanonicityWitness]
     else:
         directions = None
     duals = _dual_height_vertices(rays, d)
-    scale = 1
-    for u in duals:
-        for x in u:
-            scale = lcm(scale, Fraction(x).denominator)
-    int_duals = [tuple(int(x * scale) for x in u) for u in duals]
+    scale = lcm(*(z[d] for z in duals))
+    int_duals = [tuple(x * (scale // z[d]) for x in z[:d]) for z in duals]
     zero = tuple(0 for _ in range(d))
     hull = from_vertices([zero] + rays)
     best_scaled: Optional[int] = None

@@ -1,5 +1,7 @@
 """Exact polytopes: H and V representations, canonicalization, hulls,
 lattice point enumeration, and embeddings of lower-dimensional sets.
+Vertices and hulls both come from one double-description routine,
+extreme_rays, which fan also uses for the dual height regions.
 
 Conventions. An HPolytope is always bounded, full-dimensional, and
 irredundant, with primitive integer facet normals, rational right hand
@@ -12,10 +14,9 @@ AffineSubspace plus a full-dimensional polytope in local coordinates
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import gcd
 from typing import Optional, Sequence
 
 from . import lp
@@ -23,6 +24,7 @@ from .errors import (
     DimensionMismatchError,
     EmptyPolytopeError,
     InternalInconsistencyError,
+    InvalidConeError,
     LowerDimensionalError,
     NonUnimodularError,
     UnboundedPolytopeError,
@@ -262,56 +264,76 @@ def _interior_lp(normals, rhs, d: int) -> lp.LpResult:
     return res
 
 
+def extreme_rays(rows: Sequence[Sequence[int]], n: int) -> tuple[IntVector, ...]:
+    """Primitive integer extreme rays of the pointed cone {z in Q^n : <r, z> >= 0}.
+
+    Integer double description (Motzkin; Fukuda and Prodon, 1996): start
+    from a lineality basis of Q^n and add the integer rows one at a time. A
+    row nonzero on a lineality vector turns it into a ray; any other row
+    drops the rays on its negative side and combines each pair it separates
+    that is adjacent: no third ray is tight on every row both are tight on
+    (tight sets are bitmasks). Returns the rays sorted; raises
+    InvalidConeError when the cone contains a line.
+    """
+    lineality = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
+    rays: list[tuple[IntVector, int]] = []  # (ray, bitmask of the rows tight at it)
+    for k, row in enumerate(rows):
+        bit = 1 << k
+        pivot = next((v for v in lineality if dot(row, v) != 0), None)
+        if pivot is not None:
+            lineality.remove(pivot)
+            a = dot(row, pivot)
+            pivot, a = (pivot, a) if a > 0 else (tuple(-x for x in pivot), -a)
+            lineality = [_combine(a, v, -dot(row, v), pivot) for v in lineality]
+            rays = [(_combine(a, z, -dot(row, z), pivot), t | bit) for z, t in rays]
+            rays.append((pivot, bit - 1))
+            continue
+        values = [dot(row, z) for z, _ in rays]
+        need = n - len(lineality) - 2
+        kept = [(z, t | bit) if v == 0 else (z, t) for (z, t), v in zip(rays, values) if v >= 0]
+        for i, (zi, ti) in enumerate(rays):
+            if values[i] <= 0:
+                continue
+            for j, (zj, tj) in enumerate(rays):
+                if values[j] >= 0:
+                    continue
+                common = ti & tj
+                if common.bit_count() < need:
+                    continue
+                if any(t & common == common for h, (_, t) in enumerate(rays) if h != i and h != j):
+                    continue
+                kept.append((_combine(values[i], zj, -values[j], zi), common | bit))
+        rays = kept
+    if lineality:
+        raise InvalidConeError("the cone contains a line")
+    return tuple(sorted(z for z, _ in rays))
+
+
+def _combine(a: int, x: IntVector, b: int, y: IntVector) -> IntVector:
+    """Primitive part of a x + b y."""
+    return primitivize(tuple(a * xi + b * yi for xi, yi in zip(x, y)))[0]
+
+
 def vertices(p: HPolytope) -> VPolytope:
-    """All vertices, by exhaustive search over independent d-subsets of rows."""
+    """All vertices: the extreme rays (x, s) of {b_i s - <a_i, x> >= 0, s >= 0}, as x / s."""
     if p.vertex_cache is not None:
         return p.vertex_cache
     d = p.dim
-    n = p.n_facets
-    found: set[tuple[Fraction, ...]] = set()
-
-    # depth-first over constraint subsets, keeping a running echelon form
-    def rec(start: int, rows: list[list[Fraction]], pivots: list[int]):
-        if len(rows) == d:
-            x = _back_solve(rows, pivots, d)
-            if p.contains(x):
-                found.add(x)
-            return
-        for i in range(start, n):
-            if n - i < d - len(rows):
-                break
-            red = [Fraction(v) for v in p.normals[i]] + [p.rhs[i]]
-            for row, c in zip(rows, pivots):
-                f = red[c]
-                if f != 0:
-                    red = [a - f * b for a, b in zip(red, row)]
-            piv = next((c for c in range(d) if red[c] != 0), None)
-            if piv is None:
-                continue
-            inv = 1 / red[piv]
-            red = [a * inv for a in red]
-            rec(i + 1, rows + [red], pivots + [piv])
-
-    rec(0, [], [])
+    rows = [(0,) * d + (1,)]
+    rows += [scale_to_integer(tuple(-x for x in a) + (b,)) for a, b in zip(p.normals, p.rhs)]
+    found = [tuple(Fraction(x, z[d]) for x in z[:d]) for z in extreme_rays(rows, d + 1)]
     result = VPolytope(d, tuple(sorted(found)))
     object.__setattr__(p, "vertex_cache", result)
     return result
 
 
-def _back_solve(rows, pivots, d) -> tuple[Fraction, ...]:
-    x = [Fraction(0)] * d
-    for row, c in reversed(list(zip(rows, pivots))):
-        x[c] = row[d] - sum(row[j] * x[j] for j in range(d) if j != c and row[j] != 0)
-    return tuple(x)
-
-
 def from_vertices(points: Sequence[Sequence]) -> HPolytope:
     """Facet description of the convex hull of a full-dimensional point set.
 
-    Every facet contains d affinely independent input points, so scanning
-    all d-subsets and keeping the supporting hyperplanes finds exactly the
-    facets. Raises LowerDimensionalError when the points do not affinely
-    span R^d.
+    The valid inequalities <a, x> <= beta form the cone of (a, beta) with
+    beta - <a, p> >= 0 at every point p; its extreme rays are the facets
+    and the trivial (0, 1). Raises LowerDimensionalError when the points do
+    not affinely span R^d.
     """
     pts = sorted({tuple(Fraction(c) for c in pt) for pt in points})
     if not pts:
@@ -324,26 +346,15 @@ def from_vertices(points: Sequence[Sequence]) -> HPolytope:
     if rank(diffs) < d:
         raise LowerDimensionalError("points do not span the ambient space")
 
+    rows = [scale_to_integer(tuple(-c for c in pt) + (1,)) for pt in pts]
     facets: dict[IntVector, Fraction] = {}
-    for subset in itertools.combinations(pts, d):
-        rows = [scale_to_integer(vec_sub(pt, subset[0])) for pt in subset[1:]]
-        kernel = integer_kernel_basis(rows, ncols=d) if rows else integer_kernel_basis([], ncols=d)
-        if len(kernel) != 1:
+    for z in extreme_rays(rows, d + 1):
+        if not any(z[:d]):
             continue
-        normal = kernel[0]
-        v0 = dot(normal, subset[0])
-        values = [dot(normal, pt) for pt in pts]
-        mx, mn = max(values), min(values)
-        if v0 == mx and mn < mx:
-            key, b = normal, mx
-        elif v0 == mn and mn < mx:
-            key, b = tuple(-c for c in normal), -mn
-        else:
-            continue
-        prev = facets.get(key)
-        if prev is not None and prev != b:
+        normal, g = primitivize(z[:d])
+        if normal in facets:
             raise InternalInconsistencyError("conflicting supports for one normal")
-        facets[key] = b
+        facets[normal] = Fraction(z[d], g)
 
     pairs = sorted(facets.items())
     poly = HPolytope(d, tuple(a for a, _ in pairs), tuple(b for _, b in pairs))
@@ -359,10 +370,7 @@ def _tight_rank(p: HPolytope, point) -> int:
 
 
 def _canonical_equations(directions: Sequence[IntVector], base, d: int):
-    if directions:
-        kernel = integer_kernel_basis(list(directions), ncols=d)
-    else:
-        kernel = integer_kernel_basis([], ncols=d)
+    kernel = integer_kernel_basis(list(directions), ncols=d)
     eqs = []
     for a in kernel:
         lead = next((x for x in a if x != 0), 0)
@@ -645,7 +653,7 @@ def lattice_points(s, region: str = "all", sublattice_scale: int = 1):
     if region not in ("all", "relative_interior"):
         raise ValueError(f"unknown region {region!r}")
     k = int(sublattice_scale)
-    if k < 1:
+    if k < 1 or k != sublattice_scale:
         raise ValueError("sublattice_scale must be a positive integer")
     eqs, ineqs = _ambient_rows(s)
     closed = [(a, beta) for a, beta in eqs] + [(tuple(-x for x in a), -beta) for a, beta in eqs]

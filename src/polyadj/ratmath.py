@@ -29,10 +29,11 @@ def parse_fraction(text: str) -> Fraction:
         raise ParseError(f"bad rational {text!r}") from exc
 
 
-def dot(a: Sequence, x: Sequence) -> Fraction:
+def dot(a: Sequence, x: Sequence) -> Fraction | int:
+    """Inner product summed from the int 0: an int for integer vectors, else a Fraction."""
     if len(a) != len(x):
         raise DimensionMismatchError(f"dot of lengths {len(a)} and {len(x)}")
-    return sum((ai * xi for ai, xi in zip(a, x)), Fraction(0))
+    return sum(ai * xi for ai, xi in zip(a, x))
 
 
 def vec_add(a: Sequence, x: Sequence) -> tuple:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def laplace_det(m):
@@ -83,6 +84,54 @@ def brute_vertices(normals, rhs):
         if all(sum(a * x for a, x in zip(row, pt)) <= b for row, b in zip(normals, rhs)):
             seen.add(pt)
     return seen
+
+
+def cofactor_normal(points):
+    """Normal of the hyperplane through d points of Q^d, by Laplace cofactors.
+
+    Entry j is (-1)^j times the minor of the difference rows p_i - p_0
+    without column j; it is zero exactly when the points are affinely
+    dependent.
+    """
+    diffs = [[Fraction(a) - Fraction(b) for a, b in zip(q, points[0])] for q in points[1:]]
+    return tuple((-1) ** j * laplace_det([row[:j] + row[j + 1:] for row in diffs])
+                 for j in range(len(points[0])))
+
+
+def brute_facets(points):
+    """Facets (primitive integer normal, rhs) of the hull of full-dimensional points.
+
+    Every facet holds d affinely independent points, so the hyperplanes
+    through d-subsets that leave every point on one side are the facets.
+    """
+    pts = sorted({tuple(Fraction(c) for c in pt) for pt in points})
+    out = set()
+    for subset in itertools.combinations(pts, len(pts[0])):
+        normal = cofactor_normal(subset)
+        if all(c == 0 for c in normal):
+            continue
+        den = lcm(*(c.denominator for c in normal))
+        ints = [int(c * den) for c in normal]
+        g = gcd(*ints)
+        ints = tuple(c // g for c in ints)
+        values = [sum(a * x for a, x in zip(ints, pt)) for pt in pts]
+        v0 = values[pts.index(subset[0])]
+        if v0 == max(values):
+            out.add((ints, v0))
+        if v0 == min(values):
+            out.add((tuple(-c for c in ints), -v0))
+    return out
+
+
+def brute_dual_vertices(rays):
+    """Vertices of {u : <ray, u> >= 1 for all rays}, by Cramer on every d-subset of rays."""
+    d = len(rays[0])
+    out = set()
+    for subset in itertools.combinations(rays, d):
+        u = cramer_solve([list(r) for r in subset], [1] * d)
+        if u is not None and all(sum(a * x for a, x in zip(r, u)) >= 1 for r in rays):
+            out.add(u)
+    return out
 
 
 def fm_project_feasible(normals, rhs):

@@ -5,11 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import confirms_minimal_level, gauss_solve, smallest_solvable_level
+from oracles import (
+    brute_dual_vertices,
+    confirms_minimal_level,
+    gauss_solve,
+    smallest_solvable_level,
+)
 from polyadj import lp
 from polyadj.errors import InvalidConeError, NotInConeError
 from polyadj.fan import (
     Cone,
+    _dual_height_vertices,
     canonicity_threshold,
     cone,
     fan_canonicity_threshold,
@@ -22,8 +28,8 @@ from polyadj.fan import (
     normal_fan,
 )
 from polyadj.generators import cube, fig1, scaled_simplex
-from polyadj.polytope import vertices
-from polyadj.ratmath import dot
+from polyadj.polytope import from_vertices, vertices
+from polyadj.ratmath import dot, primitivize
 
 # pointed, non-simplicial, not Q-Gorenstein; (0,0,4) has representations
 # with total weight anywhere in [2, 4], so its height must come out as 4
@@ -132,6 +138,21 @@ def test_simplicial_heights_match_the_lp_route():
             continue
         for pt in list(c.rays) + [tuple(map(sum, zip(*c.rays)))]:
             assert height(c, pt) == _lp_height(c, pt)
+
+
+def test_dual_height_vertices_match_the_brute_force_scan():
+    # non-simplicial cones: SKEW_RAYS, the cone over a square, and the
+    # vertex cones of the octahedron and of the 4-dimensional cross-polytope
+    cones = [cone(SKEW_RAYS), cone([(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)])]
+    for d in (3, 4):
+        units = [tuple(s if i == j else 0 for j in range(d)) for i in range(d) for s in (1, -1)]
+        cones += normal_fan(from_vertices(units)).maximal_cones
+    assert all(not c.is_simplicial() for c in cones)
+    for c in cones:
+        d = c.ambient_dim
+        got = _dual_height_vertices(c.rays, d)
+        assert all(z[d] > 0 and primitivize(z)[1] == 1 for z in got)
+        assert {tuple(Fraction(x, z[d]) for x in z[:d]) for z in got} == brute_dual_vertices(c.rays)
 
 
 def test_canonicity_threshold_pinned_cases():

@@ -6,18 +6,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import box_lattice_points, brute_vertices
+from oracles import box_lattice_points, brute_facets, brute_vertices, cofactor_normal
 from polyadj import lp
 from polyadj.errors import (
     EmptyPolytopeError,
+    InvalidConeError,
     LowerDimensionalError,
     NonUnimodularError,
     UnboundedPolytopeError,
 )
-from polyadj.generators import cube, fig1, scaled_simplex
+from polyadj.generators import SplitMix64, cube, fig1, scaled_simplex
 from polyadj.polytope import (
+    HPolytope,
     dilate,
     embed_system,
+    extreme_rays,
     from_inequalities,
     from_vertices,
     hull_any_dim,
@@ -32,6 +35,9 @@ from polyadj.polytope import (
 from polyadj.ratmath import dot, rank
 
 coord = st.integers(min_value=-4, max_value=4)
+small = st.integers(min_value=-2, max_value=2)
+rational = st.builds(Fraction, st.integers(min_value=-6, max_value=6),
+                     st.integers(min_value=1, max_value=3))
 
 
 def point_sets(d, n):
@@ -84,10 +90,26 @@ def test_vertices_of_the_running_example():
     assert got == {(0, 0), (4, 0), (5, 1), (5, 3), (0, 3)}
 
 
+def _cross_polytope(d):
+    return from_inequalities([(tuple(1 if k >> j & 1 else -1 for j in range(d)), 1)
+                              for k in range(2 ** d)])
+
+
+def _uncached(p):
+    # the same rows without the vertices from_vertices passes in, so that
+    # vertices() runs its own enumeration
+    return HPolytope(p.dim, p.normals, p.rhs)
+
+
 def test_vertex_enumeration_matches_brute_force_on_named_cases():
-    for p in (fig1(), cube(3), scaled_simplex(2, 3), scaled_simplex(3, 4)):
-        got = set(vertices(p).vertices)
+    # cube(4) and the cross-polytopes are degenerate: each vertex lies on
+    # more than d facets
+    for p in (fig1(), cube(3), cube(4), _cross_polytope(3), _cross_polytope(4),
+              scaled_simplex(2, 3), scaled_simplex(3, 4)):
+        got = set(vertices(_uncached(p)).vertices)
         assert got == brute_vertices(p.normals, p.rhs)
+    assert len(vertices(cube(4)).vertices) == 16
+    assert len(vertices(_cross_polytope(4)).vertices) == 8
 
 
 def test_vertices_are_cached():
@@ -115,6 +137,99 @@ def test_vertex_hull_roundtrip_3d(pts):
         return
     p = from_vertices(pts)
     assert set(vertices(p).vertices) == brute_vertices(p.normals, p.rhs)
+
+
+def _full_dim(pts):
+    return rank([tuple(b - a for a, b in zip(pts[0], q)) for q in pts[1:]]) == len(pts[0])
+
+
+def _check_hull_against_the_brute_scan(pts):
+    p = from_vertices(pts)
+    assert set(zip(p.normals, p.rhs)) == brute_facets(pts)
+    assert set(vertices(_uncached(p)).vertices) == set(p.vertex_cache.vertices)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.lists(st.tuples(rational, rational), min_size=3, max_size=8), st.integers(0, 7))
+def test_hull_facets_match_the_brute_force_scan_2d(pts, k):
+    # rational points; repeated points; collinear triples are common
+    pts = pts + pts[:k]
+    if _full_dim(pts):
+        _check_hull_against_the_brute_scan(pts)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.tuples(small, small, small), min_size=4, max_size=10), st.integers(0, 3))
+def test_hull_facets_match_the_brute_force_scan_3d(pts, k):
+    # a 5^3 box makes coplanar quadruples common; prefixes repeat points
+    pts = pts + pts[:k]
+    if _full_dim(pts):
+        _check_hull_against_the_brute_scan(pts)
+
+
+# From d = 4 on, two rays can share n - 2 tight rows of rank below n - 2
+# (three collinear points); on these points a kernel that skipped the
+# combinatorial adjacency test would report a valid inequality that is
+# not a facet.
+ADJACENCY_CASE = [(-1, 1, 2, 1), (-1, 2, -2, 1), (-1, -1, -2, -1), (-1, -1, 2, 2),
+                  (-1, 2, 0, -2), (2, 0, -2, 0), (2, 0, -1, 2), (1, 1, 2, 2),
+                  (2, -1, -1, 2), (2, -2, 1, 1), (0, -1, 1, 2)]
+
+
+def test_hull_facets_match_the_brute_force_scan_on_the_adjacency_case():
+    _check_hull_against_the_brute_scan(ADJACENCY_CASE)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.tuples(small, small, small, small), min_size=5, max_size=11))
+def test_hull_facets_match_the_brute_force_scan_4d(pts):
+    if _full_dim(pts):
+        _check_hull_against_the_brute_scan(pts)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(st.tuples(rational, rational), min_size=3, max_size=6),
+       st.lists(st.tuples(rational, rational, rational), min_size=1, max_size=3))
+def test_hull_facets_match_the_brute_force_scan_3d_rational_coplanar(base, apexes):
+    # a planar rational polygon at z = 0 plus a few rational points above or below it
+    pts = [(x, y, Fraction(0)) for x, y in base] + apexes
+    if _full_dim(pts):
+        _check_hull_against_the_brute_scan(pts)
+
+
+def test_extreme_rays_of_small_cones():
+    assert extreme_rays([(1, 0), (0, 1)], 2) == ((0, 1), (1, 0))
+    # the cone over a square: four rays, each tight on two of the four rows
+    rows = [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)]
+    assert extreme_rays(rows, 3) == ((-1, -1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, 1))
+    # a redundant row and a repeated one change nothing; {0} has no rays
+    assert extreme_rays(rows + [(0, 0, 1), (1, 0, 1)], 3) == extreme_rays(rows, 3)
+    assert extreme_rays([(1, 0), (-1, 0), (0, 1), (0, -1)], 2) == ()
+    # a lower-dimensional pointed cone: the ray {(0, y) : y >= 0}
+    assert extreme_rays([(1, 0), (-1, 0), (0, 1)], 2) == ((0, 1),)
+
+
+def test_extreme_rays_reject_cones_with_a_line():
+    with pytest.raises(InvalidConeError):
+        extreme_rays([(1, 0)], 2)
+    with pytest.raises(InvalidConeError):
+        extreme_rays([(1, 1, 0), (-1, 0, 0)], 3)
+    with pytest.raises(InvalidConeError):
+        extreme_rays([], 1)
+
+
+def test_hull_of_sixty_points_in_3d():
+    rng = SplitMix64(60)
+    pts = [tuple(rng.randint(-6, 6) for _ in range(3)) for _ in range(60)]
+    p = from_vertices(pts)
+    for a, b in zip(p.normals, p.rhs):
+        values = [sum(x * y for x, y in zip(a, pt)) for pt in pts]
+        assert max(values) == b
+        tight = [pt for pt, v in zip(pts, values) if v == b]
+        assert any(any(cofactor_normal(sub)) for sub in itertools.combinations(tight, 3))
+    brute = brute_vertices(p.normals, p.rhs)
+    assert set(vertices(_uncached(p)).vertices) == brute
+    assert set(p.vertex_cache.vertices) == brute
 
 
 def test_from_vertices_needs_full_dimension():
@@ -228,6 +343,12 @@ def test_lattice_points_input_validation():
         lattice_points(cube(2), region="boundary")
     with pytest.raises(ValueError):
         lattice_points(cube(2), sublattice_scale=0)
+    # a non-integer scale is rejected, not truncated to an integer
+    for scale in (Fraction(3, 2), 2.9):
+        with pytest.raises(ValueError):
+            lattice_points(cube(2), sublattice_scale=scale)
+    assert lattice_points(dilate(cube(2), 2), sublattice_scale=Fraction(2)) == (
+        (0, 0), (0, 2), (2, 0), (2, 2))
 
 
 @settings(deadline=None, max_examples=50)
