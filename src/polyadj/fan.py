@@ -196,7 +196,7 @@ def _dual_height_vertices(rays: Sequence[IntVector], d: int) -> list[IntVector]:
     region is pointed, so the minimum is attained at a vertex.
     """
     rows = [tuple(r) + (-1,) for r in rays] + [(0,) * d + (1,)]
-    out = [z for z in extreme_rays(rows, d + 1) if z[d] > 0]
+    out = [z for z, _ in extreme_rays(rows, d + 1) if z[d] > 0]
     if not out:
         raise InternalInconsistencyError("dual height region of a full-rank cone has a vertex")
     return out

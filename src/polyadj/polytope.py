@@ -1,7 +1,10 @@
 """Exact polytopes: H and V representations, canonicalization, hulls,
 lattice point enumeration, and embeddings of lower-dimensional sets.
-Vertices and hulls both come from one double-description routine,
-extreme_rays, which fan also uses for the dual height regions.
+Both canonical forms come from one double-description routine,
+extreme_rays, which also reports the rows tight at each ray:
+from_inequalities reads the facets and vertices of an inequality system
+off those tight sets, from_vertices the facets and vertices of a hull,
+vertices the vertices of an HPolytope, and fan the dual height regions.
 
 Conventions. An HPolytope is always bounded, full-dimensional, and
 irredundant, with primitive integer facet normals, rational right hand
@@ -35,7 +38,6 @@ from .ratmath import (
     dot,
     integer_kernel_basis,
     primitivize,
-    rank,
     saturate,
     scale_to_integer,
     solve_linear,
@@ -194,10 +196,15 @@ def from_inequalities(rows: Sequence[tuple[Sequence, object]]) -> HPolytope:
     """Canonicalize a raw inequality system into an HPolytope.
 
     Normals are primitivized (right hand sides rescaled along), duplicate
-    normals keep the binding (minimum) right hand side, redundant rows are
-    removed by one exact LP each, and rows are sorted by normal. Raises
-    EmptyPolytopeError, UnboundedPolytopeError, or LowerDimensionalError
-    when the described set is not a bounded full-dimensional polytope.
+    normals keep the binding (minimum) right hand side, and rows are sorted
+    by normal. One phase-1 LP decides emptiness; the rest comes from one
+    double description of the homogenized cone {(x, s) : b s - <a, x> >= 0,
+    s >= 0}: a line or a ray with s = 0 means the set is unbounded, a row
+    tight at every vertex x / s means it is flat, and the facets are the
+    rows whose vertex sets are nonempty and maximal under inclusion. The
+    result carries its vertices. Raises EmptyPolytopeError,
+    UnboundedPolytopeError, or LowerDimensionalError, in that order, when
+    the described set is not a bounded full-dimensional polytope.
     """
     if not rows:
         raise UnboundedPolytopeError("no constraints describe all of space")
@@ -225,46 +232,30 @@ def from_inequalities(rows: Sequence[tuple[Sequence, object]]) -> HPolytope:
 
     if not lp.is_feasible(normals, rhs):
         raise EmptyPolytopeError("inequality system has no solution")
-    for j in range(d):
-        for sign in (1, -1):
-            obj = [Fraction(0)] * d
-            obj[j] = Fraction(sign)
-            if lp.solve(lp.make_problem(normals, rhs, obj, "max")).status == "unbounded":
-                raise UnboundedPolytopeError(f"coordinate {j} unbounded")
-    if _interior_lp(normals, rhs, d).value <= 0:
-        raise LowerDimensionalError("system has empty interior")
-
-    # one pass of sequential redundancy removal leaves an irredundant system
-    active = list(range(len(normals)))
-    for i in list(active):
-        others = [k for k in active if k != i]
-        res = lp.solve(lp.make_problem([normals[k] for k in others],
-                                       [rhs[k] for k in others],
-                                       normals[i], "max"))
-        if res.status == "optimal" and res.value <= rhs[i]:
-            active.remove(i)
-    pairs = sorted((normals[i], rhs[i]) for i in active)
-    return HPolytope(d, tuple(a for a, _ in pairs), tuple(b for _, b in pairs))
+    try:
+        rays = _homogenized_rays(normals, rhs, d)
+    except InvalidConeError:
+        raise UnboundedPolytopeError("the solution set contains a line") from None
+    if any(z[d] == 0 for z, _ in rays):
+        raise UnboundedPolytopeError("the solution set has a recession direction")
+    bits = range(1, len(normals) + 1)
+    if any(all(t >> k & 1 for _, t in rays) for k in bits):
+        raise LowerDimensionalError("a row is tight at every vertex")
+    pairs = sorted((normals[i], rhs[i]) for i in _maximal_rows(rays, bits))
+    return HPolytope(d, tuple(a for a, _ in pairs), tuple(b for _, b in pairs),
+                     _vertex_polytope(rays, d))
 
 
-def _interior_lp(normals, rhs, d: int) -> lp.LpResult:
-    """max t with <a_i, x> + t <= b_i and t <= 1, at the point (x, t).
+def _maximal_rows(rays, bits: range) -> list[int]:
+    """Positions in bits of the rows whose sets of tight rays are nonempty and maximal.
 
-    t is free, so the LP is always feasible and bounded. The optimum is
-    positive iff the system is full-dimensional, and negative iff it is
-    infeasible, which raises EmptyPolytopeError.
+    Bit k of a ray's tight set is row k; maximal means under inclusion.
     """
-    ext = [tuple(a) + (1,) for a in normals] + [tuple([0] * d) + (1,)]
-    res = lp.solve(lp.make_problem(ext, list(rhs) + [Fraction(1)],
-                                   [Fraction(0)] * d + [Fraction(1)], "max"))
-    if res.status != "optimal":
-        raise InternalInconsistencyError("interior LP must be bounded and feasible")
-    if res.value < 0:
-        raise EmptyPolytopeError("system has no solution")
-    return res
+    on = [sum(1 << j for j, (_, t) in enumerate(rays) if t >> k & 1) for k in bits]
+    return [i for i, m in enumerate(on) if m and not any(m & o == m and o != m for o in on)]
 
 
-def extreme_rays(rows: Sequence[Sequence[int]], n: int) -> tuple[IntVector, ...]:
+def extreme_rays(rows: Sequence[Sequence[int]], n: int) -> tuple[tuple[IntVector, int], ...]:
     """Primitive integer extreme rays of the pointed cone {z in Q^n : <r, z> >= 0}.
 
     Integer double description (Motzkin; Fukuda and Prodon, 1996): start
@@ -272,7 +263,8 @@ def extreme_rays(rows: Sequence[Sequence[int]], n: int) -> tuple[IntVector, ...]
     row nonzero on a lineality vector turns it into a ray; any other row
     drops the rays on its negative side and combines each pair it separates
     that is adjacent: no third ray is tight on every row both are tight on
-    (tight sets are bitmasks). Returns the rays sorted; raises
+    (tight sets are bitmasks). Returns the pairs (ray, tight set) sorted by
+    ray, where bit k of the tight set is set iff <rows[k], ray> = 0; raises
     InvalidConeError when the cone contains a line.
     """
     lineality = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
@@ -306,7 +298,7 @@ def extreme_rays(rows: Sequence[Sequence[int]], n: int) -> tuple[IntVector, ...]
         rays = kept
     if lineality:
         raise InvalidConeError("the cone contains a line")
-    return tuple(sorted(z for z, _ in rays))
+    return tuple(sorted(rays))
 
 
 def _combine(a: int, x: IntVector, b: int, y: IntVector) -> IntVector:
@@ -314,26 +306,33 @@ def _combine(a: int, x: IntVector, b: int, y: IntVector) -> IntVector:
     return primitivize(tuple(a * xi + b * yi for xi, yi in zip(x, y)))[0]
 
 
+def _homogenized_rays(normals, rhs, d: int) -> tuple[tuple[IntVector, int], ...]:
+    """Extreme rays of {(x, s) : s >= 0, b_i s - <a_i, x> >= 0}; row i is bit i + 1."""
+    rows = [(0,) * d + (1,)]
+    rows += [scale_to_integer(tuple(-x for x in a) + (b,)) for a, b in zip(normals, rhs)]
+    return extreme_rays(rows, d + 1)
+
+
+def _vertex_polytope(rays, d: int) -> VPolytope:
+    return VPolytope(d, tuple(sorted(tuple(Fraction(x, z[d]) for x in z[:d]) for z, _ in rays)))
+
+
 def vertices(p: HPolytope) -> VPolytope:
     """All vertices: the extreme rays (x, s) of {b_i s - <a_i, x> >= 0, s >= 0}, as x / s."""
-    if p.vertex_cache is not None:
-        return p.vertex_cache
-    d = p.dim
-    rows = [(0,) * d + (1,)]
-    rows += [scale_to_integer(tuple(-x for x in a) + (b,)) for a, b in zip(p.normals, p.rhs)]
-    found = [tuple(Fraction(x, z[d]) for x in z[:d]) for z in extreme_rays(rows, d + 1)]
-    result = VPolytope(d, tuple(sorted(found)))
-    object.__setattr__(p, "vertex_cache", result)
-    return result
+    if p.vertex_cache is None:
+        rays = _homogenized_rays(p.normals, p.rhs, p.dim)
+        object.__setattr__(p, "vertex_cache", _vertex_polytope(rays, p.dim))
+    return p.vertex_cache
 
 
 def from_vertices(points: Sequence[Sequence]) -> HPolytope:
     """Facet description of the convex hull of a full-dimensional point set.
 
     The valid inequalities <a, x> <= beta form the cone of (a, beta) with
-    beta - <a, p> >= 0 at every point p; its extreme rays are the facets
-    and the trivial (0, 1). Raises LowerDimensionalError when the points do
-    not affinely span R^d.
+    beta - <a, p> >= 0 at every point p; its extreme rays are the facets,
+    and the vertices are the points whose sets of tight facets are nonempty
+    and maximal under inclusion. The cone contains a line exactly when the
+    points lie on a hyperplane, which raises LowerDimensionalError.
     """
     pts = sorted({tuple(Fraction(c) for c in pt) for pt in points})
     if not pts:
@@ -341,32 +340,20 @@ def from_vertices(points: Sequence[Sequence]) -> HPolytope:
     d = len(pts[0])
     if any(len(pt) != d for pt in pts):
         raise DimensionMismatchError("mixed point lengths")
-    base = pts[0]
-    diffs = [scale_to_integer(vec_sub(pt, base)) for pt in pts[1:]]
-    if rank(diffs) < d:
-        raise LowerDimensionalError("points do not span the ambient space")
-
     rows = [scale_to_integer(tuple(-c for c in pt) + (1,)) for pt in pts]
+    try:
+        rays = extreme_rays(rows, d + 1)
+    except InvalidConeError:
+        raise LowerDimensionalError("points do not span the ambient space") from None
     facets: dict[IntVector, Fraction] = {}
-    for z in extreme_rays(rows, d + 1):
-        if not any(z[:d]):
-            continue
+    for z, _ in rays:
         normal, g = primitivize(z[:d])
         if normal in facets:
             raise InternalInconsistencyError("conflicting supports for one normal")
         facets[normal] = Fraction(z[d], g)
-
     pairs = sorted(facets.items())
-    poly = HPolytope(d, tuple(a for a, _ in pairs), tuple(b for _, b in pairs))
-    vert = tuple(sorted(pt for pt in pts if _tight_rank(poly, pt) == d))
-    return HPolytope(d, poly.normals, poly.rhs, VPolytope(d, vert))
-
-
-def _tight_rank(p: HPolytope, point) -> int:
-    tight = [p.normals[i] for i in range(p.n_facets) if dot(p.normals[i], point) == p.rhs[i]]
-    if not tight:
-        return 0
-    return rank(tight)
+    vert = VPolytope(d, tuple(pts[i] for i in _maximal_rows(rays, range(len(pts)))))
+    return HPolytope(d, tuple(a for a, _ in pairs), tuple(b for _, b in pairs), vert)
 
 
 def _canonical_equations(directions: Sequence[IntVector], base, d: int):
@@ -410,7 +397,16 @@ def implicit_equalities(system: InequalitySystem) -> tuple[int, ...]:
     """
     n = len(system.normals)
     d = system.dim
-    radius = _interior_lp(system.normals, system.rhs, d)
+    # max t with <a_i, x> + t <= b_i and t <= 1: t is free, so the LP is
+    # feasible and bounded; its optimum is positive iff the system is
+    # full-dimensional and negative iff it is empty
+    ext = [tuple(a) + (1,) for a in system.normals] + [(0,) * d + (1,)]
+    radius = lp.solve(lp.make_problem(ext, list(system.rhs) + [Fraction(1)],
+                                      [Fraction(0)] * d + [Fraction(1)], "max"))
+    if radius.status != "optimal":
+        raise InternalInconsistencyError("interior LP must be bounded and feasible")
+    if radius.value < 0:
+        raise EmptyPolytopeError("system has no solution")
     if radius.value > 0:
         return ()
     x0 = radius.point[:d]
@@ -510,16 +506,6 @@ def is_lattice_polytope(s) -> bool:
 # lattice point enumeration
 
 
-def _fm_normalize(coeffs, rhs):
-    row = scale_to_integer(tuple(coeffs) + (rhs,))
-    g = 0
-    for x in row[:-1]:
-        g = gcd(g, x)
-    if g == 0:
-        return None, Fraction(row[-1])
-    return tuple(x // g for x in row[:-1]), Fraction(row[-1], g)
-
-
 def _fm_levels(rows, d: int):
     """Fourier-Motzkin elimination ladder. rows: (coeff tuple, rhs) closed <=.
 
@@ -527,22 +513,27 @@ def _fm_levels(rows, d: int):
     (integer coeffs, rhs numerator, rhs denominator). Returns None when a
     derived constant row is infeasible. Every row is enforced as a bound
     at the level of its last nonzero coefficient, so points surviving the
-    ladder satisfy the whole closed system exactly.
+    ladder satisfy the whole closed system exactly. The input rows are
+    scaled to integers once; rows derived from integer rows are integer,
+    so each row only needs dividing by the gcd of its coefficients.
     """
     def clean(pairs):
         best: dict[tuple, Fraction] = {}
         for coeffs, rhs in pairs:
-            coeffs, rhs = _fm_normalize(coeffs, rhs)
-            if coeffs is None:
+            g = gcd(*coeffs)
+            if g == 0:
                 if rhs < 0:
                     return None
                 continue
+            coeffs = tuple(x // g for x in coeffs)
+            rhs = rhs / g
             if coeffs not in best or rhs < best[coeffs]:
                 best[coeffs] = rhs
         return [(c, b) for c, b in best.items()]
 
     exact: list = [None] * (d + 1)
-    current = clean([(tuple(Fraction(x) for x in a[:d]), Fraction(b)) for a, b in rows])
+    current = clean([(row[:d], Fraction(row[d]))
+                     for row in (scale_to_integer(tuple(a[:d]) + (b,)) for a, b in rows)])
     if current is None:
         return None
     exact[d] = current

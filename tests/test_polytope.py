@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import box_lattice_points, brute_facets, brute_vertices, cofactor_normal
-from polyadj import lp
+from polyadj import fan, lp, polytope
 from polyadj.errors import (
     EmptyPolytopeError,
     InvalidConeError,
@@ -32,7 +32,7 @@ from polyadj.polytope import (
     transform,
     vertices,
 )
-from polyadj.ratmath import dot, rank
+from polyadj.ratmath import dot, rank, vec_add
 
 coord = st.integers(min_value=-4, max_value=4)
 small = st.integers(min_value=-2, max_value=2)
@@ -76,6 +76,17 @@ def test_empty_and_unbounded_and_flat_inputs_are_rejected():
         from_inequalities([((1, 0), 1), ((0, 1), 1)])
     with pytest.raises(LowerDimensionalError):
         from_inequalities([((1, 0), 0), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)])
+    # empty beats unbounded, and unbounded beats flat, also when the system
+    # has a line (the y axis is free in all three)
+    with pytest.raises(EmptyPolytopeError):
+        from_inequalities([((1, 0), 0), ((-1, 0), -1)])
+    with pytest.raises(UnboundedPolytopeError):
+        from_inequalities([((1, 0), 1), ((-1, 0), 0)])
+    with pytest.raises(UnboundedPolytopeError):
+        from_inequalities([((1, 0), 0), ((-1, 0), 0)])
+    # a single point
+    with pytest.raises(LowerDimensionalError):
+        from_inequalities([((1, 0), 1), ((-1, 0), -1), ((0, 1), 2), ((0, -1), -2)])
 
 
 def test_zero_rows_are_constant_conditions():
@@ -198,15 +209,90 @@ def test_hull_facets_match_the_brute_force_scan_3d_rational_coplanar(base, apexe
 
 
 def test_extreme_rays_of_small_cones():
-    assert extreme_rays([(1, 0), (0, 1)], 2) == ((0, 1), (1, 0))
+    # the nonnegative quadrant: each ray is tight on the other axis' row
+    assert extreme_rays([(1, 0), (0, 1)], 2) == (((0, 1), 0b01), ((1, 0), 0b10))
     # the cone over a square: four rays, each tight on two of the four rows
     rows = [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)]
-    assert extreme_rays(rows, 3) == ((-1, -1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, 1))
-    # a redundant row and a repeated one change nothing; {0} has no rays
-    assert extreme_rays(rows + [(0, 0, 1), (1, 0, 1)], 3) == extreme_rays(rows, 3)
+    assert extreme_rays(rows, 3) == (((-1, -1, 1), 0b0101), ((-1, 1, 1), 0b1001),
+                                     ((1, -1, 1), 0b0110), ((1, 1, 1), 0b1010))
+    for z, t in extreme_rays(rows, 3):
+        assert t == sum(1 << k for k, r in enumerate(rows) if dot(r, z) == 0)
+        assert t.bit_count() == 2
+    # a redundant row and a repeated one change no ray; the repeated row
+    # (bit 5) is tight wherever its first copy (bit 0) is
+    padded = extreme_rays(rows + [(0, 0, 1), (1, 0, 1)], 3)
+    assert tuple(z for z, _ in padded) == tuple(z for z, _ in extreme_rays(rows, 3))
+    assert all(t >> 5 & 1 == t & 1 and not t >> 4 & 1 for _, t in padded)
+    # {0} has no rays
     assert extreme_rays([(1, 0), (-1, 0), (0, 1), (0, -1)], 2) == ()
     # a lower-dimensional pointed cone: the ray {(0, y) : y >= 0}
-    assert extreme_rays([(1, 0), (-1, 0), (0, 1)], 2) == ((0, 1),)
+    assert extreme_rays([(1, 0), (-1, 0), (0, 1)], 2) == (((0, 1), 0b011),)
+
+
+def _check_padded_facets_canonicalize_to_the_hull(pts, data):
+    facets = sorted(brute_facets(pts))
+    d = len(pts[0])
+    rows = list(facets)
+    # weakly redundant rows: the sum of two facet normals with its max over
+    # the points as right hand side is tight at a vertex or an edge
+    pairs = list(itertools.combinations(facets, 2))
+    for (a1, _), (a2, _) in data.draw(st.lists(st.sampled_from(pairs), max_size=6)):
+        w = vec_add(a1, a2)
+        if any(w):
+            rows.append((w, max(dot(w, pt) for pt in pts)))
+    rows += [(a, b + 1) for a, b in facets]  # loose
+    rows += [(tuple(3 * x for x in a), 3 * b) for a, b in facets]  # scaled copies
+    p = from_inequalities(data.draw(st.permutations(rows)))
+    normals = tuple(a for a, _ in facets)
+    rhs = tuple(b for _, b in facets)
+    assert p == HPolytope(d, normals, rhs)
+    assert set(p.vertex_cache.vertices) == brute_vertices(normals, rhs)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.tuples(rational, rational), min_size=3, max_size=8), st.data())
+def test_padded_facet_rows_canonicalize_to_the_brute_force_hull_2d(pts, data):
+    if _full_dim(pts):
+        _check_padded_facets_canonicalize_to_the_hull(pts, data)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(st.tuples(small, small, small), min_size=4, max_size=10), st.data())
+def test_padded_facet_rows_canonicalize_to_the_brute_force_hull_3d(pts, data):
+    if _full_dim(pts):
+        _check_padded_facets_canonicalize_to_the_hull(pts, data)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.lists(st.tuples(small, small, small, small), min_size=5, max_size=8), st.data())
+def test_padded_facet_rows_canonicalize_to_the_brute_force_hull_4d(pts, data):
+    if _full_dim(pts):
+        _check_padded_facets_canonicalize_to_the_hull(pts, data)
+
+
+def test_from_inequalities_makes_one_feasibility_lp_and_one_double_description(monkeypatch):
+    rows = list(zip(fig1().normals, fig1().rhs)) + [((1, 1), 8)]  # x + y <= 8 touches (5, 3)
+    calls = {"solve": 0, "is_feasible": 0, "extreme_rays": 0}
+
+    def counting(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(polytope.lp, "solve", counting("solve", lp.solve))
+    monkeypatch.setattr(polytope.lp, "is_feasible", counting("is_feasible", lp.is_feasible))
+    rays = counting("extreme_rays", extreme_rays)
+    monkeypatch.setattr(polytope, "extreme_rays", rays)
+    monkeypatch.setattr(fan, "extreme_rays", rays)
+    p = from_inequalities(rows)
+    assert calls == {"solve": 0, "is_feasible": 1, "extreme_rays": 1}
+    # the vertices came along, so nothing downstream enumerates them again
+    assert set(vertices(p).vertices) == {(0, 0), (4, 0), (5, 1), (5, 3), (0, 3)}
+    assert is_lattice_polytope(p)
+    assert len(fan.normal_fan(p).maximal_cones) == 5
+    assert calls["extreme_rays"] == 1
+    assert p == fig1()
 
 
 def test_extreme_rays_reject_cones_with_a_line():
