@@ -102,11 +102,9 @@ def adjunction_data(p: HPolytope) -> AdjunctionData:
     if c_star <= 0:
         raise InternalInconsistencyError("critical shift of a full-dimensional polytope must be positive")
     system = adjoint(p, c_star)
-    if system.is_empty():
-        raise InternalInconsistencyError("adjoint at the critical shift must be nonempty")
     if not adjoint(p, c_star + 1).is_empty():
         raise InternalInconsistencyError("adjoint above the critical shift must be empty")
-    core, implicit = embed_system(system)
+    core, implicit = embed_system(system)  # raises EmptyPolytopeError if the adjoint is empty
     if core.dim >= p.dim:
         raise InternalInconsistencyError("core must have lower dimension than the polytope")
     normals = tuple(p.normals[i] for i in implicit)

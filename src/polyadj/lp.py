@@ -10,11 +10,13 @@ rows with negative right hand side and all equality rows receive
 artificial variables for phase 1. Pivoting follows Bland's rule
 (lexicographically smallest entering index, ratio ties broken by the
 smallest basis variable index), so runs are deterministic and never cycle.
-Every optimal solve recovers dual multipliers y from the final basis and
-validates them exactly: y >= 0 on inequality rows (free on equality rows),
-y.A_j = c_j on free variables and >= c_j on nonnegative ones, and
-y.(b, f) equal to the optimum. A violation raises
-InternalInconsistencyError since it can only mean a bug, never roundoff.
+Every optimal solve reads dual multipliers y off the final reduced costs
+(of the slack column of each inequality row and of the artificial column
+of each equality row) and validates them exactly against the original
+rows: y >= 0 on inequality rows (free on equality rows), y.A_j = c_j on
+free variables and >= c_j on nonnegative ones, and y.(b, f) equal to the
+optimum. A violation raises InternalInconsistencyError since it can only
+mean a bug, never roundoff.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from fractions import Fraction
 from typing import Iterable, Literal, Optional, Sequence
 
 from .errors import DimensionMismatchError, InternalInconsistencyError
-from .ratmath import dot, solve_linear
+from .ratmath import dot
 
 Status = Literal["optimal", "infeasible", "unbounded"]
 
@@ -79,7 +81,7 @@ class _Tableau:
         self.ncols = len(columns)
         self.rows = [[columns[j][i] for j in range(self.ncols)] + [rhs[i]] for i in range(self.m)]
         self.basis: list[int] = [-1] * self.m
-        self.row_ids = list(range(self.m))  # original constraint index per row
+        self.art_cols: dict[int, int] = {}  # phase-1 artificial column per original row
 
     def pivot(self, r, c):
         row = self.rows[r]
@@ -154,7 +156,7 @@ def _setup(problem: LpProblem):
 
 def _phase1(tab: _Tableau, start, ncols_core):
     n = tab.m
-    art_cols = {}
+    art_cols = tab.art_cols
     for i in range(n):
         if start[i] is not None:
             tab.basis[i] = start[i]
@@ -190,7 +192,6 @@ def _phase1(tab: _Tableau, start, ncols_core):
     for i in sorted(drop, reverse=True):
         del tab.rows[i]
         del tab.basis[i]
-        del tab.row_ids[i]
         tab.m -= 1
     return True
 
@@ -235,26 +236,19 @@ def solve(problem: LpProblem) -> LpResult:
 
 
 def _validate_certificate(problem, tab, cost, columns, sigma, obj, value):
-    # recover duals from the optimal basis and check them exactly
+    # read the duals off the final reduced costs and check them exactly
     rows = problem.normals + problem.eq_normals
     b = problem.rhs + problem.eq_rhs
     for bj in tab.basis:
         if bj >= len(columns):
             raise InternalInconsistencyError("artificial variable left in the final basis")
-    live = tab.row_ids  # original constraint index per surviving tableau row
-    basis_matrix = []  # rows of B^T, i.e. columns of B restricted to live rows
-    for bj in tab.basis:
-        col = columns[bj]
-        basis_matrix.append([col[i] for i in live])
-    # with no rows left (none given, or all redundant equalities) y is empty
-    sol = solve_linear(basis_matrix, [cost[bj] for bj in tab.basis]) if live else ((), ())
-    if sol is None:
-        raise InternalInconsistencyError("dual system inconsistent at the optimal basis")
-    pi, _ = sol
-    y = [Fraction(0)] * len(rows)
-    for pos, orig in enumerate(live):
-        y[orig] = -sigma[orig] * pi[pos]
-    if any(yi < 0 for yi in y[:len(problem.rhs)]):
+    # every row keeps its slack or artificial column, also a row phase 1 dropped
+    rc = tab.reduced_costs(cost)
+    n = len(problem.rhs)
+    slack0 = len(columns) - n
+    y = [rc[slack0 + i] for i in range(n)]
+    y += [sigma[i] * rc[tab.art_cols[i]] for i in range(n, len(rows))]
+    if any(yi < 0 for yi in y[:n]):
         raise InternalInconsistencyError("negative dual multiplier on an inequality row")
     for j in range(len(obj)):
         reduced = sum(y[i] * rows[i][j] for i in range(len(rows))) - obj[j]

@@ -4,7 +4,9 @@ Both canonical forms come from one double-description routine,
 extreme_rays, which also reports the rows tight at each ray:
 from_inequalities reads the facets and vertices of an inequality system
 off those tight sets, from_vertices the facets and vertices of a hull,
-vertices the vertices of an HPolytope, and fan the dual height regions.
+vertices the vertices of an HPolytope, implicit_equalities and
+embed_system the implicit equalities and vertices of a possibly flat
+system, and fan the dual height regions.
 
 Conventions. An HPolytope is always bounded, full-dimensional, and
 irredundant, with primitive integer facet normals, rational right hand
@@ -306,11 +308,14 @@ def _combine(a: int, x: IntVector, b: int, y: IntVector) -> IntVector:
     return primitivize(tuple(a * xi + b * yi for xi, yi in zip(x, y)))[0]
 
 
-def _homogenized_rays(normals, rhs, d: int) -> tuple[tuple[IntVector, int], ...]:
-    """Extreme rays of {(x, s) : s >= 0, b_i s - <a_i, x> >= 0}; row i is bit i + 1."""
+def _homogenized_rays(normals, rhs, d: int, extra=()) -> tuple[tuple[IntVector, int], ...]:
+    """Extreme rays of {(x, s) : s >= 0, b_i s - <a_i, x> >= 0, <r, (x, s)> >= 0 for r in extra}.
+
+    Row i is bit i + 1 of each ray's tight set; the extra rows come last.
+    """
     rows = [(0,) * d + (1,)]
     rows += [scale_to_integer(tuple(-x for x in a) + (b,)) for a, b in zip(normals, rhs)]
-    return extreme_rays(rows, d + 1)
+    return extreme_rays(rows + list(extra), d + 1)
 
 
 def _vertex_polytope(rays, d: int) -> VPolytope:
@@ -387,65 +392,57 @@ def hull_any_dim(points: Sequence[Sequence]) -> EmbeddedPolytope:
     return EmbeddedPolytope(subspace, local, ambient)
 
 
+def _cut_rays(system: InequalitySystem) -> tuple[tuple[tuple[IntVector, int], ...], bool]:
+    """Homogenized rays of a nonempty system, and whether its set contains a line.
+
+    The rays are those of {(x, s) : s >= 0, b_i s - <a_i, x> >= 0} cut by
+    <k, x> = 0 for each k in an integer basis of the lines (the kernel of
+    the normals). The cut changes no row's tightness and makes the cone
+    pointed; row i is bit i + 1. Raises EmptyPolytopeError when no ray has
+    s > 0.
+    """
+    d = system.dim
+    lines = integer_kernel_basis(list(system.normals), ncols=d)
+    cuts = [tuple(sign * x for x in k) + (0,) for k in lines for sign in (1, -1)]
+    rays = _homogenized_rays(system.normals, system.rhs, d, cuts)
+    if not any(z[d] for z, _ in rays):
+        raise EmptyPolytopeError("system has no solution")
+    return rays, bool(lines)
+
+
+def _tight_everywhere(rays, n: int) -> tuple[int, ...]:
+    return tuple(i for i in range(n) if all(t >> (i + 1) & 1 for _, t in rays))
+
+
 def implicit_equalities(system: InequalitySystem) -> tuple[int, ...]:
     """Indices of rows satisfied with equality by every solution.
 
-    Iterative scheme: maximize the sum of capped slacks over the current
-    candidate set; rows that achieve positive slack are discarded, and a
-    zero optimum certifies that all remaining candidates are implicit
-    equalities. Raises EmptyPolytopeError on an infeasible system.
+    One double description of the homogenized system (see _cut_rays): the
+    solutions are generated by its rays, so a row is an implicit equality
+    exactly when it is tight at every ray. Unbounded systems are allowed.
+    Raises EmptyPolytopeError on an infeasible system.
     """
-    n = len(system.normals)
-    d = system.dim
-    # max t with <a_i, x> + t <= b_i and t <= 1: t is free, so the LP is
-    # feasible and bounded; its optimum is positive iff the system is
-    # full-dimensional and negative iff it is empty
-    ext = [tuple(a) + (1,) for a in system.normals] + [(0,) * d + (1,)]
-    radius = lp.solve(lp.make_problem(ext, list(system.rhs) + [Fraction(1)],
-                                      [Fraction(0)] * d + [Fraction(1)], "max"))
-    if radius.status != "optimal":
-        raise InternalInconsistencyError("interior LP must be bounded and feasible")
-    if radius.value < 0:
-        raise EmptyPolytopeError("system has no solution")
-    if radius.value > 0:
-        return ()
-    x0 = radius.point[:d]
-    candidates = [i for i in range(n) if dot(system.normals[i], x0) == system.rhs[i]]
-    while candidates:
-        m = len(candidates)
-        cols = d + m
-        prob_rows = []
-        prob_rhs = []
-        cand_pos = {i: pos for pos, i in enumerate(candidates)}
-        for i in range(n):
-            row = [Fraction(x) for x in system.normals[i]] + [Fraction(0)] * m
-            if i in cand_pos:
-                row[d + cand_pos[i]] = Fraction(1)
-            prob_rows.append(tuple(row))
-            prob_rhs.append(system.rhs[i])
-        for pos in range(m):
-            up = [Fraction(0)] * cols
-            up[d + pos] = Fraction(1)
-            prob_rows.append(tuple(up))
-            prob_rhs.append(Fraction(1))
-        objective = [Fraction(0)] * d + [Fraction(1)] * m
-        res = lp.solve(lp.make_problem(prob_rows, prob_rhs, objective, "max",
-                                       nonneg=range(d, cols)))
-        if res.status != "optimal":
-            raise InternalInconsistencyError("capped slack LP must be bounded")
-        if res.value == 0:
-            return tuple(candidates)
-        keep = [i for i in candidates if res.point[d + cand_pos[i]] == 0]
-        if len(keep) == len(candidates):
-            raise InternalInconsistencyError("slack LP made no progress")
-        candidates = keep
-    return ()
+    rays, _ = _cut_rays(system)
+    return _tight_everywhere(rays, len(system.normals))
 
 
 def embed_system(system: InequalitySystem) -> tuple[EmbeddedPolytope, tuple[int, ...]]:
-    """Embed a nonempty bounded system as (EmbeddedPolytope, implicit row indices)."""
+    """Embed a nonempty bounded system as (EmbeddedPolytope, implicit row indices).
+
+    One double description of the homogenized system gives both: the rays
+    with s > 0 are the vertices x / s, and the rows tight at every ray are
+    the implicit equalities. The local polytope is the hull of the
+    vertices' local coordinates. Raises EmptyPolytopeError on an empty
+    system, then UnboundedPolytopeError when its set contains a line or a
+    ray.
+    """
     d = system.dim
-    implicit = implicit_equalities(system)
+    rays, has_line = _cut_rays(system)
+    if has_line:
+        raise UnboundedPolytopeError("the solution set contains a line")
+    if any(z[d] == 0 for z, _ in rays):
+        raise UnboundedPolytopeError("the solution set has a recession direction")
+    implicit = _tight_everywhere(rays, len(system.normals))
     if not implicit:
         poly = from_inequalities(list(zip(system.normals, system.rhs)))
         subspace = AffineSubspace(d, d, (), tuple(Fraction(0) for _ in range(d)),
@@ -459,20 +456,10 @@ def embed_system(system: InequalitySystem) -> tuple[EmbeddedPolytope, tuple[int,
     directions = saturate(null_basis)
     k = len(directions)
     subspace = AffineSubspace(k, d, _canonical_equations(directions, x0, d), x0, directions)
-    rest = [i for i in range(len(system.normals)) if i not in set(implicit)]
     if k == 0:
         return EmbeddedPolytope(subspace, None, (x0,)), implicit
-    local_rows = []
-    for i in rest:
-        f = tuple(dot(system.normals[i], direction) for direction in directions)
-        b = system.rhs[i] - dot(system.normals[i], x0)
-        if all(x == 0 for x in f):
-            if b < 0:
-                raise InternalInconsistencyError("constant row violates a feasible system")
-            continue
-        local_rows.append((f, b))
-    local = from_inequalities(local_rows)
-    ambient = tuple(sorted(subspace.to_ambient(t) for t in vertices(local).vertices))
+    ambient = _vertex_polytope(rays, d).vertices
+    local = from_vertices([subspace.to_local(v) for v in ambient])
     return EmbeddedPolytope(subspace, local, ambient), implicit
 
 

@@ -44,14 +44,6 @@ def vec_sub(a: Sequence, x: Sequence) -> tuple:
     return tuple(ai - xi for ai, xi in zip(a, x))
 
 
-def vec_scale(c, a: Sequence) -> tuple:
-    return tuple(c * ai for ai in a)
-
-
-def is_integral(v: Sequence) -> bool:
-    return all(Fraction(x).denominator == 1 for x in v)
-
-
 def primitivize(v: Sequence[int]) -> tuple[IntVector, int]:
     """Divide an integer vector by the gcd of its entries.
 

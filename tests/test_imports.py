@@ -1,4 +1,5 @@
-"""Source hygiene: every name a polyadj module imports is used in it."""
+"""Source hygiene: every name a polyadj module imports is used in it, and
+every function or class a module defines is read somewhere in the package."""
 
 import ast
 import os
@@ -36,3 +37,39 @@ def test_the_scan_finds_an_unused_import():
 def test_no_unused_imports(module):
     with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
+
+
+def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
+    """Top-level functions and classes that no module of the package reads.
+
+    A read is a name load, an attribute of that name, or an import of it
+    (so a re-export from __init__.py counts).
+    """
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted(f"{name}: {node.name}" for name, tree in trees.items() for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and node.name not in read)
+
+
+def test_the_scan_finds_an_unreferenced_definition():
+    sources = {"__init__.py": "from .a import f\n",
+               "a.py": "def f():\n    return g\n\ndef g():\n    pass\n\ndef h():\n    pass\n",
+               "b.py": "class C:\n    def h(self):\n        pass\n"}
+    assert unreferenced_definitions(sources) == ["a.py: h", "b.py: C"]
+
+
+def test_no_unreferenced_module_functions():
+    sources = {}
+    for module in MODULES + ["__init__.py"]:
+        with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+            sources[module] = fh.read()
+    assert unreferenced_definitions(sources) == []

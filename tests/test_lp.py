@@ -9,6 +9,7 @@ from oracles import fm_maximize, fm_project_feasible
 from polyadj.errors import DimensionMismatchError
 from polyadj.lp import is_feasible, make_problem, solve
 from polyadj.ratmath import dot
+from polyadj.spectrum import make_config
 
 small = st.integers(min_value=-5, max_value=5)
 
@@ -117,6 +118,11 @@ def test_certificates_with_free_equality_duals_and_priced_out_columns():
     # a redundant equality row is dropped in phase 1, leaving no rows at all
     res = solve(make_problem([], [], [-1, 0], eq_normals=[[0, 0]], eq_rhs=[0], nonneg=[0, 1]))
     assert (res.status, res.value, res.point) == ("optimal", 0, (0, 0))
+    # the core normals of d4-s4005 span only a 3-space, so phase 1 drops one
+    # of validate_config's equality rows; the duals of every row, that one
+    # included, must be read for the certificate to reproduce the objective
+    normals = [(-1, 0, -1, 0), (0, 0, 1, -2), (2, 1, 0, 1), (12, -6, 23, -4)]
+    assert make_config(normals).normals == tuple(normals)
 
 
 @settings(deadline=None, max_examples=150)

@@ -6,8 +6,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import box_lattice_points, brute_facets, brute_vertices, cofactor_normal
-from polyadj import fan, lp, polytope
+from oracles import (
+    box_lattice_points,
+    brute_facets,
+    brute_vertices,
+    cofactor_normal,
+    fm_maximize,
+    fm_project_feasible,
+)
+from polyadj import adjunction, fan, lp, polytope
 from polyadj.errors import (
     EmptyPolytopeError,
     InvalidConeError,
@@ -270,8 +277,8 @@ def test_padded_facet_rows_canonicalize_to_the_brute_force_hull_4d(pts, data):
         _check_padded_facets_canonicalize_to_the_hull(pts, data)
 
 
-def test_from_inequalities_makes_one_feasibility_lp_and_one_double_description(monkeypatch):
-    rows = list(zip(fig1().normals, fig1().rhs)) + [((1, 1), 8)]  # x + y <= 8 touches (5, 3)
+def _count_calls(monkeypatch) -> dict:
+    """Count calls of lp.solve, lp.is_feasible and extreme_rays from here on."""
     calls = {"solve": 0, "is_feasible": 0, "extreme_rays": 0}
 
     def counting(name, f):
@@ -280,11 +287,17 @@ def test_from_inequalities_makes_one_feasibility_lp_and_one_double_description(m
             return f(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(polytope.lp, "solve", counting("solve", lp.solve))
-    monkeypatch.setattr(polytope.lp, "is_feasible", counting("is_feasible", lp.is_feasible))
+    monkeypatch.setattr(lp, "solve", counting("solve", lp.solve))
+    monkeypatch.setattr(lp, "is_feasible", counting("is_feasible", lp.is_feasible))
     rays = counting("extreme_rays", extreme_rays)
     monkeypatch.setattr(polytope, "extreme_rays", rays)
     monkeypatch.setattr(fan, "extreme_rays", rays)
+    return calls
+
+
+def test_from_inequalities_makes_one_feasibility_lp_and_one_double_description(monkeypatch):
+    rows = list(zip(fig1().normals, fig1().rhs)) + [((1, 1), 8)]  # x + y <= 8 touches (5, 3)
+    calls = _count_calls(monkeypatch)
     p = from_inequalities(rows)
     assert calls == {"solve": 0, "is_feasible": 1, "extreme_rays": 1}
     # the vertices came along, so nothing downstream enumerates them again
@@ -323,7 +336,7 @@ def test_from_vertices_needs_full_dimension():
         from_vertices([(0, 0), (1, 1), (2, 2)])
 
 
-def test_implicit_equalities_found_by_slack_maximization():
+def test_implicit_equalities_found_by_double_description():
     sys_ = make_system([((1, 0), 1), ((-1, 0), 0), ((0, 1), 0), ((0, -1), 0)])
     idx = implicit_equalities(sys_)
     assert set(idx) == {2, 3}
@@ -337,20 +350,68 @@ def test_implicit_equalities_reject_empty_and_prune_loose_candidates(monkeypatch
     with pytest.raises(EmptyPolytopeError):
         implicit_equalities(make_system([((1, 0), 0), ((-1, 0), -1)]))
     assert implicit_equalities(make_system(TRIANGLE_ROWS)) == ()
-    # x = 0 and -1 <= y <= 0: one y row is tight at the interior LP's point,
-    # so a slack LP with optimum 1 must discard it before x = 0 is proved
-    values = []
-    solve = lp.solve
+    # x = 0 and -1 <= y <= 0: the loose y row is tight at one vertex only
+    segment = make_system([((1, 0), 0), ((-1, 0), 0), ((0, 1), 0), ((0, -1), 1)])
+    p = fig1()
+    fig1_core = adjunction.adjoint(p, adjunction.critical_shift(p))
+    calls = _count_calls(monkeypatch)
+    assert implicit_equalities(segment) == (0, 1)
+    assert calls == {"solve": 0, "is_feasible": 0, "extreme_rays": 1}
+    # one double description in each call, and embed_system one more for the local hull
+    for system, implicit in ((segment, (0, 1)), (fig1_core, (1, 2))):
+        calls.update(solve=0, is_feasible=0, extreme_rays=0)
+        assert implicit_equalities(system) == implicit
+        assert embed_system(system)[1] == implicit
+        assert calls == {"solve": 0, "is_feasible": 0, "extreme_rays": 3}
+    # the critical-shift LP and the emptiness of the adjoint just above it
+    calls.update(solve=0, is_feasible=0, extreme_rays=0)
+    assert adjunction.adjunction_data(p).core_normal_indices == (1, 2)
+    assert calls["solve"] == 1 and calls["is_feasible"] == 1
 
-    def recording_solve(problem):
-        res = solve(problem)
-        values.append(res.value)
-        return res
 
-    monkeypatch.setattr(lp, "solve", recording_solve)
-    sys_ = make_system([((1, 0), 0), ((-1, 0), 0), ((0, 1), 0), ((0, -1), 1)])
-    assert implicit_equalities(sys_) == (0, 1)
-    assert values == [0, 1, 0]
+@st.composite
+def small_systems(draw):
+    """Systems in d = 1-3 with 1-6 rows: zero rows, opposite pairs (flat or
+    empty), a coordinate no row reads (a line), empty and unbounded sets."""
+    d = draw(st.integers(min_value=1, max_value=3))
+    free = draw(st.sets(st.integers(min_value=0, max_value=d - 1), max_size=1))
+    n = draw(st.integers(min_value=1, max_value=6))
+    rows = []
+    if not free and n > d and draw(st.booleans()):  # a simplex, so that many sets are bounded
+        rows += [(tuple(-1 if k == j else 0 for k in range(d)), draw(rational)) for j in range(d)]
+        rows.append(((1,) * d, draw(rational)))
+    while len(rows) < n:
+        a = tuple(0 if j in free else x for j, x in enumerate(draw(st.tuples(*[small] * d))))
+        b = draw(rational)
+        rows.append((a, b))
+        if len(rows) < n and draw(st.booleans()):
+            rows.append((tuple(-x for x in a), -b + draw(st.sampled_from([-1, 0, 0, 0, 1]))))
+    return make_system(rows, dim=d)
+
+
+@settings(deadline=None, max_examples=400)
+@given(small_systems())
+def test_implicit_equalities_and_embedding_match_elimination(system):
+    normals, rhs = system.normals, system.rhs
+    if not fm_project_feasible(normals, rhs):
+        with pytest.raises(EmptyPolytopeError):
+            implicit_equalities(system)
+        with pytest.raises(EmptyPolytopeError):
+            embed_system(system)
+        return
+    implicit = tuple(i for i, (a, b) in enumerate(zip(normals, rhs))
+                     if fm_maximize(normals, rhs, [-x for x in a]) == ("optimal", -b))
+    assert implicit_equalities(system) == implicit
+    units = [tuple(sign if k == j else 0 for k in range(system.dim))
+             for j in range(system.dim) for sign in (1, -1)]
+    if any(fm_maximize(normals, rhs, u)[0] != "optimal" for u in units):
+        with pytest.raises(UnboundedPolytopeError):
+            embed_system(system)
+        return
+    emb, eq_idx = embed_system(system)
+    assert eq_idx == implicit
+    assert set(emb.vertices) == brute_vertices(normals, rhs)
+    assert len(emb.vertices) == len(set(emb.vertices))
 
 
 def test_embed_system_single_point():

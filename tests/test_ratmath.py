@@ -17,7 +17,6 @@ from polyadj.ratmath import (
     fraction_gcd,
     hnf,
     integer_kernel_basis,
-    is_integral,
     parse_fraction,
     primitivize,
     rank,
@@ -25,7 +24,6 @@ from polyadj.ratmath import (
     scale_to_integer,
     solve_linear,
     vec_add,
-    vec_scale,
     vec_sub,
 )
 
@@ -62,7 +60,6 @@ def test_vector_helpers(a, b):
     a, b = a[:n], b[:n]
     assert dot(a, b) == sum(x * y for x, y in zip(a, b))
     assert vec_sub(vec_add(a, b), b) == tuple(Fraction(x) for x in a)
-    assert vec_scale(3, a) == tuple(3 * x for x in a)
 
 
 def test_vector_length_mismatch():
@@ -227,8 +224,3 @@ def test_fraction_gcd_generates_all_inputs(values):
     multiples = [v / g for v in values]
     assert all(m.denominator == 1 for m in multiples)
     assert gcd(*(abs(int(m)) for m in multiples)) in (0, 1)
-
-
-def test_is_integral():
-    assert is_integral([Fraction(2), 3, Fraction(-4, 2)])
-    assert not is_integral([Fraction(1, 2)])
