@@ -66,6 +66,11 @@ def raw_critical_shift(rows: Sequence[tuple[Sequence[int], object]]) -> Fraction
     rows and non-primitive normals influence the answer: every row recedes
     at unit speed regardless of its scaling.
     """
+    return _shift_lp(rows).value
+
+
+def _shift_lp(rows: Sequence[tuple[Sequence[int], object]]) -> lp.LpResult:
+    """The optimal critical-shift LP of rows, with one dual per row."""
     if not rows:
         raise UnboundedPolytopeError("no constraints given")
     system = make_system(rows)
@@ -77,7 +82,7 @@ def raw_critical_shift(rows: Sequence[tuple[Sequence[int], object]]) -> Fraction
         raise EmptyPolytopeError("the system has no solution at level 0")
     if res.status == "unbounded":
         raise UnboundedPolytopeError("rows do not bound the shift from above")
-    return res.value
+    return res
 
 
 def qcodegree(p: HPolytope) -> Fraction:
@@ -86,7 +91,12 @@ def qcodegree(p: HPolytope) -> Fraction:
 
 @dataclass(frozen=True)
 class AdjunctionData:
-    """Critical shift, core, and core normal data of one polytope."""
+    """Critical shift, core, and core normal data of one polytope.
+
+    shift_duals are the critical-shift LP's dual multipliers y, one per
+    facet row: y >= 0, sum y_i a_i = 0, sum y_i = 1 and y.b = c*, with y_i > 0
+    only on core normal rows.
+    """
 
     polytope: HPolytope
     critical_shift: Fraction
@@ -95,16 +105,26 @@ class AdjunctionData:
     core_normal_indices: tuple[int, ...]
     core_normals: tuple[IntVector, ...]
     acore: EmbeddedPolytope
+    shift_duals: tuple[Fraction, ...]
 
 
 def adjunction_data(p: HPolytope) -> AdjunctionData:
-    c_star = critical_shift(p)
+    """Critical shift, core and core normals of p, from one LP and one double description.
+
+    The critical-shift LP's duals y are checked exactly: y >= 0, y A = 0,
+    sum y = 1 and y.b = c*. They are a Farkas certificate that adjoint(p, c)
+    is empty for every c > c*, since y.(b - c 1 - A x) = c* - c < 0 while
+    every point x of adjoint(p, c) makes it nonnegative. By complementary
+    slackness y vanishes off the rows tight on the whole core, which is
+    checked against the core normals that the double description finds.
+    """
+    res = _shift_lp(list(zip(p.normals, p.rhs)))
+    c_star, y = res.value, res.duals
     if c_star <= 0:
         raise InternalInconsistencyError("critical shift of a full-dimensional polytope must be positive")
     system = adjoint(p, c_star)
-    if not adjoint(p, c_star + 1).is_empty():
-        raise InternalInconsistencyError("adjoint above the critical shift must be empty")
     core, implicit = embed_system(system)  # raises EmptyPolytopeError if the adjoint is empty
+    _check_shift_duals(p, c_star, y, implicit)
     if core.dim >= p.dim:
         raise InternalInconsistencyError("core must have lower dimension than the polytope")
     normals = tuple(p.normals[i] for i in implicit)
@@ -120,7 +140,17 @@ def adjunction_data(p: HPolytope) -> AdjunctionData:
         elif value >= system.rhs[i]:
             raise InternalInconsistencyError("non-core row is tight at a relative interior point")
     acore = hull_any_dim([tuple(a) for a in normals])
-    return AdjunctionData(p, c_star, 1 / c_star, core, implicit, normals, acore)
+    return AdjunctionData(p, c_star, 1 / c_star, core, implicit, normals, acore, y)
+
+
+def _check_shift_duals(p: HPolytope, c_star: Fraction, y: Sequence[Fraction],
+                       core_rows: Sequence[int]) -> None:
+    """Raise unless y certifies c* as in adjunction_data, supported on core_rows."""
+    if (len(y) != p.n_facets or any(v < 0 for v in y) or sum(y) != 1 or dot(y, p.rhs) != c_star
+            or any(sum(v * a[j] for v, a in zip(y, p.normals)) != 0 for j in range(p.dim))):
+        raise InternalInconsistencyError("critical-shift duals do not certify an empty adjoint above c*")
+    if any(v for i, v in enumerate(y) if i not in core_rows):
+        raise InternalInconsistencyError("critical-shift duals are supported off the core normals")
 
 
 def core(p: HPolytope) -> EmbeddedPolytope:
@@ -137,8 +167,17 @@ def acore(p: HPolytope) -> EmbeddedPolytope:
 
 def core_config(data: AdjunctionData) -> spectrum_mod.CoreNormalConfig:
     """The core normal set as a spectrum configuration; raises
-    InvalidConfigError when the positive spanning property fails."""
-    return spectrum_mod.make_config([tuple(a) for a in data.core_normals])
+    InvalidConfigError when the positive spanning property fails.
+
+    The critical-shift duals y sum to 1, vanish off the core normals and
+    give sum y_i a_i = 0. When y_i > 0 on every core normal they are a
+    barycentric expression of 0 with all weights positive, which is exactly
+    validate_config's criterion, so its LP runs only when some y_i is 0.
+    """
+    cfg = spectrum_mod._checked_rows([tuple(a) for a in data.core_normals])
+    if any(data.shift_duals[i] == 0 for i in data.core_normal_indices):
+        spectrum_mod.validate_config(cfg)
+    return cfg
 
 
 @dataclass(frozen=True)

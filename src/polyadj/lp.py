@@ -2,27 +2,41 @@
 
 A problem optimizes c.x subject to inequality rows A x <= b, equality rows
 E x = f, and x_j >= 0 for the variables listed in nonneg; every other
-variable is free. The solver is a two-phase primal simplex on Fraction
-tableaus over the internal form M z = r, z >= 0. Each variable gets a
-column u_j, a free one also a column w_j with x_j = u_j - w_j, and each
-inequality row a slack. Rows are sign normalized so that r >= 0; inequality
-rows with negative right hand side and all equality rows receive
-artificial variables for phase 1. Pivoting follows Bland's rule
-(lexicographically smallest entering index, ratio ties broken by the
-smallest basis variable index), so runs are deterministic and never cycle.
+variable is free. The solver is a two-phase primal simplex over the
+internal form M z = r, z >= 0. Each variable gets a column u_j, a free one
+also a column w_j with x_j = u_j - w_j, and each inequality row a slack.
+Rows are sign normalized so that r >= 0; inequality rows with negative
+right hand side and all equality rows receive artificial variables for
+phase 1. Pivoting follows Bland's rule (lexicographically smallest
+entering index, ratio ties broken by the smallest basis variable index),
+so runs are deterministic and never cycle.
+
+The tableau is fraction free. Each row of M z = r, artificial columns
+included, is scaled once to coprime integers; from then on a row stands
+for its integer vector divided by its basic entry, which is kept
+positive. A pivot on (r, c) replaces every other row T_i by
+T_r[c] T_i - T_i[c] T_r divided by the gcd of its entries, and the reduced
+cost row is an integer vector over one positive denominator. Bland's
+entering test reads only signs, and the ratio test compares cross
+products, T_i[-1] T_k[c] < T_k[-1] T_i[c]; both are invariant under
+positive row scaling, so the pivots, the final basis and everything read
+off it are exactly those of a Fraction tableau. Fractions reappear only
+when the point and the duals are read out.
+
 Every optimal solve reads dual multipliers y off the final reduced costs
 (of the slack column of each inequality row and of the artificial column
 of each equality row) and validates them exactly against the original
 rows: y >= 0 on inequality rows (free on equality rows), y.A_j = c_j on
 free variables and >= c_j on nonnegative ones, and y.(b, f) equal to the
 optimum. A violation raises InternalInconsistencyError since it can only
-mean a bug, never roundoff.
+mean a bug, never roundoff. LpResult.duals returns them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Literal, Optional, Sequence
 
 from .errors import DimensionMismatchError, InternalInconsistencyError
@@ -44,12 +58,17 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class LpResult:
-    """Outcome of a solve; tight lists the inequality rows tight at point."""
+    """Outcome of a solve; tight lists the inequality rows tight at point.
+
+    On an optimal result duals holds the validated dual multipliers of the
+    inequality rows and then of the equality rows; otherwise it is empty.
+    """
 
     status: Status
     value: Optional[Fraction]
     point: Optional[tuple[Fraction, ...]]
     tight: tuple[int, ...]
+    duals: tuple[Fraction, ...] = ()
 
 
 def make_problem(normals, rhs, objective, direction="max", *,
@@ -72,115 +91,125 @@ def make_problem(normals, rhs, objective, direction="max", *,
                      tuple(j for j in range(d) if j in nonneg))
 
 
-class _Tableau:
-    """Dense simplex tableau over Fractions with Bland pivoting."""
+def _reduced(row: list[int]) -> list[int]:
+    g = gcd(*row)
+    return [a // g for a in row] if g > 1 else row
 
-    def __init__(self, columns, rhs):
-        # columns: list of column vectors; rows indexed like rhs
-        self.m = len(rhs)
-        self.ncols = len(columns)
-        self.rows = [[columns[j][i] for j in range(self.ncols)] + [rhs[i]] for i in range(self.m)]
-        self.basis: list[int] = [-1] * self.m
-        self.art_cols: dict[int, int] = {}  # phase-1 artificial column per original row
+
+def _priced_out(rc: list[int], den: int, prow: list[int], c: int) -> tuple[list[int], int]:
+    """The cost row rc / den minus its column-c multiple of the row prow / prow[c]."""
+    p, q = prow[c], rc[c]
+    rc = [p * a - q * b for a, b in zip(rc, prow)]
+    den *= p
+    g = gcd(den, *rc)
+    return [a // g for a in rc], den // g
+
+
+class _Tableau:
+    """Dense simplex tableau in integer rows with Bland pivoting.
+
+    Row i stands for the rational row rows[i] / rows[i][basis[i]], whose
+    basic entry is kept positive.
+    """
+
+    def __init__(self, rows, basis, ncols):
+        self.m = len(rows)
+        self.ncols = ncols
+        self.rows = rows
+        self.basis: list[int] = basis
+        self.costs: Optional[tuple[list[int], int]] = None  # final reduced costs of run
 
     def pivot(self, r, c):
-        row = self.rows[r]
-        piv = row[c]
-        inv = 1 / piv
-        self.rows[r] = [a * inv for a in row]
         prow = self.rows[r]
-        for i in range(self.m):
-            if i == r:
-                continue
-            f = self.rows[i][c]
-            if f != 0:
-                self.rows[i] = [a - f * b for a, b in zip(self.rows[i], prow)]
+        p = prow[c]
+        if p < 0:  # only a phase-1 drop pivot lands on a negative entry
+            prow = self.rows[r] = [-a for a in prow]
+            p = -p
+        for i, row in enumerate(self.rows):
+            q = row[c]
+            if q and i != r:
+                self.rows[i] = _reduced([p * a - q * b for a, b in zip(row, prow)])
         self.basis[r] = c
 
-    def reduced_costs(self, cost):
-        # cost: per-column objective (to minimize); returns the reduced cost row
-        rc = list(cost) + [Fraction(0)]
-        for i, bj in enumerate(self.basis):
-            cb = cost[bj]
-            if cb != 0:
-                row = self.rows[i]
-                rc = [a - cb * b for a, b in zip(rc, row)]
-        return rc
+    def reduced_costs(self, cost) -> tuple[list[int], int]:
+        # cost: per-column objective (to minimize); returns the reduced cost
+        # row, rhs column included, as integers over a positive denominator
+        den = lcm(*(x.denominator for x in cost))
+        rc = [x.numerator * (den // x.denominator) for x in cost] + [0]
+        for row, bj in zip(self.rows, self.basis):
+            if rc[bj]:
+                rc, den = _priced_out(rc, den, row, bj)
+        return rc, den
 
     def run(self, cost, allowed) -> Status:
         """Minimize cost over the current basis; allowed marks usable columns."""
-        rc = self.reduced_costs(cost)
+        rc, den = self.reduced_costs(cost)
+        rows = self.rows
         while True:
             enter = next((j for j in range(self.ncols) if allowed[j] and rc[j] < 0), None)
             if enter is None:
+                self.costs = (rc, den)
                 return "optimal"
+            # ratios rows[i][-1] / rows[i][enter], compared by cross products
             leave = None
-            best = None
-            for i in range(self.m):
-                a = self.rows[i][enter]
+            for i, row in enumerate(rows):
+                a = row[enter]
                 if a > 0:
-                    ratio = self.rows[i][-1] / a
-                    if best is None or ratio < best or (ratio == best and self.basis[i] < self.basis[leave]):
-                        best = ratio
+                    if leave is None:
+                        leave = i
+                        continue
+                    lhs, rhs = row[-1] * rows[leave][enter], rows[leave][-1] * a
+                    if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leave]):
                         leave = i
             if leave is None:
                 return "unbounded"
             self.pivot(leave, enter)
-            f = rc[enter]
-            rc = [a - f * b for a, b in zip(rc, self.rows[leave])]
+            rc, den = _priced_out(rc, den, rows[leave], enter)
 
 
 def _setup(problem: LpProblem):
     # internal minimization of c~.z over M z = r, z >= 0. Columns: u_j per
-    # variable, w_j per free variable, then a slack per inequality row.
-    # start[i] is the slack column basic in row i when phase 1 begins, or
-    # None when the row needs an artificial.
+    # variable, w_j per free variable, a slack per inequality row, then an
+    # artificial per row whose slack cannot start basic (a negative right
+    # hand side before sign normalization, or an equality row). Returns the
+    # row signs, the starting tableau, the artificial column of each such
+    # row and the number of columns before the artificials.
     n = len(problem.rhs)
-    rows = problem.normals + problem.eq_normals
+    d = len(problem.objective)
+    free = [j for j in range(d) if j not in problem.nonneg]
     b = problem.rhs + problem.eq_rhs
-    m = len(rows)
     sigma = [1 if v >= 0 else -1 for v in b]
-    columns = [[sigma[i] * rows[i][j] for i in range(m)] for j in range(len(problem.objective))]
-    columns += [[-sigma[i] * rows[i][j] for i in range(m)]
-                for j in range(len(problem.objective)) if j not in problem.nonneg]
-    start: list[Optional[int]] = [None] * m
-    for i in range(n):
-        col = [Fraction(0)] * m
-        col[i] = Fraction(sigma[i])
-        if sigma[i] > 0:
-            start[i] = len(columns)
-        columns.append(col)
-    rhs = [sigma[i] * b[i] for i in range(m)]
-    return sigma, columns, rhs, start
+    ncols_core = d + len(free) + n
+    art_cols: dict[int, int] = {}
+    for i, s in enumerate(sigma):
+        if i >= n or s < 0:
+            art_cols[i] = ncols_core + len(art_cols)
+    rows, basis = [], []
+    for i, normal in enumerate(problem.normals + problem.eq_normals):
+        # the row times sigma[i] * den, den > 0 clearing its denominators
+        den = lcm(b[i].denominator, *(x.denominator for x in normal))
+        u = [sigma[i] * x.numerator * (den // x.denominator) for x in normal]
+        extra = [0] * (n + len(art_cols))
+        if i < n:
+            extra[i] = sigma[i] * den
+        if i in art_cols:
+            extra[art_cols[i] - d - len(free)] = den
+        r = sigma[i] * b[i].numerator * (den // b[i].denominator)
+        rows.append(_reduced(u + [-u[j] for j in free] + extra + [r]))
+        basis.append(art_cols.get(i, d + len(free) + i))
+    return sigma, _Tableau(rows, basis, ncols_core + len(art_cols)), art_cols, ncols_core
 
 
-def _phase1(tab: _Tableau, start, ncols_core):
-    n = tab.m
-    art_cols = tab.art_cols
-    for i in range(n):
-        if start[i] is not None:
-            tab.basis[i] = start[i]
-        else:
-            col = [Fraction(0)] * n
-            col[i] = Fraction(1)
-            for k in range(n):
-                tab.rows[k].insert(len(tab.rows[k]) - 1, col[k])
-            art_cols[i] = tab.ncols
-            tab.basis[i] = tab.ncols
-            tab.ncols += 1
+def _phase1(tab: _Tableau, art_cols, ncols_core) -> bool:
     if not art_cols:
         return True
-    cost = [Fraction(0)] * tab.ncols
-    for c in art_cols.values():
-        cost[c] = Fraction(1)
-    allowed = [True] * tab.ncols
-    status = tab.run(cost, allowed)
+    art_set = set(art_cols.values())
+    cost = [1 if j in art_set else 0 for j in range(tab.ncols)]
+    status = tab.run(cost, [True] * tab.ncols)
     assert status == "optimal"  # phase 1 is bounded below by 0
-    value = sum((cost[bj] * tab.rows[i][-1] for i, bj in enumerate(tab.basis)), Fraction(0))
-    if value != 0:
+    if any(row[-1] for row, bj in zip(tab.rows, tab.basis) if bj in art_set):
         return False
     # pivot leftover artificials out, dropping rows that became redundant
-    art_set = set(art_cols.values())
     drop = []
     for i in range(tab.m):
         if tab.basis[i] in art_set:
@@ -204,14 +233,12 @@ def solve(problem: LpProblem) -> LpResult:
     d = len(problem.objective)
     obj = problem.objective if problem.direction == "max" else tuple(-c for c in problem.objective)
 
-    sigma, columns, rhs, start = _setup(problem)
-    ncols_core = len(columns)
-    tab = _Tableau(columns, rhs)
-    if not _phase1(tab, start, ncols_core):
+    sigma, tab, art_cols, ncols_core = _setup(problem)
+    if not _phase1(tab, art_cols, ncols_core):
         return LpResult("infeasible", None, None, ())
 
     free = [j for j in range(d) if j not in problem.nonneg]
-    cost = [Fraction(0)] * tab.ncols
+    cost = [0] * tab.ncols
     for j in range(d):
         cost[j] = -obj[j]
     for k, j in enumerate(free):
@@ -222,32 +249,33 @@ def solve(problem: LpProblem) -> LpResult:
         return LpResult("unbounded", None, None, ())
 
     z = [Fraction(0)] * tab.ncols
-    for i, bj in enumerate(tab.basis):
-        z[bj] = tab.rows[i][-1]
+    for row, bj in zip(tab.rows, tab.basis):
+        z[bj] = Fraction(row[-1], row[bj])
     x = z[:d]
     for k, j in enumerate(free):
         x[j] -= z[d + k]
     point = tuple(x)
     value = dot(obj, point)
-    _validate_certificate(problem, tab, cost, columns, sigma, obj, value)
-    tight = tuple(i for i, (a, b) in enumerate(zip(problem.normals, problem.rhs)) if dot(a, point) == b)
+    duals = _validate_certificate(problem, tab, art_cols, ncols_core, sigma, obj, value)
+    slack0 = ncols_core - len(problem.rhs)  # z[slack0 + i] = b_i - a_i.x
+    tight = tuple(i for i in range(len(problem.rhs)) if z[slack0 + i] == 0)
     out_value = value if problem.direction == "max" else -value
-    return LpResult("optimal", out_value, point, tight)
+    return LpResult("optimal", out_value, point, tight, duals)
 
 
-def _validate_certificate(problem, tab, cost, columns, sigma, obj, value):
-    # read the duals off the final reduced costs and check them exactly
+def _validate_certificate(problem, tab, art_cols, ncols_core, sigma, obj, value):
+    # read the duals off the final reduced costs, check them exactly and return them
     rows = problem.normals + problem.eq_normals
     b = problem.rhs + problem.eq_rhs
     for bj in tab.basis:
-        if bj >= len(columns):
+        if bj >= ncols_core:
             raise InternalInconsistencyError("artificial variable left in the final basis")
     # every row keeps its slack or artificial column, also a row phase 1 dropped
-    rc = tab.reduced_costs(cost)
+    rc, den = tab.costs
     n = len(problem.rhs)
-    slack0 = len(columns) - n
-    y = [rc[slack0 + i] for i in range(n)]
-    y += [sigma[i] * rc[tab.art_cols[i]] for i in range(n, len(rows))]
+    slack0 = ncols_core - n
+    y = [Fraction(rc[slack0 + i], den) for i in range(n)]
+    y += [sigma[i] * Fraction(rc[art_cols[i]], den) for i in range(n, len(rows))]
     if any(yi < 0 for yi in y[:n]):
         raise InternalInconsistencyError("negative dual multiplier on an inequality row")
     for j in range(len(obj)):
@@ -256,6 +284,7 @@ def _validate_certificate(problem, tab, cost, columns, sigma, obj, value):
             raise InternalInconsistencyError("dual multipliers do not reproduce the objective")
     if sum(y[i] * b[i] for i in range(len(rows))) != value:
         raise InternalInconsistencyError("duality gap in exact arithmetic")
+    return tuple(y)
 
 
 def is_feasible(normals: Sequence, rhs: Sequence, *, eq_normals: Sequence = (),
@@ -271,5 +300,5 @@ def is_feasible(normals: Sequence, rhs: Sequence, *, eq_normals: Sequence = (),
     d = len(normals[0] if normals else eq_normals[0])
     problem = make_problem(normals, rhs, [Fraction(0)] * d,
                            eq_normals=eq_normals, eq_rhs=eq_rhs, nonneg=nonneg)
-    _, columns, rhs_n, start = _setup(problem)
-    return _phase1(_Tableau(columns, rhs_n), start, len(columns))
+    _, tab, art_cols, ncols_core = _setup(problem)
+    return _phase1(tab, art_cols, ncols_core)

@@ -51,11 +51,9 @@ def primitivize(v: Sequence[int]) -> tuple[IntVector, int]:
     The sign of the vector is preserved (scale is positive).
     """
     w = tuple(int(x) for x in v)
-    if any(x != int(Fraction(x)) for x in v):
+    if any(x != y for x, y in zip(v, w)):
         raise ValueError("primitivize expects integer entries")
-    g = 0
-    for x in w:
-        g = gcd(g, x)
+    g = gcd(*w)
     if g == 0:
         raise ZeroVectorError("cannot primitivize the zero vector")
     return tuple(x // g for x in w), g

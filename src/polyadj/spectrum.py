@@ -52,6 +52,14 @@ class SpectrumSuperset:
 
 def make_config(rows: Sequence[Sequence[int]]) -> CoreNormalConfig:
     """Validate and wrap a configuration; see validate_config for the rules."""
+    cfg = _checked_rows(rows)
+    validate_config(cfg)
+    return cfg
+
+
+def _checked_rows(rows: Sequence[Sequence[int]]) -> CoreNormalConfig:
+    """Wrap rows that are distinct, nonzero, primitive integer vectors of one
+    length; the positive spanning property is left to the caller."""
     if not rows:
         raise InvalidConfigError("a configuration needs at least one row")
     d = len(rows[0])
@@ -69,9 +77,7 @@ def make_config(rows: Sequence[Sequence[int]]) -> CoreNormalConfig:
         normals.append(vec)
     if len(set(normals)) != len(normals):
         raise InvalidConfigError("duplicate rows")
-    cfg = CoreNormalConfig(d, tuple(normals))
-    validate_config(cfg)
-    return cfg
+    return CoreNormalConfig(d, tuple(normals))
 
 
 def validate_config(cfg: CoreNormalConfig) -> None:

@@ -200,6 +200,90 @@ def fm_maximize(normals, rhs, objective):
     return "optimal", best
 
 
+def bland_simplex(normals, rhs, objective, direction="max", eq_normals=(), eq_rhs=(), nonneg=()):
+    """Two-phase simplex on a dense Fraction tableau with Bland's rule.
+
+    The reference for the integer tableau of polyadj.lp, which must pivot
+    identically. Each row is negated if its right hand side is negative.
+    Columns: u_j for every variable, then w_j = -u_j for each free one, a
+    slack per inequality row, and an artificial per equality row and per
+    negated inequality row. Phase 1 minimizes the artificials, pivots the
+    leftover ones out on the first nonzero entry and deletes rows without
+    one; phase 2 may not enter artificials. The entering column is the
+    first with negative reduced cost; the leaving row has the smallest
+    ratio, ties going to the smaller basic column. Reduced costs are
+    recomputed from scratch at every step. Returns (status, value, point,
+    tight, duals) with the duals of the inequality rows, then of the
+    equality rows, read off the slack and artificial reduced costs.
+    """
+    rows = [[Fraction(x) for x in r] for r in list(normals) + list(eq_normals)]
+    b = [Fraction(x) for x in list(rhs) + list(eq_rhs)]
+    n, m, d = len(normals), len(rows), len(objective)
+    free = [j for j in range(d) if j not in set(nonneg)]
+    sign = [-1 if v < 0 else 1 for v in b]
+    ncore = d + len(free) + n
+    needs_art = [i for i in range(m) if i >= n or sign[i] < 0]
+    art = {i: ncore + k for k, i in enumerate(needs_art)}
+    width = ncore + len(art)
+    tab, basis = [], []
+    for i in range(m):
+        row = [sign[i] * rows[i][j] for j in range(d)] + [-sign[i] * rows[i][j] for j in free]
+        row += [Fraction(sign[i] if k == i else 0) for k in range(n)]
+        row += [Fraction(1 if art.get(i) == c else 0) for c in range(ncore, width)]
+        tab.append(row + [sign[i] * b[i]])
+        basis.append(art[i] if i in art else d + len(free) + i)
+
+    def pivot(r, c):
+        tab[r] = [x / tab[r][c] for x in tab[r]]
+        for i in range(len(tab)):
+            if i != r and tab[i][c] != 0:
+                f = tab[i][c]
+                tab[i] = [x - f * y for x, y in zip(tab[i], tab[r])]
+        basis[r] = c
+
+    def minimize(cost, usable):
+        while True:
+            rc = [cost[j] - sum(cost[basis[i]] * tab[i][j] for i in range(len(tab)))
+                  for j in range(width)]
+            enter = next((j for j in range(usable) if rc[j] < 0), None)
+            if enter is None:
+                return rc
+            candidates = [i for i in range(len(tab)) if tab[i][enter] > 0]
+            if not candidates:
+                return None
+            pivot(min(candidates, key=lambda i: (tab[i][-1] / tab[i][enter], basis[i])), enter)
+
+    if art:
+        minimize([Fraction(int(j >= ncore)) for j in range(width)], width)
+        if any(tab[i][-1] != 0 for i in range(len(tab)) if basis[i] >= ncore):
+            return "infeasible", None, None, (), ()
+        dropped = []
+        for i in range(len(tab)):
+            if basis[i] >= ncore:
+                c = next((j for j in range(ncore) if tab[i][j] != 0), None)
+                if c is None:
+                    dropped.append(i)
+                else:
+                    pivot(i, c)
+        tab = [row for i, row in enumerate(tab) if i not in dropped]
+        basis = [c for i, c in enumerate(basis) if i not in dropped]
+    obj = [Fraction(c) if direction == "max" else -Fraction(c) for c in objective]
+    cost = [-obj[j] for j in range(d)] + [obj[j] for j in free] + [Fraction(0)] * (width - d - len(free))
+    rc = minimize(cost, ncore)
+    if rc is None:
+        return "unbounded", None, None, (), ()
+    z = [Fraction(0)] * width
+    for i, c in enumerate(basis):
+        z[c] = tab[i][-1]
+    point = z[:d]
+    for k, j in enumerate(free):
+        point[j] -= z[d + k]
+    value = sum(c * x for c, x in zip(obj, point))
+    tight = tuple(i for i in range(n) if sum(a * x for a, x in zip(rows[i], point)) == b[i])
+    duals = [rc[d + len(free) + i] for i in range(n)] + [sign[i] * rc[art[i]] for i in range(n, m)]
+    return ("optimal", value if direction == "max" else -value, tuple(point), tight, tuple(duals))
+
+
 def integer_solvable(matrix, rhs):
     """Whether A w = b has an integer solution, by column Euclid reduction.
 

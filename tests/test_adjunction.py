@@ -1,9 +1,11 @@
 """Critical shift, core extraction, lemma checks, and the full report."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from polyadj import adjunction, lp
 from polyadj.adjunction import (
     acore,
     adjoint,
@@ -18,9 +20,9 @@ from polyadj.adjunction import (
     raw_critical_shift,
     verify_lemmas,
 )
-from polyadj.errors import DimensionMismatchError, NotLatticePolytopeError
+from polyadj.errors import DimensionMismatchError, InternalInconsistencyError, NotLatticePolytopeError
 from polyadj.fan import normal_fan
-from polyadj.generators import cube, fig1, scaled_simplex
+from polyadj.generators import cube, fig1, random_lattice_polytope, scaled_simplex
 from polyadj.polytope import from_inequalities, lattice_points, vertices
 
 TRIANGLE_ROWS = [((-1, 0), 0), ((0, -1), 0), ((3, 1), 3)]
@@ -31,6 +33,12 @@ def test_critical_shift_of_named_instances():
     assert critical_shift(from_inequalities(TRIANGLE_ROWS)) == Fraction(3, 5)
     assert critical_shift(cube(3)) == Fraction(1, 2)
     assert critical_shift(scaled_simplex(3, 1)) == Fraction(1, 4)
+
+
+def test_critical_shift_of_five_dimensional_instances():
+    expected = {1: Fraction(10771657, 1475856), 2: Fraction(390988, 132127), 3: Fraction(40, 21)}
+    for seed, c in expected.items():
+        assert critical_shift(random_lattice_polytope(5, 10, seed, box=2)) == c
 
 
 def test_qcodegree_is_the_reciprocal_shift():
@@ -87,6 +95,41 @@ def test_core_of_the_running_example():
     assert data.core_normals == ((0, -1), (0, 1))
     assert data.core.subspace.equations == (((0, 1), Fraction(3, 2)),)
     assert set(data.acore.vertices) == {(0, -1), (0, 1)}
+
+
+def test_shift_duals_certify_the_shift_and_sit_on_the_core_normals():
+    for p in (fig1(), cube(3), scaled_simplex(3, 2)):
+        data = adjunction_data(p)
+        y = data.shift_duals
+        assert len(y) == p.n_facets and min(y) >= 0 and sum(y) == 1
+        assert all(sum(v * a[j] for v, a in zip(y, p.normals)) == 0 for j in range(p.dim))
+        assert sum(v * b for v, b in zip(y, p.rhs)) == data.critical_shift
+        assert {i for i, v in enumerate(y) if v} <= set(data.core_normal_indices)
+
+
+def test_tampered_shift_duals_are_rejected(monkeypatch):
+    p = fig1()
+    solve = lp.solve
+
+    def zero_first_positive_dual(problem):
+        res = solve(problem)
+        i = next(i for i, v in enumerate(res.duals) if v > 0)
+        return dataclasses.replace(res, duals=res.duals[:i] + (Fraction(0),) + res.duals[i + 1:])
+
+    monkeypatch.setattr(lp, "solve", zero_first_positive_dual)
+    with pytest.raises(InternalInconsistencyError, match="do not certify"):
+        adjunction_data(p)
+    monkeypatch.setattr(lp, "solve", solve)
+    # a core normal row missing from the core: the duals' support leaves it
+    embed = adjunction.embed_system
+
+    def drop_first_core_row(system):
+        core_, rows = embed(system)
+        return core_, rows[1:]
+
+    monkeypatch.setattr(adjunction, "embed_system", drop_first_core_row)
+    with pytest.raises(InternalInconsistencyError, match="off the core normals"):
+        adjunction_data(p)
 
 
 def test_wrappers_agree_with_the_data_object():

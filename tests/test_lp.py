@@ -3,9 +3,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import fm_maximize, fm_project_feasible
+from oracles import bland_simplex, fm_maximize, fm_project_feasible
 from polyadj.errors import DimensionMismatchError
 from polyadj.lp import is_feasible, make_problem, solve
 from polyadj.ratmath import dot
@@ -28,6 +28,36 @@ def mixed_instances(d):
     return st.tuples(st.lists(rows, max_size=3), st.lists(rows, max_size=2),
                      st.sets(st.integers(min_value=0, max_value=d - 1)),
                      st.lists(small, min_size=d, max_size=d))
+
+
+@st.composite
+def rank_deficient_instances(draw, d):
+    """Mixed instances whose equality rows are integer combinations of
+    fewer rows, so that phase 1 drops some of them."""
+    ineqs, _, nonneg, obj = draw(mixed_instances(d))
+    base = draw(st.lists(st.tuples(st.lists(small, min_size=d, max_size=d), small),
+                         min_size=1, max_size=2))
+    combos = draw(st.lists(st.lists(small, min_size=len(base), max_size=len(base)),
+                           min_size=len(base) + 1, max_size=len(base) + 2))
+    eqs = [([sum(k * a[j] for k, (a, _) in zip(combo, base)) for j in range(d)],
+            sum(k * b for k, (_, b) in zip(combo, base))) for combo in combos]
+    return ineqs, eqs, nonneg, obj
+
+
+def assert_dual_certificate(ineqs, eqs, nonneg, obj, res, direction="max"):
+    """The duals of an optimal result prove its value: y >= 0 on inequality
+    rows, y.A_j equal to c_j on free variables and >= c_j on nonnegative
+    ones, and y.(b, f) equal to the optimum."""
+    rows = list(ineqs) + list(eqs)
+    y = res.duals
+    c = obj if direction == "max" else [-x for x in obj]
+    assert len(y) == len(rows)
+    assert all(v >= 0 for v in y[:len(ineqs)])
+    for j, cj in enumerate(c):
+        reduced = sum(v * a[j] for v, (a, _) in zip(y, rows)) - cj
+        assert reduced >= 0 if j in nonneg else reduced == 0
+    value = res.value if direction == "max" else -res.value
+    assert sum(v * b for v, (_, b) in zip(y, rows)) == value
 
 
 def mixed_problem(ineqs, eqs, nonneg, obj):
@@ -180,6 +210,9 @@ def check_mixed_against_elimination(data, d):
         assert all(dot(a, x) == b for a, b in eqs)
         assert all(x[j] >= 0 for j in nonneg)
         assert res.tight == tuple(i for i, (a, b) in enumerate(ineqs) if dot(a, x) == b)
+        assert_dual_certificate(ineqs, eqs, nonneg, obj, res)
+    else:
+        assert res.duals == ()
 
 
 @settings(deadline=None, max_examples=200)
@@ -201,3 +234,29 @@ def test_feasibility_with_equalities_and_signs_agrees_with_projection(data):
     assert is_feasible([a for a, _ in ineqs], [b for _, b in ineqs],
                        eq_normals=[a for a, _ in eqs], eq_rhs=[b for _, b in eqs], nonneg=nonneg) \
         == fm_project_feasible(*as_inequalities(ineqs, eqs, nonneg, 3))
+
+
+@settings(deadline=None, max_examples=100)
+@given(rank_deficient_instances(3))
+def test_rank_deficient_equalities_agree_with_elimination(data):
+    check_mixed_against_elimination(data, 3)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(mixed_instances(3), rank_deficient_instances(3)), st.sampled_from(["max", "min"]),
+       st.lists(st.integers(min_value=1, max_value=6), min_size=3, max_size=3))
+# phase 1 leaves an artificial basic in a row with two nonzero entries: the
+# duals depend on which one its drop pivot takes
+@example(([([2, 5], 1), ([3, -1], 3)], [([8, -2], 0), ([-8, 2], 0)], {0, 1}, [2, -5]), "max", [1, 1, 1])
+def test_integer_tableau_pivots_like_the_fraction_reference(data, direction, divisors):
+    ineqs, eqs, nonneg, obj = data
+    # rational rows, so that the tableau scales them to integers first
+    ineqs = [([Fraction(x, k) for x in a], Fraction(b, k)) for (a, b), k in zip(ineqs, divisors)]
+    res = solve(make_problem([a for a, _ in ineqs], [b for _, b in ineqs], obj, direction,
+                             eq_normals=[a for a, _ in eqs], eq_rhs=[b for _, b in eqs],
+                             nonneg=nonneg))
+    expected = bland_simplex([a for a, _ in ineqs], [b for _, b in ineqs], obj, direction,
+                             [a for a, _ in eqs], [b for _, b in eqs], nonneg)
+    assert (res.status, res.value, res.point, res.tight, res.duals) == expected
+    if res.status == "optimal":
+        assert_dual_certificate(ineqs, eqs, nonneg, obj, res, direction)

@@ -14,7 +14,7 @@ from oracles import (
     fm_maximize,
     fm_project_feasible,
 )
-from polyadj import adjunction, fan, lp, polytope
+from polyadj import adjunction, fan, lp, polytope, spectrum
 from polyadj.errors import (
     EmptyPolytopeError,
     InvalidConeError,
@@ -22,7 +22,7 @@ from polyadj.errors import (
     NonUnimodularError,
     UnboundedPolytopeError,
 )
-from polyadj.generators import SplitMix64, cube, fig1, scaled_simplex
+from polyadj.generators import SplitMix64, cube, fig1, random_lattice_polytope, scaled_simplex
 from polyadj.polytope import (
     HPolytope,
     dilate,
@@ -363,10 +363,27 @@ def test_implicit_equalities_reject_empty_and_prune_loose_candidates(monkeypatch
         assert implicit_equalities(system) == implicit
         assert embed_system(system)[1] == implicit
         assert calls == {"solve": 0, "is_feasible": 0, "extreme_rays": 3}
-    # the critical-shift LP and the emptiness of the adjoint just above it
+    # the critical-shift LP alone: its duals prove the adjoint above c* empty
     calls.update(solve=0, is_feasible=0, extreme_rays=0)
     assert adjunction.adjunction_data(p).core_normal_indices == (1, 2)
-    assert calls["solve"] == 1 and calls["is_feasible"] == 1
+    assert calls["solve"] == 1 and calls["is_feasible"] == 0
+
+
+def test_core_config_reads_positive_spanning_off_the_shift_duals(monkeypatch):
+    easy = adjunction.adjunction_data(fig1())
+    # a degenerate critical-shift LP: a core normal of d2-s1033 has dual 0
+    hard = adjunction.adjunction_data(random_lattice_polytope(2, 7, 1033, box=5))
+    assert min(easy.shift_duals[i] for i in easy.core_normal_indices) > 0
+    assert min(hard.shift_duals[i] for i in hard.core_normal_indices) == 0
+    expected = [spectrum.make_config(data.core_normals) for data in (easy, hard)]
+    validated = []
+    validate = spectrum.validate_config
+    monkeypatch.setattr(spectrum, "validate_config", lambda cfg: validated.append(cfg) or validate(cfg))
+    calls = _count_calls(monkeypatch)
+    assert adjunction.core_config(easy) == expected[0]
+    assert calls == {"solve": 0, "is_feasible": 0, "extreme_rays": 0} and validated == []
+    assert adjunction.core_config(hard) == expected[1]
+    assert calls == {"solve": 1, "is_feasible": 0, "extreme_rays": 0} and validated == [expected[1]]
 
 
 @st.composite

@@ -80,6 +80,13 @@ def test_primitivize_rejects_zero():
         primitivize([0, 0])
 
 
+def test_primitivize_rejects_non_integers_and_accepts_integral_ones():
+    for bad in ([4, Fraction(3, 2)], [4, 2.5]):
+        with pytest.raises(ValueError):
+            primitivize(bad)
+    assert primitivize([Fraction(4), 6.0, -8]) == ((2, 3, -4), 2)
+
+
 @given(st.lists(fractions, min_size=1, max_size=5))
 def test_scale_to_integer_is_a_positive_rescale(v):
     w = scale_to_integer(v)
