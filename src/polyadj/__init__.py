@@ -87,6 +87,7 @@ from .polytope import (
 )
 from .spectrum import (
     CoreNormalConfig,
+    ReciprocalGrid,
     SpectrumSuperset,
     check_necessary_condition,
     codegree_step,

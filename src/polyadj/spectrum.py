@@ -13,8 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+import operator
 from math import floor, lcm
-from typing import Optional, Sequence
+from numbers import Rational
+from typing import Iterator, Optional, Sequence
 
 from . import lp
 from .errors import InternalInconsistencyError, InvalidConfigError
@@ -41,13 +43,67 @@ class CoreNormalConfig:
         return len(self.normals)
 
 
+class ReciprocalGrid(Sequence[Fraction]):
+    """The values 1/(k*step) for k = 1..size, in descending order.
+
+    Described by step and size alone: an entry is made when it is read,
+    and membership is one division, not a scan. The number of values
+    grows as 1/(epsilon*step), into the millions for fine steps. Equal
+    to the tuple of its values, and hashed as that tuple.
+    """
+
+    __slots__ = ("step", "size")
+
+    def __init__(self, step: Fraction, size: int):
+        self.step = step
+        self.size = size
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[k] for k in range(*index.indices(self.size)))
+        index = operator.index(index)
+        k = index + self.size if index < 0 else index
+        if not 0 <= k < self.size:
+            raise IndexError("reciprocal grid index out of range")
+        return Fraction(self.step.denominator, (k + 1) * self.step.numerator)
+
+    def __iter__(self) -> Iterator[Fraction]:
+        q, p = self.step.denominator, self.step.numerator
+        for k in range(1, self.size + 1):
+            yield Fraction(q, k * p)
+
+    def __contains__(self, value) -> bool:
+        if not isinstance(value, Rational):
+            return any(v == value for v in self)
+        if value <= 0 or self.size == 0:
+            return False
+        k = 1 / (Fraction(value) * self.step)
+        return k.denominator == 1 and k <= self.size
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ReciprocalGrid):
+            return self.size == other.size and (self.size == 0 or self.step == other.step)
+        if isinstance(other, tuple):
+            return len(other) == self.size and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"ReciprocalGrid(step={self.step!r}, size={self.size})"
+
+
 @dataclass(frozen=True)
 class SpectrumSuperset:
     """Descending candidate Q-codegrees 1/(k*step) at or above epsilon."""
 
     step: Fraction
     epsilon: Fraction
-    values: tuple[Fraction, ...]
+    values: ReciprocalGrid
 
 
 def make_config(rows: Sequence[Sequence[int]]) -> CoreNormalConfig:
@@ -143,11 +199,8 @@ def spectrum_superset(cfg: CoreNormalConfig, epsilon) -> SpectrumSuperset:
     if eps <= 0:
         raise ValueError("epsilon must be positive")
     g = codegree_step(cfg)
-    if g == 0:
-        return SpectrumSuperset(g, eps, ())
-    kmax = floor(1 / (eps * g))
-    values = tuple(Fraction(g.denominator, k * g.numerator) for k in range(1, kmax + 1))
-    return SpectrumSuperset(g, eps, values)
+    kmax = 0 if g == 0 else floor(1 / (eps * g))
+    return SpectrumSuperset(g, eps, ReciprocalGrid(g, kmax))
 
 
 def check_necessary_condition(cfg: CoreNormalConfig, c) -> tuple[bool, Optional[tuple[Fraction, ...]]]:

@@ -8,6 +8,7 @@ from polyadj.adjunction import adjunction_data, core_config
 from polyadj.errors import InvalidConfigError
 from polyadj.generators import cube, fig1
 from polyadj.spectrum import (
+    ReciprocalGrid,
     check_necessary_condition,
     codegree_step,
     make_config,
@@ -65,6 +66,38 @@ def test_superset_is_a_descending_reciprocal_grid():
     assert list(sup.values) == sorted(sup.values, reverse=True)
     assert all(v >= Fraction(1, 3) for v in sup.values)
     assert Fraction(1, 1) / ((6 + 1) * g) < Fraction(1, 3)
+
+
+@pytest.mark.parametrize("step", [Fraction(1, 2), Fraction(3, 7), Fraction(5), Fraction(2, 35)])
+def test_reciprocal_grid_behaves_as_its_tuple(step):
+    grid = ReciprocalGrid(step, 9)
+    values = tuple(1 / (k * step) for k in range(1, 10))
+    assert grid == values and values == grid and list(grid) == list(values)
+    assert hash(grid) == hash(values)
+    assert len(grid) == 9 and grid[0] == 1 / step and grid[-1] == values[-1]
+    assert grid[2:7:2] == values[2:7:2] and grid[::-1] == values[::-1]
+    assert tuple(reversed(grid)) == values[::-1]
+    assert grid.index(values[4]) == 4 and grid.count(values[4]) == 1
+    with pytest.raises(IndexError):
+        grid[9]
+    with pytest.raises(IndexError):
+        grid[-10]
+    candidates = {1 / (k * step) for k in range(1, 12)} | {Fraction(k, 3) for k in range(-3, 30)}
+    for c in candidates:
+        assert (c in grid) == (c in values), c
+        assert (float(c) in grid) == (float(c) in values), c
+    assert "x" not in grid
+    assert grid != values[:-1] and grid != values[:-1] + (Fraction(0),)
+    assert grid == ReciprocalGrid(step, 9) and grid != ReciprocalGrid(step, 8)
+    assert grid != ReciprocalGrid(step / 2, 9)
+    assert ReciprocalGrid(step, 0) == ReciprocalGrid(Fraction(0), 0) == ()
+
+
+def test_superset_holds_a_fine_grid_without_listing_it():
+    sup = spectrum_superset(make_config(SEGMENT), Fraction(1, 10**9))
+    assert len(sup.values) == 2 * 10**9
+    assert Fraction(1, 10**9) in sup.values and Fraction(1, 10**9 + 1) not in sup.values
+    assert sup.values[-1] == Fraction(1, 10**9) and sup.values[:3] == (2, 1, Fraction(2, 3))
 
 
 def test_superset_epsilon_validation():
