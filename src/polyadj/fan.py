@@ -7,7 +7,9 @@ canonicity threshold (how low a nonzero lattice point can sit relative to
 the generator heights), and smoothness. Fan level values aggregate over
 the maximal cones: a functional witnessing a maximal cone restricts to
 every face, so face indices divide the maximal ones and face thresholds
-are no smaller, which makes the maximal cones sufficient.
+are no smaller, which makes the maximal cones sufficient. Nothing here
+solves an LP: cone validation, heights and the canonicity scan all read
+the double description of polytope.extreme_rays.
 """
 
 from __future__ import annotations
@@ -17,14 +19,22 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from . import lp
 from .errors import (
     InternalInconsistencyError,
     InvalidConeError,
     NotInConeError,
     NotLatticePolytopeError,
 )
-from .polytope import HPolytope, extreme_rays, from_vertices, is_lattice_polytope, lattice_points, vertices
+from .polytope import (
+    HPolytope,
+    _maximal_rows,
+    extreme_rays,
+    from_vertices,
+    is_lattice_polytope,
+    lattice_levels,
+    level_points,
+    vertices,
+)
 from .ratmath import (
     IntVector,
     det,
@@ -113,35 +123,41 @@ def cone(generators: Sequence[Sequence[int]]) -> Cone:
             raise InvalidConeError("zero vector cannot generate a ray")
         prims.append(primitivize(vec)[0])
     prims = sorted(set(prims))
-    if not _is_pointed(prims, d):
+    _, local = _span_frame(prims)
+    k = len(local[0])
+    facets = extreme_rays(local, k)
+    if rank([f for f, _ in facets]) < k:
         raise InvalidConeError("generators span a cone containing a line")
-    extreme = list(prims)
-    changed = True
-    while changed:
-        changed = False
-        for g in list(extreme):
-            others = [h for h in extreme if h != g]
-            if others and _in_cone_hull(others, g):
-                extreme.remove(g)
-                changed = True
-    return Cone(d, tuple(sorted(extreme)))
+    if k > 1:
+        prims = [prims[i] for i in _maximal_rows(facets, range(len(prims)))]
+    return Cone(d, tuple(prims))
 
 
-def _is_pointed(gens, d) -> bool:
-    # pointed iff some functional is >= 1 on every generator
-    rows = [tuple(-x for x in g) + (1,) for g in gens] + [tuple([0] * d) + (1,)]
-    rhs = [Fraction(0)] * len(gens) + [Fraction(1)]
-    obj = [Fraction(0)] * d + [Fraction(1)]
-    res = lp.solve(lp.make_problem(rows, rhs, obj, "max"))
-    if res.status != "optimal":
-        raise InternalInconsistencyError("pointedness LP must be bounded")
-    return res.value > 0
+def _span_frame(rays: Sequence[IntVector]) -> tuple[Optional[tuple[IntVector, ...]], list[IntVector]]:
+    """The rays in the coordinates of a basis of their saturated span lattice.
+
+    Returns (directions, local rays). When the rays span the ambient space
+    directions is None and the rays are kept as they are; otherwise the
+    lattice points of the span keep integer local coordinates.
+    """
+    rays = [tuple(r) for r in rays]
+    if rank(rays) == len(rays[0]):
+        return None, rays
+    directions = saturate(rays)
+    local = []
+    for r in rays:
+        sol = _local_coordinates(directions, r)
+        if sol is None:
+            raise InternalInconsistencyError("ray escaped the span of the rays")
+        local.append(tuple(int(x) for x in sol))
+    return directions, local
 
 
-def _in_cone_hull(gens, target) -> bool:
-    """Whether target is a nonnegative combination of gens."""
-    eq_rows = [tuple(g[j] for g in gens) for j in range(len(target))]
-    return lp.is_feasible((), (), eq_normals=eq_rows, eq_rhs=target, nonneg=range(len(gens)))
+def _local_coordinates(directions, point):
+    """Coordinates of point in the basis directions, or None off their span."""
+    matrix = [[directions[i][j] for i in range(len(directions))] for j in range(len(point))]
+    sol = solve_linear(matrix, list(point))
+    return None if sol is None else sol[0]
 
 
 def normal_fan(p: HPolytope) -> NormalFan:
@@ -163,7 +179,10 @@ def height(c: Cone, point: Sequence) -> Fraction:
 
     For a point w in c this is max sum(lambda) over lambda >= 0 with
     sum(lambda_i ray_i) = w; it is finite because the cone is pointed, and
-    unique when the cone is simplicial. Raises NotInConeError outside c.
+    unique when the cone is simplicial, where one linear solve gives it.
+    On any other cone it is min <u, w> over the dual height vertices u,
+    in the coordinates of the rays' saturated span, once w has passed the
+    cone's facet rows. Raises NotInConeError outside c.
     """
     target = [Fraction(x) for x in point]
     if all(x == 0 for x in target):
@@ -177,14 +196,16 @@ def height(c: Cone, point: Sequence) -> Fraction:
         if any(l < 0 for l in lams):
             raise NotInConeError("point has a negative generator weight")
         return sum(lams, Fraction(0))
-    eq_rows = [tuple(g[j] for g in c.rays) for j in range(c.ambient_dim)]
-    res = lp.solve(lp.make_problem((), (), [1] * c.n_rays, "max", eq_normals=eq_rows,
-                                   eq_rhs=target, nonneg=range(c.n_rays)))
-    if res.status == "infeasible":
-        raise NotInConeError("point is not in the cone")
-    if res.status != "optimal":
-        raise InternalInconsistencyError("height LP is unbounded on a pointed cone")
-    return res.value
+    directions, rays = _span_frame(c.rays)
+    if directions is not None:
+        target = _local_coordinates(directions, target)
+        if target is None:
+            raise NotInConeError("point is outside the cone's linear span")
+    d = len(rays[0])
+    if any(dot(f, target) < 0 for f, _ in extreme_rays(rays, d)):
+        raise NotInConeError("point fails a facet of the cone")
+    duals, scale = _height_functionals(rays, d)
+    return Fraction(min(dot(w, target) for w in duals)) / scale
 
 
 def _dual_height_vertices(rays: Sequence[IntVector], d: int) -> list[IntVector]:
@@ -202,57 +223,58 @@ def _dual_height_vertices(rays: Sequence[IntVector], d: int) -> list[IntVector]:
     return out
 
 
+def _height_functionals(rays: Sequence[IntVector], d: int) -> tuple[list[IntVector], int]:
+    """(duals, scale): integer w with height(x) = min_w <w, x> / scale on the cone.
+
+    The w are the vertices of the dual height region over a common
+    denominator scale, so <w, ray> >= scale on every ray.
+    """
+    duals = _dual_height_vertices(rays, d)
+    scale = lcm(*(z[d] for z in duals))
+    return [tuple(x * (scale // z[d]) for x in z[:d]) for z in duals], scale
+
+
 def canonicity_threshold(c: Cone) -> tuple[Fraction, Optional[CanonicityWitness]]:
     """min(1, least height of a nonzero lattice point of the cone).
 
-    Any lattice point of the cone with height below 1 lies in
-    conv(0, rays) (take a maximizing representation), so scanning that
-    bounded region finds the exact threshold; heights come from the dual
-    vertex description. Lower-dimensional cones are handled in the
-    coordinates of the saturated span of their rays, where their lattice
-    points keep integer coordinates. Returns the threshold and a witness
-    point achieving it when it is below 1.
+    Heights are min_w <w, x> / scale over the dual height vertices w, so
+    the points of height at most t are the union over w of
+    t R_w, where R_w = {x in c : <w, x> <= scale} = conv(0, scale r / <w, r>).
+    The lattice levels of each R_w are built once; t R_w only divides
+    their right hand sides. Deepening takes t = 1/64, 1/32, ..., 1 and
+    stops at the first t at which some t R_w holds a nonzero lattice
+    point. That point has height at most t, so every point of least height
+    lies in t R_w for its minimizing w: the least height over the points
+    found is exact, and the witness is the lexicographically smallest
+    point attaining it. For a simplicial cone R_w is conv(0, rays).
+    Lower-dimensional cones are handled in the coordinates of the
+    saturated span of their rays, where their lattice points keep integer
+    coordinates. Returns the threshold and a witness point achieving it
+    when it is below 1.
     """
-    d = c.ambient_dim
-    rays = [tuple(r) for r in c.rays]
-    span_rank = rank(rays)
-    if span_rank < d:
-        directions = saturate(rays)
-        matrix = [[directions[i][j] for i in range(len(directions))] for j in range(d)]
-        local_rays = []
-        for r in rays:
-            sol = solve_linear(matrix, list(r))
-            if sol is None:
-                raise InternalInconsistencyError("ray escaped the span of the rays")
-            local_rays.append(tuple(int(x) for x in sol[0]))
-        rays = local_rays
-        d = span_rank
-    else:
-        directions = None
-    duals = _dual_height_vertices(rays, d)
-    scale = lcm(*(z[d] for z in duals))
-    int_duals = [tuple(x * (scale // z[d]) for x in z[:d]) for z in duals]
-    zero = tuple(0 for _ in range(d))
-    hull = from_vertices([zero] + rays)
-    best_scaled: Optional[int] = None
-    best_point: Optional[IntVector] = None
-    for pt in lattice_points(hull):
-        if all(x == 0 for x in pt):
-            continue
-        h = min(dot(w, pt) for w in int_duals)
-        if best_scaled is None or h < best_scaled:
-            best_scaled = h
-            best_point = tuple(int(x) for x in pt)
-    if best_scaled is None or best_scaled >= scale:
+    directions, rays = _span_frame(c.rays)
+    d = len(rays[0])
+    duals, scale = _height_functionals(rays, d)
+    zero = (0,) * d
+    regions = [lattice_levels(from_vertices([zero] + [tuple(Fraction(scale * x, dot(w, r)) for x in r)
+                                                      for r in rays]))
+               for w in duals]
+    shrink = 64
+    while True:
+        found = {pt for levels in regions for pt in level_points(levels, shrink=shrink)}
+        found.discard(zero)
+        if found or shrink == 1:
+            break
+        shrink //= 2
+    best = min(((min(dot(w, pt) for w in duals), pt) for pt in found), default=None)
+    if best is None or best[0] >= scale:
         return Fraction(1), None
-    best = Fraction(best_scaled, scale)
+    threshold = Fraction(best[0], scale)
+    point = best[1]
     if directions is not None:
-        ambient = [0] * c.ambient_dim
-        for coeff, direction in zip(best_point, directions):
-            for j in range(c.ambient_dim):
-                ambient[j] += coeff * direction[j]
-        best_point = tuple(ambient)
-    return best, CanonicityWitness(c, best_point, best)
+        point = tuple(sum(coeff * direction[j] for coeff, direction in zip(point, directions))
+                      for j in range(c.ambient_dim))
+    return threshold, CanonicityWitness(c, point, threshold)
 
 
 def fan_canonicity_threshold(fan: NormalFan) -> tuple[Fraction, Optional[CanonicityWitness]]:

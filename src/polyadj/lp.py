@@ -226,10 +226,12 @@ def _phase1(tab: _Tableau, art_cols, ncols_core) -> bool:
 
 
 def solve(problem: LpProblem) -> LpResult:
-    """Solve an LP exactly; see the module docstring for the method."""
-    problem = make_problem(problem.normals, problem.rhs, problem.objective, problem.direction,
-                           eq_normals=problem.eq_normals, eq_rhs=problem.eq_rhs,
-                           nonneg=problem.nonneg)
+    """Solve an LP exactly; see the module docstring for the method.
+
+    The problem is used as given: make_problem has already checked it and
+    converted its entries. Integer entries work as well, since only their
+    numerators and denominators are read.
+    """
     d = len(problem.objective)
     obj = problem.objective if problem.direction == "max" else tuple(-c for c in problem.objective)
 

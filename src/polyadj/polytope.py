@@ -6,7 +6,10 @@ from_inequalities reads the facets and vertices of an inequality system
 off those tight sets, from_vertices the facets and vertices of a hull,
 vertices the vertices of an HPolytope, implicit_equalities and
 embed_system the implicit equalities and vertices of a possibly flat
-system, and fan the dual height regions.
+system, and fan the dual height regions and the facets of a cone. Lattice
+points are enumerated coordinate by coordinate over the projections of a
+set onto x_1..x_j, each the hull of the projected vertices
+(lattice_levels), so no Fourier-Motzkin elimination is needed.
 
 Conventions. An HPolytope is always bounded, full-dimensional, and
 irredundant, with primitive integer facet normals, rational right hand
@@ -21,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from typing import Optional, Sequence
 
 from . import lp
@@ -493,65 +495,57 @@ def is_lattice_polytope(s) -> bool:
 # lattice point enumeration
 
 
-def _fm_levels(rows, d: int):
-    """Fourier-Motzkin elimination ladder. rows: (coeff tuple, rhs) closed <=.
+def lattice_levels(s) -> list:
+    """Bounds of the lattice-point enumeration of s, one level per coordinate.
 
-    Returns levels[1..d] where level j constrains x_1..x_j; each row is
-    (integer coeffs, rhs numerator, rhs denominator). Returns None when a
-    derived constant row is infeasible. Every row is enforced as a bound
-    at the level of its last nonzero coefficient, so points surviving the
-    ladder satisfy the whole closed system exactly. The input rows are
-    scaled to integers once; rows derived from integer rows are integer,
-    so each row only needs dividing by the gcd of its coefficients.
+    levels[j] (1 <= j <= d) holds the facet rows of the projection of s
+    onto x_1..x_j as (integer coefficients, rhs numerator, rhs
+    denominator); its rows with a nonzero x_j coefficient bound x_j once
+    x_1..x_{j-1} are fixed. Level 1 is the range of the first vertex
+    coordinate, level d the rows of s itself (the equations of an
+    EmbeddedPolytope as two-sided rows), and each level in between the
+    hull of the projected vertices: from_vertices for an HPolytope,
+    hull_any_dim for an EmbeddedPolytope. Each level is an exact
+    projection, so a row without x_j is implied by level j - 1 and a
+    prefix passing level j extends to a point of s. levels[0] is None.
     """
-    def clean(pairs):
-        best: dict[tuple, Fraction] = {}
-        for coeffs, rhs in pairs:
-            g = gcd(*coeffs)
-            if g == 0:
-                if rhs < 0:
-                    return None
-                continue
-            coeffs = tuple(x // g for x in coeffs)
-            rhs = rhs / g
-            if coeffs not in best or rhs < best[coeffs]:
-                best[coeffs] = rhs
-        return [(c, b) for c, b in best.items()]
-
-    exact: list = [None] * (d + 1)
-    current = clean([(row[:d], Fraction(row[d]))
-                     for row in (scale_to_integer(tuple(a[:d]) + (b,)) for a, b in rows)])
-    if current is None:
-        return None
-    exact[d] = current
-    for j in range(d, 1, -1):
-        zero, pos, neg = [], [], []
-        for coeffs, rhs in exact[j]:
-            c = coeffs[j - 1]
-            if c == 0:
-                zero.append((coeffs[:j - 1], rhs))
-            elif c > 0:
-                pos.append((coeffs, rhs))
-            else:
-                neg.append((coeffs, rhs))
-        combined = list(zero)
-        for pc, pb in pos:
-            a = pc[j - 1]
-            for nc, nb in neg:
-                g = -nc[j - 1]
-                coeffs = tuple(g * pc[i] + a * nc[i] for i in range(j - 1))
-                combined.append((coeffs, g * pb + a * nb))
-        nxt = clean(combined)
-        if nxt is None:
-            return None
-        exact[j - 1] = nxt
-    levels: list = [None] * (d + 1)
-    for j in range(1, d + 1):
-        levels[j] = [(c, b.numerator, b.denominator) for c, b in exact[j]]
+    if isinstance(s, HPolytope):
+        d, verts = s.dim, vertices(s).vertices
+    elif isinstance(s, EmbeddedPolytope):
+        d, verts = s.ambient_dim, s.vertices
+    else:
+        raise TypeError(f"unsupported type {type(s).__name__}")
+    lo = Fraction(min(v[0] for v in verts))
+    hi = Fraction(max(v[0] for v in verts))
+    levels: list = [None, [((1,), hi.numerator, hi.denominator), ((-1,), -lo.numerator, lo.denominator)]]
+    for j in range(2, d + 1):
+        if j == d:
+            part = s
+        elif isinstance(s, HPolytope):
+            part = from_vertices([v[:j] for v in verts])
+        else:
+            part = hull_any_dim([v[:j] for v in verts])
+        levels.append(_level_rows(part))
     return levels
 
 
-def _enumerate_lattice(levels, d: int, step: int):
+def _level_rows(s) -> list:
+    """The closed rows of s as (integer coefficients, rhs numerator, rhs denominator)."""
+    if isinstance(s, HPolytope):
+        return [(a, b.numerator, b.denominator) for a, b in zip(s.normals, s.rhs)]
+    eqs, ineqs = _ambient_rows(s)
+    rows = eqs + [(tuple(-x for x in a), -b) for a, b in eqs] + ineqs
+    return [(z[:-1], z[-1], 1) for z in (scale_to_integer(tuple(a) + (b,)) for a, b in rows)]
+
+
+def level_points(levels, step: int = 1, shrink: int = 1) -> list[IntVector]:
+    """Points of step * Z^d passing every level, in lexicographic order.
+
+    With shrink > 1 every right hand side is divided by shrink, so the
+    levels of a set S give the points of S / shrink.
+    """
+    d = len(levels) - 1
+    levels = [None] + [[(a, num, den * shrink) for a, num, den in level] for level in levels[1:]]
     out = []
     prefix = [0] * d
 
@@ -624,26 +618,21 @@ def lattice_points(s, region: str = "all", sublattice_scale: int = 1):
     """Points of (sublattice_scale * Z^d) in s, or in its relative interior.
 
     s may be an HPolytope or an EmbeddedPolytope, and the returned points
-    are integer tuples. The Fourier-Motzkin ladder enforces the full closed
-    system, so only the relative_interior region needs a strictness filter
-    on the inequality rows.
+    are integer tuples in lexicographic order. The enumeration runs over
+    lattice_levels(s), whose last level is the closed system of s, so only
+    the relative_interior region needs a strictness filter on the
+    inequality rows.
     """
     if region not in ("all", "relative_interior"):
         raise ValueError(f"unknown region {region!r}")
     k = int(sublattice_scale)
     if k < 1 or k != sublattice_scale:
         raise ValueError("sublattice_scale must be a positive integer")
-    eqs, ineqs = _ambient_rows(s)
-    closed = [(a, beta) for a, beta in eqs] + [(tuple(-x for x in a), -beta) for a, beta in eqs]
-    closed += ineqs
-    d = s.dim if isinstance(s, HPolytope) else s.ambient_dim
-    levels = _fm_levels(closed, d)
-    if levels is None:
-        return ()
-    result = _enumerate_lattice(levels, d, k)
+    result = level_points(lattice_levels(s), k)
     if region == "relative_interior":
+        ineqs = _ambient_rows(s)[1]
         result = [x for x in result if all(dot(a, x) < b for a, b in ineqs)]
-    return tuple(sorted(result))
+    return tuple(result)
 
 
 # ---------------------------------------------------------------------------

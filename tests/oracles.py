@@ -134,6 +134,34 @@ def brute_dual_vertices(rays):
     return out
 
 
+def brute_canonicity(rays):
+    """Canonicity threshold of the cone over full-rank integer rays, by a box scan.
+
+    Every nonzero lattice point of height below 1 lies in conv(0, rays), so
+    the scan covers the bounding box of that hull, keeps the points on the
+    inner side of every facet from brute_facets, and takes each height as
+    the least <u, x> over the dual vertices u from brute_dual_vertices.
+    Returns (1, ()) when no nonzero lattice point has height below 1, and
+    otherwise the least height with the sorted points attaining it.
+    """
+    d = len(rays[0])
+    hull = [tuple(Fraction(0) for _ in range(d))] + [tuple(Fraction(x) for x in r) for r in rays]
+    facets = brute_facets(hull)
+    duals = brute_dual_vertices(rays)
+
+    def inside(x):
+        return all(sum(a * xi for a, xi in zip(normal, x)) <= b for normal, b in facets)
+
+    heights = {}
+    for x in box_lattice_points(hull, inside):
+        if any(x):
+            heights[x] = min(sum(u * xi for u, xi in zip(dual, x)) for dual in duals)
+    least = min(heights.values(), default=Fraction(1))
+    if least >= 1:
+        return Fraction(1), ()
+    return least, tuple(sorted(x for x, h in heights.items() if h == least))
+
+
 def fm_project_feasible(normals, rhs):
     """Feasibility of A x <= b by eliminating every variable in order."""
     rows = [([Fraction(a) for a in row], Fraction(b)) for row, b in zip(normals, rhs)]

@@ -10,8 +10,13 @@ reads as a checklist. The random material reuses the session suite from
 conftest (200 seeded instances across dimensions 2, 3, 4).
 """
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 from oracles import (
     bisect_critical_shift,
@@ -19,6 +24,7 @@ from oracles import (
     fm_project_feasible,
     smallest_solvable_level,
 )
+import polyadj
 from polyadj import lp
 from polyadj.adjunction import (
     adjunction_data,
@@ -28,7 +34,7 @@ from polyadj.adjunction import (
     qcodegree,
     raw_critical_shift,
 )
-from polyadj.fan import fan_gorenstein_index, gorenstein_index, height, normal_fan
+from polyadj.fan import Cone, fan_gorenstein_index, gorenstein_index, height, normal_fan
 from polyadj.generators import SplitMix64, cube, fig1, random_lattice_polytope, scaled_simplex
 from polyadj.polytope import dilate, from_inequalities, transform, vertices
 from polyadj.spectrum import check_necessary_condition, codegree_step, spectrum_superset
@@ -169,7 +175,7 @@ def test_criterion_6_codegree_lies_in_the_candidate_set(suite_reports):
 
 
 def _lp_height(c, point):
-    # same program as the production fallback, but always through the solver
+    # independent route: the height as the LP it is defined by, through the solver
     m = c.n_rays
     rows = []
     rhs = []
@@ -202,7 +208,8 @@ def test_criterion_7_independent_routes_agree(suite, suite_reports):
                 == rep.data.critical_shift, key
             assert set(vertices(p).vertices) == brute_vertices(p.normals, p.rhs), key
 
-        # height solves directly on simplicial cones and by its own LP on the others
+        # height solves directly on simplicial cones and reads the dual height
+        # vertices on the others; the LP route checks both
         checked = {True: 0, False: 0}
         for key, rep in suite_reports.items():
             for c in rep.fan.maximal_cones:
@@ -253,3 +260,30 @@ def test_criterion_8_invariance_and_dilation(named):
                 assert qcodegree(dilate(p, k)) == data.qcodegree / k, key
 
     _criterion("invariants survive unimodular maps; dilation divides the codegree", check)
+
+
+D5_PROBE = """
+import json
+from polyadj.fan import fan_canonicity_threshold, normal_fan
+from polyadj.generators import random_lattice_polytope
+t, w = fan_canonicity_threshold(normal_fan(random_lattice_polytope(5, 10, 1, box=2)))
+print(json.dumps([str(t), w.point, w.cone.rays]))
+"""
+
+
+def test_criterion_9_d5_canonicity_threshold_within_a_time_cap():
+    # 10 maximal cones with up to 21 rays whose entries reach 200: a scan
+    # of conv(0, rays) would visit on the order of 10^10 lattice points.
+    # The fan is not Q-Gorenstein, so no index bounds the threshold from
+    # below; only the witness has an independent check.
+    def check():
+        package_root = str(Path(polyadj.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", D5_PROBE], env={**os.environ, "PYTHONPATH": pythonpath},
+                             capture_output=True, text=True, timeout=60, check=True)
+        threshold, point, rays = json.loads(out.stdout)
+        assert Fraction(threshold) == Fraction(422, 29651)
+        assert tuple(point) == (0, 0, 0, 1, 0)
+        assert _lp_height(Cone(5, tuple(map(tuple, rays))), point) == Fraction(422, 29651)
+
+    _criterion("d=5 canonicity threshold within 60 s, witness height by LP", check)

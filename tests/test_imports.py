@@ -73,3 +73,29 @@ def test_no_unreferenced_module_functions():
         with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
             sources[module] = fh.read()
     assert unreferenced_definitions(sources) == []
+
+
+def imported_names(source: str) -> set[str]:
+    """Last dotted part of every module an import names, and every name it imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                names.add(node.module.rsplit(".", 1)[-1])
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_the_scan_finds_every_form_of_an_lp_import():
+    for source in ("from . import lp\n", "from .lp import solve\n", "import polyadj.lp\n",
+                   "from polyadj import lp as solver\n"):
+        assert "lp" in imported_names(source)
+    assert "lp" not in imported_names("from .polytope import extreme_rays\n")
+
+
+def test_fan_does_not_import_the_lp_solver():
+    # heights and cone validation come from the double description
+    with open(os.path.join(PACKAGE, "fan.py"), encoding="utf-8") as fh:
+        assert "lp" not in imported_names(fh.read())

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import bland_simplex, fm_maximize, fm_project_feasible
 from polyadj.errors import DimensionMismatchError
-from polyadj.lp import is_feasible, make_problem, solve
+from polyadj import lp
+from polyadj.lp import LpProblem, is_feasible, make_problem, solve
 from polyadj.ratmath import dot
 from polyadj.spectrum import make_config
 
@@ -120,6 +121,29 @@ def test_tight_rows_reported():
     assert res.status == "optimal"
     assert 0 in res.tight
     assert all(i < 4 for i in res.tight)
+
+
+def test_a_solve_converts_its_problem_once(monkeypatch):
+    calls = []
+    original = lp.make_problem
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "make_problem", counting)
+    res = lp.solve(lp.make_problem([[1, 0], [0, 1], [-1, -1]], [1, 1, 0], [1, 2]))
+    assert (res.status, res.value) == ("optimal", 3)
+    assert len(calls) == 1
+
+
+def test_a_hand_built_problem_of_ints_solves_like_a_converted_one():
+    by_hand = LpProblem(((1, 0), (0, 1), (-1, -1)), (1, 2, 0), (3, -1), "min", ((1, -2),), (-1,), (1,))
+    converted = make_problem([[1, 0], [0, 1], [-1, -1]], [1, 2, 0], [3, -1], "min",
+                             eq_normals=[[1, -2]], eq_rhs=[-1], nonneg=[1])
+    res = solve(by_hand)
+    assert res.status == "optimal"
+    assert res == solve(converted)
 
 
 def test_dimension_mismatch_rejected():

@@ -4,15 +4,17 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (
     box_lattice_points,
     brute_facets,
     brute_vertices,
     cofactor_normal,
+    cramer_solve,
     fm_maximize,
     fm_project_feasible,
+    laplace_det,
 )
 from polyadj import adjunction, fan, lp, polytope, spectrum
 from polyadj.errors import (
@@ -523,6 +525,112 @@ def test_lattice_points_match_box_scan_2d(pts):
     p = from_vertices(pts)
     expected = box_lattice_points(vertices(p).vertices, _member_oracle(p))
     assert list(lattice_points(p)) == expected
+
+
+REGIONS = [(region, scale) for region in ("all", "relative_interior") for scale in (1, 2)]
+fraction = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def _hull_member(points):
+    """Membership in the hull of full-dimensional points, strict for the interior.
+
+    Facets come from the brute-force scan, or from the range in dimension 1;
+    membership(x, strict) tests every facet row.
+    """
+    if len(points[0]) == 1:
+        lo, hi = min(p[0] for p in points), max(p[0] for p in points)
+        return lambda x, strict: lo < x[0] < hi if strict else lo <= x[0] <= hi
+    facets = brute_facets(points)
+
+    def member(x, strict):
+        values = [(sum(a * xi for a, xi in zip(normal, x)), b) for normal, b in facets]
+        return all(v < b if strict else v <= b for v, b in values)
+    return member
+
+
+def _full_dimensional(points) -> bool:
+    """Whether some k + 1 of the points in Q^k are affinely independent."""
+    k = len(points[0])
+    return any(laplace_det([[a - b for a, b in zip(q, s[0])] for q in s[1:]]) != 0
+               for s in itertools.combinations(points, k + 1))
+
+
+def _check_against_the_box_scan(s, points, member):
+    """lattice_points of s in every region and scale equals a box scan of member."""
+    box = box_lattice_points([tuple(Fraction(c) for c in pt) for pt in points],
+                             lambda x: member(x, False))
+    for region, scale in REGIONS:
+        expected = [x for x in box if all(c % scale == 0 for c in x)
+                    and (region == "all" or member(x, True))]
+        assert list(lattice_points(s, region=region, sublattice_scale=scale)) == expected
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 4), st.data())
+def test_lattice_points_of_rational_polytopes_match_the_box_scan(d, data):
+    pts = data.draw(st.lists(st.tuples(*[fraction] * d), min_size=d + 1, max_size=d + 3))
+    assume(_full_dimensional(pts))
+    _check_against_the_box_scan(from_vertices(pts), pts, _hull_member(pts))
+
+
+def _flat_member(base, matrix, local):
+    """Membership in base + matrix . conv(local), for an injective integer matrix.
+
+    A nonsingular k x k minor of the matrix recovers the local coordinates by
+    Cramer's rule; the other rows must then agree.
+    """
+    k = len(local[0])
+    if k == 0:
+        return lambda x, strict: tuple(x) == tuple(base)
+    rows = next(rows for rows in itertools.combinations(range(len(matrix)), k)
+                if laplace_det([list(matrix[i][:k]) for i in rows]) != 0)
+    inside = _hull_member(local)
+
+    def member(x, strict):
+        t = cramer_solve([list(matrix[i]) for i in rows], [x[i] - base[i] for i in rows])
+        if any(sum(m * tj for m, tj in zip(row, t)) != xi - bi for row, xi, bi in zip(matrix, x, base)):
+            return False
+        return inside(t, strict)
+    return member
+
+
+def _flat_points(base, matrix, local):
+    return [tuple(b + sum(m * tj for m, tj in zip(row, t)) for row, b in zip(matrix, base)) for t in local]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 4), st.data())
+def test_lattice_points_of_flat_hulls_match_the_box_scan(d, data):
+    # the base often has a fractional coordinate along a zero row of the
+    # matrix, so many of these affine hulls hold no lattice point at all
+    k = data.draw(st.integers(0, d - 1))
+    matrix = data.draw(st.lists(st.tuples(*[st.integers(-1, 1)] * k), min_size=d, max_size=d))
+    base = data.draw(st.tuples(*[st.fractions(-1, 1, max_denominator=2)] * d))
+    local = data.draw(st.lists(st.tuples(*[st.fractions(-1, 1, max_denominator=2)] * k),
+                               min_size=k + 1, max_size=k + 2)) if k else [()]
+    if k:
+        assume(any(laplace_det([list(matrix[i]) for i in rows]) != 0
+                   for rows in itertools.combinations(range(d), k)))
+        assume(_full_dimensional(local))
+    pts = _flat_points(base, matrix, local)
+    _check_against_the_box_scan(hull_any_dim(pts), pts, _flat_member(base, matrix, local))
+
+
+def test_lattice_points_of_flat_hulls_without_lattice_points():
+    half = Fraction(1, 2)
+    cases = [
+        # on x_1 = 1/2
+        ((half, 0, 0), ((0,), (1,), (1,)), [(0,), (3,)]),
+        # on x_1 + x_2 = 1/2, a rational plane in R^3
+        ((half, 0, 0), ((-1, 0), (1, 0), (0, 1)), [(0, 0), (2, 0), (0, 2), (2, 2)]),
+        # a lattice plane, but the triangle misses its lattice points
+        ((Fraction(1, 3), Fraction(1, 3), 0, 0), ((1, 0), (0, 1), (0, 0), (1, 1)),
+         [(0, 0), (Fraction(1, 3), 0), (0, Fraction(1, 3))]),
+    ]
+    for base, matrix, local in cases:
+        pts = _flat_points(base, matrix, local)
+        assert lattice_points(hull_any_dim(pts)) == ()
+        _check_against_the_box_scan(hull_any_dim(pts), pts, _flat_member(base, matrix, local))
 
 
 SHEAR = [[1, 1], [0, 1]]
