@@ -42,6 +42,7 @@ from .polytope import (
     lattice_points,
     make_system,
     relative_interior_point,
+    scale_embedded,
 )
 from .ratmath import IntVector, dot
 
@@ -257,7 +258,7 @@ def verify_lemmas(p: HPolytope, alpha=None, *, data: Optional[AdjunctionData] = 
             raise ValueError("alpha must lie in (0, 1]")
         canonical = threshold >= alpha
     if canonical:
-        scaled = hull_any_dim([tuple(alpha * x for x in a) for a in data.core_normals])
+        scaled = scale_embedded(data.acore, alpha)
         inner = lattice_points(scaled, region="relative_interior")
         scaled_points: Optional[tuple] = inner
         scaled_ok: Optional[bool] = set(inner) == {tuple(0 for _ in range(d))}

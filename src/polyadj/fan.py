@@ -8,8 +8,11 @@ the generator heights), and smoothness. Fan level values aggregate over
 the maximal cones: a functional witnessing a maximal cone restricts to
 every face, so face indices divide the maximal ones and face thresholds
 are no smaller, which makes the maximal cones sufficient. Nothing here
-solves an LP: cone validation, heights and the canonicity scan all read
-the double description of polytope.extreme_rays.
+solves an LP and nothing builds a hull of points: cone validation,
+heights and the canonicity scan all read the double description of
+polytope.extreme_rays. The canonicity regions {x in c : <w, x> <= scale}
+take their rows from the cone's own facets, and only their intermediate
+projections need a double description of their own.
 """
 
 from __future__ import annotations
@@ -29,9 +32,7 @@ from .polytope import (
     HPolytope,
     _maximal_rows,
     extreme_rays,
-    from_vertices,
     is_lattice_polytope,
-    lattice_levels,
     level_points,
     vertices,
 )
@@ -238,27 +239,26 @@ def canonicity_threshold(c: Cone) -> tuple[Fraction, Optional[CanonicityWitness]
     """min(1, least height of a nonzero lattice point of the cone).
 
     Heights are min_w <w, x> / scale over the dual height vertices w, so
-    the points of height at most t are the union over w of
-    t R_w, where R_w = {x in c : <w, x> <= scale} = conv(0, scale r / <w, r>).
-    The lattice levels of each R_w are built once; t R_w only divides
-    their right hand sides. Deepening takes t = 1/64, 1/32, ..., 1 and
-    stops at the first t at which some t R_w holds a nonzero lattice
-    point. That point has height at most t, so every point of least height
-    lies in t R_w for its minimizing w: the least height over the points
-    found is exact, and the witness is the lexicographically smallest
-    point attaining it. For a simplicial cone R_w is conv(0, rays).
-    Lower-dimensional cones are handled in the coordinates of the
-    saturated span of their rays, where their lattice points keep integer
-    coordinates. Returns the threshold and a witness point achieving it
-    when it is below 1.
+    the points of height at most t are the union over w of t R_w, where
+    R_w = {x in c : <w, x> <= scale} = conv(0, scale r / <w, r>). The rows
+    of R_w are the cone's facets, from one double description shared by
+    every w, and <w, x> <= scale; its lattice levels are read off them
+    (_region_levels), with no hull of points, and t R_w only divides their
+    right hand sides. Deepening takes t = 1/64, 1/32, ..., 1 and stops at
+    the first t at which some t R_w holds a nonzero lattice point. That
+    point has height at most t, so every point of least height lies in
+    t R_w for its minimizing w: the least height over the points found is
+    exact, and the witness is the lexicographically smallest point
+    attaining it. Lower-dimensional cones are handled in the coordinates
+    of the saturated span of their rays, where their lattice points keep
+    integer coordinates. Returns the threshold and a witness point
+    achieving it when it is below 1.
     """
     directions, rays = _span_frame(c.rays)
     d = len(rays[0])
     duals, scale = _height_functionals(rays, d)
+    regions = _region_levels(rays, duals, scale)
     zero = (0,) * d
-    regions = [lattice_levels(from_vertices([zero] + [tuple(Fraction(scale * x, dot(w, r)) for x in r)
-                                                      for r in rays]))
-               for w in duals]
     shrink = 64
     while True:
         found = {pt for levels in regions for pt in level_points(levels, shrink=shrink)}
@@ -275,6 +275,39 @@ def canonicity_threshold(c: Cone) -> tuple[Fraction, Optional[CanonicityWitness]
         point = tuple(sum(coeff * direction[j] for coeff, direction in zip(point, directions))
                       for j in range(c.ambient_dim))
     return threshold, CanonicityWitness(c, point, threshold)
+
+
+def _region_levels(rays: Sequence[IntVector], duals: Sequence[IntVector], scale: int) -> list[list]:
+    """The lattice levels (as polytope.lattice_levels) of R_w = conv(0, scale r / <w, r>), per w.
+
+    R_w is a pyramid with apex 0 over its face on <w, x> = scale, so its
+    rows are the cone's facets <f, x> >= 0, from one double description
+    shared by every w, and <w, x> <= scale: these are level d. Level 1 is
+    the range of x_1 over 0 and the points scale r_1 / <w, r>. Level j in
+    between is the hull of the vertices projected onto x_1..x_j: the
+    extreme rays (a, beta) of the cone of its valid rows <a, x> <= beta,
+    whose rows are (-scale r[:j], <w, r>), made primitive, for the projected
+    vertices and (0, ..., 0, 1) for the apex. A span of rank 1 has level 1
+    only.
+    """
+    d = len(rays[0])
+    facet_rows = [(tuple(-x for x in f), 0, 1) for f, _ in extreme_rays(rays, d)] if d > 1 else []
+    regions = []
+    for w in duals:
+        heights = [dot(w, r) for r in rays]
+        ends = [Fraction(scale * r[0], h) for r, h in zip(rays, heights)]
+        lo, hi = min(0, *ends), max(0, *ends)
+        levels: list = [None, [((1,), hi.numerator, hi.denominator),
+                               ((-1,), -lo.numerator, lo.denominator)]]
+        for j in range(2, d):
+            rows = {(0,) * j + (1,)}
+            rows.update(primitivize(tuple(-scale * x for x in r[:j]) + (h,))[0]
+                        for r, h in zip(rays, heights))
+            levels.append([(z[:j], z[j], 1) for z, _ in extreme_rays(sorted(rows), j + 1)])
+        if d > 1:
+            levels.append(facet_rows + [(w, scale, 1)])
+        regions.append(levels)
+    return regions
 
 
 def fan_canonicity_threshold(fan: NormalFan) -> tuple[Fraction, Optional[CanonicityWitness]]:

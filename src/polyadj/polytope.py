@@ -394,6 +394,34 @@ def hull_any_dim(points: Sequence[Sequence]) -> EmbeddedPolytope:
     return EmbeddedPolytope(subspace, local, ambient)
 
 
+def scale_embedded(s: EmbeddedPolytope, factor) -> EmbeddedPolytope:
+    """The image factor * s for a positive rational factor, as hull_any_dim
+    of the scaled vertices would build it.
+
+    A positive factor keeps the lexicographic order of points and the
+    directions of their differences, so the base, the equation offsets,
+    the local right hand sides, the local vertex cache and the vertices
+    scale, and the normals and the direction basis stay.
+    """
+    f = Fraction(factor)
+    if f <= 0:
+        raise ValueError("scale factor must be positive")
+
+    def scaled(point):
+        return tuple(f * x for x in point)
+
+    sub = s.subspace
+    subspace = AffineSubspace(sub.dim, sub.ambient_dim, tuple((a, f * beta) for a, beta in sub.equations),
+                              scaled(sub.base), sub.directions)
+    local = s.local
+    if local is not None:
+        cache = local.vertex_cache
+        if cache is not None:
+            cache = VPolytope(local.dim, tuple(map(scaled, cache.vertices)))
+        local = HPolytope(local.dim, local.normals, scaled(local.rhs), cache)
+    return EmbeddedPolytope(subspace, local, tuple(map(scaled, s.vertices)))
+
+
 def _cut_rays(system: InequalitySystem) -> tuple[tuple[tuple[IntVector, int], ...], bool]:
     """Homogenized rays of a nonempty system, and whether its set contains a line.
 

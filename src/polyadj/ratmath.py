@@ -4,18 +4,25 @@ All arithmetic uses Python ints and fractions.Fraction; nothing here ever
 touches floating point. Vectors are tuples, matrices are sequences of row
 tuples. Rationals serialize as "p/q" with the sign on the numerator and a
 bare "p" when the denominator is 1 (this is exactly str(Fraction)).
+
+rank, solve_linear and det share one fraction-free Gauss-Jordan
+elimination: each row's denominators are cleared once, the rows stay
+integer and gcd-reduced, and Fractions are formed only for the answer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatchError, ParseError, ZeroVectorError
 
 IntVector = tuple[int, ...]
 RatVector = tuple[Fraction, ...]
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def format_fraction(q: Fraction | int) -> str:
@@ -60,10 +67,16 @@ def primitivize(v: Sequence[int]) -> tuple[IntVector, int]:
 
 
 def scale_to_integer(v: Sequence) -> IntVector:
-    """Clear denominators: smallest positive multiple with integer entries."""
-    fracs = [Fraction(x) for x in v]
+    """Clear denominators: smallest positive multiple with integer entries.
+
+    An all-int vector is returned as it is, and ints and Fractions are
+    read by numerator and denominator, with no Fraction built.
+    """
+    if all(type(x) is int for x in v):
+        return tuple(v)
+    fracs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
     m = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    return tuple(int(f * m) for f in fracs)
+    return tuple(f.numerator * (m // f.denominator) for f in fracs)
 
 
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -195,91 +208,109 @@ def saturate(spanning: Iterable[Sequence]) -> tuple[IntVector, ...]:
     return integer_kernel_basis(complement, ncols=m)
 
 
-def _eliminate(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    # forward elimination to reduced row echelon; returns (rref rows, pivot cols)
+def _eliminate(rows: list[list[int]]) -> tuple[list[list[int]], list[int], tuple[int, int]]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix.
+
+    Each pivot is the first nonzero entry of its column at or below the
+    current row, made positive; every other row i with a nonzero entry f in
+    the pivot column c becomes p row_i - f row_r, divided by its gcd, where
+    p = row_r[c]. Returns (rows, pivots, (num, den)): the nonzero rows, the
+    pivot column of each, and the ratio num / den of the determinant of the
+    returned rows to that of the input (square input of full rank). Row r
+    divided by its pivot entry is row r of the reduced row echelon form.
+    """
     work = [list(row) for row in rows]
     ncols = len(work[0]) if work else 0
     pivots = []
+    num = den = 1
     r = 0
     for c in range(ncols):
         pr = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
         if pr is None:
             continue
-        work[r], work[pr] = work[pr], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [a * inv for a in work[r]]
+        if pr != r:
+            work[r], work[pr] = work[pr], work[r]
+            num = -num
+        pivot_row = work[r]
+        p = pivot_row[c]
+        if p < 0:
+            pivot_row = work[r] = [-a for a in pivot_row]
+            p, num = -p, -num
         for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+            f = work[i][c]
+            if i != r and f != 0:
+                row = [p * a - f * b for a, b in zip(work[i], pivot_row)]
+                g = gcd(*row)
+                if g > 1:
+                    row = [a // g for a in row]
+                work[i] = row
+                num *= p
+                den *= g or 1
         pivots.append(c)
         r += 1
         if r == len(work):
             break
-    return work[:r], pivots
+    return work[:r], pivots, (num, den)
 
 
 def rank(matrix: Sequence[Sequence]) -> int:
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    if not rows:
-        return 0
-    reduced, pivots = _eliminate(rows)
-    return len(pivots)
+    """Rank over the rationals, by fraction-free elimination of the rows
+    with their denominators cleared."""
+    return len(_eliminate([scale_to_integer(row) for row in matrix])[1])
 
 
 def solve_linear(matrix: Sequence[Sequence], rhs: Sequence) -> Optional[tuple[RatVector, tuple[RatVector, ...]]]:
     """Solve matrix @ x = rhs exactly over the rationals.
 
     Returns None when inconsistent, otherwise (x0, nullspace_basis) where x0
-    sets every free variable to 0 and the basis spans the solution space.
+    sets every free variable to 0 and the basis spans the solution space:
+    one vector per free column, 1 there and 0 on the other free columns.
+    The elimination runs on the augmented rows in integers; Fractions are
+    formed only for the answer, row[n] / p and -row[f] / p for the pivot
+    entry p of each row.
     """
-    rows = [list(row) for row in matrix]
-    if len(rows) != len(rhs):
+    if len(matrix) != len(rhs):
         raise DimensionMismatchError("rhs length does not match row count")
-    if not rows:
+    if not matrix:
         raise DimensionMismatchError("solve_linear needs at least one row")
-    n = len(rows[0])
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    reduced, pivots = _eliminate(aug)
-    pivot_set = set(pivots)
-    if n in pivot_set:
+    n = len(matrix[0])
+    reduced, pivots, _ = _eliminate([scale_to_integer(tuple(row) + (b,)) for row, b in zip(matrix, rhs)])
+    if pivots and pivots[-1] == n:
         return None
-    x0 = [Fraction(0)] * n
+    x0 = [_ZERO] * n
     for row, c in zip(reduced, pivots):
-        x0[c] = row[n]
+        x0[c] = Fraction(row[n], row[c])
+    pivot_set = set(pivots)
     basis = []
     for f in range(n):
         if f in pivot_set:
             continue
-        vec = [Fraction(0)] * n
-        vec[f] = Fraction(1)
+        vec = [_ZERO] * n
+        vec[f] = _ONE
         for row, c in zip(reduced, pivots):
-            vec[c] = -row[f]
+            if row[f]:
+                vec[c] = Fraction(-row[f], row[c])
         basis.append(tuple(vec))
     return tuple(x0), tuple(basis)
 
 
 def det(matrix: Sequence[Sequence]) -> Fraction:
-    """Determinant by exact Gaussian elimination."""
-    rows = [[Fraction(x) for x in row] for row in matrix]
+    """Determinant by the fraction-free elimination: the product of the
+    pivots over the accumulated scale, which carries the sign of the row
+    swaps, and over the multiples that cleared each row's denominators."""
+    rows = [scale_to_integer(row) for row in matrix]
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise DimensionMismatchError("determinant of a non-square matrix")
-    result = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            rows[c], rows[pr] = rows[pr], rows[c]
-            result = -result
-        result *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return result
+    reduced, pivots, (num, den) = _eliminate(rows)
+    if len(pivots) < n:
+        return _ZERO
+    value = Fraction(den * prod(row[c] for row, c in zip(reduced, pivots)), num)
+    for row, cleared in zip(matrix, rows):
+        k = next(j for j, x in enumerate(cleared) if x)
+        if cleared[k] != row[k]:
+            value = value * Fraction(row[k]) / cleared[k]
+    return value
 
 
 def fraction_gcd(values: Sequence[Fraction]) -> Fraction:

@@ -40,14 +40,15 @@ def cramer_solve(m, rhs):
     return tuple(out)
 
 
-def gauss_solve(matrix, rhs):
-    """One exact solution of a rectangular system, or None if inconsistent.
+def gauss_rref(matrix):
+    """Reduced row echelon form as (nonzero Fraction rows, pivot columns).
 
-    Written independently of the production elimination: no pivot choice
-    beyond first-nonzero, free variables pinned to zero.
+    Written independently of the production elimination: Fraction rows,
+    the first nonzero entry of a column as its pivot, each pivot row
+    divided through before it clears its column.
     """
-    rows = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
-    ncols = len(matrix[0]) if matrix else 0
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    ncols = len(rows[0]) if rows else 0
     pivots = []
     r = 0
     for c in range(ncols):
@@ -64,13 +65,35 @@ def gauss_solve(matrix, rhs):
         r += 1
         if r == len(rows):
             break
-    for i in range(r, len(rows)):
-        if rows[i][-1] != 0:
-            return None
+    return rows[:r], pivots
+
+
+def gauss_solve(matrix, rhs):
+    """One exact solution of a rectangular system, or None if inconsistent.
+
+    Free variables are pinned to zero; a pivot in the right hand side
+    column of the augmented reduced form means no solution.
+    """
+    ncols = len(matrix[0]) if matrix else 0
+    rows, pivots = gauss_rref([list(row) + [b] for row, b in zip(matrix, rhs)])
+    if ncols in pivots:
+        return None
     sol = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = rows[i][-1]
+    for row, c in zip(rows, pivots):
+        sol[c] = row[-1]
     return tuple(sol)
+
+
+def gauss_rank(matrix):
+    """Rank as the largest size of a nonzero minor (Laplace determinants)."""
+    m = len(matrix)
+    n = len(matrix[0]) if m else 0
+    for k in range(min(m, n), 0, -1):
+        for rows in itertools.combinations(range(m), k):
+            for cols in itertools.combinations(range(n), k):
+                if laplace_det([[matrix[i][j] for j in cols] for i in rows]) != 0:
+                    return k
+    return 0
 
 
 def brute_vertices(normals, rhs):

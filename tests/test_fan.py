@@ -8,8 +8,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (
+    box_lattice_points,
     brute_canonicity,
     brute_dual_vertices,
+    brute_facets,
     confirms_minimal_level,
     gauss_solve,
     laplace_det,
@@ -20,6 +22,9 @@ from polyadj.errors import InvalidConeError, NotInConeError
 from polyadj.fan import (
     Cone,
     _dual_height_vertices,
+    _height_functionals,
+    _region_levels,
+    _span_frame,
     canonicity_threshold,
     cone,
     fan_canonicity_threshold,
@@ -32,7 +37,7 @@ from polyadj.fan import (
     normal_fan,
 )
 from polyadj.generators import cube, fig1, random_lattice_polytope, scaled_simplex
-from polyadj.polytope import from_vertices, level_points, vertices
+from polyadj.polytope import extreme_rays, from_vertices, level_points, vertices
 from polyadj.ratmath import dot, primitivize
 
 # pointed, non-simplicial, not Q-Gorenstein; (0,0,4) has representations
@@ -230,11 +235,12 @@ def test_threshold_of_non_simplicial_cones_matches_the_box_scan(d, data):
     _agrees_with_the_box_scan(c)
 
 
-@settings(deadline=None, max_examples=40)
-@given(st.integers(3, 4), st.data())
-def test_threshold_of_lower_rank_cones_matches_the_box_scan(d, data):
-    # full-rank rays of Z^k, k < d, placed in Z^d by x -> U (x, 0) for a
-    # unimodular U, which maps Z^k onto the lattice points of the span
+def _lower_rank_cone(d, data):
+    """(cone, its extreme rays in Z^k, the map Z^k -> Z^d) for a cone of rank k < d.
+
+    Full-rank rays of Z^k are placed in Z^d by x -> U (x, 0) for a
+    unimodular U, which maps Z^k onto the lattice points of the span.
+    """
     k = data.draw(st.integers(1, d - 1))
     local = data.draw(_upper_rays(k, k, k + 2))
     assume(any(laplace_det([list(r) for r in s]) != 0 for s in itertools.combinations(local, k)))
@@ -251,7 +257,89 @@ def test_threshold_of_lower_rank_cones_matches_the_box_scan(d, data):
     c = cone([to_ambient(r) for r in local])
     assert c.dim == k
     extreme = [r for r in local if to_ambient(primitivize(r)[0]) in c.rays]
-    _agrees_with_the_box_scan(c, [primitivize(r)[0] for r in extreme], to_ambient)
+    return c, [primitivize(r)[0] for r in extreme], to_ambient
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(3, 4), st.data())
+def test_threshold_of_lower_rank_cones_matches_the_box_scan(d, data):
+    _agrees_with_the_box_scan(*_lower_rank_cone(d, data))
+
+
+def _region_points_match_the_box_scan(c):
+    """level_points of each R_w's levels against a box scan of t R_w, t = 1, 1/2, 1/64.
+
+    The box scan keeps the points of the bounding box of 0 and
+    t scale r / <w, r> on the inner side of every facet of their hull
+    (brute_facets; the box itself when the span has rank 1).
+    """
+    _, rays = _span_frame(c.rays)
+    d = len(rays[0])
+    duals, scale = _height_functionals(rays, d)
+    regions = _region_levels(rays, duals, scale)
+    assert len(regions) == len(duals)
+    for w, levels in zip(duals, regions):
+        assert len(levels) == d + 1
+        heights = [sum(a * b for a, b in zip(w, r)) for r in rays]
+        for shrink in (1, 2, 64):
+            corners = [(Fraction(0),) * d] + [tuple(Fraction(scale * x, height * shrink) for x in r)
+                                              for r, height in zip(rays, heights)]
+            facets = brute_facets(corners) if d > 1 else ()
+
+            def inside(x):
+                return all(sum(a * xi for a, xi in zip(normal, x)) <= b for normal, b in facets)
+
+            assert level_points(levels, shrink=shrink) == box_lattice_points(corners, inside)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 4), st.data())
+def test_region_levels_of_simplicial_cones_match_the_box_scan(d, data):
+    rays = data.draw(st.lists(st.tuples(*[ray_entry] * d), min_size=d, max_size=d))
+    assume(laplace_det([list(r) for r in rays]) != 0)
+    _region_points_match_the_box_scan(cone(rays))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(3, 4), st.data())
+def test_region_levels_of_non_simplicial_cones_match_the_box_scan(d, data):
+    c = cone(data.draw(_upper_rays(d, d + 1, d + 3)))
+    assume(not c.is_simplicial())
+    _region_points_match_the_box_scan(c)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(2, 4), st.data())
+def test_region_levels_of_lower_rank_cones_match_the_box_scan(d, data):
+    c, _, _ = _lower_rank_cone(d, data)
+    _region_points_match_the_box_scan(c)
+
+
+def test_canonicity_threshold_builds_no_hull_of_points(monkeypatch):
+    # the levels of each R_w come from the cone's facets and <w, x> <= scale:
+    # one double description for the dual vertices, one for the facets,
+    # and one per w for each level strictly between 1 and d
+    calls = {"from_vertices": 0, "extreme_rays": 0}
+
+    def counting(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    plane, skew = cone([(2, -1), (2, 1)]), cone(SKEW_RAYS)
+    n_duals = len(_dual_height_vertices(skew.rays, 3))
+    cones = normal_fan(random_lattice_polytope(4, 6, 4029, box=2)).maximal_cones
+    monkeypatch.setattr("polyadj.polytope.from_vertices", counting("from_vertices", from_vertices))
+    monkeypatch.setattr("polyadj.fan.extreme_rays", counting("extreme_rays", extreme_rays))
+    assert canonicity_threshold(plane)[0] == Fraction(1, 2)
+    assert calls == {"from_vertices": 0, "extreme_rays": 2}
+    calls.update(extreme_rays=0)
+    canonicity_threshold(skew)
+    assert calls == {"from_vertices": 0, "extreme_rays": 2 + n_duals}
+    for c in cones:
+        canonicity_threshold(c)
+    assert calls["from_vertices"] == 0
 
 
 SUITE_BOX_CAP = 2000

@@ -99,3 +99,12 @@ def test_fan_does_not_import_the_lp_solver():
     # heights and cone validation come from the double description
     with open(os.path.join(PACKAGE, "fan.py"), encoding="utf-8") as fh:
         assert "lp" not in imported_names(fh.read())
+
+
+def test_fan_builds_no_hull_of_points():
+    # the canonicity regions take their rows from the cone's own facets, so
+    # the Fraction hull of points stays off the canonicity path
+    with open(os.path.join(PACKAGE, "fan.py"), encoding="utf-8") as fh:
+        names = imported_names(fh.read())
+    assert "from_vertices" not in names
+    assert "lattice_levels" not in names

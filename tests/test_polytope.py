@@ -38,6 +38,7 @@ from polyadj.polytope import (
     lattice_points,
     make_system,
     relative_interior_point,
+    scale_embedded,
     transform,
     vertices,
 )
@@ -460,6 +461,30 @@ def test_hull_any_dim_of_a_segment_in_3d():
     assert emb.contains((1, 1, 2), strict=True)
     assert not emb.contains((2, 2, 4), strict=True)
     assert not emb.contains((1, 1, 1))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 4), st.data())
+def test_scaled_embedded_polytope_is_the_hull_of_the_scaled_points(d, data):
+    # points of any affine rank, so flat hulls, points and full-dimensional
+    # ones all occur; the factor is a positive rational
+    pts = data.draw(st.lists(st.tuples(*[small] * d), min_size=1, max_size=6))
+    factor = data.draw(st.fractions(min_value=Fraction(1, 7), max_value=3))
+    got = scale_embedded(hull_any_dim(pts), factor)
+    expected = hull_any_dim([tuple(factor * x for x in pt) for pt in pts])
+    assert got == expected
+    if expected.local is not None:
+        assert got.local.vertex_cache == expected.local.vertex_cache
+    interior = "relative_interior"
+    assert lattice_points(got, region=interior) == lattice_points(expected, region=interior)
+
+
+def test_scale_embedded_needs_a_positive_factor():
+    seg = hull_any_dim([(0, 0), (3, 3)])
+    assert scale_embedded(seg, Fraction(1, 3)).vertices == ((0, 0), (1, 1))
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            scale_embedded(seg, bad)
 
 
 def test_relative_interior_point_is_strictly_inside():

@@ -4,11 +4,12 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from oracles import gauss_solve, laplace_det
+from oracles import gauss_rank, gauss_rref, gauss_solve, laplace_det
 from polyadj.errors import DimensionMismatchError, ParseError, ZeroVectorError
 from polyadj.ratmath import (
+    _eliminate,
     det,
     dot,
     ext_gcd,
@@ -212,6 +213,84 @@ def test_solve_linear_agrees_with_reference(m, rhs):
         assert len(kernel) == 3 - rank(m)
         for k in kernel:
             assert all(dot(row, k) == 0 for row in m)
+
+
+@given(matrices(3, 3, fractions) | matrices(2, 2, fractions))
+def test_det_of_rational_matrices_matches_laplace(m):
+    assert det(m) == laplace_det(m)
+
+
+entries = ints | fractions
+
+
+@st.composite
+def systems(draw):
+    """Rectangular 1-4 x 1-5 systems with integer or rational entries."""
+    nrows = draw(st.integers(1, 4))
+    ncols = draw(st.integers(1, 5))
+    small = st.integers(-3, 3) | st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+    m = draw(matrices(nrows, ncols, entries) | matrices(nrows, ncols, small))
+    # some systems with a repeated row or a zero column, so that ranks drop
+    if nrows > 1 and draw(st.booleans()):
+        m[-1] = list(m[0])
+    if draw(st.booleans()):
+        j = draw(st.integers(0, ncols - 1))
+        for row in m:
+            row[j] = 0
+    rhs = draw(st.lists(entries, min_size=nrows, max_size=nrows))
+    return m, rhs
+
+
+def _free_columns(m):
+    # a column is free when it adds nothing to the rank of the columns before it
+    return [j for j in range(len(m[0]))
+            if gauss_rank([row[:j + 1] for row in m]) == gauss_rank([row[:j] for row in m])]
+
+
+@settings(max_examples=300)
+@given(systems())
+def test_solve_linear_output_is_pinned_by_the_reference(system):
+    m, rhs = system
+    assert rank(m) == gauss_rank(m)
+    got = solve_linear(m, rhs)
+    ref = gauss_solve(m, rhs)
+    if ref is None:
+        assert got is None
+        return
+    point, kernel = got
+    assert point == ref
+    free = _free_columns(m)
+    assert len(kernel) == len(free) == len(m[0]) - gauss_rank(m)
+    for f, k in zip(free, kernel):
+        assert [k[j] for j in free] == [int(j == f) for j in free]
+        assert all(sum(a * x for a, x in zip(row, k)) == 0 for row in m)
+
+
+@settings(max_examples=300)
+@given(systems())
+def test_eliminated_rows_are_primitive_with_positive_pivots(system):
+    # the integer rows are the primitive multiples of the reduced row
+    # echelon rows, and (num, den) carries det through every row operation
+    m, _ = system
+    rows = [primitivize(r)[0] for r in (scale_to_integer(row) for row in m) if any(r)]
+    if not rows:
+        return
+    reduced, pivots, (num, den) = _eliminate(rows)
+    ref_rows, ref_pivots = gauss_rref(rows)
+    assert pivots == ref_pivots
+    for row, c, ref in zip(reduced, pivots, ref_rows):
+        assert row[c] > 0
+        assert gcd(*row) == 1
+        assert [Fraction(x, row[c]) for x in row] == ref
+    if len(pivots) == len(rows) == len(rows[0]):
+        assert laplace_det(reduced) * den == laplace_det(rows) * num
+
+
+def test_scale_to_integer_returns_an_integer_row_as_it_is():
+    assert scale_to_integer((2, -4, 0)) == (2, -4, 0)
+    assert scale_to_integer([Fraction(2), 4]) == (2, 4)
+    assert scale_to_integer((Fraction(1, 2), Fraction(-1, 3))) == (3, -2)
+    assert scale_to_integer(()) == ()
 
 
 def test_solve_linear_reports_full_solution_set():
