@@ -12,7 +12,8 @@ solves an LP and nothing builds a hull of points: cone validation,
 heights and the canonicity scan all read the double description of
 polytope.extreme_rays. The canonicity regions {x in c : <w, x> <= scale}
 take their rows from the cone's own facets, and only their intermediate
-projections need a double description of their own.
+projections need a double description of their own, which
+polytope.projected_levels makes as it does for any hull.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .polytope import (
     extreme_rays,
     is_lattice_polytope,
     level_points,
+    projected_levels,
     vertices,
 )
 from .ratmath import (
@@ -278,36 +280,20 @@ def canonicity_threshold(c: Cone) -> tuple[Fraction, Optional[CanonicityWitness]
 
 
 def _region_levels(rays: Sequence[IntVector], duals: Sequence[IntVector], scale: int) -> list[list]:
-    """The lattice levels (as polytope.lattice_levels) of R_w = conv(0, scale r / <w, r>), per w.
+    """The lattice levels (as polytope.projected_levels) of R_w = conv(0, scale r / <w, r>), per w.
 
-    R_w is a pyramid with apex 0 over its face on <w, x> = scale, so its
-    rows are the cone's facets <f, x> >= 0, from one double description
-    shared by every w, and <w, x> <= scale: these are level d. Level 1 is
-    the range of x_1 over 0 and the points scale r_1 / <w, r>. Level j in
-    between is the hull of the vertices projected onto x_1..x_j: the
-    extreme rays (a, beta) of the cone of its valid rows <a, x> <= beta,
-    whose rows are (-scale r[:j], <w, r>), made primitive, for the projected
-    vertices and (0, ..., 0, 1) for the apex. A span of rank 1 has level 1
-    only.
+    R_w is the hull of the homogeneous points (0, 1) and (scale r, <w, r>).
+    It is a pyramid with apex 0 over its face on <w, x> = scale, so its
+    rows, level d, are the cone's facets <f, x> >= 0, from one double
+    description shared by every w, and <w, x> <= scale. A span of rank 1
+    has level 1 only.
     """
     d = len(rays[0])
     facet_rows = [(tuple(-x for x in f), 0, 1) for f, _ in extreme_rays(rays, d)] if d > 1 else []
-    regions = []
-    for w in duals:
-        heights = [dot(w, r) for r in rays]
-        ends = [Fraction(scale * r[0], h) for r, h in zip(rays, heights)]
-        lo, hi = min(0, *ends), max(0, *ends)
-        levels: list = [None, [((1,), hi.numerator, hi.denominator),
-                               ((-1,), -lo.numerator, lo.denominator)]]
-        for j in range(2, d):
-            rows = {(0,) * j + (1,)}
-            rows.update(primitivize(tuple(-scale * x for x in r[:j]) + (h,))[0]
-                        for r, h in zip(rays, heights))
-            levels.append([(z[:j], z[j], 1) for z, _ in extreme_rays(sorted(rows), j + 1)])
-        if d > 1:
-            levels.append(facet_rows + [(w, scale, 1)])
-        regions.append(levels)
-    return regions
+    apex = (0,) * d + (1,)
+    return [projected_levels([apex] + [tuple(scale * x for x in r) + (dot(w, r),) for r in rays],
+                             facet_rows + [(w, scale, 1)])
+            for w in duals]
 
 
 def fan_canonicity_threshold(fan: NormalFan) -> tuple[Fraction, Optional[CanonicityWitness]]:

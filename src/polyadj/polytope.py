@@ -1,15 +1,20 @@
 """Exact polytopes: H and V representations, canonicalization, hulls,
 lattice point enumeration, and embeddings of lower-dimensional sets.
 Both canonical forms come from one double-description routine,
-extreme_rays, which also reports the rows tight at each ray:
-from_inequalities reads the facets and vertices of an inequality system
-off those tight sets, from_vertices the facets and vertices of a hull,
-vertices the vertices of an HPolytope, implicit_equalities and
+double_description, which reports the rows tight at each extreme ray and
+a basis of the cone's lineality (extreme_rays is the same for a pointed
+cone): from_inequalities reads the facets and vertices of an inequality
+system off those tight sets, from_vertices the facets and vertices of a
+hull, vertices the vertices of an HPolytope, implicit_equalities and
 embed_system the implicit equalities and vertices of a possibly flat
-system, and fan the dual height regions and the facets of a cone. Lattice
-points are enumerated coordinate by coordinate over the projections of a
-set onto x_1..x_j, each the hull of the projected vertices
-(lattice_levels), so no Fourier-Motzkin elimination is needed.
+system, and fan the dual height regions and the facets of a cone. The
+lineality of a homogenized system is its set's lines, so no LP and no cut
+is needed to decide emptiness or boundedness. Lattice points are
+enumerated coordinate by coordinate over the projections of a set onto
+x_1..x_j (projected_levels); the valid rows of each projection are one
+double description, whose lineality gives the equations of a flat one,
+so no Fourier-Motzkin elimination and no hull of the projection is
+needed.
 
 Conventions. An HPolytope is always bounded, full-dimensional, and
 irredundant, with primitive integer facet normals, rational right hand
@@ -24,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 from . import lp
@@ -167,6 +173,7 @@ class InequalitySystem:
         return all(dot(a, point) <= b for a, b in zip(self.normals, self.rhs))
 
     def is_empty(self) -> bool:
+        """A phase-1 LP, kept as the emptiness route independent of the double description."""
         return not lp.is_feasible(self.normals, self.rhs)
 
 
@@ -201,14 +208,15 @@ def from_inequalities(rows: Sequence[tuple[Sequence, object]]) -> HPolytope:
 
     Normals are primitivized (right hand sides rescaled along), duplicate
     normals keep the binding (minimum) right hand side, and rows are sorted
-    by normal. One phase-1 LP decides emptiness; the rest comes from one
-    double description of the homogenized cone {(x, s) : b s - <a, x> >= 0,
-    s >= 0}: a line or a ray with s = 0 means the set is unbounded, a row
-    tight at every vertex x / s means it is flat, and the facets are the
-    rows whose vertex sets are nonempty and maximal under inclusion. The
-    result carries its vertices. Raises EmptyPolytopeError,
-    UnboundedPolytopeError, or LowerDimensionalError, in that order, when
-    the described set is not a bounded full-dimensional polytope.
+    by normal. Everything comes from one double description of the
+    homogenized cone {(x, s) : b s - <a, x> >= 0, s >= 0}, with no LP: no
+    ray with s > 0 means the set is empty, a lineality or a ray with s = 0
+    that it is unbounded (_bounded_rays), a row tight at every vertex x / s
+    that it is flat, and the facets are the rows whose vertex sets are
+    nonempty and maximal under inclusion. The result carries its vertices.
+    Raises EmptyPolytopeError, UnboundedPolytopeError, or
+    LowerDimensionalError, in that order, when the described set is not a
+    bounded full-dimensional polytope.
     """
     if not rows:
         raise UnboundedPolytopeError("no constraints describe all of space")
@@ -234,14 +242,7 @@ def from_inequalities(rows: Sequence[tuple[Sequence, object]]) -> HPolytope:
     normals = list(merged)
     rhs = [merged[a] for a in normals]
 
-    if not lp.is_feasible(normals, rhs):
-        raise EmptyPolytopeError("inequality system has no solution")
-    try:
-        rays = _homogenized_rays(normals, rhs, d)
-    except InvalidConeError:
-        raise UnboundedPolytopeError("the solution set contains a line") from None
-    if any(z[d] == 0 for z, _ in rays):
-        raise UnboundedPolytopeError("the solution set has a recession direction")
+    rays = _bounded_rays(normals, rhs, d)
     bits = range(1, len(normals) + 1)
     if any(all(t >> k & 1 for _, t in rays) for k in bits):
         raise LowerDimensionalError("a row is tight at every vertex")
@@ -259,17 +260,21 @@ def _maximal_rows(rays, bits: range) -> list[int]:
     return [i for i, m in enumerate(on) if m and not any(m & o == m and o != m for o in on)]
 
 
-def extreme_rays(rows: Sequence[Sequence[int]], n: int) -> tuple[tuple[IntVector, int], ...]:
-    """Primitive integer extreme rays of the pointed cone {z in Q^n : <r, z> >= 0}.
+def double_description(rows: Sequence[Sequence[int]], n: int) -> tuple[tuple[tuple[IntVector, int], ...],
+                                                                        tuple[IntVector, ...]]:
+    """Extreme rays and lineality of the cone {z in Q^n : <r, z> >= 0}.
 
     Integer double description (Motzkin; Fukuda and Prodon, 1996): start
     from a lineality basis of Q^n and add the integer rows one at a time. A
     row nonzero on a lineality vector turns it into a ray; any other row
     drops the rays on its negative side and combines each pair it separates
     that is adjacent: no third ray is tight on every row both are tight on
-    (tight sets are bitmasks). Returns the pairs (ray, tight set) sorted by
-    ray, where bit k of the tight set is set iff <rows[k], ray> = 0; raises
-    InvalidConeError when the cone contains a line.
+    (tight sets are bitmasks). Returns (rays, lineality): the pairs (ray,
+    tight set) sorted by ray, where bit k of the tight set is set iff
+    <rows[k], ray> = 0, and a basis of primitive integer vectors of the
+    lineality space {z : <r, z> = 0 for every row}. The cone is the rays'
+    cone plus that space; every row vanishes on it, so the tight sets are
+    those of the extreme rays of the cone modulo its lineality.
     """
     lineality = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
     rays: list[tuple[IntVector, int]] = []  # (ray, bitmask of the rows tight at it)
@@ -300,24 +305,52 @@ def extreme_rays(rows: Sequence[Sequence[int]], n: int) -> tuple[tuple[IntVector
                     continue
                 kept.append((_combine(values[i], zj, -values[j], zi), common | bit))
         rays = kept
+    return tuple(sorted(rays)), tuple(lineality)
+
+
+def extreme_rays(rows: Sequence[Sequence[int]], n: int) -> tuple[tuple[IntVector, int], ...]:
+    """The (ray, tight set) pairs of double_description(rows, n) for a pointed
+    cone; raises InvalidConeError when the cone contains a line."""
+    rays, lineality = double_description(rows, n)
     if lineality:
         raise InvalidConeError("the cone contains a line")
-    return tuple(sorted(rays))
+    return rays
 
 
 def _combine(a: int, x: IntVector, b: int, y: IntVector) -> IntVector:
-    """Primitive part of a x + b y."""
-    return primitivize(tuple(a * xi + b * yi for xi, yi in zip(x, y)))[0]
+    """Primitive part of a x + b y, for integer a, b, x and y."""
+    v = tuple(a * xi + b * yi for xi, yi in zip(x, y))
+    g = gcd(*v)
+    return tuple(c // g for c in v) if g > 1 else v
 
 
-def _homogenized_rays(normals, rhs, d: int, extra=()) -> tuple[tuple[IntVector, int], ...]:
-    """Extreme rays of {(x, s) : s >= 0, b_i s - <a_i, x> >= 0, <r, (x, s)> >= 0 for r in extra}.
+def _homogenized(normals, rhs, d: int):
+    """double_description of {(x, s) : s >= 0, b_i s - <a_i, x> >= 0} for a nonempty system.
 
-    Row i is bit i + 1 of each ray's tight set; the extra rows come last.
+    Row i is bit i + 1 of each ray's tight set. The lineality is {(x, 0) :
+    <a_i, x> = 0 for all i}, the lines of the set, so s is read off the
+    rays alone. Raises EmptyPolytopeError when no ray has s > 0.
     """
     rows = [(0,) * d + (1,)]
     rows += [scale_to_integer(tuple(-x for x in a) + (b,)) for a, b in zip(normals, rhs)]
-    return extreme_rays(rows + list(extra), d + 1)
+    rays, lineality = double_description(rows, d + 1)
+    if not any(z[d] for z, _ in rays):
+        raise EmptyPolytopeError("system has no solution")
+    return rays, lineality
+
+
+def _bounded_rays(normals, rhs, d: int):
+    """The homogenized rays of a nonempty bounded system, all with s > 0.
+
+    Raises EmptyPolytopeError, then UnboundedPolytopeError when the set
+    contains a line (a lineality), then when it has a ray (s = 0).
+    """
+    rays, lineality = _homogenized(normals, rhs, d)
+    if lineality:
+        raise UnboundedPolytopeError("the solution set contains a line")
+    if any(z[d] == 0 for z, _ in rays):
+        raise UnboundedPolytopeError("the solution set has a recession direction")
+    return rays
 
 
 def _vertex_polytope(rays, d: int) -> VPolytope:
@@ -327,7 +360,7 @@ def _vertex_polytope(rays, d: int) -> VPolytope:
 def vertices(p: HPolytope) -> VPolytope:
     """All vertices: the extreme rays (x, s) of {b_i s - <a_i, x> >= 0, s >= 0}, as x / s."""
     if p.vertex_cache is None:
-        rays = _homogenized_rays(p.normals, p.rhs, p.dim)
+        rays, _ = _homogenized(p.normals, p.rhs, p.dim)
         object.__setattr__(p, "vertex_cache", _vertex_polytope(rays, p.dim))
     return p.vertex_cache
 
@@ -348,10 +381,9 @@ def from_vertices(points: Sequence[Sequence]) -> HPolytope:
     if any(len(pt) != d for pt in pts):
         raise DimensionMismatchError("mixed point lengths")
     rows = [scale_to_integer(tuple(-c for c in pt) + (1,)) for pt in pts]
-    try:
-        rays = extreme_rays(rows, d + 1)
-    except InvalidConeError:
-        raise LowerDimensionalError("points do not span the ambient space") from None
+    rays, lineality = double_description(rows, d + 1)
+    if lineality:
+        raise LowerDimensionalError("points do not span the ambient space")
     facets: dict[IntVector, Fraction] = {}
     for z, _ in rays:
         normal, g = primitivize(z[:d])
@@ -422,24 +454,6 @@ def scale_embedded(s: EmbeddedPolytope, factor) -> EmbeddedPolytope:
     return EmbeddedPolytope(subspace, local, tuple(map(scaled, s.vertices)))
 
 
-def _cut_rays(system: InequalitySystem) -> tuple[tuple[tuple[IntVector, int], ...], bool]:
-    """Homogenized rays of a nonempty system, and whether its set contains a line.
-
-    The rays are those of {(x, s) : s >= 0, b_i s - <a_i, x> >= 0} cut by
-    <k, x> = 0 for each k in an integer basis of the lines (the kernel of
-    the normals). The cut changes no row's tightness and makes the cone
-    pointed; row i is bit i + 1. Raises EmptyPolytopeError when no ray has
-    s > 0.
-    """
-    d = system.dim
-    lines = integer_kernel_basis(list(system.normals), ncols=d)
-    cuts = [tuple(sign * x for x in k) + (0,) for k in lines for sign in (1, -1)]
-    rays = _homogenized_rays(system.normals, system.rhs, d, cuts)
-    if not any(z[d] for z, _ in rays):
-        raise EmptyPolytopeError("system has no solution")
-    return rays, bool(lines)
-
-
 def _tight_everywhere(rays, n: int) -> tuple[int, ...]:
     return tuple(i for i in range(n) if all(t >> (i + 1) & 1 for _, t in rays))
 
@@ -447,12 +461,13 @@ def _tight_everywhere(rays, n: int) -> tuple[int, ...]:
 def implicit_equalities(system: InequalitySystem) -> tuple[int, ...]:
     """Indices of rows satisfied with equality by every solution.
 
-    One double description of the homogenized system (see _cut_rays): the
-    solutions are generated by its rays, so a row is an implicit equality
-    exactly when it is tight at every ray. Unbounded systems are allowed.
-    Raises EmptyPolytopeError on an infeasible system.
+    One double description of the homogenized system (see _homogenized):
+    the solutions are generated by its rays and its lineality, on which
+    every row vanishes, so a row is an implicit equality exactly when it is
+    tight at every ray. Unbounded systems are allowed. Raises
+    EmptyPolytopeError on an infeasible system.
     """
-    rays, _ = _cut_rays(system)
+    rays, _ = _homogenized(system.normals, system.rhs, system.dim)
     return _tight_everywhere(rays, len(system.normals))
 
 
@@ -464,14 +479,10 @@ def embed_system(system: InequalitySystem) -> tuple[EmbeddedPolytope, tuple[int,
     the implicit equalities. The local polytope is the hull of the
     vertices' local coordinates. Raises EmptyPolytopeError on an empty
     system, then UnboundedPolytopeError when its set contains a line or a
-    ray.
+    ray (_bounded_rays, as in from_inequalities).
     """
     d = system.dim
-    rays, has_line = _cut_rays(system)
-    if has_line:
-        raise UnboundedPolytopeError("the solution set contains a line")
-    if any(z[d] == 0 for z, _ in rays):
-        raise UnboundedPolytopeError("the solution set has a recession direction")
+    rays = _bounded_rays(system.normals, system.rhs, d)
     implicit = _tight_everywhere(rays, len(system.normals))
     if not implicit:
         poly = from_inequalities(list(zip(system.normals, system.rhs)))
@@ -523,47 +534,47 @@ def is_lattice_polytope(s) -> bool:
 # lattice point enumeration
 
 
-def lattice_levels(s) -> list:
-    """Bounds of the lattice-point enumeration of s, one level per coordinate.
+def projected_levels(points: Sequence[IntVector], top: list) -> list:
+    """Bounds of the lattice-point enumeration of the hull of points, one level per coordinate.
 
-    levels[j] (1 <= j <= d) holds the facet rows of the projection of s
-    onto x_1..x_j as (integer coefficients, rhs numerator, rhs
-    denominator); its rows with a nonzero x_j coefficient bound x_j once
-    x_1..x_{j-1} are fixed. Level 1 is the range of the first vertex
-    coordinate, level d the rows of s itself (the equations of an
-    EmbeddedPolytope as two-sided rows), and each level in between the
-    hull of the projected vertices: from_vertices for an HPolytope,
-    hull_any_dim for an EmbeddedPolytope. Each level is an exact
-    projection, so a row without x_j is implied by level j - 1 and a
-    prefix passing level j extends to a point of s. levels[0] is None.
+    The points are homogeneous integer (p, s) with s > 0, standing for p / s
+    in Q^d. levels[j] (1 <= j <= d) holds rows (integer coefficients, rhs
+    numerator, rhs denominator) of the projection of the hull onto
+    x_1..x_j; its rows with a nonzero x_j coefficient bound x_j once
+    x_1..x_{j-1} are fixed. Level 1 is the range of p_1 / s, each level
+    strictly between 1 and d the rows of _hull_rows(points, j), and level d
+    is top, the caller's rows of the hull itself; with d = 1 there is level
+    1 only. Each level is an exact projection, so a row without x_j is
+    implied by level j - 1 and a prefix passing level j extends to a point
+    of the hull. levels[0] is None.
     """
-    if isinstance(s, HPolytope):
-        d, verts = s.dim, vertices(s).vertices
-    elif isinstance(s, EmbeddedPolytope):
-        d, verts = s.ambient_dim, s.vertices
-    else:
-        raise TypeError(f"unsupported type {type(s).__name__}")
-    lo = Fraction(min(v[0] for v in verts))
-    hi = Fraction(max(v[0] for v in verts))
+    d = len(points[0]) - 1
+    ends = [Fraction(p[0], p[d]) for p in points]
+    lo, hi = min(ends), max(ends)
     levels: list = [None, [((1,), hi.numerator, hi.denominator), ((-1,), -lo.numerator, lo.denominator)]]
-    for j in range(2, d + 1):
-        if j == d:
-            part = s
-        elif isinstance(s, HPolytope):
-            part = from_vertices([v[:j] for v in verts])
-        else:
-            part = hull_any_dim([v[:j] for v in verts])
-        levels.append(_level_rows(part))
+    for j in range(2, d):
+        facets, equations = _hull_rows(points, j)
+        levels.append(facets + equations)
+    if d > 1:
+        levels.append(top)
     return levels
 
 
-def _level_rows(s) -> list:
-    """The closed rows of s as (integer coefficients, rhs numerator, rhs denominator)."""
-    if isinstance(s, HPolytope):
-        return [(a, b.numerator, b.denominator) for a, b in zip(s.normals, s.rhs)]
-    eqs, ineqs = _ambient_rows(s)
-    rows = eqs + [(tuple(-x for x in a), -b) for a, b in eqs] + ineqs
-    return [(z[:-1], z[-1], 1) for z in (scale_to_integer(tuple(a) + (b,)) for a, b in rows)]
+def _hull_rows(points: Sequence[IntVector], j: int) -> tuple[list, list]:
+    """(facet rows, equation rows) of the hull of the points (p, s) projected onto x_1..x_j.
+
+    The valid rows <a, x> <= beta of the projection form the cone
+    {(a, beta) : beta s - <a, p[:j]> >= 0}: one double description gives its
+    extreme rays, the facets, and its lineality, the equations of the
+    affine hull, each returned as two opposite rows, so a flat projection
+    needs no hull of its own. Rows are (a, beta, 1) with integer a, beta.
+    """
+    rows = sorted({primitivize(tuple(-x for x in p[:j]) + (p[-1],))[0] for p in points})
+    rays, lineality = double_description(rows, j + 1)
+    facets = [(z[:j], z[j], 1) for z, _ in rays]
+    equations = [(z[:j], z[j], 1) for z in lineality]
+    equations += [(tuple(-x for x in a), -beta, 1) for a, beta, _ in equations]
+    return facets, equations
 
 
 def level_points(levels, step: int = 1, shrink: int = 1) -> list[IntVector]:
@@ -616,50 +627,32 @@ def level_points(levels, step: int = 1, shrink: int = 1) -> list[IntVector]:
     return out
 
 
-def _ambient_rows(s) -> tuple[list, list]:
-    """(equalities, inequalities) over ambient coordinates describing s."""
-    if isinstance(s, HPolytope):
-        return [], list(zip(s.normals, s.rhs))
-    if not isinstance(s, EmbeddedPolytope):
-        raise TypeError(f"unsupported type {type(s).__name__}")
-    eqs = [(a, beta) for a, beta in s.subspace.equations]
-    ineqs = []
-    if s.local is not None:
-        sub = s.subspace
-        d = sub.ambient_dim
-        # left inverse of the direction matrix maps x to local coordinates
-        dir_cols = [[sub.directions[i][j] for i in range(len(sub.directions))] for j in range(d)]
-        left_inv = []
-        for i in range(len(sub.directions)):
-            target = [Fraction(1) if i == r else Fraction(0) for r in range(len(sub.directions))]
-            sol = solve_linear([list(row) for row in zip(*dir_cols)], target)
-            if sol is None:
-                raise InternalInconsistencyError("direction basis is not independent")
-            left_inv.append(sol[0])
-        for f, b in zip(s.local.normals, s.local.rhs):
-            w = tuple(sum(f[i] * left_inv[i][j] for i in range(len(f))) for j in range(d))
-            ineqs.append((w, b + dot(w, sub.base)))
-    return eqs, ineqs
-
-
 def lattice_points(s, region: str = "all", sublattice_scale: int = 1):
     """Points of (sublattice_scale * Z^d) in s, or in its relative interior.
 
     s may be an HPolytope or an EmbeddedPolytope, and the returned points
     are integer tuples in lexicographic order. The enumeration runs over
-    lattice_levels(s), whose last level is the closed system of s, so only
-    the relative_interior region needs a strictness filter on the
-    inequality rows.
+    projected_levels of the vertices of s. Level d is the rows of s: an
+    HPolytope's own, and for an EmbeddedPolytope _hull_rows at j = d, its
+    facets plus its equations as two-sided rows. The relative_interior
+    region keeps the points strictly inside every facet row, in integers.
     """
     if region not in ("all", "relative_interior"):
         raise ValueError(f"unknown region {region!r}")
     k = int(sublattice_scale)
     if k < 1 or k != sublattice_scale:
         raise ValueError("sublattice_scale must be a positive integer")
-    result = level_points(lattice_levels(s), k)
+    if isinstance(s, HPolytope):
+        points = [scale_to_integer(tuple(v) + (1,)) for v in vertices(s).vertices]
+        facets, equations = [(a, b.numerator, b.denominator) for a, b in zip(s.normals, s.rhs)], []
+    elif isinstance(s, EmbeddedPolytope):
+        points = [scale_to_integer(tuple(v) + (1,)) for v in s.vertices]
+        facets, equations = _hull_rows(points, s.ambient_dim)
+    else:
+        raise TypeError(f"unsupported type {type(s).__name__}")
+    result = level_points(projected_levels(points, facets + equations), k)
     if region == "relative_interior":
-        ineqs = _ambient_rows(s)[1]
-        result = [x for x in result if all(dot(a, x) < b for a, b in ineqs)]
+        result = [x for x in result if all(dot(a, x) * den < num for a, num, den in facets)]
     return tuple(result)
 
 

@@ -12,6 +12,7 @@ the finite set {1 / (k g) : k >= 1, 1 / (k g) >= epsilon}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 import operator
 from math import floor, lcm
@@ -76,8 +77,16 @@ class ReciprocalGrid(Sequence[Fraction]):
             yield Fraction(q, k * p)
 
     def __contains__(self, value) -> bool:
-        if not isinstance(value, Rational):
-            return any(v == value for v in self)
+        """As for the tuple of values, with no scan: a float or a Decimal is
+        compared exactly (NaN and infinities are not in the grid), and no
+        other value that is not Rational is."""
+        if isinstance(value, (float, Decimal)):
+            try:
+                value = Fraction(value)
+            except (ValueError, OverflowError):  # NaN or an infinity
+                return False
+        elif not isinstance(value, Rational):
+            return False
         if value <= 0 or self.size == 0:
             return False
         k = 1 / (Fraction(value) * self.step)

@@ -17,7 +17,7 @@ from oracles import (
     laplace_det,
     smallest_solvable_level,
 )
-from polyadj import lp
+from polyadj import fan as fan_module, lp, polytope
 from polyadj.errors import InvalidConeError, NotInConeError
 from polyadj.fan import (
     Cone,
@@ -37,7 +37,7 @@ from polyadj.fan import (
     normal_fan,
 )
 from polyadj.generators import cube, fig1, random_lattice_polytope, scaled_simplex
-from polyadj.polytope import extreme_rays, from_vertices, level_points, vertices
+from polyadj.polytope import double_description, from_vertices, level_points, vertices
 from polyadj.ratmath import dot, primitivize
 
 # pointed, non-simplicial, not Q-Gorenstein; (0,0,4) has representations
@@ -324,7 +324,7 @@ def test_canonicity_threshold_builds_no_hull_of_points(monkeypatch):
     # the levels of each R_w come from the cone's facets and <w, x> <= scale:
     # one double description for the dual vertices, one for the facets,
     # and one per w for each level strictly between 1 and d
-    calls = {"from_vertices": 0, "extreme_rays": 0}
+    calls = {"from_vertices": 0, "double_description": 0}
 
     def counting(name, f):
         def wrapper(*args, **kwargs):
@@ -336,12 +336,16 @@ def test_canonicity_threshold_builds_no_hull_of_points(monkeypatch):
     n_duals = len(_dual_height_vertices(skew.rays, 3))
     cones = normal_fan(random_lattice_polytope(4, 6, 4029, box=2)).maximal_cones
     monkeypatch.setattr("polyadj.polytope.from_vertices", counting("from_vertices", from_vertices))
-    monkeypatch.setattr("polyadj.fan.extreme_rays", counting("extreme_rays", extreme_rays))
+    # every binding of the kernel: fan's extreme_rays and projected_levels both run it
+    for module in (polytope, fan_module):
+        if hasattr(module, "double_description"):
+            monkeypatch.setattr(module, "double_description",
+                                counting("double_description", double_description))
     assert canonicity_threshold(plane)[0] == Fraction(1, 2)
-    assert calls == {"from_vertices": 0, "extreme_rays": 2}
-    calls.update(extreme_rays=0)
+    assert calls == {"from_vertices": 0, "double_description": 2}
+    calls.update(double_description=0)
     canonicity_threshold(skew)
-    assert calls == {"from_vertices": 0, "extreme_rays": 2 + n_duals}
+    assert calls == {"from_vertices": 0, "double_description": 2 + n_duals}
     for c in cones:
         canonicity_threshold(c)
     assert calls["from_vertices"] == 0

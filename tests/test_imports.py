@@ -108,3 +108,34 @@ def test_fan_builds_no_hull_of_points():
         names = imported_names(fh.read())
     assert "from_vertices" not in names
     assert "lattice_levels" not in names
+
+
+def functions_reading(source: str, name: str) -> list[str]:
+    """Dotted scopes (class and function names) in which the name is read;
+    "<module>" for a read at the top level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Name) and child.id == name and isinstance(child.ctx, ast.Load):
+                found.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return sorted(set(found))
+
+
+def test_the_scan_finds_every_reader_of_a_name():
+    source = ("from . import lp\nx = lp.y\n\nclass A:\n    def f(self):\n        return lp.solve()\n\n"
+              "def g():\n    def h():\n        return [lp for _ in ()]\n    lp = 1\n    return h\n")
+    assert functions_reading(source, "lp") == ["<module>", "A.f", "g.h"]
+
+
+def test_polytope_solves_an_lp_only_for_is_empty():
+    # emptiness, lines and rays of a system come from its double description;
+    # is_empty keeps the phase-1 LP as the independent route
+    with open(os.path.join(PACKAGE, "polytope.py"), encoding="utf-8") as fh:
+        assert functions_reading(fh.read(), "lp") == ["InequalitySystem.is_empty"]

@@ -28,6 +28,7 @@ from polyadj.generators import SplitMix64, cube, fig1, random_lattice_polytope, 
 from polyadj.polytope import (
     HPolytope,
     dilate,
+    double_description,
     embed_system,
     extreme_rays,
     from_inequalities,
@@ -42,7 +43,7 @@ from polyadj.polytope import (
     transform,
     vertices,
 )
-from polyadj.ratmath import dot, rank, vec_add
+from polyadj.ratmath import dot, integer_kernel_basis, primitivize, rank, vec_add
 
 coord = st.integers(min_value=-4, max_value=4)
 small = st.integers(min_value=-2, max_value=2)
@@ -281,8 +282,9 @@ def test_padded_facet_rows_canonicalize_to_the_brute_force_hull_4d(pts, data):
 
 
 def _count_calls(monkeypatch) -> dict:
-    """Count calls of lp.solve, lp.is_feasible and extreme_rays from here on."""
-    calls = {"solve": 0, "is_feasible": 0, "extreme_rays": 0}
+    """Count calls of lp.solve, lp.is_feasible and the double-description
+    kernel, at every binding in polytope and fan, from here on."""
+    calls = {"solve": 0, "is_feasible": 0, "double_description": 0}
 
     def counting(name, f):
         def wrapper(*args, **kwargs):
@@ -292,22 +294,23 @@ def _count_calls(monkeypatch) -> dict:
 
     monkeypatch.setattr(lp, "solve", counting("solve", lp.solve))
     monkeypatch.setattr(lp, "is_feasible", counting("is_feasible", lp.is_feasible))
-    rays = counting("extreme_rays", extreme_rays)
-    monkeypatch.setattr(polytope, "extreme_rays", rays)
-    monkeypatch.setattr(fan, "extreme_rays", rays)
+    kernel = counting("double_description", double_description)
+    for module in (polytope, fan):
+        if hasattr(module, "double_description"):
+            monkeypatch.setattr(module, "double_description", kernel)
     return calls
 
 
-def test_from_inequalities_makes_one_feasibility_lp_and_one_double_description(monkeypatch):
+def test_from_inequalities_makes_no_lp_and_one_double_description(monkeypatch):
     rows = list(zip(fig1().normals, fig1().rhs)) + [((1, 1), 8)]  # x + y <= 8 touches (5, 3)
     calls = _count_calls(monkeypatch)
     p = from_inequalities(rows)
-    assert calls == {"solve": 0, "is_feasible": 1, "extreme_rays": 1}
+    assert calls == {"solve": 0, "is_feasible": 0, "double_description": 1}
     # the vertices came along, so nothing downstream enumerates them again
     assert set(vertices(p).vertices) == {(0, 0), (4, 0), (5, 1), (5, 3), (0, 3)}
     assert is_lattice_polytope(p)
     assert len(fan.normal_fan(p).maximal_cones) == 5
-    assert calls["extreme_rays"] == 1
+    assert calls["double_description"] == 1
     assert p == fig1()
 
 
@@ -318,6 +321,47 @@ def test_extreme_rays_reject_cones_with_a_line():
         extreme_rays([(1, 1, 0), (-1, 0, 0)], 3)
     with pytest.raises(InvalidConeError):
         extreme_rays([], 1)
+
+
+def test_double_description_returns_the_lineality_of_a_cone_with_lines():
+    assert double_description([(1, 0)], 2) == ((((1, 0), 0),), ((0, 1),))
+    # a wedge times a line: the rays keep the tight sets of the pointed wedge
+    rays, lineality = double_description([(1, 0, 0), (1, 1, 0)], 3)
+    assert [t for _, t in rays] == [0b01, 0b10] and len(lineality) == 1
+    assert dot(lineality[0], (0, 0, 1)) != 0
+    # no rows: all of Q^n is lineality
+    assert double_description([], 2) == ((), ((1, 0), (0, 1)))
+
+
+@st.composite
+def rows_with_lines(draw):
+    """1-6 integer rows in Q^n, n = 2-4, combined from fewer than n generators."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    gens = draw(st.lists(st.tuples(*[small] * n), min_size=1, max_size=n - 1))
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        coeffs = draw(st.lists(small, min_size=len(gens), max_size=len(gens)))
+        rows.append(tuple(sum(c * g[j] for c, g in zip(coeffs, gens)) for j in range(n)))
+    return rows, n
+
+
+@settings(deadline=None, max_examples=200)
+@given(rows_with_lines())
+def test_double_description_lineality_spans_the_kernel_and_keeps_the_tight_sets(case):
+    rows, n = case
+    rays, lineality = double_description(rows, n)
+    kernel = integer_kernel_basis(rows, ncols=n)
+    assert kernel and len(lineality) == len(kernel) == rank(lineality)
+    assert all(dot(r, v) == 0 for r in rows for v in lineality)
+    assert all(primitivize(v)[0] == v for v in lineality)
+    for z, t in rays:
+        assert all(dot(r, z) >= 0 for r in rows)
+        assert t == sum(1 << k for k, r in enumerate(rows) if dot(r, z) == 0)
+    # the cone cut by <k, z> = 0 for each kernel vector k is pointed, and
+    # its rays are those modulo the lineality: same tight sets on the rows
+    cuts = [tuple(sign * x for x in k) for k in kernel for sign in (1, -1)]
+    low = (1 << len(rows)) - 1
+    assert sorted(t for _, t in rays) == sorted(t & low for _, t in extreme_rays(rows + cuts, n))
 
 
 def test_hull_of_sixty_points_in_3d():
@@ -359,15 +403,15 @@ def test_implicit_equalities_reject_empty_and_prune_loose_candidates(monkeypatch
     fig1_core = adjunction.adjoint(p, adjunction.critical_shift(p))
     calls = _count_calls(monkeypatch)
     assert implicit_equalities(segment) == (0, 1)
-    assert calls == {"solve": 0, "is_feasible": 0, "extreme_rays": 1}
+    assert calls == {"solve": 0, "is_feasible": 0, "double_description": 1}
     # one double description in each call, and embed_system one more for the local hull
     for system, implicit in ((segment, (0, 1)), (fig1_core, (1, 2))):
-        calls.update(solve=0, is_feasible=0, extreme_rays=0)
+        calls.update(solve=0, is_feasible=0, double_description=0)
         assert implicit_equalities(system) == implicit
         assert embed_system(system)[1] == implicit
-        assert calls == {"solve": 0, "is_feasible": 0, "extreme_rays": 3}
+        assert calls == {"solve": 0, "is_feasible": 0, "double_description": 3}
     # the critical-shift LP alone: its duals prove the adjoint above c* empty
-    calls.update(solve=0, is_feasible=0, extreme_rays=0)
+    calls.update(solve=0, is_feasible=0, double_description=0)
     assert adjunction.adjunction_data(p).core_normal_indices == (1, 2)
     assert calls["solve"] == 1 and calls["is_feasible"] == 0
 
@@ -384,9 +428,9 @@ def test_core_config_reads_positive_spanning_off_the_shift_duals(monkeypatch):
     monkeypatch.setattr(spectrum, "validate_config", lambda cfg: validated.append(cfg) or validate(cfg))
     calls = _count_calls(monkeypatch)
     assert adjunction.core_config(easy) == expected[0]
-    assert calls == {"solve": 0, "is_feasible": 0, "extreme_rays": 0} and validated == []
+    assert calls == {"solve": 0, "is_feasible": 0, "double_description": 0} and validated == []
     assert adjunction.core_config(hard) == expected[1]
-    assert calls == {"solve": 1, "is_feasible": 0, "extreme_rays": 0} and validated == [expected[1]]
+    assert calls == {"solve": 1, "is_feasible": 0, "double_description": 0} and validated == [expected[1]]
 
 
 @st.composite
@@ -527,6 +571,29 @@ def test_lattice_points_of_embedded_sets():
     assert lattice_points(seg, region="relative_interior") == ((1, 1), (2, 2))
     pt = hull_any_dim([(Fraction(1, 2), Fraction(1, 2))])
     assert lattice_points(pt) == ()
+
+
+def test_relative_interior_of_a_flat_scaled_acore_needs_no_hull_and_no_linear_solve(monkeypatch):
+    # the acore of d4-s4022 lies in x_3 = 0, so levels 3 and 4 are flat
+    acore = adjunction.adjunction_data(random_lattice_polytope(4, 6, 4022, box=2)).acore
+    assert acore.dim == 3
+    sets = [scale_embedded(acore, factor) for factor in (1, Fraction(3, 2), 2)]
+    calls = _count_calls(monkeypatch)
+    for name in ("hull_any_dim", "from_vertices", "solve_linear"):
+        def forbidden(*args, name=name, **kwargs):
+            raise AssertionError(f"lattice_points called {name}")
+
+        monkeypatch.setattr(polytope, name, forbidden)
+    found = []
+    for s in sets:
+        calls.update(double_description=0)
+        found.append(lattice_points(s, region="relative_interior"))
+        # one double description per level from 2 to d: levels 2 and 3 and the set's own rows
+        assert calls == {"solve": 0, "is_feasible": 0, "double_description": 3}
+    monkeypatch.undo()
+    assert found[0] == ((0, 0, 0, 0),) and len(found[2]) > 1
+    for s, points in zip(sets, found):
+        assert list(points) == box_lattice_points(s.vertices, lambda x, s=s: s.contains(x, strict=True))
 
 
 def test_lattice_points_input_validation():

@@ -1,5 +1,6 @@
 """Candidate Q-codegree grids from core normal configurations."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -91,6 +92,22 @@ def test_reciprocal_grid_behaves_as_its_tuple(step):
     assert grid == ReciprocalGrid(step, 9) and grid != ReciprocalGrid(step, 8)
     assert grid != ReciprocalGrid(step / 2, 9)
     assert ReciprocalGrid(step, 0) == ReciprocalGrid(Fraction(0), 0) == ()
+
+
+def test_membership_of_floats_and_non_numbers_scans_nothing(monkeypatch):
+    def no_scan(self):
+        raise AssertionError("membership iterated over the grid")
+
+    monkeypatch.setattr(ReciprocalGrid, "__iter__", no_scan)
+    grid = ReciprocalGrid(Fraction(1, 10**6), 2 * 10**6)  # the values 10^6 / k
+    # a float is its exact binary value: 0.5 is 1/2, 0.3 is not 3/10
+    assert 0.5 in grid and 1.0 in grid and 1e6 in grid and Fraction(3, 10) not in grid
+    assert 0.3 not in grid and 0.25 not in grid and 2e6 not in grid and -0.5 not in grid
+    assert Decimal("0.5") in grid and Decimal("0.3") not in grid
+    for value in (float("nan"), float("inf"), float("-inf"), Decimal("NaN"), Decimal("Infinity")):
+        assert value not in grid
+    for value in ("0.5", None, (1, 2), 0.5j):
+        assert value not in grid
 
 
 def test_superset_holds_a_fine_grid_without_listing_it():
