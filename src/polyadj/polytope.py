@@ -5,8 +5,9 @@ double_description, which reports the rows tight at each extreme ray and
 a basis of the cone's lineality (extreme_rays is the same for a pointed
 cone): from_inequalities reads the facets and vertices of an inequality
 system off those tight sets, from_vertices the facets and vertices of a
-hull, vertices the vertices of an HPolytope, implicit_equalities and
-embed_system the implicit equalities and vertices of a possibly flat
+hull (and hull_any_dim and embed_system those of a hull of any
+dimension), vertices the vertices of an HPolytope, implicit_equalities
+and embed_system the implicit equalities and vertices of a possibly flat
 system, and fan the dual height regions and the facets of a cone. The
 lineality of a homogenized system is its set's lines, so no LP and no cut
 is needed to decide emptiness or boundedness. Lattice points are
@@ -20,9 +21,11 @@ Conventions. An HPolytope is always bounded, full-dimensional, and
 irredundant, with primitive integer facet normals, rational right hand
 sides, and rows sorted by normal; two HPolytopes are equal iff their row
 sets are. Possibly empty or degenerate intersections of halfspaces live in
-InequalitySystem, and lower-dimensional compact sets are represented as an
-AffineSubspace plus a full-dimensional polytope in local coordinates
-(EmbeddedPolytope). Nothing here uses floating point.
+InequalitySystem. A compact set of any dimension is an EmbeddedPolytope,
+all in ambient coordinates: the equations of its affine hull (an
+AffineSubspace), its facet rows and its vertices, read off one double
+description of its points' valid rows (_embedded), with no local
+coordinates. Nothing here uses floating point.
 """
 
 from __future__ import annotations
@@ -90,55 +93,32 @@ class VPolytope:
 
 @dataclass(frozen=True)
 class AffineSubspace:
-    """Affine subspace as equations and as a rational parametrization.
+    """Affine subspace {x : <a, x> = beta for every equation (a, beta)}.
 
     equations: primitive integer normals with rational offsets, sign and
-    order normalized. base + span(directions) is the same set; directions
-    are a basis of the saturated direction lattice, so when the subspace
-    contains integer points their local coordinates are integers.
+    order normalized; dim is the dimension of the subspace.
     """
 
     dim: int
     ambient_dim: int
     equations: tuple[tuple[IntVector, Fraction], ...]
-    base: tuple[Fraction, ...]
-    directions: tuple[IntVector, ...]
 
     def contains(self, point: Sequence) -> bool:
         return all(dot(a, point) == beta for a, beta in self.equations)
 
-    def to_ambient(self, local: Sequence) -> tuple[Fraction, ...]:
-        x = list(Fraction(c) for c in self.base)
-        for t, direction in zip(local, self.directions):
-            for j, dj in enumerate(direction):
-                x[j] += Fraction(t) * dj
-        return tuple(x)
-
-    def to_local(self, point: Sequence) -> Optional[tuple[Fraction, ...]]:
-        """Local coordinates of an ambient point, or None when off the subspace."""
-        if not self.contains(point):
-            return None
-        if not self.directions:
-            return ()
-        matrix = [[self.directions[i][j] for i in range(len(self.directions))]
-                  for j in range(self.ambient_dim)]
-        sol = solve_linear(matrix, vec_sub(point, self.base))
-        if sol is None:
-            return None
-        return sol[0]
-
 
 @dataclass(frozen=True)
 class EmbeddedPolytope:
-    """A compact convex set of any dimension inside R^d.
+    """A compact convex set of any dimension inside R^d, in ambient coordinates.
 
-    subspace is its affine hull; local is a full-dimensional HPolytope in
-    the subspace coordinates (None when the set is a single point);
-    vertices are in ambient coordinates.
+    subspace is its affine hull. facets are rows <a, x> <= beta, primitive
+    integer a and sorted, that cut the set out of the subspace (none when
+    the set is a single point); on a flat set each is one representative
+    modulo the equations. vertices are sorted.
     """
 
     subspace: AffineSubspace
-    local: Optional[HPolytope]
+    facets: tuple[tuple[IntVector, Fraction], ...]
     vertices: tuple[tuple[Fraction, ...], ...]
 
     @property
@@ -151,12 +131,11 @@ class EmbeddedPolytope:
 
     def contains(self, point: Sequence, strict: bool = False) -> bool:
         """Membership; strict means relative interior."""
-        local = self.subspace.to_local(point)
-        if local is None:
+        if not self.subspace.contains(point):
             return False
-        if self.local is None:
-            return True
-        return self.local.contains(local, strict=strict)
+        if strict:
+            return all(dot(a, point) < beta for a, beta in self.facets)
+        return all(dot(a, point) <= beta for a, beta in self.facets)
 
 
 @dataclass(frozen=True)
@@ -365,93 +344,106 @@ def vertices(p: HPolytope) -> VPolytope:
     return p.vertex_cache
 
 
-def from_vertices(points: Sequence[Sequence]) -> HPolytope:
-    """Facet description of the convex hull of a full-dimensional point set.
-
-    The valid inequalities <a, x> <= beta form the cone of (a, beta) with
-    beta - <a, p> >= 0 at every point p; its extreme rays are the facets,
-    and the vertices are the points whose sets of tight facets are nonempty
-    and maximal under inclusion. The cone contains a line exactly when the
-    points lie on a hyperplane, which raises LowerDimensionalError.
-    """
+def _distinct_points(points: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:
+    """The distinct points as sorted Fraction tuples; raises on none or on mixed lengths."""
     pts = sorted({tuple(Fraction(c) for c in pt) for pt in points})
     if not pts:
         raise EmptyPolytopeError("no points given")
-    d = len(pts[0])
-    if any(len(pt) != d for pt in pts):
+    if any(len(pt) != len(pts[0]) for pt in pts):
         raise DimensionMismatchError("mixed point lengths")
+    return pts
+
+
+def _point_hull(pts: Sequence[tuple[Fraction, ...]], d: int):
+    """(facets, vertices, lineality) of the hull of two or more sorted distinct points in Q^d.
+
+    The valid inequalities <a, x> <= beta form the cone of (a, beta) with
+    beta - <a, p> >= 0 at every point p. One double description gives its
+    extreme rays, the facets (a primitive, sorted), and its lineality, the
+    equations of the points' affine hull; modulo those equations each ray
+    is one facet. The vertices are the points whose sets of tight facets
+    are nonempty and maximal under inclusion.
+    """
     rows = [scale_to_integer(tuple(-c for c in pt) + (1,)) for pt in pts]
     rays, lineality = double_description(rows, d + 1)
-    if lineality:
-        raise LowerDimensionalError("points do not span the ambient space")
     facets: dict[IntVector, Fraction] = {}
     for z, _ in rays:
         normal, g = primitivize(z[:d])
         if normal in facets:
             raise InternalInconsistencyError("conflicting supports for one normal")
         facets[normal] = Fraction(z[d], g)
-    pairs = sorted(facets.items())
-    vert = VPolytope(d, tuple(pts[i] for i in _maximal_rows(rays, range(len(pts)))))
-    return HPolytope(d, tuple(a for a, _ in pairs), tuple(b for _, b in pairs), vert)
+    verts = tuple(pts[i] for i in _maximal_rows(rays, range(len(pts))))
+    return tuple(sorted(facets.items())), verts, lineality
 
 
-def _canonical_equations(directions: Sequence[IntVector], base, d: int):
-    kernel = integer_kernel_basis(list(directions), ncols=d)
-    eqs = []
-    for a in kernel:
-        lead = next((x for x in a if x != 0), 0)
-        if lead < 0:
-            a = tuple(-x for x in a)
-        eqs.append((a, dot(a, base)))
-    return tuple(sorted(eqs))
+def from_vertices(points: Sequence[Sequence]) -> HPolytope:
+    """Facet description of the convex hull of a full-dimensional point set.
+
+    The facets and vertices come from _point_hull. Fewer than d + 1 points,
+    or a lineality in the cone of valid inequalities (the points lie on a
+    hyperplane), raise LowerDimensionalError.
+    """
+    pts = _distinct_points(points)
+    d = len(pts[0])
+    if len(pts) <= d:
+        raise LowerDimensionalError("fewer than d + 1 points")
+    facets, verts, lineality = _point_hull(pts, d)
+    if lineality:
+        raise LowerDimensionalError("points do not span the ambient space")
+    return HPolytope(d, tuple(a for a, _ in facets), tuple(b for _, b in facets), VPolytope(d, verts))
+
+
+def _embedded(pts: Sequence[tuple[Fraction, ...]], spanning: Sequence[Sequence]) -> EmbeddedPolytope:
+    """The hull of sorted distinct points, all in ambient coordinates.
+
+    spanning spans the directions of the points' affine hull. Its
+    equations are the integer kernel of saturate(spanning), each with a
+    positive leading entry, which depends on the spanning set and not on
+    the subspace alone, so each caller keeps its own. The facets and
+    vertices are one _point_hull; a single point needs none.
+    """
+    d = len(pts[0])
+    directions = saturate(spanning)
+    equations = []
+    for a in integer_kernel_basis(list(directions), ncols=d):
+        a = a if next(x for x in a if x) > 0 else tuple(-x for x in a)
+        equations.append((a, dot(a, pts[0])))
+    subspace = AffineSubspace(len(directions), d, tuple(sorted(equations)))
+    if not directions:
+        return EmbeddedPolytope(subspace, (), tuple(pts))
+    facets, verts, _ = _point_hull(pts, d)
+    return EmbeddedPolytope(subspace, facets, verts)
 
 
 def hull_any_dim(points: Sequence[Sequence]) -> EmbeddedPolytope:
-    """Convex hull of points of any affine rank, as an embedded polytope."""
-    pts = sorted({tuple(Fraction(c) for c in pt) for pt in points})
-    if not pts:
-        raise EmptyPolytopeError("no points given")
-    d = len(pts[0])
-    base = pts[0]
-    directions = saturate([vec_sub(pt, base) for pt in pts[1:]])
-    k = len(directions)
-    subspace = AffineSubspace(k, d, _canonical_equations(directions, base, d), base, directions)
-    if k == 0:
-        return EmbeddedPolytope(subspace, None, (base,))
-    local_pts = [subspace.to_local(pt) for pt in pts]
-    if any(t is None for t in local_pts):
-        raise InternalInconsistencyError("input point escaped its own affine hull")
-    local = from_vertices(local_pts)
-    ambient = tuple(sorted(subspace.to_ambient(t) for t in vertices(local).vertices))
-    return EmbeddedPolytope(subspace, local, ambient)
+    """Convex hull of points of any affine rank, as an embedded polytope.
+
+    Its affine hull is spanned by the differences from the least point.
+    """
+    pts = _distinct_points(points)
+    return _embedded(pts, [vec_sub(pt, pts[0]) for pt in pts[1:]])
 
 
 def scale_embedded(s: EmbeddedPolytope, factor) -> EmbeddedPolytope:
     """The image factor * s for a positive rational factor, as hull_any_dim
-    of the scaled vertices would build it.
+    or embed_system builds it from the scaled points or system.
 
-    A positive factor keeps the lexicographic order of points and the
-    directions of their differences, so the base, the equation offsets,
-    the local right hand sides, the local vertex cache and the vertices
-    scale, and the normals and the direction basis stay.
+    A positive factor keeps the order of points, the span of their
+    differences and the signs of every product the double description
+    takes; the map (a, beta) -> (a, factor * beta) carries its rays to
+    those of the scaled points. So the equation offsets, the facet right
+    hand sides and the vertices scale, and the normals stay.
     """
     f = Fraction(factor)
     if f <= 0:
         raise ValueError("scale factor must be positive")
 
-    def scaled(point):
-        return tuple(f * x for x in point)
+    def scaled(rows):
+        return tuple((a, f * beta) for a, beta in rows)
 
     sub = s.subspace
-    subspace = AffineSubspace(sub.dim, sub.ambient_dim, tuple((a, f * beta) for a, beta in sub.equations),
-                              scaled(sub.base), sub.directions)
-    local = s.local
-    if local is not None:
-        cache = local.vertex_cache
-        if cache is not None:
-            cache = VPolytope(local.dim, tuple(map(scaled, cache.vertices)))
-        local = HPolytope(local.dim, local.normals, scaled(local.rhs), cache)
-    return EmbeddedPolytope(subspace, local, tuple(map(scaled, s.vertices)))
+    return EmbeddedPolytope(AffineSubspace(sub.dim, sub.ambient_dim, scaled(sub.equations)),
+                            scaled(s.facets), tuple(tuple(f * x for x in v) for v in s.vertices))
 
 
 def _tight_everywhere(rays, n: int) -> tuple[int, ...]:
@@ -476,32 +468,24 @@ def embed_system(system: InequalitySystem) -> tuple[EmbeddedPolytope, tuple[int,
 
     One double description of the homogenized system gives both: the rays
     with s > 0 are the vertices x / s, and the rows tight at every ray are
-    the implicit equalities. The local polytope is the hull of the
-    vertices' local coordinates. Raises EmptyPolytopeError on an empty
-    system, then UnboundedPolytopeError when its set contains a line or a
-    ray (_bounded_rays, as in from_inequalities).
+    the implicit equalities. The affine hull is spanned by the null basis
+    of the implicit equalities (one solve_linear), or by the unit vectors
+    when there are none; the facets are those of the vertices' hull
+    (_embedded). Raises EmptyPolytopeError on an empty system, then
+    UnboundedPolytopeError when its set contains a line or a ray
+    (_bounded_rays, as in from_inequalities).
     """
     d = system.dim
     rays = _bounded_rays(system.normals, system.rhs, d)
     implicit = _tight_everywhere(rays, len(system.normals))
-    if not implicit:
-        poly = from_inequalities(list(zip(system.normals, system.rhs)))
-        subspace = AffineSubspace(d, d, (), tuple(Fraction(0) for _ in range(d)),
-                                  tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d)))
-        return EmbeddedPolytope(subspace, poly, vertices(poly).vertices), ()
-    sol = solve_linear([system.normals[i] for i in implicit],
-                       [system.rhs[i] for i in implicit])
-    if sol is None:
-        raise InternalInconsistencyError("implicit equalities are inconsistent")
-    x0, null_basis = sol
-    directions = saturate(null_basis)
-    k = len(directions)
-    subspace = AffineSubspace(k, d, _canonical_equations(directions, x0, d), x0, directions)
-    if k == 0:
-        return EmbeddedPolytope(subspace, None, (x0,)), implicit
-    ambient = _vertex_polytope(rays, d).vertices
-    local = from_vertices([subspace.to_local(v) for v in ambient])
-    return EmbeddedPolytope(subspace, local, ambient), implicit
+    spanning = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    if implicit:
+        sol = solve_linear([system.normals[i] for i in implicit],
+                           [system.rhs[i] for i in implicit])
+        if sol is None:
+            raise InternalInconsistencyError("implicit equalities are inconsistent")
+        spanning = sol[1]
+    return _embedded(_vertex_polytope(rays, d).vertices, spanning), implicit
 
 
 def relative_interior_point(s) -> tuple[Fraction, ...]:
@@ -632,10 +616,10 @@ def lattice_points(s, region: str = "all", sublattice_scale: int = 1):
 
     s may be an HPolytope or an EmbeddedPolytope, and the returned points
     are integer tuples in lexicographic order. The enumeration runs over
-    projected_levels of the vertices of s. Level d is the rows of s: an
-    HPolytope's own, and for an EmbeddedPolytope _hull_rows at j = d, its
-    facets plus its equations as two-sided rows. The relative_interior
-    region keeps the points strictly inside every facet row, in integers.
+    projected_levels of the vertices of s. Level d is the stored rows of s:
+    an HPolytope's facets, and an EmbeddedPolytope's facets plus its
+    equations as two-sided rows. The relative_interior region keeps the
+    points strictly inside every facet row, in integers.
     """
     if region not in ("all", "relative_interior"):
         raise ValueError(f"unknown region {region!r}")
@@ -643,14 +627,15 @@ def lattice_points(s, region: str = "all", sublattice_scale: int = 1):
     if k < 1 or k != sublattice_scale:
         raise ValueError("sublattice_scale must be a positive integer")
     if isinstance(s, HPolytope):
-        points = [scale_to_integer(tuple(v) + (1,)) for v in vertices(s).vertices]
-        facets, equations = [(a, b.numerator, b.denominator) for a, b in zip(s.normals, s.rhs)], []
+        verts, facets, equations = vertices(s).vertices, zip(s.normals, s.rhs), ()
     elif isinstance(s, EmbeddedPolytope):
-        points = [scale_to_integer(tuple(v) + (1,)) for v in s.vertices]
-        facets, equations = _hull_rows(points, s.ambient_dim)
+        verts, facets, equations = s.vertices, s.facets, s.subspace.equations
     else:
         raise TypeError(f"unsupported type {type(s).__name__}")
-    result = level_points(projected_levels(points, facets + equations), k)
+    points = [scale_to_integer(tuple(v) + (1,)) for v in verts]
+    facets = [(a, b.numerator, b.denominator) for a, b in facets]
+    sides = [(tuple(c * x for x in a), c * b.numerator, b.denominator) for a, b in equations for c in (1, -1)]
+    result = level_points(projected_levels(points, facets + sides), k)
     if region == "relative_interior":
         result = [x for x in result if all(dot(a, x) * den < num for a, num, den in facets)]
     return tuple(result)

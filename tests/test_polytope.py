@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (
+    bland_simplex,
     box_lattice_points,
     brute_facets,
     brute_vertices,
@@ -18,6 +19,7 @@ from oracles import (
 )
 from polyadj import adjunction, fan, lp, polytope, spectrum
 from polyadj.errors import (
+    DimensionMismatchError,
     EmptyPolytopeError,
     InvalidConeError,
     LowerDimensionalError,
@@ -404,7 +406,7 @@ def test_implicit_equalities_reject_empty_and_prune_loose_candidates(monkeypatch
     calls = _count_calls(monkeypatch)
     assert implicit_equalities(segment) == (0, 1)
     assert calls == {"solve": 0, "is_feasible": 0, "double_description": 1}
-    # one double description in each call, and embed_system one more for the local hull
+    # one double description in each call, and embed_system one more for the hull of the vertices
     for system, implicit in ((segment, (0, 1)), (fig1_core, (1, 2))):
         calls.update(solve=0, is_feasible=0, double_description=0)
         assert implicit_equalities(system) == implicit
@@ -482,7 +484,7 @@ def test_embed_system_single_point():
     sys_ = make_system([((1, 1), 1), ((-1, -1), -1), ((1, -1), 0), ((-1, 1), 0)])
     emb, _ = embed_system(sys_)
     assert emb.dim == 0
-    assert emb.local is None
+    assert emb.facets == ()
     assert emb.vertices == ((Fraction(1, 2), Fraction(1, 2)),)
     assert emb.contains((Fraction(1, 2), Fraction(1, 2)))
     assert not emb.contains((0, 0))
@@ -493,6 +495,85 @@ def test_embed_system_full_dimensional_passthrough():
     emb, eq_idx = embed_system(sys_)
     assert emb.dim == 2 and eq_idx == ()
     assert emb.contains((Fraction(1, 4), Fraction(1, 4)), strict=True)
+
+
+def test_hull_any_dim_rejects_mixed_point_lengths():
+    for pts in ([(0, 0), (1,)], [(0, 0, 0), (1, 1)]):
+        with pytest.raises(DimensionMismatchError, match="mixed point lengths"):
+            hull_any_dim(pts)
+        with pytest.raises(DimensionMismatchError, match="mixed point lengths"):
+            from_vertices(pts)
+
+
+def test_hull_any_dim_of_a_flat_set_makes_one_double_description_and_no_solve(monkeypatch):
+    # a parallelogram in a plane of R^3: its facets and vertices come off the
+    # double description of its points' valid rows, in ambient coordinates
+    pts = [(0, 0, 0), (2, 2, 4), (1, 0, 1), (3, 2, 5)]
+    calls = _count_calls(monkeypatch)
+    for name in ("from_vertices", "solve_linear"):
+        def forbidden(*args, name=name, **kwargs):
+            raise AssertionError(f"hull_any_dim called {name}")
+
+        monkeypatch.setattr(polytope, name, forbidden)
+    emb = hull_any_dim(pts)
+    assert calls == {"solve": 0, "is_feasible": 0, "double_description": 1}
+    monkeypatch.undo()
+    assert emb.dim == 2 and len(emb.facets) == 4
+    assert set(emb.vertices) == set(pts)
+    assert emb.contains((Fraction(3, 2), 1, Fraction(5, 2)), strict=True)
+
+
+def test_core_equations_come_from_the_null_basis_of_the_implicit_rows():
+    # the printed equations are the integer kernel of a saturated spanning
+    # set, which is not a function of the subspace alone: the differences of
+    # the core's vertices would print the last two rows as
+    # ((1, -4, 0, -1, -4), -2965/458) and ((3, -8, 0, 0, -9), -5223/458)
+    core = adjunction.adjunction_data(random_lattice_polytope(5, 10, 4, box=2)).core
+    assert core.subspace.equations == (
+        ((0, 1, 1, 0, 2), Fraction(249, 229)),
+        ((1, 0, 4, -1, 4), Fraction(-973, 458)),
+        ((3, 0, 8, 0, 7), Fraction(-1239, 458)),
+    )
+
+
+def _lp_membership(points, x):
+    """(member, relative interior) of x in conv(points), by bland_simplex.
+
+    Maximizes t over lambda >= 0 with lambda_i >= t, sum lambda_i = 1 and
+    sum lambda_i p_i = x: x is in the hull when the LP is feasible, and in
+    its relative interior when some such lambda is positive, t* > 0.
+    """
+    n = len(points)
+    rows = [tuple(-1 if j == i else 0 for j in range(n)) + (1,) for i in range(n)]
+    eqs = [(1,) * n + (0,)] + [tuple(p[k] for p in points) + (0,) for k in range(len(x))]
+    status, value, *_ = bland_simplex(rows, [0] * n, (0,) * n + (1,),
+                                      eq_normals=eqs, eq_rhs=[1] + list(x), nonneg=range(n))
+    if status == "infeasible":
+        return False, False
+    return True, value > 0
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(1, 3), st.data())
+def test_embedded_membership_matches_the_convex_combination_lp(d, data):
+    # points base + M t for t in Z^k, k <= d, so every affine rank occurs
+    k = data.draw(st.integers(0, d))
+    matrix = data.draw(st.lists(st.tuples(*[small] * k), min_size=d, max_size=d))
+    base = data.draw(st.tuples(*[fraction] * d))
+    local = data.draw(st.lists(st.tuples(*[small] * k), min_size=1, max_size=5))
+    pts = [tuple(b + sum(m * t for m, t in zip(row, ts)) for row, b in zip(matrix, base)) for ts in local]
+    emb = hull_any_dim(pts)
+    # the points, their barycenter and pairwise midpoints, points of the
+    # affine hull that may lie outside, and points off it
+    on_hull = data.draw(st.lists(st.tuples(*[fraction] * k), max_size=3))
+    xs = pts + [relative_interior_point(emb)]
+    xs += [tuple((a + b) / 2 for a, b in zip(p, q)) for p, q in itertools.combinations(pts, 2)]
+    xs += [tuple(b + sum(m * t for m, t in zip(row, ts)) for row, b in zip(matrix, base)) for ts in on_hull]
+    xs += data.draw(st.lists(st.tuples(*[fraction] * d), max_size=3))
+    for x in xs:
+        member, interior = _lp_membership(pts, x)
+        assert emb.contains(x) == member
+        assert emb.contains(x, strict=True) == interior
 
 
 def test_hull_any_dim_of_a_segment_in_3d():
@@ -517,8 +598,6 @@ def test_scaled_embedded_polytope_is_the_hull_of_the_scaled_points(d, data):
     got = scale_embedded(hull_any_dim(pts), factor)
     expected = hull_any_dim([tuple(factor * x for x in pt) for pt in pts])
     assert got == expected
-    if expected.local is not None:
-        assert got.local.vertex_cache == expected.local.vertex_cache
     interior = "relative_interior"
     assert lattice_points(got, region=interior) == lattice_points(expected, region=interior)
 
@@ -588,8 +667,8 @@ def test_relative_interior_of_a_flat_scaled_acore_needs_no_hull_and_no_linear_so
     for s in sets:
         calls.update(double_description=0)
         found.append(lattice_points(s, region="relative_interior"))
-        # one double description per level from 2 to d: levels 2 and 3 and the set's own rows
-        assert calls == {"solve": 0, "is_feasible": 0, "double_description": 3}
+        # one double description per level strictly between 1 and d; level d is the stored rows
+        assert calls == {"solve": 0, "is_feasible": 0, "double_description": 2}
     monkeypatch.undo()
     assert found[0] == ((0, 0, 0, 0),) and len(found[2]) > 1
     for s, points in zip(sets, found):
