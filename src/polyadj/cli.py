@@ -34,6 +34,12 @@ from .ratmath import format_fraction, parse_fraction
 from .spectrum import check_necessary_condition, spectrum_superset
 
 DEFAULT_MAX_DIM = 8
+# Reports list a spectrum superset's values only up to this many, about 20 MB
+# of JSON written in a few seconds; a larger grid is reported by its size, as
+# "values": null and "n_values". A d=5 polytope with vertices in [-2, 2]^5 can
+# have 23,613,696 values, whose listing took minutes and gigabytes; the test
+# suite's instances have at most 256,024.
+MAX_LISTED_VALUES = 1_000_000
 
 
 def _max_dim() -> int:
@@ -61,6 +67,13 @@ def _fr(x) -> str:
 
 def _point(p) -> list:
     return [_fr(c) for c in p]
+
+
+def _grid_fields(grid) -> dict:
+    """The values of a spectrum superset as a report lists them, or its size above MAX_LISTED_VALUES."""
+    if len(grid) > MAX_LISTED_VALUES:
+        return {"values": None, "n_values": len(grid)}
+    return {"values": [_fr(v) for v in grid]}
 
 
 def _report_document(report: AnalysisReport, raw_c_star: Optional[Fraction]) -> dict:
@@ -114,7 +127,7 @@ def _report_document(report: AnalysisReport, raw_c_star: Optional[Fraction]) -> 
         "spectrum": {
             "step": _fr(report.spectrum.step),
             "epsilon": _fr(report.spectrum.epsilon),
-            "values": [_fr(v) for v in report.spectrum.values],
+            **_grid_fields(report.spectrum.values),
             "qcd_in_superset": report.qcodegree_in_superset,
         },
     }
@@ -173,7 +186,10 @@ def _render_text(doc: dict) -> str:
     lines.append(f"shift vector: ({', '.join(lem['shift_vector'])})")
     sp = doc["spectrum"]
     lines.append(f"spectrum step: {sp['step']}")
-    values = " ".join(sp["values"]) if sp["values"] else "none"
+    if sp["values"] is None:
+        values = f"{sp['n_values']} values, not listed"
+    else:
+        values = " ".join(sp["values"]) if sp["values"] else "none"
     lines.append(f"spectrum values (>= {sp['epsilon']}): {values}")
     member = sp["qcd_in_superset"]
     lines.append(f"qcd in superset: {'n/a (below epsilon)' if member is None else str(member).lower()}")
@@ -356,7 +372,7 @@ def cmd_spectrum(args) -> int:
         "normals": [list(a) for a in cfg.normals],
         "step": _fr(superset.step),
         "epsilon": _fr(superset.epsilon),
-        "values": [_fr(v) for v in superset.values],
+        **_grid_fields(superset.values),
     }
     if args.check is not None:
         ok, witness = check_necessary_condition(cfg, args.check)

@@ -10,10 +10,14 @@ every face, so face indices divide the maximal ones and face thresholds
 are no smaller, which makes the maximal cones sufficient. Nothing here
 solves an LP and nothing builds a hull of points: cone validation,
 heights and the canonicity scan all read the double description of
-polytope.extreme_rays. The canonicity regions {x in c : <w, x> <= scale}
-take their rows from the cone's own facets, and only their intermediate
-projections need a double description of their own, which
-polytope.projected_levels makes as it does for any hull.
+polytope.extreme_rays. Heights and the canonicity scan read a cone's
+facets and its dual height vertices off one double description: the
+facets are its rays with s = 0, the vertices those with s > 0. The
+canonicity regions {x in c : <w, x> <= scale} take their rows from those
+facets, and only their intermediate projections need a double
+description of their own, which polytope.projected_levels makes as it
+does for any hull; their compiled levels serve every round of the
+deepening. Normal fans test tight rows in integers.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import (
@@ -164,13 +169,20 @@ def _local_coordinates(directions, point):
 
 
 def normal_fan(p: HPolytope) -> NormalFan:
-    """Normal fan of a lattice polytope; vertex tight sets give the maximal cones."""
+    """Normal fan of a lattice polytope; vertex tight sets give the maximal cones.
+
+    The vertices are lattice points, so the tight rows are found in
+    integers: a row whose right hand side is not an integer is tight at
+    none of them.
+    """
     if not is_lattice_polytope(p):
         raise NotLatticePolytopeError("normal fan invariants require lattice vertices")
     verts = vertices(p).vertices
+    rows = [(a, b.numerator) for a, b in zip(p.normals, p.rhs) if b.denominator == 1]
     cones = []
     for v in verts:
-        tight = tuple(sorted(a for a, b in zip(p.normals, p.rhs) if dot(a, v) == b))
+        point = tuple(x.numerator for x in v)
+        tight = tuple(sorted(a for a, b in rows if sum(map(mul, a, point)) == b))
         if rank(list(tight)) != p.dim:
             raise InternalInconsistencyError("vertex cone is not full-dimensional")
         cones.append(Cone(p.dim, tight))
@@ -205,36 +217,46 @@ def height(c: Cone, point: Sequence) -> Fraction:
         if target is None:
             raise NotInConeError("point is outside the cone's linear span")
     d = len(rays[0])
-    if any(dot(f, target) < 0 for f, _ in extreme_rays(rays, d)):
+    facets, duals, scale = _height_functionals(rays, d)
+    if any(dot(f, target) < 0 for f in facets):
         raise NotInConeError("point fails a facet of the cone")
-    duals, scale = _height_functionals(rays, d)
     return Fraction(min(dot(w, target) for w in duals)) / scale
 
 
-def _dual_height_vertices(rays: Sequence[IntVector], d: int) -> list[IntVector]:
-    """Vertices u / s of {u : <ray, u> >= 1 for all rays}, for full-rank ray sets.
+def _dual_height_vertices(rays: Sequence[IntVector], d: int) -> tuple[list[IntVector], list[IntVector]]:
+    """(facets, vertices): the cone's facet normals and the vertices of its dual height region.
 
-    Each is the primitive integer (u, s), s > 0, of an extreme ray of the
-    cone {(u, s) : <ray, u> >= s, s >= 0}. By LP duality the height of any
-    point w of the cone is the minimum of <u, w> over the region, and the
-    region is pointed, so the minimum is attained at a vertex.
+    One double description of the cone {(u, s) : <ray, u> >= s, s >= 0},
+    for full-rank ray sets, gives both. Its rays with s > 0 are the
+    primitive integer (u, s) of the vertices u / s of {u : <ray, u> >= 1
+    for all rays}. By LP duality the height of any point w of the cone is
+    the minimum of <u, w> over that region, and the region is pointed, so
+    the minimum is attained at a vertex. Its face {s = 0} is the dual cone
+    {u : <ray, u> >= 0}, so its rays (f, 0) give the cone's primitive facet
+    normals f, sorted, as extreme_rays(rays, d) would.
     """
     rows = [tuple(r) + (-1,) for r in rays] + [(0,) * d + (1,)]
-    out = [z for z, _ in extreme_rays(rows, d + 1) if z[d] > 0]
+    facets, out = [], []
+    for z, _ in extreme_rays(rows, d + 1):
+        if z[d]:
+            out.append(z)
+        else:
+            facets.append(z[:d])
     if not out:
         raise InternalInconsistencyError("dual height region of a full-rank cone has a vertex")
-    return out
+    return facets, out
 
 
-def _height_functionals(rays: Sequence[IntVector], d: int) -> tuple[list[IntVector], int]:
-    """(duals, scale): integer w with height(x) = min_w <w, x> / scale on the cone.
+def _height_functionals(rays: Sequence[IntVector], d: int) -> tuple[list[IntVector], list[IntVector], int]:
+    """(facets, duals, scale): the cone's facet normals and integer w with
+    height(x) = min_w <w, x> / scale on the cone.
 
     The w are the vertices of the dual height region over a common
     denominator scale, so <w, ray> >= scale on every ray.
     """
-    duals = _dual_height_vertices(rays, d)
+    facets, duals = _dual_height_vertices(rays, d)
     scale = lcm(*(z[d] for z in duals))
-    return [tuple(x * (scale // z[d]) for x in z[:d]) for z in duals], scale
+    return facets, [tuple(x * (scale // z[d]) for x in z[:d]) for z in duals], scale
 
 
 def canonicity_threshold(c: Cone) -> tuple[Fraction, Optional[CanonicityWitness]]:
@@ -243,23 +265,23 @@ def canonicity_threshold(c: Cone) -> tuple[Fraction, Optional[CanonicityWitness]
     Heights are min_w <w, x> / scale over the dual height vertices w, so
     the points of height at most t are the union over w of t R_w, where
     R_w = {x in c : <w, x> <= scale} = conv(0, scale r / <w, r>). The rows
-    of R_w are the cone's facets, from one double description shared by
-    every w, and <w, x> <= scale; its lattice levels are read off them
-    (_region_levels), with no hull of points, and t R_w only divides their
-    right hand sides. Deepening takes t = 1/64, 1/32, ..., 1 and stops at
-    the first t at which some t R_w holds a nonzero lattice point. That
-    point has height at most t, so every point of least height lies in
-    t R_w for its minimizing w: the least height over the points found is
-    exact, and the witness is the lexicographically smallest point
-    attaining it. Lower-dimensional cones are handled in the coordinates
+    of R_w are the cone's facets, read off the same double description as
+    the w and shared by every w, and <w, x> <= scale; its lattice levels
+    are read off them (_region_levels), with no hull of points, compiled
+    once, and t R_w only divides their right hand sides. Deepening takes
+    t = 1/64, 1/32, ..., 1 and stops at the first t at which some t R_w
+    holds a nonzero lattice point. That point has height at most t, so
+    every point of least height lies in t R_w for its minimizing w: the
+    least height over the points found is exact, and the witness is the
+    lexicographically smallest point attaining it. Lower-dimensional cones are handled in the coordinates
     of the saturated span of their rays, where their lattice points keep
     integer coordinates. Returns the threshold and a witness point
     achieving it when it is below 1.
     """
     directions, rays = _span_frame(c.rays)
     d = len(rays[0])
-    duals, scale = _height_functionals(rays, d)
-    regions = _region_levels(rays, duals, scale)
+    facets, duals, scale = _height_functionals(rays, d)
+    regions = _region_levels(rays, facets, duals, scale)
     zero = (0,) * d
     shrink = 64
     while True:
@@ -279,17 +301,20 @@ def canonicity_threshold(c: Cone) -> tuple[Fraction, Optional[CanonicityWitness]
     return threshold, CanonicityWitness(c, point, threshold)
 
 
-def _region_levels(rays: Sequence[IntVector], duals: Sequence[IntVector], scale: int) -> list[list]:
-    """The lattice levels (as polytope.projected_levels) of R_w = conv(0, scale r / <w, r>), per w.
+def _region_levels(rays: Sequence[IntVector], facets: Sequence[IntVector], duals: Sequence[IntVector],
+                   scale: int) -> list[list]:
+    """The compiled lattice levels (polytope.projected_levels) of R_w = conv(0, scale r / <w, r>), per w.
 
     R_w is the hull of the homogeneous points (0, 1) and (scale r, <w, r>).
     It is a pyramid with apex 0 over its face on <w, x> = scale, so its
-    rows, level d, are the cone's facets <f, x> >= 0, from one double
-    description shared by every w, and <w, x> <= scale. A span of rank 1
-    has level 1 only.
+    rows, level d, are the cone's facets <f, x> >= 0, the ones the dual
+    height double description gave (_dual_height_vertices) and shared by
+    every w, and <w, x> <= scale. A span of rank 1 has level 1 only. The
+    levels are compiled once, and every round of the canonicity ladder
+    reads them with its own shrink.
     """
     d = len(rays[0])
-    facet_rows = [(tuple(-x for x in f), 0, 1) for f, _ in extreme_rays(rays, d)] if d > 1 else []
+    facet_rows = [(tuple(-x for x in f), 0, 1) for f in facets] if d > 1 else []
     apex = (0,) * d + (1,)
     return [projected_levels([apex] + [tuple(scale * x for x in r) + (dot(w, r),) for r in rays],
                              facet_rows + [(w, scale, 1)])

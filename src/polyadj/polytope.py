@@ -8,14 +8,17 @@ system off those tight sets, from_vertices the facets and vertices of a
 hull (and hull_any_dim and embed_system those of a hull of any
 dimension), vertices the vertices of an HPolytope, implicit_equalities
 and embed_system the implicit equalities and vertices of a possibly flat
-system, and fan the dual height regions and the facets of a cone. The
-lineality of a homogenized system is its set's lines, so no LP and no cut
-is needed to decide emptiness or boundedness. Lattice points are
-enumerated coordinate by coordinate over the projections of a set onto
-x_1..x_j (projected_levels); the valid rows of each projection are one
-double description, whose lineality gives the equations of a flat one,
-so no Fourier-Motzkin elimination and no hull of the projection is
-needed.
+system, and fan the dual height vertices of a cone together with its
+facets. The lineality of a homogenized system is its set's lines, so no
+LP and no cut is needed to decide emptiness or boundedness. The kernel
+works on primitive integer vectors only, pairs the rays on the two sides
+of each row and tests adjacency by counting tight sets. Lattice points
+are enumerated coordinate by coordinate over the projections of a set
+onto x_1..x_j (projected_levels); the valid rows of each projection are
+one double description, whose lineality gives the equations of a flat
+one, so no Fourier-Motzkin elimination and no hull of the projection is
+needed. Each level is compiled once into the integer rows that bound its
+coordinate, and level_points reads them at any shrink.
 
 Conventions. An HPolytope is always bounded, full-dimensional, and
 irredundant, with primitive integer facet normals, rational right hand
@@ -33,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Optional, Sequence
 
 from . import lp
@@ -253,36 +257,64 @@ def double_description(rows: Sequence[Sequence[int]], n: int) -> tuple[tuple[tup
     <rows[k], ray> = 0, and a basis of primitive integer vectors of the
     lineality space {z : <r, z> = 0 for every row}. The cone is the rays'
     cone plus that space; every row vanishes on it, so the tight sets are
-    those of the extreme rays of the cone modulo its lineality.
+    those of the extreme rays of the cone modulo its lineality. Every
+    vector is primitive, so one on which a row vanishes is kept as it is.
     """
+    if any(len(row) != n for row in rows):
+        raise DimensionMismatchError(f"rows of a cone in dimension {n} have other lengths")
     lineality = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
     rays: list[tuple[IntVector, int]] = []  # (ray, bitmask of the rows tight at it)
     for k, row in enumerate(rows):
         bit = 1 << k
-        pivot = next((v for v in lineality if dot(row, v) != 0), None)
+        pivot = next((v for v in lineality if sum(map(mul, row, v))), None)
         if pivot is not None:
             lineality.remove(pivot)
-            a = dot(row, pivot)
-            pivot, a = (pivot, a) if a > 0 else (tuple(-x for x in pivot), -a)
-            lineality = [_combine(a, v, -dot(row, v), pivot) for v in lineality]
-            rays = [(_combine(a, z, -dot(row, z), pivot), t | bit) for z, t in rays]
+            a = sum(map(mul, row, pivot))
+            if a < 0:
+                pivot, a = tuple(-x for x in pivot), -a
+
+            def lift(z):
+                # primitive part of a z - <row, z> pivot, on which the row vanishes
+                b = sum(map(mul, row, z))
+                if not b:
+                    return z
+                v = tuple(a * x - b * y for x, y in zip(z, pivot))
+                g = gcd(*v)
+                return tuple(c // g for c in v) if g > 1 else v
+
+            lineality = [lift(v) for v in lineality]
+            rays = [(lift(z), t | bit) for z, t in rays]
             rays.append((pivot, bit - 1))
             continue
-        values = [dot(row, z) for z, _ in rays]
-        need = n - len(lineality) - 2
-        kept = [(z, t | bit) if v == 0 else (z, t) for (z, t), v in zip(rays, values) if v >= 0]
-        for i, (zi, ti) in enumerate(rays):
-            if values[i] <= 0:
-                continue
-            for j, (zj, tj) in enumerate(rays):
-                if values[j] >= 0:
-                    continue
-                common = ti & tj
-                if common.bit_count() < need:
-                    continue
-                if any(t & common == common for h, (_, t) in enumerate(rays) if h != i and h != j):
-                    continue
-                kept.append((_combine(values[i], zj, -values[j], zi), common | bit))
+        kept, positive, negative = [], [], []
+        for z, t in rays:
+            v = sum(map(mul, row, z))
+            if v > 0:
+                kept.append((z, t))
+                positive.append((v, z, t))
+            elif v < 0:
+                negative.append((-v, z, t))
+            else:
+                kept.append((z, t | bit))
+        if positive and negative:
+            need = n - len(lineality) - 2
+            tights = [t for _, t in rays]
+            for vi, zi, ti in positive:
+                for vj, zj, tj in negative:
+                    common = ti & tj
+                    if common.bit_count() < need:
+                        continue
+                    # adjacent iff the pair are the only rays tight on all of common
+                    seen = 0
+                    for t in tights:
+                        if t & common == common:
+                            seen += 1
+                            if seen == 3:
+                                break
+                    else:
+                        v = tuple(vi * x + vj * y for x, y in zip(zj, zi))
+                        g = gcd(*v)
+                        kept.append((tuple(c // g for c in v) if g > 1 else v, common | bit))
         rays = kept
     return tuple(sorted(rays)), tuple(lineality)
 
@@ -294,13 +326,6 @@ def extreme_rays(rows: Sequence[Sequence[int]], n: int) -> tuple[tuple[IntVector
     if lineality:
         raise InvalidConeError("the cone contains a line")
     return rays
-
-
-def _combine(a: int, x: IntVector, b: int, y: IntVector) -> IntVector:
-    """Primitive part of a x + b y, for integer a, b, x and y."""
-    v = tuple(a * xi + b * yi for xi, yi in zip(x, y))
-    g = gcd(*v)
-    return tuple(c // g for c in v) if g > 1 else v
 
 
 def _homogenized(normals, rhs, d: int):
@@ -522,26 +547,39 @@ def projected_levels(points: Sequence[IntVector], top: list) -> list:
     """Bounds of the lattice-point enumeration of the hull of points, one level per coordinate.
 
     The points are homogeneous integer (p, s) with s > 0, standing for p / s
-    in Q^d. levels[j] (1 <= j <= d) holds rows (integer coefficients, rhs
+    in Q^d. Level j (1 <= j <= d) is read off the rows (integer a, rhs
     numerator, rhs denominator) of the projection of the hull onto
-    x_1..x_j; its rows with a nonzero x_j coefficient bound x_j once
-    x_1..x_{j-1} are fixed. Level 1 is the range of p_1 / s, each level
-    strictly between 1 and d the rows of _hull_rows(points, j), and level d
-    is top, the caller's rows of the hull itself; with d = 1 there is level
-    1 only. Each level is an exact projection, so a row without x_j is
-    implied by level j - 1 and a prefix passing level j extends to a point
-    of the hull. levels[0] is None.
+    x_1..x_j: level 1 is the range of p_1 / s, each level strictly between
+    1 and d the rows of _hull_rows(points, j), and level d is top, the
+    caller's rows of the hull itself; with d = 1 there is level 1 only.
+    Each level is an exact projection, so a row without x_j is implied by
+    level j - 1 and a prefix passing level j extends to a point of the
+    hull. levels[j] holds each row with a nonzero x_j coefficient compiled
+    once for level_points (_compiled); levels[0] is None.
     """
     d = len(points[0]) - 1
     ends = [Fraction(p[0], p[d]) for p in points]
     lo, hi = min(ends), max(ends)
-    levels: list = [None, [((1,), hi.numerator, hi.denominator), ((-1,), -lo.numerator, lo.denominator)]]
+    levels: list = [None, _compiled([((1,), hi.numerator, hi.denominator),
+                                     ((-1,), -lo.numerator, lo.denominator)])]
     for j in range(2, d):
         facets, equations = _hull_rows(points, j)
-        levels.append(facets + equations)
+        levels.append(_compiled(facets + equations))
     if d > 1:
-        levels.append(top)
+        levels.append(_compiled(top))
     return levels
+
+
+def _compiled(rows) -> list:
+    """The rows (a, num, den) of a level j = len(a) that bound x_j, as level_points reads them.
+
+    A row <a, x> <= num / den with a_j != 0 becomes (a_j den, num, terms),
+    terms the pairs (i, a_i den) of its nonzero earlier coefficients, so
+    x_j <= (num - sum a_i den x_i) / (a_j den) when a_j > 0 and >= when
+    a_j < 0.
+    """
+    return [(a[-1] * den, num, tuple((i, c * den) for i, c in enumerate(a[:-1]) if c))
+            for a, num, den in rows if a[-1]]
 
 
 def _hull_rows(points: Sequence[IntVector], j: int) -> tuple[list, list]:
@@ -562,30 +600,25 @@ def _hull_rows(points: Sequence[IntVector], j: int) -> tuple[list, list]:
 
 
 def level_points(levels, step: int = 1, shrink: int = 1) -> list[IntVector]:
-    """Points of step * Z^d passing every level, in lexicographic order.
+    """Points of step * Z^d passing every level of projected_levels, in lexicographic order.
 
-    With shrink > 1 every right hand side is divided by shrink, so the
-    levels of a set S give the points of S / shrink.
+    With shrink > 1 every right hand side is divided by shrink as a row is
+    evaluated, so the levels of a set S give the points of S / shrink. The
+    last coordinate's whole run is added at once.
     """
     d = len(levels) - 1
-    levels = [None] + [[(a, num, den * shrink) for a, num, den in level] for level in levels[1:]]
     out = []
     prefix = [0] * d
 
     def rec(j: int):
         lo = None
         hi = None
-        for coeffs, num, den in levels[j]:
-            c = coeffs[j - 1]
-            if c == 0:
-                continue
+        for m, num, terms in levels[j]:
             s = 0
-            for i in range(j - 1):
-                ci = coeffs[i]
-                if ci:
-                    s += ci * prefix[i]
-            m = c * den
-            v = num - s * den
+            for i, c in terms:
+                s += c * prefix[i]
+            v = num - s * shrink
+            m *= shrink
             if m > 0:
                 b = v // m
                 if hi is None or b < hi:
@@ -600,12 +633,13 @@ def level_points(levels, step: int = 1, shrink: int = 1) -> list[IntVector]:
             return
         start = -(-lo // step) * step
         stop = hi // step * step
+        if j == d:
+            head = tuple(prefix[:-1])
+            out.extend(head + (v,) for v in range(start, stop + 1, step))
+            return
         for v in range(start, stop + 1, step):
             prefix[j - 1] = v
-            if j == d:
-                out.append(tuple(prefix))
-            else:
-                rec(j + 1)
+            rec(j + 1)
 
     rec(1)
     return out

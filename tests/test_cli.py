@@ -19,7 +19,10 @@ import pytest
 
 import polyadj
 from polyadj.adjunction import adjunction_data
+from polyadj import cli
 from polyadj.cli import CENSUS_COLUMNS, main
+from polyadj.generators import random_lattice_polytope
+from polyadj.polyfile import format_polytope
 from polyadj.polytope import from_inequalities
 
 TRIANGLE_WITH_SLACK = """\
@@ -240,13 +243,13 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
 CHILD_TIMEOUT = 60
 
 
-def run_module(*args, **kwargs):
+def run_module(*args, timeout=CHILD_TIMEOUT, **kwargs):
     """Run ``python -m polyadj ARGS`` on the polyadj package this process imported."""
     package_root = str(Path(polyadj.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": pythonpath}
     return subprocess.run([sys.executable, "-m", "polyadj", *args], env=env,
-                          capture_output=True, text=True, timeout=CHILD_TIMEOUT, **kwargs)
+                          capture_output=True, text=True, timeout=timeout, **kwargs)
 
 
 def test_console_script_round_trip(tmp_path):
@@ -273,3 +276,26 @@ def test_console_script_entry_point_is_cli_main():
     assert scripts["polyadj"] == "polyadj.cli:main"
     module_name, attr = scripts["polyadj"].split(":")
     assert getattr(importlib.import_module(module_name), attr) is main
+
+
+def test_reports_give_the_size_of_a_grid_above_the_listing_cap(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "fig1.poly"
+    main(["gen", "fig1", "--out", str(path)])
+    monkeypatch.setattr(cli, "MAX_LISTED_VALUES", 4)
+    listed = json.loads(run(capsys, ["analyze", str(path)])[1])["spectrum"]
+    assert listed["values"] == ["2", "1", "2/3", "1/2"] and "n_values" not in listed
+    monkeypatch.setattr(cli, "MAX_LISTED_VALUES", 3)
+    spectrum = json.loads(run(capsys, ["analyze", str(path)])[1])["spectrum"]
+    assert spectrum["values"] is None and spectrum["n_values"] == 4
+    text = run(capsys, ["analyze", str(path), "--format", "text"])[1]
+    assert "spectrum values (>= 1/2): 4 values, not listed" in text
+    assert json.loads(run(capsys, ["spectrum", "--from-polytope", str(path)])[1])["n_values"] == 4
+    monkeypatch.undo()
+    # 23,613,696 values: listing them took minutes; the report is about a second
+    big = tmp_path / "d5.poly"
+    big.write_text(format_polytope(random_lattice_polytope(5, 10, 1, box=2)))
+    for argv in (["analyze", str(big)], ["analyze", str(big), "--format", "text"],
+                 ["spectrum", "--from-polytope", str(big)]):
+        proc = run_module(*argv, timeout=30)
+        assert proc.returncode == 0
+        assert "23613696" in proc.stdout

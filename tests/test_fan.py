@@ -37,7 +37,7 @@ from polyadj.fan import (
     normal_fan,
 )
 from polyadj.generators import cube, fig1, random_lattice_polytope, scaled_simplex
-from polyadj.polytope import double_description, from_vertices, level_points, vertices
+from polyadj.polytope import double_description, extreme_rays, from_vertices, level_points, vertices
 from polyadj.ratmath import dot, primitivize
 
 # pointed, non-simplicial, not Q-Gorenstein; (0,0,4) has representations
@@ -159,7 +159,8 @@ def test_dual_height_vertices_match_the_brute_force_scan():
     assert all(not c.is_simplicial() for c in cones)
     for c in cones:
         d = c.ambient_dim
-        got = _dual_height_vertices(c.rays, d)
+        facets, got = _dual_height_vertices(c.rays, d)
+        assert facets == [f for f, _ in extreme_rays(c.rays, d)]
         assert all(z[d] > 0 and primitivize(z)[1] == 1 for z in got)
         assert {tuple(Fraction(x, z[d]) for x in z[:d]) for z in got} == brute_dual_vertices(c.rays)
 
@@ -280,8 +281,8 @@ def _region_points_match_the_box_scan(c):
     """
     _, rays = _span_frame(c.rays)
     d = len(rays[0])
-    duals, scale = _height_functionals(rays, d)
-    regions = _region_levels(rays, duals, scale)
+    facets, duals, scale = _height_functionals(rays, d)
+    regions = _region_levels(rays, facets, duals, scale)
     assert len(regions) == len(duals)
     for w, levels in zip(duals, regions):
         assert len(levels) == d + 1
@@ -322,8 +323,8 @@ def test_region_levels_of_lower_rank_cones_match_the_box_scan(d, data):
 
 def test_canonicity_threshold_builds_no_hull_of_points(monkeypatch):
     # the levels of each R_w come from the cone's facets and <w, x> <= scale:
-    # one double description for the dual vertices, one for the facets,
-    # and one per w for each level strictly between 1 and d
+    # one double description for the dual vertices and the facets, and one
+    # per w for each level strictly between 1 and d
     calls = {"from_vertices": 0, "double_description": 0}
 
     def counting(name, f):
@@ -333,7 +334,7 @@ def test_canonicity_threshold_builds_no_hull_of_points(monkeypatch):
         return wrapper
 
     plane, skew = cone([(2, -1), (2, 1)]), cone(SKEW_RAYS)
-    n_duals = len(_dual_height_vertices(skew.rays, 3))
+    n_duals = len(_dual_height_vertices(skew.rays, 3)[1])
     cones = normal_fan(random_lattice_polytope(4, 6, 4029, box=2)).maximal_cones
     monkeypatch.setattr("polyadj.polytope.from_vertices", counting("from_vertices", from_vertices))
     # every binding of the kernel: fan's extreme_rays and projected_levels both run it
@@ -342,10 +343,10 @@ def test_canonicity_threshold_builds_no_hull_of_points(monkeypatch):
             monkeypatch.setattr(module, "double_description",
                                 counting("double_description", double_description))
     assert canonicity_threshold(plane)[0] == Fraction(1, 2)
-    assert calls == {"from_vertices": 0, "double_description": 2}
+    assert calls == {"from_vertices": 0, "double_description": 1}
     calls.update(double_description=0)
     canonicity_threshold(skew)
-    assert calls == {"from_vertices": 0, "double_description": 2 + n_duals}
+    assert calls == {"from_vertices": 0, "double_description": 1 + n_duals}
     for c in cones:
         canonicity_threshold(c)
     assert calls["from_vertices"] == 0

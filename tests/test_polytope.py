@@ -1,5 +1,6 @@
 """H/V conversions, canonicalization, embeddings, lattice enumeration."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -335,6 +336,14 @@ def test_double_description_returns_the_lineality_of_a_cone_with_lines():
     assert double_description([], 2) == ((), ((1, 0), (0, 1)))
 
 
+def test_double_description_rejects_rows_of_another_length():
+    # checked on entry, also where no product would reach the short row:
+    # after (1, 0) and (-1, 0) and (0, 1) and (0, -1) the cone is {0}
+    for rows in ([(1, 0, 0)], [(1,)], [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 2, 3)]):
+        with pytest.raises(DimensionMismatchError):
+            double_description(rows, 2)
+
+
 @st.composite
 def rows_with_lines(draw):
     """1-6 integer rows in Q^n, n = 2-4, combined from fewer than n generators."""
@@ -378,6 +387,40 @@ def test_hull_of_sixty_points_in_3d():
     brute = brute_vertices(p.normals, p.rhs)
     assert set(vertices(_uncached(p)).vertices) == brute
     assert set(p.vertex_cache.vertices) == brute
+
+
+def _sha(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+def test_kernel_outputs_are_pinned():
+    # sha256 of the outputs of the two inner loops, the double description
+    # and the level enumeration, pinned before they were tuned: rays, tight
+    # sets, lineality, facets, vertices, lattice points and their order,
+    # every threshold and witness, and the cores. The point sets are drawn
+    # as the hull benchmark draws them: 22 points of [-6, 6]^3, seeds
+    # 6000-6009. On their hulls the adjacency test never decides, the count
+    # prefilter does (two facets of a 3-polytope that share two points share
+    # an edge); on the core of d3-s2058, a flat adjoint, it does decide.
+    dd, hulls = [], []
+    for seed in range(6000, 6010):
+        rng = SplitMix64(seed)
+        pts = [tuple(rng.randint(-6, 6) for _ in range(3)) for _ in range(22)]
+        dd.append(double_description([tuple(-c for c in pt) + (1,) for pt in pts], 4))
+        p = from_vertices(pts)
+        hulls.append((p.normals, p.rhs, vertices(p).vertices, lattice_points(p)))
+    suite_cases = ((2, 7, 5, 1000), (2, 7, 5, 1001), (3, 7, 3, 2058), (4, 6, 2, 4000), (4, 6, 2, 4029))
+    polytopes = [fig1()] + [random_lattice_polytope(d, n, seed, box=box) for d, n, box, seed in suite_cases]
+    thresholds = []
+    for p in polytopes:
+        for c in fan.normal_fan(p).maximal_cones:
+            t, w = fan.canonicity_threshold(c)
+            thresholds.append((c.rays, t, None if w is None else (w.point, w.height)))
+    cores = [adjunction.adjunction_data(p).core for p in polytopes]
+    assert _sha(dd) == "e082daba06ab7992e283659f6b02c48b2df62a57e77682cda0cd341f6acb2209"
+    assert _sha(hulls) == "bb39ad800b2071a01721df9c312ed3b0aab70d32bf2290f77ce16dde1679b414"
+    assert _sha(thresholds) == "92ac6a04b44b61b8f9ad1075accf37e1c94145d1aab37eb67787509853d0bb01"
+    assert _sha(cores) == "e50e216884841f7b01b2a3bd874791c2ab3a6e7ac8b97924f5b72467dffcdfc5"
 
 
 def test_from_vertices_needs_full_dimension():
