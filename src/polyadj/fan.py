@@ -8,23 +8,23 @@ the generator heights), and smoothness. Fan level values aggregate over
 the maximal cones: a functional witnessing a maximal cone restricts to
 every face, so face indices divide the maximal ones and face thresholds
 are no smaller, which makes the maximal cones sufficient. Nothing here
-solves an LP and nothing builds a hull of points: cone validation,
-heights and the canonicity scan all read the double description of
-polytope.extreme_rays. Heights and the canonicity scan read a cone's
-facets and its dual height vertices off one double description: the
-facets are its rays with s = 0, the vertices those with s > 0. The
-canonicity regions {x in c : <w, x> <= scale} take their rows from those
-facets, and only their intermediate projections need a double
-description of their own, which polytope.projected_levels makes as it
-does for any hull; their compiled levels serve every round of the
-deepening. Normal fans test tight rows in integers.
+solves an LP or builds a polytope: cone validation, heights and the
+canonicity scan all read integer double descriptions. Heights and the
+canonicity scan read a cone's facets and its dual height vertices off one
+double description: the facets are its rays with s = 0, the vertices
+those with s > 0. It runs on the rays as given; only a cone of lower
+rank, whose double description then has a lineality, moves to the
+coordinates of its saturated span. The canonicity scan enumerates one
+region per cone, conv(0, rays), whose levels polytope.projected_levels
+compiles once, and its ladder starts at the lower bound on heights that
+the dual vertices prove. Normal fans test tight rows in integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Optional, Sequence
 
@@ -36,7 +36,9 @@ from .errors import (
 )
 from .polytope import (
     HPolytope,
+    _hull_rows,
     _maximal_rows,
+    double_description,
     extreme_rays,
     is_lattice_polytope,
     level_points,
@@ -211,114 +213,108 @@ def height(c: Cone, point: Sequence) -> Fraction:
         if any(l < 0 for l in lams):
             raise NotInConeError("point has a negative generator weight")
         return sum(lams, Fraction(0))
-    directions, rays = _span_frame(c.rays)
+    directions, _, facets, duals, scale = _height_functionals(c.rays)
     if directions is not None:
         target = _local_coordinates(directions, target)
         if target is None:
             raise NotInConeError("point is outside the cone's linear span")
-    d = len(rays[0])
-    facets, duals, scale = _height_functionals(rays, d)
     if any(dot(f, target) < 0 for f in facets):
         raise NotInConeError("point fails a facet of the cone")
     return Fraction(min(dot(w, target) for w in duals)) / scale
 
 
-def _dual_height_vertices(rays: Sequence[IntVector], d: int) -> tuple[list[IntVector], list[IntVector]]:
+def _dual_height_vertices(rays: Sequence[IntVector], d: int) -> Optional[tuple[list[IntVector], list[IntVector]]]:
     """(facets, vertices): the cone's facet normals and the vertices of its dual height region.
 
-    One double description of the cone {(u, s) : <ray, u> >= s, s >= 0},
-    for full-rank ray sets, gives both. Its rays with s > 0 are the
-    primitive integer (u, s) of the vertices u / s of {u : <ray, u> >= 1
-    for all rays}. By LP duality the height of any point w of the cone is
-    the minimum of <u, w> over that region, and the region is pointed, so
-    the minimum is attained at a vertex. Its face {s = 0} is the dual cone
-    {u : <ray, u> >= 0}, so its rays (f, 0) give the cone's primitive facet
+    One double description of the cone {(u, s) : <ray, u> >= s, s >= 0}
+    gives both, or None when it has a lineality, {(u, 0) : <ray, u> = 0},
+    which happens exactly when the rays do not span Q^d. Its rays with
+    s > 0 are the primitive integer (u, s) of the vertices u / s of
+    {u : <ray, u> >= 1 for all rays}. By LP duality the height of any point
+    w of the cone is the minimum of <u, w> over that region, and the region
+    is pointed, so the minimum is attained at a vertex. Its face {s = 0} is
+    the dual cone, so its rays (f, 0) give the cone's primitive facet
     normals f, sorted, as extreme_rays(rays, d) would.
     """
     rows = [tuple(r) + (-1,) for r in rays] + [(0,) * d + (1,)]
-    facets, out = [], []
-    for z, _ in extreme_rays(rows, d + 1):
-        if z[d]:
-            out.append(z)
-        else:
-            facets.append(z[:d])
+    found, lineality = double_description(rows, d + 1)
+    if lineality:
+        return None
+    out = [z for z, _ in found if z[d]]
     if not out:
         raise InternalInconsistencyError("dual height region of a full-rank cone has a vertex")
-    return facets, out
+    return [z[:d] for z, _ in found if not z[d]], out
 
 
-def _height_functionals(rays: Sequence[IntVector], d: int) -> tuple[list[IntVector], list[IntVector], int]:
-    """(facets, duals, scale): the cone's facet normals and integer w with
-    height(x) = min_w <w, x> / scale on the cone.
+def _height_functionals(rays: Sequence[IntVector]) -> tuple:
+    """(directions, rays, facets, duals, scale), with height(x) = min_w <w, x> / scale on the cone.
 
-    The w are the vertices of the dual height region over a common
-    denominator scale, so <w, ray> >= scale on every ray.
+    The rays are kept as they are when the dual height double description
+    shows that they span, so a full-rank cone costs no rank; otherwise they
+    move to the frame of _span_frame, which gives directions, and are
+    described again. The duals w are the vertices of the dual height region
+    over a common denominator scale, so <w, ray> >= scale on every ray.
     """
-    facets, duals = _dual_height_vertices(rays, d)
-    scale = lcm(*(z[d] for z in duals))
-    return facets, [tuple(x * (scale // z[d]) for x in z[:d]) for z in duals], scale
+    directions = None
+    found = _dual_height_vertices(rays, len(rays[0]))
+    if found is None:
+        directions, rays = _span_frame(rays)
+        found = _dual_height_vertices(rays, len(rays[0]))
+    facets, duals = found
+    scale = lcm(*(z[-1] for z in duals))
+    return directions, rays, facets, [tuple(x * (scale // z[-1]) for x in z[:-1]) for z in duals], scale
+
+
+def _cone_levels(rays: Sequence[IntVector]) -> list:
+    """The compiled lattice levels (polytope.projected_levels) of conv(0, rays), for full-rank rays.
+
+    It is the hull of the homogeneous points (0, 1) and (r, 1), and its own
+    rows, level d, are the facets that _hull_rows gives; it has no equations.
+    """
+    d = len(rays[0])
+    points = [(0,) * d + (1,)] + [tuple(r) + (1,) for r in rays]
+    return projected_levels(points, _hull_rows(points, d)[0])
 
 
 def canonicity_threshold(c: Cone) -> tuple[Fraction, Optional[CanonicityWitness]]:
     """min(1, least height of a nonzero lattice point of the cone).
 
-    Heights are min_w <w, x> / scale over the dual height vertices w, so
-    the points of height at most t are the union over w of t R_w, where
-    R_w = {x in c : <w, x> <= scale} = conv(0, scale r / <w, r>). The rows
-    of R_w are the cone's facets, read off the same double description as
-    the w and shared by every w, and <w, x> <= scale; its lattice levels
-    are read off them (_region_levels), with no hull of points, compiled
-    once, and t R_w only divides their right hand sides. Deepening takes
-    t = 1/64, 1/32, ..., 1 and stops at the first t at which some t R_w
-    holds a nonzero lattice point. That point has height at most t, so
-    every point of least height lies in t R_w for its minimizing w: the
-    least height over the points found is exact, and the witness is the
-    lexicographically smallest point attaining it. Lower-dimensional cones are handled in the coordinates
-    of the saturated span of their rays, where their lattice points keep
-    integer coordinates. Returns the threshold and a witness point
-    achieving it when it is below 1.
+    Heights are min_w <w, x> / scale over the dual height vertices w, where
+    w = (scale / s) u for a primitive integer dual vertex (u, s) and <u, x>
+    is a positive integer at each nonzero lattice point x of the cone: every
+    height is at least 1 / max s, and with max s = 1 the threshold is 1
+    with no point listed. A point of height at most t lies in t R_w, R_w =
+    conv(0, scale r / <w, r>), for its minimizing w, and <w, r> >= scale
+    puts every apex on [0, r], so it lies in t Q, Q = conv(0, rays). The
+    levels of Q are compiled once (_cone_levels) and the ladder takes
+    t = 1/2^k for the largest 2^k <= max s, then doubles t up to 1, keeping
+    the nonzero points of t Q of height at most t. The first round that
+    keeps a point keeps every point of least height, so the least height
+    is exact and the witness is the lexicographically smallest point
+    attaining it. A cone of lower rank is scanned in the coordinates of the
+    saturated span of its rays, where its lattice points keep integer
+    coordinates. Returns the threshold and, below 1, a witness.
     """
-    directions, rays = _span_frame(c.rays)
-    d = len(rays[0])
-    facets, duals, scale = _height_functionals(rays, d)
-    regions = _region_levels(rays, facets, duals, scale)
-    zero = (0,) * d
-    shrink = 64
+    directions, rays, _, duals, scale = _height_functionals(c.rays)
+    top = max(scale // gcd(*w, scale) for w in duals)
+    if top == 1:
+        return Fraction(1), None
+    levels = _cone_levels(rays)
+    shrink = 1 << (top.bit_length() - 1)
     while True:
-        found = {pt for levels in regions for pt in level_points(levels, shrink=shrink)}
-        found.discard(zero)
+        heights = ((min(dot(w, pt) for w in duals), pt) for pt in level_points(levels, shrink=shrink) if any(pt))
+        found = [(h, pt) for h, pt in heights if h * shrink <= scale]
         if found or shrink == 1:
             break
         shrink //= 2
-    best = min(((min(dot(w, pt) for w in duals), pt) for pt in found), default=None)
-    if best is None or best[0] >= scale:
+    best, point = min(found)
+    if best >= scale:
         return Fraction(1), None
-    threshold = Fraction(best[0], scale)
-    point = best[1]
+    threshold = Fraction(best, scale)
     if directions is not None:
         point = tuple(sum(coeff * direction[j] for coeff, direction in zip(point, directions))
                       for j in range(c.ambient_dim))
     return threshold, CanonicityWitness(c, point, threshold)
-
-
-def _region_levels(rays: Sequence[IntVector], facets: Sequence[IntVector], duals: Sequence[IntVector],
-                   scale: int) -> list[list]:
-    """The compiled lattice levels (polytope.projected_levels) of R_w = conv(0, scale r / <w, r>), per w.
-
-    R_w is the hull of the homogeneous points (0, 1) and (scale r, <w, r>).
-    It is a pyramid with apex 0 over its face on <w, x> = scale, so its
-    rows, level d, are the cone's facets <f, x> >= 0, the ones the dual
-    height double description gave (_dual_height_vertices) and shared by
-    every w, and <w, x> <= scale. A span of rank 1 has level 1 only. The
-    levels are compiled once, and every round of the canonicity ladder
-    reads them with its own shrink.
-    """
-    d = len(rays[0])
-    facet_rows = [(tuple(-x for x in f), 0, 1) for f in facets] if d > 1 else []
-    apex = (0,) * d + (1,)
-    return [projected_levels([apex] + [tuple(scale * x for x in r) + (dot(w, r),) for r in rays],
-                             facet_rows + [(w, scale, 1)])
-            for w in duals]
 
 
 def fan_canonicity_threshold(fan: NormalFan) -> tuple[Fraction, Optional[CanonicityWitness]]:

@@ -1,8 +1,13 @@
 """Normal fans, cone heights, canonicity thresholds, Gorenstein indices."""
 
 import itertools
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -17,13 +22,13 @@ from oracles import (
     laplace_det,
     smallest_solvable_level,
 )
+import polyadj
 from polyadj import fan as fan_module, lp, polytope
 from polyadj.errors import InvalidConeError, NotInConeError
 from polyadj.fan import (
     Cone,
     _dual_height_vertices,
-    _height_functionals,
-    _region_levels,
+    _cone_levels,
     _span_frame,
     canonicity_threshold,
     cone,
@@ -38,11 +43,14 @@ from polyadj.fan import (
 )
 from polyadj.generators import cube, fig1, random_lattice_polytope, scaled_simplex
 from polyadj.polytope import double_description, extreme_rays, from_vertices, level_points, vertices
-from polyadj.ratmath import dot, primitivize
+from polyadj.ratmath import dot, primitivize, rank
 
 # pointed, non-simplicial, not Q-Gorenstein; (0,0,4) has representations
 # with total weight anywhere in [2, 4], so its height must come out as 4
 SKEW_RAYS = [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 3)]
+# a non-simplicial cone whose one dual vertex (0, 0, 1) / 2 makes (0, 0, 1)
+# a point of height 1/2
+PYRAMID_RAYS = [(1, 0, 2), (-1, 0, 2), (0, 1, 2), (0, -1, 2)]
 
 
 def test_cone_constructor_normalizes_generators():
@@ -272,60 +280,63 @@ def test_threshold_of_lower_rank_cones_matches_the_box_scan(d, data):
     _agrees_with_the_box_scan(*_lower_rank_cone(d, data))
 
 
-def _region_points_match_the_box_scan(c):
-    """level_points of each R_w's levels against a box scan of t R_w, t = 1, 1/2, 1/64.
+def _cone_points_match_the_box_scan(c):
+    """level_points of the levels of Q = conv(0, rays) against a box scan of Q / shrink, shrink = 1, 2, 64.
 
-    The box scan keeps the points of the bounding box of 0 and
-    t scale r / <w, r> on the inner side of every facet of their hull
-    (brute_facets; the box itself when the span has rank 1).
+    The rays are the full-rank ones of _span_frame. The box scan keeps the
+    points of the bounding box of 0 and the r / shrink on the inner side of
+    every facet of their hull (brute_facets; the box itself when the span
+    has rank 1).
     """
     _, rays = _span_frame(c.rays)
     d = len(rays[0])
-    facets, duals, scale = _height_functionals(rays, d)
-    regions = _region_levels(rays, facets, duals, scale)
-    assert len(regions) == len(duals)
-    for w, levels in zip(duals, regions):
-        assert len(levels) == d + 1
-        heights = [sum(a * b for a, b in zip(w, r)) for r in rays]
-        for shrink in (1, 2, 64):
-            corners = [(Fraction(0),) * d] + [tuple(Fraction(scale * x, height * shrink) for x in r)
-                                              for r, height in zip(rays, heights)]
-            facets = brute_facets(corners) if d > 1 else ()
+    levels = _cone_levels(rays)
+    assert len(levels) == d + 1
+    for shrink in (1, 2, 64):
+        corners = [(Fraction(0),) * d] + [tuple(Fraction(x, shrink) for x in r) for r in rays]
+        facets = brute_facets(corners) if d > 1 else ()
 
-            def inside(x):
-                return all(sum(a * xi for a, xi in zip(normal, x)) <= b for normal, b in facets)
+        def inside(x):
+            return all(sum(a * xi for a, xi in zip(normal, x)) <= b for normal, b in facets)
 
-            assert level_points(levels, shrink=shrink) == box_lattice_points(corners, inside)
+        assert level_points(levels, shrink=shrink) == box_lattice_points(corners, inside)
 
 
 @settings(deadline=None, max_examples=40)
 @given(st.integers(1, 4), st.data())
-def test_region_levels_of_simplicial_cones_match_the_box_scan(d, data):
+def test_cone_levels_of_simplicial_cones_match_the_box_scan(d, data):
     rays = data.draw(st.lists(st.tuples(*[ray_entry] * d), min_size=d, max_size=d))
     assume(laplace_det([list(r) for r in rays]) != 0)
-    _region_points_match_the_box_scan(cone(rays))
+    _cone_points_match_the_box_scan(cone(rays))
 
 
 @settings(deadline=None, max_examples=40)
 @given(st.integers(3, 4), st.data())
-def test_region_levels_of_non_simplicial_cones_match_the_box_scan(d, data):
+def test_cone_levels_of_non_simplicial_cones_match_the_box_scan(d, data):
     c = cone(data.draw(_upper_rays(d, d + 1, d + 3)))
     assume(not c.is_simplicial())
-    _region_points_match_the_box_scan(c)
+    _cone_points_match_the_box_scan(c)
 
 
 @settings(deadline=None, max_examples=30)
 @given(st.integers(2, 4), st.data())
-def test_region_levels_of_lower_rank_cones_match_the_box_scan(d, data):
+def test_cone_levels_of_lower_rank_cones_match_the_box_scan(d, data):
     c, _, _ = _lower_rank_cone(d, data)
-    _region_points_match_the_box_scan(c)
+    _cone_points_match_the_box_scan(c)
 
 
-def test_canonicity_threshold_builds_no_hull_of_points(monkeypatch):
-    # the levels of each R_w come from the cone's facets and <w, x> <= scale:
-    # one double description for the dual vertices and the facets, and one
-    # per w for each level strictly between 1 and d
-    calls = {"from_vertices": 0, "double_description": 0}
+def _largest_dual_denominator(c):
+    # max s over the primitive (u, s) of the dual vertices u / s, from the oracle
+    return max(lcm(*(x.denominator for x in u)) for u in brute_dual_vertices(c.rays))
+
+
+def test_canonicity_threshold_makes_d_double_descriptions_and_no_rank(monkeypatch):
+    # a full-rank cone makes one double description for its dual vertices and
+    # facets and, when max s > 1, d - 1 for the levels of conv(0, rays): one
+    # per level strictly between 1 and d and one for level d. conv(0, rays) is
+    # a hull of points, but no from_vertices builds it, and the rays span, so
+    # no rank is taken
+    calls = {"from_vertices": 0, "double_description": 0, "rank": 0}
 
     def counting(name, f):
         def wrapper(*args, **kwargs):
@@ -333,23 +344,48 @@ def test_canonicity_threshold_builds_no_hull_of_points(monkeypatch):
             return f(*args, **kwargs)
         return wrapper
 
-    plane, skew = cone([(2, -1), (2, 1)]), cone(SKEW_RAYS)
-    n_duals = len(_dual_height_vertices(skew.rays, 3)[1])
+    plane, pyramid, skew = cone([(2, -1), (2, 1)]), cone(PYRAMID_RAYS), cone(SKEW_RAYS)
     cones = normal_fan(random_lattice_polytope(4, 6, 4029, box=2)).maximal_cones
+    assert [_largest_dual_denominator(c) for c in (pyramid, skew)] == [2, 1]
+    assert all(_largest_dual_denominator(c) > 1 for c in cones)
     monkeypatch.setattr("polyadj.polytope.from_vertices", counting("from_vertices", from_vertices))
-    # every binding of the kernel: fan's extreme_rays and projected_levels both run it
+    monkeypatch.setattr(fan_module, "rank", counting("rank", rank))
+    # every binding of the kernel: fan's dual double description and projected_levels both run it
     for module in (polytope, fan_module):
         if hasattr(module, "double_description"):
             monkeypatch.setattr(module, "double_description",
                                 counting("double_description", double_description))
-    assert canonicity_threshold(plane)[0] == Fraction(1, 2)
-    assert calls == {"from_vertices": 0, "double_description": 1}
-    calls.update(double_description=0)
-    canonicity_threshold(skew)
-    assert calls == {"from_vertices": 0, "double_description": 1 + n_duals}
-    for c in cones:
+    for c, n in [(plane, 2), (pyramid, 3), (skew, 1)] + [(c, 4) for c in cones]:
+        calls.update(double_description=0)
         canonicity_threshold(c)
-    assert calls["from_vertices"] == 0
+        assert calls == {"from_vertices": 0, "double_description": n, "rank": 0}
+    assert canonicity_threshold(plane)[0] == Fraction(1, 2)
+    assert canonicity_threshold(pyramid)[0] == Fraction(1, 2)
+
+
+def test_a_cone_with_every_dual_s_1_lists_no_point(monkeypatch):
+    # (1, 0), (1, 2) is not smooth, but its one dual vertex is u = (1, 0) with
+    # s = 1, so every height is at least 1
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return level_points(*args, **kwargs)
+
+    monkeypatch.setattr("polyadj.fan.level_points", counting)
+    for rays in ([(1, 0), (0, 1)], [(1, 0), (1, 2)]):
+        assert canonicity_threshold(cone(rays)) == (1, None)
+    assert not is_smooth_cone(cone([(1, 0), (1, 2)]))
+    assert calls == []
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 4), st.data())
+def test_threshold_is_at_least_one_over_the_largest_dual_s(d, data):
+    rays = data.draw(_upper_rays(d, d, d + 3))
+    assume(any(laplace_det([list(r) for r in s]) != 0 for s in itertools.combinations(rays, d)))
+    c = cone(rays)
+    assert brute_canonicity(c.rays)[0] >= Fraction(1, _largest_dual_denominator(c))
 
 
 SUITE_BOX_CAP = 2000
@@ -383,13 +419,47 @@ def _points_scanned(monkeypatch, c):
 
 
 def test_points_scanned_by_the_threshold_are_pinned(monkeypatch):
-    # counted over every deepening round, the origin included; the full
+    # counted over every round of the ladder, the origin included; the full
     # scan of conv(0, rays) visited 5, 5 and, on the cones of d4-s4029,
-    # 42546, 46417, 4201, 68286, 78831 and 14514 points
-    assert _points_scanned(monkeypatch, cone([(2, -1), (2, 1)])) == 7
-    assert _points_scanned(monkeypatch, cone(SKEW_RAYS)) == 22
+    # 42546, 46417, 4201, 68286, 78831 and 14514 points, and the ladder over
+    # the regions R_w from 1/64 up, one enumeration per w, 7, 22 and 10, 25,
+    # 14, 10, 28, 15. The plane cone starts at 1/2 and keeps (1, 0); the skew
+    # cone has s = 1 at both dual vertices and lists nothing
+    assert _points_scanned(monkeypatch, cone([(2, -1), (2, 1)])) == 2
+    assert _points_scanned(monkeypatch, cone(SKEW_RAYS)) == 0
     cones = normal_fan(random_lattice_polytope(4, 6, 4029, box=2)).maximal_cones
-    assert [_points_scanned(monkeypatch, c) for c in cones] == [10, 25, 14, 10, 28, 15]
+    assert [_points_scanned(monkeypatch, c) for c in cones] == [5, 23, 5, 7, 39, 12]
+
+
+PROBE = """
+import hashlib, json
+from polyadj.fan import fan_canonicity_threshold, normal_fan
+from polyadj.generators import random_lattice_polytope
+out = []
+for d, n, seed, box in ((5, 10, 2, 5), (5, 10, 4, 5), (6, 11, 2, 2)):
+    t, w = fan_canonicity_threshold(normal_fan(random_lattice_polytope(d, n, seed, box=box)))
+    text = repr((str(t), None if w is None else (w.cone.rays, w.point)))
+    out.append(hashlib.sha256(text.encode()).hexdigest())
+print(json.dumps(out))
+"""
+# sha256 of repr((str(threshold), (witness cone rays, witness point))) from
+# the ladder over the regions R_w, which took 10.5, 9.3 and 10.0 s on
+# Python 3.11.7 with 2 CPUs
+PROBE_DIGESTS = [
+    "c628ba77e0817b27f1e12f5d8acdcf1d94c5d96fa032e76c1810af6e1bb5732d",
+    "f7ab4a219e3471a4243b8868670303daa59fc8d435bc3f8de10e65cdc45a144f",
+    "02f55aab96c32067f0e641d9ee50520eb4b3c6fe48279bfaab359d7c81b780ff",
+]
+
+
+def test_d5_and_d6_fan_thresholds_within_a_time_cap():
+    # thresholds of order 10^-3 to 10^-6 on cones with entries in the
+    # thousands: the ladder starts at the proven bound 1 / max s
+    package_root = str(Path(polyadj.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", PROBE], env={**os.environ, "PYTHONPATH": pythonpath},
+                         capture_output=True, text=True, timeout=20, check=True)
+    assert json.loads(out.stdout) == PROBE_DIGESTS
 
 
 def test_fan_threshold_of_the_scaled_triangle():

@@ -102,8 +102,8 @@ def test_fan_does_not_import_the_lp_solver():
 
 
 def test_fan_builds_no_hull_of_points():
-    # the canonicity regions take their rows from the cone's own facets, so
-    # the Fraction hull of points stays off the canonicity path
+    # the canonicity region conv(0, rays) takes its rows from integer double
+    # descriptions, so the Fraction hull of points stays off the canonicity path
     with open(os.path.join(PACKAGE, "fan.py"), encoding="utf-8") as fh:
         names = imported_names(fh.read())
     assert "from_vertices" not in names
