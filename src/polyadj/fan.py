@@ -14,10 +14,13 @@ canonicity scan read a cone's facets and its dual height vertices off one
 double description: the facets are its rays with s = 0, the vertices
 those with s > 0. It runs on the rays as given; only a cone of lower
 rank, whose double description then has a lineality, moves to the
-coordinates of its saturated span. The canonicity scan enumerates one
-region per cone, conv(0, rays), whose levels polytope.projected_levels
-compiles once, and its ladder starts at the lower bound on heights that
-the dual vertices prove. Normal fans test tight rows in integers.
+coordinates of its saturated span, with no rank taken. The canonicity
+scan enumerates one region per cone, conv(0, rays), whose levels
+polytope.projected_levels compiles once from the cone of its valid rows:
+one double description of its points, or none when the dual region has
+one vertex, whose double description already holds those rows. Its
+ladder starts at the lower bound on heights that the dual vertices prove.
+Normal fans test tight rows in integers.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from .errors import (
 )
 from .polytope import (
     HPolytope,
-    _hull_rows,
     _maximal_rows,
     double_description,
     extreme_rays,
@@ -147,12 +149,19 @@ def _span_frame(rays: Sequence[IntVector]) -> tuple[Optional[tuple[IntVector, ..
     """The rays in the coordinates of a basis of their saturated span lattice.
 
     Returns (directions, local rays). When the rays span the ambient space
-    directions is None and the rays are kept as they are; otherwise the
-    lattice points of the span keep integer local coordinates.
+    directions is None and the rays are kept as they are; otherwise they
+    move to _saturated_frame.
     """
     rays = [tuple(r) for r in rays]
     if rank(rays) == len(rays[0]):
         return None, rays
+    return _saturated_frame(rays)
+
+
+def _saturated_frame(rays: Sequence[IntVector]) -> tuple[tuple[IntVector, ...], list[IntVector]]:
+    """(directions, local rays) for rays known not to span: a basis of their
+    saturated span lattice, in which the lattice points of the span keep
+    integer local coordinates, and the rays in it."""
     directions = saturate(rays)
     local = []
     for r in rays:
@@ -213,67 +222,77 @@ def height(c: Cone, point: Sequence) -> Fraction:
         if any(l < 0 for l in lams):
             raise NotInConeError("point has a negative generator weight")
         return sum(lams, Fraction(0))
-    directions, _, facets, duals, scale = _height_functionals(c.rays)
+    directions, _, region, duals, scale = _height_functionals(c.rays)
     if directions is not None:
         target = _local_coordinates(directions, target)
         if target is None:
             raise NotInConeError("point is outside the cone's linear span")
-    if any(dot(f, target) < 0 for f in facets):
+    if any(dot(z[:-1], target) < 0 for z, _ in region if not z[-1]):
         raise NotInConeError("point fails a facet of the cone")
     return Fraction(min(dot(w, target) for w in duals)) / scale
 
 
-def _dual_height_vertices(rays: Sequence[IntVector], d: int) -> Optional[tuple[list[IntVector], list[IntVector]]]:
-    """(facets, vertices): the cone's facet normals and the vertices of its dual height region.
+def _dual_height_vertices(rays: Sequence[IntVector], d: int) -> Optional[tuple[tuple[IntVector, int], ...]]:
+    """The cone's facet normals and the vertices of its dual height region, with their tight sets.
 
     One double description of the cone {(u, s) : <ray, u> >= s, s >= 0}
-    gives both, or None when it has a lineality, {(u, 0) : <ray, u> = 0},
-    which happens exactly when the rays do not span Q^d. Its rays with
-    s > 0 are the primitive integer (u, s) of the vertices u / s of
+    gives both, as its (ray, tight set) pairs with s >= 0 as row 0 and the
+    rays as rows 1..m, or None when it has a lineality, {(u, 0) : <ray, u>
+    = 0}, which happens exactly when the rays do not span Q^d. Its rays
+    with s > 0 are the primitive integer (u, s) of the vertices u / s of
     {u : <ray, u> >= 1 for all rays}. By LP duality the height of any point
     w of the cone is the minimum of <u, w> over that region, and the region
     is pointed, so the minimum is attained at a vertex. Its face {s = 0} is
     the dual cone, so its rays (f, 0) give the cone's primitive facet
     normals f, sorted, as extreme_rays(rays, d) would.
     """
-    rows = [tuple(r) + (-1,) for r in rays] + [(0,) * d + (1,)]
+    rows = [(0,) * d + (1,)] + [tuple(r) + (-1,) for r in rays]
     found, lineality = double_description(rows, d + 1)
     if lineality:
         return None
-    out = [z for z, _ in found if z[d]]
-    if not out:
+    if not any(z[d] for z, _ in found):
         raise InternalInconsistencyError("dual height region of a full-rank cone has a vertex")
-    return [z[:d] for z, _ in found if not z[d]], out
+    return found
 
 
 def _height_functionals(rays: Sequence[IntVector]) -> tuple:
-    """(directions, rays, facets, duals, scale), with height(x) = min_w <w, x> / scale on the cone.
+    """(directions, rays, region, duals, scale), with height(x) = min_w <w, x> / scale on the cone.
 
-    The rays are kept as they are when the dual height double description
-    shows that they span, so a full-rank cone costs no rank; otherwise they
-    move to the frame of _span_frame, which gives directions, and are
-    described again. The duals w are the vertices of the dual height region
-    over a common denominator scale, so <w, ray> >= scale on every ray.
+    region is the dual height double description (_dual_height_vertices).
+    The rays are kept as they are when it shows that they span, so a
+    full-rank cone costs no rank; otherwise its lineality has shown that
+    they do not, and they move to the frame of _saturated_frame, which
+    gives directions, and are described again. The duals w are the
+    vertices of the dual height region over a common denominator scale, so
+    <w, ray> >= scale on every ray.
     """
     directions = None
-    found = _dual_height_vertices(rays, len(rays[0]))
-    if found is None:
-        directions, rays = _span_frame(rays)
-        found = _dual_height_vertices(rays, len(rays[0]))
-    facets, duals = found
-    scale = lcm(*(z[-1] for z in duals))
-    return directions, rays, facets, [tuple(x * (scale // z[-1]) for x in z[:-1]) for z in duals], scale
+    region = _dual_height_vertices(rays, len(rays[0]))
+    if region is None:
+        directions, rays = _saturated_frame(rays)
+        region = _dual_height_vertices(rays, len(rays[0]))
+    tops = [z for z, _ in region if z[-1]]
+    scale = lcm(*(z[-1] for z in tops))
+    return directions, rays, region, [tuple(x * (scale // z[-1]) for x in z[:-1]) for z in tops], scale
 
 
-def _cone_levels(rays: Sequence[IntVector]) -> list:
-    """The compiled lattice levels (polytope.projected_levels) of conv(0, rays), for full-rank rays.
+def _cone_levels(rays: Sequence[IntVector], region) -> list:
+    """The compiled lattice levels (polytope.projected_levels) of Q = conv(0, rays), for full-rank rays.
 
-    It is the hull of the homogeneous points (0, 1) and (r, 1), and its own
-    rows, level d, are the facets that _hull_rows gives; it has no equations.
+    region is the rays' dual height double description
+    (_dual_height_vertices). The valid rows (a, beta) of Q are the cone of
+    beta >= 0 at the origin and beta - <a, r> >= 0 at each ray r: with the
+    origin first and the rays after, bit k of a tight set names the same
+    row in both. When region has one vertex (u, s), every ray has <u, r> =
+    s, so Q is the cone cut by <u, x> <= s, and region already holds Q's
+    facet rows with their tight sets: (-f, 0) for each of its facets (f, 0)
+    and (u, s). Otherwise one double description of Q's points gives them.
     """
     d = len(rays[0])
-    points = [(0,) * d + (1,)] + [tuple(r) + (1,) for r in rays]
-    return projected_levels(points, _hull_rows(points, d)[0])
+    if sum(1 for z, _ in region if z[d]) == 1:
+        return projected_levels([(z if z[d] else tuple(-x for x in z), t) for z, t in region], ())
+    rows = [(0,) * d + (1,)] + [tuple(-x for x in r) + (1,) for r in rays]
+    return projected_levels(*double_description(rows, d + 1))
 
 
 def canonicity_threshold(c: Cone) -> tuple[Fraction, Optional[CanonicityWitness]]:
@@ -288,18 +307,21 @@ def canonicity_threshold(c: Cone) -> tuple[Fraction, Optional[CanonicityWitness]
     puts every apex on [0, r], so it lies in t Q, Q = conv(0, rays). The
     levels of Q are compiled once (_cone_levels) and the ladder takes
     t = 1/2^k for the largest 2^k <= max s, then doubles t up to 1, keeping
-    the nonzero points of t Q of height at most t. The first round that
-    keeps a point keeps every point of least height, so the least height
-    is exact and the witness is the lexicographically smallest point
-    attaining it. A cone of lower rank is scanned in the coordinates of the
-    saturated span of its rays, where its lattice points keep integer
-    coordinates. Returns the threshold and, below 1, a witness.
+    the nonzero points of t Q of height at most t. The rows of Q come from
+    the dual height double description when the dual region has one
+    vertex, and from one double description of Q's points otherwise; every
+    level below them is an equality cut. The first round that keeps a
+    point keeps every point of least height, so the least height is exact
+    and the witness is the lexicographically smallest point attaining it.
+    A cone of lower rank is scanned in the coordinates of the saturated
+    span of its rays, where its lattice points keep integer coordinates.
+    Returns the threshold and, below 1, a witness.
     """
-    directions, rays, _, duals, scale = _height_functionals(c.rays)
+    directions, rays, region, duals, scale = _height_functionals(c.rays)
     top = max(scale // gcd(*w, scale) for w in duals)
     if top == 1:
         return Fraction(1), None
-    levels = _cone_levels(rays)
+    levels = _cone_levels(rays, region)
     shrink = 1 << (top.bit_length() - 1)
     while True:
         heights = ((min(dot(w, pt) for w in duals), pt) for pt in level_points(levels, shrink=shrink) if any(pt))

@@ -14,11 +14,16 @@ LP and no cut is needed to decide emptiness or boundedness. The kernel
 works on primitive integer vectors only, pairs the rays on the two sides
 of each row and tests adjacency by counting tight sets. Lattice points
 are enumerated coordinate by coordinate over the projections of a set
-onto x_1..x_j (projected_levels); the valid rows of each projection are
-one double description, whose lineality gives the equations of a flat
-one, so no Fourier-Motzkin elimination and no hull of the projection is
-needed. Each level is compiled once into the integer rows that bound its
-coordinate, and level_points reads them at any shrink.
+onto x_1..x_j (projected_levels). The valid rows (a, beta) of a set form
+a cone whose rays are its facets and whose lineality is the equations of
+its affine hull; those of the projection onto x_1..x_j are the ones of
+the projection onto x_1..x_{j+1} with a_{j+1} = 0. So every projection
+is read off the cone of the set itself by equality cuts (_cut), each one
+step of the same kernel on the rays and tight sets in hand, and no
+Fourier-Motzkin elimination, hull or fresh double description of a
+projection is needed; lattice_points takes that cone from the stored
+facets and equations. Each level is compiled once into the integer rows
+that bound its coordinate, and level_points reads them at any shrink.
 
 Conventions. An HPolytope is always bounded, full-dimensional, and
 irredundant, with primitive integer facet normals, rational right hand
@@ -265,58 +270,82 @@ def double_description(rows: Sequence[Sequence[int]], n: int) -> tuple[tuple[tup
     lineality = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
     rays: list[tuple[IntVector, int]] = []  # (ray, bitmask of the rows tight at it)
     for k, row in enumerate(rows):
-        bit = 1 << k
-        pivot = next((v for v in lineality if sum(map(mul, row, v))), None)
-        if pivot is not None:
-            lineality.remove(pivot)
-            a = sum(map(mul, row, pivot))
-            if a < 0:
-                pivot, a = tuple(-x for x in pivot), -a
-
-            def lift(z):
-                # primitive part of a z - <row, z> pivot, on which the row vanishes
-                b = sum(map(mul, row, z))
-                if not b:
-                    return z
-                v = tuple(a * x - b * y for x, y in zip(z, pivot))
-                g = gcd(*v)
-                return tuple(c // g for c in v) if g > 1 else v
-
-            lineality = [lift(v) for v in lineality]
-            rays = [(lift(z), t | bit) for z, t in rays]
-            rays.append((pivot, bit - 1))
-            continue
-        kept, positive, negative = [], [], []
-        for z, t in rays:
-            v = sum(map(mul, row, z))
-            if v > 0:
-                kept.append((z, t))
-                positive.append((v, z, t))
-            elif v < 0:
-                negative.append((-v, z, t))
-            else:
-                kept.append((z, t | bit))
-        if positive and negative:
-            need = n - len(lineality) - 2
-            tights = [t for _, t in rays]
-            for vi, zi, ti in positive:
-                for vj, zj, tj in negative:
-                    common = ti & tj
-                    if common.bit_count() < need:
-                        continue
-                    # adjacent iff the pair are the only rays tight on all of common
-                    seen = 0
-                    for t in tights:
-                        if t & common == common:
-                            seen += 1
-                            if seen == 3:
-                                break
-                    else:
-                        v = tuple(vi * x + vj * y for x, y in zip(zj, zi))
-                        g = gcd(*v)
-                        kept.append((tuple(c // g for c in v) if g > 1 else v, common | bit))
-        rays = kept
+        rays, lineality = _add_row(rays, lineality, row, 1 << k)
     return tuple(sorted(rays)), tuple(lineality)
+
+
+def _add_row(rays: list, lineality: list, row: Sequence[int], bit: int) -> tuple[list, list]:
+    """One step of double_description: the cone of rays and lineality cut by <row, z> >= 0.
+
+    bit is the row's bit in the tight sets; bit 0 marks no row, as _cut
+    needs. The rays come back unsorted.
+    """
+    n = len(row)
+    pivot = next((v for v in lineality if sum(map(mul, row, v))), None)
+    if pivot is not None:
+        lineality = [v for v in lineality if v is not pivot]
+        a = sum(map(mul, row, pivot))
+        if a < 0:
+            pivot, a = tuple(-x for x in pivot), -a
+
+        def lift(z):
+            # primitive part of a z - <row, z> pivot, on which the row vanishes
+            b = sum(map(mul, row, z))
+            if not b:
+                return z
+            v = tuple(a * x - b * y for x, y in zip(z, pivot))
+            g = gcd(*v)
+            return tuple(c // g for c in v) if g > 1 else v
+
+        rays = [(lift(z), t | bit) for z, t in rays]
+        rays.append((pivot, bit - 1))
+        return rays, [lift(v) for v in lineality]
+    kept, positive, negative = [], [], []
+    for z, t in rays:
+        v = sum(map(mul, row, z))
+        if v > 0:
+            kept.append((z, t))
+            positive.append((v, z, t))
+        elif v < 0:
+            negative.append((-v, z, t))
+        else:
+            kept.append((z, t | bit))
+    if positive and negative:
+        need = n - len(lineality) - 2
+        tights = [t for _, t in rays]
+        for vi, zi, ti in positive:
+            for vj, zj, tj in negative:
+                common = ti & tj
+                if common.bit_count() < need:
+                    continue
+                # adjacent iff the pair are the only rays tight on all of common
+                seen = 0
+                for t in tights:
+                    if t & common == common:
+                        seen += 1
+                        if seen == 3:
+                            break
+                else:
+                    v = tuple(vi * x + vj * y for x, y in zip(zj, zi))
+                    g = gcd(*v)
+                    kept.append((tuple(c // g for c in v) if g > 1 else v, common | bit))
+    return kept, lineality
+
+
+def _cut(rays, lineality, c: int, n: int) -> tuple[list, list]:
+    """The cone of rays and lineality in Q^n cut by {z_c = 0}, with coordinate c dropped.
+
+    The cut is the face {z_c = 0} of the cone cut by z_c >= 0, so it is one
+    _add_row step on the unit row e_c, marking no row, of which only the
+    vectors with z_c = 0 are kept: a ray there stays, with its tight set,
+    each adjacent pair across the hyperplane is combined, with the tight
+    set they share, and a lineality vector nonzero there is the pivot,
+    which leaves as a ray with z_c > 0. The tight sets thus stay those of
+    the cone's own rows.
+    """
+    unit = tuple(int(i == c) for i in range(n))
+    rays, lineality = _add_row(rays, lineality, unit, 0)
+    return [(z[:c] + z[c + 1:], t) for z, t in rays if not z[c]], [z[:c] + z[c + 1:] for z in lineality]
 
 
 def extreme_rays(rows: Sequence[Sequence[int]], n: int) -> tuple[tuple[IntVector, int], ...]:
@@ -543,60 +572,73 @@ def is_lattice_polytope(s) -> bool:
 # lattice point enumeration
 
 
-def projected_levels(points: Sequence[IntVector], top: list) -> list:
-    """Bounds of the lattice-point enumeration of the hull of points, one level per coordinate.
+def projected_levels(rays, lineality) -> list:
+    """Bounds of the lattice-point enumeration of a set S in Q^d, one level per coordinate.
 
-    The points are homogeneous integer (p, s) with s > 0, standing for p / s
-    in Q^d. Level j (1 <= j <= d) is read off the rows (integer a, rhs
-    numerator, rhs denominator) of the projection of the hull onto
-    x_1..x_j: level 1 is the range of p_1 / s, each level strictly between
-    1 and d the rows of _hull_rows(points, j), and level d is top, the
-    caller's rows of the hull itself; with d = 1 there is level 1 only.
-    Each level is an exact projection, so a row without x_j is implied by
-    level j - 1 and a prefix passing level j extends to a point of the
-    hull. levels[j] holds each row with a nonzero x_j coefficient compiled
-    once for level_points (_compiled); levels[0] is None.
+    rays and lineality are the cone of the valid rows (a, beta), <a, x> <=
+    beta on S, as double_description gives it: its primitive integer
+    extreme rays, each with its tight set, and a basis of its lineality,
+    the equations of the affine hull of S. Level j (1 <= j <= d) is read
+    off the cone of the projection of S onto x_1..x_j (_projections):
+    each ray is a row, each lineality vector two opposite rows. Each level
+    is an exact projection, so a row without x_j is implied by level j - 1
+    and a prefix passing level j extends to a point of S. levels[j] holds
+    each row with a nonzero x_j coefficient compiled once for level_points
+    (_compiled); levels[0] is None.
     """
-    d = len(points[0]) - 1
-    ends = [Fraction(p[0], p[d]) for p in points]
-    lo, hi = min(ends), max(ends)
-    levels: list = [None, _compiled([((1,), hi.numerator, hi.denominator),
-                                     ((-1,), -lo.numerator, lo.denominator)])]
-    for j in range(2, d):
-        facets, equations = _hull_rows(points, j)
-        levels.append(_compiled(facets + equations))
-    if d > 1:
-        levels.append(_compiled(top))
-    return levels
+    levels = [_compiled([z for z, _ in rays] + list(lineality) + [tuple(-x for x in z) for z in lineality])
+              for rays, lineality in _projections(rays, lineality)]
+    return [None] + levels[::-1]
+
+
+def _projections(rays, lineality):
+    """The valid-row cones of the projections of S onto x_1..x_j, j = d down to 1, as (rays, lineality).
+
+    The valid rows of the projection onto x_1..x_j are those of the
+    projection onto x_1..x_{j+1} with a_{j+1} = 0, so each cone is the one
+    before it cut by that equality (_cut), and no projection is described
+    afresh.
+    """
+    d = len(rays[0][0]) - 1
+    yield rays, lineality
+    for j in range(d - 1, 0, -1):
+        rays, lineality = _cut(rays, lineality, j, j + 2)
+        yield rays, lineality
 
 
 def _compiled(rows) -> list:
-    """The rows (a, num, den) of a level j = len(a) that bound x_j, as level_points reads them.
+    """The integer rows (a, beta) of a level j = len(a) that bound x_j, as level_points reads them.
 
-    A row <a, x> <= num / den with a_j != 0 becomes (a_j den, num, terms),
-    terms the pairs (i, a_i den) of its nonzero earlier coefficients, so
-    x_j <= (num - sum a_i den x_i) / (a_j den) when a_j > 0 and >= when
-    a_j < 0.
+    A row <a, x> <= beta with a_j != 0 becomes (a_j, beta, terms), terms
+    the pairs (i, a_i) of its nonzero earlier coefficients, so x_j <= (beta
+    - sum a_i x_i) / a_j when a_j > 0 and >= when a_j < 0.
     """
-    return [(a[-1] * den, num, tuple((i, c * den) for i, c in enumerate(a[:-1]) if c))
-            for a, num, den in rows if a[-1]]
+    return [(z[-2], z[-1], tuple((i, c) for i, c in enumerate(z[:-2]) if c)) for z in rows if z[-2]]
 
 
-def _hull_rows(points: Sequence[IntVector], j: int) -> tuple[list, list]:
-    """(facet rows, equation rows) of the hull of the points (p, s) projected onto x_1..x_j.
+def _valid_row_cone(s) -> tuple[list, list]:
+    """The cone of the valid rows of s, as projected_levels takes it, with no double description.
 
-    The valid rows <a, x> <= beta of the projection form the cone
-    {(a, beta) : beta s - <a, p[:j]> >= 0}: one double description gives its
-    extreme rays, the facets, and its lineality, the equations of the
-    affine hull, each returned as two opposite rows, so a flat projection
-    needs no hull of its own. Rows are (a, beta, 1) with integer a, beta.
+    Its rays are the stored facet rows <a, x> <= beta as primitive integer
+    (a, beta), each with the set of the vertices tight at it (bit k for
+    vertex k) by integer incidence; a single point has no facet, and the
+    row 0 <= 1 is its ray. Its lineality is the equations of an
+    EmbeddedPolytope, none for an HPolytope.
     """
-    rows = sorted({primitivize(tuple(-x for x in p[:j]) + (p[-1],))[0] for p in points})
-    rays, lineality = double_description(rows, j + 1)
-    facets = [(z[:j], z[j], 1) for z, _ in rays]
-    equations = [(z[:j], z[j], 1) for z in lineality]
-    equations += [(tuple(-x for x in a), -beta, 1) for a, beta, _ in equations]
-    return facets, equations
+    if isinstance(s, HPolytope):
+        verts, facets, equations = vertices(s).vertices, zip(s.normals, s.rhs), ()
+    elif isinstance(s, EmbeddedPolytope):
+        verts, facets, equations = s.vertices, s.facets, s.subspace.equations
+    else:
+        raise TypeError(f"unsupported type {type(s).__name__}")
+
+    def integer(a, beta):
+        return tuple(beta.denominator * x for x in a) + (beta.numerator,)
+
+    rows = [scale_to_integer(tuple(-x for x in v) + (1,)) for v in verts]
+    rays = [(z, sum(1 << k for k, row in enumerate(rows) if not sum(map(mul, z, row))))
+            for z in (integer(a, beta) for a, beta in facets)]
+    return rays or [((0,) * len(verts[0]) + (1,), 0)], [integer(a, beta) for a, beta in equations]
 
 
 def level_points(levels, step: int = 1, shrink: int = 1) -> list[IntVector]:
@@ -650,28 +692,20 @@ def lattice_points(s, region: str = "all", sublattice_scale: int = 1):
 
     s may be an HPolytope or an EmbeddedPolytope, and the returned points
     are integer tuples in lexicographic order. The enumeration runs over
-    projected_levels of the vertices of s. Level d is the stored rows of s:
-    an HPolytope's facets, and an EmbeddedPolytope's facets plus its
-    equations as two-sided rows. The relative_interior region keeps the
-    points strictly inside every facet row, in integers.
+    projected_levels of the cone of the valid rows of s, which its stored
+    facets, equations and vertices give (_valid_row_cone). The
+    relative_interior region keeps the points strictly inside every facet
+    row, in integers.
     """
     if region not in ("all", "relative_interior"):
         raise ValueError(f"unknown region {region!r}")
     k = int(sublattice_scale)
     if k < 1 or k != sublattice_scale:
         raise ValueError("sublattice_scale must be a positive integer")
-    if isinstance(s, HPolytope):
-        verts, facets, equations = vertices(s).vertices, zip(s.normals, s.rhs), ()
-    elif isinstance(s, EmbeddedPolytope):
-        verts, facets, equations = s.vertices, s.facets, s.subspace.equations
-    else:
-        raise TypeError(f"unsupported type {type(s).__name__}")
-    points = [scale_to_integer(tuple(v) + (1,)) for v in verts]
-    facets = [(a, b.numerator, b.denominator) for a, b in facets]
-    sides = [(tuple(c * x for x in a), c * b.numerator, b.denominator) for a, b in equations for c in (1, -1)]
-    result = level_points(projected_levels(points, facets + sides), k)
+    rays, lineality = _valid_row_cone(s)
+    result = level_points(projected_levels(rays, lineality), k)
     if region == "relative_interior":
-        result = [x for x in result if all(dot(a, x) * den < num for a, num, den in facets)]
+        result = [x for x in result if all(dot(z[:-1], x) < z[-1] for z, _ in rays)]
     return tuple(result)
 
 

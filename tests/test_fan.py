@@ -42,7 +42,14 @@ from polyadj.fan import (
     normal_fan,
 )
 from polyadj.generators import cube, fig1, random_lattice_polytope, scaled_simplex
-from polyadj.polytope import double_description, extreme_rays, from_vertices, level_points, vertices
+from polyadj.polytope import (
+    double_description,
+    extreme_rays,
+    from_vertices,
+    level_points,
+    projected_levels,
+    vertices,
+)
 from polyadj.ratmath import dot, primitivize, rank
 
 # pointed, non-simplicial, not Q-Gorenstein; (0,0,4) has representations
@@ -167,7 +174,8 @@ def test_dual_height_vertices_match_the_brute_force_scan():
     assert all(not c.is_simplicial() for c in cones)
     for c in cones:
         d = c.ambient_dim
-        facets, got = _dual_height_vertices(c.rays, d)
+        found = _dual_height_vertices(c.rays, d)
+        facets, got = [z[:d] for z, _ in found if not z[d]], [z for z, _ in found if z[d]]
         assert facets == [f for f, _ in extreme_rays(c.rays, d)]
         assert all(z[d] > 0 and primitivize(z)[1] == 1 for z in got)
         assert {tuple(Fraction(x, z[d]) for x in z[:d]) for z in got} == brute_dual_vertices(c.rays)
@@ -290,7 +298,7 @@ def _cone_points_match_the_box_scan(c):
     """
     _, rays = _span_frame(c.rays)
     d = len(rays[0])
-    levels = _cone_levels(rays)
+    levels = _cone_levels(rays, _dual_height_vertices(rays, d))
     assert len(levels) == d + 1
     for shrink in (1, 2, 64):
         corners = [(Fraction(0),) * d] + [tuple(Fraction(x, shrink) for x in r) for r in rays]
@@ -325,17 +333,52 @@ def test_cone_levels_of_lower_rank_cones_match_the_box_scan(d, data):
     _cone_points_match_the_box_scan(c)
 
 
+@st.composite
+def _one_vertex_cones(draw):
+    """Cones whose dual height region has one vertex: simplicial ones, and
+    pyramids over lattice points of a slice x_d = h."""
+    d = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        rays = draw(st.lists(st.tuples(*[ray_entry] * d), min_size=d, max_size=d))
+        assume(laplace_det([list(r) for r in rays]) != 0)
+    else:
+        h = draw(st.integers(1, 3))
+        rays = [q + (h,) for q in draw(st.lists(st.tuples(*[ray_entry] * (d - 1)), min_size=d, max_size=d + 3))]
+        assume(any(laplace_det([list(r) for r in s]) != 0 for s in itertools.combinations(rays, d)))
+    c = cone(rays)
+    assume(len(brute_dual_vertices(c.rays)) == 1)
+    return c
+
+
+@settings(deadline=None, max_examples=60)
+@given(_one_vertex_cones())
+def test_the_one_vertex_top_gives_the_levels_of_the_double_description(c):
+    # the rows of conv(0, rays) read off the dual height double description
+    # against one double description of its points, level by level
+    d = c.ambient_dim
+    region = _dual_height_vertices(c.rays, d)
+    rows = [(0,) * d + (1,)] + [tuple(-x for x in r) + (1,) for r in c.rays]
+    got, expected = _cone_levels(c.rays, region), projected_levels(*double_description(rows, d + 1))
+    assert got[0] is expected[0] is None
+    assert [set(level) for level in got[1:]] == [set(level) for level in expected[1:]]
+
+
 def _largest_dual_denominator(c):
     # max s over the primitive (u, s) of the dual vertices u / s, from the oracle
     return max(lcm(*(x.denominator for x in u)) for u in brute_dual_vertices(c.rays))
 
 
-def test_canonicity_threshold_makes_d_double_descriptions_and_no_rank(monkeypatch):
+def test_canonicity_threshold_makes_at_most_two_double_descriptions_and_no_rank(monkeypatch):
     # a full-rank cone makes one double description for its dual vertices and
-    # facets and, when max s > 1, d - 1 for the levels of conv(0, rays): one
-    # per level strictly between 1 and d and one for level d. conv(0, rays) is
-    # a hull of points, but no from_vertices builds it, and the rays span, so
-    # no rank is taken
+    # facets and, when max s > 1, at most one more for the levels of
+    # conv(0, rays): one of its points for level d, each level below being an
+    # equality cut of the one above, and none when the dual region has one
+    # vertex, whose double description already holds the rows of level d, as
+    # for the plane and pyramid cones (the d4-s4029 cones have three). No
+    # from_vertices builds conv(0, rays), and the rays span, so no rank is
+    # taken. The cone of rank 2 in Z^3 is described on its rays, whose
+    # lineality shows they do not span, and again in its plane, so it takes
+    # no rank either
     calls = {"from_vertices": 0, "double_description": 0, "rank": 0}
 
     def counting(name, f):
@@ -345,9 +388,11 @@ def test_canonicity_threshold_makes_d_double_descriptions_and_no_rank(monkeypatc
         return wrapper
 
     plane, pyramid, skew = cone([(2, -1), (2, 1)]), cone(PYRAMID_RAYS), cone(SKEW_RAYS)
+    flat = cone([(2, -1, 0), (2, 1, 0)])
     cones = normal_fan(random_lattice_polytope(4, 6, 4029, box=2)).maximal_cones
     assert [_largest_dual_denominator(c) for c in (pyramid, skew)] == [2, 1]
     assert all(_largest_dual_denominator(c) > 1 for c in cones)
+    assert [len(brute_dual_vertices(c.rays)) for c in [plane, pyramid] + list(cones)] == [1, 1] + [3] * 6
     monkeypatch.setattr("polyadj.polytope.from_vertices", counting("from_vertices", from_vertices))
     monkeypatch.setattr(fan_module, "rank", counting("rank", rank))
     # every binding of the kernel: fan's dual double description and projected_levels both run it
@@ -355,12 +400,13 @@ def test_canonicity_threshold_makes_d_double_descriptions_and_no_rank(monkeypatc
         if hasattr(module, "double_description"):
             monkeypatch.setattr(module, "double_description",
                                 counting("double_description", double_description))
-    for c, n in [(plane, 2), (pyramid, 3), (skew, 1)] + [(c, 4) for c in cones]:
+    for c, n in [(plane, 1), (pyramid, 1), (skew, 1), (flat, 2)] + [(c, 2) for c in cones]:
         calls.update(double_description=0)
         canonicity_threshold(c)
         assert calls == {"from_vertices": 0, "double_description": n, "rank": 0}
     assert canonicity_threshold(plane)[0] == Fraction(1, 2)
     assert canonicity_threshold(pyramid)[0] == Fraction(1, 2)
+    assert canonicity_threshold(flat)[0] == Fraction(1, 2)
 
 
 def test_a_cone_with_every_dual_s_1_lists_no_point(monkeypatch):

@@ -15,6 +15,7 @@ from oracles import (
     cofactor_normal,
     cramer_solve,
     fm_maximize,
+    gauss_rank,
     fm_project_feasible,
     laplace_det,
 )
@@ -710,8 +711,9 @@ def test_relative_interior_of_a_flat_scaled_acore_needs_no_hull_and_no_linear_so
     for s in sets:
         calls.update(double_description=0)
         found.append(lattice_points(s, region="relative_interior"))
-        # one double description per level strictly between 1 and d; level d is the stored rows
-        assert calls == {"solve": 0, "is_feasible": 0, "double_description": 2}
+        # level d is the stored rows, with tight sets by incidence, and every
+        # level below is an equality cut of the one above
+        assert calls == {"solve": 0, "is_feasible": 0, "double_description": 0}
     monkeypatch.undo()
     assert found[0] == ((0, 0, 0, 0),) and len(found[2]) > 1
     for s, points in zip(sets, found):
@@ -845,6 +847,123 @@ def test_lattice_points_of_flat_hulls_without_lattice_points():
         pts = _flat_points(base, matrix, local)
         assert lattice_points(hull_any_dim(pts)) == ()
         _check_against_the_box_scan(hull_any_dim(pts), pts, _flat_member(base, matrix, local))
+
+
+def _integer_row(a, beta):
+    """The row <a, x> <= beta, a primitive integer, as the primitive integer vector (a, beta)."""
+    beta = Fraction(beta)
+    return tuple(beta.denominator * x for x in a) + (beta.numerator,)
+
+
+def _tight_bits(z, points):
+    """Bit k set iff the integer row z = (a, beta) is tight at points[k]."""
+    return sum(1 << k for k, x in enumerate(points) if sum(a * xi for a, xi in zip(z, x)) == z[-1])
+
+
+def _oracle_facets(points):
+    """Facets (a, beta) of the hull of full-dimensional points: brute_facets, or the range in dimension 1."""
+    if len(points[0]) == 1:
+        lo, hi = min(x for x, in points), max(x for x, in points)
+        return {((1,), hi), ((-1,), -lo)}
+    return brute_facets(points)
+
+
+def _projection_cones(s, verts):
+    """(j, rays, lineality, projected vertices) of each level projected_levels reads, j = d down to 1."""
+    d = len(verts[0])
+    cones = list(polytope._projections(*polytope._valid_row_cone(s)))
+    assert len(cones) == d
+    for j, (rays, lineality) in zip(range(d, 0, -1), cones):
+        yield j, rays, lineality, [v[:j] for v in verts]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(2, 4), st.data())
+def test_each_projection_cone_holds_the_facets_of_the_projected_points(d, data):
+    pts = data.draw(point_sets(d, d + data.draw(st.integers(1, 4))))
+    assume(_full_dimensional(pts))
+    p = from_vertices(pts)
+    for j, rays, lineality, projected in _projection_cones(p, vertices(p).vertices):
+        assert not lineality
+        assert {z for z, _ in rays} == {_integer_row(a, b) for a, b in _oracle_facets(projected)}
+        assert all(t == _tight_bits(z, projected) for z, t in rays)
+
+
+def _facet_tight_sets(points):
+    """The tight sets (_tight_bits) of the facets of the hull of points of any affine rank.
+
+    The hull is described in k coordinates on which the points keep their
+    affine rank k, so the projection onto them is one to one on the
+    affine hull. A single point has the one valid row 0 <= 1, tight nowhere.
+    """
+    diffs = [[a - b for a, b in zip(x, points[0])] for x in points[1:]]
+    k = gauss_rank(diffs) if diffs else 0
+    if k == 0:
+        return [0]
+    cols = next(cols for cols in itertools.combinations(range(len(points[0])), k)
+                if gauss_rank([[row[c] for c in cols] for row in diffs]) == k)
+    local = [tuple(x[c] for c in cols) for x in points]
+    return [_tight_bits(_integer_row(a, b), local) for a, b in _oracle_facets(local)]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(2, 4), st.data())
+def test_each_projection_cone_of_a_flat_hull_holds_its_equations_and_facets(d, data):
+    k = data.draw(st.integers(0, d - 1))
+    matrix = data.draw(st.lists(st.tuples(*[st.integers(-1, 1)] * k), min_size=d, max_size=d))
+    base = data.draw(st.tuples(*[st.fractions(-1, 1, max_denominator=2)] * d))
+    local = data.draw(st.lists(st.tuples(*[st.fractions(-1, 1, max_denominator=2)] * k),
+                               min_size=k + 1, max_size=k + 2)) if k else [()]
+    if k:
+        assume(any(laplace_det([list(matrix[i]) for i in rows]) != 0
+                   for rows in itertools.combinations(range(d), k)))
+        assume(_full_dimensional(local))
+    s = hull_any_dim(_flat_points(base, matrix, local))
+    for j, rays, lineality, projected in _projection_cones(s, s.vertices):
+        # the lineality is a basis of the equations (a, beta), <a, x> = beta at every point
+        assert all(sum(a * xi for a, xi in zip(z, x)) == z[-1] for z in lineality for x in projected)
+        equations = j + 1 - gauss_rank([tuple(x) + (-1,) for x in projected])
+        assert len(lineality) == equations and (not lineality or gauss_rank(lineality) == equations)
+        # the rays are the facets modulo the equations: valid, one per facet, with its tight set
+        assert all(sum(a * xi for a, xi in zip(z, x)) <= z[-1] for z, _ in rays for x in projected)
+        assert all(t == _tight_bits(z, projected) for z, t in rays)
+        assert sorted(t for _, t in rays) == sorted(_facet_tight_sets(projected))
+
+
+@st.composite
+def cut_cases(draw):
+    """Integer rows of a cone in Q^n, n = 2-4, and a coordinate c to cut on."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    rows = draw(st.lists(st.tuples(*[small] * n), min_size=1, max_size=7))
+    return rows, n, draw(st.integers(min_value=0, max_value=n - 1))
+
+
+@settings(deadline=None, max_examples=200)
+@given(cut_cases())
+def test_the_equality_cut_is_the_double_description_with_both_unit_rows(case):
+    # the cut of the cone by z_c = 0 against the double description of its
+    # rows plus e_c and -e_c, coordinate c dropped: the same rays and tight
+    # sets once the two extra bits are masked, where the cut is pointed (each
+    # ray is then unique); otherwise the same tight sets and lineality span
+    rows, n, c = case
+    rays, lineality = double_description(rows, n)
+    got, got_lineality = polytope._cut(rays, lineality, c, n)
+    unit = tuple(int(i == c) for i in range(n))
+    expected, expected_lineality = double_description(rows + [unit, tuple(-x for x in unit)], n)
+    low = (1 << len(rows)) - 1
+    assert all(not z[c] for z, _ in expected) and all(not z[c] for z in expected_lineality)
+
+    def dropped(z):
+        return z[:c] + z[c + 1:]
+
+    assert sorted(t for _, t in got) == sorted(t & low for _, t in expected)
+    assert all(len(z) == n - 1 for z, _ in got) and all(len(z) == n - 1 for z in got_lineality)
+    assert len(got_lineality) == len(expected_lineality)
+    if got_lineality:
+        both = list(got_lineality) + [dropped(z) for z in expected_lineality]
+        assert gauss_rank(both) == gauss_rank(list(got_lineality)) == len(got_lineality)
+    else:
+        assert sorted(got) == sorted((dropped(z), t & low) for z, t in expected)
 
 
 SHEAR = [[1, 1], [0, 1]]
