@@ -44,7 +44,7 @@ from .polytope import (
     relative_interior_point,
     scale_embedded,
 )
-from .ratmath import IntVector, dot
+from .ratmath import IntVector, common_denominator, dot
 
 
 def adjoint(p: HPolytope, c) -> InequalitySystem:
@@ -118,6 +118,10 @@ def adjunction_data(p: HPolytope) -> AdjunctionData:
     every point x of adjoint(p, c) makes it nonnegative. By complementary
     slackness y vanishes off the rows tight on the whole core, which is
     checked against the core normals that the double description finds.
+    Those rows are then checked tight at every core vertex and at the
+    vertex barycenter, and every other row strict at the barycenter, all
+    in integers: the vertices over the lcm of their denominators, and the
+    barycenter as their sum over that lcm times their number.
     """
     res = _shift_lp(list(zip(p.normals, p.rhs)))
     c_star, y = res.value, res.duals
@@ -129,16 +133,20 @@ def adjunction_data(p: HPolytope) -> AdjunctionData:
     if core.dim >= p.dim:
         raise InternalInconsistencyError("core must have lower dimension than the polytope")
     normals = tuple(p.normals[i] for i in implicit)
-    strict_point = relative_interior_point(core)
-    for i in range(p.n_facets):
-        value = dot(p.normals[i], strict_point)
-        if i in set(implicit):
-            if value != system.rhs[i]:
+    flat, scale = common_denominator([x for v in core.vertices for x in v])
+    verts = [flat[k:k + p.dim] for k in range(0, len(flat), p.dim)]
+    center = [sum(col) for col in zip(*verts)]
+    core_rows = set(implicit)
+    for i, (a, b) in enumerate(zip(p.normals, system.rhs)):
+        # <a, v> = b at a vertex v = verts[k] / scale, and the same at the barycenter
+        at_vertex = b.numerator * scale
+        value, bound = dot(a, center) * b.denominator, at_vertex * len(verts)
+        if i in core_rows:
+            if value != bound:
                 raise InternalInconsistencyError("core normal row is not tight on the core")
-            for v in core.vertices:
-                if dot(p.normals[i], v) != system.rhs[i]:
-                    raise InternalInconsistencyError("core normal row misses a core vertex")
-        elif value >= system.rhs[i]:
+            if any(dot(a, v) * b.denominator != at_vertex for v in verts):
+                raise InternalInconsistencyError("core normal row misses a core vertex")
+        elif value >= bound:
             raise InternalInconsistencyError("non-core row is tight at a relative interior point")
     acore = hull_any_dim([tuple(a) for a in normals])
     return AdjunctionData(p, c_star, 1 / c_star, core, implicit, normals, acore, y)
@@ -146,11 +154,19 @@ def adjunction_data(p: HPolytope) -> AdjunctionData:
 
 def _check_shift_duals(p: HPolytope, c_star: Fraction, y: Sequence[Fraction],
                        core_rows: Sequence[int]) -> None:
-    """Raise unless y certifies c* as in adjunction_data, supported on core_rows."""
-    if (len(y) != p.n_facets or any(v < 0 for v in y) or sum(y) != 1 or dot(y, p.rhs) != c_star
-            or any(sum(v * a[j] for v, a in zip(y, p.normals)) != 0 for j in range(p.dim))):
+    """Raise unless y certifies c* as in adjunction_data, supported on core_rows.
+
+    Checked in integers: y_i = ys[i] / ys_scale and b_i = bs[i] / bs_scale,
+    each over the lcm of its denominators.
+    """
+    ys, ys_scale = common_denominator(y)
+    bs, bs_scale = common_denominator(p.rhs)
+    if (len(y) != p.n_facets or any(v < 0 for v in ys) or sum(ys) != ys_scale
+            or dot(ys, bs) * c_star.denominator != c_star.numerator * ys_scale * bs_scale
+            or any(sum(v * a[j] for v, a in zip(ys, p.normals)) for j in range(p.dim))):
         raise InternalInconsistencyError("critical-shift duals do not certify an empty adjoint above c*")
-    if any(v for i, v in enumerate(y) if i not in core_rows):
+    core_rows = set(core_rows)
+    if any(v for i, v in enumerate(ys) if i not in core_rows):
         raise InternalInconsistencyError("critical-shift duals are supported off the core normals")
 
 

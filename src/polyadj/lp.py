@@ -21,15 +21,18 @@ entering test reads only signs, and the ratio test compares cross
 products, T_i[-1] T_k[c] < T_k[-1] T_i[c]; both are invariant under
 positive row scaling, so the pivots, the final basis and everything read
 off it are exactly those of a Fraction tableau. Fractions reappear only
-when the point and the duals are read out.
+when the point, the value and the duals are returned.
 
 Every optimal solve reads dual multipliers y off the final reduced costs
 (of the slack column of each inequality row and of the artificial column
 of each equality row) and validates them exactly against the original
 rows: y >= 0 on inequality rows (free on equality rows), y.A_j = c_j on
 free variables and >= c_j on nonnegative ones, and y.(b, f) equal to the
-optimum. A violation raises InternalInconsistencyError since it can only
-mean a bug, never roundoff. LpResult.duals returns them.
+optimum. The checks run in integers: y is the integer vector of those
+reduced costs over the cost row's one denominator, and each original row
+is cleared of its denominators once, the same clearing that sets up the
+tableau. A violation raises InternalInconsistencyError since it can only
+mean a bug, never roundoff. LpResult.duals returns y as Fractions.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from math import gcd, lcm
 from typing import Iterable, Literal, Optional, Sequence
 
 from .errors import DimensionMismatchError, InternalInconsistencyError
-from .ratmath import dot
+from .ratmath import common_denominator, dot
 
 Status = Literal["optimal", "infeasible", "unbounded"]
 
@@ -134,8 +137,8 @@ class _Tableau:
     def reduced_costs(self, cost) -> tuple[list[int], int]:
         # cost: per-column objective (to minimize); returns the reduced cost
         # row, rhs column included, as integers over a positive denominator
-        den = lcm(*(x.denominator for x in cost))
-        rc = [x.numerator * (den // x.denominator) for x in cost] + [0]
+        rc, den = common_denominator(cost)
+        rc.append(0)
         for row, bj in zip(self.rows, self.basis):
             if rc[bj]:
                 rc, den = _priced_out(rc, den, row, bj)
@@ -167,7 +170,17 @@ class _Tableau:
             rc, den = _priced_out(rc, den, rows[leave], enter)
 
 
-def _setup(problem: LpProblem):
+def _cleared(problem: LpProblem) -> list[tuple[list[int], int, int]]:
+    """Each row (a, b), inequality rows first, as (a den, b den, den) for the
+    least den > 0 that makes it integer."""
+    out = []
+    for normal, b in zip(problem.normals + problem.eq_normals, problem.rhs + problem.eq_rhs):
+        nums, den = common_denominator(tuple(normal) + (b,))
+        out.append((nums[:-1], nums[-1], den))
+    return out
+
+
+def _setup(problem: LpProblem, cleared):
     # internal minimization of c~.z over M z = r, z >= 0. Columns: u_j per
     # variable, w_j per free variable, a slack per inequality row, then an
     # artificial per row whose slack cannot start basic (a negative right
@@ -177,25 +190,22 @@ def _setup(problem: LpProblem):
     n = len(problem.rhs)
     d = len(problem.objective)
     free = [j for j in range(d) if j not in problem.nonneg]
-    b = problem.rhs + problem.eq_rhs
-    sigma = [1 if v >= 0 else -1 for v in b]
+    sigma = [1 if r >= 0 else -1 for _, r, _ in cleared]
     ncols_core = d + len(free) + n
     art_cols: dict[int, int] = {}
     for i, s in enumerate(sigma):
         if i >= n or s < 0:
             art_cols[i] = ncols_core + len(art_cols)
     rows, basis = [], []
-    for i, normal in enumerate(problem.normals + problem.eq_normals):
-        # the row times sigma[i] * den, den > 0 clearing its denominators
-        den = lcm(b[i].denominator, *(x.denominator for x in normal))
-        u = [sigma[i] * x.numerator * (den // x.denominator) for x in normal]
+    for i, (a, r, den) in enumerate(cleared):
+        # the row times sigma[i] * den
+        u = [sigma[i] * x for x in a]
         extra = [0] * (n + len(art_cols))
         if i < n:
             extra[i] = sigma[i] * den
         if i in art_cols:
             extra[art_cols[i] - d - len(free)] = den
-        r = sigma[i] * b[i].numerator * (den // b[i].denominator)
-        rows.append(_reduced(u + [-u[j] for j in free] + extra + [r]))
+        rows.append(_reduced(u + [-u[j] for j in free] + extra + [sigma[i] * r]))
         basis.append(art_cols.get(i, d + len(free) + i))
     return sigma, _Tableau(rows, basis, ncols_core + len(art_cols)), art_cols, ncols_core
 
@@ -235,7 +245,8 @@ def solve(problem: LpProblem) -> LpResult:
     d = len(problem.objective)
     obj = problem.objective if problem.direction == "max" else tuple(-c for c in problem.objective)
 
-    sigma, tab, art_cols, ncols_core = _setup(problem)
+    cleared = _cleared(problem)
+    sigma, tab, art_cols, ncols_core = _setup(problem, cleared)
     if not _phase1(tab, art_cols, ncols_core):
         return LpResult("infeasible", None, None, ())
 
@@ -258,17 +269,16 @@ def solve(problem: LpProblem) -> LpResult:
         x[j] -= z[d + k]
     point = tuple(x)
     value = dot(obj, point)
-    duals = _validate_certificate(problem, tab, art_cols, ncols_core, sigma, obj, value)
+    duals = _validate_certificate(problem, cleared, tab, art_cols, ncols_core, sigma, obj, value)
     slack0 = ncols_core - len(problem.rhs)  # z[slack0 + i] = b_i - a_i.x
     tight = tuple(i for i in range(len(problem.rhs)) if z[slack0 + i] == 0)
     out_value = value if problem.direction == "max" else -value
     return LpResult("optimal", out_value, point, tight, duals)
 
 
-def _validate_certificate(problem, tab, art_cols, ncols_core, sigma, obj, value):
-    # read the duals off the final reduced costs, check them exactly and return them
-    rows = problem.normals + problem.eq_normals
-    b = problem.rhs + problem.eq_rhs
+def _validate_certificate(problem, cleared, tab, art_cols, ncols_core, sigma, obj, value):
+    # read the duals y = ys / den off the final reduced costs, check them
+    # exactly in integers and return them
     for bj in tab.basis:
         if bj >= ncols_core:
             raise InternalInconsistencyError("artificial variable left in the final basis")
@@ -276,17 +286,22 @@ def _validate_certificate(problem, tab, art_cols, ncols_core, sigma, obj, value)
     rc, den = tab.costs
     n = len(problem.rhs)
     slack0 = ncols_core - n
-    y = [Fraction(rc[slack0 + i], den) for i in range(n)]
-    y += [sigma[i] * Fraction(rc[art_cols[i]], den) for i in range(n, len(rows))]
-    if any(yi < 0 for yi in y[:n]):
+    ys = rc[slack0:slack0 + n] + [sigma[i] * rc[art_cols[i]] for i in range(n, len(cleared))]
+    if any(v < 0 for v in ys[:n]):
         raise InternalInconsistencyError("negative dual multiplier on an inequality row")
-    for j in range(len(obj)):
-        reduced = sum(y[i] * rows[i][j] for i in range(len(rows))) - obj[j]
+    # row i is (a_i, r_i) / den_i; over the common multiple scale of the
+    # den_i and of the objective's denominators, y_i times row i is
+    # w_i (a_i, r_i) / (den scale), so every check below is scaled by den scale
+    scale = lcm(*(dn for _, _, dn in cleared), *(c.denominator for c in obj))
+    w = [v * (scale // dn) for v, (_, _, dn) in zip(ys, cleared)]
+    for j, c in enumerate(obj):
+        reduced = (sum(wi * a[j] for wi, (a, _, _) in zip(w, cleared))
+                   - den * c.numerator * (scale // c.denominator))
         if reduced < 0 or (reduced > 0 and j not in problem.nonneg):
             raise InternalInconsistencyError("dual multipliers do not reproduce the objective")
-    if sum(y[i] * b[i] for i in range(len(rows))) != value:
+    if sum(wi * r for wi, (_, r, _) in zip(w, cleared)) * value.denominator != value.numerator * den * scale:
         raise InternalInconsistencyError("duality gap in exact arithmetic")
-    return tuple(y)
+    return tuple(Fraction(v, den) for v in ys)
 
 
 def is_feasible(normals: Sequence, rhs: Sequence, *, eq_normals: Sequence = (),
@@ -302,5 +317,5 @@ def is_feasible(normals: Sequence, rhs: Sequence, *, eq_normals: Sequence = (),
     d = len(normals[0] if normals else eq_normals[0])
     problem = make_problem(normals, rhs, [Fraction(0)] * d,
                            eq_normals=eq_normals, eq_rhs=eq_rhs, nonneg=nonneg)
-    _, tab, art_cols, ncols_core = _setup(problem)
+    _, tab, art_cols, ncols_core = _setup(problem, _cleared(problem))
     return _phase1(tab, art_cols, ncols_core)

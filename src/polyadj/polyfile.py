@@ -15,12 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
 
 from .errors import ParseError
 from .polytope import HPolytope, from_inequalities, from_vertices, vertices
-from .ratmath import IntVector, format_fraction, parse_fraction
+from .ratmath import IntVector, common_denominator, format_fraction, parse_fraction
 from .spectrum import CoreNormalConfig, make_config
 
 SECTIONS = ("H", "V", "A")
@@ -88,10 +87,8 @@ def polytope_from_document(doc: PolytopeDocument) -> HPolytope:
         rows = []
         for row in doc.rows:
             normal, b = row[:-1], row[-1]
-            s = 1
-            for x in normal:
-                s = lcm(s, x.denominator)
-            rows.append((tuple(int(x * s) for x in normal), b * s))
+            nums, s = common_denominator(normal)
+            rows.append((tuple(nums), b if s == 1 else b * s))
         return from_inequalities(rows)
     if doc.kind == "V":
         return from_vertices(doc.rows)

@@ -166,6 +166,8 @@ class InequalitySystem:
 
 
 def _as_int_vector(v: Sequence) -> IntVector:
+    if all(type(x) is int for x in v):
+        return tuple(v)
     out = []
     for x in v:
         f = Fraction(x)
@@ -181,7 +183,7 @@ def make_system(rows: Sequence[tuple[Sequence, object]], dim: Optional[int] = No
     rhs = []
     for a, b in rows:
         normals.append(_as_int_vector(a))
-        rhs.append(Fraction(b))
+        rhs.append(b if type(b) is Fraction else Fraction(b))
     if dim is None:
         if not normals:
             raise DimensionMismatchError("cannot infer dimension of an empty system")
@@ -212,7 +214,7 @@ def from_inequalities(rows: Sequence[tuple[Sequence, object]]) -> HPolytope:
     d = None
     for a, b in rows:
         vec = _as_int_vector(a)
-        b = Fraction(b)
+        b = b if type(b) is Fraction else Fraction(b)
         if d is None:
             d = len(vec)
         elif len(vec) != d:
@@ -222,7 +224,8 @@ def from_inequalities(rows: Sequence[tuple[Sequence, object]]) -> HPolytope:
                 raise EmptyPolytopeError("row 0 <= b with negative b")
             continue
         prim, scale = primitivize(vec)
-        b = b / scale
+        if scale != 1:
+            b = b / scale
         if prim not in merged or b < merged[prim]:
             merged[prim] = b
     if not merged:

@@ -30,8 +30,14 @@ def format_fraction(q: Fraction | int) -> str:
 
 
 def parse_fraction(text: str) -> Fraction:
+    """Fraction(text) after stripping, raising ParseError; an ASCII integer
+    token, with an optional sign, is read by int() and not by the regex."""
+    token = text.strip()
+    digits = token[1:] if token[:1] in ("+", "-") else token
+    if digits.isascii() and digits.isdigit():
+        return Fraction(int(token))
     try:
-        return Fraction(text.strip())
+        return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {text!r}") from exc
 
@@ -74,9 +80,14 @@ def scale_to_integer(v: Sequence) -> IntVector:
     """
     if all(type(x) is int for x in v):
         return tuple(v)
-    fracs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
-    m = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    return tuple(f.numerator * (m // f.denominator) for f in fracs)
+    return tuple(common_denominator([x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v])[0])
+
+
+def common_denominator(values: Sequence) -> tuple[list[int], int]:
+    """(nums, den) with values[i] = nums[i] / den for ints and Fractions,
+    den the lcm of their denominators (1 for no values)."""
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
 
 
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -311,16 +322,3 @@ def det(matrix: Sequence[Sequence]) -> Fraction:
         if cleared[k] != row[k]:
             value = value * Fraction(row[k]) / cleared[k]
     return value
-
-
-def fraction_gcd(values: Sequence[Fraction]) -> Fraction:
-    """Positive generator of the group generated by the given rationals."""
-    nonzero = [Fraction(v) for v in values if v != 0]
-    if not nonzero:
-        return Fraction(0)
-    denom = lcm(*(v.denominator for v in nonzero))
-    nums = [int(v * denom) for v in nonzero]
-    g = 0
-    for x in nums:
-        g = gcd(g, x)
-    return Fraction(g, denom)

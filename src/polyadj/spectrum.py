@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 import operator
-from math import floor, lcm
+from math import floor, gcd
 from numbers import Rational
 from typing import Iterator, Optional, Sequence
 
@@ -23,9 +23,9 @@ from . import lp
 from .errors import InternalInconsistencyError, InvalidConfigError
 from .ratmath import (
     IntVector,
+    _eliminate,
     dot,
     ext_gcd_list,
-    fraction_gcd,
     primitivize,
     saturate,
     solve_linear,
@@ -133,7 +133,7 @@ def _checked_rows(rows: Sequence[Sequence[int]]) -> CoreNormalConfig:
         if len(a) != d:
             raise InvalidConfigError("mixed row lengths")
         vec = tuple(int(x) for x in a)
-        if vec != tuple(Fraction(x) for x in a):
+        if any(type(x) is not int for x in a) and vec != tuple(Fraction(x) for x in a):
             raise InvalidConfigError("rows must be integer vectors")
         if all(x == 0 for x in vec):
             raise InvalidConfigError("zero vector is not a valid normal")
@@ -166,28 +166,28 @@ def validate_config(cfg: CoreNormalConfig) -> None:
         raise InternalInconsistencyError("capped barycentric LP cannot be unbounded")
 
 
-def _phi(cfg: CoreNormalConfig, vector: Sequence[Fraction]) -> Fraction:
-    """Coefficient of the all-ones column in vector = A y + c 1.
+def _step_basis(cfg: CoreNormalConfig) -> tuple[tuple[IntVector, ...], list[int], int]:
+    """A basis of Z^m intersected with span(columns of A, 1), the numerators
+    of the 1-coefficient of each basis vector v in v = A y + c 1, and their
+    common denominator.
 
-    Well defined because the configuration admits no y with A y = 1: any
+    One fraction-free elimination of the rows (a_i, 1, v_1[i], ..., v_k[i])
+    solves for every basis vector at once. The coefficient is well defined
+    when 1 is not in the span of the columns of A, that is when the
+    1-column holds the last pivot of (A | 1); then every solution of
+    A y + c 1 = 0 has c = 0. A configuration admits no y with A y = 1: any
     positive barycentric combination of the rows kills A y but not 1.
     """
-    matrix = [list(a) + [1] for a in cfg.normals]
-    sol = solve_linear(matrix, list(vector))
-    if sol is None:
-        raise InternalInconsistencyError("vector left the spanned lattice")
-    for basis_vec in sol[1]:
-        if basis_vec[cfg.dim] != 0:
-            raise InvalidConfigError("configuration admits A y = 1; step is undefined")
-    return sol[0][cfg.dim]
-
-
-def _step_basis(cfg: CoreNormalConfig) -> tuple[tuple[IntVector, ...], list[Fraction]]:
-    """A basis of Z^m intersected with span(columns of A, 1), and the
-    1-coefficient _phi of each basis vector."""
-    cols = [tuple(a[j] for a in cfg.normals) for j in range(cfg.dim)]
+    d = cfg.dim
+    cols = [tuple(a[j] for a in cfg.normals) for j in range(d)]
     basis = saturate(cols + [tuple([1] * cfg.n_rows)])
-    return basis, [_phi(cfg, v) for v in basis]
+    reduced, pivots, _ = _eliminate([list(a) + [1] + [v[i] for v in basis]
+                                     for i, a in enumerate(cfg.normals)])
+    if pivots[-1] > d:
+        raise InternalInconsistencyError("vector left the spanned lattice")
+    if pivots[-1] < d:
+        raise InvalidConfigError("configuration admits A y = 1; step is undefined")
+    return basis, reduced[-1][d + 1:], reduced[-1][d]
 
 
 def codegree_step(cfg: CoreNormalConfig) -> Fraction:
@@ -198,7 +198,8 @@ def codegree_step(cfg: CoreNormalConfig) -> Fraction:
     1-coefficients of a basis of that lattice. Returns 0 when only c = 0
     is achievable.
     """
-    return fraction_gcd(_step_basis(cfg)[1])
+    _, nums, den = _step_basis(cfg)
+    return Fraction(gcd(*nums), den)
 
 
 def spectrum_superset(cfg: CoreNormalConfig, epsilon) -> SpectrumSuperset:
@@ -220,8 +221,8 @@ def check_necessary_condition(cfg: CoreNormalConfig, c) -> tuple[bool, Optional[
     """
     c = Fraction(c)
     m = cfg.n_rows
-    basis, phis = _step_basis(cfg)
-    g = fraction_gcd(phis)
+    basis, nums, den = _step_basis(cfg)
+    g = Fraction(gcd(*nums), den)
     if g == 0:
         if c != 0:
             return False, None
@@ -229,9 +230,8 @@ def check_necessary_condition(cfg: CoreNormalConfig, c) -> tuple[bool, Optional[
     if (c / g).denominator != 1:
         return False, None
     k = c / g
-    denom = lcm(*[p.denominator for p in phis]) if phis else 1
-    gd, coeffs = ext_gcd_list([int(p * denom) for p in phis])
-    if Fraction(gd, denom) != g:
+    gd, coeffs = ext_gcd_list(nums)
+    if Fraction(gd, den) != g:
         raise InternalInconsistencyError("gcd combination disagrees with the step")
     target = [Fraction(0)] * m
     for coef, vec in zip(coeffs, basis):

@@ -23,7 +23,9 @@ from polyadj.adjunction import (
 from polyadj.errors import DimensionMismatchError, InternalInconsistencyError, NotLatticePolytopeError
 from polyadj.fan import normal_fan
 from polyadj.generators import cube, fig1, random_lattice_polytope, scaled_simplex
+from polyadj.polyfile import format_polytope, read_polytope
 from polyadj.polytope import from_inequalities, lattice_points, vertices
+from polyadj.spectrum import spectrum_superset
 
 TRIANGLE_ROWS = [((-1, 0), 0), ((0, -1), 0), ((3, 1), 3)]
 
@@ -132,6 +134,52 @@ def test_tampered_shift_duals_are_rejected(monkeypatch):
         adjunction_data(p)
 
 
+@pytest.mark.parametrize("y, c_star", [
+    # fig1's duals (0, 1/2, 1/2, 0, 0) moved along the one direction that
+    # keeps y A = 0, sum y = 1 and y.b = c*: only y >= 0 fails
+    ((Fraction(-1, 10), Fraction(2, 5), Fraction(4, 5), Fraction(2, 5), Fraction(-1, 2)), Fraction(3, 2)),
+    # y >= 0, y A = 0 and y.b = c*, but sum y = 3/5
+    ((Fraction(3, 10), 0, 0, 0, Fraction(3, 10)), Fraction(3, 2)),
+    # y >= 0, sum y = 1 and y.b = c*, but y A = (-1/2, 1/2)
+    ((Fraction(1, 2), 0, Fraction(1, 2), 0, 0), Fraction(3, 2)),
+    # the true duals against a wrong c*
+    ((0, Fraction(1, 2), Fraction(1, 2), 0, 0), Fraction(7, 5)),
+    # one dual short
+    ((0, Fraction(1, 2), Fraction(1, 2), 0), Fraction(3, 2)),
+])
+def test_each_shift_dual_condition_is_checked(y, c_star):
+    p = fig1()
+    adjunction._check_shift_duals(p, Fraction(3, 2), (0, Fraction(1, 2), Fraction(1, 2), 0, 0), (1, 2))
+    with pytest.raises(InternalInconsistencyError, match="do not certify"):
+        adjunction._check_shift_duals(p, c_star, y, (0, 1, 2, 3, 4))
+
+
+def split_vertices(v, k):
+    """Vertex 0 up and vertex 1 down by 1/1000."""
+    return (v[0], v[1] + Fraction(1 - 2 * k, 1000))
+
+
+@pytest.mark.parametrize("move, message", [
+    # the whole core off its core rows y = 3/2 (rows 1 and 2)
+    (lambda v, k: (v[0], v[1] + Fraction(1, 1000)), "not tight on the core"),
+    # the two vertices moved apart across y = 3/2, the barycenter kept
+    (split_vertices, "misses a core vertex"),
+    # the core slid along y = 3/2 past the row x - y <= 4 - c*
+    (lambda v, k: (v[0] + 10, v[1]), "tight at a relative interior point"),
+])
+def test_a_moved_core_fails_the_core_row_checks(monkeypatch, move, message):
+    embed = adjunction.embed_system
+
+    def moved(system):
+        core_, rows = embed(system)
+        assert len(core_.vertices) == 2
+        return dataclasses.replace(core_, vertices=tuple(move(v, k) for k, v in enumerate(core_.vertices))), rows
+
+    monkeypatch.setattr(adjunction, "embed_system", moved)
+    with pytest.raises(InternalInconsistencyError, match=message):
+        adjunction_data(fig1())
+
+
 def test_wrappers_agree_with_the_data_object():
     p = scaled_simplex(2, 3)
     data = adjunction_data(p)
@@ -238,3 +286,24 @@ def test_scaled_acore_interior_is_only_the_origin():
     data = adjunction_data(cube(2))
     pts = lattice_points(data.acore, region="relative_interior")
     assert pts == ((0, 0),)
+
+
+def test_the_spectrum_path_builds_a_pinned_number_of_fractions(monkeypatch):
+    # a deterministic work counter for the `spectrum --from-polytope` path:
+    # every Fraction made by read_polytope, adjunction_data, core_config and
+    # spectrum_superset on ten 12-point hulls in [-4, 4]^3. Python 3.12 made
+    # Fraction arithmetic build its results without Fraction.__new__, so
+    # fewer calls are counted there.
+    texts = [format_polytope(random_lattice_polytope(3, 12, s, box=4)) for s in range(5000, 5010)]
+    new = Fraction.__new__
+    calls = []
+
+    def counting(cls, *args, **kwargs):
+        calls.append(None)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    for text in texts:
+        spectrum_superset(core_config(adjunction_data(read_polytope(text))), Fraction(1, 2))
+    monkeypatch.undo()
+    assert len(calls) == (2459 if hasattr(Fraction, "_from_coprime_ints") else 3034)

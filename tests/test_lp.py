@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import bland_simplex, fm_maximize, fm_project_feasible
-from polyadj.errors import DimensionMismatchError
+from polyadj.errors import DimensionMismatchError, InternalInconsistencyError
 from polyadj import lp
 from polyadj.lp import LpProblem, is_feasible, make_problem, solve
 from polyadj.ratmath import dot
@@ -177,6 +177,79 @@ def test_certificates_with_free_equality_duals_and_priced_out_columns():
     # included, must be read for the certificate to reproduce the objective
     normals = [(-1, 0, -1, 0), (0, 0, 1, -2), (2, 1, 0, 1), (12, -6, 23, -4)]
     assert make_config(normals).normals == tuple(normals)
+
+
+# max x0 / 2 + x1 / 5 with x0 free and x1 >= 0, rational in every row, rhs
+# and objective entry; row 1 is twice row 0 with a looser bound, and the
+# equality row's rhs is negative, so its dual is read with sign -1. The
+# internal columns are u0, u1, w0, the slacks of rows 0-2 (3, 4, 5) and the
+# equality row's artificial (6).
+CERT_ROWS = ([[Fraction(1, 2), Fraction(1, 3)], [1, Fraction(2, 3)], [0, Fraction(-1, 3)]],
+             [Fraction(1, 2), Fraction(3, 2), 0])
+CERT_EQ = ([[Fraction(1, 3), Fraction(-1, 2)]], [Fraction(-1, 6)])
+
+
+def certified_solve(monkeypatch, edit=None):
+    """Solve the problem above, with the final reduced costs (rc, den) of
+    phase 2 replaced by edit(rc, den) before the certificate is checked."""
+    run = lp._Tableau.run
+
+    def tampering(self, cost, allowed):
+        status = run(self, cost, allowed)
+        if edit is not None and status == "optimal" and not all(allowed):  # phase 2
+            rc, den = self.costs
+            self.costs = edit(list(rc), den)
+        return status
+
+    monkeypatch.setattr(lp._Tableau, "run", tampering)
+    problem = make_problem(*CERT_ROWS, [Fraction(1, 2), Fraction(1, 5)],
+                           eq_normals=CERT_EQ[0], eq_rhs=CERT_EQ[1], nonneg=[1])
+    return solve(problem)
+
+
+def test_the_certificate_problem_is_accepted_with_fraction_duals(monkeypatch):
+    res = certified_solve(monkeypatch)
+    assert (res.value, res.point, res.tight) == (Fraction(53, 130), (Fraction(7, 13), Fraction(9, 13)), (0,))
+    assert res.duals == (Fraction(57, 65), 0, 0, Fraction(12, 65))
+    assert all(type(v) is Fraction for v in res.duals)
+    assert_dual_certificate(list(zip(*CERT_ROWS)), list(zip(*CERT_EQ)), {1},
+                            [Fraction(1, 2), Fraction(1, 5)], res)
+
+
+def shifted(*moves):
+    """An edit adding k to entry j of the doubled cost row for each (j, k);
+    doubling the row and its denominator leaves every dual as it was."""
+    def edit(rc, den):
+        rc = [2 * a for a in rc]
+        for j, k in moves:
+            rc[j] += k
+        return rc, 2 * den
+    return edit
+
+
+def test_a_negative_inequality_dual_is_rejected(monkeypatch):
+    with pytest.raises(InternalInconsistencyError, match="negative dual multiplier"):
+        certified_solve(monkeypatch, shifted((4, -1)))
+
+
+def test_a_wrong_reduced_cost_on_a_free_column_is_rejected(monkeypatch):
+    # the dual of row 0 up by 1/260 moves y.A_0 - c_0 above 0 on the free x0
+    # (and y.A_1 - c_1 to 1/780, which x1 >= 0 allows)
+    with pytest.raises(InternalInconsistencyError, match="do not reproduce the objective"):
+        certified_solve(monkeypatch, shifted((3, 1)))
+
+
+def test_a_wrong_reduced_cost_on_a_nonneg_column_is_rejected(monkeypatch):
+    # the dual of row 2 up by 1/260 leaves x0 alone and pushes y.A_1 below c_1
+    with pytest.raises(InternalInconsistencyError, match="do not reproduce the objective"):
+        certified_solve(monkeypatch, shifted((5, 1)))
+
+
+def test_a_duality_gap_is_rejected(monkeypatch):
+    # 1/130 of row 0 traded for 1/260 of row 1 keeps y.A and y >= 0 but
+    # raises y.b by 1/520
+    with pytest.raises(InternalInconsistencyError, match="duality gap"):
+        certified_solve(monkeypatch, shifted((3, -2), (4, 1)))
 
 
 @settings(deadline=None, max_examples=150)

@@ -15,7 +15,6 @@ from polyadj.ratmath import (
     ext_gcd,
     ext_gcd_list,
     format_fraction,
-    fraction_gcd,
     hnf,
     integer_kernel_basis,
     parse_fraction,
@@ -53,6 +52,20 @@ def test_fraction_text_forms():
         parse_fraction("a/b")
     with pytest.raises(ParseError):
         parse_fraction("")
+
+
+@pytest.mark.parametrize("token", ["+3", "-0", "007", " 7 ", "1_000", "١٢", "1.5", "1e3", "2/4",
+                                   "3/0", "", "--1", "+", "\t-12\n", "1__0", "٣/٤"])
+def test_parse_fraction_agrees_with_the_fraction_constructor(token):
+    try:
+        expected = Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ParseError) as info:
+            parse_fraction(token)
+        assert str(info.value) == f"bad rational {token!r}"
+    else:
+        value = parse_fraction(token)
+        assert type(value) is Fraction and value == expected
 
 
 @given(st.lists(ints, min_size=1, max_size=6), st.lists(ints, min_size=1, max_size=6))
@@ -298,15 +311,3 @@ def test_solve_linear_reports_full_solution_set():
     assert dot([1, 1], point) == 2
     assert len(kernel) == 1
     assert solve_linear([[1, 1], [1, 1]], [0, 1]) is None
-
-
-@given(st.lists(fractions, min_size=1, max_size=5))
-def test_fraction_gcd_generates_all_inputs(values):
-    g = fraction_gcd(values)
-    if all(v == 0 for v in values):
-        assert g == 0
-        return
-    assert g > 0
-    multiples = [v / g for v in values]
-    assert all(m.denominator == 1 for m in multiples)
-    assert gcd(*(abs(int(m)) for m in multiples)) in (0, 1)

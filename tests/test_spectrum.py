@@ -1,5 +1,6 @@
 """Candidate Q-codegree grids from core normal configurations."""
 
+import hashlib
 from decimal import Decimal
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from polyadj.adjunction import adjunction_data, core_config
 from polyadj.errors import InvalidConfigError
 from polyadj.generators import cube, fig1
 from polyadj.spectrum import (
+    CoreNormalConfig,
     ReciprocalGrid,
     check_necessary_condition,
     codegree_step,
@@ -51,6 +53,23 @@ def test_codegree_step_of_small_configurations():
     assert codegree_step(make_config([(1,), (-1,)])) == Fraction(1, 2)
     assert codegree_step(make_config(SQUARE)) == Fraction(1, 2)
     assert codegree_step(make_config([(1, 1), (-1, -1)])) == Fraction(1, 2)
+
+
+def test_codegree_steps_of_the_suite_are_pinned(suite_reports):
+    # the steps of the 200 suite configurations (101 distinct values), as
+    # one solve_linear per basis vector computed them
+    text = "\n".join(f"{key} {codegree_step(core_config(rep.data))}"
+                     for key, rep in suite_reports.items())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "754fd7bf780344c5d8c3e5c6f32c3844a8ec2119e629c2d3905dae15875f1607")
+
+
+@pytest.mark.parametrize("cfg", [CoreNormalConfig(1, ((1,),)), CoreNormalConfig(2, ((1, 0), (0, 1)))])
+def test_a_configuration_with_a_solution_of_a_y_equal_to_1_has_no_step(cfg):
+    with pytest.raises(InvalidConfigError, match="admits A y = 1"):
+        codegree_step(cfg)
+    with pytest.raises(InvalidConfigError, match="admits A y = 1"):
+        check_necessary_condition(cfg, 1)
 
 
 def test_codegree_step_matches_the_running_example():
