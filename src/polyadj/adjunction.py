@@ -36,6 +36,7 @@ from .polytope import (
     EmbeddedPolytope,
     HPolytope,
     InequalitySystem,
+    _embedded,
     embed_system,
     hull_any_dim,
     is_lattice_polytope,
@@ -44,7 +45,7 @@ from .polytope import (
     relative_interior_point,
     scale_embedded,
 )
-from .ratmath import IntVector, common_denominator, dot
+from .ratmath import IntVector, common_denominator, dot, rank
 
 
 def adjoint(p: HPolytope, c) -> InequalitySystem:
@@ -110,25 +111,31 @@ class AdjunctionData:
 
 
 def adjunction_data(p: HPolytope) -> AdjunctionData:
-    """Critical shift, core and core normals of p, from one LP and one double description.
+    """Critical shift, core and core normals of p, from one LP and its certificate.
 
     The critical-shift LP's duals y are checked exactly: y >= 0, y A = 0,
     sum y = 1 and y.b = c*. They are a Farkas certificate that adjoint(p, c)
     is empty for every c > c*, since y.(b - c 1 - A x) = c* - c < 0 while
-    every point x of adjoint(p, c) makes it nonnegative. By complementary
-    slackness y vanishes off the rows tight on the whole core, which is
-    checked against the core normals that the double description finds.
-    Those rows are then checked tight at every core vertex and at the
-    vertex barycenter, and every other row strict at the barycenter, all
-    in integers: the vertices over the lcm of their denominators, and the
-    barycenter as their sum over that lcm times their number.
+    every point x of adjoint(p, c) makes it nonnegative. At c = c* the same
+    sum is 0, so every core point is tight on every row where y > 0
+    (complementary slackness). When those rows have rank d the core is one
+    point, the LP's optimal one (_point_core); otherwise one double
+    description of the adjoint gives it (embed_system). Either way y must
+    vanish off the rows tight on the whole core. Those rows are then
+    checked tight at every core vertex and at the vertex barycenter, and
+    every other row strict at the barycenter, all in integers: the vertices
+    over the lcm of their denominators, and the barycenter as their sum
+    over that lcm times their number.
     """
     res = _shift_lp(list(zip(p.normals, p.rhs)))
     c_star, y = res.value, res.duals
     if c_star <= 0:
         raise InternalInconsistencyError("critical shift of a full-dimensional polytope must be positive")
     system = adjoint(p, c_star)
-    core, implicit = embed_system(system)  # raises EmptyPolytopeError if the adjoint is empty
+    if rank([a for a, v in zip(p.normals, y) if v]) == p.dim:
+        core, implicit = _point_core(system, res.point[:p.dim])
+    else:
+        core, implicit = embed_system(system)  # raises EmptyPolytopeError if the adjoint is empty
     _check_shift_duals(p, c_star, y, implicit)
     if core.dim >= p.dim:
         raise InternalInconsistencyError("core must have lower dimension than the polytope")
@@ -150,6 +157,23 @@ def adjunction_data(p: HPolytope) -> AdjunctionData:
             raise InternalInconsistencyError("non-core row is tight at a relative interior point")
     acore = hull_any_dim([tuple(a) for a in normals])
     return AdjunctionData(p, c_star, 1 / c_star, core, implicit, normals, acore, y)
+
+
+def _point_core(system: InequalitySystem, x: tuple[Fraction, ...]) -> tuple[EmbeddedPolytope, tuple[int, ...]]:
+    """The core {x} and its implicit rows, the rows tight at x, as embed_system gives them.
+
+    x must satisfy every row of system, checked in integers over the lcm of
+    its denominators; a row it violates raises InternalInconsistencyError.
+    """
+    nums, den = common_denominator(x)
+    implicit = []
+    for i, (a, b) in enumerate(zip(system.normals, system.rhs)):
+        value, bound = dot(a, nums) * b.denominator, b.numerator * den
+        if value > bound:
+            raise InternalInconsistencyError("the critical-shift LP's point leaves the core")
+        if value == bound:
+            implicit.append(i)
+    return _embedded((x,), ()), tuple(implicit)
 
 
 def _check_shift_duals(p: HPolytope, c_star: Fraction, y: Sequence[Fraction],

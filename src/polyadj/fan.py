@@ -15,12 +15,14 @@ double description: the facets are its rays with s = 0, the vertices
 those with s > 0. It runs on the rays as given; only a cone of lower
 rank, whose double description then has a lineality, moves to the
 coordinates of its saturated span, with no rank taken. The canonicity
-scan enumerates one region per cone, conv(0, rays), whose levels
-polytope.projected_levels compiles once from the cone of its valid rows:
-one double description of its points, or none when the dual region has
-one vertex, whose double description already holds those rows. Its
-ladder starts at the lower bound on heights that the dual vertices prove.
-Normal fans test tight rows in integers.
+scan enumerates one region per cone, conv(0, rays), shrunk by t = 1/2^k
+on a ladder that starts at the lower bound on heights that the dual
+vertices prove. Across a fan each cone's ladder is capped at the least
+threshold of the cones before it. A cone compiles the levels of its
+region (polytope.projected_levels, from the cone of its valid rows: one
+double description of its points, or none when the dual region has one
+vertex, whose double description already holds those rows) only when its
+ladder takes a rung. Normal fans test tight rows in integers.
 """
 
 from __future__ import annotations
@@ -295,43 +297,48 @@ def _cone_levels(rays: Sequence[IntVector], region) -> list:
     return projected_levels(*double_description(rows, d + 1))
 
 
-def canonicity_threshold(c: Cone) -> tuple[Fraction, Optional[CanonicityWitness]]:
-    """min(1, least height of a nonzero lattice point of the cone).
+def canonicity_threshold(c: Cone, below=1) -> tuple[Fraction, Optional[CanonicityWitness]]:
+    """min(below, least height of a nonzero lattice point of the cone), with a witness when under below.
 
     Heights are min_w <w, x> / scale over the dual height vertices w, where
     w = (scale / s) u for a primitive integer dual vertex (u, s) and <u, x>
     is a positive integer at each nonzero lattice point x of the cone: every
-    height is at least 1 / max s, and with max s = 1 the threshold is 1
-    with no point listed. A point of height at most t lies in t R_w, R_w =
-    conv(0, scale r / <w, r>), for its minimizing w, and <w, r> >= scale
-    puts every apex on [0, r], so it lies in t Q, Q = conv(0, rays). The
-    levels of Q are compiled once (_cone_levels) and the ladder takes
-    t = 1/2^k for the largest 2^k <= max s, then doubles t up to 1, keeping
-    the nonzero points of t Q of height at most t. The rows of Q come from
-    the dual height double description when the dual region has one
-    vertex, and from one double description of Q's points otherwise; every
-    level below them is an equality cut. The first round that keeps a
-    point keeps every point of least height, so the least height is exact
-    and the witness is the lexicographically smallest point attaining it.
-    A cone of lower rank is scanned in the coordinates of the saturated
-    span of its rays, where its lattice points keep integer coordinates.
-    Returns the threshold and, below 1, a witness.
+    height is at least 1 / max s, so with 1 / max s >= below the answer is
+    below with no point listed. A point of height at most t lies in t R_w,
+    R_w = conv(0, scale r / <w, r>), for its minimizing w, and <w, r> >=
+    scale puts every apex on [0, r], so it lies in t Q, Q = conv(0, rays).
+    The ladder takes t = 1/2^k for the largest 2^k <= max s, then doubles t,
+    keeping the nonzero points of t Q of height at most t. It stops at the
+    first rung that keeps a point, which keeps every point of least height,
+    so the least height is exact and the witness is the lexicographically
+    smallest point attaining it; or at the first t >= below, which lists
+    every point of height under below; or at t = 1. The levels of Q are
+    compiled (_cone_levels) only when the ladder takes a rung. A cone of
+    lower rank is scanned in the coordinates of the saturated span of its
+    rays, where its lattice points keep integer coordinates. below must lie
+    in (0, 1].
     """
+    below = Fraction(below)
+    num, den = below.numerator, below.denominator
+    if not 0 < num <= den:
+        raise ValueError("below must lie in (0, 1]")
     directions, rays, region, duals, scale = _height_functionals(c.rays)
     top = max(scale // gcd(*w, scale) for w in duals)
-    if top == 1:
-        return Fraction(1), None
+    if num * top <= den:
+        return below, None
     levels = _cone_levels(rays, region)
     shrink = 1 << (top.bit_length() - 1)
     while True:
         heights = ((min(dot(w, pt) for w in duals), pt) for pt in level_points(levels, shrink=shrink) if any(pt))
         found = [(h, pt) for h, pt in heights if h * shrink <= scale]
-        if found or shrink == 1:
+        if found or num * shrink <= den:
             break
         shrink //= 2
+    if not found:
+        return below, None
     best, point = min(found)
-    if best >= scale:
-        return Fraction(1), None
+    if best * den >= scale * num:
+        return below, None
     threshold = Fraction(best, scale)
     if directions is not None:
         point = tuple(sum(coeff * direction[j] for coeff, direction in zip(point, directions))
@@ -340,14 +347,19 @@ def canonicity_threshold(c: Cone) -> tuple[Fraction, Optional[CanonicityWitness]
 
 
 def fan_canonicity_threshold(fan: NormalFan) -> tuple[Fraction, Optional[CanonicityWitness]]:
-    """Least canonicity threshold over the maximal cones, with a witness if < 1."""
+    """Least canonicity threshold over the maximal cones, with the first cone's witness if < 1.
+
+    Each cone's ladder is capped at the least threshold of the cones
+    before it: it stops at the first rung at or above it, and a cone whose
+    dual vertices already prove every height at least that low lists no
+    point and compiles no levels. A tie keeps the earlier cone's witness.
+    """
     best = Fraction(1)
     witness: Optional[CanonicityWitness] = None
     for c in fan.maximal_cones:
-        t, w = canonicity_threshold(c)
-        if t < best:
-            best = t
-            witness = w
+        t, w = canonicity_threshold(c, best)
+        if w is not None:
+            best, witness = t, w
     return best, witness
 
 

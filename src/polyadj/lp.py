@@ -40,22 +40,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Literal, Optional, Sequence
+from typing import Iterable, Literal, Optional, Sequence, Union
 
 from .errors import DimensionMismatchError, InternalInconsistencyError
 from .ratmath import common_denominator, dot
 
 Status = Literal["optimal", "infeasible", "unbounded"]
+Exact = Union[int, Fraction]
 
 
 @dataclass(frozen=True)
 class LpProblem:
-    normals: tuple[tuple[Fraction, ...], ...]
-    rhs: tuple[Fraction, ...]
-    objective: tuple[Fraction, ...]
+    """An LP with exact entries: each an int or a Fraction."""
+
+    normals: tuple[tuple[Exact, ...], ...]
+    rhs: tuple[Exact, ...]
+    objective: tuple[Exact, ...]
     direction: Literal["max", "min"] = "max"
-    eq_normals: tuple[tuple[Fraction, ...], ...] = ()
-    eq_rhs: tuple[Fraction, ...] = ()
+    eq_normals: tuple[tuple[Exact, ...], ...] = ()
+    eq_rhs: tuple[Exact, ...] = ()
     nonneg: tuple[int, ...] = ()
 
 
@@ -74,13 +77,19 @@ class LpResult:
     duals: tuple[Fraction, ...] = ()
 
 
+def _exact(x) -> Exact:
+    """x as it is when an int or a Fraction, else converted to a Fraction."""
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
 def make_problem(normals, rhs, objective, direction="max", *,
                  eq_normals=(), eq_rhs=(), nonneg: Iterable[int] = ()) -> LpProblem:
-    normals = tuple(tuple(Fraction(x) for x in row) for row in normals)
-    rhs = tuple(Fraction(b) for b in rhs)
-    eq_normals = tuple(tuple(Fraction(x) for x in row) for row in eq_normals)
-    eq_rhs = tuple(Fraction(b) for b in eq_rhs)
-    objective = tuple(Fraction(c) for c in objective)
+    """Check an LP's shape and build it, keeping int and Fraction entries as they are."""
+    normals = tuple(tuple(map(_exact, row)) for row in normals)
+    rhs = tuple(map(_exact, rhs))
+    eq_normals = tuple(tuple(map(_exact, row)) for row in eq_normals)
+    eq_rhs = tuple(map(_exact, eq_rhs))
+    objective = tuple(map(_exact, objective))
     d = len(objective)
     if (any(len(row) != d for row in normals + eq_normals) or len(normals) != len(rhs)
             or len(eq_normals) != len(eq_rhs)):
@@ -238,9 +247,8 @@ def _phase1(tab: _Tableau, art_cols, ncols_core) -> bool:
 def solve(problem: LpProblem) -> LpResult:
     """Solve an LP exactly; see the module docstring for the method.
 
-    The problem is used as given: make_problem has already checked it and
-    converted its entries. Integer entries work as well, since only their
-    numerators and denominators are read.
+    The problem is used as given: make_problem has already checked it.
+    Only the numerators and denominators of its entries are read.
     """
     d = len(problem.objective)
     obj = problem.objective if problem.direction == "max" else tuple(-c for c in problem.objective)
@@ -315,7 +323,7 @@ def is_feasible(normals: Sequence, rhs: Sequence, *, eq_normals: Sequence = (),
     if not normals and not eq_normals:
         return True
     d = len(normals[0] if normals else eq_normals[0])
-    problem = make_problem(normals, rhs, [Fraction(0)] * d,
+    problem = make_problem(normals, rhs, [0] * d,
                            eq_normals=eq_normals, eq_rhs=eq_rhs, nonneg=nonneg)
     _, tab, art_cols, ncols_core = _setup(problem, _cleared(problem))
     return _phase1(tab, art_cols, ncols_core)

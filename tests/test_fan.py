@@ -27,6 +27,7 @@ from polyadj import fan as fan_module, lp, polytope
 from polyadj.errors import InvalidConeError, NotInConeError
 from polyadj.fan import (
     Cone,
+    NormalFan,
     _dual_height_vertices,
     _cone_levels,
     _span_frame,
@@ -477,34 +478,139 @@ def test_points_scanned_by_the_threshold_are_pinned(monkeypatch):
     assert [_points_scanned(monkeypatch, c) for c in cones] == [5, 23, 5, 7, 39, 12]
 
 
+def _first_minimum(cones):
+    """The least uncapped canonicity_threshold of the cones, with the witness
+    of the first cone attaining it, as a strict t < best keeps it."""
+    best, witness = Fraction(1), None
+    for c in cones:
+        t, w = canonicity_threshold(c)
+        if t < best:
+            best, witness = t, w
+    return best, witness
+
+
+def test_the_fan_scan_matches_the_uncapped_cones_on_the_suite(suite):
+    for _, p in suite:
+        fan = normal_fan(p)
+        assert fan_canonicity_threshold(fan) == _first_minimum(fan.maximal_cones)
+
+
+def _reflected(c):
+    # the image under x_1 -> -x_1, a lattice automorphism: the same threshold
+    # and the witness reflected, which can change the lexicographic order
+    return cone([(-r[0],) + tuple(r[1:]) for r in c.rays])
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(2, 4), st.data())
+def test_the_fan_scan_matches_the_uncapped_cones_on_drawn_fans(d, data):
+    # full-rank and lower-rank cones, with reflected copies that tie
+    cones = [cone(rays) for rays in data.draw(st.lists(_upper_rays(d, 1, d + 2), min_size=1, max_size=4))]
+    for k in data.draw(st.lists(st.integers(0, len(cones) - 1), max_size=2)):
+        cones.insert(data.draw(st.integers(0, len(cones))), _reflected(cones[k]))
+    assert fan_canonicity_threshold(NormalFan(d, (), (), tuple(cones))) == _first_minimum(cones)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(2, 3), st.integers(0, 10 ** 6), st.integers(1, 4), st.integers(2, 4))
+def test_the_fan_scan_matches_the_uncapped_cones_on_drawn_polytopes(d, seed, extra, box):
+    cones = normal_fan(random_lattice_polytope(d, d + extra, seed, box=box)).maximal_cones
+    assert fan_canonicity_threshold(NormalFan(d, (), (), cones)) == _first_minimum(cones)
+
+
+def test_a_tie_between_cones_goes_to_the_first_cone():
+    # both cones have threshold 1/2; the second one's witness (-1, 0) is
+    # lexicographically smaller, and still the first cone's (1, 0) is kept
+    right, left = cone([(2, -1), (2, 1)]), cone([(-2, -1), (-2, 1)])
+    for cones, point in (((right, left), (1, 0)), ((left, right), (-1, 0))):
+        t, w = fan_canonicity_threshold(NormalFan(2, (), (), cones))
+        assert (t, w.cone, w.point) == (Fraction(1, 2), cones[0], point)
+        assert (t, w) == _first_minimum(cones)
+
+
+def _ladder_work(monkeypatch, fan):
+    """(points listed, rungs taken, levels compiled) by fan_canonicity_threshold(fan),
+    a rung being one level_points call of one cone."""
+    listed, compiled = [], []
+
+    def listing(*args, **kwargs):
+        points = level_points(*args, **kwargs)
+        listed.append(len(points))
+        return points
+
+    def compiling(*args):
+        compiled.append(None)
+        return _cone_levels(*args)
+
+    monkeypatch.setattr("polyadj.fan.level_points", listing)
+    monkeypatch.setattr("polyadj.fan._cone_levels", compiling)
+    fan_canonicity_threshold(fan)
+    monkeypatch.undo()
+    return sum(listed), len(listed), len(compiled)
+
+
+def test_the_fan_scan_work_is_pinned(monkeypatch, suite):
+    # each cone's ladder stops below the least threshold of the cones
+    # before it. Uncapped, the ladders took (91, 34, 6) on the cones of
+    # d4-s4029, (780, 341, 10) on (5, 10, 2, box=5) and (7598, 3150, 896)
+    # over the suite's fans
+    fan = normal_fan(random_lattice_polytope(4, 6, 4029, box=2))
+    assert _ladder_work(monkeypatch, fan) == (32, 30, 6)
+    fan = normal_fan(random_lattice_polytope(5, 10, 2, box=5))
+    assert _ladder_work(monkeypatch, fan) == (408, 336, 10)
+    total = [0, 0, 0]
+    for _, p in suite:
+        total = [a + b for a, b in zip(total, _ladder_work(monkeypatch, normal_fan(p)))]
+    assert total == [4909, 2755, 803]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 4), st.data())
+def test_a_capped_threshold_is_the_threshold_below_the_cap(d, data):
+    c = cone(data.draw(_upper_rays(d, 1, d + 2)))
+    below = Fraction(data.draw(st.integers(1, 64)), 64)
+    t, w = canonicity_threshold(c)
+    assert canonicity_threshold(c, below) == ((t, w) if t < below else (below, None))
+
+
+def test_the_cap_must_lie_in_the_unit_interval():
+    for below in (0, Fraction(-1, 2), Fraction(3, 2)):
+        with pytest.raises(ValueError):
+            canonicity_threshold(cone([(2, -1), (2, 1)]), below)
+
+
 PROBE = """
 import hashlib, json
 from polyadj.fan import fan_canonicity_threshold, normal_fan
 from polyadj.generators import random_lattice_polytope
 out = []
-for d, n, seed, box in ((5, 10, 2, 5), (5, 10, 4, 5), (6, 11, 2, 2)):
+for d, n, seed, box in ((5, 10, 2, 5), (5, 10, 4, 5), (6, 11, 2, 2), (7, 12, 2, 2)):
     t, w = fan_canonicity_threshold(normal_fan(random_lattice_polytope(d, n, seed, box=box)))
     text = repr((str(t), None if w is None else (w.cone.rays, w.point)))
     out.append(hashlib.sha256(text.encode()).hexdigest())
 print(json.dumps(out))
 """
-# sha256 of repr((str(threshold), (witness cone rays, witness point))) from
-# the ladder over the regions R_w, which took 10.5, 9.3 and 10.0 s on
-# Python 3.11.7 with 2 CPUs
+# sha256 of repr((str(threshold), (witness cone rays, witness point))): the
+# first three from the ladder over the regions R_w, which took 10.5, 9.3
+# and 10.0 s on Python 3.11.7 with 2 CPUs, the d=7 one from the uncapped
+# ladders, which took 7.6 s there
 PROBE_DIGESTS = [
     "c628ba77e0817b27f1e12f5d8acdcf1d94c5d96fa032e76c1810af6e1bb5732d",
     "f7ab4a219e3471a4243b8868670303daa59fc8d435bc3f8de10e65cdc45a144f",
     "02f55aab96c32067f0e641d9ee50520eb4b3c6fe48279bfaab359d7c81b780ff",
+    "1b777c31fa02a4cb0c89feb3b0a4646c49e14e54603f5e5e1adf7c0b0399455d",
 ]
 
 
-def test_d5_and_d6_fan_thresholds_within_a_time_cap():
+def test_d5_to_d7_fan_thresholds_within_a_time_cap():
     # thresholds of order 10^-3 to 10^-6 on cones with entries in the
-    # thousands: the ladder starts at the proven bound 1 / max s
+    # thousands: the ladder starts at the proven bound 1 / max s. The time
+    # limit is generous: the four probes take about 4 s on Python 3.11.7
+    # with 2 CPUs, and a hang fails the test
     package_root = str(Path(polyadj.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", PROBE], env={**os.environ, "PYTHONPATH": pythonpath},
-                         capture_output=True, text=True, timeout=20, check=True)
+                         capture_output=True, text=True, timeout=60, check=True)
     assert json.loads(out.stdout) == PROBE_DIGESTS
 
 
