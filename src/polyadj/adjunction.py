@@ -282,7 +282,7 @@ def verify_lemmas(p: HPolytope, alpha=None, *, data: Optional[AdjunctionData] = 
     if fan is None:
         fan = normal_fan(p)
     d = p.dim
-    origin = tuple(Fraction(0) for _ in range(d))
+    origin = (0,) * d
     origin_ok = data.acore.contains(origin, strict=True)
     normal_points = {tuple(Fraction(x) for x in a) for a in data.core_normals}
     vertices_ok = set(data.acore.vertices) == normal_points
@@ -301,7 +301,7 @@ def verify_lemmas(p: HPolytope, alpha=None, *, data: Optional[AdjunctionData] = 
         scaled = scale_embedded(data.acore, alpha)
         inner = lattice_points(scaled, region="relative_interior")
         scaled_points: Optional[tuple] = inner
-        scaled_ok: Optional[bool] = set(inner) == {tuple(0 for _ in range(d))}
+        scaled_ok: Optional[bool] = set(inner) == {origin}
     else:
         scaled_points = None
         scaled_ok = None

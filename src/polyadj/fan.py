@@ -8,11 +8,14 @@ the generator heights), and smoothness. Fan level values aggregate over
 the maximal cones: a functional witnessing a maximal cone restricts to
 every face, so face indices divide the maximal ones and face thresholds
 are no smaller, which makes the maximal cones sufficient. Nothing here
-solves an LP or builds a polytope: cone validation, heights and the
-canonicity scan all read integer double descriptions. Heights and the
-canonicity scan read a cone's facets and its dual height vertices off one
-double description: the facets are its rays with s = 0, the vertices
-those with s > 0. It runs on the rays as given; only a cone of lower
+solves an LP or builds a polytope: cone validation, heights, the
+canonicity scan and the fan's Gorenstein index all read integer double
+descriptions. Heights, the canonicity scan and the fan's Gorenstein index
+read a cone's facets and its dual height vertices off one double
+description, which the cone keeps once it is computed: the facets are its
+rays with s = 0, the vertices those with s > 0, and the cone's index is
+the s of the vertex tight at every ray, so a fan takes no integer kernel
+after its scan. It runs on the rays as given; only a cone of lower
 rank, whose double description then has a lineality, moves to the
 coordinates of its saturated span, with no rank taken. The canonicity
 scan enumerates one region per cone, conv(0, rays), shrunk by t = 1/2^k
@@ -27,7 +30,7 @@ ladder takes a rung. Normal fans test tight rows in integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -64,10 +67,15 @@ from .ratmath import (
 
 @dataclass(frozen=True)
 class Cone:
-    """Pointed rational cone spanned by primitive extreme rays."""
+    """Pointed rational cone spanned by primitive extreme rays.
+
+    functionals holds _height_functionals(c) once a height, a canonicity
+    scan or the fan's Gorenstein index has computed it.
+    """
 
     ambient_dim: int
     rays: tuple[IntVector, ...]
+    functionals: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     @property
     def n_rays(self) -> int:
@@ -224,7 +232,7 @@ def height(c: Cone, point: Sequence) -> Fraction:
         if any(l < 0 for l in lams):
             raise NotInConeError("point has a negative generator weight")
         return sum(lams, Fraction(0))
-    directions, _, region, duals, scale = _height_functionals(c.rays)
+    directions, _, region, duals, scale = _height_functionals(c)
     if directions is not None:
         target = _local_coordinates(directions, target)
         if target is None:
@@ -257,7 +265,7 @@ def _dual_height_vertices(rays: Sequence[IntVector], d: int) -> Optional[tuple[t
     return found
 
 
-def _height_functionals(rays: Sequence[IntVector]) -> tuple:
+def _height_functionals(c: Cone) -> tuple:
     """(directions, rays, region, duals, scale), with height(x) = min_w <w, x> / scale on the cone.
 
     region is the dual height double description (_dual_height_vertices).
@@ -266,16 +274,20 @@ def _height_functionals(rays: Sequence[IntVector]) -> tuple:
     they do not, and they move to the frame of _saturated_frame, which
     gives directions, and are described again. The duals w are the
     vertices of the dual height region over a common denominator scale, so
-    <w, ray> >= scale on every ray.
+    <w, ray> >= scale on every ray. Computed once per cone and kept in
+    c.functionals.
     """
-    directions = None
-    region = _dual_height_vertices(rays, len(rays[0]))
-    if region is None:
-        directions, rays = _saturated_frame(rays)
-        region = _dual_height_vertices(rays, len(rays[0]))
-    tops = [z for z, _ in region if z[-1]]
-    scale = lcm(*(z[-1] for z in tops))
-    return directions, rays, region, [tuple(x * (scale // z[-1]) for x in z[:-1]) for z in tops], scale
+    if c.functionals is None:
+        directions, rays = None, c.rays
+        region = _dual_height_vertices(rays, c.ambient_dim)
+        if region is None:
+            directions, rays = _saturated_frame(rays)
+            region = _dual_height_vertices(rays, len(rays[0]))
+        tops = [z for z, _ in region if z[-1]]
+        scale = lcm(*(z[-1] for z in tops))
+        duals = tuple(tuple(x * (scale // z[-1]) for x in z[:-1]) for z in tops)
+        object.__setattr__(c, "functionals", (directions, rays, region, duals, scale))
+    return c.functionals
 
 
 def _cone_levels(rays: Sequence[IntVector], region) -> list:
@@ -322,7 +334,7 @@ def canonicity_threshold(c: Cone, below=1) -> tuple[Fraction, Optional[Canonicit
     num, den = below.numerator, below.denominator
     if not 0 < num <= den:
         raise ValueError("below must lie in (0, 1]")
-    directions, rays, region, duals, scale = _height_functionals(c.rays)
+    directions, rays, region, duals, scale = _height_functionals(c)
     top = max(scale // gcd(*w, scale) for w in duals)
     if num * top <= den:
         return below, None
@@ -406,18 +418,37 @@ def gorenstein_index(c: Cone) -> Optional[GorensteinCertificate]:
     return GorensteinCertificate(g, functional)
 
 
+def _cone_index(c: Cone) -> Optional[int]:
+    """The Gorenstein index of c, read off its dual height vertices.
+
+    An integer (w, k) with <ray, w> = k on every ray is, for k > 0, k times
+    a point of the dual height region tight at every ray, which is a vertex
+    since the rays span (in the frame of their saturated span for a cone of
+    lower rank, whose integer functionals extend to Z^d). The solutions
+    (w, k) form a rank-one lattice, so its primitive generator (u, s), the
+    region's ray tight at every ray, gives the least k = s; with no such
+    vertex there is no functional at all.
+    """
+    _, rays, region, _, _ = _height_functionals(c)
+    every = (1 << (len(rays) + 1)) - 2
+    return next((z[-1] for z, t in region if z[-1] and t & every == every), None)
+
+
 def fan_gorenstein_index(fan: NormalFan) -> Optional[int]:
     """lcm of the maximal cone indices, or None when some cone has none.
 
     A functional for a maximal cone restricts to each face, so the faces
-    never obstruct and their indices divide the maximal ones.
+    never obstruct and their indices divide the maximal ones. Each index
+    is read off the cone's dual height double description (_cone_index),
+    the one a canonicity scan of the cone has already run, with no integer
+    kernel; gorenstein_index gives the certificate functional.
     """
     indices = []
     for c in fan.maximal_cones:
-        cert = gorenstein_index(c)
-        if cert is None:
+        index = _cone_index(c)
+        if index is None:
             return None
-        indices.append(cert.index)
+        indices.append(index)
     return lcm(*indices) if indices else None
 
 

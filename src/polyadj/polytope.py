@@ -453,13 +453,19 @@ def from_vertices(points: Sequence[Sequence]) -> HPolytope:
 def _embedded(pts: Sequence[tuple[Fraction, ...]], spanning: Sequence[Sequence]) -> EmbeddedPolytope:
     """The hull of sorted distinct points, all in ambient coordinates.
 
-    spanning spans the directions of the points' affine hull. Its
-    equations are the integer kernel of saturate(spanning), each with a
-    positive leading entry, which depends on the spanning set and not on
-    the subspace alone, so each caller keeps its own. The facets and
-    vertices are one _point_hull; a single point needs none.
+    The facets and vertices are one _point_hull; a single point needs
+    none. When its lineality is empty the points span Q^d, and the
+    subspace is all of it, with no equations and no kernel taken.
+    Otherwise spanning spans the directions of the points' affine hull,
+    and the equations are the integer kernel of saturate(spanning), each
+    with a positive leading entry, which depends on the spanning set and
+    not on the subspace alone, so each caller keeps its own.
     """
     d = len(pts[0])
+    if len(pts) > 1:
+        facets, verts, lineality = _point_hull(pts, d)
+        if not lineality:
+            return EmbeddedPolytope(AffineSubspace(d, d, ()), facets, verts)
     directions = saturate(spanning)
     equations = []
     for a in integer_kernel_basis(list(directions), ncols=d):
@@ -468,7 +474,6 @@ def _embedded(pts: Sequence[tuple[Fraction, ...]], spanning: Sequence[Sequence])
     subspace = AffineSubspace(len(directions), d, tuple(sorted(equations)))
     if not directions:
         return EmbeddedPolytope(subspace, (), tuple(pts))
-    facets, verts, _ = _point_hull(pts, d)
     return EmbeddedPolytope(subspace, facets, verts)
 
 

@@ -7,6 +7,8 @@ and shared by the tests that need them.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from polyadj import analyze
@@ -48,3 +50,33 @@ def named():
         out[f"simplex{d}"] = scaled_simplex(d, 1)
     out["simplex2x3"] = scaled_simplex(2, 3)
     return out
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls((module, name), ...) counts calls of polyadj functions.
+
+    Each function is replaced, at its home module and at every `from ...
+    import` copy in polyadj's modules, by a wrapper that counts its calls,
+    as the benchmark's tracer wraps them. Returns the counts by name, which
+    grow from then on until the test ends.
+    """
+    def install(*targets):
+        counts = {}
+        modules = [m for key, m in list(sys.modules.items())
+                   if m is not None and (key == "polyadj" or key.startswith("polyadj."))]
+        for home, name in targets:
+            original = getattr(home, name)
+            counts[name] = 0
+
+            def counting(*args, name=name, original=original, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            for m in modules:
+                for attr, value in list(vars(m).items()):
+                    if value is original:
+                        monkeypatch.setattr(m, attr, counting)
+        return counts
+
+    return install

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyadj import adjunction, lp, polytope
+from polyadj import adjunction, fan, lp, polytope, ratmath
 from polyadj.adjunction import (
     acore,
     adjoint,
@@ -296,6 +296,36 @@ def test_lemma_alpha_override():
     assert too_high.scaled_interior_lattice_points is None
     with pytest.raises(ValueError):
         verify_lemmas(p, alpha=0)
+
+
+def test_fan_summary_scans_each_maximal_cone_once(count_calls, suite):
+    # the benchmark's traced run checks one fan.canonicity_threshold span per
+    # maximal cone of every suite op, counted at every binding as here
+    counts = count_calls((fan, "canonicity_threshold"))
+    for _, p in suite:
+        nf = normal_fan(p)
+        counts["canonicity_threshold"] = 0
+        fan_summary(nf)
+        assert counts["canonicity_threshold"] == len(nf.maximal_cones)
+
+
+def test_the_fan_path_takes_no_integer_kernel_and_one_dual_description_per_cone(count_calls, suite):
+    # the fan's Gorenstein index is read off the dual height double
+    # descriptions of its scan: gorenstein_index made 627 calls over the
+    # suite's fans, each an integer kernel through hnf, and analyze made
+    # 1883 integer_kernel_basis and 1355 hnf calls, the rest from the three
+    # kernels of every acore, which a full-dimensional one no longer takes
+    counts = count_calls((fan, "gorenstein_index"), (ratmath, "hnf"),
+                         (ratmath, "integer_kernel_basis"), (fan, "_dual_height_vertices"))
+    for _, p in suite:
+        fan_summary(normal_fan(p))
+    assert counts == {"gorenstein_index": 0, "hnf": 0, "integer_kernel_basis": 0,
+                      "_dual_height_vertices": 1117}
+    counts.update(dict.fromkeys(counts, 0))
+    for _, p in suite:
+        analyze(p)
+    assert counts == {"gorenstein_index": 0, "hnf": 384, "integer_kernel_basis": 740,
+                      "_dual_height_vertices": 1117}
 
 
 def test_fan_summary_contents():

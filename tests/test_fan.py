@@ -28,6 +28,7 @@ from polyadj.errors import InvalidConeError, NotInConeError
 from polyadj.fan import (
     Cone,
     NormalFan,
+    _cone_index,
     _dual_height_vertices,
     _cone_levels,
     _span_frame,
@@ -675,3 +676,44 @@ def test_fan_index_is_the_lcm_over_maximal_cones():
     per_cone = [gorenstein_index(c) for c in fan.maximal_cones]
     assert all(cert is not None for cert in per_cone)
     assert fan_gorenstein_index(fan) == lcm(*(cert.index for cert in per_cone)) == 2
+
+
+def _index_agrees_with_the_certificates(fan):
+    """fan_gorenstein_index(fan), checked against gorenstein_index and the
+    oracle cone by cone, before and after a canonicity scan of the fan."""
+    before = fan_gorenstein_index(fan)
+    fan_canonicity_threshold(fan)
+    certs = [gorenstein_index(c) for c in fan.maximal_cones]
+    for c, cert in zip(fan.maximal_cones, certs):
+        rays = [list(r) for r in c.rays]
+        if cert is None:
+            assert _cone_index(c) is None
+            assert gauss_solve(rays, [1] * c.n_rays) is None
+        else:
+            assert _cone_index(c) == cert.index == smallest_solvable_level(rays, cert.index)
+    expected = None if None in certs else lcm(*(cert.index for cert in certs))
+    assert before == fan_gorenstein_index(fan) == expected
+    return expected
+
+
+def test_the_fan_index_matches_the_certificates_on_the_suite(suite):
+    # 96 of the suite's fans, all of them in d=3 and d=4, have a maximal cone
+    # with no Gorenstein functional
+    indices = [_index_agrees_with_the_certificates(normal_fan(p)) for _, p in suite]
+    assert indices.count(None) == 96
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(2, 4), st.integers(0, 10 ** 6), st.integers(1, 5), st.integers(1, 4))
+def test_the_fan_index_matches_the_certificates_on_drawn_polytopes(d, seed, extra, box):
+    _index_agrees_with_the_certificates(normal_fan(random_lattice_polytope(d, d + extra, seed, box=box)))
+
+
+def test_the_index_of_a_lower_rank_cone_is_read_in_its_saturated_frame():
+    # the rays span a plane of Z^3; (1, 0, 0) and (1, 2, 0) give index 1
+    # there, and (2, -1, 0), (2, 1, 0) give the functional (1, 0, 0) at 2
+    for rays, index in (([(1, 0, 0), (1, 2, 0)], 1), ([(2, -1, 0), (2, 1, 0)], 2),
+                        ([(1, 0, 1, 0), (-1, 0, 1, 0), (0, 1, 1, 0), (0, -1, 3, 0)], None)):
+        c = cone(rays)
+        cert = gorenstein_index(c)
+        assert _cone_index(c) == (None if cert is None else cert.index) == index

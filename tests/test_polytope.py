@@ -19,7 +19,7 @@ from oracles import (
     fm_project_feasible,
     laplace_det,
 )
-from polyadj import adjunction, fan, lp, polytope, spectrum
+from polyadj import adjunction, fan, lp, polytope, ratmath, spectrum
 from polyadj.errors import (
     DimensionMismatchError,
     EmptyPolytopeError,
@@ -30,6 +30,7 @@ from polyadj.errors import (
 )
 from polyadj.generators import SplitMix64, cube, fig1, random_lattice_polytope, scaled_simplex
 from polyadj.polytope import (
+    AffineSubspace,
     HPolytope,
     dilate,
     double_description,
@@ -565,6 +566,21 @@ def test_hull_any_dim_of_a_flat_set_makes_one_double_description_and_no_solve(mo
     assert emb.dim == 2 and len(emb.facets) == 4
     assert set(emb.vertices) == set(pts)
     assert emb.contains((Fraction(3, 2), 1, Fraction(5, 2)), strict=True)
+
+
+def test_full_dimensional_hulls_take_no_integer_kernel(count_calls, suite):
+    # the double description of the points' valid rows has no lineality, so
+    # the set spans R^d and has no equations: saturate and the equation
+    # kernel are skipped, and the facets and vertices are from_vertices'
+    counts = count_calls((ratmath, "saturate"), (ratmath, "integer_kernel_basis"))
+    for _, p in suite:
+        verts = vertices(p).vertices
+        ref = from_vertices(verts)
+        for emb in (hull_any_dim(verts), embed_system(make_system(list(zip(p.normals, p.rhs))))[0]):
+            assert emb.subspace == AffineSubspace(p.dim, p.dim, ())
+            assert emb.facets == tuple(zip(ref.normals, ref.rhs))
+            assert emb.vertices == vertices(ref).vertices
+    assert counts == {"saturate": 0, "integer_kernel_basis": 0}
 
 
 def test_core_equations_come_from_the_null_basis_of_the_implicit_rows():
