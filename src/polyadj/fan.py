@@ -44,7 +44,8 @@ from .errors import (
 )
 from .polytope import (
     HPolytope,
-    _maximal_rows,
+    _maximal,
+    _ray_sets,
     double_description,
     extreme_rays,
     is_lattice_polytope,
@@ -151,7 +152,7 @@ def cone(generators: Sequence[Sequence[int]]) -> Cone:
     if rank([f for f, _ in facets]) < k:
         raise InvalidConeError("generators span a cone containing a line")
     if k > 1:
-        prims = [prims[i] for i in _maximal_rows(facets, range(len(prims)))]
+        prims = [prims[i] for i in _maximal(_ray_sets(facets, range(len(prims))))]
     return Cone(d, tuple(prims))
 
 

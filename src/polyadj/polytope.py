@@ -21,9 +21,10 @@ the projection onto x_1..x_{j+1} with a_{j+1} = 0. So every projection
 is read off the cone of the set itself by equality cuts (_cut), each one
 step of the same kernel on the rays and tight sets in hand, and no
 Fourier-Motzkin elimination, hull or fresh double description of a
-projection is needed; lattice_points takes that cone from the stored
-facets and equations. Each level is compiled once into the integer rows
-that bound its coordinate, and level_points reads them at any shrink.
+projection is needed; each polytope keeps that cone as the double
+description that built it found it (row_cone), and lattice_points reads
+it. Each level is compiled once into the integer rows that bound its
+coordinate, and level_points reads them at any shrink.
 
 Conventions. An HPolytope is always bounded, full-dimensional, and
 irredundant, with primitive integer facet normals, rational right hand
@@ -42,7 +43,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import lp
 from .errors import (
@@ -56,6 +57,7 @@ from .errors import (
 )
 from .ratmath import (
     IntVector,
+    common_denominator,
     det,
     dot,
     integer_kernel_basis,
@@ -74,12 +76,14 @@ class HPolytope:
 
     vertex_cache holds the VPolytope once vertices() has computed it, or
     once a constructor that knows the vertices has passed them in.
+    row_cone holds the cone of its valid rows (_valid_row_cone).
     """
 
     dim: int
     normals: tuple[IntVector, ...]
     rhs: tuple[Fraction, ...]
     vertex_cache: Optional[VPolytope] = field(default=None, compare=False, repr=False)
+    row_cone: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     @property
     def n_facets(self) -> int:
@@ -123,12 +127,13 @@ class EmbeddedPolytope:
     subspace is its affine hull. facets are rows <a, x> <= beta, primitive
     integer a and sorted, that cut the set out of the subspace (none when
     the set is a single point); on a flat set each is one representative
-    modulo the equations. vertices are sorted.
+    modulo the equations. vertices are sorted. row_cone is as on an HPolytope.
     """
 
     subspace: AffineSubspace
     facets: tuple[tuple[IntVector, Fraction], ...]
     vertices: tuple[tuple[Fraction, ...], ...]
+    row_cone: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -234,21 +239,27 @@ def from_inequalities(rows: Sequence[tuple[Sequence, object]]) -> HPolytope:
     rhs = [merged[a] for a in normals]
 
     rays = _bounded_rays(normals, rhs, d)
-    bits = range(1, len(normals) + 1)
-    if any(all(t >> k & 1 for _, t in rays) for k in bits):
+    on = _ray_sets(rays, range(1, len(normals) + 1))
+    if (1 << len(rays)) - 1 in on:
         raise LowerDimensionalError("a row is tight at every vertex")
-    pairs = sorted((normals[i], rhs[i]) for i in _maximal_rows(rays, bits))
-    return HPolytope(d, tuple(a for a, _ in pairs), tuple(b for _, b in pairs),
-                     _vertex_polytope(rays, d))
+    rows = sorted((normals[i], rhs[i], on[i]) for i in _maximal(on))
+    return HPolytope(d, tuple(a for a, _, _ in rows), tuple(b for _, b, _ in rows), _vertex_polytope(rays, d),
+                     (tuple((_integer_row(a, b), t) for a, b, t in rows), ()))
 
 
-def _maximal_rows(rays, bits: range) -> list[int]:
-    """Positions in bits of the rows whose sets of tight rays are nonempty and maximal.
+def _ray_sets(rays, bits: range) -> list[int]:
+    """For each row k in bits (bit k of a ray's tight set), the set of the rays tight on it, bit j for rays[j]."""
+    return [sum(1 << j for j, (_, t) in enumerate(rays) if t >> k & 1) for k in bits]
 
-    Bit k of a ray's tight set is row k; maximal means under inclusion.
-    """
-    on = [sum(1 << j for j, (_, t) in enumerate(rays) if t >> k & 1) for k in bits]
-    return [i for i, m in enumerate(on) if m and not any(m & o == m and o != m for o in on)]
+
+def _maximal(sets: list[int]) -> list[int]:
+    """Positions of the sets that are nonempty and maximal under inclusion."""
+    return [i for i, m in enumerate(sets) if m and not any(m & o == m and o != m for o in sets)]
+
+
+def _integer_row(a: IntVector, beta) -> IntVector:
+    """The row <a, x> <= beta as one integer vector (a, beta), primitive when a is."""
+    return tuple(beta.denominator * x for x in a) + (beta.numerator,)
 
 
 def double_description(rows: Sequence[Sequence[int]], n: int) -> tuple[tuple[tuple[IntVector, int], ...],
@@ -394,16 +405,22 @@ def _vertex_polytope(rays, d: int) -> VPolytope:
 
 
 def vertices(p: HPolytope) -> VPolytope:
-    """All vertices: the extreme rays (x, s) of {b_i s - <a_i, x> >= 0, s >= 0}, as x / s."""
-    if p.vertex_cache is None:
+    """All vertices: the extreme rays (x, s) of {b_i s - <a_i, x> >= 0, s >= 0}, as x / s.
+
+    On a polytope built without its row cone the same double description
+    gives that too: each facet row with the set of the rays tight on it.
+    """
+    if p.vertex_cache is None or p.row_cone is None:
         rays, _ = _homogenized(p.normals, p.rhs, p.dim)
+        on = _ray_sets(rays, range(1, p.n_facets + 1))
         object.__setattr__(p, "vertex_cache", _vertex_polytope(rays, p.dim))
+        object.__setattr__(p, "row_cone", (tuple(zip(map(_integer_row, p.normals, p.rhs), on)), ()))
     return p.vertex_cache
 
 
 def _distinct_points(points: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:
     """The distinct points as sorted Fraction tuples; raises on none or on mixed lengths."""
-    pts = sorted({tuple(Fraction(c) for c in pt) for pt in points})
+    pts = sorted({tuple(c if type(c) is Fraction else Fraction(c) for c in pt) for pt in points})
     if not pts:
         raise EmptyPolytopeError("no points given")
     if any(len(pt) != len(pts[0]) for pt in pts):
@@ -412,16 +429,18 @@ def _distinct_points(points: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:
 
 
 def _point_hull(pts: Sequence[tuple[Fraction, ...]], d: int):
-    """(facets, vertices, lineality) of the hull of two or more sorted distinct points in Q^d.
+    """(facets, vertices, rays, lineality) of the hull of two or more sorted distinct points in Q^d.
 
     The valid inequalities <a, x> <= beta form the cone of (a, beta) with
-    beta - <a, p> >= 0 at every point p. One double description gives its
-    extreme rays, the facets (a primitive, sorted), and its lineality, the
+    beta - <a, p> >= 0 at every point p, the rows (-p, 1) over one common
+    denominator. One double description gives its extreme rays, the facets
+    (a primitive, sorted), with tight sets over pts, and its lineality, the
     equations of the points' affine hull; modulo those equations each ray
     is one facet. The vertices are the points whose sets of tight facets
     are nonempty and maximal under inclusion.
     """
-    rows = [scale_to_integer(tuple(-c for c in pt) + (1,)) for pt in pts]
+    nums, den = common_denominator([c for pt in pts for c in pt])
+    rows = [tuple(-x for x in nums[k:k + d]) + (den,) for k in range(0, len(nums), d)]
     rays, lineality = double_description(rows, d + 1)
     facets: dict[IntVector, Fraction] = {}
     for z, _ in rays:
@@ -429,8 +448,8 @@ def _point_hull(pts: Sequence[tuple[Fraction, ...]], d: int):
         if normal in facets:
             raise InternalInconsistencyError("conflicting supports for one normal")
         facets[normal] = Fraction(z[d], g)
-    verts = tuple(pts[i] for i in _maximal_rows(rays, range(len(pts))))
-    return tuple(sorted(facets.items())), verts, lineality
+    verts = tuple(pts[i] for i in _maximal(_ray_sets(rays, range(len(pts)))))
+    return tuple(sorted(facets.items())), verts, rays, lineality
 
 
 def from_vertices(points: Sequence[Sequence]) -> HPolytope:
@@ -444,17 +463,18 @@ def from_vertices(points: Sequence[Sequence]) -> HPolytope:
     d = len(pts[0])
     if len(pts) <= d:
         raise LowerDimensionalError("fewer than d + 1 points")
-    facets, verts, lineality = _point_hull(pts, d)
+    facets, verts, rays, lineality = _point_hull(pts, d)
     if lineality:
         raise LowerDimensionalError("points do not span the ambient space")
-    return HPolytope(d, tuple(a for a, _ in facets), tuple(b for _, b in facets), VPolytope(d, verts))
+    return HPolytope(d, tuple(a for a, _ in facets), tuple(b for _, b in facets), VPolytope(d, verts), (rays, ()))
 
 
-def _embedded(pts: Sequence[tuple[Fraction, ...]], spanning: Sequence[Sequence]) -> EmbeddedPolytope:
+def _embedded(pts: Sequence[tuple[Fraction, ...]], spanning: Iterable[Sequence]) -> EmbeddedPolytope:
     """The hull of sorted distinct points, all in ambient coordinates.
 
-    The facets and vertices are one _point_hull; a single point needs
-    none. When its lineality is empty the points span Q^d, and the
+    The facets, vertices and row cone are one _point_hull; a single point
+    x has none, its equations are <e_i, x> = x_i and its row cone is 0 <=
+    1 with them. When the lineality is empty the points span Q^d, and the
     subspace is all of it, with no equations and no kernel taken.
     Otherwise spanning spans the directions of the points' affine hull,
     and the equations are the integer kernel of saturate(spanning), each
@@ -462,19 +482,20 @@ def _embedded(pts: Sequence[tuple[Fraction, ...]], spanning: Sequence[Sequence])
     not on the subspace alone, so each caller keeps its own.
     """
     d = len(pts[0])
-    if len(pts) > 1:
-        facets, verts, lineality = _point_hull(pts, d)
-        if not lineality:
-            return EmbeddedPolytope(AffineSubspace(d, d, ()), facets, verts)
+    if len(pts) == 1:
+        units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+        cone = ([((0,) * d + (1,), 0)], [_integer_row(e, c) for e, c in zip(units, pts[0])])
+        return EmbeddedPolytope(AffineSubspace(0, d, tuple(sorted(zip(units, pts[0])))), (), tuple(pts), cone)
+    facets, verts, rays, lineality = _point_hull(pts, d)
+    if not lineality:
+        return EmbeddedPolytope(AffineSubspace(d, d, ()), facets, verts, (rays, ()))
     directions = saturate(spanning)
     equations = []
     for a in integer_kernel_basis(list(directions), ncols=d):
         a = a if next(x for x in a if x) > 0 else tuple(-x for x in a)
         equations.append((a, dot(a, pts[0])))
     subspace = AffineSubspace(len(directions), d, tuple(sorted(equations)))
-    if not directions:
-        return EmbeddedPolytope(subspace, (), tuple(pts))
-    return EmbeddedPolytope(subspace, facets, verts)
+    return EmbeddedPolytope(subspace, facets, verts, (rays, lineality))
 
 
 def hull_any_dim(points: Sequence[Sequence]) -> EmbeddedPolytope:
@@ -483,7 +504,7 @@ def hull_any_dim(points: Sequence[Sequence]) -> EmbeddedPolytope:
     Its affine hull is spanned by the differences from the least point.
     """
     pts = _distinct_points(points)
-    return _embedded(pts, [vec_sub(pt, pts[0]) for pt in pts[1:]])
+    return _embedded(pts, (vec_sub(pt, pts[0]) for pt in pts[1:]))
 
 
 def scale_embedded(s: EmbeddedPolytope, factor) -> EmbeddedPolytope:
@@ -505,7 +526,15 @@ def scale_embedded(s: EmbeddedPolytope, factor) -> EmbeddedPolytope:
 
     sub = s.subspace
     return EmbeddedPolytope(AffineSubspace(sub.dim, sub.ambient_dim, scaled(sub.equations)),
-                            scaled(s.facets), tuple(tuple(f * x for x in v) for v in s.vertices))
+                            scaled(s.facets), tuple(tuple(f * x for x in v) for v in s.vertices),
+                            _scaled_cone(_valid_row_cone(s), f))
+
+
+def _scaled_cone(cone, f: Fraction):
+    """The row cone of f * S from that of S: rows (a, beta) -> primitive (a, f * beta), tight sets kept."""
+    rows = [primitivize(tuple(f.denominator * x for x in z[:-1]) + (f.numerator * z[-1],))[0]
+            for z in [z for z, _ in cone[0]] + list(cone[1])]
+    return list(zip(rows, (t for _, t in cone[0]))), rows[len(cone[0]):]
 
 
 def _tight_everywhere(rays, n: int) -> tuple[int, ...]:
@@ -624,29 +653,23 @@ def _compiled(rows) -> list:
     return [(z[-2], z[-1], tuple((i, c) for i, c in enumerate(z[:-2]) if c)) for z in rows if z[-2]]
 
 
-def _valid_row_cone(s) -> tuple[list, list]:
-    """The cone of the valid rows of s, as projected_levels takes it, with no double description.
+def _valid_row_cone(s) -> tuple:
+    """The cone of the valid rows of s, as projected_levels takes it: s.row_cone.
 
-    Its rays are the stored facet rows <a, x> <= beta as primitive integer
-    (a, beta), each with the set of the vertices tight at it (bit k for
-    vertex k) by integer incidence; a single point has no facet, and the
-    row 0 <= 1 is its ray. Its lineality is the equations of an
-    EmbeddedPolytope, none for an HPolytope.
+    Its rays are the facet rows <a, x> <= beta as primitive integer (a,
+    beta), each with its tight set over the points (input points or
+    vertices; bit k for point k) whose double description built s; a
+    single point has no facet, and the row 0 <= 1 is its ray. Its
+    lineality is a basis of the equations of the affine hull. A set built
+    without it gets it from vertices() or hull_any_dim of its vertices.
     """
-    if isinstance(s, HPolytope):
-        verts, facets, equations = vertices(s).vertices, zip(s.normals, s.rhs), ()
-    elif isinstance(s, EmbeddedPolytope):
-        verts, facets, equations = s.vertices, s.facets, s.subspace.equations
-    else:
+    if isinstance(s, HPolytope) and s.row_cone is None:
+        vertices(s)
+    elif isinstance(s, EmbeddedPolytope) and s.row_cone is None:
+        object.__setattr__(s, "row_cone", hull_any_dim(s.vertices).row_cone)
+    elif not isinstance(s, (HPolytope, EmbeddedPolytope)):
         raise TypeError(f"unsupported type {type(s).__name__}")
-
-    def integer(a, beta):
-        return tuple(beta.denominator * x for x in a) + (beta.numerator,)
-
-    rows = [scale_to_integer(tuple(-x for x in v) + (1,)) for v in verts]
-    rays = [(z, sum(1 << k for k, row in enumerate(rows) if not sum(map(mul, z, row))))
-            for z in (integer(a, beta) for a, beta in facets)]
-    return rays or [((0,) * len(verts[0]) + (1,), 0)], [integer(a, beta) for a, beta in equations]
+    return s.row_cone
 
 
 def level_points(levels, step: int = 1, shrink: int = 1) -> list[IntVector]:
@@ -700,10 +723,9 @@ def lattice_points(s, region: str = "all", sublattice_scale: int = 1):
 
     s may be an HPolytope or an EmbeddedPolytope, and the returned points
     are integer tuples in lexicographic order. The enumeration runs over
-    projected_levels of the cone of the valid rows of s, which its stored
-    facets, equations and vertices give (_valid_row_cone). The
-    relative_interior region keeps the points strictly inside every facet
-    row, in integers.
+    projected_levels of the cone of the valid rows of s that s keeps
+    (_valid_row_cone), with no incidence recounted. The relative_interior
+    region keeps the points strictly inside every facet row, in integers.
     """
     if region not in ("all", "relative_interior"):
         raise ValueError(f"unknown region {region!r}")
@@ -722,7 +744,7 @@ def lattice_points(s, region: str = "all", sublattice_scale: int = 1):
 
 
 def transform(p: HPolytope, u: Sequence[Sequence[int]], shift: Sequence[int]) -> HPolytope:
-    """Image of p under x -> U x + shift for unimodular integer U."""
+    """Image of p under x -> U x + shift for unimodular integer U, with its vertices and row cone."""
     d = p.dim
     urows = [_as_int_vector(row) for row in u]
     tvec = _as_int_vector(shift)
@@ -731,32 +753,24 @@ def transform(p: HPolytope, u: Sequence[Sequence[int]], shift: Sequence[int]) ->
     if abs(det(urows)) != 1:
         raise NonUnimodularError("matrix determinant is not +-1")
     ut = [list(row) for row in zip(*urows)]  # U^T
-    new_rows = []
+    images = {}  # each facet's integer row -> its image row, tight where the facet is
     for a, b in zip(p.normals, p.rhs):
         sol = solve_linear(ut, list(a))
         if sol is None:
             raise InternalInconsistencyError("unimodular system must be solvable")
-        w = _as_int_vector(sol[0])
-        w, _ = primitivize(w)
-        new_rows.append((w, b + dot(w, tvec)))
-    pairs = sorted(new_rows)
-    imgs = None
-    if p.vertex_cache is not None:
-        imgs = VPolytope(d, tuple(sorted(tuple(vec_add(_mat_vec(urows, v), tvec))
-                                         for v in p.vertex_cache.vertices)))
-    return HPolytope(d, tuple(a for a, _ in pairs), tuple(b for _, b in pairs), imgs)
-
-
-def _mat_vec(rows, v):
-    return tuple(dot(row, v) for row in rows)
+        w, _ = primitivize(_as_int_vector(sol[0]))
+        images[_integer_row(a, b)] = (w, b + dot(w, tvec))
+    pairs = sorted(images.values())
+    imgs = VPolytope(d, tuple(sorted(vec_add(tuple(dot(row, v) for row in urows), tvec)
+                                     for v in vertices(p).vertices)))
+    cone = (tuple((_integer_row(*images[z]), t) for z, t in p.row_cone[0]), ())
+    return HPolytope(d, tuple(a for a, _ in pairs), tuple(b for _, b in pairs), imgs, cone)
 
 
 def dilate(p: HPolytope, factor: int) -> HPolytope:
-    """The dilation factor * p for a positive integer factor."""
+    """The dilation factor * p for a positive integer factor, with its vertices and row cone."""
     k = int(factor)
     if k < 1 or k != factor:
         raise ValueError("dilation factor must be a positive integer")
-    scaled = None
-    if p.vertex_cache is not None:
-        scaled = VPolytope(p.dim, tuple(sorted(tuple(k * c for c in v) for v in p.vertex_cache.vertices)))
-    return HPolytope(p.dim, p.normals, tuple(b * k for b in p.rhs), scaled)
+    scaled = VPolytope(p.dim, tuple(sorted(tuple(k * c for c in v) for v in vertices(p).vertices)))
+    return HPolytope(p.dim, p.normals, tuple(b * k for b in p.rhs), scaled, _scaled_cone(p.row_cone, Fraction(k)))

@@ -8,6 +8,7 @@ and shared by the tests that need them.
 from __future__ import annotations
 
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -80,3 +81,27 @@ def count_calls(monkeypatch):
         return counts
 
     return install
+
+
+@pytest.fixture
+def count_fractions():
+    """count_fractions(run) calls run() and returns how many times it called Fraction.__new__.
+
+    Python 3.12 made Fraction arithmetic build its results without
+    Fraction.__new__, so fewer calls are counted there than on 3.11.
+    """
+    def count(run):
+        new = Fraction.__new__
+        calls = 0
+
+        def counting(cls, *args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return new(cls, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Fraction, "__new__", staticmethod(counting))
+            run()
+        return calls
+
+    return count

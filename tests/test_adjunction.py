@@ -314,17 +314,20 @@ def test_the_fan_path_takes_no_integer_kernel_and_one_dual_description_per_cone(
     # descriptions of its scan: gorenstein_index made 627 calls over the
     # suite's fans, each an integer kernel through hnf, and analyze made
     # 1883 integer_kernel_basis and 1355 hnf calls, the rest from the three
-    # kernels of every acore, which a full-dimensional one no longer takes
-    counts = count_calls((fan, "gorenstein_index"), (ratmath, "hnf"),
-                         (ratmath, "integer_kernel_basis"), (fan, "_dual_height_vertices"))
+    # kernels of every acore, which a full-dimensional one no longer takes;
+    # a core that is one point writes its equations <e_i, x> = x_i with no
+    # kernel and no saturate (integer_kernel_basis 740 -> 568, saturate 428
+    # -> 256)
+    counts = count_calls((fan, "gorenstein_index"), (ratmath, "hnf"), (ratmath, "integer_kernel_basis"),
+                         (ratmath, "saturate"), (fan, "_dual_height_vertices"))
     for _, p in suite:
         fan_summary(normal_fan(p))
-    assert counts == {"gorenstein_index": 0, "hnf": 0, "integer_kernel_basis": 0,
+    assert counts == {"gorenstein_index": 0, "hnf": 0, "integer_kernel_basis": 0, "saturate": 0,
                       "_dual_height_vertices": 1117}
     counts.update(dict.fromkeys(counts, 0))
     for _, p in suite:
         analyze(p)
-    assert counts == {"gorenstein_index": 0, "hnf": 384, "integer_kernel_basis": 740,
+    assert counts == {"gorenstein_index": 0, "hnf": 384, "integer_kernel_basis": 568, "saturate": 256,
                       "_dual_height_vertices": 1117}
 
 
@@ -379,25 +382,18 @@ def test_scaled_acore_interior_is_only_the_origin():
     assert pts == ((0, 0),)
 
 
-def test_the_spectrum_path_builds_a_pinned_number_of_fractions(monkeypatch):
+def test_the_spectrum_path_builds_a_pinned_number_of_fractions(count_fractions):
     # a deterministic work counter for the `spectrum --from-polytope` path:
     # every Fraction made by read_polytope, adjunction_data, core_config and
-    # spectrum_superset on ten 12-point hulls in [-4, 4]^3. Python 3.12 made
-    # Fraction arithmetic build its results without Fraction.__new__, so
-    # fewer calls are counted there. The LP keeps int entries as ints, and
-    # a core that is one point is read off the LP: 3034 -> 2125 here, and
-    # 2459 -> 1630 on 3.12, the latter from a model of 3.12's Fraction
-    # arithmetic run on 3.11 that reproduces the 2459
+    # spectrum_superset on ten 12-point hulls in [-4, 4]^3 (fewer on 3.12,
+    # see count_fractions). The LP keeps int entries as ints, a core that is
+    # one point is read off the LP, and hulls clear their points over one
+    # denominator without copying Fractions: 3034 -> 2125 -> 1759 here, and
+    # 2459 -> 1630 -> 1522 on 3.12, the last two measured on 3.12.1
     texts = [format_polytope(random_lattice_polytope(3, 12, s, box=4)) for s in range(5000, 5010)]
-    new = Fraction.__new__
-    calls = []
 
-    def counting(cls, *args, **kwargs):
-        calls.append(None)
-        return new(cls, *args, **kwargs)
+    def run():
+        for text in texts:
+            spectrum_superset(core_config(adjunction_data(read_polytope(text))), Fraction(1, 2))
 
-    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
-    for text in texts:
-        spectrum_superset(core_config(adjunction_data(read_polytope(text))), Fraction(1, 2))
-    monkeypatch.undo()
-    assert len(calls) == (1630 if hasattr(Fraction, "_from_coprime_ints") else 2125)
+    assert count_fractions(run) == (1522 if hasattr(Fraction, "_from_coprime_ints") else 1759)

@@ -19,7 +19,7 @@ from oracles import (
     fm_project_feasible,
     laplace_det,
 )
-from polyadj import adjunction, fan, lp, polytope, ratmath, spectrum
+from polyadj import adjunction, fan, lp, polytope, ratmath, read_polytope, spectrum
 from polyadj.errors import (
     DimensionMismatchError,
     EmptyPolytopeError,
@@ -736,6 +736,47 @@ def test_relative_interior_of_a_flat_scaled_acore_needs_no_hull_and_no_linear_so
         assert list(points) == box_lattice_points(s.vertices, lambda x, s=s: s.contains(x, strict=True))
 
 
+def test_lattice_points_read_the_row_cone_each_set_keeps(count_calls):
+    # a hull keeps the cone of its valid rows as its double description
+    # found it, and scale_embedded rescales its rows, so enumerating their
+    # points recounts no incidence and describes no set again
+    hull = from_vertices([(0, 0, 0), (3, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0)])
+    flat = hull_any_dim([(0, 0, 0), (2, 2, 0), (2, 0, 2), (1, 1, 0), (4, 2, 2)])
+    acore = adjunction.adjunction_data(random_lattice_polytope(4, 6, 4022, box=2)).acore
+    sets = (hull, flat, scale_embedded(acore, 2))
+    # copies built without the cone describe themselves afresh
+    bare = (HPolytope(hull.dim, hull.normals, hull.rhs),) + tuple(
+        polytope.EmbeddedPolytope(s.subspace, s.facets, s.vertices) for s in sets[1:])
+    expected = [lattice_points(s, region, scale) for s in bare for region, scale in REGIONS]
+    counts = count_calls((polytope, "vertices"), (ratmath, "scale_to_integer"), (polytope, "double_description"))
+    found = [lattice_points(s, region, scale) for s in sets for region, scale in REGIONS]
+    assert counts == {"vertices": 0, "scale_to_integer": 0, "double_description": 0}
+    assert found == expected and [len(points) for points in found] == [11, 4, 0, 0, 9, 4, 1, 0, 29, 7, 11, 1]
+
+
+def _hull_document(seed: int) -> str:
+    """A V document of 22 points in [-6, 6]^3 drawn by SplitMix64(seed)."""
+    rng = SplitMix64(seed)
+    rows = [" ".join(str(rng.randint(-6, 6)) for _ in range(3)) for _ in range(22)]
+    return "dim 3\nV\n" + "\n".join(rows) + "\n"
+
+
+def test_reading_hulls_and_their_lattice_points_builds_a_pinned_number_of_fractions(count_fractions):
+    # a deterministic work counter for read_polytope + lattice_points of ten
+    # V documents (7389 points in all). The hull clears its points over one
+    # denominator without copying Fractions and keeps its row cone, so no
+    # vertex is negated and cleared again: 2666 -> 908 here and 1568 -> 908
+    # on 3.12, where Fraction arithmetic makes no Fraction.__new__ call
+    texts = [_hull_document(seed) for seed in range(6000, 6010)]
+    found = []
+
+    def run():
+        found.extend(len(lattice_points(read_polytope(text))) for text in texts)
+
+    assert count_fractions(run) == 908
+    assert sum(found) == 7389
+
+
 def test_lattice_points_input_validation():
     with pytest.raises(ValueError):
         lattice_points(cube(2), region="boundary")
@@ -803,6 +844,43 @@ def test_lattice_points_of_rational_polytopes_match_the_box_scan(d, data):
     pts = data.draw(st.lists(st.tuples(*[fraction] * d), min_size=d + 1, max_size=d + 3))
     assume(_full_dimensional(pts))
     _check_against_the_box_scan(from_vertices(pts), pts, _hull_member(pts))
+
+
+UNIMODULAR = {2: [[2, 1], [1, 1]], 3: [[1, 2, 0], [0, 1, -1], [1, 0, 1]]}
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(2, 3), st.data())
+def test_hulls_of_every_lattice_point_of_a_polytope_enumerate_as_their_facets_do(d, data):
+    # the input is every lattice point of a lattice polytope, so each facet
+    # is tight at points that are no vertices: redundant rows of the row
+    # cone, which its tight sets index as the hull's distinct input points
+    pts = data.draw(st.lists(st.tuples(*[small] * d), min_size=d + 1, max_size=d + 3))
+    assume(_full_dimensional(pts))
+    cloud = lattice_points(from_vertices(pts))
+    p = from_vertices(cloud)
+    by_hand = HPolytope(p.dim, p.normals, p.rhs)
+    rays, lineality = p.row_cone
+    assert not lineality and all(t == _tight_bits(z, polytope._distinct_points(cloud)) for z, t in rays)
+    assert sorted(z for z, _ in rays) == sorted(z for z, _ in polytope._valid_row_cone(by_hand)[0])
+    # conv(cloud) = conv(pts), so the facets of the few drawn points decide membership
+    for s in (p, by_hand):
+        _check_against_the_box_scan(s, pts, _hull_member(pts))
+        doubled = [tuple(2 * c for c in x) for x in pts]
+        _check_against_the_box_scan(dilate(s, 2), doubled, _hull_member(doubled))
+        shift = data.draw(st.tuples(*[small] * d))
+        images = [vec_add(tuple(dot(row, x) for row in UNIMODULAR[d]), shift) for x in pts]
+        _check_against_the_box_scan(transform(s, UNIMODULAR[d], shift), images, _hull_member(images))
+    # the same cloud on the hyperplane x_{d+1} = x_1, with its equation in the lineality
+    lifted = [x + x[:1] for x in cloud]
+    flat = hull_any_dim(lifted)
+    assert all(t == _tight_bits(z, polytope._distinct_points(lifted)) for z, t in flat.row_cone[0])
+    member = _hull_member(pts)
+    for factor in (1, 2):
+        scaled = [tuple(factor * c for c in x + x[:1]) for x in pts]
+        _check_against_the_box_scan(scale_embedded(flat, factor), scaled,
+                                    lambda x, strict, k=factor: x[-1] == x[0] and member(
+                                        tuple(Fraction(c, k) for c in x[:-1]), strict))
 
 
 def _flat_member(base, matrix, local):
@@ -884,13 +962,17 @@ def _oracle_facets(points):
     return brute_facets(points)
 
 
-def _projection_cones(s, verts):
-    """(j, rays, lineality, projected vertices) of each level projected_levels reads, j = d down to 1."""
-    d = len(verts[0])
+def _projection_cones(s, points):
+    """(j, rays, lineality, projected points) of each level projected_levels reads, j = d down to 1.
+
+    points are the distinct input points of the hull s, in the order its
+    row cone's tight sets index them.
+    """
+    d = len(points[0])
     cones = list(polytope._projections(*polytope._valid_row_cone(s)))
     assert len(cones) == d
     for j, (rays, lineality) in zip(range(d, 0, -1), cones):
-        yield j, rays, lineality, [v[:j] for v in verts]
+        yield j, rays, lineality, [v[:j] for v in points]
 
 
 @settings(deadline=None, max_examples=40)
@@ -899,7 +981,7 @@ def test_each_projection_cone_holds_the_facets_of_the_projected_points(d, data):
     pts = data.draw(point_sets(d, d + data.draw(st.integers(1, 4))))
     assume(_full_dimensional(pts))
     p = from_vertices(pts)
-    for j, rays, lineality, projected in _projection_cones(p, vertices(p).vertices):
+    for j, rays, lineality, projected in _projection_cones(p, polytope._distinct_points(pts)):
         assert not lineality
         assert {z for z, _ in rays} == {_integer_row(a, b) for a, b in _oracle_facets(projected)}
         assert all(t == _tight_bits(z, projected) for z, t in rays)
@@ -934,8 +1016,9 @@ def test_each_projection_cone_of_a_flat_hull_holds_its_equations_and_facets(d, d
         assume(any(laplace_det([list(matrix[i]) for i in rows]) != 0
                    for rows in itertools.combinations(range(d), k)))
         assume(_full_dimensional(local))
-    s = hull_any_dim(_flat_points(base, matrix, local))
-    for j, rays, lineality, projected in _projection_cones(s, s.vertices):
+    points = _flat_points(base, matrix, local)
+    s = hull_any_dim(points)
+    for j, rays, lineality, projected in _projection_cones(s, polytope._distinct_points(points)):
         # the lineality is a basis of the equations (a, beta), <a, x> = beta at every point
         assert all(sum(a * xi for a, xi in zip(z, x)) == z[-1] for z in lineality for x in projected)
         equations = j + 1 - gauss_rank([tuple(x) + (-1,) for x in projected])
