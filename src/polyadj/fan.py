@@ -25,7 +25,8 @@ threshold of the cones before it. A cone compiles the levels of its
 region (polytope.projected_levels, from the cone of its valid rows: one
 double description of its points, or none when the dual region has one
 vertex, whose double description already holds those rows) only when its
-ladder takes a rung. Normal fans test tight rows in integers.
+ladder takes a rung. A normal fan reads each maximal cone off the
+polytope's vertex-facet incidence.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 from typing import Optional, Sequence
 
 from .errors import (
@@ -193,18 +193,16 @@ def _local_coordinates(directions, point):
 def normal_fan(p: HPolytope) -> NormalFan:
     """Normal fan of a lattice polytope; vertex tight sets give the maximal cones.
 
-    The vertices are lattice points, so the tight rows are found in
-    integers: a row whose right hand side is not an integer is tight at
-    none of them.
+    The maximal cone at the k-th vertex is read off the polytope's
+    incidence, as the normals of the facets whose tight set holds bit k,
+    with no row evaluated.
     """
     if not is_lattice_polytope(p):
         raise NotLatticePolytopeError("normal fan invariants require lattice vertices")
     verts = vertices(p).vertices
-    rows = [(a, b.numerator) for a, b in zip(p.normals, p.rhs) if b.denominator == 1]
     cones = []
-    for v in verts:
-        point = tuple(x.numerator for x in v)
-        tight = tuple(sorted(a for a, b in rows if sum(map(mul, a, point)) == b))
+    for k in range(len(verts)):
+        tight = tuple(a for a, t in zip(p.normals, p.incidence) if t >> k & 1)
         if rank(list(tight)) != p.dim:
             raise InternalInconsistencyError("vertex cone is not full-dimensional")
         cones.append(Cone(p.dim, tight))

@@ -21,9 +21,10 @@ the projection onto x_1..x_{j+1} with a_{j+1} = 0. So every projection
 is read off the cone of the set itself by equality cuts (_cut), each one
 step of the same kernel on the rays and tight sets in hand, and no
 Fourier-Motzkin elimination, hull or fresh double description of a
-projection is needed; each polytope keeps that cone as the double
-description that built it found it (row_cone), and lattice_points reads
-it. Each level is compiled once into the integer rows that bound its
+projection is needed. The cone of a polytope is read off its facet rows,
+its equations and its vertex-facet incidence (_valid_row_cone), which
+each polytope keeps as the double description that built it found it.
+Each level is compiled once into the integer rows that bound its
 coordinate, and level_points reads them at any shrink.
 
 Conventions. An HPolytope is always bounded, full-dimensional, and
@@ -34,7 +35,9 @@ InequalitySystem. A compact set of any dimension is an EmbeddedPolytope,
 all in ambient coordinates: the equations of its affine hull (an
 AffineSubspace), its facet rows and its vertices, read off one double
 description of its points' valid rows (_embedded), with no local
-coordinates. Nothing here uses floating point.
+coordinates. Vertices are sorted, and the incidence of a polytope is one
+bitmask per facet row: bit k of incidence[i] is set iff facet i is tight
+at the k-th vertex. Nothing here uses floating point.
 """
 
 from __future__ import annotations
@@ -75,15 +78,15 @@ class HPolytope:
     """Bounded full-dimensional polytope {x : normals[i] . x <= rhs[i]}.
 
     vertex_cache holds the VPolytope once vertices() has computed it, or
-    once a constructor that knows the vertices has passed them in.
-    row_cone holds the cone of its valid rows (_valid_row_cone).
+    once a constructor that knows the vertices has passed them in, and
+    incidence the facets' tight sets over those vertices.
     """
 
     dim: int
     normals: tuple[IntVector, ...]
     rhs: tuple[Fraction, ...]
     vertex_cache: Optional[VPolytope] = field(default=None, compare=False, repr=False)
-    row_cone: Optional[tuple] = field(default=None, compare=False, repr=False)
+    incidence: Optional[tuple[int, ...]] = field(default=None, compare=False, repr=False)
 
     @property
     def n_facets(self) -> int:
@@ -127,13 +130,14 @@ class EmbeddedPolytope:
     subspace is its affine hull. facets are rows <a, x> <= beta, primitive
     integer a and sorted, that cut the set out of the subspace (none when
     the set is a single point); on a flat set each is one representative
-    modulo the equations. vertices are sorted. row_cone is as on an HPolytope.
+    modulo the equations. vertices are sorted, and incidence holds the
+    facets' tight sets over them.
     """
 
     subspace: AffineSubspace
     facets: tuple[tuple[IntVector, Fraction], ...]
     vertices: tuple[tuple[Fraction, ...], ...]
-    row_cone: Optional[tuple] = field(default=None, compare=False, repr=False)
+    incidence: Optional[tuple[int, ...]] = field(default=None, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -160,10 +164,7 @@ class InequalitySystem:
     normals: tuple[IntVector, ...]
     rhs: tuple[Fraction, ...]
 
-    def contains(self, point: Sequence, strict: bool = False) -> bool:
-        if strict:
-            return all(dot(a, point) < b for a, b in zip(self.normals, self.rhs))
-        return all(dot(a, point) <= b for a, b in zip(self.normals, self.rhs))
+    contains = HPolytope.contains
 
     def is_empty(self) -> bool:
         """A phase-1 LP, kept as the emptiness route independent of the double description."""
@@ -208,23 +209,17 @@ def from_inequalities(rows: Sequence[tuple[Sequence, object]]) -> HPolytope:
     ray with s > 0 means the set is empty, a lineality or a ray with s = 0
     that it is unbounded (_bounded_rays), a row tight at every vertex x / s
     that it is flat, and the facets are the rows whose vertex sets are
-    nonempty and maximal under inclusion. The result carries its vertices.
-    Raises EmptyPolytopeError, UnboundedPolytopeError, or
+    nonempty and maximal under inclusion. The result carries its vertices
+    and incidence. Raises EmptyPolytopeError, UnboundedPolytopeError, or
     LowerDimensionalError, in that order, when the described set is not a
     bounded full-dimensional polytope.
     """
     if not rows:
         raise UnboundedPolytopeError("no constraints describe all of space")
+    system = make_system(rows)
     merged: dict[IntVector, Fraction] = {}
-    d = None
-    for a, b in rows:
-        vec = _as_int_vector(a)
-        b = b if type(b) is Fraction else Fraction(b)
-        if d is None:
-            d = len(vec)
-        elif len(vec) != d:
-            raise DimensionMismatchError("mixed normal lengths")
-        if all(x == 0 for x in vec):
+    for vec, b in zip(system.normals, system.rhs):
+        if not any(vec):
             if b < 0:
                 raise EmptyPolytopeError("row 0 <= b with negative b")
             continue
@@ -235,21 +230,26 @@ def from_inequalities(rows: Sequence[tuple[Sequence, object]]) -> HPolytope:
             merged[prim] = b
     if not merged:
         raise UnboundedPolytopeError("only trivial constraints given")
-    normals = list(merged)
-    rhs = [merged[a] for a in normals]
-
-    rays = _bounded_rays(normals, rhs, d)
-    on = _ray_sets(rays, range(1, len(normals) + 1))
-    if (1 << len(rays)) - 1 in on:
+    normals, rhs, d = list(merged), list(merged.values()), system.dim
+    verts, on = _vertex_incidence(_bounded_rays(normals, rhs, d), d, len(normals))
+    if (1 << len(verts.vertices)) - 1 in on:
         raise LowerDimensionalError("a row is tight at every vertex")
-    rows = sorted((normals[i], rhs[i], on[i]) for i in _maximal(on))
-    return HPolytope(d, tuple(a for a, _, _ in rows), tuple(b for _, b, _ in rows), _vertex_polytope(rays, d),
-                     (tuple((_integer_row(a, b), t) for a, b, t in rows), ()))
+    normals, rhs, incidence = zip(*sorted((normals[i], rhs[i], on[i]) for i in _maximal(on)))
+    return HPolytope(d, normals, rhs, verts, incidence)
 
 
 def _ray_sets(rays, bits: range) -> list[int]:
-    """For each row k in bits (bit k of a ray's tight set), the set of the rays tight on it, bit j for rays[j]."""
-    return [sum(1 << j for j, (_, t) in enumerate(rays) if t >> k & 1) for k in bits]
+    """For each row k in bits (bit k of a ray's tight set), the set of the rays tight on it, bit j for rays[j].
+
+    Each tight set is read by its set bits alone.
+    """
+    sets, mask = [0] * len(bits), (1 << len(bits)) - 1
+    for j, (_, t) in enumerate(rays):
+        t = t >> bits.start & mask
+        while t:
+            sets[(t & -t).bit_length() - 1] |= 1 << j
+            t &= t - 1
+    return sets
 
 
 def _maximal(sets: list[int]) -> list[int]:
@@ -400,21 +400,24 @@ def _bounded_rays(normals, rhs, d: int):
     return rays
 
 
-def _vertex_polytope(rays, d: int) -> VPolytope:
-    return VPolytope(d, tuple(sorted(tuple(Fraction(x, z[d]) for x in z[:d]) for z, _ in rays)))
+def _vertex_incidence(rays, d: int, n: int) -> tuple[VPolytope, list[int]]:
+    """The vertices x / s of the homogenized rays (x, s), sorted, and for
+    each of the n rows (bit i + 1 of a ray's tight set) the set of the
+    vertices tight on it, bit k for the k-th vertex."""
+    pairs = sorted((tuple(Fraction(x, z[d]) for x in z[:d]), t) for z, t in rays)
+    return VPolytope(d, tuple(v for v, _ in pairs)), _ray_sets(pairs, range(1, n + 1))
 
 
 def vertices(p: HPolytope) -> VPolytope:
     """All vertices: the extreme rays (x, s) of {b_i s - <a_i, x> >= 0, s >= 0}, as x / s.
 
-    On a polytope built without its row cone the same double description
-    gives that too: each facet row with the set of the rays tight on it.
+    On a polytope built without its incidence the same double description
+    gives that too.
     """
-    if p.vertex_cache is None or p.row_cone is None:
-        rays, _ = _homogenized(p.normals, p.rhs, p.dim)
-        on = _ray_sets(rays, range(1, p.n_facets + 1))
-        object.__setattr__(p, "vertex_cache", _vertex_polytope(rays, p.dim))
-        object.__setattr__(p, "row_cone", (tuple(zip(map(_integer_row, p.normals, p.rhs), on)), ()))
+    if p.vertex_cache is None or p.incidence is None:
+        verts, on = _vertex_incidence(_homogenized(p.normals, p.rhs, p.dim)[0], p.dim, p.n_facets)
+        object.__setattr__(p, "vertex_cache", verts)
+        object.__setattr__(p, "incidence", tuple(on))
     return p.vertex_cache
 
 
@@ -429,7 +432,7 @@ def _distinct_points(points: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:
 
 
 def _point_hull(pts: Sequence[tuple[Fraction, ...]], d: int):
-    """(facets, vertices, rays, lineality) of the hull of two or more sorted distinct points in Q^d.
+    """(facets, incidence, vertices, lineality) of the hull of two or more sorted distinct points in Q^d.
 
     The valid inequalities <a, x> <= beta form the cone of (a, beta) with
     beta - <a, p> >= 0 at every point p, the rows (-p, 1) over one common
@@ -437,19 +440,23 @@ def _point_hull(pts: Sequence[tuple[Fraction, ...]], d: int):
     (a primitive, sorted), with tight sets over pts, and its lineality, the
     equations of the points' affine hull; modulo those equations each ray
     is one facet. The vertices are the points whose sets of tight facets
-    are nonempty and maximal under inclusion.
+    are nonempty and maximal under inclusion, and each tight set is mapped
+    from the points to the vertices.
     """
     nums, den = common_denominator([c for pt in pts for c in pt])
     rows = [tuple(-x for x in nums[k:k + d]) + (den,) for k in range(0, len(nums), d)]
     rays, lineality = double_description(rows, d + 1)
-    facets: dict[IntVector, Fraction] = {}
-    for z, _ in rays:
+    on = _ray_sets(rays, range(len(pts)))
+    positions = _maximal(on)
+    facets = {}
+    for (z, _), t in zip(rays, _ray_sets([(None, on[i]) for i in positions], range(len(rays)))):
         normal, g = primitivize(z[:d])
         if normal in facets:
             raise InternalInconsistencyError("conflicting supports for one normal")
-        facets[normal] = Fraction(z[d], g)
-    verts = tuple(pts[i] for i in _maximal(_ray_sets(rays, range(len(pts)))))
-    return tuple(sorted(facets.items())), verts, rays, lineality
+        facets[normal] = (Fraction(z[d], g), t)
+    rows = sorted(facets.items())
+    return (tuple((a, b) for a, (b, _) in rows), tuple(t for _, (_, t) in rows),
+            tuple(pts[i] for i in positions), lineality)
 
 
 def from_vertices(points: Sequence[Sequence]) -> HPolytope:
@@ -463,19 +470,19 @@ def from_vertices(points: Sequence[Sequence]) -> HPolytope:
     d = len(pts[0])
     if len(pts) <= d:
         raise LowerDimensionalError("fewer than d + 1 points")
-    facets, verts, rays, lineality = _point_hull(pts, d)
+    facets, incidence, verts, lineality = _point_hull(pts, d)
     if lineality:
         raise LowerDimensionalError("points do not span the ambient space")
-    return HPolytope(d, tuple(a for a, _ in facets), tuple(b for _, b in facets), VPolytope(d, verts), (rays, ()))
+    return HPolytope(d, tuple(a for a, _ in facets), tuple(b for _, b in facets), VPolytope(d, verts), incidence)
 
 
 def _embedded(pts: Sequence[tuple[Fraction, ...]], spanning: Iterable[Sequence]) -> EmbeddedPolytope:
     """The hull of sorted distinct points, all in ambient coordinates.
 
-    The facets, vertices and row cone are one _point_hull; a single point
-    x has none, its equations are <e_i, x> = x_i and its row cone is 0 <=
-    1 with them. When the lineality is empty the points span Q^d, and the
-    subspace is all of it, with no equations and no kernel taken.
+    The facets, incidence and vertices are one _point_hull; a single
+    point x has no facet, and its equations are <e_i, x> = x_i. When the
+    lineality is empty the points span Q^d, and the subspace is all of
+    it, with no equations and no kernel taken.
     Otherwise spanning spans the directions of the points' affine hull,
     and the equations are the integer kernel of saturate(spanning), each
     with a positive leading entry, which depends on the spanning set and
@@ -484,18 +491,17 @@ def _embedded(pts: Sequence[tuple[Fraction, ...]], spanning: Iterable[Sequence])
     d = len(pts[0])
     if len(pts) == 1:
         units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
-        cone = ([((0,) * d + (1,), 0)], [_integer_row(e, c) for e, c in zip(units, pts[0])])
-        return EmbeddedPolytope(AffineSubspace(0, d, tuple(sorted(zip(units, pts[0])))), (), tuple(pts), cone)
-    facets, verts, rays, lineality = _point_hull(pts, d)
+        return EmbeddedPolytope(AffineSubspace(0, d, tuple(sorted(zip(units, pts[0])))), (), tuple(pts), ())
+    facets, incidence, verts, lineality = _point_hull(pts, d)
     if not lineality:
-        return EmbeddedPolytope(AffineSubspace(d, d, ()), facets, verts, (rays, ()))
+        return EmbeddedPolytope(AffineSubspace(d, d, ()), facets, verts, incidence)
     directions = saturate(spanning)
     equations = []
     for a in integer_kernel_basis(list(directions), ncols=d):
         a = a if next(x for x in a if x) > 0 else tuple(-x for x in a)
         equations.append((a, dot(a, pts[0])))
     subspace = AffineSubspace(len(directions), d, tuple(sorted(equations)))
-    return EmbeddedPolytope(subspace, facets, verts, (rays, lineality))
+    return EmbeddedPolytope(subspace, facets, verts, incidence)
 
 
 def hull_any_dim(points: Sequence[Sequence]) -> EmbeddedPolytope:
@@ -515,7 +521,8 @@ def scale_embedded(s: EmbeddedPolytope, factor) -> EmbeddedPolytope:
     differences and the signs of every product the double description
     takes; the map (a, beta) -> (a, factor * beta) carries its rays to
     those of the scaled points. So the equation offsets, the facet right
-    hand sides and the vertices scale, and the normals stay.
+    hand sides and the vertices scale, and the normals, the order of the
+    vertices and the incidence stay.
     """
     f = Fraction(factor)
     if f <= 0:
@@ -526,15 +533,7 @@ def scale_embedded(s: EmbeddedPolytope, factor) -> EmbeddedPolytope:
 
     sub = s.subspace
     return EmbeddedPolytope(AffineSubspace(sub.dim, sub.ambient_dim, scaled(sub.equations)),
-                            scaled(s.facets), tuple(tuple(f * x for x in v) for v in s.vertices),
-                            _scaled_cone(_valid_row_cone(s), f))
-
-
-def _scaled_cone(cone, f: Fraction):
-    """The row cone of f * S from that of S: rows (a, beta) -> primitive (a, f * beta), tight sets kept."""
-    rows = [primitivize(tuple(f.denominator * x for x in z[:-1]) + (f.numerator * z[-1],))[0]
-            for z in [z for z, _ in cone[0]] + list(cone[1])]
-    return list(zip(rows, (t for _, t in cone[0]))), rows[len(cone[0]):]
+                            scaled(s.facets), tuple(tuple(f * x for x in v) for v in s.vertices), s.incidence)
 
 
 def _tight_everywhere(rays, n: int) -> tuple[int, ...]:
@@ -576,19 +575,20 @@ def embed_system(system: InequalitySystem) -> tuple[EmbeddedPolytope, tuple[int,
         if sol is None:
             raise InternalInconsistencyError("implicit equalities are inconsistent")
         spanning = sol[1]
-    return _embedded(_vertex_polytope(rays, d).vertices, spanning), implicit
+    return _embedded(_vertex_incidence(rays, d, 0)[0].vertices, spanning), implicit
+
+
+def _vertices_of(s) -> tuple[tuple[Fraction, ...], ...]:
+    if isinstance(s, HPolytope):
+        return vertices(s).vertices
+    if isinstance(s, (EmbeddedPolytope, VPolytope)):
+        return s.vertices
+    raise TypeError(f"unsupported type {type(s).__name__}")
 
 
 def relative_interior_point(s) -> tuple[Fraction, ...]:
     """Vertex barycenter, a relative interior point of any of our set types."""
-    if isinstance(s, HPolytope):
-        verts = vertices(s).vertices
-    elif isinstance(s, EmbeddedPolytope):
-        verts = s.vertices
-    elif isinstance(s, VPolytope):
-        verts = s.vertices
-    else:
-        raise TypeError(f"unsupported type {type(s).__name__}")
+    verts = _vertices_of(s)
     if not verts:
         raise EmptyPolytopeError("no vertices")
     n = len(verts)
@@ -596,13 +596,7 @@ def relative_interior_point(s) -> tuple[Fraction, ...]:
 
 
 def is_lattice_polytope(s) -> bool:
-    if isinstance(s, HPolytope):
-        verts = vertices(s).vertices
-    elif isinstance(s, (EmbeddedPolytope, VPolytope)):
-        verts = s.vertices
-    else:
-        raise TypeError(f"unsupported type {type(s).__name__}")
-    return all(c.denominator == 1 for pt in verts for c in pt)
+    return all(c.denominator == 1 for pt in _vertices_of(s) for c in pt)
 
 
 # ---------------------------------------------------------------------------
@@ -653,23 +647,28 @@ def _compiled(rows) -> list:
     return [(z[-2], z[-1], tuple((i, c) for i, c in enumerate(z[:-2]) if c)) for z in rows if z[-2]]
 
 
-def _valid_row_cone(s) -> tuple:
-    """The cone of the valid rows of s, as projected_levels takes it: s.row_cone.
+def _valid_row_cone(s) -> tuple[list, list]:
+    """The cone of the valid rows of s, as projected_levels takes it: (rays, lineality).
 
     Its rays are the facet rows <a, x> <= beta as primitive integer (a,
-    beta), each with its tight set over the points (input points or
-    vertices; bit k for point k) whose double description built s; a
-    single point has no facet, and the row 0 <= 1 is its ray. Its
-    lineality is a basis of the equations of the affine hull. A set built
-    without it gets it from vertices() or hull_any_dim of its vertices.
+    beta), each with its tight set, s.incidence; a single point has no
+    facet, and the row 0 <= 1, tight nowhere, is its ray. Its lineality is
+    the equations of the affine hull as integer rows. An HPolytope built
+    without its incidence gets it from vertices(), an EmbeddedPolytope
+    reads the cone of hull_any_dim of its vertices.
     """
-    if isinstance(s, HPolytope) and s.row_cone is None:
-        vertices(s)
-    elif isinstance(s, EmbeddedPolytope) and s.row_cone is None:
-        object.__setattr__(s, "row_cone", hull_any_dim(s.vertices).row_cone)
-    elif not isinstance(s, (HPolytope, EmbeddedPolytope)):
+    if isinstance(s, HPolytope):
+        if s.incidence is None:
+            vertices(s)
+        rows, equations = zip(s.normals, s.rhs), ()
+    elif isinstance(s, EmbeddedPolytope):
+        if s.incidence is None:
+            s = hull_any_dim(s.vertices)
+        rows, equations = s.facets, s.subspace.equations
+    else:
         raise TypeError(f"unsupported type {type(s).__name__}")
-    return s.row_cone
+    rays = [(_integer_row(a, b), t) for (a, b), t in zip(rows, s.incidence)]
+    return rays or [((0,) * len(s.vertices[0]) + (1,), 0)], [_integer_row(a, b) for a, b in equations]
 
 
 def level_points(levels, step: int = 1, shrink: int = 1) -> list[IntVector]:
@@ -723,8 +722,8 @@ def lattice_points(s, region: str = "all", sublattice_scale: int = 1):
 
     s may be an HPolytope or an EmbeddedPolytope, and the returned points
     are integer tuples in lexicographic order. The enumeration runs over
-    projected_levels of the cone of the valid rows of s that s keeps
-    (_valid_row_cone), with no incidence recounted. The relative_interior
+    projected_levels of the cone of the valid rows of s, read off the
+    incidence s keeps (_valid_row_cone), with none recounted. The relative_interior
     region keeps the points strictly inside every facet row, in integers.
     """
     if region not in ("all", "relative_interior"):
@@ -744,7 +743,7 @@ def lattice_points(s, region: str = "all", sublattice_scale: int = 1):
 
 
 def transform(p: HPolytope, u: Sequence[Sequence[int]], shift: Sequence[int]) -> HPolytope:
-    """Image of p under x -> U x + shift for unimodular integer U, with its vertices and row cone."""
+    """Image of p under x -> U x + shift for unimodular integer U, with its vertices and incidence."""
     d = p.dim
     urows = [_as_int_vector(row) for row in u]
     tvec = _as_int_vector(shift)
@@ -753,24 +752,23 @@ def transform(p: HPolytope, u: Sequence[Sequence[int]], shift: Sequence[int]) ->
     if abs(det(urows)) != 1:
         raise NonUnimodularError("matrix determinant is not +-1")
     ut = [list(row) for row in zip(*urows)]  # U^T
-    images = {}  # each facet's integer row -> its image row, tight where the facet is
-    for a, b in zip(p.normals, p.rhs):
+    images = [vec_add(tuple(dot(row, v) for row in urows), tvec) for v in vertices(p).vertices]
+    order = sorted(range(len(images)), key=images.__getitem__)  # the k-th image vertex is images[order[k]]
+    rows = []
+    for a, b, t in zip(p.normals, p.rhs, p.incidence):
         sol = solve_linear(ut, list(a))
         if sol is None:
             raise InternalInconsistencyError("unimodular system must be solvable")
         w, _ = primitivize(_as_int_vector(sol[0]))
-        images[_integer_row(a, b)] = (w, b + dot(w, tvec))
-    pairs = sorted(images.values())
-    imgs = VPolytope(d, tuple(sorted(vec_add(tuple(dot(row, v) for row in urows), tvec)
-                                     for v in vertices(p).vertices)))
-    cone = (tuple((_integer_row(*images[z]), t) for z, t in p.row_cone[0]), ())
-    return HPolytope(d, tuple(a for a, _ in pairs), tuple(b for _, b in pairs), imgs, cone)
+        rows.append((w, b + dot(w, tvec), sum(1 << k for k, j in enumerate(order) if t >> j & 1)))
+    normals, rhs, incidence = zip(*sorted(rows))
+    return HPolytope(d, normals, rhs, VPolytope(d, tuple(images[j] for j in order)), incidence)
 
 
 def dilate(p: HPolytope, factor: int) -> HPolytope:
-    """The dilation factor * p for a positive integer factor, with its vertices and row cone."""
+    """The dilation factor * p for a positive integer factor, with its vertices and incidence."""
     k = int(factor)
     if k < 1 or k != factor:
         raise ValueError("dilation factor must be a positive integer")
-    scaled = VPolytope(p.dim, tuple(sorted(tuple(k * c for c in v) for v in vertices(p).vertices)))
-    return HPolytope(p.dim, p.normals, tuple(b * k for b in p.rhs), scaled, _scaled_cone(p.row_cone, Fraction(k)))
+    scaled = VPolytope(p.dim, tuple(tuple(k * c for c in v) for v in vertices(p).vertices))
+    return HPolytope(p.dim, p.normals, tuple(b * k for b in p.rhs), scaled, p.incidence)

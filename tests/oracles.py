@@ -335,6 +335,19 @@ def bland_simplex(normals, rhs, objective, direction="max", eq_normals=(), eq_rh
     return ("optimal", value if direction == "max" else -value, tuple(point), tight, tuple(duals))
 
 
+def lp_height(rays, point):
+    """Height of point in the cone of rays, as the LP that defines it, by bland_simplex.
+
+    The largest sum(lambda) over lambda >= 0 with sum(lambda_i rays_i) =
+    point: one equality row per coordinate, one nonnegative variable per ray.
+    """
+    m = len(rays)
+    columns = [tuple(r[j] for r in rays) for j in range(len(point))]
+    status, value, *_ = bland_simplex((), (), (1,) * m, "max", columns, point, nonneg=range(m))
+    assert status == "optimal"
+    return value
+
+
 def integer_solvable(matrix, rhs):
     """Whether A w = b has an integer solution, by column Euclid reduction.
 

@@ -22,6 +22,7 @@ from oracles import (
     bisect_critical_shift,
     brute_vertices,
     fm_project_feasible,
+    lp_height,
     smallest_solvable_level,
 )
 import polyadj
@@ -34,7 +35,7 @@ from polyadj.adjunction import (
     qcodegree,
     raw_critical_shift,
 )
-from polyadj.fan import Cone, fan_gorenstein_index, gorenstein_index, height, normal_fan
+from polyadj.fan import fan_gorenstein_index, gorenstein_index, height, normal_fan
 from polyadj.generators import SplitMix64, cube, fig1, random_lattice_polytope, scaled_simplex
 from polyadj.polytope import dilate, from_inequalities, transform, vertices
 from polyadj.spectrum import check_necessary_condition, codegree_step, spectrum_superset
@@ -174,25 +175,6 @@ def test_criterion_6_codegree_lies_in_the_candidate_set(suite_reports):
     _criterion("codegree sits in its candidate set; grid rule matches", check)
 
 
-def _lp_height(c, point):
-    # independent route: the height as the LP it is defined by, through the solver
-    m = c.n_rays
-    rows = []
-    rhs = []
-    for j in range(c.ambient_dim):
-        col = tuple(g[j] for g in c.rays)
-        rows.append(col)
-        rhs.append(Fraction(point[j]))
-        rows.append(tuple(-x for x in col))
-        rhs.append(-Fraction(point[j]))
-    for i in range(m):
-        rows.append(tuple(-1 if i == k else 0 for k in range(m)))
-        rhs.append(Fraction(0))
-    res = lp.solve(lp.make_problem(rows, rhs, [1] * m, "max"))
-    assert res.status == "optimal"
-    return res.value
-
-
 def test_criterion_7_independent_routes_agree(suite, suite_reports):
     def check():
         for key, p in suite:
@@ -215,7 +197,7 @@ def test_criterion_7_independent_routes_agree(suite, suite_reports):
             for c in rep.fan.maximal_cones:
                 ray_sum = tuple(sum(col) for col in zip(*c.rays))
                 for pt in (ray_sum, tuple(2 * x for x in c.rays[0])):
-                    assert height(c, pt) == _lp_height(c, pt), key
+                    assert height(c, pt) == lp_height(c.rays, pt), key
                     checked[c.is_simplicial()] += 1
         assert checked[True] >= 400 and checked[False] >= 400
 
@@ -284,6 +266,6 @@ def test_criterion_9_d5_canonicity_threshold_within_a_time_cap():
         threshold, point, rays = json.loads(out.stdout)
         assert Fraction(threshold) == Fraction(422, 29651)
         assert tuple(point) == (0, 0, 0, 1, 0)
-        assert _lp_height(Cone(5, tuple(map(tuple, rays))), point) == Fraction(422, 29651)
+        assert lp_height(rays, point) == Fraction(422, 29651)
 
     _criterion("d=5 canonicity threshold within 60 s, witness height by LP", check)

@@ -20,10 +20,11 @@ from oracles import (
     confirms_minimal_level,
     gauss_solve,
     laplace_det,
+    lp_height,
     smallest_solvable_level,
 )
 import polyadj
-from polyadj import fan as fan_module, lp, polytope
+from polyadj import fan as fan_module, polytope
 from polyadj.errors import InvalidConeError, NotInConeError
 from polyadj.fan import (
     Cone,
@@ -138,32 +139,24 @@ def test_height_takes_the_maximal_representation():
         height(c, (5, 0, 1))
 
 
-def _lp_height(c, point):
-    # independent route: same program, but always through the LP solver
-    m = c.n_rays
-    rows = []
-    rhs = []
-    for j in range(c.ambient_dim):
-        col = tuple(g[j] for g in c.rays)
-        rows.append(col)
-        rhs.append(Fraction(point[j]))
-        rows.append(tuple(-x for x in col))
-        rhs.append(-Fraction(point[j]))
-    for i in range(m):
-        rows.append(tuple(-1 if i == k else 0 for k in range(m)))
-        rhs.append(Fraction(0))
-    res = lp.solve(lp.make_problem(rows, rhs, [1] * m, "max"))
-    assert res.status == "optimal"
-    return res.value
-
-
 def test_simplicial_heights_match_the_lp_route():
     fan = normal_fan(scaled_simplex(3, 5))
     for c in fan.maximal_cones:
         if not c.is_simplicial():
             continue
         for pt in list(c.rays) + [tuple(map(sum, zip(*c.rays)))]:
-            assert height(c, pt) == _lp_height(c, pt)
+            assert height(c, pt) == lp_height(c.rays, pt)
+
+
+def test_normal_fan_cones_are_the_brute_tight_sets_on_the_suite(suite):
+    # each maximal cone is read off the incidence; here it is recounted by
+    # dot products of every facet row with its vertex
+    for key, p in suite:
+        nf = normal_fan(p)
+        assert len(nf.maximal_cones) == len(nf.vertex_points), key
+        for v, c in zip(nf.vertex_points, nf.maximal_cones):
+            tight = [a for a, b in zip(p.normals, p.rhs) if sum(x * y for x, y in zip(a, v)) == b]
+            assert c.rays == tuple(sorted(tight)), key
 
 
 def test_dual_height_vertices_match_the_brute_force_scan():

@@ -737,9 +737,10 @@ def test_relative_interior_of_a_flat_scaled_acore_needs_no_hull_and_no_linear_so
 
 
 def test_lattice_points_read_the_row_cone_each_set_keeps(count_calls):
-    # a hull keeps the cone of its valid rows as its double description
-    # found it, and scale_embedded rescales its rows, so enumerating their
-    # points recounts no incidence and describes no set again
+    # a hull keeps the vertex-facet incidence its double description found,
+    # and scale_embedded keeps it, so the cone of valid rows is read off the
+    # facets and that incidence: enumerating the points recounts no
+    # incidence and describes no set again
     hull = from_vertices([(0, 0, 0), (3, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0)])
     flat = hull_any_dim([(0, 0, 0), (2, 2, 0), (2, 0, 2), (1, 1, 0), (4, 2, 2)])
     acore = adjunction.adjunction_data(random_lattice_polytope(4, 6, 4022, box=2)).acore
@@ -764,7 +765,7 @@ def _hull_document(seed: int) -> str:
 def test_reading_hulls_and_their_lattice_points_builds_a_pinned_number_of_fractions(count_fractions):
     # a deterministic work counter for read_polytope + lattice_points of ten
     # V documents (7389 points in all). The hull clears its points over one
-    # denominator without copying Fractions and keeps its row cone, so no
+    # denominator without copying Fractions and keeps its incidence, so no
     # vertex is negated and cleared again: 2666 -> 908 here and 1568 -> 908
     # on 3.12, where Fraction arithmetic makes no Fraction.__new__ call
     texts = [_hull_document(seed) for seed in range(6000, 6010)]
@@ -853,16 +854,16 @@ UNIMODULAR = {2: [[2, 1], [1, 1]], 3: [[1, 2, 0], [0, 1, -1], [1, 0, 1]]}
 @given(st.integers(2, 3), st.data())
 def test_hulls_of_every_lattice_point_of_a_polytope_enumerate_as_their_facets_do(d, data):
     # the input is every lattice point of a lattice polytope, so each facet
-    # is tight at points that are no vertices: redundant rows of the row
-    # cone, which its tight sets index as the hull's distinct input points
+    # is tight at points that are no vertices: the double description's
+    # tight sets over the input points are mapped to the sorted vertices
     pts = data.draw(st.lists(st.tuples(*[small] * d), min_size=d + 1, max_size=d + 3))
     assume(_full_dimensional(pts))
     cloud = lattice_points(from_vertices(pts))
     p = from_vertices(cloud)
     by_hand = HPolytope(p.dim, p.normals, p.rhs)
-    rays, lineality = p.row_cone
-    assert not lineality and all(t == _tight_bits(z, polytope._distinct_points(cloud)) for z, t in rays)
-    assert sorted(z for z, _ in rays) == sorted(z for z, _ in polytope._valid_row_cone(by_hand)[0])
+    rays, lineality = polytope._valid_row_cone(p)
+    assert not lineality and all(t == _tight_bits(z, p.vertex_cache.vertices) for z, t in rays)
+    assert polytope._valid_row_cone(by_hand) == (rays, lineality)
     # conv(cloud) = conv(pts), so the facets of the few drawn points decide membership
     for s in (p, by_hand):
         _check_against_the_box_scan(s, pts, _hull_member(pts))
@@ -874,13 +875,60 @@ def test_hulls_of_every_lattice_point_of_a_polytope_enumerate_as_their_facets_do
     # the same cloud on the hyperplane x_{d+1} = x_1, with its equation in the lineality
     lifted = [x + x[:1] for x in cloud]
     flat = hull_any_dim(lifted)
-    assert all(t == _tight_bits(z, polytope._distinct_points(lifted)) for z, t in flat.row_cone[0])
+    assert all(t == _tight_bits(z, flat.vertices) for z, t in polytope._valid_row_cone(flat)[0])
     member = _hull_member(pts)
     for factor in (1, 2):
         scaled = [tuple(factor * c for c in x + x[:1]) for x in pts]
         _check_against_the_box_scan(scale_embedded(flat, factor), scaled,
                                     lambda x, strict, k=factor: x[-1] == x[0] and member(
                                         tuple(Fraction(c, k) for c in x[:-1]), strict))
+
+
+def _brute_incidence(rows, verts):
+    """Bit k of entry i set iff <a_i, v_k> = b_i for row i = (a_i, b_i), by dot products."""
+    return tuple(sum(1 << k for k, v in enumerate(verts) if sum(x * y for x, y in zip(a, v)) == b)
+                 for a, b in rows)
+
+
+def _check_incidence(s):
+    """The incidence s keeps is the brute one over its vertices, which are sorted."""
+    if isinstance(s, HPolytope):
+        rows, verts = list(zip(s.normals, s.rhs)), s.vertex_cache.vertices
+    else:
+        rows, verts = s.facets, s.vertices
+    assert list(verts) == sorted(verts)
+    assert s.incidence == _brute_incidence(rows, verts)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(2, 3), st.data())
+def test_every_incidence_bit_is_a_facet_tight_at_a_sorted_vertex(d, data):
+    pts = data.draw(st.lists(st.tuples(*[small] * d), min_size=d + 1, max_size=d + 3))
+    assume(_full_dimensional(pts))
+    # every lattice point of a polytope: most input points are no vertices
+    cloud = lattice_points(from_vertices(pts))
+    p = from_vertices(cloud)
+    rows = list(zip(p.normals, p.rhs))
+    # reversed, plus a redundant row: twice a facet's normal with a looser bound
+    q = from_inequalities(rows[::-1] + [(tuple(2 * x for x in p.normals[0]), 2 * p.rhs[0] + 1)])
+    # rational vertices, whose homogenized rays (x, s) do not sort as x / s do
+    r = from_inequalities([(a, b / 2 + Fraction(1, 3)) for a, b in rows])
+    by_hand = [HPolytope(s.dim, s.normals, s.rhs) for s in (p, r)]
+    for s in by_hand:
+        vertices(s)
+    shift = data.draw(st.tuples(*[small] * d))
+    # x -> -x reverses the order of the vertices and reorders the facets
+    negate = [[-int(i == j) for j in range(d)] for i in range(d)]
+    flat = hull_any_dim([x + x[:1] for x in cloud])
+    # the same set as a system on the hyperplane x_{d+1} = x_1
+    on_plane = [((1,) + (0,) * (d - 1) + (-1,), 0), ((-1,) + (0,) * (d - 1) + (1,), 0)]
+    embedded, _ = embed_system(make_system([(a + (0,), b) for a, b in rows] + on_plane))
+    sets = [p, q, r, *by_hand, dilate(p, 3), transform(p, negate, shift), transform(p, UNIMODULAR[d], shift),
+            flat, embedded, scale_embedded(flat, Fraction(3, 2)), scale_embedded(embedded, Fraction(1, 2)),
+            hull_any_dim(pts[:1])]
+    for s in sets:
+        _check_incidence(s)
+    assert q == p and q.incidence == p.incidence
 
 
 def _flat_member(base, matrix, local):
@@ -965,8 +1013,7 @@ def _oracle_facets(points):
 def _projection_cones(s, points):
     """(j, rays, lineality, projected points) of each level projected_levels reads, j = d down to 1.
 
-    points are the distinct input points of the hull s, in the order its
-    row cone's tight sets index them.
+    points are the sorted vertices of s, which its tight sets index.
     """
     d = len(points[0])
     cones = list(polytope._projections(*polytope._valid_row_cone(s)))
@@ -981,7 +1028,7 @@ def test_each_projection_cone_holds_the_facets_of_the_projected_points(d, data):
     pts = data.draw(point_sets(d, d + data.draw(st.integers(1, 4))))
     assume(_full_dimensional(pts))
     p = from_vertices(pts)
-    for j, rays, lineality, projected in _projection_cones(p, polytope._distinct_points(pts)):
+    for j, rays, lineality, projected in _projection_cones(p, vertices(p).vertices):
         assert not lineality
         assert {z for z, _ in rays} == {_integer_row(a, b) for a, b in _oracle_facets(projected)}
         assert all(t == _tight_bits(z, projected) for z, t in rays)
@@ -1018,7 +1065,7 @@ def test_each_projection_cone_of_a_flat_hull_holds_its_equations_and_facets(d, d
         assume(_full_dimensional(local))
     points = _flat_points(base, matrix, local)
     s = hull_any_dim(points)
-    for j, rays, lineality, projected in _projection_cones(s, polytope._distinct_points(points)):
+    for j, rays, lineality, projected in _projection_cones(s, s.vertices):
         # the lineality is a basis of the equations (a, beta), <a, x> = beta at every point
         assert all(sum(a * xi for a, xi in zip(z, x)) == z[-1] for z in lineality for x in projected)
         equations = j + 1 - gauss_rank([tuple(x) + (-1,) for x in projected])
