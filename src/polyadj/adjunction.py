@@ -210,14 +210,12 @@ def core_config(data: AdjunctionData) -> spectrum_mod.CoreNormalConfig:
     """The core normal set as a spectrum configuration; raises
     InvalidConfigError when the positive spanning property fails.
 
-    The critical-shift duals y sum to 1, vanish off the core normals and
-    give sum y_i a_i = 0. When y_i > 0 on every core normal they are a
-    barycentric expression of 0 with all weights positive, which is exactly
-    validate_config's criterion, so its LP runs only when some y_i is 0.
+    The property is read off data.acore, the hull of the core normals, as
+    validate_config reads it off the hull of the rows, so no hull is built
+    again.
     """
     cfg = spectrum_mod._checked_rows([tuple(a) for a in data.core_normals])
-    if any(data.shift_duals[i] == 0 for i in data.core_normal_indices):
-        spectrum_mod.validate_config(cfg)
+    spectrum_mod._require_positive_spanning(data.acore)
     return cfg
 
 

@@ -8,15 +8,15 @@ the generator heights), and smoothness. Fan level values aggregate over
 the maximal cones: a functional witnessing a maximal cone restricts to
 every face, so face indices divide the maximal ones and face thresholds
 are no smaller, which makes the maximal cones sufficient. Nothing here
-solves an LP or builds a polytope: cone validation, heights, the
-canonicity scan and the fan's Gorenstein index all read integer double
-descriptions. Heights, the canonicity scan and the fan's Gorenstein index
-read a cone's facets and its dual height vertices off one double
-description, which the cone keeps once it is computed: the facets are its
-rays with s = 0, the vertices those with s > 0, and the cone's index is
-the s of the vertex tight at every ray, so a fan takes no integer kernel
-after its scan. It runs on the rays as given; only a cone of lower
-rank, whose double description then has a lineality, moves to the
+solves an LP or builds a polytope. Cone validation, heights on every
+cone, the canonicity scan and the fan's Gorenstein index all read a
+cone's facets and its dual height vertices off one integer double
+description: the facets are its rays with s = 0, the vertices those with
+s > 0, a cone with no vertex contains a line, and the cone's index is the
+s of the vertex tight at every ray. A cone keeps that description once a
+height, a scan or its index has computed it, so a fan takes no integer
+kernel after its scan. It runs on the rays as given; only a cone of
+lower rank, whose double description then has a lineality, moves to the
 coordinates of its saturated span, with no rank taken. The canonicity
 scan enumerates one region per cone, conv(0, rays), shrunk by t = 1/2^k
 on a ladder that starts at the lower bound on heights that the dual
@@ -47,7 +47,6 @@ from .polytope import (
     _maximal,
     _ray_sets,
     double_description,
-    extreme_rays,
     is_lattice_polytope,
     level_points,
     projected_levels,
@@ -131,7 +130,11 @@ class CanonicityWitness:
 
 def cone(generators: Sequence[Sequence[int]]) -> Cone:
     """Validating constructor: primitivize, drop non-extreme generators,
-    and reject cones that contain a line."""
+    and reject cones that contain a line, both read off the generators'
+    dual height double description (_framed_region): with no ray s > 0 the
+    cone contains a line, and the extreme generators are those on maximal
+    sets of facets, its rays with s = 0 (a pointed cone of rank 1 has one).
+    """
     if not generators:
         raise InvalidConeError("a cone needs at least one generator")
     d = len(generators[0])
@@ -146,31 +149,17 @@ def cone(generators: Sequence[Sequence[int]]) -> Cone:
             raise InvalidConeError("zero vector cannot generate a ray")
         prims.append(primitivize(vec)[0])
     prims = sorted(set(prims))
-    _, local = _span_frame(prims)
-    k = len(local[0])
-    facets = extreme_rays(local, k)
-    if rank([f for f, _ in facets]) < k:
+    _, _, region = _framed_region(prims, d)
+    if not any(z[-1] for z, _ in region):
         raise InvalidConeError("generators span a cone containing a line")
-    if k > 1:
-        prims = [prims[i] for i in _maximal(_ray_sets(facets, range(len(prims))))]
+    if len(prims) > 1:
+        facets = [(z, t) for z, t in region if not z[-1]]
+        prims = [prims[i] for i in _maximal(_ray_sets(facets, range(1, len(prims) + 1)))]
     return Cone(d, tuple(prims))
 
 
-def _span_frame(rays: Sequence[IntVector]) -> tuple[Optional[tuple[IntVector, ...]], list[IntVector]]:
-    """The rays in the coordinates of a basis of their saturated span lattice.
-
-    Returns (directions, local rays). When the rays span the ambient space
-    directions is None and the rays are kept as they are; otherwise they
-    move to _saturated_frame.
-    """
-    rays = [tuple(r) for r in rays]
-    if rank(rays) == len(rays[0]):
-        return None, rays
-    return _saturated_frame(rays)
-
-
 def _saturated_frame(rays: Sequence[IntVector]) -> tuple[tuple[IntVector, ...], list[IntVector]]:
-    """(directions, local rays) for rays known not to span: a basis of their
+    """(directions, local rays) for rays that do not span: a basis of their
     saturated span lattice, in which the lattice points of the span keep
     integer local coordinates, and the rays in it."""
     directions = saturate(rays)
@@ -213,24 +202,14 @@ def height(c: Cone, point: Sequence) -> Fraction:
     """Largest total generator weight expressing point inside the cone.
 
     For a point w in c this is max sum(lambda) over lambda >= 0 with
-    sum(lambda_i ray_i) = w; it is finite because the cone is pointed, and
-    unique when the cone is simplicial, where one linear solve gives it.
-    On any other cone it is min <u, w> over the dual height vertices u,
-    in the coordinates of the rays' saturated span, once w has passed the
-    cone's facet rows. Raises NotInConeError outside c.
+    sum(lambda_i ray_i) = w; it is finite because the cone is pointed. It
+    is min <u, w> over the dual height vertices u, in the coordinates of
+    the rays' saturated span, once w has passed the cone's facet rows.
+    Raises NotInConeError outside c.
     """
     target = [Fraction(x) for x in point]
     if all(x == 0 for x in target):
         return Fraction(0)
-    if c.is_simplicial():
-        matrix = [[c.rays[i][j] for i in range(c.n_rays)] for j in range(c.ambient_dim)]
-        sol = solve_linear(matrix, target)
-        if sol is None:
-            raise NotInConeError("point is outside the cone's linear span")
-        lams = sol[0]
-        if any(l < 0 for l in lams):
-            raise NotInConeError("point has a negative generator weight")
-        return sum(lams, Fraction(0))
     directions, _, region, duals, scale = _height_functionals(c)
     if directions is not None:
         target = _local_coordinates(directions, target)
@@ -249,40 +228,41 @@ def _dual_height_vertices(rays: Sequence[IntVector], d: int) -> Optional[tuple[t
     rays as rows 1..m, or None when it has a lineality, {(u, 0) : <ray, u>
     = 0}, which happens exactly when the rays do not span Q^d. Its rays
     with s > 0 are the primitive integer (u, s) of the vertices u / s of
-    {u : <ray, u> >= 1 for all rays}. By LP duality the height of any point
-    w of the cone is the minimum of <u, w> over that region, and the region
-    is pointed, so the minimum is attained at a vertex. Its face {s = 0} is
-    the dual cone, so its rays (f, 0) give the cone's primitive facet
-    normals f, sorted, as extreme_rays(rays, d) would.
+    {u : <ray, u> >= 1 for all rays}, one at least iff the cone is pointed.
+    By LP duality the height of any point w of the cone is the minimum of
+    <u, w> over that region, and the region is pointed, so the minimum is
+    attained at a vertex. Its face {s = 0} is the dual cone, so its rays
+    (f, 0) give the cone's primitive facet normals f, sorted.
     """
     rows = [(0,) * d + (1,)] + [tuple(r) + (-1,) for r in rays]
     found, lineality = double_description(rows, d + 1)
-    if lineality:
-        return None
-    if not any(z[d] for z, _ in found):
-        raise InternalInconsistencyError("dual height region of a full-rank cone has a vertex")
-    return found
+    return None if lineality else found
+
+
+def _framed_region(rays: Sequence[IntVector], d: int) -> tuple:
+    """(directions, rays, region): the rays as given, with directions None,
+    and their _dual_height_vertices when it shows that they span, so a
+    full-rank cone costs no rank; else the same in _saturated_frame."""
+    region = _dual_height_vertices(rays, d)
+    if region is not None:
+        return None, rays, region
+    directions, rays = _saturated_frame(rays)
+    return directions, rays, _dual_height_vertices(rays, len(rays[0]))
 
 
 def _height_functionals(c: Cone) -> tuple:
     """(directions, rays, region, duals, scale), with height(x) = min_w <w, x> / scale on the cone.
 
-    region is the dual height double description (_dual_height_vertices).
-    The rays are kept as they are when it shows that they span, so a
-    full-rank cone costs no rank; otherwise its lineality has shown that
-    they do not, and they move to the frame of _saturated_frame, which
-    gives directions, and are described again. The duals w are the
-    vertices of the dual height region over a common denominator scale, so
-    <w, ray> >= scale on every ray. Computed once per cone and kept in
-    c.functionals.
+    directions, rays and region are those of _framed_region. The duals w
+    are the vertices of the dual height region over a common denominator
+    scale, so <w, ray> >= scale on every ray. Computed once per cone and
+    kept in c.functionals.
     """
     if c.functionals is None:
-        directions, rays = None, c.rays
-        region = _dual_height_vertices(rays, c.ambient_dim)
-        if region is None:
-            directions, rays = _saturated_frame(rays)
-            region = _dual_height_vertices(rays, len(rays[0]))
+        directions, rays, region = _framed_region(c.rays, c.ambient_dim)
         tops = [z for z, _ in region if z[-1]]
+        if not tops:
+            raise InternalInconsistencyError("dual height region of a pointed cone has no vertex")
         scale = lcm(*(z[-1] for z in tops))
         duals = tuple(tuple(x * (scale // z[-1]) for x in z[:-1]) for z in tops)
         object.__setattr__(c, "functionals", (directions, rays, region, duals, scale))

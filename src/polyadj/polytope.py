@@ -2,17 +2,17 @@
 lattice point enumeration, and embeddings of lower-dimensional sets.
 Both canonical forms come from one double-description routine,
 double_description, which reports the rows tight at each extreme ray and
-a basis of the cone's lineality (extreme_rays is the same for a pointed
-cone): from_inequalities reads the facets and vertices of an inequality
-system off those tight sets, from_vertices the facets and vertices of a
-hull (and hull_any_dim and embed_system those of a hull of any
-dimension), vertices the vertices of an HPolytope, implicit_equalities
-and embed_system the implicit equalities and vertices of a possibly flat
-system, and fan the dual height vertices of a cone together with its
-facets. The lineality of a homogenized system is its set's lines, so no
-LP and no cut is needed to decide emptiness or boundedness. The kernel
-works on primitive integer vectors only, pairs the rays on the two sides
-of each row and tests adjacency by counting tight sets. Lattice points
+a basis of the cone's lineality: from_inequalities reads the facets and
+vertices of an inequality system off those tight sets, from_vertices the
+facets and vertices of a hull (and hull_any_dim and embed_system those of
+a hull of any dimension), vertices the vertices of an HPolytope,
+implicit_equalities and embed_system the implicit equalities and vertices
+of a possibly flat system, and fan the dual height vertices of a cone
+together with its facets, which also validate a cone's generators. The
+lineality of a homogenized system is its set's lines, so no LP and no
+cut is needed to decide emptiness or boundedness. The kernel works on
+primitive integer vectors only, pairs the rays on the two sides of each
+row and tests adjacency by counting tight sets. Lattice points
 are enumerated coordinate by coordinate over the projections of a set
 onto x_1..x_j (projected_levels). The valid rows (a, beta) of a set form
 a cone whose rays are its facets and whose lineality is the equations of
@@ -53,7 +53,6 @@ from .errors import (
     DimensionMismatchError,
     EmptyPolytopeError,
     InternalInconsistencyError,
-    InvalidConeError,
     LowerDimensionalError,
     NonUnimodularError,
     UnboundedPolytopeError,
@@ -362,15 +361,6 @@ def _cut(rays, lineality, c: int, n: int) -> tuple[list, list]:
     return [(z[:c] + z[c + 1:], t) for z, t in rays if not z[c]], [z[:c] + z[c + 1:] for z in lineality]
 
 
-def extreme_rays(rows: Sequence[Sequence[int]], n: int) -> tuple[tuple[IntVector, int], ...]:
-    """The (ray, tight set) pairs of double_description(rows, n) for a pointed
-    cone; raises InvalidConeError when the cone contains a line."""
-    rays, lineality = double_description(rows, n)
-    if lineality:
-        raise InvalidConeError("the cone contains a line")
-    return rays
-
-
 def _homogenized(normals, rhs, d: int):
     """double_description of {(x, s) : s >= 0, b_i s - <a_i, x> >= 0} for a nonempty system.
 
@@ -671,8 +661,8 @@ def _valid_row_cone(s) -> tuple[list, list]:
     return rays or [((0,) * len(s.vertices[0]) + (1,), 0)], [_integer_row(a, b) for a, b in equations]
 
 
-def level_points(levels, step: int = 1, shrink: int = 1) -> list[IntVector]:
-    """Points of step * Z^d passing every level of projected_levels, in lexicographic order.
+def level_points(levels, shrink: int = 1) -> list[IntVector]:
+    """Lattice points passing every level of projected_levels, in lexicographic order.
 
     With shrink > 1 every right hand side is divided by shrink as a row is
     evaluated, so the levels of a set S give the points of S / shrink. The
@@ -703,13 +693,11 @@ def level_points(levels, step: int = 1, shrink: int = 1) -> list[IntVector]:
             raise UnboundedPolytopeError("enumeration region is unbounded")
         if lo > hi:
             return
-        start = -(-lo // step) * step
-        stop = hi // step * step
         if j == d:
             head = tuple(prefix[:-1])
-            out.extend(head + (v,) for v in range(start, stop + 1, step))
+            out.extend(head + (v,) for v in range(lo, hi + 1))
             return
-        for v in range(start, stop + 1, step):
+        for v in range(lo, hi + 1):
             prefix[j - 1] = v
             rec(j + 1)
 
@@ -717,8 +705,8 @@ def level_points(levels, step: int = 1, shrink: int = 1) -> list[IntVector]:
     return out
 
 
-def lattice_points(s, region: str = "all", sublattice_scale: int = 1):
-    """Points of (sublattice_scale * Z^d) in s, or in its relative interior.
+def lattice_points(s, region: str = "all"):
+    """Lattice points of s, or of its relative interior.
 
     s may be an HPolytope or an EmbeddedPolytope, and the returned points
     are integer tuples in lexicographic order. The enumeration runs over
@@ -728,11 +716,8 @@ def lattice_points(s, region: str = "all", sublattice_scale: int = 1):
     """
     if region not in ("all", "relative_interior"):
         raise ValueError(f"unknown region {region!r}")
-    k = int(sublattice_scale)
-    if k < 1 or k != sublattice_scale:
-        raise ValueError("sublattice_scale must be a positive integer")
     rays, lineality = _valid_row_cone(s)
-    result = level_points(projected_levels(rays, lineality), k)
+    result = level_points(projected_levels(rays, lineality))
     if region == "relative_interior":
         result = [x for x in result if all(dot(z[:-1], x) < z[-1] for z, _ in rays)]
     return tuple(result)

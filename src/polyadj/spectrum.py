@@ -19,8 +19,8 @@ from math import floor, gcd
 from numbers import Rational
 from typing import Iterator, Optional, Sequence
 
-from . import lp
 from .errors import InternalInconsistencyError, InvalidConfigError
+from .polytope import EmbeddedPolytope, hull_any_dim
 from .ratmath import (
     IntVector,
     _eliminate,
@@ -146,24 +146,15 @@ def _checked_rows(rows: Sequence[Sequence[int]]) -> CoreNormalConfig:
 
 
 def validate_config(cfg: CoreNormalConfig) -> None:
-    """Require 0 strictly inside conv(rows) relative to its affine hull.
+    """Require 0 strictly inside conv(rows) relative to its affine hull, a
+    barycentric expression of 0 with all weights positive, on hull_any_dim."""
+    _require_positive_spanning(hull_any_dim(cfg.normals))
 
-    Checked by maximizing t subject to sum(lambda_i row_i) = 0,
-    sum(lambda_i) = 1, lambda_i >= t, t <= 1; a positive optimum is exactly
-    a barycentric expression of 0 with all weights positive.
-    """
-    m = cfg.n_rows
-    # variables (lambda_1..lambda_m, t); rows t - lambda_i <= 0 and t <= 1
-    rows = [tuple(-1 if k == i else 0 for k in range(m)) + (1,) for i in range(m)]
-    rows.append(tuple([0] * m) + (1,))
-    eq_rows = [tuple(a[j] for a in cfg.normals) + (0,) for j in range(cfg.dim)]
-    eq_rows.append(tuple([1] * m) + (0,))
-    res = lp.solve(lp.make_problem(rows, [0] * m + [1], [0] * m + [1], "max",
-                                   eq_normals=eq_rows, eq_rhs=[0] * cfg.dim + [1]))
-    if res.status == "infeasible" or (res.status == "optimal" and res.value <= 0):
+
+def _require_positive_spanning(hull: EmbeddedPolytope) -> None:
+    """Raise InvalidConfigError unless 0 lies in the relative interior of hull."""
+    if not hull.contains((0,) * hull.ambient_dim, strict=True):
         raise InvalidConfigError("0 must lie in the relative interior of conv(rows)")
-    if res.status != "optimal":
-        raise InternalInconsistencyError("capped barycentric LP cannot be unbounded")
 
 
 def _step_basis(cfg: CoreNormalConfig) -> tuple[tuple[IntVector, ...], list[int], int]:

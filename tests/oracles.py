@@ -458,8 +458,8 @@ def bisect_critical_shift(normals, rhs, step, is_feasible):
     return candidate
 
 
-def box_lattice_points(vertices_, membership, scale=1):
-    """All points of scale * Z^d in a bounding box that pass membership."""
+def box_lattice_points(vertices_, membership):
+    """All lattice points in a bounding box that pass membership."""
     d = len(vertices_[0])
     out = []
     ranges = []
@@ -468,8 +468,7 @@ def box_lattice_points(vertices_, membership, scale=1):
         hi = max(v[j] for v in vertices_)
         start = -((-lo.numerator) // lo.denominator)
         stop = hi.numerator // hi.denominator
-        start = -((-start) // scale) * scale
-        ranges.append(range(start, stop + 1, scale))
+        ranges.append(range(start, stop + 1))
     for pt in itertools.product(*ranges):
         if membership(pt):
             out.append(pt)

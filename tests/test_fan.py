@@ -32,7 +32,7 @@ from polyadj.fan import (
     _cone_index,
     _dual_height_vertices,
     _cone_levels,
-    _span_frame,
+    _height_functionals,
     canonicity_threshold,
     cone,
     fan_canonicity_threshold,
@@ -47,7 +47,6 @@ from polyadj.fan import (
 from polyadj.generators import cube, fig1, random_lattice_polytope, scaled_simplex
 from polyadj.polytope import (
     double_description,
-    extreme_rays,
     from_vertices,
     level_points,
     projected_levels,
@@ -67,11 +66,18 @@ def test_cone_constructor_normalizes_generators():
     c = cone([(2, 0), (0, 3), (1, 1), (4, 0)])
     assert c.rays == ((0, 1), (1, 0))
     assert c.ambient_dim == 2
+    # the same in the frame of a plane in Q^3, and a ray
+    assert cone([(1, 0, 0), (0, 1, 0), (1, 1, 0)]).rays == ((0, 1, 0), (1, 0, 0))
+    assert cone([(2,), (1,)]).rays == ((1,),)
 
 
 def test_cone_constructor_rejects_lines_and_zero():
-    with pytest.raises(InvalidConeError):
-        cone([(1, 0), (-1, 0)])
+    # generators with no dual height vertex: a line, all of Q^2, a
+    # half-plane, and, in the frame of their span, a line and a plane in Q^3
+    for gens in ([(1, 0), (-1, 0)], [(1, 0), (0, 1), (-1, -1)], [(1, 0), (-1, 0), (0, 1)],
+                 [(1,), (-1,)], [(1, 1, 0), (-1, -1, 0)], [(1, 0, 0), (0, 1, 0), (-1, -1, 0)]):
+        with pytest.raises(InvalidConeError, match="containing a line"):
+            cone(gens)
     with pytest.raises(InvalidConeError):
         cone([(0, 0)])
     with pytest.raises(InvalidConeError):
@@ -171,7 +177,9 @@ def test_dual_height_vertices_match_the_brute_force_scan():
         d = c.ambient_dim
         found = _dual_height_vertices(c.rays, d)
         facets, got = [z[:d] for z, _ in found if not z[d]], [z for z, _ in found if z[d]]
-        assert facets == [f for f, _ in extreme_rays(c.rays, d)]
+        # the facets of conv(0, rays) through 0, with outer normals -f
+        through_origin = [n for n, b in brute_facets([(0,) * d] + list(c.rays)) if b == 0]
+        assert facets == sorted(tuple(-x for x in n) for n in through_origin)
         assert all(z[d] > 0 and primitivize(z)[1] == 1 for z in got)
         assert {tuple(Fraction(x, z[d]) for x in z[:d]) for z in got} == brute_dual_vertices(c.rays)
 
@@ -286,14 +294,14 @@ def test_threshold_of_lower_rank_cones_matches_the_box_scan(d, data):
 def _cone_points_match_the_box_scan(c):
     """level_points of the levels of Q = conv(0, rays) against a box scan of Q / shrink, shrink = 1, 2, 64.
 
-    The rays are the full-rank ones of _span_frame. The box scan keeps the
-    points of the bounding box of 0 and the r / shrink on the inner side of
-    every facet of their hull (brute_facets; the box itself when the span
-    has rank 1).
+    The rays are the full-rank ones of _height_functionals. The box scan
+    keeps the points of the bounding box of 0 and the r / shrink on the
+    inner side of every facet of their hull (brute_facets; the box itself
+    when the span has rank 1).
     """
-    _, rays = _span_frame(c.rays)
+    _, rays, region, _, _ = _height_functionals(c)
     d = len(rays[0])
-    levels = _cone_levels(rays, _dual_height_vertices(rays, d))
+    levels = _cone_levels(rays, region)
     assert len(levels) == d + 1
     for shrink in (1, 2, 64):
         corners = [(Fraction(0),) * d] + [tuple(Fraction(x, shrink) for x in r) for r in rays]

@@ -92,7 +92,7 @@ def test_the_scan_finds_every_form_of_an_lp_import():
     for source in ("from . import lp\n", "from .lp import solve\n", "import polyadj.lp\n",
                    "from polyadj import lp as solver\n"):
         assert "lp" in imported_names(source)
-    assert "lp" not in imported_names("from .polytope import extreme_rays\n")
+    assert "lp" not in imported_names("from .polytope import double_description\n")
 
 
 def test_fan_does_not_import_the_lp_solver():
@@ -139,3 +139,16 @@ def test_polytope_solves_an_lp_only_for_is_empty():
     # is_empty keeps the phase-1 LP as the independent route
     with open(os.path.join(PACKAGE, "polytope.py"), encoding="utf-8") as fh:
         assert functions_reading(fh.read(), "lp") == ["InequalitySystem.is_empty"]
+
+
+def test_spectrum_does_not_import_the_lp_solver():
+    # positive spanning is decided on the hull of the rows, not by an LP
+    with open(os.path.join(PACKAGE, "spectrum.py"), encoding="utf-8") as fh:
+        assert "lp" not in imported_names(fh.read())
+
+
+def test_adjunction_solves_an_lp_only_for_the_critical_shift():
+    # core_config reads positive spanning off the acore, so the critical-shift
+    # LP is the one LP of the adjunction module
+    with open(os.path.join(PACKAGE, "adjunction.py"), encoding="utf-8") as fh:
+        assert functions_reading(fh.read(), "lp") == ["_shift_lp"]

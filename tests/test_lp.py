@@ -10,7 +10,6 @@ from polyadj.errors import DimensionMismatchError, InternalInconsistencyError
 from polyadj import lp
 from polyadj.lp import LpProblem, is_feasible, make_problem, solve
 from polyadj.ratmath import dot
-from polyadj.spectrum import make_config
 
 small = st.integers(min_value=-5, max_value=5)
 
@@ -172,11 +171,20 @@ def test_certificates_with_free_equality_duals_and_priced_out_columns():
     # a redundant equality row is dropped in phase 1, leaving no rows at all
     res = solve(make_problem([], [], [-1, 0], eq_normals=[[0, 0]], eq_rhs=[0], nonneg=[0, 1]))
     assert (res.status, res.value, res.point) == ("optimal", 0, (0, 0))
-    # the core normals of d4-s4005 span only a 3-space, so phase 1 drops one
-    # of validate_config's equality rows; the duals of every row, that one
-    # included, must be read for the certificate to reproduce the objective
+    # the barycentric LP of the core normals of d4-s4005: max t over
+    # sum(l_i a_i) = 0, sum(l_i) = 1, t <= l_i and t <= 1, with free l and t.
+    # The normals span only a 3-space, so phase 1 drops one of the equality
+    # rows; the duals of every row, that one included, must be read for the
+    # certificate to reproduce the objective
     normals = [(-1, 0, -1, 0), (0, 0, 1, -2), (2, 1, 0, 1), (12, -6, 23, -4)]
-    assert make_config(normals).normals == tuple(normals)
+    m = len(normals)
+    ineqs = [([-int(k == i) for k in range(m)] + [1], 0) for i in range(m)] + [([0] * m + [1], 1)]
+    eqs = [([a[j] for a in normals] + [0], 0) for j in range(4)] + [([1] * m + [0], 1)]
+    obj = [0] * m + [1]
+    res = solve(mixed_problem(ineqs, eqs, (), obj))
+    assert res.status == "optimal" and res.value > 0
+    assert res.value == bland_simplex(*zip(*ineqs), obj, "max", *zip(*eqs))[1]
+    assert_dual_certificate(ineqs, eqs, (), obj, res)
 
 
 # max x0 / 2 + x1 / 5 with x0 free and x1 >= 0, rational in every row, rhs

@@ -3,9 +3,12 @@
 import hashlib
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from oracles import bland_simplex
 from polyadj.adjunction import adjunction_data, core_config
 from polyadj.errors import InvalidConfigError
 from polyadj.generators import cube, fig1
@@ -46,6 +49,49 @@ def test_config_must_surround_the_origin():
     cfg = make_config(SEGMENT)
     validate_config(cfg)
     assert cfg.dim == 2 and cfg.n_rows == 2
+
+
+@st.composite
+def configurations(draw):
+    """Distinct primitive nonzero rows in Z^d, d = 1-3: single rows, flat
+    sets (coordinates no row uses) and sets with some rows negated, which
+    often surround the origin."""
+    d = draw(st.integers(1, 3))
+    flat = draw(st.sets(st.integers(0, d - 1), max_size=d - 1))
+    rows = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=1, max_size=5))
+    rows += [tuple(-x for x in r) for r in rows[:draw(st.integers(0, len(rows)))]]
+    rows = [tuple(0 if j in flat else x for j, x in enumerate(r)) for r in rows]
+    rows = sorted({tuple(x // gcd(*r) for x in r) for r in rows if any(r)})
+    assume(rows)
+    return rows
+
+
+def barycentric_optimum(rows):
+    """(status, value) of max t over sum(l_i row_i) = 0, sum(l_i) = 1,
+    t <= l_i and t <= 1 by the Fraction simplex; 0 lies in the relative
+    interior of conv(rows) iff the optimum is positive."""
+    m, d = len(rows), len(rows[0])
+    ineqs = [[-int(k == i) for k in range(m)] + [1] for i in range(m)] + [[0] * m + [1]]
+    eqs = [[r[j] for r in rows] + [0] for j in range(d)] + [[1] * m + [0]]
+    return bland_simplex(ineqs, [0] * m + [1], [0] * m + [1], "max", eqs, [0] * d + [1])[:2]
+
+
+@settings(deadline=None, max_examples=200)
+@given(configurations())
+def test_make_config_accepts_exactly_the_configurations_around_the_origin(rows):
+    status, value = barycentric_optimum(rows)
+    if status == "optimal" and value > 0:
+        assert make_config(rows).normals == tuple(rows)
+    else:
+        with pytest.raises(InvalidConfigError, match="relative interior"):
+            make_config(rows)
+
+
+def test_core_config_agrees_with_make_config_on_the_suite(suite_reports):
+    # core_config reads positive spanning off the acore, make_config off a
+    # hull of its own
+    for key, rep in suite_reports.items():
+        assert core_config(rep.data) == make_config(rep.data.core_normals), key
 
 
 def test_codegree_step_of_small_configurations():
