@@ -14,10 +14,12 @@ cone's facets and its dual height vertices off one integer double
 description: the facets are its rays with s = 0, the vertices those with
 s > 0, a cone with no vertex contains a line, and the cone's index is the
 s of the vertex tight at every ray. A cone keeps that description once a
-height, a scan or its index has computed it, so a fan takes no integer
-kernel after its scan. It runs on the rays as given; only a cone of
-lower rank, whose double description then has a lineality, moves to the
-coordinates of its saturated span, with no rank taken. The canonicity
+height, a scan or its index has computed it, or once cone() has validated
+its generators with it, so a fan takes no integer kernel after its scan
+and a validated cone no second description. It runs on the rays as
+given; only a cone of lower rank, whose double description then has a
+lineality, moves to the coordinates of its saturated span, with no rank
+taken. The canonicity
 scan enumerates one region per cone, conv(0, rays), shrunk by t = 1/2^k
 on a ladder that starts at the lower bound on heights that the dual
 vertices prove. Across a fan each cone's ladder is capped at the least
@@ -70,7 +72,8 @@ class Cone:
     """Pointed rational cone spanned by primitive extreme rays.
 
     functionals holds _height_functionals(c) once a height, a canonicity
-    scan or the fan's Gorenstein index has computed it.
+    scan or the fan's Gorenstein index has computed it, or once cone() has
+    validated the rays with it.
     """
 
     ambient_dim: int
@@ -134,6 +137,8 @@ def cone(generators: Sequence[Sequence[int]]) -> Cone:
     dual height double description (_framed_region): with no ray s > 0 the
     cone contains a line, and the extreme generators are those on maximal
     sets of facets, its rays with s = 0 (a pointed cone of rank 1 has one).
+    When no generator is dropped that description is the cone's own, and
+    the cone keeps it in functionals.
     """
     if not generators:
         raise InvalidConeError("a cone needs at least one generator")
@@ -148,14 +153,16 @@ def cone(generators: Sequence[Sequence[int]]) -> Cone:
         if all(x == 0 for x in vec):
             raise InvalidConeError("zero vector cannot generate a ray")
         prims.append(primitivize(vec)[0])
-    prims = sorted(set(prims))
-    _, _, region = _framed_region(prims, d)
+    prims = tuple(sorted(set(prims)))
+    directions, rays, region = _framed_region(prims, d)
     if not any(z[-1] for z, _ in region):
         raise InvalidConeError("generators span a cone containing a line")
     if len(prims) > 1:
         facets = [(z, t) for z, t in region if not z[-1]]
-        prims = [prims[i] for i in _maximal(_ray_sets(facets, range(1, len(prims) + 1)))]
-    return Cone(d, tuple(prims))
+        extreme = [prims[i] for i in _maximal(_ray_sets(facets, range(1, len(prims) + 1)))]
+        if len(extreme) < len(prims):
+            return Cone(d, tuple(extreme))
+    return Cone(d, prims, _functionals(directions, rays, region))
 
 
 def _saturated_frame(rays: Sequence[IntVector]) -> tuple[tuple[IntVector, ...], list[IntVector]]:
@@ -259,14 +266,18 @@ def _height_functionals(c: Cone) -> tuple:
     kept in c.functionals.
     """
     if c.functionals is None:
-        directions, rays, region = _framed_region(c.rays, c.ambient_dim)
-        tops = [z for z, _ in region if z[-1]]
-        if not tops:
-            raise InternalInconsistencyError("dual height region of a pointed cone has no vertex")
-        scale = lcm(*(z[-1] for z in tops))
-        duals = tuple(tuple(x * (scale // z[-1]) for x in z[:-1]) for z in tops)
-        object.__setattr__(c, "functionals", (directions, rays, region, duals, scale))
+        object.__setattr__(c, "functionals", _functionals(*_framed_region(c.rays, c.ambient_dim)))
     return c.functionals
+
+
+def _functionals(directions, rays, region) -> tuple:
+    """_height_functionals from a _framed_region of the cone's rays."""
+    tops = [z for z, _ in region if z[-1]]
+    if not tops:
+        raise InternalInconsistencyError("dual height region of a pointed cone has no vertex")
+    scale = lcm(*(z[-1] for z in tops))
+    duals = tuple(tuple(x * (scale // z[-1]) for x in z[:-1]) for z in tops)
+    return directions, rays, region, duals, scale
 
 
 def _cone_levels(rays: Sequence[IntVector], region) -> list:

@@ -8,7 +8,9 @@ line is `dim d`. The next is a section marker, one of
     A   rows of d integers, a core normal configuration
 
 followed by the rows. Exactly one section per file; entries are integers
-or rationals `p/q` with the sign on the numerator.
+or rationals `p/q` with the sign on the numerator. An integer token is
+read as an int and any other as a Fraction, so a V document of lattice
+points reaches the hull with no Fraction built.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Optional, Sequence
 
 from .errors import ParseError
 from .polytope import HPolytope, from_inequalities, from_vertices, vertices
-from .ratmath import IntVector, common_denominator, format_fraction, parse_fraction
+from .ratmath import IntVector, common_denominator, format_fraction, parse_rational
 from .spectrum import CoreNormalConfig, make_config
 
 SECTIONS = ("H", "V", "A")
@@ -27,17 +29,18 @@ SECTIONS = ("H", "V", "A")
 
 @dataclass(frozen=True)
 class PolytopeDocument:
-    """Parsed file content before geometric validation."""
+    """Parsed file content before geometric validation: an integer token
+    is an int, any other entry a Fraction."""
 
     dim: int
     kind: str
-    rows: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[int | Fraction, ...], ...]
 
 
 def parse_document(text: str) -> PolytopeDocument:
     dim: Optional[int] = None
     kind: Optional[str] = None
-    rows: list[tuple[Fraction, ...]] = []
+    rows: list[tuple[int | Fraction, ...]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -64,7 +67,7 @@ def parse_document(text: str) -> PolytopeDocument:
         if len(tokens) != width:
             raise ParseError(f"line {lineno}: expected {width} entries, got {len(tokens)}")
         try:
-            rows.append(tuple(parse_fraction(tok) for tok in tokens))
+            rows.append(tuple(parse_rational(tok) for tok in tokens))
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
     if dim is None:
@@ -95,7 +98,7 @@ def polytope_from_document(doc: PolytopeDocument) -> HPolytope:
     raise ParseError("an A section describes a normal configuration, not a polytope")
 
 
-def raw_inequalities(doc: PolytopeDocument) -> list[tuple[IntVector, Fraction]]:
+def raw_inequalities(doc: PolytopeDocument) -> list[tuple[IntVector, int | Fraction]]:
     """The H rows exactly as written, for diagnostics that must not
     canonicalize. Requires integer normals, since row scaling changes the
     meaning of a raw system."""

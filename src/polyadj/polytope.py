@@ -12,7 +12,8 @@ together with its facets, which also validate a cone's generators. The
 lineality of a homogenized system is its set's lines, so no LP and no
 cut is needed to decide emptiness or boundedness. The kernel works on
 primitive integer vectors only, pairs the rays on the two sides of each
-row and tests adjacency by counting tight sets. Lattice points
+row and tests adjacency by counting tight sets; a hull of points adds its
+rows farthest first once the cone is pointed (_point_hull). Lattice points
 are enumerated coordinate by coordinate over the projections of a set
 onto x_1..x_j (projected_levels). The valid rows (a, beta) of a set form
 a cone whose rays are its facets and whose lineality is the equations of
@@ -188,7 +189,7 @@ def make_system(rows: Sequence[tuple[Sequence, object]], dim: Optional[int] = No
     rhs = []
     for a, b in rows:
         normals.append(_as_int_vector(a))
-        rhs.append(b if type(b) is Fraction else Fraction(b))
+        rhs.append(_as_fraction(b))
     if dim is None:
         if not normals:
             raise DimensionMismatchError("cannot infer dimension of an empty system")
@@ -261,8 +262,8 @@ def _integer_row(a: IntVector, beta) -> IntVector:
     return tuple(beta.denominator * x for x in a) + (beta.numerator,)
 
 
-def double_description(rows: Sequence[Sequence[int]], n: int) -> tuple[tuple[tuple[IntVector, int], ...],
-                                                                        tuple[IntVector, ...]]:
+def double_description(rows: Sequence[Sequence[int]], n: int, key=None) -> tuple[tuple[tuple[IntVector, int], ...],
+                                                                                  tuple[IntVector, ...]]:
     """Extreme rays and lineality of the cone {z in Q^n : <r, z> >= 0}.
 
     Integer double description (Motzkin; Fukuda and Prodon, 1996): start
@@ -277,13 +278,24 @@ def double_description(rows: Sequence[Sequence[int]], n: int) -> tuple[tuple[tup
     cone plus that space; every row vanishes on it, so the tight sets are
     those of the extreme rays of the cone modulo its lineality. Every
     vector is primitive, so one on which a row vanishes is kept as it is.
+
+    Rows are added in index order. With a key, the rows left once the
+    lineality is empty are added sorted by key(k) instead, each still on
+    bit k; the cone is pointed from then on, and a pointed cone's
+    primitive extreme rays and their tight sets do not depend on the
+    order, so neither does the result. The order decides only how many
+    rays the steps between make.
     """
     if any(len(row) != n for row in rows):
         raise DimensionMismatchError(f"rows of a cone in dimension {n} have other lengths")
     lineality = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
     rays: list[tuple[IntVector, int]] = []  # (ray, bitmask of the rows tight at it)
-    for k, row in enumerate(rows):
-        rays, lineality = _add_row(rays, lineality, row, 1 << k)
+    k = 0
+    while k < len(rows) and (lineality or key is None):
+        rays, lineality = _add_row(rays, lineality, rows[k], 1 << k)
+        k += 1
+    for k in sorted(range(k, len(rows)), key=key):
+        rays, lineality = _add_row(rays, lineality, rows[k], 1 << k)
     return tuple(sorted(rays)), tuple(lineality)
 
 
@@ -411,9 +423,16 @@ def vertices(p: HPolytope) -> VPolytope:
     return p.vertex_cache
 
 
-def _distinct_points(points: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:
-    """The distinct points as sorted Fraction tuples; raises on none or on mixed lengths."""
-    pts = sorted({tuple(c if type(c) is Fraction else Fraction(c) for c in pt) for pt in points})
+def _as_fraction(x) -> Fraction:
+    return x if type(x) is Fraction else Fraction(x)
+
+
+def _distinct_points(points: Sequence[Sequence]) -> list[tuple]:
+    """The distinct points, sorted, int coordinates kept as ints and any other read as a Fraction.
+
+    Raises on no points or on mixed lengths.
+    """
+    pts = sorted({tuple(c if type(c) is int else _as_fraction(c) for c in pt) for pt in points})
     if not pts:
         raise EmptyPolytopeError("no points given")
     if any(len(pt) != len(pts[0]) for pt in pts):
@@ -421,7 +440,7 @@ def _distinct_points(points: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:
     return pts
 
 
-def _point_hull(pts: Sequence[tuple[Fraction, ...]], d: int):
+def _point_hull(pts: Sequence[tuple], d: int):
     """(facets, incidence, vertices, lineality) of the hull of two or more sorted distinct points in Q^d.
 
     The valid inequalities <a, x> <= beta form the cone of (a, beta) with
@@ -429,13 +448,20 @@ def _point_hull(pts: Sequence[tuple[Fraction, ...]], d: int):
     denominator. One double description gives its extreme rays, the facets
     (a primitive, sorted), with tight sets over pts, and its lineality, the
     equations of the points' affine hull; modulo those equations each ray
-    is one facet. The vertices are the points whose sets of tight facets
+    is one facet. Once the lineality is empty the rows left are added by
+    decreasing |m row - sum of the m rows|^2, the squared distance from
+    the points' centroid times m^2, ties by index (double_description's
+    key), which cuts the rays the steps between make; a flat set takes
+    every row in index order. Int coordinates stay ints until here. The
+    vertices are the points, as Fractions, whose sets of tight facets
     are nonempty and maximal under inclusion, and each tight set is mapped
     from the points to the vertices.
     """
     nums, den = common_denominator([c for pt in pts for c in pt])
     rows = [tuple(-x for x in nums[k:k + d]) + (den,) for k in range(0, len(nums), d)]
-    rays, lineality = double_description(rows, d + 1)
+    m, total = len(rows), [sum(col) for col in zip(*rows)]
+    far = [-sum((m * x - c) ** 2 for x, c in zip(row, total)) for row in rows]
+    rays, lineality = double_description(rows, d + 1, far.__getitem__)
     on = _ray_sets(rays, range(len(pts)))
     positions = _maximal(on)
     facets = {}
@@ -446,7 +472,7 @@ def _point_hull(pts: Sequence[tuple[Fraction, ...]], d: int):
         facets[normal] = (Fraction(z[d], g), t)
     rows = sorted(facets.items())
     return (tuple((a, b) for a, (b, _) in rows), tuple(t for _, (_, t) in rows),
-            tuple(pts[i] for i in positions), lineality)
+            tuple(tuple(map(_as_fraction, pts[i])) for i in positions), lineality)
 
 
 def from_vertices(points: Sequence[Sequence]) -> HPolytope:
@@ -466,7 +492,7 @@ def from_vertices(points: Sequence[Sequence]) -> HPolytope:
     return HPolytope(d, tuple(a for a, _ in facets), tuple(b for _, b in facets), VPolytope(d, verts), incidence)
 
 
-def _embedded(pts: Sequence[tuple[Fraction, ...]], spanning: Iterable[Sequence]) -> EmbeddedPolytope:
+def _embedded(pts: Sequence[tuple], spanning: Iterable[Sequence]) -> EmbeddedPolytope:
     """The hull of sorted distinct points, all in ambient coordinates.
 
     The facets, incidence and vertices are one _point_hull; a single
@@ -481,7 +507,8 @@ def _embedded(pts: Sequence[tuple[Fraction, ...]], spanning: Iterable[Sequence])
     d = len(pts[0])
     if len(pts) == 1:
         units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
-        return EmbeddedPolytope(AffineSubspace(0, d, tuple(sorted(zip(units, pts[0])))), (), tuple(pts), ())
+        point = tuple(map(_as_fraction, pts[0]))
+        return EmbeddedPolytope(AffineSubspace(0, d, tuple(sorted(zip(units, point)))), (), (point,), ())
     facets, incidence, verts, lineality = _point_hull(pts, d)
     if not lineality:
         return EmbeddedPolytope(AffineSubspace(d, d, ()), facets, verts, incidence)
@@ -489,7 +516,7 @@ def _embedded(pts: Sequence[tuple[Fraction, ...]], spanning: Iterable[Sequence])
     equations = []
     for a in integer_kernel_basis(list(directions), ncols=d):
         a = a if next(x for x in a if x) > 0 else tuple(-x for x in a)
-        equations.append((a, dot(a, pts[0])))
+        equations.append((a, _as_fraction(dot(a, pts[0]))))
     subspace = AffineSubspace(len(directions), d, tuple(sorted(equations)))
     return EmbeddedPolytope(subspace, facets, verts, incidence)
 

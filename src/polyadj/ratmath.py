@@ -29,17 +29,23 @@ def format_fraction(q: Fraction | int) -> str:
     return str(Fraction(q))
 
 
-def parse_fraction(text: str) -> Fraction:
-    """Fraction(text) after stripping, raising ParseError; an ASCII integer
-    token, with an optional sign, is read by int() and not by the regex."""
+def parse_rational(text: str) -> int | Fraction:
+    """An ASCII integer token, with an optional sign, as an int read by
+    int(); any other as Fraction(text) after stripping, raising ParseError."""
     token = text.strip()
     digits = token[1:] if token[:1] in ("+", "-") else token
     if digits.isascii() and digits.isdigit():
-        return Fraction(int(token))
+        return int(token)
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {text!r}") from exc
+
+
+def parse_fraction(text: str) -> Fraction:
+    """parse_rational, always as a Fraction."""
+    q = parse_rational(text)
+    return q if type(q) is Fraction else Fraction(q)
 
 
 def dot(a: Sequence, x: Sequence) -> Fraction | int:

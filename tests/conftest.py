@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
-from polyadj import analyze
+from polyadj import analyze, polytope
 from polyadj.generators import cube, fig1, random_lattice_polytope, scaled_simplex
 
 # (dim, points, box, first seed, count); 100 + 70 + 30 = 200 instances.
@@ -103,5 +104,37 @@ def count_fractions():
             patch.setattr(Fraction, "__new__", staticmethod(counting))
             run()
         return calls
+
+    return count
+
+
+@pytest.fixture
+def count_kernel_work():
+    """count_kernel_work(run) calls run() and returns the work of the double description's steps in it.
+
+    polytope._add_row, the one step of every double description and cut,
+    is wrapped for the call. A step on a row nonzero on a lineality vector
+    pivots and pairs nothing; any other step pairs each ray on the row's
+    positive side with each on its negative side, and combines the pairs
+    that are adjacent. Returns {"pairs": pairs visited, "created": rays
+    made by combining}, both summed over the steps.
+    """
+    def count(run):
+        step = polytope._add_row
+        work = {"pairs": 0, "created": 0}
+
+        def counting(rays, lineality, row, bit):
+            out = step(rays, lineality, row, bit)
+            if not any(sum(map(mul, row, v)) for v in lineality):
+                values = [sum(map(mul, row, z)) for z, _ in rays]
+                negative = sum(v < 0 for v in values)
+                work["pairs"] += sum(v > 0 for v in values) * negative
+                work["created"] += len(out[0]) - (len(rays) - negative)
+            return out
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(polytope, "_add_row", counting)
+            run()
+        return work
 
     return count

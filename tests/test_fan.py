@@ -71,6 +71,26 @@ def test_cone_constructor_normalizes_generators():
     assert cone([(2,), (1,)]).rays == ((1,),)
 
 
+def test_a_validated_cone_keeps_its_dual_description(count_calls):
+    # cone() validates the generators with their dual height double
+    # description; when it keeps every generator, that is the cone's own,
+    # and a later height, scan or index reads it with no second description
+    counts = count_calls((polytope, "double_description"))
+    c = cone(SKEW_RAYS)
+    assert height(c, (0, 0, 4)) == 4
+    assert _cone_index(c) is None and canonicity_threshold(c)[0] == 1
+    assert counts == {"double_description": 1}
+    assert c.functionals == _height_functionals(Cone(3, c.rays))
+    # the same in the frame of a plane in Q^3: one description shows the
+    # lineality, the one in the saturated frame is kept
+    counts["double_description"] = 0
+    plane = cone([(1, 0, 0), (1, 2, 0)])
+    assert height(plane, (1, 1, 0)) == 1 and counts == {"double_description": 2}
+    assert plane.functionals == _height_functionals(Cone(3, plane.rays))
+    # a dropped generator changes the rows, so nothing is kept
+    assert cone([(1, 0), (0, 1), (1, 1)]).functionals is None
+
+
 def test_cone_constructor_rejects_lines_and_zero():
     # generators with no dual height vertex: a line, all of Q^2, a
     # half-plane, and, in the frame of their span, a line and a plane in Q^3
@@ -381,7 +401,9 @@ def test_canonicity_threshold_makes_at_most_two_double_descriptions_and_no_rank(
     # from_vertices builds conv(0, rays), and the rays span, so no rank is
     # taken. The cone of rank 2 in Z^3 is described on its rays, whose
     # lineality shows they do not span, and again in its plane, so it takes
-    # no rank either
+    # no rank either. The hand-made cones are built as a normal fan builds
+    # its cones, with no description in hand: cone() would keep the one it
+    # validated with (test_a_validated_cone_keeps_its_dual_description)
     calls = {"from_vertices": 0, "double_description": 0, "rank": 0}
 
     def counting(name, f):
@@ -390,8 +412,8 @@ def test_canonicity_threshold_makes_at_most_two_double_descriptions_and_no_rank(
             return f(*args, **kwargs)
         return wrapper
 
-    plane, pyramid, skew = cone([(2, -1), (2, 1)]), cone(PYRAMID_RAYS), cone(SKEW_RAYS)
-    flat = cone([(2, -1, 0), (2, 1, 0)])
+    plane, pyramid, skew, flat = (Cone(len(gens[0]), cone(gens).rays) for gens in
+                                  ([(2, -1), (2, 1)], PYRAMID_RAYS, SKEW_RAYS, [(2, -1, 0), (2, 1, 0)]))
     cones = normal_fan(random_lattice_polytope(4, 6, 4029, box=2)).maximal_cones
     assert [_largest_dual_denominator(c) for c in (pyramid, skew)] == [2, 1]
     assert all(_largest_dual_denominator(c) > 1 for c in cones)

@@ -108,6 +108,22 @@ def test_raw_inequalities_keep_rows_verbatim():
         raw_inequalities(parse_document("dim 2\nV\n0 0\n1 0\n0 1\n"))
 
 
+def test_integer_tokens_parse_to_ints_and_others_to_fractions():
+    doc = parse_document("dim 2\nV\n0 -3\n1/2 +2\n4/2 0\n")
+    assert doc.rows == ((0, -3), (Fraction(1, 2), 2), (2, 0))
+    assert [[type(x) for x in row] for row in doc.rows] == [[int, int], [Fraction, int], [Fraction, int]]
+    p = polytope_from_document(doc)
+    assert all(type(x) is Fraction for v in vertices(p).vertices for x in v)
+    assert all(type(b) is Fraction for b in p.rhs)
+    fractions = "dim 2\nV\n0/1 -3/1\n1/2 2/1\n2/1 0/1\n"
+    assert repr(p) == repr(read_polytope(fractions)) and vertices(p) == vertices(read_polytope(fractions))
+    # int entries are read as the integers they are
+    assert raw_inequalities(parse_document("dim 2\nH\n6 2 6\n-1 0 0\n0 -1 -1/2\n")) == [
+        ((6, 2), 6), ((-1, 0), 0), ((0, -1), Fraction(-1, 2))]
+    cfg = config_from_document(parse_document("dim 2\nA\n0 -1\n0 2/2\n"))
+    assert cfg.normals == ((0, -1), (0, 1)) and all(type(x) is int for a in cfg.normals for x in a)
+
+
 def test_format_roundtrips():
     p = fig1()
     assert read_polytope(format_polytope(p, "H", comments=["made by a test"])) == p
