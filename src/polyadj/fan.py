@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import (
@@ -331,7 +332,8 @@ def canonicity_threshold(c: Cone, below=1) -> tuple[Fraction, Optional[Canonicit
     levels = _cone_levels(rays, region)
     shrink = 1 << (top.bit_length() - 1)
     while True:
-        heights = ((min(dot(w, pt) for w in duals), pt) for pt in level_points(levels, shrink=shrink) if any(pt))
+        heights = ((min([sum(map(mul, w, pt)) for w in duals]), pt)
+                   for pt in level_points(levels, shrink=shrink) if any(pt))
         found = [(h, pt) for h, pt in heights if h * shrink <= scale]
         if found or num * shrink <= den:
             break

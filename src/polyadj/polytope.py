@@ -26,7 +26,9 @@ projection is needed. The cone of a polytope is read off its facet rows,
 its equations and its vertex-facet incidence (_valid_row_cone), which
 each polytope keeps as the double description that built it found it.
 Each level is compiled once into the integer rows that bound its
-coordinate, and level_points reads them at any shrink.
+coordinate. level_points reads them at any shrink k by floor(beta / k),
+exact as every entry is an integer, and reads the last coordinate off
+partial sums its parent takes once.
 
 Conventions. An HPolytope is always bounded, full-dimensional, and
 irredundant, with primitive integer facet normals, rational right hand
@@ -691,29 +693,34 @@ def _valid_row_cone(s) -> tuple[list, list]:
 def level_points(levels, shrink: int = 1) -> list[IntVector]:
     """Lattice points passing every level of projected_levels, in lexicographic order.
 
-    With shrink > 1 every right hand side is divided by shrink as a row is
-    evaluated, so the levels of a set S give the points of S / shrink. The
-    last coordinate's whole run is added at once.
+    The levels of a set S give the points of S / shrink, for a positive int
+    shrink. Every entry and prefix value is an integer, so a row bounds x_j
+    by (floor(beta / shrink) - sum a_i x_i) / a_j, with beta / shrink
+    floored once. At the parent of the last level each last-level row's
+    partial sum over x_1..x_{d-2} is taken once, so each value of x_{d-1}
+    costs one product per row with an x_{d-1} term, and the run of x_d is
+    added at once.
     """
+    if not isinstance(shrink, int) or shrink < 1:
+        raise ValueError("shrink must be a positive int")
     d = len(levels) - 1
     out = []
     prefix = [0] * d
+    k = d - 2  # the index of x_{d-1}
 
     def rec(j: int):
         lo = None
         hi = None
-        for m, num, terms in levels[j]:
-            s = 0
+        for m, s, terms in levels[j]:
+            s //= shrink
             for i, c in terms:
-                s += c * prefix[i]
-            v = num - s * shrink
-            m *= shrink
+                s -= c * prefix[i]
             if m > 0:
-                b = v // m
+                b = s // m
                 if hi is None or b < hi:
                     hi = b
             else:
-                b = -(v // -m)
+                b = -(s // -m)
                 if lo is None or b > lo:
                     lo = b
         if lo is None or hi is None:
@@ -721,12 +728,56 @@ def level_points(levels, shrink: int = 1) -> list[IntVector]:
         if lo > hi:
             return
         if j == d:
-            head = tuple(prefix[:-1])
-            out.extend(head + (v,) for v in range(lo, hi + 1))
+            out.extend([(v,) for v in range(lo, hi + 1)])
             return
+        if j < d - 1:
+            for v in range(lo, hi + 1):
+                prefix[j - 1] = v
+                rec(j + 1)
+            return
+        # the parent of the last level: a row bounds x_d by (r - c x_{d-1}) /
+        # |a_d|, r its partial sum and c its x_{d-1} entry, or once if c = 0
+        top = bottom = None
+        above = []
+        below = []
+        for m, r, terms in levels[d]:
+            r //= shrink
+            c = 0
+            for i, a in terms:
+                if i == k:
+                    c = a
+                else:
+                    r -= a * prefix[i]
+            if c:
+                if m > 0:
+                    above.append((m, r, c))
+                else:
+                    below.append((-m, r, c))
+            elif m > 0:
+                b = r // m
+                if top is None or b < top:
+                    top = b
+            else:
+                b = -(r // -m)
+                if bottom is None or b > bottom:
+                    bottom = b
+        if (top is None and not above) or (bottom is None and not below):
+            raise UnboundedPolytopeError("enumeration region is unbounded")
+        head = tuple(prefix[:k])
         for v in range(lo, hi + 1):
-            prefix[j - 1] = v
-            rec(j + 1)
+            t = top
+            for n, r, c in above:
+                b = (r - c * v) // n
+                if t is None or b < t:
+                    t = b
+            u = bottom
+            for n, r, c in below:
+                b = -((r - c * v) // n)
+                if u is None or b > u:
+                    u = b
+            if u <= t:
+                point = head + (v,)
+                out.extend([point + (w,) for w in range(u, t + 1)])
 
     rec(1)
     return out

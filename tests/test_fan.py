@@ -312,7 +312,7 @@ def test_threshold_of_lower_rank_cones_matches_the_box_scan(d, data):
 
 
 def _cone_points_match_the_box_scan(c):
-    """level_points of the levels of Q = conv(0, rays) against a box scan of Q / shrink, shrink = 1, 2, 64.
+    """level_points of the levels of Q = conv(0, rays) against a box scan of Q / shrink, shrink = 1, 2, 3, 7, 64.
 
     The rays are the full-rank ones of _height_functionals. The box scan
     keeps the points of the bounding box of 0 and the r / shrink on the
@@ -323,7 +323,7 @@ def _cone_points_match_the_box_scan(c):
     d = len(rays[0])
     levels = _cone_levels(rays, region)
     assert len(levels) == d + 1
-    for shrink in (1, 2, 64):
+    for shrink in (1, 2, 3, 7, 64):
         corners = [(Fraction(0),) * d] + [tuple(Fraction(x, shrink) for x in r) for r in rays]
         facets = brute_facets(corners) if d > 1 else ()
 

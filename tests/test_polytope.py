@@ -40,7 +40,9 @@ from polyadj.polytope import (
     implicit_equalities,
     is_lattice_polytope,
     lattice_points,
+    level_points,
     make_system,
+    projected_levels,
     relative_interior_point,
     scale_embedded,
     transform,
@@ -842,6 +844,60 @@ def test_reading_hulls_and_their_lattice_points_builds_a_pinned_number_of_fracti
     assert sum(found) == 7389
 
 
+class _CountingInt(int):
+    """An int that adds one to counter[0] for each product taken with it."""
+
+    def __new__(cls, value, counter):
+        self = super().__new__(cls, value)
+        self.counter = counter
+        return self
+
+    def __mul__(self, other):
+        self.counter[0] += 1
+        return int(self) * other
+
+    __rmul__ = __mul__
+
+
+def test_the_walk_over_the_hull_inputs_makes_a_pinned_number_of_term_products():
+    # a deterministic work counter for level_points on the 28 V documents of
+    # the benchmark's hull workload at seed 0 (seeds 6000-6027): every term
+    # coefficient counts its products c * x_i. The parent of the last level
+    # takes each last-level row's partial sum once, and each value of x_{d-1}
+    # then costs one product per row with an x_{d-1} term: 145543 -> 80688
+    counter = [0]
+    for seed in range(6000, 6028):
+        levels = projected_levels(*polytope._valid_row_cone(read_polytope(_hull_document(seed))))
+        counted = [None] + [[(m, num, tuple((i, _CountingInt(c, counter)) for i, c in terms))
+                             for m, num, terms in level] for level in levels[1:]]
+        assert level_points(counted) == level_points(levels)
+    assert counter[0] == 80688
+
+
+def test_level_points_take_a_positive_int_shrink():
+    levels = projected_levels(*polytope._valid_row_cone(cube(2)))
+    assert level_points(levels, 1) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    for shrink in (0, -1, -2, 2.0, Fraction(2), "2"):
+        with pytest.raises(ValueError):
+            level_points(levels, shrink)
+
+
+def test_levels_without_an_upper_or_lower_row_at_the_last_level_are_unbounded():
+    # hand-built levels (a_j, beta, terms): 0 <= x_i <= 1 for i < d, and at
+    # level d only rows bounding x_d from one side, one with and one without
+    # an x_{d-1} term; for d >= 2 the parent of the last level raises
+    for d in (1, 2, 3):
+        box = [[(1, 1, ()), (-1, 0, ())] for _ in range(d - 1)]
+        side = [((0, 1),) if d > 1 else (), ()]
+        for sign in (1, -1):
+            levels = [None] + box + [[(sign, 2, side[0]), (sign, 3, side[1])]]
+            with pytest.raises(UnboundedPolytopeError):
+                level_points(levels)
+            if d > 1:
+                # a walk that never reaches the last level does not read it
+                assert level_points([None, [(1, 0, ()), (-1, -1, ())]] + levels[2:]) == []
+
+
 def test_lattice_points_input_validation():
     with pytest.raises(ValueError):
         lattice_points(cube(2), region="boundary")
@@ -900,6 +956,25 @@ def test_lattice_points_of_rational_polytopes_match_the_box_scan(d, data):
     pts = data.draw(st.lists(st.tuples(*[fraction] * d), min_size=d + 1, max_size=d + 3))
     assume(_full_dimensional(pts))
     _check_against_the_box_scan(from_vertices(pts), pts, _hull_member(pts))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 4), st.data())
+def test_level_points_of_a_set_list_the_points_of_the_set_shrunk(d, data):
+    # the walk floors each beta / k once: the levels of a set s at shrink k
+    # list the lattice points of s / k, also for sets away from the origin
+    # (rows with beta < 0), flat sets and odd k
+    shift = data.draw(st.tuples(*[coord] * d))
+    drawn = data.draw(st.lists(st.tuples(*[st.one_of(small, fraction)] * d), min_size=1, max_size=d + 2))
+    pts = [vec_add(x, shift) for x in drawn]
+    sets = [hull_any_dim(pts)] + ([from_vertices(pts)] if len(pts) > d and _full_dimensional(pts) else [])
+    for s in sets:
+        levels = projected_levels(*polytope._valid_row_cone(s))
+        corners = s.vertices if isinstance(s, polytope.EmbeddedPolytope) else vertices(s).vertices
+        for k in (1, 2, 3, 7):
+            expected = box_lattice_points([tuple(Fraction(c) / k for c in v) for v in corners],
+                                          lambda x: s.contains(tuple(k * c for c in x)))
+            assert level_points(levels, k) == expected
 
 
 UNIMODULAR = {2: [[2, 1], [1, 1]], 3: [[1, 2, 0], [0, 1, -1], [1, 0, 1]]}
