@@ -282,8 +282,7 @@ def verify_lemmas(p: HPolytope, alpha=None, *, data: Optional[AdjunctionData] = 
     d = p.dim
     origin = (0,) * d
     origin_ok = data.acore.contains(origin, strict=True)
-    normal_points = {tuple(Fraction(x) for x in a) for a in data.core_normals}
-    vertices_ok = set(data.acore.vertices) == normal_points
+    vertices_ok = set(data.acore.vertices) == set(data.core_normals)  # an int equals and hashes as its Fraction
 
     if threshold is None:
         threshold, _ = fan_canonicity_threshold(fan)

@@ -8,27 +8,28 @@ the generator heights), and smoothness. Fan level values aggregate over
 the maximal cones: a functional witnessing a maximal cone restricts to
 every face, so face indices divide the maximal ones and face thresholds
 are no smaller, which makes the maximal cones sufficient. Nothing here
-solves an LP or builds a polytope. Cone validation, heights on every
-cone, the canonicity scan and the fan's Gorenstein index all read a
-cone's facets and its dual height vertices off one integer double
-description: the facets are its rays with s = 0, the vertices those with
-s > 0, a cone with no vertex contains a line, and the cone's index is the
-s of the vertex tight at every ray. A cone keeps that description once a
-height, a scan or its index has computed it, or once cone() has validated
-its generators with it, so a fan takes no integer kernel after its scan
-and a validated cone no second description. It runs on the rays as
-given; only a cone of lower rank, whose double description then has a
-lineality, moves to the coordinates of its saturated span, with no rank
-taken. The canonicity
-scan enumerates one region per cone, conv(0, rays), shrunk by t = 1/2^k
-on a ladder that starts at the lower bound on heights that the dual
-vertices prove. Across a fan each cone's ladder is capped at the least
-threshold of the cones before it. A cone compiles the levels of its
+solves an LP or builds a polytope. Cone validation, heights on every cone,
+the canonicity scan and the fan's Gorenstein index all read a cone's
+facets and its dual height vertices off one integer double description:
+the facets are its rays with s = 0, the vertices those with s > 0, a cone
+with no vertex contains a line, and the cone's index is the s of the
+vertex tight at every ray. A cone keeps that description once a height, a
+scan or its index has computed it, or once cone() or normal_fan() has
+validated its generators with it, so a fan takes no integer kernel and no
+second dual description after it is built. It runs on the rays as given;
+only a cone of lower rank, whose double description then has a lineality,
+moves to the coordinates of its saturated span, with no rank taken. The
+canonicity scan enumerates one region per cone, conv(0, rays), shrunk by
+t = 1/2^k on a ladder that starts at the lower bound on heights that the
+dual vertices prove. Across a fan each cone's ladder is capped at the
+least threshold of the cones before it. A cone compiles the levels of its
 region (polytope.projected_levels, from the cone of its valid rows: one
 double description of its points, or none when the dual region has one
 vertex, whose double description already holds those rows) only when its
 ladder takes a rung. A normal fan reads each maximal cone off the
-polytope's vertex-facet incidence.
+polytope's vertex-facet incidence and proves it full-dimensional with its
+dual height description, which has a lineality exactly when the rays do
+not span, so no rank is taken.
 """
 
 from __future__ import annotations
@@ -73,8 +74,8 @@ class Cone:
     """Pointed rational cone spanned by primitive extreme rays.
 
     functionals holds _height_functionals(c) once a height, a canonicity
-    scan or the fan's Gorenstein index has computed it, or once cone() has
-    validated the rays with it.
+    scan or the fan's Gorenstein index has computed it, or once cone() or
+    normal_fan() has validated the rays with it.
     """
 
     ambient_dim: int
@@ -192,7 +193,9 @@ def normal_fan(p: HPolytope) -> NormalFan:
 
     The maximal cone at the k-th vertex is read off the polytope's
     incidence, as the normals of the facets whose tight set holds bit k,
-    with no row evaluated.
+    with no row evaluated. Its dual height double description
+    (_dual_height_vertices) proves it full-dimensional, as it has no
+    lineality, and the cone keeps it for the scan, its index and heights.
     """
     if not is_lattice_polytope(p):
         raise NotLatticePolytopeError("normal fan invariants require lattice vertices")
@@ -200,9 +203,10 @@ def normal_fan(p: HPolytope) -> NormalFan:
     cones = []
     for k in range(len(verts)):
         tight = tuple(a for a, t in zip(p.normals, p.incidence) if t >> k & 1)
-        if rank(list(tight)) != p.dim:
+        region = _dual_height_vertices(tight, p.dim)
+        if region is None:
             raise InternalInconsistencyError("vertex cone is not full-dimensional")
-        cones.append(Cone(p.dim, tight))
+        cones.append(Cone(p.dim, tight, _functionals(None, tight, region)))
     return NormalFan(p.dim, p.normals, verts, tuple(cones))
 
 

@@ -305,31 +305,44 @@ def _add_row(rays: list, lineality: list, row: Sequence[int], bit: int) -> tuple
     """One step of double_description: the cone of rays and lineality cut by <row, z> >= 0.
 
     bit is the row's bit in the tight sets; bit 0 marks no row, as _cut
-    needs. The rays come back unsorted.
+    needs. The rays come back unsorted. A step makes one pass and takes
+    the row once on each vector it reaches. It takes the row on the
+    lineality up to the first vector where it is nonzero, the pivot, then
+    on each ray and each later lineality vector, and lifts those on which
+    it is nonzero onto its hyperplane; the vectors before the pivot stay
+    as they are, since the row vanishes on them. With no pivot the pass
+    takes each ray's value and tight set.
     """
-    n = len(row)
-    pivot = next((v for v in lineality if sum(map(mul, row, v))), None)
-    if pivot is not None:
-        lineality = [v for v in lineality if v is not pivot]
+    for i, pivot in enumerate(lineality):
         a = sum(map(mul, row, pivot))
+        if not a:
+            continue
         if a < 0:
             pivot, a = tuple(-x for x in pivot), -a
-
-        def lift(z):
-            # primitive part of a z - <row, z> pivot, on which the row vanishes
+        # each z becomes the primitive part of a z - <row, z> pivot, on which the row vanishes
+        lifted, rest = [], list(lineality[:i])
+        for z, t in rays:
             b = sum(map(mul, row, z))
-            if not b:
-                return z
-            v = tuple(a * x - b * y for x, y in zip(z, pivot))
-            g = gcd(*v)
-            return tuple(c // g for c in v) if g > 1 else v
-
-        rays = [(lift(z), t | bit) for z, t in rays]
-        rays.append((pivot, bit - 1))
-        return rays, [lift(v) for v in lineality]
-    kept, positive, negative = [], [], []
+            if b:
+                z = tuple(a * x - b * y for x, y in zip(z, pivot))
+                g = gcd(*z)
+                if g > 1:
+                    z = tuple(c // g for c in z)
+            lifted.append((z, t | bit))
+        lifted.append((pivot, bit - 1))
+        for z in lineality[i + 1:]:
+            b = sum(map(mul, row, z))
+            if b:
+                z = tuple(a * x - b * y for x, y in zip(z, pivot))
+                g = gcd(*z)
+                if g > 1:
+                    z = tuple(c // g for c in z)
+            rest.append(z)
+        return lifted, rest
+    kept, positive, negative, tights = [], [], [], []
     for z, t in rays:
         v = sum(map(mul, row, z))
+        tights.append(t)
         if v > 0:
             kept.append((z, t))
             positive.append((v, z, t))
@@ -338,8 +351,7 @@ def _add_row(rays: list, lineality: list, row: Sequence[int], bit: int) -> tuple
         else:
             kept.append((z, t | bit))
     if positive and negative:
-        need = n - len(lineality) - 2
-        tights = [t for _, t in rays]
+        need = len(row) - len(lineality) - 2
         for vi, zi, ti in positive:
             for vj, zj, tj in negative:
                 common = ti & tj

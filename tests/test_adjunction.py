@@ -331,6 +331,19 @@ def test_the_fan_path_takes_no_integer_kernel_and_one_dual_description_per_cone(
                       "_dual_height_vertices": 1117}
 
 
+def test_the_d4_suite_ops_make_a_pinned_number_of_ranks_and_kernel_steps(count_calls):
+    # each op as the benchmark's suite makes it, from drawing the polytope
+    # to its analyze report: the 30 d=4 instances of the seed-0 suite.
+    # normal_fan proves each vertex cone full-dimensional with the dual
+    # height description that the scan, the fan's index and heights read
+    # after, so the one rank left per op is adjunction_data's test for a
+    # one-point core (208 ranks before, 178 of them the fan's)
+    counts = count_calls((ratmath, "rank"), (polytope, "double_description"), (polytope, "_add_row"))
+    for seed in range(4000, 4030):
+        analyze(read_polytope(format_polytope(random_lattice_polytope(4, 6, seed, box=2))))
+    assert counts == {"rank": 30, "double_description": 397, "_add_row": 3189}
+
+
 def test_fan_summary_contents():
     info = fan_summary(normal_fan(fig1()))
     assert info.smooth

@@ -25,7 +25,7 @@ from oracles import (
 )
 import polyadj
 from polyadj import fan as fan_module, polytope
-from polyadj.errors import InvalidConeError, NotInConeError
+from polyadj.errors import InternalInconsistencyError, InvalidConeError, NotInConeError
 from polyadj.fan import (
     Cone,
     NormalFan,
@@ -112,6 +112,8 @@ def test_normal_fan_of_the_running_example():
     for c, v in zip(fan.maximal_cones, fan.vertex_points):
         tight = {a for a, b in zip(p.normals, p.rhs) if dot(a, v) == b}
         assert set(c.rays) == tight
+        # the description that proved the cone full-dimensional is its own
+        assert c.functionals == _height_functionals(Cone(2, c.rays))
 
 
 def test_fan_of_cube_is_smooth_and_simplicial():
@@ -183,6 +185,19 @@ def test_normal_fan_cones_are_the_brute_tight_sets_on_the_suite(suite):
         for v, c in zip(nf.vertex_points, nf.maximal_cones):
             tight = [a for a, b in zip(p.normals, p.rhs) if sum(x * y for x, y in zip(a, v)) == b]
             assert c.rays == tuple(sorted(tight)), key
+
+
+def test_a_vertex_cone_whose_rays_do_not_span_is_an_internal_inconsistency():
+    # the unit square with a hand-written incidence that leaves its vertex
+    # (0, 0) tight on the row x >= 0 alone, or on x >= 0 and x <= 1: that
+    # vertex's cone, the ray (-1, 0) or the line through it, does not span Q^2
+    square = from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)])
+    assert square.normals == ((-1, 0), (0, -1), (0, 1), (1, 0))
+    assert vertices(square).vertices[0] == (0, 0) and square.incidence == (0b11, 0b101, 0b1010, 0b1100)
+    for incidence in ((0b11, 0b100, 0b1010, 0b1100), (0b11, 0b100, 0b1010, 0b1101)):
+        p = polytope.HPolytope(2, square.normals, square.rhs, vertices(square), incidence)
+        with pytest.raises(InternalInconsistencyError, match="not full-dimensional"):
+            normal_fan(p)
 
 
 def test_dual_height_vertices_match_the_brute_force_scan():
@@ -401,9 +416,11 @@ def test_canonicity_threshold_makes_at_most_two_double_descriptions_and_no_rank(
     # from_vertices builds conv(0, rays), and the rays span, so no rank is
     # taken. The cone of rank 2 in Z^3 is described on its rays, whose
     # lineality shows they do not span, and again in its plane, so it takes
-    # no rank either. The hand-made cones are built as a normal fan builds
-    # its cones, with no description in hand: cone() would keep the one it
-    # validated with (test_a_validated_cone_keeps_its_dual_description)
+    # no rank either. The hand-made cones are built with no description in
+    # hand: cone() would keep the one it validated with
+    # (test_a_validated_cone_keeps_its_dual_description). The normal fan's
+    # cones arrive with the description normal_fan proved them
+    # full-dimensional with, so each makes only the one for its levels
     calls = {"from_vertices": 0, "double_description": 0, "rank": 0}
 
     def counting(name, f):
@@ -425,7 +442,7 @@ def test_canonicity_threshold_makes_at_most_two_double_descriptions_and_no_rank(
         if hasattr(module, "double_description"):
             monkeypatch.setattr(module, "double_description",
                                 counting("double_description", double_description))
-    for c, n in [(plane, 1), (pyramid, 1), (skew, 1), (flat, 2)] + [(c, 2) for c in cones]:
+    for c, n in [(plane, 1), (pyramid, 1), (skew, 1), (flat, 2)] + [(c, 1) for c in cones]:
         calls.update(double_description=0)
         canonicity_threshold(c)
         assert calls == {"from_vertices": 0, "double_description": n, "rank": 0}
