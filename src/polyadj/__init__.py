@@ -13,13 +13,10 @@ from .adjunction import (
     AnalysisReport,
     FanSummary,
     LemmaReport,
-    acore,
     adjoint,
     adjunction_data,
     analyze,
-    core,
     core_config,
-    core_normals,
     critical_shift,
     qcodegree,
     raw_critical_shift,
@@ -51,16 +48,15 @@ from .fan import (
     fan_gorenstein_index,
     gorenstein_index,
     height,
-    is_alpha_canonical,
     is_smooth,
     is_smooth_cone,
     normal_fan,
 )
 from .generators import SplitMix64, cube, fig1, random_lattice_polytope, scaled_simplex
+from .lp import is_feasible
 from .polyfile import (
     PolytopeDocument,
     config_from_document,
-    format_config,
     format_polytope,
     parse_document,
     polytope_from_document,

@@ -194,18 +194,6 @@ def _check_shift_duals(p: HPolytope, c_star: Fraction, y: Sequence[Fraction],
         raise InternalInconsistencyError("critical-shift duals are supported off the core normals")
 
 
-def core(p: HPolytope) -> EmbeddedPolytope:
-    return adjunction_data(p).core
-
-
-def core_normals(p: HPolytope) -> tuple[IntVector, ...]:
-    return adjunction_data(p).core_normals
-
-
-def acore(p: HPolytope) -> EmbeddedPolytope:
-    return adjunction_data(p).acore
-
-
 def core_config(data: AdjunctionData) -> spectrum_mod.CoreNormalConfig:
     """The core normal set as a spectrum configuration; raises
     InvalidConfigError when the positive spanning property fails.

@@ -63,7 +63,6 @@ from .ratmath import (
     ext_gcd_list,
     integer_kernel_basis,
     primitivize,
-    rank,
     saturate,
     solve_linear,
 )
@@ -85,13 +84,6 @@ class Cone:
     @property
     def n_rays(self) -> int:
         return len(self.rays)
-
-    @property
-    def dim(self) -> int:
-        return rank(list(self.rays)) if self.rays else 0
-
-    def is_simplicial(self) -> bool:
-        return self.dim == self.n_rays
 
 
 @dataclass(frozen=True)
@@ -369,21 +361,6 @@ def fan_canonicity_threshold(fan: NormalFan) -> tuple[Fraction, Optional[Canonic
         if w is not None:
             best, witness = t, w
     return best, witness
-
-
-def is_alpha_canonical(fan: NormalFan, alpha) -> tuple[bool, Optional[CanonicityWitness]]:
-    """Whether every nonzero lattice point of every cone has height >= alpha.
-
-    alpha must lie in (0, 1]. On failure the witness names a cone and a
-    lattice point of height below alpha.
-    """
-    alpha = Fraction(alpha)
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
-    threshold, witness = fan_canonicity_threshold(fan)
-    if threshold >= alpha:
-        return True, None
-    return False, witness
 
 
 def gorenstein_index(c: Cone) -> Optional[GorensteinCertificate]:

@@ -142,12 +142,3 @@ def format_polytope(p: HPolytope, kind: str = "H", comments: Sequence[str] = ())
     else:
         raise ValueError(f"unknown output kind {kind!r}")
     return "\n".join(lines) + "\n"
-
-
-def format_config(cfg: CoreNormalConfig, comments: Sequence[str] = ()) -> str:
-    lines = [f"# {c}" for c in comments]
-    lines.append(f"dim {cfg.dim}")
-    lines.append("A")
-    for a in cfg.normals:
-        lines.append(" ".join(str(x) for x in a))
-    return "\n".join(lines) + "\n"

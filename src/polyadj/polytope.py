@@ -40,7 +40,8 @@ AffineSubspace), its facet rows and its vertices, read off one double
 description of its points' valid rows (_embedded), with no local
 coordinates. Vertices are sorted, and the incidence of a polytope is one
 bitmask per facet row: bit k of incidence[i] is set iff facet i is tight
-at the k-th vertex. Nothing here uses floating point.
+at the k-th vertex. Nothing here uses floating point, and the module
+imports no LP.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from math import gcd
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from . import lp
 from .errors import (
     DimensionMismatchError,
     EmptyPolytopeError,
@@ -93,9 +93,6 @@ class HPolytope:
     @property
     def n_facets(self) -> int:
         return len(self.normals)
-
-    def slack(self, i: int, point: Sequence) -> Fraction:
-        return self.rhs[i] - dot(self.normals[i], point)
 
     def contains(self, point: Sequence, strict: bool = False) -> bool:
         if strict:
@@ -167,10 +164,6 @@ class InequalitySystem:
     rhs: tuple[Fraction, ...]
 
     contains = HPolytope.contains
-
-    def is_empty(self) -> bool:
-        """A phase-1 LP, kept as the emptiness route independent of the double description."""
-        return not lp.is_feasible(self.normals, self.rhs)
 
 
 def _as_int_vector(v: Sequence) -> IntVector:

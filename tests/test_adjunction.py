@@ -8,13 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from polyadj import adjunction, fan, lp, polytope, ratmath
 from polyadj.adjunction import (
-    acore,
     adjoint,
     adjunction_data,
     analyze,
-    core,
     core_config,
-    core_normals,
     critical_shift,
     fan_summary,
     qcodegree,
@@ -72,8 +69,9 @@ def test_adjoint_shifts_every_row_once():
     p = fig1()
     sys_ = adjoint(p, Fraction(1, 2))
     assert sys_.rhs == tuple(b - Fraction(1, 2) for b in p.rhs)
-    assert not sys_.is_empty()
-    assert adjoint(p, critical_shift(p) + 1).is_empty()
+    assert lp.is_feasible(sys_.normals, sys_.rhs)
+    above = adjoint(p, critical_shift(p) + 1)
+    assert not lp.is_feasible(above.normals, above.rhs)
     with pytest.raises(ValueError):
         adjoint(p, -1)
 
@@ -241,14 +239,6 @@ def test_an_lp_point_off_the_core_is_rejected(monkeypatch):
         adjunction_data(scaled_simplex(3, 2))
 
 
-def test_wrappers_agree_with_the_data_object():
-    p = scaled_simplex(2, 3)
-    data = adjunction_data(p)
-    assert core(p).vertices == data.core.vertices
-    assert core_normals(p) == data.core_normals
-    assert acore(p).vertices == data.acore.vertices
-
-
 def test_core_normal_rows_are_tight_on_the_whole_core():
     for p in (fig1(), cube(3), scaled_simplex(3, 2)):
         data = adjunction_data(p)
@@ -296,6 +286,9 @@ def test_lemma_alpha_override():
     assert too_high.scaled_interior_lattice_points is None
     with pytest.raises(ValueError):
         verify_lemmas(p, alpha=0)
+    with pytest.raises(ValueError):
+        verify_lemmas(p, alpha=Fraction(3, 2))
+    assert verify_lemmas(cube(2), alpha=1).alpha_is_canonical
 
 
 def test_fan_summary_scans_each_maximal_cone_once(count_calls, suite):

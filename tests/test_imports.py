@@ -2,6 +2,8 @@
 every function or class a module defines is read somewhere in the package."""
 
 import ast
+import importlib
+import importlib.util
 import os
 
 import pytest
@@ -134,11 +136,19 @@ def test_the_scan_finds_every_reader_of_a_name():
     assert functions_reading(source, "lp") == ["<module>", "A.f", "g.h"]
 
 
-def test_polytope_solves_an_lp_only_for_is_empty():
-    # emptiness, lines and rays of a system come from its double description;
-    # is_empty keeps the phase-1 LP as the independent route
+def test_polytope_reads_no_lp():
+    # emptiness, lines and rays of a system come from its double description
     with open(os.path.join(PACKAGE, "polytope.py"), encoding="utf-8") as fh:
-        assert functions_reading(fh.read(), "lp") == ["InequalitySystem.is_empty"]
+        source = fh.read()
+    assert "lp" not in imported_names(source)
+    assert functions_reading(source, "lp") == []
+
+
+def test_fan_takes_no_rank():
+    # a normal fan proves each vertex cone full-dimensional with its dual
+    # height double description
+    with open(os.path.join(PACKAGE, "fan.py"), encoding="utf-8") as fh:
+        assert "rank" not in imported_names(fh.read())
 
 
 def test_spectrum_does_not_import_the_lp_solver():
@@ -152,3 +162,15 @@ def test_adjunction_solves_an_lp_only_for_the_critical_shift():
     # LP is the one LP of the adjunction module
     with open(os.path.join(PACKAGE, "adjunction.py"), encoding="utf-8") as fh:
         assert functions_reading(fh.read(), "lp") == ["_shift_lp"]
+
+
+def test_every_traced_function_exists_in_its_module():
+    # the benchmark's tracer wraps each function of its SPANS by name, so a
+    # deleted or renamed one breaks a traced run
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{module}.{name}" for module, names in tracing.SPANS.items() for name in names
+               if not callable(getattr(importlib.import_module(f"polyadj.{module}"), name, None))]
+    assert tracing.SPANS and missing == []

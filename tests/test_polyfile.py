@@ -8,7 +8,6 @@ from polyadj.errors import ParseError
 from polyadj.generators import fig1
 from polyadj.polyfile import (
     config_from_document,
-    format_config,
     format_polytope,
     parse_document,
     polytope_from_document,
@@ -130,6 +129,3 @@ def test_format_roundtrips():
     assert read_polytope(format_polytope(p, "V")) == p
     with pytest.raises(ValueError):
         format_polytope(p, "W")
-    cfg = config_from_document(parse_document("dim 2\nA\n0 -1\n0 1\n"))
-    again = config_from_document(parse_document(format_config(cfg, comments=["round trip"])))
-    assert again == cfg

@@ -1281,7 +1281,7 @@ def test_dilate_scales_vertices_and_rejects_bad_factors():
 
 def test_make_system_emptiness():
     empty = make_system([((1, 0), 0), ((-1, 0), -2), ((0, 1), 1), ((0, -1), 0)])
-    assert empty.is_empty()
+    assert not lp.is_feasible(empty.normals, empty.rhs)
     nonempty = make_system(TRIANGLE_ROWS)
-    assert not nonempty.is_empty()
+    assert lp.is_feasible(nonempty.normals, nonempty.rhs)
     assert nonempty.contains((Fraction(1, 3), Fraction(1, 3)))
