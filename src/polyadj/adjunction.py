@@ -329,7 +329,7 @@ def analyze(p: HPolytope, alpha=None, epsilon=Fraction(1, 2)) -> AnalysisReport:
     cfg = core_config(data)
     superset = spectrum_mod.spectrum_superset(cfg, epsilon)
     step = superset.step
-    if step == 0 or (data.critical_shift / step).denominator != 1:
+    if (data.critical_shift / step).denominator != 1:
         raise InternalInconsistencyError("critical shift is not on the configuration's grid")
     in_superset: Optional[bool]
     if data.qcodegree >= epsilon:

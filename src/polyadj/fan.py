@@ -61,6 +61,7 @@ from .ratmath import (
     det,
     dot,
     ext_gcd_list,
+    int_vector,
     integer_kernel_basis,
     primitivize,
     saturate,
@@ -141,9 +142,10 @@ def cone(generators: Sequence[Sequence[int]]) -> Cone:
     for g in generators:
         if len(g) != d:
             raise InvalidConeError("mixed generator lengths")
-        vec = tuple(int(x) for x in g)
-        if vec != tuple(g):
-            raise InvalidConeError("generators must be integer vectors")
+        try:
+            vec = int_vector(g)
+        except ValueError:
+            raise InvalidConeError("generators must be integer vectors") from None
         if all(x == 0 for x in vec):
             raise InvalidConeError("zero vector cannot generate a ray")
         prims.append(primitivize(vec)[0])
@@ -169,7 +171,7 @@ def _saturated_frame(rays: Sequence[IntVector]) -> tuple[tuple[IntVector, ...], 
         sol = _local_coordinates(directions, r)
         if sol is None:
             raise InternalInconsistencyError("ray escaped the span of the rays")
-        local.append(tuple(int(x) for x in sol))
+        local.append(int_vector(sol))
     return directions, local
 
 

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from .errors import ParseError
 from .polytope import HPolytope, from_inequalities, from_vertices, vertices
-from .ratmath import IntVector, common_denominator, format_fraction, parse_rational
+from .ratmath import IntVector, common_denominator, format_fraction, int_vector, parse_rational
 from .spectrum import CoreNormalConfig, make_config
 
 SECTIONS = ("H", "V", "A")
@@ -109,19 +109,16 @@ def raw_inequalities(doc: PolytopeDocument) -> list[tuple[IntVector, int | Fract
         normal = row[:-1]
         if any(x.denominator != 1 for x in normal):
             raise ValueError("raw mode requires integer normals")
-        out.append((tuple(int(x) for x in normal), row[-1]))
+        out.append((int_vector(normal), row[-1]))
     return out
 
 
 def config_from_document(doc: PolytopeDocument) -> CoreNormalConfig:
     if doc.kind != "A":
         raise ParseError("expected an A section with configuration rows")
-    rows = []
-    for row in doc.rows:
-        if any(x.denominator != 1 for x in row):
-            raise ParseError("configuration rows must be integer vectors")
-        rows.append(tuple(int(x) for x in row))
-    return make_config(rows)
+    if any(x.denominator != 1 for row in doc.rows for x in row):
+        raise ParseError("configuration rows must be integer vectors")
+    return make_config(doc.rows)
 
 
 def read_polytope(text: str) -> HPolytope:

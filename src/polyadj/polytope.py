@@ -65,6 +65,7 @@ from .ratmath import (
     common_denominator,
     det,
     dot,
+    int_vector,
     integer_kernel_basis,
     primitivize,
     saturate,
@@ -166,24 +167,12 @@ class InequalitySystem:
     contains = HPolytope.contains
 
 
-def _as_int_vector(v: Sequence) -> IntVector:
-    if all(type(x) is int for x in v):
-        return tuple(v)
-    out = []
-    for x in v:
-        f = Fraction(x)
-        if f.denominator != 1:
-            raise ValueError(f"expected integer entry, got {x}")
-        out.append(int(f))
-    return tuple(out)
-
-
 def make_system(rows: Sequence[tuple[Sequence, object]], dim: Optional[int] = None) -> InequalitySystem:
     """Build an InequalitySystem from (normal, rhs) pairs without canonicalizing."""
     normals = []
     rhs = []
     for a, b in rows:
-        normals.append(_as_int_vector(a))
+        normals.append(int_vector(a))
         rhs.append(_as_fraction(b))
     if dim is None:
         if not normals:
@@ -811,10 +800,12 @@ def lattice_points(s, region: str = "all"):
 
 
 def transform(p: HPolytope, u: Sequence[Sequence[int]], shift: Sequence[int]) -> HPolytope:
-    """Image of p under x -> U x + shift for unimodular integer U, with its vertices and incidence."""
+    """Image of p under x -> U x + shift for unimodular integer U, with its
+    vertices and incidence; each image normal is made primitive and its
+    right hand side divided along."""
     d = p.dim
-    urows = [_as_int_vector(row) for row in u]
-    tvec = _as_int_vector(shift)
+    urows = [int_vector(row) for row in u]
+    tvec = int_vector(shift)
     if len(urows) != d or any(len(r) != d for r in urows) or len(tvec) != d:
         raise DimensionMismatchError("transform dimensions do not match")
     if abs(det(urows)) != 1:
@@ -827,7 +818,9 @@ def transform(p: HPolytope, u: Sequence[Sequence[int]], shift: Sequence[int]) ->
         sol = solve_linear(ut, list(a))
         if sol is None:
             raise InternalInconsistencyError("unimodular system must be solvable")
-        w, _ = primitivize(_as_int_vector(sol[0]))
+        w, scale = primitivize(sol[0])
+        if scale != 1:
+            b = Fraction(b, scale)
         rows.append((w, b + dot(w, tvec), sum(1 << k for k, j in enumerate(order) if t >> j & 1)))
     normals, rhs, incidence = zip(*sorted(rows))
     return HPolytope(d, normals, rhs, VPolytope(d, tuple(images[j] for j in order)), incidence)

@@ -5,9 +5,13 @@ touches floating point. Vectors are tuples, matrices are sequences of row
 tuples. Rationals serialize as "p/q" with the sign on the numerator and a
 bare "p" when the denominator is 1 (this is exactly str(Fraction)).
 
-rank, solve_linear and det share one fraction-free Gauss-Jordan
-elimination: each row's denominators are cleared once, the rows stay
-integer and gcd-reduced, and Fractions are formed only for the answer.
+int_vector is the one reader that turns vector entries into ints: it
+takes integral Fractions and floats and rejects any other entry, never
+truncating. integer_kernel_basis is the one unimodular reduction of an
+integer lattice, and saturate takes the kernel of its kernel. rank,
+solve_linear and det share one fraction-free Gauss-Jordan elimination:
+each row's denominators are cleared once, the rows stay integer and
+gcd-reduced, and Fractions are formed only for the answer.
 """
 
 from __future__ import annotations
@@ -63,15 +67,25 @@ def vec_sub(a: Sequence, x: Sequence) -> tuple:
     return tuple(ai - xi for ai, xi in zip(a, x))
 
 
+def int_vector(v: Sequence) -> IntVector:
+    """v as a tuple of ints: an all-int vector as it is, and an integral
+    Fraction or float as its value. Any other entry raises ValueError; none
+    is truncated."""
+    if all(type(x) is int for x in v):
+        return tuple(v)
+    for x in v:
+        if not (isinstance(x, (int, Fraction)) and x.denominator == 1 or isinstance(x, float) and x.is_integer()):
+            raise ValueError(f"expected integer entry, got {x}")
+    return tuple(int(x) for x in v)
+
+
 def primitivize(v: Sequence[int]) -> tuple[IntVector, int]:
-    """Divide an integer vector by the gcd of its entries.
+    """Divide an integer vector, read by int_vector, by the gcd of its entries.
 
     Returns (primitive vector, scale) with vector * scale == input.
     The sign of the vector is preserved (scale is positive).
     """
-    w = tuple(int(x) for x in v)
-    if any(x != y for x, y in zip(v, w)):
-        raise ValueError("primitivize expects integer entries")
+    w = int_vector(v)
     g = gcd(*w)
     if g == 0:
         raise ZeroVectorError("cannot primitivize the zero vector")
@@ -126,80 +140,47 @@ def ext_gcd_list(values: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     return g, tuple(coeffs)
 
 
-def hnf(matrix: Sequence[Sequence[int]]) -> tuple[tuple[IntVector, ...], tuple[IntVector, ...]]:
-    """Row-style Hermite normal form.
+def integer_kernel_basis(matrix: Sequence[Sequence[int]], ncols: Optional[int] = None) -> tuple[IntVector, ...]:
+    """Lattice basis of {x in Z^n : matrix @ x = 0}, read by int_vector.
 
-    Args:
-      matrix: m x n integer matrix (sequence of rows).
-
-    Returns:
-      (H, U) with H = U @ matrix, U unimodular (|det U| = 1), H in row
-      echelon with positive pivots, zeros below each pivot, entries above a
-      pivot reduced into [0, pivot), and zero rows at the bottom.
+    The rows of the transpose, each with its unit vector appended, are
+    reduced by unimodular row operations: in each column the entry of least
+    absolute value below the finished rows becomes the pivot and reduces
+    the entries under it, until none is left. The rows that end with a zero
+    left part are a basis of the kernel, and their appended parts are the
+    answer (the kernel of an integer matrix is saturated). Pass ncols for
+    matrices with zero rows, where the column count cannot be inferred.
     """
-    h = [list(int(x) for x in row) for row in matrix]
-    m = len(h)
-    n = len(h[0]) if m else 0
-    if any(len(row) != n for row in h):
+    rows = [int_vector(row) for row in matrix]
+    if not rows and ncols is None:
+        raise DimensionMismatchError("empty matrix needs explicit ncols")
+    n = len(rows[0]) if rows else ncols
+    if any(len(row) != n for row in rows):
         raise DimensionMismatchError("ragged matrix")
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    m = len(rows)
+    work = [[row[j] for row in rows] + [int(i == j) for i in range(n)] for j in range(n)]
     r = 0
-    for c in range(n):
-        if r == m:
+    for c in range(m):
+        if r == n:
             break
-        # chase entries below row r in column c to a single positive pivot
         while True:
-            nz = [i for i in range(r, m) if h[i][c] != 0]
+            nz = [i for i in range(r, n) if work[i][c] != 0]
             if not nz:
                 break
-            i0 = min(nz, key=lambda i: (abs(h[i][c]), i))
-            if i0 != r:
-                h[r], h[i0] = h[i0], h[r]
-                u[r], u[i0] = u[i0], u[r]
+            i0 = min(nz, key=lambda i: (abs(work[i][c]), i))
+            work[r], work[i0] = work[i0], work[r]
             done = True
-            for i in range(r + 1, m):
-                if h[i][c] != 0:
-                    q = h[i][c] // h[r][c]
-                    h[i] = [a - q * b for a, b in zip(h[i], h[r])]
-                    u[i] = [a - q * b for a, b in zip(u[i], u[r])]
-                    if h[i][c] != 0:
+            for i in range(r + 1, n):
+                if work[i][c] != 0:
+                    q = work[i][c] // work[r][c]
+                    work[i] = [a - q * b for a, b in zip(work[i], work[r])]
+                    if work[i][c] != 0:
                         done = False
             if done:
                 break
-        if h[r][c] == 0:
-            continue
-        if h[r][c] < 0:
-            h[r] = [-a for a in h[r]]
-            u[r] = [-a for a in u[r]]
-        for i in range(r):
-            q = h[i][c] // h[r][c]
-            if q:
-                h[i] = [a - q * b for a, b in zip(h[i], h[r])]
-                u[i] = [a - q * b for a, b in zip(u[i], u[r])]
-        r += 1
-    return tuple(tuple(row) for row in h), tuple(tuple(row) for row in u)
-
-
-def integer_kernel_basis(matrix: Sequence[Sequence[int]], ncols: Optional[int] = None) -> tuple[IntVector, ...]:
-    """Lattice basis of {x in Z^n : matrix @ x = 0}.
-
-    The kernel of an integer matrix is saturated, and the bottom rows of the
-    HNF transform of the transpose are a basis of it. Pass ncols for matrices
-    with zero rows, where the column count cannot be inferred.
-    """
-    rows = [tuple(int(x) for x in row) for row in matrix]
-    if rows:
-        n = len(rows[0])
-    elif ncols is not None:
-        n = ncols
-    else:
-        raise DimensionMismatchError("empty matrix needs explicit ncols")
-    if not rows:
-        return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    transpose = [tuple(row[j] for row in rows) for j in range(n)]
-    h, u = hnf(transpose)
-    basis = [u[i] for i in range(n) if all(x == 0 for x in h[i])]
-    return tuple(basis)
+        if work[r][c] != 0:
+            r += 1
+    return tuple(tuple(row[m:]) for row in work[r:])
 
 
 def saturate(spanning: Iterable[Sequence]) -> tuple[IntVector, ...]:
@@ -217,8 +198,6 @@ def saturate(spanning: Iterable[Sequence]) -> tuple[IntVector, ...]:
             raise DimensionMismatchError("mixed lengths in saturate input")
         if any(x != 0 for x in v):
             vecs.append(scale_to_integer(v))
-    if m is None:
-        return ()
     if not vecs:
         return ()
     complement = integer_kernel_basis(vecs)

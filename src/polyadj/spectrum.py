@@ -6,7 +6,9 @@ their convex hull). For such a configuration A the values c admitting a
 point y with A y + c 1 integral form a group g Z; the step g is computed
 exactly from a lattice basis, every achievable critical shift is a
 multiple of g, and the Q-codegrees above a cutoff epsilon therefore lie in
-the finite set {1 / (k g) : k >= 1, 1 / (k g) >= epsilon}.
+the finite set {1 / (k g) : k >= 1, 1 / (k g) >= epsilon}. Since c = 1 is
+achievable (y = 0), g = 1/N for a positive integer N, and the candidates
+are the values N/k.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .ratmath import (
     _eliminate,
     dot,
     ext_gcd_list,
+    int_vector,
     primitivize,
     saturate,
     solve_linear,
@@ -132,9 +135,10 @@ def _checked_rows(rows: Sequence[Sequence[int]]) -> CoreNormalConfig:
     for a in rows:
         if len(a) != d:
             raise InvalidConfigError("mixed row lengths")
-        vec = tuple(int(x) for x in a)
-        if any(type(x) is not int for x in a) and vec != tuple(Fraction(x) for x in a):
-            raise InvalidConfigError("rows must be integer vectors")
+        try:
+            vec = int_vector(a)
+        except ValueError:
+            raise InvalidConfigError("rows must be integer vectors") from None
         if all(x == 0 for x in vec):
             raise InvalidConfigError("zero vector is not a valid normal")
         if primitivize(vec)[0] != vec:
@@ -186,8 +190,8 @@ def codegree_step(cfg: CoreNormalConfig) -> Fraction:
 
     The achievable integral vectors A y + c 1 are exactly the lattice
     Z^m intersected with span(columns of A, 1); g is the gcd of the
-    1-coefficients of a basis of that lattice. Returns 0 when only c = 0
-    is achievable.
+    1-coefficients of a basis of that lattice. The vector 1 lies in that
+    lattice with 1-coefficient 1, so g = 1/N for a positive integer N.
     """
     _, nums, den = _step_basis(cfg)
     return Fraction(gcd(*nums), den)
@@ -200,7 +204,7 @@ def spectrum_superset(cfg: CoreNormalConfig, epsilon) -> SpectrumSuperset:
     if eps <= 0:
         raise ValueError("epsilon must be positive")
     g = codegree_step(cfg)
-    kmax = 0 if g == 0 else floor(1 / (eps * g))
+    kmax = floor(1 / (eps * g))
     return SpectrumSuperset(g, eps, ReciprocalGrid(g, kmax))
 
 
@@ -213,17 +217,10 @@ def check_necessary_condition(cfg: CoreNormalConfig, c) -> tuple[bool, Optional[
     c = Fraction(c)
     m = cfg.n_rows
     basis, nums, den = _step_basis(cfg)
-    g = Fraction(gcd(*nums), den)
-    if g == 0:
-        if c != 0:
-            return False, None
-        return True, tuple(Fraction(0) for _ in range(cfg.dim))
-    if (c / g).denominator != 1:
-        return False, None
-    k = c / g
     gd, coeffs = ext_gcd_list(nums)
-    if Fraction(gd, den) != g:
-        raise InternalInconsistencyError("gcd combination disagrees with the step")
+    k = c / Fraction(gd, den)
+    if k.denominator != 1:
+        return False, None
     target = [Fraction(0)] * m
     for coef, vec in zip(coeffs, basis):
         for i in range(m):

@@ -305,22 +305,21 @@ def test_fan_summary_scans_each_maximal_cone_once(count_calls, suite):
 def test_the_fan_path_takes_no_integer_kernel_and_one_dual_description_per_cone(count_calls, suite):
     # the fan's Gorenstein index is read off the dual height double
     # descriptions of its scan: gorenstein_index made 627 calls over the
-    # suite's fans, each an integer kernel through hnf, and analyze made
-    # 1883 integer_kernel_basis and 1355 hnf calls, the rest from the three
-    # kernels of every acore, which a full-dimensional one no longer takes;
-    # a core that is one point writes its equations <e_i, x> = x_i with no
-    # kernel and no saturate (integer_kernel_basis 740 -> 568, saturate 428
-    # -> 256)
-    counts = count_calls((fan, "gorenstein_index"), (ratmath, "hnf"), (ratmath, "integer_kernel_basis"),
+    # suite's fans, each an integer kernel, and analyze made 1883
+    # integer_kernel_basis calls, the rest from the three kernels of every
+    # acore, which a full-dimensional one no longer takes; a core that is
+    # one point writes its equations <e_i, x> = x_i with no kernel and no
+    # saturate (integer_kernel_basis 740 -> 568, saturate 428 -> 256)
+    counts = count_calls((fan, "gorenstein_index"), (ratmath, "integer_kernel_basis"),
                          (ratmath, "saturate"), (fan, "_dual_height_vertices"))
     for _, p in suite:
         fan_summary(normal_fan(p))
-    assert counts == {"gorenstein_index": 0, "hnf": 0, "integer_kernel_basis": 0, "saturate": 0,
+    assert counts == {"gorenstein_index": 0, "integer_kernel_basis": 0, "saturate": 0,
                       "_dual_height_vertices": 1117}
     counts.update(dict.fromkeys(counts, 0))
     for _, p in suite:
         analyze(p)
-    assert counts == {"gorenstein_index": 0, "hnf": 384, "integer_kernel_basis": 568, "saturate": 256,
+    assert counts == {"gorenstein_index": 0, "integer_kernel_basis": 568, "saturate": 256,
                       "_dual_height_vertices": 1117}
 
 

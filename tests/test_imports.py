@@ -164,6 +164,46 @@ def test_adjunction_solves_an_lp_only_for_the_critical_shift():
         assert functions_reading(fh.read(), "lp") == ["_shift_lp"]
 
 
+def truncating_reads(source: str) -> list[str]:
+    """Dotted scopes of every comprehension int(x) for x in ..., which reads
+    an entry by truncating it."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+                targets = {n.id for gen in child.generators for n in ast.walk(gen.target) if isinstance(n, ast.Name)}
+                elt = child.elt
+                if (isinstance(elt, ast.Call) and isinstance(elt.func, ast.Name) and elt.func.id == "int"
+                        and len(elt.args) == 1 and isinstance(elt.args[0], ast.Name) and elt.args[0].id in targets):
+                    found.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return sorted(found)
+
+
+def test_the_scan_finds_every_truncating_read():
+    source = ("w = tuple(int(x) for x in v)\n\ndef f(rows):\n    return [[int(y) for y in r] for r in rows]\n\n"
+              "class A:\n    def g(self, v):\n        return {int(i == j) for i, j in v} | {int(2 * x) for x in v}\n")
+    assert truncating_reads(source) == ["<module>", "f"]
+
+
+def test_vector_entries_become_ints_only_in_int_vector():
+    # int_vector reads an integral Fraction or float and rejects any other
+    # entry; int(x) on a Fraction or float truncates it without a word
+    found = {}
+    for module in MODULES + ["__init__.py"]:
+        with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+            scopes = truncating_reads(fh.read())
+        if scopes:
+            found[module] = scopes
+    assert found == {"ratmath.py": ["int_vector"]}
+
+
 def test_every_traced_function_exists_in_its_module():
     # the benchmark's tracer wraps each function of its SPANS by name, so a
     # deleted or renamed one breaks a traced run

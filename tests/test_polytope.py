@@ -1257,6 +1257,16 @@ def test_transform_maps_vertices_exactly():
     assert len(lattice_points(q)) == len(lattice_points(p))
 
 
+def test_transform_divides_the_right_hand_side_of_a_non_primitive_normal():
+    # a hand-built row 2 x_1 <= 2 is x_1 <= 1; the image kept x_1 <= 2
+    # next to the vertices of x_1 <= 1
+    p = HPolytope(2, ((-1, 0), (0, -1), (2, 0), (0, 1)), (0, 0, 2, 1))
+    assert transform(p, [[1, 0], [0, 1]], (0, 0)) == from_inequalities(list(zip(p.normals, p.rhs)))
+    q = transform(p, SHEAR, (1, 2))
+    assert vertices(q).vertices == ((1, 2), (2, 2), (2, 3), (3, 3))
+    assert vertices(from_inequalities(list(zip(q.normals, q.rhs)))).vertices == vertices(q).vertices
+
+
 def test_transform_rejects_non_unimodular():
     with pytest.raises(NonUnimodularError):
         transform(cube(2), [[2, 0], [0, 1]], (0, 0))

@@ -1,5 +1,6 @@
 """Exact linear algebra checked against naive reference implementations."""
 
+import hashlib
 from fractions import Fraction
 from math import gcd
 
@@ -7,7 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import gauss_rank, gauss_rref, gauss_solve, laplace_det
-from polyadj.errors import DimensionMismatchError, ParseError, ZeroVectorError
+from polyadj.errors import (
+    DimensionMismatchError,
+    InvalidConeError,
+    InvalidConfigError,
+    ParseError,
+    ZeroVectorError,
+)
+from polyadj.fan import cone
+from polyadj.generators import SplitMix64
+from polyadj.polytope import make_system
 from polyadj.ratmath import (
     _eliminate,
     det,
@@ -15,7 +25,7 @@ from polyadj.ratmath import (
     ext_gcd,
     ext_gcd_list,
     format_fraction,
-    hnf,
+    int_vector,
     integer_kernel_basis,
     parse_fraction,
     primitivize,
@@ -26,6 +36,7 @@ from polyadj.ratmath import (
     vec_add,
     vec_sub,
 )
+from polyadj.spectrum import make_config
 
 ints = st.integers(min_value=-30, max_value=30)
 fractions = st.builds(Fraction, ints, st.integers(min_value=1, max_value=12))
@@ -127,37 +138,6 @@ def test_ext_gcd_list_combination(values):
     assert sum(c * v for c, v in zip(coeffs, values)) == g
 
 
-@given(matrices(3, 3) | matrices(2, 4) | matrices(4, 2))
-def test_hnf_shape_and_transform(m):
-    h, u = hnf(m)
-    assert abs(laplace_det([list(r) for r in u])) == 1
-    product = [[sum(u[i][k] * m[k][j] for k in range(len(m))) for j in range(len(m[0]))]
-               for i in range(len(m))]
-    assert [list(r) for r in h] == product
-    # echelon with positive pivots and reduced columns above them
-    last = -1
-    for row in h:
-        nz = [j for j, x in enumerate(row) if x]
-        if not nz:
-            continue
-        assert nz[0] > last
-        last = nz[0]
-        assert row[nz[0]] > 0
-    for i, row in enumerate(h):
-        nz = [j for j, x in enumerate(row) if x]
-        if not nz:
-            continue
-        p = nz[0]
-        for k in range(i):
-            assert 0 <= h[k][p] < row[p]
-    zero_seen = False
-    for row in h:
-        if all(x == 0 for x in row):
-            zero_seen = True
-        else:
-            assert not zero_seen
-
-
 @given(matrices(2, 4, st.integers(min_value=-6, max_value=6)))
 def test_integer_kernel_annihilates_and_spans(m):
     basis = integer_kernel_basis(m)
@@ -194,6 +174,61 @@ def test_saturate_spans_the_rational_span_integrally(vs):
         minors = [laplace_det([[b[j] for j in cols] for b in basis])
                   for cols in itertools.combinations(range(3), len(basis))]
         assert gcd(*(abs(int(x)) for x in minors)) == 1
+
+
+def test_int_vector_reads_integral_entries_and_rejects_the_rest():
+    ints_in = (3, -1, 0)
+    assert int_vector(ints_in) is ints_in
+    got = int_vector([Fraction(6, 2), -1.0, 0])
+    assert got == (3, -1, 0) and all(type(x) is int for x in got)
+    for bad in (Fraction(3, 2), 2.5, "1", None, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            int_vector([1, bad])
+
+
+# each reader of integer vectors, with the error it raises on other entries
+READERS = [
+    (lambda v: make_system([(v, 1)]).normals[0], ValueError),
+    (lambda v: primitivize(v)[0], ValueError),
+    (lambda v: cone([v]).rays[0], InvalidConeError),
+    (lambda v: make_config([v, (-1, -1)]).normals[0], InvalidConfigError),
+]
+
+
+@pytest.mark.parametrize("read, error", READERS, ids=["make_system", "primitivize", "cone", "make_config"])
+def test_integer_readers_take_integral_entries_and_reject_the_rest(read, error):
+    for v in ((1, 1), (Fraction(2, 2), 1), (1.0, 1)):
+        got = read(v)
+        assert got == (1, 1) and all(type(x) is int for x in got)
+    for bad in (Fraction(3, 2), 2.5, "1"):
+        with pytest.raises(error) as info:
+            read((bad, 1))
+        assert type(info.value) is error
+
+
+def test_the_kernel_rejects_a_fraction_the_saturation_clears():
+    # (3/4, 0, 1) truncated to (0, 0, 1) has the kernel vector (1, 0, 0),
+    # which is not in the kernel of the row
+    with pytest.raises(ValueError):
+        integer_kernel_basis([(Fraction(3, 4), 0, 1)])
+    assert saturate([(Fraction(3, 4), 0, 1)]) == ((3, 0, 4),)
+
+
+def test_integer_kernel_and_saturate_outputs_are_pinned():
+    # sha256 of the outputs on 2000 seeded matrices (0-6 rows, 1-7 columns,
+    # entries -4..4): the basis vectors, their signs and their order reach
+    # the printed affine hulls of flat sets through saturate
+    rng = SplitMix64(7000)
+    mats = []
+    for _ in range(2000):
+        m, n = rng.randint(0, 6), rng.randint(1, 7)
+        mats.append((n, [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(m)]))
+    kernels = [integer_kernel_basis(mat, ncols=n) for n, mat in mats]
+    saturated = [saturate(mat) for _, mat in mats]
+    assert hashlib.sha256(repr(kernels).encode()).hexdigest() == (
+        "745b860bb68b5edcf5329fc7ecf5c4bfc17c94ce124d4a55bf5bf8f203fe484f")
+    assert hashlib.sha256(repr(saturated).encode()).hexdigest() == (
+        "3077112f788189a1be27cf91190036aac9fb10a123823175a901a7e1afdb3fd6")
 
 
 def test_saturate_halves_come_back_integral():

@@ -87,6 +87,21 @@ def test_make_config_accepts_exactly_the_configurations_around_the_origin(rows):
             make_config(rows)
 
 
+@settings(deadline=None, max_examples=200)
+@given(configurations())
+def test_the_step_of_every_configuration_is_one_over_a_positive_integer(rows):
+    # c = 1 is achievable with y = 0, so 1 is a multiple of the step and
+    # the step is never 0
+    try:
+        cfg = make_config(rows)
+    except InvalidConfigError:
+        assume(False)
+    step = codegree_step(cfg)
+    assert step.numerator == 1 and step.denominator >= 1
+    assert check_necessary_condition(cfg, 0) == (True, (0,) * cfg.dim)
+    assert check_necessary_condition(cfg, 1)[0]
+
+
 def test_core_config_agrees_with_make_config_on_the_suite(suite_reports):
     # core_config reads positive spanning off the acore, make_config off a
     # hull of its own
