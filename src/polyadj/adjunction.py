@@ -79,7 +79,7 @@ def _shift_lp(rows: Sequence[tuple[Sequence[int], object]]) -> lp.LpResult:
     d = system.dim
     # maximize t >= 0 subject to A x + t 1 <= b
     res = lp.solve(lp.make_problem([a + (1,) for a in system.normals], system.rhs,
-                                   [0] * d + [1], "max", nonneg=(d,)))
+                                   [0] * d + [1], nonneg=(d,)))
     if res.status == "infeasible":
         raise EmptyPolytopeError("the system has no solution at level 0")
     if res.status == "unbounded":
@@ -113,67 +113,54 @@ class AdjunctionData:
 def adjunction_data(p: HPolytope) -> AdjunctionData:
     """Critical shift, core and core normals of p, from one LP and its certificate.
 
-    The critical-shift LP's duals y are checked exactly: y >= 0, y A = 0,
-    sum y = 1 and y.b = c*. They are a Farkas certificate that adjoint(p, c)
-    is empty for every c > c*, since y.(b - c 1 - A x) = c* - c < 0 while
-    every point x of adjoint(p, c) makes it nonnegative. At c = c* the same
-    sum is 0, so every core point is tight on every row where y > 0
-    (complementary slackness). When those rows have rank d the core is one
-    point, the LP's optimal one (_point_core); otherwise one double
-    description of the adjoint gives it (embed_system). Either way y must
-    vanish off the rows tight on the whole core. Those rows are then
-    checked tight at every core vertex and at the vertex barycenter, and
-    every other row strict at the barycenter, all in integers: the vertices
-    over the lcm of their denominators, and the barycenter as their sum
-    over that lcm times their number.
+    When the rows where the critical-shift LP's duals y are positive have
+    rank d the core is one point, the LP's optimal one; otherwise one
+    double description of the adjoint gives it (embed_system). One integer
+    pass over the adjoint rows then decides the core rows: every row must
+    hold at the vertex barycenter, and a row equal there must be tight at
+    every core vertex; those rows are the core rows, and they must be
+    embed_system's implicit rows when it ran. The vertices are read over
+    the lcm of their denominators, and the barycenter as their sum over
+    that lcm times their number. Last, y is checked exactly: y >= 0, y A =
+    0, sum y = 1, y.b = c*, and y vanishes off the core rows. The duals are
+    a Farkas certificate that adjoint(p, c) is empty for every c > c*,
+    since y.(b - c 1 - A x) = c* - c < 0 while every point x of adjoint(p,
+    c) makes it nonnegative.
     """
     res = _shift_lp(list(zip(p.normals, p.rhs)))
     c_star, y = res.value, res.duals
     if c_star <= 0:
         raise InternalInconsistencyError("critical shift of a full-dimensional polytope must be positive")
     system = adjoint(p, c_star)
+    implicit = None
     if rank([a for a, v in zip(p.normals, y) if v]) == p.dim:
-        core, implicit = _point_core(system, res.point[:p.dim])
+        core = _embedded((res.point[:p.dim],), ())
     else:
         core, implicit = embed_system(system)  # raises EmptyPolytopeError if the adjoint is empty
-    _check_shift_duals(p, c_star, y, implicit)
     if core.dim >= p.dim:
         raise InternalInconsistencyError("core must have lower dimension than the polytope")
-    normals = tuple(p.normals[i] for i in implicit)
     flat, scale = common_denominator([x for v in core.vertices for x in v])
     verts = [flat[k:k + p.dim] for k in range(0, len(flat), p.dim)]
     center = [sum(col) for col in zip(*verts)]
-    core_rows = set(implicit)
+    core_rows = []
     for i, (a, b) in enumerate(zip(p.normals, system.rhs)):
         # <a, v> = b at a vertex v = verts[k] / scale, and the same at the barycenter
         at_vertex = b.numerator * scale
         value, bound = dot(a, center) * b.denominator, at_vertex * len(verts)
-        if i in core_rows:
-            if value != bound:
-                raise InternalInconsistencyError("core normal row is not tight on the core")
-            if any(dot(a, v) * b.denominator != at_vertex for v in verts):
-                raise InternalInconsistencyError("core normal row misses a core vertex")
-        elif value >= bound:
-            raise InternalInconsistencyError("non-core row is tight at a relative interior point")
-    acore = hull_any_dim([tuple(a) for a in normals])
-    return AdjunctionData(p, c_star, 1 / c_star, core, implicit, normals, acore, y)
-
-
-def _point_core(system: InequalitySystem, x: tuple[Fraction, ...]) -> tuple[EmbeddedPolytope, tuple[int, ...]]:
-    """The core {x} and its implicit rows, the rows tight at x, as embed_system gives them.
-
-    x must satisfy every row of system, checked in integers over the lcm of
-    its denominators; a row it violates raises InternalInconsistencyError.
-    """
-    nums, den = common_denominator(x)
-    implicit = []
-    for i, (a, b) in enumerate(zip(system.normals, system.rhs)):
-        value, bound = dot(a, nums) * b.denominator, b.numerator * den
         if value > bound:
-            raise InternalInconsistencyError("the critical-shift LP's point leaves the core")
+            raise InternalInconsistencyError(f"the core's barycenter violates adjoint row {i}")
         if value == bound:
-            implicit.append(i)
-    return _embedded((x,), ()), tuple(implicit)
+            if len(verts) > 1 and any(dot(a, v) * b.denominator != at_vertex for v in verts):
+                raise InternalInconsistencyError(f"adjoint row {i} is tight at the core's barycenter"
+                                                 " but misses a core vertex")
+            core_rows.append(i)
+    core_rows = tuple(core_rows)
+    if implicit is not None and implicit != core_rows:
+        raise InternalInconsistencyError("the adjoint's implicit rows are not the rows tight on its core")
+    _check_shift_duals(p, c_star, y, core_rows)
+    normals = tuple(p.normals[i] for i in core_rows)
+    acore = hull_any_dim([tuple(a) for a in normals])
+    return AdjunctionData(p, c_star, 1 / c_star, core, core_rows, normals, acore, y)
 
 
 def _check_shift_duals(p: HPolytope, c_star: Fraction, y: Sequence[Fraction],
@@ -250,7 +237,6 @@ class LemmaReport:
 
 
 def verify_lemmas(p: HPolytope, alpha=None, *, data: Optional[AdjunctionData] = None,
-                  fan: Optional[NormalFan] = None,
                   threshold: Optional[Fraction] = None) -> LemmaReport:
     """Check, on this one polytope, the structural facts the pipeline rests on.
 
@@ -260,20 +246,22 @@ def verify_lemmas(p: HPolytope, alpha=None, *, data: Optional[AdjunctionData] = 
        scaled hull contains no nonzero lattice point.
     4. At a core point, row value plus critical shift is integral on every
        core normal row.
+
+    data and threshold, when given, are adjunction_data(p) and the
+    canonicity threshold of p's normal fan; otherwise they are computed
+    here, the threshold from normal_fan(p).
     """
     if not is_lattice_polytope(p):
         raise NotLatticePolytopeError("lemma checks require a lattice polytope")
     if data is None:
         data = adjunction_data(p)
-    if fan is None:
-        fan = normal_fan(p)
     d = p.dim
     origin = (0,) * d
     origin_ok = data.acore.contains(origin, strict=True)
     vertices_ok = set(data.acore.vertices) == set(data.core_normals)  # an int equals and hashes as its Fraction
 
     if threshold is None:
-        threshold, _ = fan_canonicity_threshold(fan)
+        threshold, _ = fan_canonicity_threshold(normal_fan(p))
     if alpha is None:
         alpha = threshold
         canonical = True
@@ -324,8 +312,7 @@ def analyze(p: HPolytope, alpha=None, epsilon=Fraction(1, 2)) -> AnalysisReport:
     data = adjunction_data(p)
     fan = normal_fan(p)
     info = fan_summary(fan)
-    lemmas = verify_lemmas(p, alpha, data=data, fan=fan,
-                           threshold=info.canonicity_threshold)
+    lemmas = verify_lemmas(p, alpha, data=data, threshold=info.canonicity_threshold)
     cfg = core_config(data)
     superset = spectrum_mod.spectrum_superset(cfg, epsilon)
     step = superset.step

@@ -30,7 +30,7 @@ from .polyfile import (
     raw_inequalities,
 )
 from .polytope import dilate, vertices
-from .ratmath import format_fraction, parse_fraction
+from .ratmath import format_fraction, parse_rational
 from .spectrum import check_necessary_condition, spectrum_superset
 
 DEFAULT_MAX_DIM = 8
@@ -395,9 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", help="full report for one polytope file ('-' = stdin)")
     pa.add_argument("file", help="polytope file with an H or V section, or - for stdin")
-    pa.add_argument("--epsilon", type=parse_fraction, default=Fraction(1, 2),
+    pa.add_argument("--epsilon", type=parse_rational, default=Fraction(1, 2),
                     help="spectrum cutoff (default 1/2)")
-    pa.add_argument("--alpha", type=parse_fraction, default=None,
+    pa.add_argument("--alpha", type=parse_rational, default=None,
                     help="canonicity level for the lemma checks (default: computed threshold)")
     pa.add_argument("--format", choices=("json", "text"), default="json")
     pa.add_argument("--out", default=None, help="output path (default stdout)")
@@ -416,8 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("census", help="analyze random instances; CSV rows plus JSON summary")
     pc.add_argument("count", type=int)
     pc.add_argument("dim", type=int)
-    pc.add_argument("--alpha", type=parse_fraction, default=None)
-    pc.add_argument("--epsilon", type=parse_fraction, default=Fraction(1, 2))
+    pc.add_argument("--alpha", type=parse_rational, default=None)
+    pc.add_argument("--epsilon", type=parse_rational, default=Fraction(1, 2))
     pc.add_argument("--seed", type=int, default=0)
     pc.add_argument("--box", type=int, default=5)
     pc.add_argument("--points", type=int, default=None,
@@ -430,8 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="configuration file with an A section")
     ps.add_argument("--from-polytope", default=None,
                     help="derive the configuration from this polytope's core normals")
-    ps.add_argument("--epsilon", type=parse_fraction, default=Fraction(1, 2))
-    ps.add_argument("--check", type=parse_fraction, default=None,
+    ps.add_argument("--epsilon", type=parse_rational, default=Fraction(1, 2))
+    ps.add_argument("--check", type=parse_rational, default=None,
                     help="also test whether this c admits an integral shift")
     ps.add_argument("--out", default=None, help="output path (default stdout)")
     ps.set_defaults(func=cmd_spectrum)

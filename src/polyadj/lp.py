@@ -1,6 +1,6 @@
 """Exact rational linear programming.
 
-A problem optimizes c.x subject to inequality rows A x <= b, equality rows
+A problem maximizes c.x subject to inequality rows A x <= b, equality rows
 E x = f, and x_j >= 0 for the variables listed in nonneg; every other
 variable is free. The solver is a two-phase primal simplex over the
 internal form M z = r, z >= 0. Each variable gets a column u_j, a free one
@@ -56,7 +56,6 @@ class LpProblem:
     normals: tuple[tuple[Exact, ...], ...]
     rhs: tuple[Exact, ...]
     objective: tuple[Exact, ...]
-    direction: Literal["max", "min"] = "max"
     eq_normals: tuple[tuple[Exact, ...], ...] = ()
     eq_rhs: tuple[Exact, ...] = ()
     nonneg: tuple[int, ...] = ()
@@ -64,7 +63,7 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class LpResult:
-    """Outcome of a solve; tight lists the inequality rows tight at point.
+    """Outcome of a solve.
 
     On an optimal result duals holds the validated dual multipliers of the
     inequality rows and then of the equality rows; otherwise it is empty.
@@ -73,7 +72,6 @@ class LpResult:
     status: Status
     value: Optional[Fraction]
     point: Optional[tuple[Fraction, ...]]
-    tight: tuple[int, ...]
     duals: tuple[Fraction, ...] = ()
 
 
@@ -82,8 +80,8 @@ def _exact(x) -> Exact:
     return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
 
-def make_problem(normals, rhs, objective, direction="max", *,
-                 eq_normals=(), eq_rhs=(), nonneg: Iterable[int] = ()) -> LpProblem:
+def make_problem(normals, rhs, objective, *, eq_normals=(), eq_rhs=(),
+                 nonneg: Iterable[int] = ()) -> LpProblem:
     """Check an LP's shape and build it, keeping int and Fraction entries as they are."""
     normals = tuple(tuple(map(_exact, row)) for row in normals)
     rhs = tuple(map(_exact, rhs))
@@ -97,9 +95,7 @@ def make_problem(normals, rhs, objective, direction="max", *,
     nonneg = set(nonneg)
     if not nonneg <= set(range(d)):
         raise DimensionMismatchError(f"nonneg indices must lie in range({d})")
-    if direction not in ("max", "min"):
-        raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
-    return LpProblem(normals, rhs, objective, direction, eq_normals, eq_rhs,
+    return LpProblem(normals, rhs, objective, eq_normals, eq_rhs,
                      tuple(j for j in range(d) if j in nonneg))
 
 
@@ -251,12 +247,12 @@ def solve(problem: LpProblem) -> LpResult:
     Only the numerators and denominators of its entries are read.
     """
     d = len(problem.objective)
-    obj = problem.objective if problem.direction == "max" else tuple(-c for c in problem.objective)
+    obj = problem.objective
 
     cleared = _cleared(problem)
     sigma, tab, art_cols, ncols_core = _setup(problem, cleared)
     if not _phase1(tab, art_cols, ncols_core):
-        return LpResult("infeasible", None, None, ())
+        return LpResult("infeasible", None, None)
 
     free = [j for j in range(d) if j not in problem.nonneg]
     cost = [0] * tab.ncols
@@ -267,7 +263,7 @@ def solve(problem: LpProblem) -> LpResult:
     allowed = [j < ncols_core for j in range(tab.ncols)]
     status = tab.run(cost, allowed)
     if status == "unbounded":
-        return LpResult("unbounded", None, None, ())
+        return LpResult("unbounded", None, None)
 
     z = [Fraction(0)] * tab.ncols
     for row, bj in zip(tab.rows, tab.basis):
@@ -278,10 +274,7 @@ def solve(problem: LpProblem) -> LpResult:
     point = tuple(x)
     value = dot(obj, point)
     duals = _validate_certificate(problem, cleared, tab, art_cols, ncols_core, sigma, obj, value)
-    slack0 = ncols_core - len(problem.rhs)  # z[slack0 + i] = b_i - a_i.x
-    tight = tuple(i for i in range(len(problem.rhs)) if z[slack0 + i] == 0)
-    out_value = value if problem.direction == "max" else -value
-    return LpResult("optimal", out_value, point, tight, duals)
+    return LpResult("optimal", value, point, duals)
 
 
 def _validate_certificate(problem, cleared, tab, art_cols, ncols_core, sigma, obj, value):

@@ -101,24 +101,24 @@ def polytope_from_document(doc: PolytopeDocument) -> HPolytope:
 def raw_inequalities(doc: PolytopeDocument) -> list[tuple[IntVector, int | Fraction]]:
     """The H rows exactly as written, for diagnostics that must not
     canonicalize. Requires integer normals, since row scaling changes the
-    meaning of a raw system."""
+    meaning of a raw system: each is read by int_vector, and any other
+    entry raises ParseError, as in config_from_document."""
     if doc.kind != "H":
         raise ValueError("raw mode needs an H section")
-    out = []
-    for row in doc.rows:
-        normal = row[:-1]
-        if any(x.denominator != 1 for x in normal):
-            raise ValueError("raw mode requires integer normals")
-        out.append((int_vector(normal), row[-1]))
-    return out
+    try:
+        return [(int_vector(row[:-1]), row[-1]) for row in doc.rows]
+    except ValueError as exc:
+        raise ParseError(f"raw mode requires integer normals: {exc}") from None
 
 
 def config_from_document(doc: PolytopeDocument) -> CoreNormalConfig:
     if doc.kind != "A":
         raise ParseError("expected an A section with configuration rows")
-    if any(x.denominator != 1 for row in doc.rows for x in row):
-        raise ParseError("configuration rows must be integer vectors")
-    return make_config(doc.rows)
+    try:
+        rows = [int_vector(row) for row in doc.rows]
+    except ValueError as exc:
+        raise ParseError(f"configuration rows must be integer vectors: {exc}") from None
+    return make_config(rows)
 
 
 def read_polytope(text: str) -> HPolytope:

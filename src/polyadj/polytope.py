@@ -167,17 +167,16 @@ class InequalitySystem:
     contains = HPolytope.contains
 
 
-def make_system(rows: Sequence[tuple[Sequence, object]], dim: Optional[int] = None) -> InequalitySystem:
+def make_system(rows: Sequence[tuple[Sequence, object]]) -> InequalitySystem:
     """Build an InequalitySystem from (normal, rhs) pairs without canonicalizing."""
     normals = []
     rhs = []
     for a, b in rows:
         normals.append(int_vector(a))
         rhs.append(_as_fraction(b))
-    if dim is None:
-        if not normals:
-            raise DimensionMismatchError("cannot infer dimension of an empty system")
-        dim = len(normals[0])
+    if not normals:
+        raise DimensionMismatchError("cannot infer dimension of an empty system")
+    dim = len(normals[0])
     if any(len(a) != dim for a in normals):
         raise DimensionMismatchError("mixed normal lengths")
     return InequalitySystem(dim, tuple(normals), tuple(rhs))

@@ -46,12 +46,6 @@ def parse_rational(text: str) -> int | Fraction:
         raise ParseError(f"bad rational {text!r}") from exc
 
 
-def parse_fraction(text: str) -> Fraction:
-    """parse_rational, always as a Fraction."""
-    q = parse_rational(text)
-    return q if type(q) is Fraction else Fraction(q)
-
-
 def dot(a: Sequence, x: Sequence) -> Fraction | int:
     """Inner product summed from the int 0: an int for integer vectors, else a Fraction."""
     if len(a) != len(x):
@@ -93,10 +87,12 @@ def primitivize(v: Sequence[int]) -> tuple[IntVector, int]:
 
 
 def scale_to_integer(v: Sequence) -> IntVector:
-    """Clear denominators: smallest positive multiple with integer entries.
+    """Clear denominators: v times the lcm of its entries' denominators.
 
-    An all-int vector is returned as it is, and ints and Fractions are
-    read by numerator and denominator, with no Fraction built.
+    That is not always the smallest positive integer multiple: (2, -4, 0)
+    stays as it is, and det relies on that factor. An all-int vector is
+    returned as it is, and ints and Fractions are read by numerator and
+    denominator, with no Fraction built.
     """
     if all(type(x) is int for x in v):
         return tuple(v)

@@ -121,7 +121,8 @@ def test_tampered_shift_duals_are_rejected(monkeypatch):
     with pytest.raises(InternalInconsistencyError, match="do not certify"):
         adjunction_data(p)
     monkeypatch.setattr(lp, "solve", solve)
-    # a core normal row missing from the core: the duals' support leaves it
+    # a core normal row missing from the adjoint's implicit rows: the pass
+    # over the rows finds it tight on the core
     embed = adjunction.embed_system
 
     def drop_first_core_row(system):
@@ -129,7 +130,7 @@ def test_tampered_shift_duals_are_rejected(monkeypatch):
         return core_, rows[1:]
 
     monkeypatch.setattr(adjunction, "embed_system", drop_first_core_row)
-    with pytest.raises(InternalInconsistencyError, match="off the core normals"):
+    with pytest.raises(InternalInconsistencyError, match="implicit rows are not the rows tight on its core"):
         adjunction_data(p)
 
 
@@ -153,18 +154,26 @@ def test_each_shift_dual_condition_is_checked(y, c_star):
         adjunction._check_shift_duals(p, c_star, y, (0, 1, 2, 3, 4))
 
 
+def test_shift_duals_off_the_given_core_rows_are_rejected():
+    # fig1's duals certify c* = 3/2 and are positive on rows 1 and 2; with
+    # row 1 alone given as a core row they are supported off it
+    duals = (0, Fraction(1, 2), Fraction(1, 2), 0, 0)
+    with pytest.raises(InternalInconsistencyError, match="supported off the core normals"):
+        adjunction._check_shift_duals(fig1(), Fraction(3, 2), duals, (1,))
+
+
 def split_vertices(v, k):
     """Vertex 0 up and vertex 1 down by 1/1000."""
     return (v[0], v[1] + Fraction(1 - 2 * k, 1000))
 
 
 @pytest.mark.parametrize("move, message", [
-    # the whole core off its core rows y = 3/2 (rows 1 and 2)
-    (lambda v, k: (v[0], v[1] + Fraction(1, 1000)), "not tight on the core"),
+    # the whole core off its core rows y = 3/2 (rows 1 and 2), above y <= 3 - c*
+    (lambda v, k: (v[0], v[1] + Fraction(1, 1000)), "violates adjoint row 2$"),
     # the two vertices moved apart across y = 3/2, the barycenter kept
     (split_vertices, "misses a core vertex"),
     # the core slid along y = 3/2 past the row x - y <= 4 - c*
-    (lambda v, k: (v[0] + 10, v[1]), "tight at a relative interior point"),
+    (lambda v, k: (v[0] + 10, v[1]), "violates adjoint row 3$"),
 ])
 def test_a_moved_core_fails_the_core_row_checks(monkeypatch, move, message):
     embed = adjunction.embed_system
@@ -225,9 +234,28 @@ def test_double_descriptions_per_adjunction_data_are_pinned(monkeypatch, suite):
     assert sum(described(p) for _, p in suite) == 257
 
 
+def test_adjunction_data_evaluates_each_row_once_at_the_core(count_calls, suite):
+    # one dot product per adjoint row at the core's vertex barycenter, one
+    # per core vertex on a row tight there when the core has more than one
+    # vertex, one for y.b and one for the LP's value; the hulls of a core
+    # and an acore that are not full-dimensional take one per equation.
+    # scaled_simplex(3, 2) has 4 rows and a point core, fig1 5 rows and a
+    # segment core on 2 of them
+    counts = count_calls((adjunction, "dot"))
+
+    def dots(p):
+        counts["dot"] = 0
+        adjunction_data(p)
+        return counts["dot"]
+
+    assert dots(scaled_simplex(3, 2)) == 6
+    assert dots(fig1()) == 13
+    assert sum(dots(p) for _, p in suite) == 1967
+
+
 def test_an_lp_point_off_the_core_is_rejected(monkeypatch):
     # the core of scaled_simplex(3, 2) is one point, read off the LP; moved
-    # by 1/10 along x_1 it leaves the core row x_1 + x_2 + x_3 <= 2 - c*
+    # by 1/10 along x_1 it leaves the core row x_1 + 2 x_2 + 2 x_3 <= 2 - c*
     solve = lp.solve
 
     def moved_point(problem):
@@ -235,7 +263,7 @@ def test_an_lp_point_off_the_core_is_rejected(monkeypatch):
         return dataclasses.replace(res, point=(res.point[0] + Fraction(1, 10),) + res.point[1:])
 
     monkeypatch.setattr(lp, "solve", moved_point)
-    with pytest.raises(InternalInconsistencyError, match="leaves the core"):
+    with pytest.raises(InternalInconsistencyError, match="violates adjoint row 3$"):
         adjunction_data(scaled_simplex(3, 2))
 
 

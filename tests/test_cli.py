@@ -239,6 +239,18 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
     assert exc.value.code == 2
 
 
+def test_a_non_integer_entry_where_an_integer_is_needed_exits_2(capsys, tmp_path):
+    # the normal 1/2 0 of an H file read raw, and the row 1/2 0 of an A file
+    rows = tmp_path / "half.poly"
+    rows.write_text("dim 2\nH\n1/2 0 1\n-1 0 0\n0 1 1\n0 -1 0\n")
+    code, _, err = run(capsys, ["analyze", str(rows), "--raw"])
+    assert code == 2 and "parse error" in err
+    cfg = tmp_path / "half.cfg"
+    cfg.write_text("dim 2\nA\n1/2 0\n-1 0\n0 1\n0 -1\n")
+    code, _, err = run(capsys, ["spectrum", str(cfg)])
+    assert code == 2 and "parse error" in err
+
+
 # Seconds a child interpreter may run before its test fails instead of hanging.
 CHILD_TIMEOUT = 60
 

@@ -520,7 +520,7 @@ def small_systems(draw):
         rows.append((a, b))
         if len(rows) < n and draw(st.booleans()):
             rows.append((tuple(-x for x in a), -b + draw(st.sampled_from([-1, 0, 0, 0, 1]))))
-    return make_system(rows, dim=d)
+    return make_system(rows)
 
 
 @settings(deadline=None, max_examples=400)

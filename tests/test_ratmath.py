@@ -1,6 +1,7 @@
 """Exact linear algebra checked against naive reference implementations."""
 
 import hashlib
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -27,7 +28,7 @@ from polyadj.ratmath import (
     format_fraction,
     int_vector,
     integer_kernel_basis,
-    parse_fraction,
+    parse_rational,
     primitivize,
     rank,
     saturate,
@@ -49,34 +50,37 @@ def matrices(nrows, ncols, entries=ints):
 
 @given(fractions)
 def test_fraction_text_roundtrip(q):
-    assert parse_fraction(format_fraction(q)) == q
+    assert parse_rational(format_fraction(q)) == q
 
 
 def test_fraction_text_forms():
     assert format_fraction(Fraction(4, 2)) == "2"
     assert format_fraction(Fraction(-3, 6)) == "-1/2"
-    assert parse_fraction(" 7/3 ") == Fraction(7, 3)
-    assert parse_fraction("-2") == -2
+    assert parse_rational(" 7/3 ") == Fraction(7, 3)
+    assert parse_rational("-2") == -2
     with pytest.raises(ParseError):
-        parse_fraction("3/0")
+        parse_rational("3/0")
     with pytest.raises(ParseError):
-        parse_fraction("a/b")
+        parse_rational("a/b")
     with pytest.raises(ParseError):
-        parse_fraction("")
+        parse_rational("")
 
 
 @pytest.mark.parametrize("token", ["+3", "-0", "007", " 7 ", "1_000", "١٢", "1.5", "1e3", "2/4",
                                    "3/0", "", "--1", "+", "\t-12\n", "1__0", "٣/٤"])
 def test_parse_fraction_agrees_with_the_fraction_constructor(token):
+    # parse_rational reads every fraction token of a file and of the CLI
     try:
         expected = Fraction(token)
     except (ValueError, ZeroDivisionError):
         with pytest.raises(ParseError) as info:
-            parse_fraction(token)
+            parse_rational(token)
         assert str(info.value) == f"bad rational {token!r}"
     else:
-        value = parse_fraction(token)
-        assert type(value) is Fraction and value == expected
+        value = parse_rational(token)
+        # an int exactly for an ASCII integer with an optional sign
+        integer = re.fullmatch(r"[+-]?[0-9]+", token.strip()) is not None
+        assert value == expected and type(value) is (int if integer else Fraction)
 
 
 @given(st.lists(ints, min_size=1, max_size=6), st.lists(ints, min_size=1, max_size=6))
@@ -338,6 +342,7 @@ def test_scale_to_integer_returns_an_integer_row_as_it_is():
     assert scale_to_integer((2, -4, 0)) == (2, -4, 0)
     assert scale_to_integer([Fraction(2), 4]) == (2, 4)
     assert scale_to_integer((Fraction(1, 2), Fraction(-1, 3))) == (3, -2)
+    assert scale_to_integer((Fraction(2, 3), Fraction(4, 3))) == (2, 4)
     assert scale_to_integer(()) == ()
 
 
