@@ -43,7 +43,6 @@ from .polytope import (
     lattice_points,
     make_system,
     relative_interior_point,
-    scale_embedded,
 )
 from .ratmath import IntVector, common_denominator, dot, rank
 
@@ -243,7 +242,8 @@ def verify_lemmas(p: HPolytope, alpha=None, *, data: Optional[AdjunctionData] = 
     1. 0 lies in the relative interior of the hull of the core normals.
     2. Every core normal is a vertex of that hull.
     3. For a canonical level alpha, the relative interior of the alpha
-       scaled hull contains no nonzero lattice point.
+       scaled hull contains no nonzero lattice point. Its points are
+       those of the hull walked at shrink 1 / alpha (lattice_points).
     4. At a core point, row value plus critical shift is integral on every
        core normal row.
 
@@ -271,8 +271,7 @@ def verify_lemmas(p: HPolytope, alpha=None, *, data: Optional[AdjunctionData] = 
             raise ValueError("alpha must lie in (0, 1]")
         canonical = threshold >= alpha
     if canonical:
-        scaled = scale_embedded(data.acore, alpha)
-        inner = lattice_points(scaled, region="relative_interior")
+        inner = lattice_points(data.acore, region="relative_interior", shrink=1 / alpha)
         scaled_points: Optional[tuple] = inner
         scaled_ok: Optional[bool] = set(inner) == {origin}
     else:

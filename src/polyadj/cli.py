@@ -263,7 +263,7 @@ def cmd_gen(args) -> int:
         comments.append(f"prng splitmix64 seed={seed} points={n} box={args.box}")
     else:
         raise ValueError(f"unknown family {family!r}")
-    _write_output(format_polytope(p, kind="H", comments=comments), args.out)
+    _write_output(format_polytope(p, comments=comments), args.out)
     return 0
 
 

@@ -33,6 +33,9 @@ reduced costs over the cost row's one denominator, and each original row
 is cleared of its denominators once, the same clearing that sets up the
 tableau. A violation raises InternalInconsistencyError since it can only
 mean a bug, never roundoff. LpResult.duals returns y as Fractions.
+
+solve is the one route: is_feasible solves the system with the zero
+objective, which phase 2 finds optimal at once on any feasible system.
 """
 
 from __future__ import annotations
@@ -307,7 +310,7 @@ def _validate_certificate(problem, cleared, tab, art_cols, ncols_core, sigma, ob
 
 def is_feasible(normals: Sequence, rhs: Sequence, *, eq_normals: Sequence = (),
                 eq_rhs: Sequence = (), nonneg: Iterable[int] = ()) -> bool:
-    """Exact feasibility via phase 1 only; the arguments are as in make_problem.
+    """Exact feasibility: solve with the zero objective; the arguments are as in make_problem.
 
     Systems without rows are feasible.
     """
@@ -316,7 +319,5 @@ def is_feasible(normals: Sequence, rhs: Sequence, *, eq_normals: Sequence = (),
     if not normals and not eq_normals:
         return True
     d = len(normals[0] if normals else eq_normals[0])
-    problem = make_problem(normals, rhs, [0] * d,
-                           eq_normals=eq_normals, eq_rhs=eq_rhs, nonneg=nonneg)
-    _, tab, art_cols, ncols_core = _setup(problem, _cleared(problem))
-    return _phase1(tab, art_cols, ncols_core)
+    problem = make_problem(normals, rhs, [0] * d, eq_normals=eq_normals, eq_rhs=eq_rhs, nonneg=nonneg)
+    return solve(problem).status == "optimal"

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import ParseError
-from .polytope import HPolytope, from_inequalities, from_vertices, vertices
+from .polytope import HPolytope, from_inequalities, from_vertices
 from .ratmath import IntVector, common_denominator, format_fraction, int_vector, parse_rational
 from .spectrum import CoreNormalConfig, make_config
 
@@ -125,17 +125,11 @@ def read_polytope(text: str) -> HPolytope:
     return polytope_from_document(parse_document(text))
 
 
-def format_polytope(p: HPolytope, kind: str = "H", comments: Sequence[str] = ()) -> str:
+def format_polytope(p: HPolytope, comments: Sequence[str] = ()) -> str:
+    """The H document of p, its canonical rows, after one `# ` line per comment."""
     lines = [f"# {c}" for c in comments]
     lines.append(f"dim {p.dim}")
-    if kind == "H":
-        lines.append("H")
-        for a, b in zip(p.normals, p.rhs):
-            lines.append(" ".join([str(x) for x in a] + [format_fraction(b)]))
-    elif kind == "V":
-        lines.append("V")
-        for v in vertices(p).vertices:
-            lines.append(" ".join(format_fraction(c) for c in v))
-    else:
-        raise ValueError(f"unknown output kind {kind!r}")
+    lines.append("H")
+    for a, b in zip(p.normals, p.rhs):
+        lines.append(" ".join([str(x) for x in a] + [format_fraction(b)]))
     return "\n".join(lines) + "\n"

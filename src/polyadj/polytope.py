@@ -26,9 +26,10 @@ projection is needed. The cone of a polytope is read off its facet rows,
 its equations and its vertex-facet incidence (_valid_row_cone), which
 each polytope keeps as the double description that built it found it.
 Each level is compiled once into the integer rows that bound its
-coordinate. level_points reads them at any shrink k by floor(beta / k),
-exact as every entry is an integer, and reads the last coordinate off
-partial sums its parent takes once.
+coordinate. level_points reads them at any shrink k, a positive int or
+Fraction, by floor(beta / k), exact as every entry is an integer, so one
+walk lists the lattice points of S / k for every k; it reads the last
+coordinate off partial sums its parent takes once.
 
 Conventions. An HPolytope is always bounded, full-dimensional, and
 irredundant, with primitive integer facet normals, rational right hand
@@ -525,29 +526,6 @@ def hull_any_dim(points: Sequence[Sequence]) -> EmbeddedPolytope:
     return _embedded(pts, (vec_sub(pt, pts[0]) for pt in pts[1:]))
 
 
-def scale_embedded(s: EmbeddedPolytope, factor) -> EmbeddedPolytope:
-    """The image factor * s for a positive rational factor, as hull_any_dim
-    or embed_system builds it from the scaled points or system.
-
-    A positive factor keeps the order of points, the span of their
-    differences and the signs of every product the double description
-    takes; the map (a, beta) -> (a, factor * beta) carries its rays to
-    those of the scaled points. So the equation offsets, the facet right
-    hand sides and the vertices scale, and the normals, the order of the
-    vertices and the incidence stay.
-    """
-    f = Fraction(factor)
-    if f <= 0:
-        raise ValueError("scale factor must be positive")
-
-    def scaled(rows):
-        return tuple((a, f * beta) for a, beta in rows)
-
-    sub = s.subspace
-    return EmbeddedPolytope(AffineSubspace(sub.dim, sub.ambient_dim, scaled(sub.equations)),
-                            scaled(s.facets), tuple(tuple(f * x for x in v) for v in s.vertices), s.incidence)
-
-
 def _tight_everywhere(rays, n: int) -> tuple[int, ...]:
     return tuple(i for i in range(n) if all(t >> (i + 1) & 1 for _, t in rays))
 
@@ -683,19 +661,20 @@ def _valid_row_cone(s) -> tuple[list, list]:
     return rays or [((0,) * len(s.vertices[0]) + (1,), 0)], [_integer_row(a, b) for a, b in equations]
 
 
-def level_points(levels, shrink: int = 1) -> list[IntVector]:
+def level_points(levels, shrink=1) -> list[IntVector]:
     """Lattice points passing every level of projected_levels, in lexicographic order.
 
     The levels of a set S give the points of S / shrink, for a positive int
-    shrink. Every entry and prefix value is an integer, so a row bounds x_j
-    by (floor(beta / shrink) - sum a_i x_i) / a_j, with beta / shrink
-    floored once. At the parent of the last level each last-level row's
-    partial sum over x_1..x_{d-2} is taken once, so each value of x_{d-1}
-    costs one product per row with an x_{d-1} term, and the run of x_d is
-    added at once.
+    or Fraction shrink. Every entry and prefix value is an integer, so a
+    row bounds x_j by (floor(beta / shrink) - sum a_i x_i) / a_j, with
+    beta / shrink floored once at each node; an int floors by int
+    division and a Fraction exactly, to an int. At the parent of the last
+    level each last-level row's partial sum over x_1..x_{d-2} is taken
+    once, so each value of x_{d-1} costs one product per row with an
+    x_{d-1} term, and the run of x_d is added at once.
     """
-    if not isinstance(shrink, int) or shrink < 1:
-        raise ValueError("shrink must be a positive int")
+    if not isinstance(shrink, (int, Fraction)) or shrink <= 0:
+        raise ValueError("shrink must be a positive int or Fraction")
     d = len(levels) - 1
     out = []
     prefix = [0] * d
@@ -776,21 +755,24 @@ def level_points(levels, shrink: int = 1) -> list[IntVector]:
     return out
 
 
-def lattice_points(s, region: str = "all"):
-    """Lattice points of s, or of its relative interior.
+def lattice_points(s, region: str = "all", shrink=1):
+    """Lattice points of s / shrink, or of its relative interior, for a positive int or Fraction shrink.
 
     s may be an HPolytope or an EmbeddedPolytope, and the returned points
     are integer tuples in lexicographic order. The enumeration runs over
     projected_levels of the cone of the valid rows of s, read off the
-    incidence s keeps (_valid_row_cone), with none recounted. The relative_interior
-    region keeps the points strictly inside every facet row, in integers.
+    incidence s keeps (_valid_row_cone), with none recounted, and
+    level_points walks them at shrink. The relative_interior region keeps
+    the points x strictly inside every facet row (a, beta) of s / shrink,
+    <a, x> num < beta den for shrink = num / den, in integers.
     """
     if region not in ("all", "relative_interior"):
         raise ValueError(f"unknown region {region!r}")
     rays, lineality = _valid_row_cone(s)
-    result = level_points(projected_levels(rays, lineality))
+    result = level_points(projected_levels(rays, lineality), shrink)
     if region == "relative_interior":
-        result = [x for x in result if all(dot(z[:-1], x) < z[-1] for z, _ in rays)]
+        num, den = shrink.numerator, shrink.denominator
+        result = [x for x in result if all(dot(z[:-1], x) * num < z[-1] * den for z, _ in rays)]
     return tuple(result)
 
 
@@ -799,9 +781,8 @@ def lattice_points(s, region: str = "all"):
 
 
 def transform(p: HPolytope, u: Sequence[Sequence[int]], shift: Sequence[int]) -> HPolytope:
-    """Image of p under x -> U x + shift for unimodular integer U, with its
-    vertices and incidence; each image normal is made primitive and its
-    right hand side divided along."""
+    """Image of p under x -> U x + shift for unimodular integer U: the hull
+    of the image vertices (from_vertices), with its vertices and incidence."""
     d = p.dim
     urows = [int_vector(row) for row in u]
     tvec = int_vector(shift)
@@ -809,20 +790,7 @@ def transform(p: HPolytope, u: Sequence[Sequence[int]], shift: Sequence[int]) ->
         raise DimensionMismatchError("transform dimensions do not match")
     if abs(det(urows)) != 1:
         raise NonUnimodularError("matrix determinant is not +-1")
-    ut = [list(row) for row in zip(*urows)]  # U^T
-    images = [vec_add(tuple(dot(row, v) for row in urows), tvec) for v in vertices(p).vertices]
-    order = sorted(range(len(images)), key=images.__getitem__)  # the k-th image vertex is images[order[k]]
-    rows = []
-    for a, b, t in zip(p.normals, p.rhs, p.incidence):
-        sol = solve_linear(ut, list(a))
-        if sol is None:
-            raise InternalInconsistencyError("unimodular system must be solvable")
-        w, scale = primitivize(sol[0])
-        if scale != 1:
-            b = Fraction(b, scale)
-        rows.append((w, b + dot(w, tvec), sum(1 << k for k, j in enumerate(order) if t >> j & 1)))
-    normals, rhs, incidence = zip(*sorted(rows))
-    return HPolytope(d, normals, rhs, VPolytope(d, tuple(images[j] for j in order)), incidence)
+    return from_vertices([vec_add(tuple(dot(row, v) for row in urows), tvec) for v in vertices(p).vertices])
 
 
 def dilate(p: HPolytope, factor: int) -> HPolytope:

@@ -6,6 +6,7 @@ codes and output streams are checked across a real process boundary; a
 separate check pins the ``polyadj`` console-script entry point.
 """
 
+import hashlib
 import importlib
 import io
 import json
@@ -72,6 +73,23 @@ def test_analyze_text_report_uses_the_same_rational_strings(capsys, tmp_path):
     assert "gorenstein_index=1" in out
     assert "spectrum values (>= 1/2): 2 1 2/3 1/2" in out
     assert "qcd in superset: true" in out
+
+
+def test_the_suite_reports_are_pinned(suite_reports):
+    # sha256, over the 200 suite instances in suite order, of the JSON
+    # report document, of its text rendering and of repr(analyze(p)): any
+    # change to a reported value, witness or ordering moves one of them
+    json_digest, text_digest, repr_digest = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    for report in suite_reports.values():
+        doc = cli._report_document(report, None)
+        json_digest.update((json.dumps(doc, sort_keys=True) + "\n").encode())
+        text_digest.update(cli._render_text(doc).encode())
+        repr_digest.update((repr(report) + "\n").encode())
+    assert [json_digest.hexdigest(), text_digest.hexdigest(), repr_digest.hexdigest()] == [
+        "0191d6dc54329123f4fa72efd8bab24cf521bff51c0372024b4b2c117e6c0a94",
+        "291c5a9e8d0fa1a1c28d744c9743683de78bfb681d66d22c1cca322b0c0008e9",
+        "492df047c8a618ec0962cccb3708d3dc6ad24df40897e0bc58ec38638ceb0370",
+    ]
 
 
 def test_analyze_raw_reports_the_uncanonicalized_shift(capsys, tmp_path):

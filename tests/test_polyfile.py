@@ -125,7 +125,4 @@ def test_integer_tokens_parse_to_ints_and_others_to_fractions():
 
 def test_format_roundtrips():
     p = fig1()
-    assert read_polytope(format_polytope(p, "H", comments=["made by a test"])) == p
-    assert read_polytope(format_polytope(p, "V")) == p
-    with pytest.raises(ValueError):
-        format_polytope(p, "W")
+    assert read_polytope(format_polytope(p, comments=["made by a test"])) == p

@@ -44,7 +44,6 @@ from polyadj.polytope import (
     make_system,
     projected_levels,
     relative_interior_point,
-    scale_embedded,
     transform,
     vertices,
 )
@@ -676,13 +675,14 @@ def test_hull_any_dim_of_a_segment_in_3d():
 def test_scaled_embedded_polytope_is_the_hull_of_the_scaled_points(d, data):
     # points of any affine rank, so flat hulls, points and full-dimensional
     # ones all occur; the factor is a positive rational
+    # walked at shrink 1 / factor, the hull of the points lists the lattice
+    # points of the hull of the scaled points
     pts = data.draw(st.lists(st.tuples(*[small] * d), min_size=1, max_size=6))
     factor = data.draw(st.fractions(min_value=Fraction(1, 7), max_value=3))
-    got = scale_embedded(hull_any_dim(pts), factor)
+    hull = hull_any_dim(pts)
     expected = hull_any_dim([tuple(factor * x for x in pt) for pt in pts])
-    assert got == expected
-    interior = "relative_interior"
-    assert lattice_points(got, region=interior) == lattice_points(expected, region=interior)
+    for region in REGIONS:
+        assert lattice_points(hull, region, shrink=1 / factor) == lattice_points(expected, region)
 
 
 @settings(deadline=None, max_examples=100)
@@ -728,14 +728,6 @@ def test_double_description_is_the_same_in_any_order_once_the_cone_is_pointed(ro
     assert double_description(rows, n, order.index) == double_description(rows, n)
 
 
-def test_scale_embedded_needs_a_positive_factor():
-    seg = hull_any_dim([(0, 0), (3, 3)])
-    assert scale_embedded(seg, Fraction(1, 3)).vertices == ((0, 0), (1, 1))
-    for bad in (0, -1):
-        with pytest.raises(ValueError):
-            scale_embedded(seg, bad)
-
-
 def test_relative_interior_point_is_strictly_inside():
     p = fig1()
     y = relative_interior_point(p)
@@ -765,8 +757,8 @@ def test_lattice_points_relative_interior_and_sublattice():
     p = dilate(cube(2), 2)
     assert lattice_points(p, region="relative_interior") == ((1, 1),)
     # the points of 2 Z^2 in p are twice the lattice points of p / 2
-    half = scale_embedded(hull_any_dim(vertices(p).vertices), Fraction(1, 2))
-    assert tuple(tuple(2 * x for x in pt) for pt in lattice_points(half)) == ((0, 0), (0, 2), (2, 0), (2, 2))
+    half = lattice_points(p, shrink=2)
+    assert tuple(tuple(2 * x for x in pt) for pt in half) == ((0, 0), (0, 2), (2, 0), (2, 2))
     tri = scaled_simplex(2, 3)
     assert lattice_points(tri) == ((0, 0), (0, 1), (1, 0), (2, 0), (3, 0))
     assert lattice_points(tri, region="relative_interior") == ()
@@ -784,7 +776,7 @@ def test_relative_interior_of_a_flat_scaled_acore_needs_no_hull_and_no_linear_so
     # the acore of d4-s4022 lies in x_3 = 0, so levels 3 and 4 are flat
     acore = adjunction.adjunction_data(random_lattice_polytope(4, 6, 4022, box=2)).acore
     assert acore.dim == 3
-    sets = [scale_embedded(acore, factor) for factor in (1, Fraction(3, 2), 2)]
+    shrinks = (1, Fraction(2, 3), Fraction(1, 2))
     calls = _count_calls(monkeypatch)
     for name in ("hull_any_dim", "from_vertices", "solve_linear"):
         def forbidden(*args, name=name, **kwargs):
@@ -792,33 +784,35 @@ def test_relative_interior_of_a_flat_scaled_acore_needs_no_hull_and_no_linear_so
 
         monkeypatch.setattr(polytope, name, forbidden)
     found = []
-    for s in sets:
+    for k in shrinks:
         calls.update(double_description=0)
-        found.append(lattice_points(s, region="relative_interior"))
+        found.append(lattice_points(acore, region="relative_interior", shrink=k))
         # level d is the stored rows, with tight sets by incidence, and every
         # level below is an equality cut of the one above
         assert calls == {"solve": 0, "is_feasible": 0, "double_description": 0}
     monkeypatch.undo()
     assert found[0] == ((0, 0, 0, 0),) and len(found[2]) > 1
-    for s, points in zip(sets, found):
-        assert list(points) == box_lattice_points(s.vertices, lambda x, s=s: s.contains(x, strict=True))
+    for k, points in zip(shrinks, found):
+        corners = [tuple(c / k for c in v) for v in acore.vertices]
+        assert list(points) == box_lattice_points(
+            corners, lambda x, k=k: acore.contains(tuple(k * c for c in x), strict=True))
 
 
 def test_lattice_points_read_the_row_cone_each_set_keeps(count_calls):
     # a hull keeps the vertex-facet incidence its double description found,
-    # and scale_embedded keeps it, so the cone of valid rows is read off the
-    # facets and that incidence: enumerating the points recounts no
-    # incidence and describes no set again
+    # so the cone of valid rows is read off the facets and that incidence,
+    # at any shrink: enumerating the points recounts no incidence and
+    # describes no set again
     hull = from_vertices([(0, 0, 0), (3, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0)])
     flat = hull_any_dim([(0, 0, 0), (2, 2, 0), (2, 0, 2), (1, 1, 0), (4, 2, 2)])
     acore = adjunction.adjunction_data(random_lattice_polytope(4, 6, 4022, box=2)).acore
-    sets = (hull, flat, scale_embedded(acore, 2))
+    sets, shrinks = (hull, flat, acore), (1, 1, Fraction(1, 2))
     # copies built without the cone describe themselves afresh
     bare = (HPolytope(hull.dim, hull.normals, hull.rhs),) + tuple(
         polytope.EmbeddedPolytope(s.subspace, s.facets, s.vertices) for s in sets[1:])
-    expected = [lattice_points(s, region) for s in bare for region in REGIONS]
+    expected = [lattice_points(s, region, k) for s, k in zip(bare, shrinks) for region in REGIONS]
     counts = count_calls((polytope, "vertices"), (ratmath, "scale_to_integer"), (polytope, "double_description"))
-    found = [lattice_points(s, region) for s in sets for region in REGIONS]
+    found = [lattice_points(s, region, k) for s, k in zip(sets, shrinks) for region in REGIONS]
     assert counts == {"vertices": 0, "scale_to_integer": 0, "double_description": 0}
     assert found == expected and [len(points) for points in found] == [11, 0, 9, 1, 29, 11]
 
@@ -878,12 +872,18 @@ def test_the_walk_over_the_hull_inputs_makes_a_pinned_number_of_term_products():
     assert counter[0] == 80688
 
 
-def test_level_points_take_a_positive_int_shrink():
+def test_level_points_take_a_positive_rational_shrink():
     levels = projected_levels(*polytope._valid_row_cone(cube(2)))
     assert level_points(levels, 1) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    for shrink in (0, -1, -2, 2.0, Fraction(2), "2"):
+    assert level_points(levels, Fraction(2)) == level_points(levels, 2) == [(0, 0)]
+    assert level_points(levels, Fraction(1, 2)) == [(x, y) for x in range(3) for y in range(3)]
+    seg = hull_any_dim([(0, 0), (3, 3)])
+    assert lattice_points(seg, shrink=3) == lattice_points(seg, shrink=Fraction(3)) == ((0, 0), (1, 1))
+    for shrink in (0, -1, -2, Fraction(0), Fraction(-1, 2), 2.0, "2"):
         with pytest.raises(ValueError):
             level_points(levels, shrink)
+        with pytest.raises(ValueError):
+            lattice_points(seg, shrink=shrink)
 
 
 def test_levels_without_an_upper_or_lower_row_at_the_last_level_are_unbounded():
@@ -945,13 +945,13 @@ def _full_dimensional(points) -> bool:
                for s in itertools.combinations(points, k + 1))
 
 
-def _check_against_the_box_scan(s, points, member):
-    """lattice_points of s in every region equals a box scan of member."""
+def _check_against_the_box_scan(s, points, member, shrink=1):
+    """lattice_points of s / shrink in every region equals a box scan of member."""
     box = box_lattice_points([tuple(Fraction(c) for c in pt) for pt in points],
                              lambda x: member(x, False))
     for region in REGIONS:
         expected = [x for x in box if region == "all" or member(x, True)]
-        assert list(lattice_points(s, region=region)) == expected
+        assert list(lattice_points(s, region=region, shrink=shrink)) == expected
 
 
 @settings(deadline=None, max_examples=60)
@@ -967,7 +967,7 @@ def test_lattice_points_of_rational_polytopes_match_the_box_scan(d, data):
 def test_level_points_of_a_set_list_the_points_of_the_set_shrunk(d, data):
     # the walk floors each beta / k once: the levels of a set s at shrink k
     # list the lattice points of s / k, also for sets away from the origin
-    # (rows with beta < 0), flat sets and odd k
+    # (rows with beta < 0), flat sets, odd k and rational k
     shift = data.draw(st.tuples(*[coord] * d))
     drawn = data.draw(st.lists(st.tuples(*[st.one_of(small, fraction)] * d), min_size=1, max_size=d + 2))
     pts = [vec_add(x, shift) for x in drawn]
@@ -975,7 +975,7 @@ def test_level_points_of_a_set_list_the_points_of_the_set_shrunk(d, data):
     for s in sets:
         levels = projected_levels(*polytope._valid_row_cone(s))
         corners = s.vertices if isinstance(s, polytope.EmbeddedPolytope) else vertices(s).vertices
-        for k in (1, 2, 3, 7):
+        for k in (1, 2, 3, 7, Fraction(3, 2), Fraction(1, 2)):
             expected = box_lattice_points([tuple(Fraction(c) / k for c in v) for v in corners],
                                           lambda x: s.contains(tuple(k * c for c in x)))
             assert level_points(levels, k) == expected
@@ -1013,9 +1013,10 @@ def test_hulls_of_every_lattice_point_of_a_polytope_enumerate_as_their_facets_do
     member = _hull_member(pts)
     for factor in (1, 2):
         scaled = [tuple(factor * c for c in x + x[:1]) for x in pts]
-        _check_against_the_box_scan(scale_embedded(flat, factor), scaled,
+        _check_against_the_box_scan(flat, scaled,
                                     lambda x, strict, k=factor: x[-1] == x[0] and member(
-                                        tuple(Fraction(c, k) for c in x[:-1]), strict))
+                                        tuple(Fraction(c, k) for c in x[:-1]), strict),
+                                    shrink=Fraction(1, factor))
 
 
 def _brute_incidence(rows, verts):
@@ -1058,8 +1059,7 @@ def test_every_incidence_bit_is_a_facet_tight_at_a_sorted_vertex(d, data):
     on_plane = [((1,) + (0,) * (d - 1) + (-1,), 0), ((-1,) + (0,) * (d - 1) + (1,), 0)]
     embedded, _ = embed_system(make_system([(a + (0,), b) for a, b in rows] + on_plane))
     sets = [p, q, r, *by_hand, dilate(p, 3), transform(p, negate, shift), transform(p, UNIMODULAR[d], shift),
-            flat, embedded, scale_embedded(flat, Fraction(3, 2)), scale_embedded(embedded, Fraction(1, 2)),
-            hull_any_dim(pts[:1])]
+            flat, embedded, hull_any_dim(pts[:1])]
     for s in sets:
         _check_incidence(s)
     assert q == p and q.incidence == p.incidence
