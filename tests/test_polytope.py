@@ -872,6 +872,25 @@ def test_the_walk_over_the_hull_inputs_makes_a_pinned_number_of_term_products():
     assert counter[0] == 80688
 
 
+def test_level_points_take_a_positive_int_shrink():
+    levels = projected_levels(*polytope._valid_row_cone(cube(2)))
+    assert level_points(levels, 1) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert level_points(levels, 2) == [(0, 0)]
+    for shrink in (0, -1, -2, 2.0, "2"):
+        with pytest.raises(ValueError):
+            level_points(levels, shrink)
+
+
+def test_scale_embedded_needs_a_positive_factor():
+    # an embedded set scaled by a factor is walked at shrink = 1 / factor, so
+    # a shrink that is not positive, like a factor that is not, is refused
+    seg = hull_any_dim([(0, 0), (3, 3)])
+    assert lattice_points(seg, shrink=1 / Fraction(1, 3)) == ((0, 0), (1, 1))
+    for bad in (0, -1, Fraction(-1, 3)):
+        with pytest.raises(ValueError):
+            lattice_points(seg, shrink=bad)
+
+
 def test_level_points_take_a_positive_rational_shrink():
     levels = projected_levels(*polytope._valid_row_cone(cube(2)))
     assert level_points(levels, 1) == [(0, 0), (0, 1), (1, 0), (1, 1)]
