@@ -8,28 +8,28 @@ the generator heights), and smoothness. Fan level values aggregate over
 the maximal cones: a functional witnessing a maximal cone restricts to
 every face, so face indices divide the maximal ones and face thresholds
 are no smaller, which makes the maximal cones sufficient. Nothing here
-solves an LP or builds a polytope. Cone validation, heights on every cone,
-the canonicity scan and the fan's Gorenstein index all read a cone's
-facets and its dual height vertices off one integer double description:
-the facets are its rays with s = 0, the vertices those with s > 0, a cone
-with no vertex contains a line, and the cone's index is the s of the
-vertex tight at every ray. A cone keeps that description once a height, a
-scan or its index has computed it, or once cone() or normal_fan() has
-validated its generators with it, so a fan takes no integer kernel and no
-second dual description after it is built. It runs on the rays as given;
-only a cone of lower rank, whose double description then has a lineality,
-moves to the coordinates of its saturated span, with no rank taken. The
-canonicity scan enumerates one region per cone, conv(0, rays), shrunk by
-t = 1/2^k on a ladder that starts at the lower bound on heights that the
-dual vertices prove. Across a fan each cone's ladder is capped at the
-least threshold of the cones before it. A cone compiles the levels of its
-region (polytope.projected_levels, from the cone of its valid rows: one
-double description of its points, or none when the dual region has one
-vertex, whose double description already holds those rows) only when its
-ladder takes a rung. A normal fan reads each maximal cone off the
-polytope's vertex-facet incidence and proves it full-dimensional with its
-dual height description, which has a lineality exactly when the rays do
-not span, so no rank is taken.
+solves an LP or builds a polytope. Cone validation, heights, the
+canonicity scan and the index of a full-rank cone all read a cone's facets
+and its dual height vertices off one integer double description of its
+rays, in Z^d for a cone of any rank: the facets are its rays with s = 0,
+the vertices those with s > 0, a cone with no vertex contains a line, the
+index is the s of the vertex tight at every ray, and the lineality, empty
+exactly when the rays span, holds the equations of their span, which
+heights and the scan keep. A cone keeps that description once a height,
+a scan or its index has computed it, or once cone() or normal_fan() has
+validated its generators with it, so a fan takes no integer kernel, no
+rank and no second dual description after it is built. The canonicity
+scan enumerates one region per cone, conv(0, rays), shrunk by t = 1/2^k on
+a ladder that starts at the lower bound on heights that the dual vertices
+prove. Across a fan each cone's ladder is capped at the least threshold
+of the cones before it. A cone compiles the levels of its region
+(polytope.projected_levels, from the cone of its valid rows: one double
+description of its points, or none when the dual region has one vertex,
+whose double description already holds those rows) only when its ladder
+takes a rung. A normal fan reads each maximal cone off the polytope's
+vertex-facet incidence and proves it full-dimensional with its dual
+height description, which has a lineality exactly when the rays do not
+span.
 """
 
 from __future__ import annotations
@@ -64,8 +64,6 @@ from .ratmath import (
     int_vector,
     integer_kernel_basis,
     primitivize,
-    saturate,
-    solve_linear,
 )
 
 
@@ -129,7 +127,7 @@ class CanonicityWitness:
 def cone(generators: Sequence[Sequence[int]]) -> Cone:
     """Validating constructor: primitivize, drop non-extreme generators,
     and reject cones that contain a line, both read off the generators'
-    dual height double description (_framed_region): with no ray s > 0 the
+    _dual_height_vertices, for a cone of any rank: with no ray s > 0 the
     cone contains a line, and the extreme generators are those on maximal
     sets of facets, its rays with s = 0 (a pointed cone of rank 1 has one).
     When no generator is dropped that description is the cone's own, and
@@ -150,7 +148,7 @@ def cone(generators: Sequence[Sequence[int]]) -> Cone:
             raise InvalidConeError("zero vector cannot generate a ray")
         prims.append(primitivize(vec)[0])
     prims = tuple(sorted(set(prims)))
-    directions, rays, region = _framed_region(prims, d)
+    region, lineality = _dual_height_vertices(prims, d)
     if not any(z[-1] for z, _ in region):
         raise InvalidConeError("generators span a cone containing a line")
     if len(prims) > 1:
@@ -158,28 +156,7 @@ def cone(generators: Sequence[Sequence[int]]) -> Cone:
         extreme = [prims[i] for i in _maximal(_ray_sets(facets, range(1, len(prims) + 1)))]
         if len(extreme) < len(prims):
             return Cone(d, tuple(extreme))
-    return Cone(d, prims, _functionals(directions, rays, region))
-
-
-def _saturated_frame(rays: Sequence[IntVector]) -> tuple[tuple[IntVector, ...], list[IntVector]]:
-    """(directions, local rays) for rays that do not span: a basis of their
-    saturated span lattice, in which the lattice points of the span keep
-    integer local coordinates, and the rays in it."""
-    directions = saturate(rays)
-    local = []
-    for r in rays:
-        sol = _local_coordinates(directions, r)
-        if sol is None:
-            raise InternalInconsistencyError("ray escaped the span of the rays")
-        local.append(int_vector(sol))
-    return directions, local
-
-
-def _local_coordinates(directions, point):
-    """Coordinates of point in the basis directions, or None off their span."""
-    matrix = [[directions[i][j] for i in range(len(directions))] for j in range(len(point))]
-    sol = solve_linear(matrix, list(point))
-    return None if sol is None else sol[0]
+    return Cone(d, prims, _functionals(region, lineality))
 
 
 def normal_fan(p: HPolytope) -> NormalFan:
@@ -197,10 +174,10 @@ def normal_fan(p: HPolytope) -> NormalFan:
     cones = []
     for k in range(len(verts)):
         tight = tuple(a for a, t in zip(p.normals, p.incidence) if t >> k & 1)
-        region = _dual_height_vertices(tight, p.dim)
-        if region is None:
+        region, lineality = _dual_height_vertices(tight, p.dim)
+        if lineality:
             raise InternalInconsistencyError("vertex cone is not full-dimensional")
-        cones.append(Cone(p.dim, tight, _functionals(None, tight, region)))
+        cones.append(Cone(p.dim, tight, _functionals(region, lineality)))
     return NormalFan(p.dim, p.normals, verts, tuple(cones))
 
 
@@ -209,91 +186,79 @@ def height(c: Cone, point: Sequence) -> Fraction:
 
     For a point w in c this is max sum(lambda) over lambda >= 0 with
     sum(lambda_i ray_i) = w; it is finite because the cone is pointed. It
-    is min <u, w> over the dual height vertices u, in the coordinates of
-    the rays' saturated span, once w has passed the cone's facet rows.
-    Raises NotInConeError outside c.
+    is min <u, w> over the dual height vertices u, once w has passed the
+    lineality rows, which vanish on the span of the rays, and the cone's
+    facet rows. Raises NotInConeError outside c.
     """
     target = [Fraction(x) for x in point]
     if all(x == 0 for x in target):
         return Fraction(0)
-    directions, _, region, duals, scale = _height_functionals(c)
-    if directions is not None:
-        target = _local_coordinates(directions, target)
-        if target is None:
-            raise NotInConeError("point is outside the cone's linear span")
+    region, lineality, duals, scale = _height_functionals(c)
+    if any(dot(z[:-1], target) for z in lineality):
+        raise NotInConeError("point is outside the cone's linear span")
     if any(dot(z[:-1], target) < 0 for z, _ in region if not z[-1]):
         raise NotInConeError("point fails a facet of the cone")
     return Fraction(min(dot(w, target) for w in duals)) / scale
 
 
-def _dual_height_vertices(rays: Sequence[IntVector], d: int) -> Optional[tuple[tuple[IntVector, int], ...]]:
+def _dual_height_vertices(rays: Sequence[IntVector], d: int) -> tuple:
     """The cone's facet normals and the vertices of its dual height region, with their tight sets.
 
     One double description of the cone {(u, s) : <ray, u> >= s, s >= 0}
-    gives both, as its (ray, tight set) pairs with s >= 0 as row 0 and the
-    rays as rows 1..m, or None when it has a lineality, {(u, 0) : <ray, u>
-    = 0}, which happens exactly when the rays do not span Q^d. Its rays
-    with s > 0 are the primitive integer (u, s) of the vertices u / s of
-    {u : <ray, u> >= 1 for all rays}, one at least iff the cone is pointed.
-    By LP duality the height of any point w of the cone is the minimum of
-    <u, w> over that region, and the region is pointed, so the minimum is
-    attained at a vertex. Its face {s = 0} is the dual cone, so its rays
-    (f, 0) give the cone's primitive facet normals f, sorted.
+    gives both, as (region, lineality): its (ray, tight set) pairs with s
+    >= 0 as row 0 and the rays as rows 1..m, and its lineality {(u, 0) :
+    <ray, u> = 0}, empty exactly when the rays span Q^d; on their span each
+    ray stands for its class modulo it. Its rays with s > 0 are the
+    primitive integer (u, s) of the vertices u / s of {u : <ray, u> >= 1
+    for all rays}, one at least iff the cone is pointed. By LP duality the
+    height of any point w of the cone is the minimum of <u, w> over that
+    region, and the region is pointed, so the minimum is attained at a
+    vertex. Its face {s = 0} is the dual cone, so its rays (f, 0) give the
+    cone's primitive facet normals f, sorted.
     """
     rows = [(0,) * d + (1,)] + [tuple(r) + (-1,) for r in rays]
-    found, lineality = double_description(rows, d + 1)
-    return None if lineality else found
-
-
-def _framed_region(rays: Sequence[IntVector], d: int) -> tuple:
-    """(directions, rays, region): the rays as given, with directions None,
-    and their _dual_height_vertices when it shows that they span, so a
-    full-rank cone costs no rank; else the same in _saturated_frame."""
-    region = _dual_height_vertices(rays, d)
-    if region is not None:
-        return None, rays, region
-    directions, rays = _saturated_frame(rays)
-    return directions, rays, _dual_height_vertices(rays, len(rays[0]))
+    return double_description(rows, d + 1)
 
 
 def _height_functionals(c: Cone) -> tuple:
-    """(directions, rays, region, duals, scale), with height(x) = min_w <w, x> / scale on the cone.
+    """(region, lineality, duals, scale), with height(x) = min_w <w, x> / scale on the cone.
 
-    directions, rays and region are those of _framed_region. The duals w
+    region and lineality are the rays' _dual_height_vertices. The duals w
     are the vertices of the dual height region over a common denominator
     scale, so <w, ray> >= scale on every ray. Computed once per cone and
     kept in c.functionals.
     """
     if c.functionals is None:
-        object.__setattr__(c, "functionals", _functionals(*_framed_region(c.rays, c.ambient_dim)))
+        object.__setattr__(c, "functionals", _functionals(*_dual_height_vertices(c.rays, c.ambient_dim)))
     return c.functionals
 
 
-def _functionals(directions, rays, region) -> tuple:
-    """_height_functionals from a _framed_region of the cone's rays."""
+def _functionals(region, lineality) -> tuple:
+    """_height_functionals from the _dual_height_vertices of the cone's rays."""
     tops = [z for z, _ in region if z[-1]]
     if not tops:
         raise InternalInconsistencyError("dual height region of a pointed cone has no vertex")
     scale = lcm(*(z[-1] for z in tops))
     duals = tuple(tuple(x * (scale // z[-1]) for x in z[:-1]) for z in tops)
-    return directions, rays, region, duals, scale
+    return region, lineality, duals, scale
 
 
-def _cone_levels(rays: Sequence[IntVector], region) -> list:
-    """The compiled lattice levels (polytope.projected_levels) of Q = conv(0, rays), for full-rank rays.
+def _cone_levels(rays: Sequence[IntVector], region, lineality) -> list:
+    """The compiled lattice levels (polytope.projected_levels) of Q = conv(0, rays), for rays of any rank.
 
-    region is the rays' dual height double description
-    (_dual_height_vertices). The valid rows (a, beta) of Q are the cone of
-    beta >= 0 at the origin and beta - <a, r> >= 0 at each ray r: with the
-    origin first and the rays after, bit k of a tight set names the same
-    row in both. When region has one vertex (u, s), every ray has <u, r> =
-    s, so Q is the cone cut by <u, x> <= s, and region already holds Q's
-    facet rows with their tight sets: (-f, 0) for each of its facets (f, 0)
-    and (u, s). Otherwise one double description of Q's points gives them.
+    region and lineality are the rays' _dual_height_vertices. The valid
+    rows (a, beta) of Q are the cone of beta >= 0 at the origin and beta -
+    <a, r> >= 0 at each ray r, whose lineality, the equations of the span
+    of the rays, is the region's: with the origin first and the rays after,
+    bit k of a tight set names the same row in both. When region has one
+    vertex (u, s), every ray has <u, r> = s, so Q is the cone cut by <u, x>
+    <= s, and region already holds Q's facet rows with their tight sets:
+    (-f, 0) for each of its facets (f, 0) and (u, s). Otherwise one double
+    description of Q's points gives them.
     """
     d = len(rays[0])
     if sum(1 for z, _ in region if z[d]) == 1:
-        return projected_levels([(z if z[d] else tuple(-x for x in z), t) for z, t in region], ())
+        return projected_levels([(z if z[d] else tuple(-x for x in z), t) for z, t in region], lineality)
     rows = [(0,) * d + (1,)] + [tuple(-x for x in r) + (1,) for r in rays]
     return projected_levels(*double_description(rows, d + 1))
 
@@ -315,19 +280,19 @@ def canonicity_threshold(c: Cone, below=1) -> tuple[Fraction, Optional[Canonicit
     smallest point attaining it; or at the first t >= below, which lists
     every point of height under below; or at t = 1. The levels of Q are
     compiled (_cone_levels) only when the ladder takes a rung. A cone of
-    lower rank is scanned in the coordinates of the saturated span of its
-    rays, where its lattice points keep integer coordinates. below must lie
-    in (0, 1].
+    lower rank is scanned in Z^d, its levels holding the equations of its
+    span, so its witness too is the lexicographically smallest point in Z^d.
+    below must lie in (0, 1].
     """
     below = Fraction(below)
     num, den = below.numerator, below.denominator
     if not 0 < num <= den:
         raise ValueError("below must lie in (0, 1]")
-    directions, rays, region, duals, scale = _height_functionals(c)
+    region, lineality, duals, scale = _height_functionals(c)
     top = max(scale // gcd(*w, scale) for w in duals)
     if num * top <= den:
         return below, None
-    levels = _cone_levels(rays, region)
+    levels = _cone_levels(c.rays, region, lineality)
     shrink = 1 << (top.bit_length() - 1)
     while True:
         heights = ((min([sum(map(mul, w, pt)) for w in duals]), pt)
@@ -342,9 +307,6 @@ def canonicity_threshold(c: Cone, below=1) -> tuple[Fraction, Optional[Canonicit
     if best * den >= scale * num:
         return below, None
     threshold = Fraction(best, scale)
-    if directions is not None:
-        point = tuple(sum(coeff * direction[j] for coeff, direction in zip(point, directions))
-                      for j in range(c.ambient_dim))
     return threshold, CanonicityWitness(c, point, threshold)
 
 
@@ -394,18 +356,21 @@ def gorenstein_index(c: Cone) -> Optional[GorensteinCertificate]:
 
 
 def _cone_index(c: Cone) -> Optional[int]:
-    """The Gorenstein index of c, read off its dual height vertices.
+    """The Gorenstein index of c, read off its dual height vertices when its rays span.
 
     An integer (w, k) with <ray, w> = k on every ray is, for k > 0, k times
     a point of the dual height region tight at every ray, which is a vertex
-    since the rays span (in the frame of their saturated span for a cone of
-    lower rank, whose integer functionals extend to Z^d). The solutions
-    (w, k) form a rank-one lattice, so its primitive generator (u, s), the
-    region's ray tight at every ray, gives the least k = s; with no such
-    vertex there is no functional at all.
+    since the rays span. The solutions (w, k) form a rank-one lattice, so
+    its primitive generator (u, s), the region's ray tight at every ray,
+    gives the least k = s; with no such vertex there is no functional at
+    all. Rays that do not span take gorenstein_index: the ray that stands
+    for the vertex's class modulo the lineality need not have least s.
     """
-    _, rays, region, _, _ = _height_functionals(c)
-    every = (1 << (len(rays) + 1)) - 2
+    region, lineality, _, _ = _height_functionals(c)
+    if lineality:
+        cert = gorenstein_index(c)
+        return None if cert is None else cert.index
+    every = (1 << (len(c.rays) + 1)) - 2
     return next((z[-1] for z, t in region if z[-1] and t & every == every), None)
 
 

@@ -31,7 +31,6 @@ from .ratmath import (
     int_vector,
     primitivize,
     saturate,
-    solve_linear,
 )
 
 
@@ -161,17 +160,16 @@ def _require_positive_spanning(hull: EmbeddedPolytope) -> None:
         raise InvalidConfigError("0 must lie in the relative interior of conv(rows)")
 
 
-def _step_basis(cfg: CoreNormalConfig) -> tuple[tuple[IntVector, ...], list[int], int]:
-    """A basis of Z^m intersected with span(columns of A, 1), the numerators
-    of the 1-coefficient of each basis vector v in v = A y + c 1, and their
-    common denominator.
+def _step_basis(cfg: CoreNormalConfig) -> tuple[list[list[int]], list[int]]:
+    """(rows, pivots) of one fraction-free elimination of the rows (a_i, 1,
+    v_1[i], ..., v_k[i]), v_j a basis of Z^m intersected with span(columns
+    of A, 1), which solves v_j = A y_j + c_j 1 for every j at once.
 
-    One fraction-free elimination of the rows (a_i, 1, v_1[i], ..., v_k[i])
-    solves for every basis vector at once. The coefficient is well defined
-    when 1 is not in the span of the columns of A, that is when the
-    1-column holds the last pivot of (A | 1); then every solution of
-    A y + c 1 = 0 has c = 0. A configuration admits no y with A y = 1: any
-    positive barycentric combination of the rows kills A y but not 1.
+    c_j is well defined when 1 is not in the span of the columns of A, that
+    is when the 1-column d holds the last pivot; then every solution of
+    A y + c 1 = 0 has c = 0, and c_j = row[d + 1 + j] / row[d] on the last
+    row. A configuration admits no y with A y = 1: any positive barycentric
+    combination of the rows kills A y but not 1.
     """
     d = cfg.dim
     cols = [tuple(a[j] for a in cfg.normals) for j in range(d)]
@@ -182,7 +180,7 @@ def _step_basis(cfg: CoreNormalConfig) -> tuple[tuple[IntVector, ...], list[int]
         raise InternalInconsistencyError("vector left the spanned lattice")
     if pivots[-1] < d:
         raise InvalidConfigError("configuration admits A y = 1; step is undefined")
-    return basis, reduced[-1][d + 1:], reduced[-1][d]
+    return reduced, pivots
 
 
 def codegree_step(cfg: CoreNormalConfig) -> Fraction:
@@ -193,8 +191,8 @@ def codegree_step(cfg: CoreNormalConfig) -> Fraction:
     1-coefficients of a basis of that lattice. The vector 1 lies in that
     lattice with 1-coefficient 1, so g = 1/N for a positive integer N.
     """
-    _, nums, den = _step_basis(cfg)
-    return Fraction(gcd(*nums), den)
+    last = _step_basis(cfg)[0][-1]
+    return Fraction(gcd(*last[cfg.dim + 1:]), last[cfg.dim])
 
 
 def spectrum_superset(cfg: CoreNormalConfig, epsilon) -> SpectrumSuperset:
@@ -211,27 +209,22 @@ def spectrum_superset(cfg: CoreNormalConfig, epsilon) -> SpectrumSuperset:
 def check_necessary_condition(cfg: CoreNormalConfig, c) -> tuple[bool, Optional[tuple[Fraction, ...]]]:
     """Whether some y makes A y + c 1 integral; returns (ok, witness y).
 
-    ok iff c is a multiple of the step; the witness is assembled from the
-    gcd combination of the basis contributions.
+    ok iff c = k step for an integer k. Then A y + c 1 is integral for y =
+    k sum_j coef_j y_j, coef the gcd combination of the c_j (_step_basis):
+    y_p = k sum_j coef_j row[d + 1 + j] / row[p] on each row of _step_basis
+    whose pivot is p < d, and 0 at the columns of A with no pivot.
     """
     c = Fraction(c)
-    m = cfg.n_rows
-    basis, nums, den = _step_basis(cfg)
-    gd, coeffs = ext_gcd_list(nums)
-    k = c / Fraction(gd, den)
+    d = cfg.dim
+    reduced, pivots = _step_basis(cfg)
+    gd, coeffs = ext_gcd_list(reduced[-1][d + 1:])
+    k = c / Fraction(gd, reduced[-1][d])
     if k.denominator != 1:
         return False, None
-    target = [Fraction(0)] * m
-    for coef, vec in zip(coeffs, basis):
-        for i in range(m):
-            target[i] += k * coef * vec[i]
-    # target is in Z^m with phi(target) = c; peel off c * 1 and solve for y
-    rhs = [target[i] - c for i in range(m)]
-    sol = solve_linear([list(a) for a in cfg.normals], rhs)
-    if sol is None:
-        raise InternalInconsistencyError("witness system must be solvable")
-    y = tuple(sol[0])
-    for i, a in enumerate(cfg.normals):
+    y = [Fraction(0)] * d
+    for row, p in zip(reduced[:-1], pivots):
+        y[p] = Fraction(k.numerator * sum(map(operator.mul, coeffs, row[d + 1:])), row[p])
+    for a in cfg.normals:
         if (dot(a, y) + c).denominator != 1:
             raise InternalInconsistencyError("constructed witness is not integral")
-    return True, y
+    return True, tuple(y)

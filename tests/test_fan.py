@@ -65,7 +65,7 @@ def test_cone_constructor_normalizes_generators():
     c = cone([(2, 0), (0, 3), (1, 1), (4, 0)])
     assert c.rays == ((0, 1), (1, 0))
     assert c.ambient_dim == 2
-    # the same in the frame of a plane in Q^3, and a ray
+    # the same for a plane in Q^3, and a ray
     assert cone([(1, 0, 0), (0, 1, 0), (1, 1, 0)]).rays == ((0, 1, 0), (1, 0, 0))
     assert cone([(2,), (1,)]).rays == ((1,),)
 
@@ -80,11 +80,11 @@ def test_a_validated_cone_keeps_its_dual_description(count_calls):
     assert _cone_index(c) is None and canonicity_threshold(c)[0] == 1
     assert counts == {"double_description": 1}
     assert c.functionals == _height_functionals(Cone(3, c.rays))
-    # the same in the frame of a plane in Q^3: one description shows the
-    # lineality, the one in the saturated frame is kept
+    # the same for a plane in Q^3, whose description has a lineality and
+    # is kept with it
     counts["double_description"] = 0
     plane = cone([(1, 0, 0), (1, 2, 0)])
-    assert height(plane, (1, 1, 0)) == 1 and counts == {"double_description": 2}
+    assert height(plane, (1, 1, 0)) == 1 and counts == {"double_description": 1}
     assert plane.functionals == _height_functionals(Cone(3, plane.rays))
     # a dropped generator changes the rows, so nothing is kept
     assert cone([(1, 0), (0, 1), (1, 1)]).functionals is None
@@ -92,7 +92,7 @@ def test_a_validated_cone_keeps_its_dual_description(count_calls):
 
 def test_cone_constructor_rejects_lines_and_zero():
     # generators with no dual height vertex: a line, all of Q^2, a
-    # half-plane, and, in the frame of their span, a line and a plane in Q^3
+    # half-plane, and, with a lineality, a line and a plane in Q^3
     for gens in ([(1, 0), (-1, 0)], [(1, 0), (0, 1), (-1, -1)], [(1, 0), (-1, 0), (0, 1)],
                  [(1,), (-1,)], [(1, 1, 0), (-1, -1, 0)], [(1, 0, 0), (0, 1, 0), (-1, -1, 0)]):
         with pytest.raises(InvalidConeError, match="containing a line"):
@@ -155,6 +155,14 @@ def test_height_on_a_simplicial_cone():
         height(c, (0, 1))
     with pytest.raises(NotInConeError):
         height(c, (-1, 0))
+    # the same cone in a plane of Q^3, where a point off the plane fails
+    # the row of its lineality
+    flat = cone([(2, -1, 0), (2, 1, 0)])
+    assert height(flat, (1, 0, 0)) == Fraction(1, 2) and height(flat, (4, 0, 0)) == 2
+    with pytest.raises(NotInConeError, match="linear span"):
+        height(flat, (1, 0, 1))
+    with pytest.raises(NotInConeError, match="facet"):
+        height(flat, (-1, 0, 0))
 
 
 def test_height_takes_the_maximal_representation():
@@ -209,7 +217,8 @@ def test_dual_height_vertices_match_the_brute_force_scan():
     assert all(rank(c.rays) != c.n_rays for c in cones)
     for c in cones:
         d = c.ambient_dim
-        found = _dual_height_vertices(c.rays, d)
+        found, lineality = _dual_height_vertices(c.rays, d)
+        assert lineality == ()
         facets, got = [z[:d] for z, _ in found if not z[d]], [z for z, _ in found if z[d]]
         # the facets of conv(0, rays) through 0, with outer normals -f
         through_origin = [n for n, b in brute_facets([(0,) * d] + list(c.rays)) if b == 0]
@@ -249,8 +258,8 @@ def _agrees_with_the_box_scan(c, local_rays=None, to_ambient=None):
 
     For a lower-rank cone the oracle runs on full-rank local rays and
     to_ambient maps its points into c. Among several points of least
-    height the witness is the lexicographically smallest one in the
-    coordinates the scan runs in: those of c itself when it has full rank.
+    height the witness is the lexicographically smallest one in Z^d, for a
+    cone of any rank.
     """
     t, witness = canonicity_threshold(c)
     expected, points = brute_canonicity(local_rays or c.rays)
@@ -262,7 +271,7 @@ def _agrees_with_the_box_scan(c, local_rays=None, to_ambient=None):
     if to_ambient is None:
         assert witness.point == points[0]
     else:
-        assert witness.point in {to_ambient(x) for x in points}
+        assert witness.point == min(to_ambient(x) for x in points)
 
 
 ray_entry = st.integers(-3, 3)
@@ -325,18 +334,20 @@ def test_threshold_of_lower_rank_cones_matches_the_box_scan(d, data):
     _agrees_with_the_box_scan(*_lower_rank_cone(d, data))
 
 
-def _cone_points_match_the_box_scan(c):
+def _cone_points_match_the_box_scan(c, local_rays=None, to_ambient=None):
     """level_points of the levels of Q = conv(0, rays) against a box scan of Q / shrink, shrink = 1, 2, 3, 7, 64.
 
-    The rays are the full-rank ones of _height_functionals. The box scan
-    keeps the points of the bounding box of 0 and the r / shrink on the
-    inner side of every facet of their hull (brute_facets; the box itself
-    when the span has rank 1).
+    The box scan keeps the points of the bounding box of 0 and the r /
+    shrink on the inner side of every facet of their hull (brute_facets;
+    the box itself when the span has rank 1). For a lower-rank cone it runs
+    on full-rank local rays, and the levels, in Z^d, must give the image of
+    its points under to_ambient, in lexicographic order.
     """
-    _, rays, region, _, _ = _height_functionals(c)
+    region, lineality, _, _ = _height_functionals(c)
+    levels = _cone_levels(c.rays, region, lineality)
+    assert len(levels) == c.ambient_dim + 1
+    rays = local_rays or c.rays
     d = len(rays[0])
-    levels = _cone_levels(rays, region)
-    assert len(levels) == d + 1
     for shrink in (1, 2, 3, 7, 64):
         corners = [(Fraction(0),) * d] + [tuple(Fraction(x, shrink) for x in r) for r in rays]
         facets = brute_facets(corners) if d > 1 else ()
@@ -344,7 +355,10 @@ def _cone_points_match_the_box_scan(c):
         def inside(x):
             return all(sum(a * xi for a, xi in zip(normal, x)) <= b for normal, b in facets)
 
-        assert level_points(levels, shrink=shrink) == box_lattice_points(corners, inside)
+        expected = box_lattice_points(corners, inside)
+        if to_ambient is not None:
+            expected = sorted(map(to_ambient, expected))
+        assert level_points(levels, shrink=shrink) == expected
 
 
 @settings(deadline=None, max_examples=40)
@@ -366,8 +380,7 @@ def test_cone_levels_of_non_simplicial_cones_match_the_box_scan(d, data):
 @settings(deadline=None, max_examples=30)
 @given(st.integers(2, 4), st.data())
 def test_cone_levels_of_lower_rank_cones_match_the_box_scan(d, data):
-    c, _, _ = _lower_rank_cone(d, data)
-    _cone_points_match_the_box_scan(c)
+    _cone_points_match_the_box_scan(*_lower_rank_cone(d, data))
 
 
 @st.composite
@@ -393,9 +406,9 @@ def test_the_one_vertex_top_gives_the_levels_of_the_double_description(c):
     # the rows of conv(0, rays) read off the dual height double description
     # against one double description of its points, level by level
     d = c.ambient_dim
-    region = _dual_height_vertices(c.rays, d)
+    region, lineality = _dual_height_vertices(c.rays, d)
     rows = [(0,) * d + (1,)] + [tuple(-x for x in r) + (1,) for r in c.rays]
-    got, expected = _cone_levels(c.rays, region), projected_levels(*double_description(rows, d + 1))
+    got, expected = _cone_levels(c.rays, region, lineality), projected_levels(*double_description(rows, d + 1))
     assert got[0] is expected[0] is None
     assert [set(level) for level in got[1:]] == [set(level) for level in expected[1:]]
 
@@ -413,10 +426,10 @@ def test_canonicity_threshold_makes_at_most_two_double_descriptions_and_no_rank(
     # vertex, whose double description already holds the rows of level d, as
     # for the plane and pyramid cones (the d4-s4029 cones have three). No
     # from_vertices builds conv(0, rays), and the rays span, so no rank is
-    # taken. The cone of rank 2 in Z^3 is described on its rays, whose
-    # lineality shows they do not span, and again in its plane, so it takes
-    # no rank either. The hand-made cones are built with no description in
-    # hand: cone() would keep the one it validated with
+    # taken. The cone of rank 2 in Z^3 is described once on its rays, whose
+    # lineality, the equation of its plane, its one-vertex levels keep, so
+    # it takes no rank either. The hand-made cones are built with no
+    # description in hand: cone() would keep the one it validated with
     # (test_a_validated_cone_keeps_its_dual_description). The normal fan's
     # cones arrive with the description normal_fan proved them
     # full-dimensional with, so each makes only the one for its levels
@@ -442,7 +455,7 @@ def test_canonicity_threshold_makes_at_most_two_double_descriptions_and_no_rank(
         if hasattr(module, "double_description"):
             monkeypatch.setattr(module, "double_description",
                                 counting("double_description", double_description))
-    for c, n in [(plane, 1), (pyramid, 1), (skew, 1), (flat, 2)] + [(c, 1) for c in cones]:
+    for c, n in [(plane, 1), (pyramid, 1), (skew, 1), (flat, 1)] + [(c, 1) for c in cones]:
         calls.update(double_description=0)
         canonicity_threshold(c)
         assert calls == {"from_vertices": 0, "double_description": n} and ranks == {"rank": 0}
@@ -738,8 +751,14 @@ def test_the_fan_index_matches_the_certificates_on_drawn_polytopes(d, seed, extr
 
 def test_the_index_of_a_lower_rank_cone_is_read_in_its_saturated_frame():
     # the rays span a plane of Z^3; (1, 0, 0) and (1, 2, 0) give index 1
-    # there, and (2, -1, 0), (2, 1, 0) give the functional (1, 0, 0) at 2
+    # there, and (2, -1, 0), (2, 1, 0) give the functional (1, 0, 0) at 2.
+    # The rays (-1, -1, -1), (-2, 0, -1) have index 1, with the functional
+    # (0, 0, -1), but the primitive (u, s) that the dual height description
+    # gives for the vertex tight at both, a class modulo the functionals
+    # that vanish on the plane, has s = 2: the index of a cone of lower rank
+    # is taken over its whole class, as gorenstein_index takes it
     for rays, index in (([(1, 0, 0), (1, 2, 0)], 1), ([(2, -1, 0), (2, 1, 0)], 2),
+                        ([(-2, -2, -2), (-2, 0, -1)], 1),
                         ([(1, 0, 1, 0), (-1, 0, 1, 0), (0, 1, 1, 0), (0, -1, 3, 0)], None)):
         c = cone(rays)
         cert = gorenstein_index(c)
