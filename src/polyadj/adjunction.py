@@ -42,7 +42,6 @@ from .polytope import (
     is_lattice_polytope,
     lattice_points,
     make_system,
-    relative_interior_point,
 )
 from .ratmath import IntVector, common_denominator, dot, rank
 
@@ -245,7 +244,8 @@ def verify_lemmas(p: HPolytope, alpha=None, *, data: Optional[AdjunctionData] = 
        scaled hull contains no nonzero lattice point. Its points are
        those of the hull walked at shrink 1 / alpha (lattice_points).
     4. At a core point, row value plus critical shift is integral on every
-       core normal row.
+       core normal row. adjunction_data has proven each core row tight on
+       the whole core, <a_i, y> = b_i - c*, so that value is b_i.
 
     data and threshold, when given, are adjunction_data(p) and the
     canonicity threshold of p's normal fan; otherwise they are computed
@@ -278,8 +278,7 @@ def verify_lemmas(p: HPolytope, alpha=None, *, data: Optional[AdjunctionData] = 
         scaled_points = None
         scaled_ok = None
 
-    y = relative_interior_point(data.core)
-    shift_vector = tuple(dot(a, y) + data.critical_shift for a in data.core_normals)
+    shift_vector = tuple(data.polytope.rhs[i] for i in data.core_normal_indices)
     shift_ok = all(v.denominator == 1 for v in shift_vector)
     return LemmaReport(origin_ok, vertices_ok, alpha, canonical,
                        scaled_points, scaled_ok, shift_vector, shift_ok)

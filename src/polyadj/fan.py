@@ -9,27 +9,27 @@ the maximal cones: a functional witnessing a maximal cone restricts to
 every face, so face indices divide the maximal ones and face thresholds
 are no smaller, which makes the maximal cones sufficient. Nothing here
 solves an LP or builds a polytope. Cone validation, heights, the
-canonicity scan and the index of a full-rank cone all read a cone's facets
+canonicity scan and the Gorenstein certificate all read a cone's facets
 and its dual height vertices off one integer double description of its
 rays, in Z^d for a cone of any rank: the facets are its rays with s = 0,
 the vertices those with s > 0, a cone with no vertex contains a line, the
-index is the s of the vertex tight at every ray, and the lineality, empty
-exactly when the rays span, holds the equations of their span, which
-heights and the scan keep. A cone keeps that description once a height,
-a scan or its index has computed it, or once cone() or normal_fan() has
-validated its generators with it, so a fan takes no integer kernel, no
-rank and no second dual description after it is built. The canonicity
-scan enumerates one region per cone, conv(0, rays), shrunk by t = 1/2^k on
-a ladder that starts at the lower bound on heights that the dual vertices
-prove. Across a fan each cone's ladder is capped at the least threshold
-of the cones before it. A cone compiles the levels of its region
-(polytope.projected_levels, from the cone of its valid rows: one double
-description of its points, or none when the dual region has one vertex,
-whose double description already holds those rows) only when its ladder
-takes a rung. A normal fan reads each maximal cone off the polytope's
-vertex-facet incidence and proves it full-dimensional with its dual
-height description, which has a lineality exactly when the rays do not
-span.
+lineality, empty exactly when the rays span, holds the equations of their
+span, which heights and the scan keep, and when it is empty the vertex
+(u, s) tight at every ray is the certificate, index s and functional u.
+A cone keeps that description once a height, a scan or its index has
+computed it, or once cone() or normal_fan() has validated its generators
+with it, so a fan takes no integer kernel, no rank and no second dual
+description after it is built. The canonicity scan enumerates one region
+per cone, conv(0, rays), shrunk by t = 1/2^k on a ladder that starts at
+the lower bound on heights that the dual vertices prove. Across a fan
+each cone's ladder is capped at the least threshold of the cones before
+it. A cone compiles the levels of its region (polytope.projected_levels,
+from the cone of its valid rows: one double description of its points,
+or none when the dual region has one vertex, whose double description
+already holds those rows) only when its ladder takes a rung. A normal fan
+reads each maximal cone off the polytope's vertex-facet incidence and
+proves it full-dimensional with its dual height description, which has a
+lineality exactly when the rays do not span.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ class Cone:
     """Pointed rational cone spanned by primitive extreme rays.
 
     functionals holds _height_functionals(c) once a height, a canonicity
-    scan or the fan's Gorenstein index has computed it, or once cone() or
+    scan or gorenstein_index has computed it, or once cone() or
     normal_fan() has validated the rays with it.
     """
 
@@ -104,15 +104,11 @@ class GorensteinCertificate:
     """index >= 1 with a primitive integer functional constant on the rays.
 
     <ray, functional> = index for every ray, and no positive integer below
-    index is attained that way; u = functional / index evaluates to 1.
+    index is attained that way.
     """
 
     index: int
     functional: IntVector
-
-    @property
-    def u(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(x, self.index) for x in self.functional)
 
 
 @dataclass(frozen=True)
@@ -328,67 +324,54 @@ def fan_canonicity_threshold(fan: NormalFan) -> tuple[Fraction, Optional[Canonic
 
 
 def gorenstein_index(c: Cone) -> Optional[GorensteinCertificate]:
-    """Least k >= 1 with an integer w satisfying <ray, w> = k for all rays.
+    """Least k >= 1 with an integer w satisfying <ray, w> = k for all rays, or None when there is none.
 
-    Integer solutions (w, k) of [R | -1] (w, k)^T = 0 form a lattice; the
-    gcd of the k coordinates of a basis is the least positive k, and the
-    matching w comes from the same gcd combination. Returns None when the
-    rays admit no such functional at all.
-    """
-    d = c.ambient_dim
-    rows = [tuple(g) + (-1,) for g in c.rays]
-    basis = integer_kernel_basis(rows, ncols=d + 1)
-    lasts = [v[d] for v in basis]
-    g, coeffs = ext_gcd_list(lasts)
-    if g == 0:
-        return None
-    w = [0] * d
-    for coef, vec in zip(coeffs, basis):
-        for j in range(d):
-            w[j] += coef * vec[j]
-    functional = tuple(w)
-    if primitivize(functional)[0] != functional:
-        raise InternalInconsistencyError("minimal functional must be primitive")
-    for ray in c.rays:
-        if dot(ray, functional) != g:
-            raise InternalInconsistencyError("certificate functional failed on a ray")
-    return GorensteinCertificate(g, functional)
-
-
-def _cone_index(c: Cone) -> Optional[int]:
-    """The Gorenstein index of c, read off its dual height vertices when its rays span.
-
-    An integer (w, k) with <ray, w> = k on every ray is, for k > 0, k times
-    a point of the dual height region tight at every ray, which is a vertex
-    since the rays span. The solutions (w, k) form a rank-one lattice, so
-    its primitive generator (u, s), the region's ray tight at every ray,
-    gives the least k = s; with no such vertex there is no functional at
-    all. Rays that do not span take gorenstein_index: the ray that stands
-    for the vertex's class modulo the lineality need not have least s.
+    Integer solutions (w, k) of <ray, w> = k on every ray form a lattice.
+    When the rays span it has rank at most one, and for k > 0 (w, k) is k
+    times the point of the dual height region tight at every ray, a vertex:
+    its generator is the region's ray (u, s) tight at every ray, read off
+    the description the cone keeps, so the index is s and the functional u,
+    with no kernel. Rays that do not span take an integer kernel basis of
+    [R | -1]: the vertex is then a class modulo the lineality, whose
+    primitive representative need not have the least s, so the gcd of the
+    basis' k coordinates gives the least k, and the same gcd combination
+    gives w. Either route checks that the functional is primitive and
+    equals the index on every ray.
     """
     region, lineality, _, _ = _height_functionals(c)
     if lineality:
-        cert = gorenstein_index(c)
-        return None if cert is None else cert.index
-    every = (1 << (len(c.rays) + 1)) - 2
-    return next((z[-1] for z, t in region if z[-1] and t & every == every), None)
+        d = c.ambient_dim
+        basis = integer_kernel_basis([tuple(g) + (-1,) for g in c.rays], ncols=d + 1)
+        index, coeffs = ext_gcd_list([v[d] for v in basis])
+        functional = tuple(sum(coef * v[j] for coef, v in zip(coeffs, basis)) for j in range(d))
+    else:
+        every = (1 << (len(c.rays) + 1)) - 2
+        index, functional = next(((z[-1], z[:-1]) for z, t in region if z[-1] and t & every == every),
+                                 (0, ()))
+    if index == 0:
+        return None
+    if primitivize(functional)[0] != functional:
+        raise InternalInconsistencyError("minimal functional must be primitive")
+    for ray in c.rays:
+        if dot(ray, functional) != index:
+            raise InternalInconsistencyError("certificate functional failed on a ray")
+    return GorensteinCertificate(index, functional)
 
 
 def fan_gorenstein_index(fan: NormalFan) -> Optional[int]:
-    """lcm of the maximal cone indices, or None when some cone has none.
+    """lcm of the maximal cone indices (gorenstein_index), or None when some cone has none.
 
     A functional for a maximal cone restricts to each face, so the faces
-    never obstruct and their indices divide the maximal ones. Each index
-    is read off the cone's dual height double description (_cone_index),
-    the one a canonicity scan of the cone has already run, with no integer
-    kernel; gorenstein_index gives the certificate functional.
+    never obstruct and their indices divide the maximal ones. A maximal
+    cone's rays span, so each index is read off the dual height double
+    description the cone keeps, with no integer kernel.
     """
     indices = []
     for c in fan.maximal_cones:
-        index = _cone_index(c)
-        if index is None:
+        cert = gorenstein_index(c)
+        if cert is None:
             return None
-        indices.append(index)
+        indices.append(cert.index)
     return lcm(*indices) if indices else None
 
 
