@@ -67,7 +67,6 @@ from .polytope import (
     EmbeddedPolytope,
     HPolytope,
     InequalitySystem,
-    VPolytope,
     dilate,
     embed_system,
     from_inequalities,
@@ -77,7 +76,6 @@ from .polytope import (
     is_lattice_polytope,
     lattice_points,
     make_system,
-    relative_interior_point,
     transform,
     vertices,
 )

@@ -29,7 +29,7 @@ from .polyfile import (
     polytope_from_document,
     raw_inequalities,
 )
-from .polytope import dilate, vertices
+from .polytope import dilate
 from .ratmath import format_fraction, parse_rational
 from .spectrum import check_necessary_condition, spectrum_superset
 
@@ -87,7 +87,7 @@ def _report_document(report: AnalysisReport, raw_c_star: Optional[Fraction]) -> 
             "n_facets": p.n_facets,
             "normals": [list(a) for a in p.normals],
             "rhs": [_fr(b) for b in p.rhs],
-            "vertices": [_point(v) for v in vertices(p).vertices],
+            "vertices": [_point(v) for v in p.vertices],
         },
         "qcd": _fr(data.qcodegree),
         "c_star": _fr(data.critical_shift),

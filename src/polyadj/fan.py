@@ -16,12 +16,13 @@ the vertices those with s > 0, a cone with no vertex contains a line, the
 lineality, empty exactly when the rays span, holds the equations of their
 span, which heights and the scan keep, and when it is empty the vertex
 (u, s) tight at every ray is the certificate, index s and functional u.
-A cone keeps that description once a height, a scan or its index has
-computed it, or once cone() or normal_fan() has validated its generators
-with it, so a fan takes no integer kernel, no rank and no second dual
-description after it is built. The canonicity scan enumerates one region
-per cone, conv(0, rays), shrunk by t = 1/2^k on a ladder that starts at
-the lower bound on heights that the dual vertices prove. Across a fan
+A cone holds that description from the moment it is built: cone() and
+normal_fan() pass in the one they validated its generators with, and a
+cone built by hand computes it, so a fan takes no integer kernel, no
+rank and no second dual description after it is built. The canonicity
+scan enumerates one region per cone, conv(0, rays), shrunk by t = 1/2^k
+on a ladder that starts at the lower bound on heights that the dual
+vertices prove, 1 / max s over their primitive (u, s). Across a fan
 each cone's ladder is capped at the least threshold of the cones before
 it. A cone compiles the levels of its region (polytope.projected_levels,
 from the cone of its valid rows: one double description of its points,
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 from typing import Optional, Sequence
 
@@ -54,7 +55,6 @@ from .polytope import (
     is_lattice_polytope,
     level_points,
     projected_levels,
-    vertices,
 )
 from .ratmath import (
     IntVector,
@@ -71,14 +71,21 @@ from .ratmath import (
 class Cone:
     """Pointed rational cone spanned by primitive extreme rays.
 
-    functionals holds _height_functionals(c) once a height, a canonicity
-    scan or gorenstein_index has computed it, or once cone() or
-    normal_fan() has validated the rays with it.
+    functionals is (region, lineality, duals, scale), the rays'
+    _dual_height_vertices with the dual vertices over a common denominator
+    (_functionals), as height, the canonicity scan and gorenstein_index
+    read it. cone() and normal_fan() pass in the description they validated
+    the rays with; a cone built by hand computes it when it is built.
     """
 
     ambient_dim: int
     rays: tuple[IntVector, ...]
-    functionals: Optional[tuple] = field(default=None, compare=False, repr=False)
+    functionals: tuple = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.functionals is None:
+            region, lineality = _dual_height_vertices(self.rays, self.ambient_dim)
+            object.__setattr__(self, "functionals", _functionals(region, lineality))
 
     @property
     def n_rays(self) -> int:
@@ -127,7 +134,8 @@ def cone(generators: Sequence[Sequence[int]]) -> Cone:
     cone contains a line, and the extreme generators are those on maximal
     sets of facets, its rays with s = 0 (a pointed cone of rank 1 has one).
     When no generator is dropped that description is the cone's own, and
-    the cone keeps it in functionals.
+    the cone keeps it in functionals; otherwise the cone of the extreme
+    generators computes its own.
     """
     if not generators:
         raise InvalidConeError("a cone needs at least one generator")
@@ -166,15 +174,14 @@ def normal_fan(p: HPolytope) -> NormalFan:
     """
     if not is_lattice_polytope(p):
         raise NotLatticePolytopeError("normal fan invariants require lattice vertices")
-    verts = vertices(p).vertices
     cones = []
-    for k in range(len(verts)):
+    for k in range(len(p.vertices)):
         tight = tuple(a for a, t in zip(p.normals, p.incidence) if t >> k & 1)
         region, lineality = _dual_height_vertices(tight, p.dim)
         if lineality:
             raise InternalInconsistencyError("vertex cone is not full-dimensional")
         cones.append(Cone(p.dim, tight, _functionals(region, lineality)))
-    return NormalFan(p.dim, p.normals, verts, tuple(cones))
+    return NormalFan(p.dim, p.normals, p.vertices, tuple(cones))
 
 
 def height(c: Cone, point: Sequence) -> Fraction:
@@ -189,7 +196,7 @@ def height(c: Cone, point: Sequence) -> Fraction:
     target = [Fraction(x) for x in point]
     if all(x == 0 for x in target):
         return Fraction(0)
-    region, lineality, duals, scale = _height_functionals(c)
+    region, lineality, duals, scale = c.functionals
     if any(dot(z[:-1], target) for z in lineality):
         raise NotInConeError("point is outside the cone's linear span")
     if any(dot(z[:-1], target) < 0 for z, _ in region if not z[-1]):
@@ -216,21 +223,13 @@ def _dual_height_vertices(rays: Sequence[IntVector], d: int) -> tuple:
     return double_description(rows, d + 1)
 
 
-def _height_functionals(c: Cone) -> tuple:
+def _functionals(region, lineality) -> tuple:
     """(region, lineality, duals, scale), with height(x) = min_w <w, x> / scale on the cone.
 
     region and lineality are the rays' _dual_height_vertices. The duals w
     are the vertices of the dual height region over a common denominator
-    scale, so <w, ray> >= scale on every ray. Computed once per cone and
-    kept in c.functionals.
+    scale, so <w, ray> >= scale on every ray.
     """
-    if c.functionals is None:
-        object.__setattr__(c, "functionals", _functionals(*_dual_height_vertices(c.rays, c.ambient_dim)))
-    return c.functionals
-
-
-def _functionals(region, lineality) -> tuple:
-    """_height_functionals from the _dual_height_vertices of the cone's rays."""
     tops = [z for z, _ in region if z[-1]]
     if not tops:
         raise InternalInconsistencyError("dual height region of a pointed cone has no vertex")
@@ -284,8 +283,8 @@ def canonicity_threshold(c: Cone, below=1) -> tuple[Fraction, Optional[Canonicit
     num, den = below.numerator, below.denominator
     if not 0 < num <= den:
         raise ValueError("below must lie in (0, 1]")
-    region, lineality, duals, scale = _height_functionals(c)
-    top = max(scale // gcd(*w, scale) for w in duals)
+    region, lineality, duals, scale = c.functionals
+    top = max(z[-1] for z, _ in region)
     if num * top <= den:
         return below, None
     levels = _cone_levels(c.rays, region, lineality)
@@ -338,7 +337,7 @@ def gorenstein_index(c: Cone) -> Optional[GorensteinCertificate]:
     gives w. Either route checks that the functional is primitive and
     equals the index on every ray.
     """
-    region, lineality, _, _ = _height_functionals(c)
+    region, lineality, _, _ = c.functionals
     if lineality:
         d = c.ambient_dim
         basis = integer_kernel_basis([tuple(g) + (-1,) for g in c.rays], ncols=d + 1)

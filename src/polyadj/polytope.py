@@ -5,7 +5,7 @@ double_description, which reports the rows tight at each extreme ray and
 a basis of the cone's lineality: from_inequalities reads the facets and
 vertices of an inequality system off those tight sets, from_vertices the
 facets and vertices of a hull (and hull_any_dim and embed_system those of
-a hull of any dimension), vertices the vertices of an HPolytope,
+a hull of any dimension), HPolytope those of a hand-built polytope,
 implicit_equalities and embed_system the implicit equalities and vertices
 of a possibly flat system, and fan the dual height vertices of a cone
 together with its facets, which also validate a cone's generators. The
@@ -24,7 +24,7 @@ step of the same kernel on the rays and tight sets in hand, and no
 Fourier-Motzkin elimination, hull or fresh double description of a
 projection is needed. The cone of a polytope is read off its facet rows,
 its equations and its vertex-facet incidence (_valid_row_cone), which
-each polytope keeps as the double description that built it found it.
+each polytope holds from the moment it is built.
 Each level is compiled once into the integer rows that bound its
 coordinate. level_points reads them at any shrink k, a positive int or
 Fraction, by floor(beta / k), exact as every entry is an integer, so one
@@ -41,8 +41,9 @@ AffineSubspace), its facet rows and its vertices, read off one double
 description of its points' valid rows (_embedded), with no local
 coordinates. Vertices are sorted, and the incidence of a polytope is one
 bitmask per facet row: bit k of incidence[i] is set iff facet i is tight
-at the k-th vertex. Nothing here uses floating point, and the module
-imports no LP.
+at the k-th vertex. Both records hold them from the moment they are
+built; nothing fills them in later. Nothing here uses floating point, and
+the module imports no LP.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -81,16 +82,24 @@ from .ratmath import (
 class HPolytope:
     """Bounded full-dimensional polytope {x : normals[i] . x <= rhs[i]}.
 
-    vertex_cache holds the VPolytope once vertices() has computed it, or
-    once a constructor that knows the vertices has passed them in, and
-    incidence the facets' tight sets over those vertices.
+    vertices are sorted, and incidence holds the facets' tight sets over
+    them. The constructors pass both in; a polytope built by hand gets them
+    when it is built, from the double description from_inequalities reads
+    (_vertex_incidence), and raises EmptyPolytopeError,
+    UnboundedPolytopeError or LowerDimensionalError as it does.
     """
 
     dim: int
     normals: tuple[IntVector, ...]
     rhs: tuple[Fraction, ...]
-    vertex_cache: Optional[VPolytope] = field(default=None, compare=False, repr=False)
-    incidence: Optional[tuple[int, ...]] = field(default=None, compare=False, repr=False)
+    vertices: tuple[tuple[Fraction, ...], ...] = field(default=None, compare=False, repr=False)
+    incidence: tuple[int, ...] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.vertices is None or self.incidence is None:
+            verts, incidence = _vertex_incidence(self.normals, self.rhs, self.dim)
+            object.__setattr__(self, "vertices", verts)
+            object.__setattr__(self, "incidence", incidence)
 
     @property
     def n_facets(self) -> int:
@@ -100,12 +109,6 @@ class HPolytope:
         if strict:
             return all(dot(a, point) < b for a, b in zip(self.normals, self.rhs))
         return all(dot(a, point) <= b for a, b in zip(self.normals, self.rhs))
-
-
-@dataclass(frozen=True)
-class VPolytope:
-    dim: int
-    vertices: tuple[tuple[Fraction, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -132,13 +135,19 @@ class EmbeddedPolytope:
     integer a and sorted, that cut the set out of the subspace (none when
     the set is a single point); on a flat set each is one representative
     modulo the equations. vertices are sorted, and incidence holds the
-    facets' tight sets over them.
+    facets' tight sets over them. The constructors pass it in; a set built
+    by hand gets it when it is built, by exact products <a, v> == beta.
     """
 
     subspace: AffineSubspace
     facets: tuple[tuple[IntVector, Fraction], ...]
     vertices: tuple[tuple[Fraction, ...], ...]
-    incidence: Optional[tuple[int, ...]] = field(default=None, compare=False, repr=False)
+    incidence: tuple[int, ...] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.incidence is None:
+            object.__setattr__(self, "incidence", tuple(
+                sum(1 << k for k, v in enumerate(self.vertices) if dot(a, v) == beta) for a, beta in self.facets))
 
     @property
     def dim(self) -> int:
@@ -215,9 +224,7 @@ def from_inequalities(rows: Sequence[tuple[Sequence, object]]) -> HPolytope:
     if not merged:
         raise UnboundedPolytopeError("only trivial constraints given")
     normals, rhs, d = list(merged), list(merged.values()), system.dim
-    verts, on = _vertex_incidence(_bounded_rays(normals, rhs, d), d, len(normals))
-    if (1 << len(verts.vertices)) - 1 in on:
-        raise LowerDimensionalError("a row is tight at every vertex")
+    verts, on = _vertex_incidence(normals, rhs, d)
     normals, rhs, incidence = zip(*sorted((normals[i], rhs[i], on[i]) for i in _maximal(on)))
     return HPolytope(d, normals, rhs, verts, incidence)
 
@@ -398,25 +405,24 @@ def _bounded_rays(normals, rhs, d: int):
     return rays
 
 
-def _vertex_incidence(rays, d: int, n: int) -> tuple[VPolytope, list[int]]:
-    """The vertices x / s of the homogenized rays (x, s), sorted, and for
-    each of the n rows (bit i + 1 of a ray's tight set) the set of the
-    vertices tight on it, bit k for the k-th vertex."""
-    pairs = sorted((tuple(Fraction(x, z[d]) for x in z[:d]), t) for z, t in rays)
-    return VPolytope(d, tuple(v for v, _ in pairs)), _ray_sets(pairs, range(1, n + 1))
+def _vertex_incidence(normals, rhs, d: int) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...]]:
+    """The sorted vertices of a bounded full-dimensional system, and each row's set of the vertices tight on it.
 
-
-def vertices(p: HPolytope) -> VPolytope:
-    """All vertices: the extreme rays (x, s) of {b_i s - <a_i, x> >= 0, s >= 0}, as x / s.
-
-    On a polytope built without its incidence the same double description
-    gives that too.
+    The vertices are the homogenized rays (x, s) of _bounded_rays as x / s,
+    and bit k of a row's set is the k-th vertex. Raises EmptyPolytopeError,
+    then UnboundedPolytopeError, then LowerDimensionalError when a row is
+    tight at every vertex.
     """
-    if p.vertex_cache is None or p.incidence is None:
-        verts, on = _vertex_incidence(_homogenized(p.normals, p.rhs, p.dim)[0], p.dim, p.n_facets)
-        object.__setattr__(p, "vertex_cache", verts)
-        object.__setattr__(p, "incidence", tuple(on))
-    return p.vertex_cache
+    pairs = sorted((tuple(Fraction(x, z[d]) for x in z[:d]), t) for z, t in _bounded_rays(normals, rhs, d))
+    on = _ray_sets(pairs, range(1, len(normals) + 1))
+    if (1 << len(pairs)) - 1 in on:
+        raise LowerDimensionalError("a row is tight at every vertex")
+    return tuple(v for v, _ in pairs), tuple(on)
+
+
+def vertices(p: HPolytope) -> tuple[tuple[Fraction, ...], ...]:
+    """All vertices of p, sorted: p.vertices, which p holds from the moment it is built."""
+    return p.vertices
 
 
 def _as_fraction(x) -> Fraction:
@@ -485,7 +491,7 @@ def from_vertices(points: Sequence[Sequence]) -> HPolytope:
     facets, incidence, verts, lineality = _point_hull(pts, d)
     if lineality:
         raise LowerDimensionalError("points do not span the ambient space")
-    return HPolytope(d, tuple(a for a, _ in facets), tuple(b for _, b in facets), VPolytope(d, verts), incidence)
+    return HPolytope(d, tuple(a for a, _ in facets), tuple(b for _, b in facets), verts, incidence)
 
 
 def _embedded(pts: Sequence[tuple], spanning: Iterable[Sequence]) -> EmbeddedPolytope:
@@ -565,28 +571,12 @@ def embed_system(system: InequalitySystem) -> tuple[EmbeddedPolytope, tuple[int,
         if sol is None:
             raise InternalInconsistencyError("implicit equalities are inconsistent")
         spanning = sol[1]
-    return _embedded(_vertex_incidence(rays, d, 0)[0].vertices, spanning), implicit
-
-
-def _vertices_of(s) -> tuple[tuple[Fraction, ...], ...]:
-    if isinstance(s, HPolytope):
-        return vertices(s).vertices
-    if isinstance(s, (EmbeddedPolytope, VPolytope)):
-        return s.vertices
-    raise TypeError(f"unsupported type {type(s).__name__}")
-
-
-def relative_interior_point(s) -> tuple[Fraction, ...]:
-    """Vertex barycenter, a relative interior point of any of our set types."""
-    verts = _vertices_of(s)
-    if not verts:
-        raise EmptyPolytopeError("no vertices")
-    n = len(verts)
-    return tuple(sum(col, Fraction(0)) / n for col in zip(*verts))
+    return _embedded(sorted(tuple(Fraction(x, z[d]) for x in z[:d]) for z, _ in rays), spanning), implicit
 
 
 def is_lattice_polytope(s) -> bool:
-    return all(c.denominator == 1 for pt in _vertices_of(s) for c in pt)
+    """Whether every vertex of s, an HPolytope or an EmbeddedPolytope, is a lattice point."""
+    return all(c.denominator == 1 for pt in s.vertices for c in pt)
 
 
 # ---------------------------------------------------------------------------
@@ -643,17 +633,11 @@ def _valid_row_cone(s) -> tuple[list, list]:
     Its rays are the facet rows <a, x> <= beta as primitive integer (a,
     beta), each with its tight set, s.incidence; a single point has no
     facet, and the row 0 <= 1, tight nowhere, is its ray. Its lineality is
-    the equations of the affine hull as integer rows. An HPolytope built
-    without its incidence gets it from vertices(), an EmbeddedPolytope
-    reads the cone of hull_any_dim of its vertices.
+    the equations of the affine hull as integer rows.
     """
     if isinstance(s, HPolytope):
-        if s.incidence is None:
-            vertices(s)
         rows, equations = zip(s.normals, s.rhs), ()
     elif isinstance(s, EmbeddedPolytope):
-        if s.incidence is None:
-            s = hull_any_dim(s.vertices)
         rows, equations = s.facets, s.subspace.equations
     else:
         raise TypeError(f"unsupported type {type(s).__name__}")
@@ -790,7 +774,7 @@ def transform(p: HPolytope, u: Sequence[Sequence[int]], shift: Sequence[int]) ->
         raise DimensionMismatchError("transform dimensions do not match")
     if abs(det(urows)) != 1:
         raise NonUnimodularError("matrix determinant is not +-1")
-    return from_vertices([vec_add(tuple(dot(row, v) for row in urows), tvec) for v in vertices(p).vertices])
+    return from_vertices([vec_add(tuple(dot(row, v) for row in urows), tvec) for v in p.vertices])
 
 
 def dilate(p: HPolytope, factor: int) -> HPolytope:
@@ -798,5 +782,5 @@ def dilate(p: HPolytope, factor: int) -> HPolytope:
     k = int(factor)
     if k < 1 or k != factor:
         raise ValueError("dilation factor must be a positive integer")
-    scaled = VPolytope(p.dim, tuple(tuple(k * c for c in v) for v in vertices(p).vertices))
+    scaled = tuple(tuple(k * c for c in v) for v in p.vertices)
     return HPolytope(p.dim, p.normals, tuple(b * k for b in p.rhs), scaled, p.incidence)

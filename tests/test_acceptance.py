@@ -189,7 +189,7 @@ def test_criterion_7_independent_routes_agree(suite, suite_reports):
                     return lp.is_feasible(p.normals, [b - c for b in p.rhs])
             assert bisect_critical_shift(p.normals, p.rhs, step, feasible) \
                 == rep.data.critical_shift, key
-            assert set(vertices(p).vertices) == brute_vertices(p.normals, p.rhs), key
+            assert set(vertices(p)) == brute_vertices(p.normals, p.rhs), key
 
         # height solves directly on simplicial cones and reads the dual height
         # vertices on the others; the LP route checks both

@@ -31,7 +31,6 @@ from polyadj.fan import (
     NormalFan,
     _dual_height_vertices,
     _cone_levels,
-    _height_functionals,
     canonicity_threshold,
     cone,
     fan_canonicity_threshold,
@@ -78,15 +77,19 @@ def test_a_validated_cone_keeps_its_dual_description(count_calls):
     assert height(c, (0, 0, 4)) == 4
     assert gorenstein_index(c) is None and canonicity_threshold(c)[0] == 1
     assert counts == {"double_description": 1}
-    assert c.functionals == _height_functionals(Cone(3, c.rays))
+    assert c.functionals == Cone(3, c.rays).functionals
     # the same for a plane in Q^3, whose description has a lineality and
     # is kept with it
     counts["double_description"] = 0
     plane = cone([(1, 0, 0), (1, 2, 0)])
     assert height(plane, (1, 1, 0)) == 1 and counts == {"double_description": 1}
-    assert plane.functionals == _height_functionals(Cone(3, plane.rays))
-    # a dropped generator changes the rows, so nothing is kept
-    assert cone([(1, 0), (0, 1), (1, 1)]).functionals is None
+    assert plane.functionals == Cone(3, plane.rays).functionals
+    # a dropped generator changes the rows, so the cone of the two extreme
+    # rays describes itself once more inside cone()
+    counts["double_description"] = 0
+    square = cone([(1, 0), (0, 1), (1, 1)])
+    assert counts == {"double_description": 2}
+    assert square.functionals == Cone(2, ((0, 1), (1, 0))).functionals
 
 
 def test_cone_constructor_rejects_lines_and_zero():
@@ -105,13 +108,13 @@ def test_cone_constructor_rejects_lines_and_zero():
 def test_normal_fan_of_the_running_example():
     p = fig1()
     fan = normal_fan(p)
-    assert len(fan.maximal_cones) == len(vertices(p).vertices) == 5
+    assert len(fan.maximal_cones) == len(vertices(p)) == 5
     assert set(fan.rays) == set(p.normals)
     for c, v in zip(fan.maximal_cones, fan.vertex_points):
         tight = {a for a, b in zip(p.normals, p.rhs) if dot(a, v) == b}
         assert set(c.rays) == tight
         # the description that proved the cone full-dimensional is its own
-        assert c.functionals == _height_functionals(Cone(2, c.rays))
+        assert c.functionals == Cone(2, c.rays).functionals
 
 
 def test_fan_of_cube_is_smooth_and_simplicial():
@@ -199,7 +202,7 @@ def test_a_vertex_cone_whose_rays_do_not_span_is_an_internal_inconsistency():
     # vertex's cone, the ray (-1, 0) or the line through it, does not span Q^2
     square = from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)])
     assert square.normals == ((-1, 0), (0, -1), (0, 1), (1, 0))
-    assert vertices(square).vertices[0] == (0, 0) and square.incidence == (0b11, 0b101, 0b1010, 0b1100)
+    assert vertices(square)[0] == (0, 0) and square.incidence == (0b11, 0b101, 0b1010, 0b1100)
     for incidence in ((0b11, 0b100, 0b1010, 0b1100), (0b11, 0b100, 0b1010, 0b1101)):
         p = polytope.HPolytope(2, square.normals, square.rhs, vertices(square), incidence)
         with pytest.raises(InternalInconsistencyError, match="not full-dimensional"):
@@ -342,7 +345,7 @@ def _cone_points_match_the_box_scan(c, local_rays=None, to_ambient=None):
     on full-rank local rays, and the levels, in Z^d, must give the image of
     its points under to_ambient, in lexicographic order.
     """
-    region, lineality, _, _ = _height_functionals(c)
+    region, lineality, _, _ = c.functionals
     levels = _cone_levels(c.rays, region, lineality)
     assert len(levels) == c.ambient_dim + 1
     rays = local_rays or c.rays
@@ -433,9 +436,10 @@ def test_canonicity_threshold_makes_at_most_two_double_descriptions_and_no_rank(
     # from_vertices builds conv(0, rays), and the rays span, so no rank is
     # taken. The cone of rank 2 in Z^3 is described once on its rays, whose
     # lineality, the equation of its plane, its one-vertex levels keep, so
-    # it takes no rank either. The hand-made cones are built with no
-    # description in hand: cone() would keep the one it validated with
-    # (test_a_validated_cone_keeps_its_dual_description). The normal fan's
+    # it takes no rank either. A cone built by hand describes its rays when
+    # it is built, so each hand-made cone is built again inside the count
+    # and makes that one (cone() would pass in the one it validated with,
+    # test_a_validated_cone_keeps_its_dual_description). The normal fan's
     # cones arrive with the description normal_fan proved them
     # full-dimensional with, so each makes only the one for its levels
     calls = {"from_vertices": 0, "double_description": 0}
@@ -460,10 +464,10 @@ def test_canonicity_threshold_makes_at_most_two_double_descriptions_and_no_rank(
         if hasattr(module, "double_description"):
             monkeypatch.setattr(module, "double_description",
                                 counting("double_description", double_description))
-    for c, n in [(plane, 1), (pyramid, 1), (skew, 1), (flat, 1)] + [(c, 1) for c in cones]:
+    for c, by_hand in [(plane, True), (pyramid, True), (skew, True), (flat, True)] + [(c, False) for c in cones]:
         calls.update(double_description=0)
-        canonicity_threshold(c)
-        assert calls == {"from_vertices": 0, "double_description": n} and ranks == {"rank": 0}
+        canonicity_threshold(Cone(c.ambient_dim, c.rays) if by_hand else c)
+        assert calls == {"from_vertices": 0, "double_description": 1} and ranks == {"rank": 0}
     assert canonicity_threshold(plane)[0] == Fraction(1, 2)
     assert canonicity_threshold(pyramid)[0] == Fraction(1, 2)
     assert canonicity_threshold(flat)[0] == Fraction(1, 2)

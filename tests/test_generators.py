@@ -32,7 +32,7 @@ def test_fig1_rows():
 def test_cube_shape():
     p = cube(3)
     assert p.n_facets == 6
-    assert len(vertices(p).vertices) == 8
+    assert len(vertices(p)) == 8
     with pytest.raises(ValueError):
         cube(0)
 
@@ -40,7 +40,7 @@ def test_cube_shape():
 def test_scaled_simplex_rows():
     p = scaled_simplex(2, 3)
     assert list(zip(p.normals, p.rhs)) == [((-1, 0), 0), ((0, -1), 0), ((1, 3), 3)]
-    assert set(vertices(p).vertices) == {(0, 0), (3, 0), (0, 1)}
+    assert set(vertices(p)) == {(0, 0), (3, 0), (0, 1)}
     with pytest.raises(ValueError):
         scaled_simplex(0, 2)
     with pytest.raises(ValueError):
@@ -53,7 +53,7 @@ def test_random_polytopes_are_reproducible_lattice_instances():
     assert p == q
     assert p.dim == 3
     assert is_lattice_polytope(p)
-    assert all(all(-5 <= x <= 5 for x in v) for v in vertices(p).vertices)
+    assert all(all(-5 <= x <= 5 for x in v) for v in vertices(p))
     assert p != random_lattice_polytope(3, 7, 100)
 
 

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a polyadj module imports is used in it, and
-every function or class a module defines is read somewhere in the package."""
+"""Source hygiene: every name a polyadj module imports is used in it,
+every function or class a module defines is read somewhere in the package,
+and a frozen record is written only while it is built."""
 
 import ast
 import importlib
@@ -219,6 +220,45 @@ def test_vector_entries_become_ints_only_in_int_vector():
         if scopes:
             found[module] = scopes
     assert found == {"ratmath.py": ["int_vector"]}
+
+
+def frozen_writes(source: str) -> list[str]:
+    """Dotted scopes of every call object.__setattr__(...), which writes a
+    field of a frozen record."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "__setattr__" and isinstance(child.func.value, ast.Name)
+                    and child.func.value.id == "object"):
+                found.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return sorted(found)
+
+
+def test_the_scan_finds_every_frozen_write():
+    source = ("object.__setattr__(a, 'x', 1)\n\nclass A:\n    def __post_init__(self):\n"
+              "        object.__setattr__(self, 'x', 1)\n\n"
+              "def f(c):\n    if c.y is None:\n        object.__setattr__(c, 'y', 2)\n    c.__setattr__('z', 3)\n")
+    assert frozen_writes(source) == ["<module>", "A.__post_init__", "f"]
+
+
+def test_frozen_records_are_written_only_while_they_are_built():
+    # a record fills the data its caller did not pass in its __post_init__,
+    # so no later call fills a field of a record that is already in use
+    found = {}
+    for module in MODULES + ["__init__.py"]:
+        with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+            scopes = [s for s in frozen_writes(fh.read()) if not s.endswith(".__post_init__")]
+        if scopes:
+            found[module] = scopes
+    assert found == {}
 
 
 def test_every_traced_function_exists_in_its_module():

@@ -54,7 +54,7 @@ def test_rational_entries():
     doc = parse_document("dim 1\nH\n-1 0\n2/3 4/6\n")
     assert doc.rows[1] == (Fraction(2, 3), Fraction(2, 3))
     p = polytope_from_document(doc)
-    assert set(vertices(p).vertices) == {(Fraction(0),), (Fraction(1),)}
+    assert set(vertices(p)) == {(Fraction(0),), (Fraction(1),)}
 
 
 def test_h_rows_scale_to_integer_normals():
@@ -112,7 +112,7 @@ def test_integer_tokens_parse_to_ints_and_others_to_fractions():
     assert doc.rows == ((0, -3), (Fraction(1, 2), 2), (2, 0))
     assert [[type(x) for x in row] for row in doc.rows] == [[int, int], [Fraction, int], [Fraction, int]]
     p = polytope_from_document(doc)
-    assert all(type(x) is Fraction for v in vertices(p).vertices for x in v)
+    assert all(type(x) is Fraction for v in vertices(p) for x in v)
     assert all(type(b) is Fraction for b in p.rhs)
     fractions = "dim 2\nV\n0/1 -3/1\n1/2 2/1\n2/1 0/1\n"
     assert repr(p) == repr(read_polytope(fractions)) and vertices(p) == vertices(read_polytope(fractions))

@@ -43,7 +43,6 @@ from polyadj.polytope import (
     level_points,
     make_system,
     projected_levels,
-    relative_interior_point,
     transform,
     vertices,
 )
@@ -104,6 +103,39 @@ def test_empty_and_unbounded_and_flat_inputs_are_rejected():
         from_inequalities([((1, 0), 1), ((-1, 0), -1), ((0, 1), 2), ((0, -1), -2)])
 
 
+@pytest.mark.parametrize("normals, rhs, error", [
+    (((1, 0), (0, 1)), (1, 1), UnboundedPolytopeError),  # two rays
+    (((-1, 0), (1, 0)), (1, 1), UnboundedPolytopeError),  # a line
+    (((-1, 0), (0, -1), (0, 1), (1, 0)), (0, 1, 1, 0), LowerDimensionalError),  # x = 0
+    (((1, 0), (-1, 0), (0, 1), (0, -1)), (0, -1, 1, 1), EmptyPolytopeError),  # x <= 0 and x >= 1
+], ids=["quadrant", "strip", "segment", "empty"])
+def test_a_hand_built_polytope_raises_what_from_inequalities_raises(normals, rhs, error):
+    # a polytope built by hand computes its vertices and incidence when it
+    # is built, with the helper from_inequalities uses, so bad rows fail
+    # there with the same typed error and never reach a later call
+    with pytest.raises(error):
+        HPolytope(2, normals, rhs)
+    with pytest.raises(error):
+        from_inequalities(list(zip(normals, rhs)))
+
+
+def test_hand_built_copies_carry_the_data_the_constructors_pass_in(suite, suite_reports):
+    # a record built by hand fills what its caller did not pass when it is
+    # built: a polytope its vertices and incidence, an embedded set its
+    # incidence by exact products, a cone its dual height description. Over
+    # the suite each equals what the constructors pass in, for every
+    # polytope, every acore, every core (a core is always flat) and every
+    # maximal cone
+    for key, p in suite:
+        by_hand = HPolytope(p.dim, p.normals, p.rhs)
+        assert (by_hand.vertices, by_hand.incidence) == (p.vertices, p.incidence), key
+        report = suite_reports[key]
+        for s in (report.data.acore, report.data.core):
+            assert polytope.EmbeddedPolytope(s.subspace, s.facets, s.vertices).incidence == s.incidence, key
+        for c in report.fan.maximal_cones:
+            assert fan.Cone(c.ambient_dim, c.rays).functionals == c.functionals, key
+
+
 def test_zero_rows_are_constant_conditions():
     p = from_inequalities(TRIANGLE_ROWS + [((0, 0), 1)])
     assert p.n_facets == 3
@@ -112,7 +144,7 @@ def test_zero_rows_are_constant_conditions():
 
 
 def test_vertices_of_the_running_example():
-    got = {v for v in vertices(fig1()).vertices}
+    got = {v for v in vertices(fig1())}
     assert got == {(0, 0), (4, 0), (5, 1), (5, 3), (0, 3)}
 
 
@@ -123,7 +155,7 @@ def _cross_polytope(d):
 
 def _uncached(p):
     # the same rows without the vertices from_vertices passes in, so that
-    # vertices() runs its own enumeration
+    # the polytope runs its own enumeration when it is built
     return HPolytope(p.dim, p.normals, p.rhs)
 
 
@@ -132,10 +164,10 @@ def test_vertex_enumeration_matches_brute_force_on_named_cases():
     # more than d facets
     for p in (fig1(), cube(3), cube(4), _cross_polytope(3), _cross_polytope(4),
               scaled_simplex(2, 3), scaled_simplex(3, 4)):
-        got = set(vertices(_uncached(p)).vertices)
+        got = set(vertices(_uncached(p)))
         assert got == brute_vertices(p.normals, p.rhs)
-    assert len(vertices(cube(4)).vertices) == 16
-    assert len(vertices(_cross_polytope(4)).vertices) == 8
+    assert len(vertices(cube(4))) == 16
+    assert len(vertices(_cross_polytope(4))) == 8
 
 
 def test_vertices_are_cached():
@@ -149,7 +181,7 @@ def test_vertex_hull_roundtrip_2d(pts):
     if rank([tuple(b - a for a, b in zip(pts[0], q)) for q in pts[1:]]) < 2:
         return
     p = from_vertices(pts)
-    hull_back = set(vertices(p).vertices)
+    hull_back = set(vertices(p))
     assert hull_back == brute_vertices(p.normals, p.rhs)
     assert hull_back <= {tuple(Fraction(x) for x in q) for q in pts}
     for q in pts:
@@ -162,7 +194,7 @@ def test_vertex_hull_roundtrip_3d(pts):
     if rank([tuple(b - a for a, b in zip(pts[0], q)) for q in pts[1:]]) < 3:
         return
     p = from_vertices(pts)
-    assert set(vertices(p).vertices) == brute_vertices(p.normals, p.rhs)
+    assert set(vertices(p)) == brute_vertices(p.normals, p.rhs)
 
 
 def _full_dim(pts):
@@ -172,7 +204,7 @@ def _full_dim(pts):
 def _check_hull_against_the_brute_scan(pts):
     p = from_vertices(pts)
     assert set(zip(p.normals, p.rhs)) == brute_facets(pts)
-    assert set(vertices(_uncached(p)).vertices) == set(p.vertex_cache.vertices)
+    assert set(vertices(_uncached(p))) == set(p.vertices)
 
 
 @settings(deadline=None, max_examples=80)
@@ -268,7 +300,7 @@ def _check_padded_facets_canonicalize_to_the_hull(pts, data):
     normals = tuple(a for a, _ in facets)
     rhs = tuple(b for _, b in facets)
     assert p == HPolytope(d, normals, rhs)
-    assert set(p.vertex_cache.vertices) == brute_vertices(normals, rhs)
+    assert set(p.vertices) == brute_vertices(normals, rhs)
 
 
 @settings(deadline=None, max_examples=60)
@@ -318,7 +350,7 @@ def test_from_inequalities_makes_no_lp_and_one_double_description(monkeypatch):
     p = from_inequalities(rows)
     assert calls == {"solve": 0, "is_feasible": 0, "double_description": 1}
     # the vertices came along, so nothing downstream enumerates them again
-    assert set(vertices(p).vertices) == {(0, 0), (4, 0), (5, 1), (5, 3), (0, 3)}
+    assert set(vertices(p)) == {(0, 0), (4, 0), (5, 1), (5, 3), (0, 3)}
     assert is_lattice_polytope(p)
     # no second vertex enumeration: the fan proves each of its 5 maximal
     # cones full-dimensional with that cone's dual height description, which
@@ -388,8 +420,8 @@ def test_hull_of_sixty_points_in_3d():
         tight = [pt for pt, v in zip(pts, values) if v == b]
         assert any(any(cofactor_normal(sub)) for sub in itertools.combinations(tight, 3))
     brute = brute_vertices(p.normals, p.rhs)
-    assert set(vertices(_uncached(p)).vertices) == brute
-    assert set(p.vertex_cache.vertices) == brute
+    assert set(vertices(_uncached(p))) == brute
+    assert set(p.vertices) == brute
 
 
 def _sha(obj) -> str:
@@ -411,7 +443,7 @@ def test_kernel_outputs_are_pinned():
         pts = [tuple(rng.randint(-6, 6) for _ in range(3)) for _ in range(22)]
         dd.append(double_description([tuple(-c for c in pt) + (1,) for pt in pts], 4))
         p = from_vertices(pts)
-        hulls.append((p.normals, p.rhs, vertices(p).vertices, lattice_points(p)))
+        hulls.append((p.normals, p.rhs, vertices(p), lattice_points(p)))
     suite_cases = ((2, 7, 5, 1000), (2, 7, 5, 1001), (3, 7, 3, 2058), (4, 6, 2, 4000), (4, 6, 2, 4029))
     polytopes = [fig1()] + [random_lattice_polytope(d, n, seed, box=box) for d, n, box, seed in suite_cases]
     thresholds = []
@@ -596,12 +628,12 @@ def test_full_dimensional_hulls_take_no_integer_kernel(count_calls, suite):
     # kernel are skipped, and the facets and vertices are from_vertices'
     counts = count_calls((ratmath, "saturate"), (ratmath, "integer_kernel_basis"))
     for _, p in suite:
-        verts = vertices(p).vertices
+        verts = vertices(p)
         ref = from_vertices(verts)
         for emb in (hull_any_dim(verts), embed_system(make_system(list(zip(p.normals, p.rhs))))[0]):
             assert emb.subspace == AffineSubspace(p.dim, p.dim, ())
             assert emb.facets == tuple(zip(ref.normals, ref.rhs))
-            assert emb.vertices == vertices(ref).vertices
+            assert emb.vertices == vertices(ref)
     assert counts == {"saturate": 0, "integer_kernel_basis": 0}
 
 
@@ -648,7 +680,7 @@ def test_embedded_membership_matches_the_convex_combination_lp(d, data):
     # the points, their barycenter and pairwise midpoints, points of the
     # affine hull that may lie outside, and points off it
     on_hull = data.draw(st.lists(st.tuples(*[fraction] * k), max_size=3))
-    xs = pts + [relative_interior_point(emb)]
+    xs = pts + [tuple(sum(col) / len(emb.vertices) for col in zip(*emb.vertices))]
     xs += [tuple((a + b) / 2 for a, b in zip(p, q)) for p, q in itertools.combinations(pts, 2)]
     xs += [tuple(b + sum(m * t for m, t in zip(row, ts)) for row, b in zip(matrix, base)) for ts in on_hull]
     xs += data.draw(st.lists(st.tuples(*[fraction] * d), max_size=3))
@@ -713,7 +745,7 @@ def test_integer_points_give_the_hulls_of_the_same_points_as_fractions(d, data):
     for same in (pts, mixed):
         got = from_vertices(same)
         assert got == p and got.incidence == p.incidence
-        assert repr((got, got.vertex_cache)) == repr((p, p.vertex_cache))
+        assert repr((got, got.vertices)) == repr((p, p.vertices))
 
 
 @settings(deadline=None, max_examples=150)
@@ -728,15 +760,6 @@ def test_double_description_is_the_same_in_any_order_once_the_cone_is_pointed(ro
     assert double_description(rows, n, order.index) == double_description(rows, n)
 
 
-def test_relative_interior_point_is_strictly_inside():
-    p = fig1()
-    y = relative_interior_point(p)
-    assert p.contains(y, strict=True)
-    emb = hull_any_dim([(0, 0), (0, 2)])
-    z = relative_interior_point(emb)
-    assert emb.contains(z, strict=True)
-
-
 def test_lattice_flag():
     assert is_lattice_polytope(fig1())
     half = from_inequalities([((2, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)])
@@ -749,7 +772,7 @@ def _member_oracle(p):
 
 def test_lattice_points_match_box_scan_on_named_cases():
     for p in (fig1(), cube(3), scaled_simplex(2, 3), scaled_simplex(3, 2)):
-        expected = box_lattice_points(vertices(p).vertices, _member_oracle(p))
+        expected = box_lattice_points(vertices(p), _member_oracle(p))
         assert list(lattice_points(p)) == expected
 
 
@@ -807,7 +830,8 @@ def test_lattice_points_read_the_row_cone_each_set_keeps(count_calls):
     flat = hull_any_dim([(0, 0, 0), (2, 2, 0), (2, 0, 2), (1, 1, 0), (4, 2, 2)])
     acore = adjunction.adjunction_data(random_lattice_polytope(4, 6, 4022, box=2)).acore
     sets, shrinks = (hull, flat, acore), (1, 1, Fraction(1, 2))
-    # copies built without the cone describe themselves afresh
+    # copies built by hand fill their incidence when they are built, by
+    # their own double description or by exact products
     bare = (HPolytope(hull.dim, hull.normals, hull.rhs),) + tuple(
         polytope.EmbeddedPolytope(s.subspace, s.facets, s.vertices) for s in sets[1:])
     expected = [lattice_points(s, region, k) for s, k in zip(bare, shrinks) for region in REGIONS]
@@ -932,7 +956,7 @@ def test_lattice_points_match_box_scan_2d(pts):
     if rank([tuple(b - a for a, b in zip(pts[0], q)) for q in pts[1:]]) < 2:
         return
     p = from_vertices(pts)
-    expected = box_lattice_points(vertices(p).vertices, _member_oracle(p))
+    expected = box_lattice_points(vertices(p), _member_oracle(p))
     assert list(lattice_points(p)) == expected
 
 
@@ -993,7 +1017,7 @@ def test_level_points_of_a_set_list_the_points_of_the_set_shrunk(d, data):
     sets = [hull_any_dim(pts)] + ([from_vertices(pts)] if len(pts) > d and _full_dimensional(pts) else [])
     for s in sets:
         levels = projected_levels(*polytope._valid_row_cone(s))
-        corners = s.vertices if isinstance(s, polytope.EmbeddedPolytope) else vertices(s).vertices
+        corners = s.vertices if isinstance(s, polytope.EmbeddedPolytope) else vertices(s)
         for k in (1, 2, 3, 7, Fraction(3, 2), Fraction(1, 2)):
             expected = box_lattice_points([tuple(Fraction(c) / k for c in v) for v in corners],
                                           lambda x: s.contains(tuple(k * c for c in x)))
@@ -1015,7 +1039,7 @@ def test_hulls_of_every_lattice_point_of_a_polytope_enumerate_as_their_facets_do
     p = from_vertices(cloud)
     by_hand = HPolytope(p.dim, p.normals, p.rhs)
     rays, lineality = polytope._valid_row_cone(p)
-    assert not lineality and all(t == _tight_bits(z, p.vertex_cache.vertices) for z, t in rays)
+    assert not lineality and all(t == _tight_bits(z, p.vertices) for z, t in rays)
     assert polytope._valid_row_cone(by_hand) == (rays, lineality)
     # conv(cloud) = conv(pts), so the facets of the few drawn points decide membership
     for s in (p, by_hand):
@@ -1047,7 +1071,7 @@ def _brute_incidence(rows, verts):
 def _check_incidence(s):
     """The incidence s keeps is the brute one over its vertices, which are sorted."""
     if isinstance(s, HPolytope):
-        rows, verts = list(zip(s.normals, s.rhs)), s.vertex_cache.vertices
+        rows, verts = list(zip(s.normals, s.rhs)), s.vertices
     else:
         rows, verts = s.facets, s.vertices
     assert list(verts) == sorted(verts)
@@ -1068,8 +1092,6 @@ def test_every_incidence_bit_is_a_facet_tight_at_a_sorted_vertex(d, data):
     # rational vertices, whose homogenized rays (x, s) do not sort as x / s do
     r = from_inequalities([(a, b / 2 + Fraction(1, 3)) for a, b in rows])
     by_hand = [HPolytope(s.dim, s.normals, s.rhs) for s in (p, r)]
-    for s in by_hand:
-        vertices(s)
     shift = data.draw(st.tuples(*[small] * d))
     # x -> -x reverses the order of the vertices and reorders the facets
     negate = [[-int(i == j) for j in range(d)] for i in range(d)]
@@ -1181,7 +1203,7 @@ def test_each_projection_cone_holds_the_facets_of_the_projected_points(d, data):
     pts = data.draw(point_sets(d, d + data.draw(st.integers(1, 4))))
     assume(_full_dimensional(pts))
     p = from_vertices(pts)
-    for j, rays, lineality, projected in _projection_cones(p, vertices(p).vertices):
+    for j, rays, lineality, projected in _projection_cones(p, vertices(p)):
         assert not lineality
         assert {z for z, _ in rays} == {_integer_row(a, b) for a, b in _oracle_facets(projected)}
         assert all(t == _tight_bits(z, projected) for z, t in rays)
@@ -1271,8 +1293,8 @@ SHEAR = [[1, 1], [0, 1]]
 def test_transform_maps_vertices_exactly():
     p = fig1()
     q = transform(p, SHEAR, (2, -1))
-    expect = {(x + y + 2, y - 1) for x, y in vertices(p).vertices}
-    assert set(vertices(q).vertices) == expect
+    expect = {(x + y + 2, y - 1) for x, y in vertices(p)}
+    assert set(vertices(q)) == expect
     assert len(lattice_points(q)) == len(lattice_points(p))
 
 
@@ -1282,8 +1304,8 @@ def test_transform_divides_the_right_hand_side_of_a_non_primitive_normal():
     p = HPolytope(2, ((-1, 0), (0, -1), (2, 0), (0, 1)), (0, 0, 2, 1))
     assert transform(p, [[1, 0], [0, 1]], (0, 0)) == from_inequalities(list(zip(p.normals, p.rhs)))
     q = transform(p, SHEAR, (1, 2))
-    assert vertices(q).vertices == ((1, 2), (2, 2), (2, 3), (3, 3))
-    assert vertices(from_inequalities(list(zip(q.normals, q.rhs)))).vertices == vertices(q).vertices
+    assert vertices(q) == ((1, 2), (2, 2), (2, 3), (3, 3))
+    assert vertices(from_inequalities(list(zip(q.normals, q.rhs)))) == vertices(q)
 
 
 def test_transform_rejects_non_unimodular():
@@ -1302,7 +1324,7 @@ def test_transform_round_trips_through_the_inverse():
 def test_dilate_scales_vertices_and_rejects_bad_factors():
     p = scaled_simplex(2, 2)
     q = dilate(p, 3)
-    assert set(vertices(q).vertices) == {(0, 0), (6, 0), (0, 3)}
+    assert set(vertices(q)) == {(0, 0), (6, 0), (0, 3)}
     assert q.normals == p.normals
     with pytest.raises(ValueError):
         dilate(p, 0)
