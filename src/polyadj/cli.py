@@ -70,9 +70,11 @@ def _point(p) -> list:
 
 
 def _grid_fields(grid) -> dict:
-    """The values of a spectrum superset as a report lists them, or its size above MAX_LISTED_VALUES."""
-    if len(grid) > MAX_LISTED_VALUES:
-        return {"values": None, "n_values": len(grid)}
+    """The values of a spectrum superset as a report lists them, or its size above MAX_LISTED_VALUES.
+
+    The size is grid.size, as len() fails past sys.maxsize values."""
+    if grid.size > MAX_LISTED_VALUES:
+        return {"values": None, "n_values": grid.size}
     return {"values": [_fr(v) for v in grid]}
 
 

@@ -18,7 +18,8 @@ span, which heights and the scan keep, and when it is empty the vertex
 (u, s) tight at every ray is the certificate, index s and functional u.
 A cone holds that description from the moment it is built: cone() and
 normal_fan() pass in the one they validated its generators with, and a
-cone built by hand computes it, so a fan takes no integer kernel, no
+cone built by hand must be cone() of its rays, whose description it
+keeps, or raises InvalidConeError, so a fan takes no integer kernel, no
 rank and no second dual description after it is built. The canonicity
 scan enumerates one region per cone, conv(0, rays), shrunk by t = 1/2^k
 on a ladder that starts at the lower bound on heights that the dual
@@ -75,7 +76,8 @@ class Cone:
     _dual_height_vertices with the dual vertices over a common denominator
     (_functionals), as height, the canonicity scan and gorenstein_index
     read it. cone() and normal_fan() pass in the description they validated
-    the rays with; a cone built by hand computes it when it is built.
+    the rays with; a cone built by hand without it must be cone() of its
+    rays, whose description it keeps, or raises InvalidConeError.
     """
 
     ambient_dim: int
@@ -84,8 +86,10 @@ class Cone:
 
     def __post_init__(self):
         if self.functionals is None:
-            region, lineality = _dual_height_vertices(self.rays, self.ambient_dim)
-            object.__setattr__(self, "functionals", _functionals(region, lineality))
+            canonical = cone(self.rays)
+            if canonical != self:
+                raise InvalidConeError("a hand-built Cone must have the primitive sorted extreme rays cone() gives")
+            object.__setattr__(self, "functionals", canonical.functionals)
 
     @property
     def n_rays(self) -> int:
@@ -134,8 +138,8 @@ def cone(generators: Sequence[Sequence[int]]) -> Cone:
     cone contains a line, and the extreme generators are those on maximal
     sets of facets, its rays with s = 0 (a pointed cone of rank 1 has one).
     When no generator is dropped that description is the cone's own, and
-    the cone keeps it in functionals; otherwise the cone of the extreme
-    generators computes its own.
+    the cone keeps it in functionals; otherwise it is cone() of the extreme
+    generators, which describes them once more.
     """
     if not generators:
         raise InvalidConeError("a cone needs at least one generator")
@@ -159,7 +163,7 @@ def cone(generators: Sequence[Sequence[int]]) -> Cone:
         facets = [(z, t) for z, t in region if not z[-1]]
         extreme = [prims[i] for i in _maximal(_ray_sets(facets, range(1, len(prims) + 1)))]
         if len(extreme) < len(prims):
-            return Cone(d, tuple(extreme))
+            return cone(extreme)
     return Cone(d, prims, _functionals(region, lineality))
 
 

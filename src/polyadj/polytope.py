@@ -5,10 +5,10 @@ double_description, which reports the rows tight at each extreme ray and
 a basis of the cone's lineality: from_inequalities reads the facets and
 vertices of an inequality system off those tight sets, from_vertices the
 facets and vertices of a hull (and hull_any_dim and embed_system those of
-a hull of any dimension), HPolytope those of a hand-built polytope,
-implicit_equalities and embed_system the implicit equalities and vertices
-of a possibly flat system, and fan the dual height vertices of a cone
-together with its facets, which also validate a cone's generators. The
+a hull of any dimension), implicit_equalities and embed_system the
+implicit equalities and vertices of a possibly flat system, and fan the
+dual height vertices of a cone together with its facets, which also
+validate a cone's generators. The
 lineality of a homogenized system is its set's lines, so no LP and no
 cut is needed to decide emptiness or boundedness. The kernel works on
 primitive integer vectors only, pairs the rays on the two sides of each
@@ -34,16 +34,18 @@ coordinate off partial sums its parent takes once.
 Conventions. An HPolytope is always bounded, full-dimensional, and
 irredundant, with primitive integer facet normals, rational right hand
 sides, and rows sorted by normal; two HPolytopes are equal iff their row
-sets are. Possibly empty or degenerate intersections of halfspaces live in
-InequalitySystem. A compact set of any dimension is an EmbeddedPolytope,
-all in ambient coordinates: the equations of its affine hull (an
-AffineSubspace), its facet rows and its vertices, read off one double
-description of its points' valid rows (_embedded), with no local
-coordinates. Vertices are sorted, and the incidence of a polytope is one
-bitmask per facet row: bit k of incidence[i] is set iff facet i is tight
-at the k-th vertex. Both records hold them from the moment they are
-built; nothing fills them in later. Nothing here uses floating point, and
-the module imports no LP.
+sets are. One built by hand without its vertices must be
+from_inequalities of its rows, or raises ValueError, so nothing checks
+these conventions twice. Possibly empty or degenerate intersections of
+halfspaces live in InequalitySystem. A compact set of any dimension is
+an EmbeddedPolytope, all in ambient coordinates: the equations of its
+affine hull (an AffineSubspace), its facet rows and its vertices, read
+off one double description of its points' valid rows (_embedded), with
+no local coordinates. Vertices are sorted, and the incidence of a
+polytope is one bitmask per facet row: bit k of incidence[i] is set iff
+facet i is tight at the k-th vertex. Both records hold them from the
+moment they are built; nothing fills them in later. Nothing here uses
+floating point, and the module imports no LP.
 """
 
 from __future__ import annotations
@@ -83,10 +85,10 @@ class HPolytope:
     """Bounded full-dimensional polytope {x : normals[i] . x <= rhs[i]}.
 
     vertices are sorted, and incidence holds the facets' tight sets over
-    them. The constructors pass both in; a polytope built by hand gets them
-    when it is built, from the double description from_inequalities reads
-    (_vertex_incidence), and raises EmptyPolytopeError,
-    UnboundedPolytopeError or LowerDimensionalError as it does.
+    them. The constructors pass both in; a polytope built by hand without
+    them must be from_inequalities of its rows, whose errors it raises,
+    and raises ValueError when the rows differ; it keeps their vertices
+    and incidence.
     """
 
     dim: int
@@ -97,9 +99,11 @@ class HPolytope:
 
     def __post_init__(self):
         if self.vertices is None or self.incidence is None:
-            verts, incidence = _vertex_incidence(self.normals, self.rhs, self.dim)
-            object.__setattr__(self, "vertices", verts)
-            object.__setattr__(self, "incidence", incidence)
+            canonical = from_inequalities(list(zip(self.normals, self.rhs)))
+            if canonical != self:
+                raise ValueError("a hand-built HPolytope must have the rows from_inequalities gives")
+            object.__setattr__(self, "vertices", canonical.vertices)
+            object.__setattr__(self, "incidence", canonical.incidence)
 
     @property
     def n_facets(self) -> int:
@@ -224,9 +228,12 @@ def from_inequalities(rows: Sequence[tuple[Sequence, object]]) -> HPolytope:
     if not merged:
         raise UnboundedPolytopeError("only trivial constraints given")
     normals, rhs, d = list(merged), list(merged.values()), system.dim
-    verts, on = _vertex_incidence(normals, rhs, d)
+    pairs = sorted((tuple(Fraction(x, z[d]) for x in z[:d]), t) for z, t in _bounded_rays(normals, rhs, d))
+    on = _ray_sets(pairs, range(1, len(normals) + 1))
+    if (1 << len(pairs)) - 1 in on:
+        raise LowerDimensionalError("a row is tight at every vertex")
     normals, rhs, incidence = zip(*sorted((normals[i], rhs[i], on[i]) for i in _maximal(on)))
-    return HPolytope(d, normals, rhs, verts, incidence)
+    return HPolytope(d, normals, rhs, tuple(v for v, _ in pairs), incidence)
 
 
 def _ray_sets(rays, bits: range) -> list[int]:
@@ -403,21 +410,6 @@ def _bounded_rays(normals, rhs, d: int):
     if any(z[d] == 0 for z, _ in rays):
         raise UnboundedPolytopeError("the solution set has a recession direction")
     return rays
-
-
-def _vertex_incidence(normals, rhs, d: int) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...]]:
-    """The sorted vertices of a bounded full-dimensional system, and each row's set of the vertices tight on it.
-
-    The vertices are the homogenized rays (x, s) of _bounded_rays as x / s,
-    and bit k of a row's set is the k-th vertex. Raises EmptyPolytopeError,
-    then UnboundedPolytopeError, then LowerDimensionalError when a row is
-    tight at every vertex.
-    """
-    pairs = sorted((tuple(Fraction(x, z[d]) for x in z[:d]), t) for z, t in _bounded_rays(normals, rhs, d))
-    on = _ray_sets(pairs, range(1, len(normals) + 1))
-    if (1 << len(pairs)) - 1 in on:
-        raise LowerDimensionalError("a row is tight at every vertex")
-    return tuple(v for v, _ in pairs), tuple(on)
 
 
 def vertices(p: HPolytope) -> tuple[tuple[Fraction, ...], ...]:

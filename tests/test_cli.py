@@ -329,3 +329,18 @@ def test_reports_give_the_size_of_a_grid_above_the_listing_cap(capsys, monkeypat
         proc = run_module(*argv, timeout=30)
         assert proc.returncode == 0
         assert "23613696" in proc.stdout
+
+
+def test_a_grid_of_more_than_sys_maxsize_values_is_reported_by_its_size(capsys, tmp_path):
+    # the triangle conv(0, 10^20 e_1, e_2) has step 1 / (10^20 + 2), so
+    # 2 10^20 + 4 values of at least 1/2: more than len() of a grid can return
+    path = tmp_path / "long.poly"
+    path.write_text("dim 2\nV\n0 0\n100000000000000000000 0\n0 1\n")
+    n_values = 200000000000000000004
+    assert n_values > sys.maxsize
+    code, out, _ = run(capsys, ["analyze", str(path)])
+    spectrum = json.loads(out)["spectrum"]
+    assert code == 0 and (spectrum["values"], spectrum["n_values"]) == (None, n_values)
+    code, out, _ = run(capsys, ["spectrum", "--from-polytope", str(path)])
+    superset = json.loads(out)
+    assert code == 0 and (superset["values"], superset["n_values"]) == (None, n_values)

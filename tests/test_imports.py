@@ -1,8 +1,10 @@
 """Source hygiene: every name a polyadj module imports is used in it,
 every function or class a module defines is read somewhere in the package,
-and a frozen record is written only while it is built."""
+a frozen record is written only while it is built, and the library
+builds every HPolytope and Cone with its derived data."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import os
@@ -10,6 +12,7 @@ import os
 import pytest
 
 import polyadj
+from polyadj import fan, polytope
 
 PACKAGE = os.path.dirname(os.path.abspath(polyadj.__file__))
 MODULES = sorted(name for name in os.listdir(PACKAGE)
@@ -256,6 +259,58 @@ def test_frozen_records_are_written_only_while_they_are_built():
     for module in MODULES + ["__init__.py"]:
         with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
             scopes = [s for s in frozen_writes(fh.read()) if not s.endswith(".__post_init__")]
+        if scopes:
+            found[module] = scopes
+    assert found == {}
+
+
+def bare_builds(source: str, records: dict[str, dict[str, int]]) -> list[str]:
+    """Dotted scopes, each with the record's name, of every call of a record
+    that leaves out a derived field; records maps a record's name, called
+    bare or as an attribute, to its derived fields, each with its position.
+    A field counts as passed by a positional argument at its position or
+    later, or by its keyword."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                keywords = {k.arg for k in child.keywords}
+                if name in records and any(len(child.args) <= k and field not in keywords
+                                           for field, k in records[name].items()):
+                    found.append(f"{'.'.join(scope) or '<module>'}: {name}")
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return sorted(found)
+
+
+def test_the_scan_finds_every_bare_build():
+    source = ("p = HPolytope(2, n, b)\n\nclass A:\n    def f(self):\n"
+              "        return polytope.HPolytope(2, n, b, v, i)\n\n"
+              "def g(rays):\n    return [Cone(2, r) for r in rays] + [fan.Cone(2, rays, functionals=f)]\n\n"
+              "def h(n, b, v):\n    return HPolytope(2, n, b, v), HPolytope(2, n, b, incidence=0, vertices=v)\n")
+    records = {"HPolytope": {"vertices": 3, "incidence": 4}, "Cone": {"functionals": 2}}
+    assert bare_builds(source, records) == ["<module>: HPolytope", "g: Cone", "h: HPolytope"]
+
+
+def test_the_library_builds_polytopes_and_cones_with_their_derived_data():
+    # a record built without its derived data, a field defaulting to None,
+    # is checked against its canonicalizer's output, from_inequalities or
+    # cone(); the library passes the vertices, incidence or dual description
+    # it computed, so no library call pays that canonical rebuild
+    records = {record.__name__: {f.name: k for k, f in enumerate(dataclasses.fields(record)) if f.default is None}
+               for record in (polytope.HPolytope, fan.Cone)}
+    assert records == {"HPolytope": {"vertices": 3, "incidence": 4}, "Cone": {"functionals": 2}}
+    found = {}
+    for module in MODULES + ["__init__.py"]:
+        with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+            scopes = bare_builds(fh.read(), records)
         if scopes:
             found[module] = scopes
     assert found == {}

@@ -23,6 +23,7 @@ from polyadj import adjunction, fan, lp, polytope, ratmath, read_polytope, spect
 from polyadj.errors import (
     DimensionMismatchError,
     EmptyPolytopeError,
+    InvalidConeError,
     LowerDimensionalError,
     NonUnimodularError,
     UnboundedPolytopeError,
@@ -117,6 +118,31 @@ def test_a_hand_built_polytope_raises_what_from_inequalities_raises(normals, rhs
         HPolytope(2, normals, rhs)
     with pytest.raises(error):
         from_inequalities(list(zip(normals, rhs)))
+
+
+SQUARE_NORMALS = ((-1, 0), (0, -1), (0, 1), (1, 0))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: HPolytope(2, ((-1, 0), (0, -1), (2, 0), (0, 1)), (0, 0, 2, 1)), ValueError, "hand-built"),
+    (lambda: HPolytope(2, SQUARE_NORMALS + ((1, 1),), (0, 0, 1, 1, 5)), ValueError, "hand-built"),
+    (lambda: HPolytope(2, SQUARE_NORMALS + ((1, 0),), (0, 0, 1, 1, 2)), ValueError, "hand-built"),
+    (lambda: HPolytope(2, SQUARE_NORMALS[::-1], (1, 1, 0, 0)), ValueError, "hand-built"),
+    (lambda: fan.Cone(2, ((2, 0), (0, 1))), InvalidConeError, "hand-built"),
+    (lambda: fan.Cone(2, ((1, 0), (0, 1), (1, 1))), InvalidConeError, "hand-built"),
+    (lambda: fan.Cone(2, ((1, 0), (-1, 0))), InvalidConeError, "containing a line"),
+    (lambda: fan.Cone(3, ((0, 1), (1, 0))), InvalidConeError, "hand-built"),
+], ids=["non-primitive-normal", "redundant-row", "repeated-normal", "unsorted-rows",
+        "non-primitive-ray", "non-extreme-ray", "line", "other-ambient-dim"])
+def test_a_hand_built_record_that_is_not_canonical_is_refused(build, error, message):
+    # a record built without its derived data is its canonicalizer's
+    # output, from_inequalities of its rows or cone() of its rays, or it is
+    # refused: the unit square with the row 2 x_1 <= 2, or with the
+    # redundant row x_1 + x_2 <= 5, x_1 <= 1 given twice, its rows out of
+    # order; a non-primitive ray, a ray inside the cone of the others, a
+    # line, rays of Z^2 in a cone of Q^3
+    with pytest.raises(error, match=message):
+        build()
 
 
 def test_hand_built_copies_carry_the_data_the_constructors_pass_in(suite, suite_reports):
@@ -1299,9 +1325,12 @@ def test_transform_maps_vertices_exactly():
 
 
 def test_transform_divides_the_right_hand_side_of_a_non_primitive_normal():
-    # a hand-built row 2 x_1 <= 2 is x_1 <= 1; the image kept x_1 <= 2
-    # next to the vertices of x_1 <= 1
-    p = HPolytope(2, ((-1, 0), (0, -1), (2, 0), (0, 1)), (0, 0, 2, 1))
+    # a row 2 x_1 <= 2 is x_1 <= 1; a polytope built by hand with it is
+    # refused, and from_inequalities of the same rows divides it
+    normals, rhs = ((-1, 0), (0, -1), (2, 0), (0, 1)), (0, 0, 2, 1)
+    with pytest.raises(ValueError):
+        HPolytope(2, normals, rhs)
+    p = from_inequalities(list(zip(normals, rhs)))
     assert transform(p, [[1, 0], [0, 1]], (0, 0)) == from_inequalities(list(zip(p.normals, p.rhs)))
     q = transform(p, SHEAR, (1, 2))
     assert vertices(q) == ((1, 2), (2, 2), (2, 3), (3, 3))
