@@ -25,6 +25,7 @@ from .adjunction import (
 from .errors import (
     DimensionMismatchError,
     EmptyPolytopeError,
+    GridTooLargeError,
     InternalInconsistencyError,
     InvalidConeError,
     InvalidConfigError,

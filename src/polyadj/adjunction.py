@@ -12,7 +12,6 @@ spectrum superset for the Q-codegree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -44,6 +43,7 @@ from .polytope import (
     make_system,
 )
 from .ratmath import IntVector, common_denominator, dot, rank
+from .record import record
 
 
 def adjoint(p: HPolytope, c) -> InequalitySystem:
@@ -89,7 +89,7 @@ def qcodegree(p: HPolytope) -> Fraction:
     return 1 / critical_shift(p)
 
 
-@dataclass(frozen=True)
+@record
 class AdjunctionData:
     """Critical shift, core, and core normal data of one polytope.
 
@@ -192,7 +192,7 @@ def core_config(data: AdjunctionData) -> spectrum_mod.CoreNormalConfig:
     return cfg
 
 
-@dataclass(frozen=True)
+@record
 class FanSummary:
     smooth: bool
     gorenstein_index: Optional[int]
@@ -205,7 +205,7 @@ def fan_summary(fan: NormalFan) -> FanSummary:
     return FanSummary(is_smooth(fan), fan_gorenstein_index(fan), threshold, witness)
 
 
-@dataclass(frozen=True)
+@record
 class LemmaReport:
     """Results of the machine checks on one polytope.
 
@@ -284,7 +284,7 @@ def verify_lemmas(p: HPolytope, alpha=None, *, data: Optional[AdjunctionData] = 
                        scaled_points, scaled_ok, shift_vector, shift_ok)
 
 
-@dataclass(frozen=True)
+@record
 class AnalysisReport:
     """Everything the analyzer computes for one lattice polytope."""
 

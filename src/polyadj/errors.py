@@ -54,5 +54,14 @@ class ParseError(PolyadjError, ValueError):
     pass
 
 
+class GridTooLargeError(PolyadjError, OverflowError):
+    """len() of a ReciprocalGrid with more than sys.maxsize values; size
+    holds the exact count."""
+
+    def __init__(self, size: int):
+        super().__init__(f"the grid has {size} values, more than len() can return; read its size")
+        self.size = size
+
+
 class InternalInconsistencyError(PolyadjError, RuntimeError):
     """An exact cross-check that should always hold has failed."""

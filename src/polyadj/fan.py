@@ -36,7 +36,6 @@ lineality exactly when the rays do not span.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -66,9 +65,10 @@ from .ratmath import (
     integer_kernel_basis,
     primitivize,
 )
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class Cone:
     """Pointed rational cone spanned by primitive extreme rays.
 
@@ -77,26 +77,27 @@ class Cone:
     (_functionals), as height, the canonicity scan and gorenstein_index
     read it. cone() and normal_fan() pass in the description they validated
     the rays with; a cone built by hand without it must be cone() of its
-    rays, whose description it keeps, or raises InvalidConeError.
+    rays, whose fields it then holds, or raises InvalidConeError.
     """
 
     ambient_dim: int
     rays: tuple[IntVector, ...]
-    functionals: tuple = field(default=None, compare=False, repr=False)
+    functionals: tuple = None
 
     def __post_init__(self):
         if self.functionals is None:
             canonical = cone(self.rays)
             if canonical != self:
                 raise InvalidConeError("a hand-built Cone must have the primitive sorted extreme rays cone() gives")
-            object.__setattr__(self, "functionals", canonical.functionals)
+            for name in ("ambient_dim", "rays", "functionals"):
+                object.__setattr__(self, name, getattr(canonical, name))
 
     @property
     def n_rays(self) -> int:
         return len(self.rays)
 
 
-@dataclass(frozen=True)
+@record
 class NormalFan:
     """Normal fan of a full-dimensional lattice polytope.
 
@@ -110,7 +111,7 @@ class NormalFan:
     maximal_cones: tuple[Cone, ...]
 
 
-@dataclass(frozen=True)
+@record
 class GorensteinCertificate:
     """index >= 1 with a primitive integer functional constant on the rays.
 
@@ -122,7 +123,7 @@ class GorensteinCertificate:
     functional: IntVector
 
 
-@dataclass(frozen=True)
+@record
 class CanonicityWitness:
     """A lattice point of a cone lying below the stated height."""
 

@@ -40,19 +40,19 @@ objective, which phase 2 finds optimal at once on any feasible system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Literal, Optional, Sequence, Union
 
 from .errors import DimensionMismatchError, InternalInconsistencyError
 from .ratmath import common_denominator, dot
+from .record import record
 
 Status = Literal["optimal", "infeasible", "unbounded"]
 Exact = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
+@record
 class LpProblem:
     """An LP with exact entries: each an int or a Fraction."""
 
@@ -64,7 +64,7 @@ class LpProblem:
     nonneg: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class LpResult:
     """Outcome of a solve.
 

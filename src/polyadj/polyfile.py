@@ -15,19 +15,19 @@ points reaches the hull with no Fraction built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import ParseError
 from .polytope import HPolytope, from_inequalities, from_vertices
 from .ratmath import IntVector, common_denominator, format_fraction, int_vector, parse_rational
+from .record import record
 from .spectrum import CoreNormalConfig, make_config
 
 SECTIONS = ("H", "V", "A")
 
 
-@dataclass(frozen=True)
+@record
 class PolytopeDocument:
     """Parsed file content before geometric validation: an integer token
     is an int, any other entry a Fraction."""

@@ -50,7 +50,6 @@ floating point, and the module imports no LP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from operator import mul
@@ -78,32 +77,33 @@ from .ratmath import (
     vec_add,
     vec_sub,
 )
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class HPolytope:
     """Bounded full-dimensional polytope {x : normals[i] . x <= rhs[i]}.
 
     vertices are sorted, and incidence holds the facets' tight sets over
     them. The constructors pass both in; a polytope built by hand without
     them must be from_inequalities of its rows, whose errors it raises,
-    and raises ValueError when the rows differ; it keeps their vertices
-    and incidence.
+    and raises ValueError when the rows differ; it then holds the
+    canonical polytope's fields, so its rhs are Fractions as theirs are.
     """
 
     dim: int
     normals: tuple[IntVector, ...]
     rhs: tuple[Fraction, ...]
-    vertices: tuple[tuple[Fraction, ...], ...] = field(default=None, compare=False, repr=False)
-    incidence: tuple[int, ...] = field(default=None, compare=False, repr=False)
+    vertices: tuple[tuple[Fraction, ...], ...] = None
+    incidence: tuple[int, ...] = None
 
     def __post_init__(self):
         if self.vertices is None or self.incidence is None:
             canonical = from_inequalities(list(zip(self.normals, self.rhs)))
             if canonical != self:
                 raise ValueError("a hand-built HPolytope must have the rows from_inequalities gives")
-            object.__setattr__(self, "vertices", canonical.vertices)
-            object.__setattr__(self, "incidence", canonical.incidence)
+            for name in ("dim", "normals", "rhs", "vertices", "incidence"):
+                object.__setattr__(self, name, getattr(canonical, name))
 
     @property
     def n_facets(self) -> int:
@@ -115,7 +115,7 @@ class HPolytope:
         return all(dot(a, point) <= b for a, b in zip(self.normals, self.rhs))
 
 
-@dataclass(frozen=True)
+@record
 class AffineSubspace:
     """Affine subspace {x : <a, x> = beta for every equation (a, beta)}.
 
@@ -131,7 +131,7 @@ class AffineSubspace:
         return all(dot(a, point) == beta for a, beta in self.equations)
 
 
-@dataclass(frozen=True)
+@record
 class EmbeddedPolytope:
     """A compact convex set of any dimension inside R^d, in ambient coordinates.
 
@@ -146,7 +146,7 @@ class EmbeddedPolytope:
     subspace: AffineSubspace
     facets: tuple[tuple[IntVector, Fraction], ...]
     vertices: tuple[tuple[Fraction, ...], ...]
-    incidence: tuple[int, ...] = field(default=None, compare=False, repr=False)
+    incidence: tuple[int, ...] = None
 
     def __post_init__(self):
         if self.incidence is None:
@@ -170,7 +170,7 @@ class EmbeddedPolytope:
         return all(dot(a, point) <= beta for a, beta in self.facets)
 
 
-@dataclass(frozen=True)
+@record
 class InequalitySystem:
     """Raw finite system A x <= b, possibly empty, redundant, or degenerate."""
 

@@ -13,15 +13,15 @@ are the values N/k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 import operator
+import sys
 from math import floor, gcd
 from numbers import Rational
 from typing import Iterator, Optional, Sequence
 
-from .errors import InternalInconsistencyError, InvalidConfigError
+from .errors import GridTooLargeError, InternalInconsistencyError, InvalidConfigError
 from .polytope import EmbeddedPolytope, hull_any_dim
 from .ratmath import (
     IntVector,
@@ -32,9 +32,10 @@ from .ratmath import (
     primitivize,
     saturate,
 )
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class CoreNormalConfig:
     """Primitive integer vectors whose convex hull has 0 in its relative interior."""
 
@@ -51,8 +52,9 @@ class ReciprocalGrid(Sequence[Fraction]):
 
     Described by step and size alone: an entry is made when it is read,
     and membership is one division, not a scan. The number of values
-    grows as 1/(epsilon*step), into the millions for fine steps. Equal
-    to the tuple of its values, and hashed as that tuple.
+    grows as 1/(epsilon*step), into the millions for fine steps; len()
+    of one past sys.maxsize raises GridTooLargeError, and size holds the
+    count. Equal to the tuple of its values, and hashed as that tuple.
     """
 
     __slots__ = ("step", "size")
@@ -62,6 +64,8 @@ class ReciprocalGrid(Sequence[Fraction]):
         self.size = size
 
     def __len__(self) -> int:
+        if self.size > sys.maxsize:
+            raise GridTooLargeError(self.size)
         return self.size
 
     def __getitem__(self, index):
@@ -108,7 +112,7 @@ class ReciprocalGrid(Sequence[Fraction]):
         return f"ReciprocalGrid(step={self.step!r}, size={self.size})"
 
 
-@dataclass(frozen=True)
+@record
 class SpectrumSuperset:
     """Descending candidate Q-codegrees 1/(k*step) at or above epsilon."""
 

@@ -1,6 +1,5 @@
 """Critical shift, core extraction, lemma checks, and the full report."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -115,7 +114,7 @@ def test_tampered_shift_duals_are_rejected(monkeypatch):
     def zero_first_positive_dual(problem):
         res = solve(problem)
         i = next(i for i, v in enumerate(res.duals) if v > 0)
-        return dataclasses.replace(res, duals=res.duals[:i] + (Fraction(0),) + res.duals[i + 1:])
+        return lp.LpResult(res.status, res.value, res.point, res.duals[:i] + (Fraction(0),) + res.duals[i + 1:])
 
     monkeypatch.setattr(lp, "solve", zero_first_positive_dual)
     with pytest.raises(InternalInconsistencyError, match="do not certify"):
@@ -181,7 +180,8 @@ def test_a_moved_core_fails_the_core_row_checks(monkeypatch, move, message):
     def moved(system):
         core_, rows = embed(system)
         assert len(core_.vertices) == 2
-        return dataclasses.replace(core_, vertices=tuple(move(v, k) for k, v in enumerate(core_.vertices))), rows
+        vertices = tuple(move(v, k) for k, v in enumerate(core_.vertices))
+        return polytope.EmbeddedPolytope(core_.subspace, core_.facets, vertices, core_.incidence), rows
 
     monkeypatch.setattr(adjunction, "embed_system", moved)
     with pytest.raises(InternalInconsistencyError, match=message):
@@ -260,7 +260,7 @@ def test_an_lp_point_off_the_core_is_rejected(monkeypatch):
 
     def moved_point(problem):
         res = solve(problem)
-        return dataclasses.replace(res, point=(res.point[0] + Fraction(1, 10),) + res.point[1:])
+        return lp.LpResult(res.status, res.value, (res.point[0] + Fraction(1, 10),) + res.point[1:], res.duals)
 
     monkeypatch.setattr(lp, "solve", moved_point)
     with pytest.raises(InternalInconsistencyError, match="violates adjoint row 3$"):

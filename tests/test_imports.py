@@ -1,13 +1,16 @@
 """Source hygiene: every name a polyadj module imports is used in it,
 every function or class a module defines is read somewhere in the package,
 a frozen record is written only while it is built, and the library
-builds every HPolytope and Cone with its derived data."""
+builds every HPolytope and Cone with its derived data; importing the
+package loads no introspection module."""
 
 import ast
-import dataclasses
 import importlib
 import importlib.util
+import inspect
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -304,7 +307,8 @@ def test_the_library_builds_polytopes_and_cones_with_their_derived_data():
     # is checked against its canonicalizer's output, from_inequalities or
     # cone(); the library passes the vertices, incidence or dual description
     # it computed, so no library call pays that canonical rebuild
-    records = {record.__name__: {f.name: k for k, f in enumerate(dataclasses.fields(record)) if f.default is None}
+    records = {record.__name__: {name: k for k, (name, param) in enumerate(inspect.signature(record).parameters.items())
+                                 if param.default is None}
                for record in (polytope.HPolytope, fan.Cone)}
     assert records == {"HPolytope": {"vertices": 3, "incidence": 4}, "Cone": {"functionals": 2}}
     found = {}
@@ -326,3 +330,15 @@ def test_every_traced_function_exists_in_its_module():
     missing = [f"{module}.{name}" for module, names in tracing.SPANS.items() for name in names
                if not callable(getattr(importlib.import_module(f"polyadj.{module}"), name, None))]
     assert tracing.SPANS and missing == []
+
+
+def test_importing_polyadj_loads_no_introspection_module():
+    # start-up is most of the wall time of one `polyadj analyze` run: the
+    # records are polyadj.record classes, so importing the package loads
+    # neither dataclasses nor the modules it imports
+    code = "import sys\nbefore = set(sys.modules)\nimport polyadj\nprint(*sorted(set(sys.modules) - before))\n"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE))
+    added = set(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                               check=True, timeout=60).stdout.split())
+    assert "polyadj.record" in added
+    assert added & {"dataclasses", "inspect", "ast", "dis", "tokenize"} == set()

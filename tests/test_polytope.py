@@ -145,6 +145,16 @@ def test_a_hand_built_record_that_is_not_canonical_is_refused(build, error, mess
         build()
 
 
+def test_a_hand_built_record_holds_its_canonical_fields():
+    # rows equal to the canonical ones as numbers, int right hand sides or
+    # Fraction entries, give the canonical record itself, repr included
+    square = HPolytope(2, SQUARE_NORMALS, (0, 0, 1, 1))
+    assert repr(square) == repr(from_inequalities(list(zip(SQUARE_NORMALS, (0, 0, 1, 1)))))
+    assert all(type(b) is Fraction for b in square.rhs)
+    c = fan.Cone(Fraction(2), ((0, Fraction(1)), (1, 0)))
+    assert repr(c) == repr(fan.cone([(1, 0), (0, 1)])) == "Cone(ambient_dim=2, rays=((0, 1), (1, 0)))"
+
+
 def test_hand_built_copies_carry_the_data_the_constructors_pass_in(suite, suite_reports):
     # a record built by hand fills what its caller did not pass when it is
     # built: a polytope its vertices and incidence, an embedded set its

@@ -4,13 +4,14 @@ import hashlib
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
+import sys
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from oracles import bland_simplex
 from polyadj.adjunction import adjunction_data, core_config
-from polyadj.errors import InvalidConfigError
+from polyadj.errors import GridTooLargeError, InvalidConfigError, PolyadjError
 from polyadj.generators import cube, fig1
 from polyadj.spectrum import (
     CoreNormalConfig,
@@ -172,6 +173,16 @@ def test_reciprocal_grid_behaves_as_its_tuple(step):
     assert grid == ReciprocalGrid(step, 9) and grid != ReciprocalGrid(step, 8)
     assert grid != ReciprocalGrid(step / 2, 9)
     assert ReciprocalGrid(step, 0) == ReciprocalGrid(Fraction(0), 0) == ()
+
+
+def test_len_of_a_grid_past_sys_maxsize_raises_a_typed_error():
+    # len() must return an index-sized int; the count stays readable as size
+    grid = ReciprocalGrid(Fraction(1, 10**20), 2 * 10**20)
+    with pytest.raises(GridTooLargeError) as info:
+        len(grid)
+    assert isinstance(info.value, OverflowError) and isinstance(info.value, PolyadjError)
+    assert info.value.size == grid.size == 2 * 10**20
+    assert len(ReciprocalGrid(Fraction(1), sys.maxsize)) == sys.maxsize
 
 
 def test_membership_of_floats_and_non_numbers_scans_nothing(monkeypatch):
