@@ -76,8 +76,7 @@ def _shift_lp(rows: Sequence[tuple[Sequence[int], object]]) -> lp.LpResult:
     system = make_system(rows)
     d = system.dim
     # maximize t >= 0 subject to A x + t 1 <= b
-    res = lp.solve(lp.make_problem([a + (1,) for a in system.normals], system.rhs,
-                                   [0] * d + [1], nonneg=(d,)))
+    res = lp.solve([a + (1,) for a in system.normals], system.rhs, [0] * d + [1], nonneg=(d,))
     if res.status == "infeasible":
         raise EmptyPolytopeError("the system has no solution at level 0")
     if res.status == "unbounded":

@@ -34,34 +34,25 @@ is cleared of its denominators once, the same clearing that sets up the
 tableau. A violation raises InternalInconsistencyError since it can only
 mean a bug, never roundoff. LpResult.duals returns y as Fractions.
 
-solve is the one route: is_feasible solves the system with the zero
-objective, which phase 2 finds optimal at once on any feasible system.
+solve takes the rows, right hand sides and objective as sequences and
+checks their shapes and the nonneg indices itself. It reads each entry
+once, an int or a Fraction by its numerator and denominator and any other
+entry as a Fraction, so a float is read exactly. is_feasible is solve with
+the zero objective, which phase 2 finds optimal at once on any feasible
+system.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Literal, Optional, Sequence, Union
+from typing import Iterable, Literal, Optional, Sequence
 
 from .errors import DimensionMismatchError, InternalInconsistencyError
 from .ratmath import common_denominator, dot
 from .record import record
 
 Status = Literal["optimal", "infeasible", "unbounded"]
-Exact = Union[int, Fraction]
-
-
-@record
-class LpProblem:
-    """An LP with exact entries: each an int or a Fraction."""
-
-    normals: tuple[tuple[Exact, ...], ...]
-    rhs: tuple[Exact, ...]
-    objective: tuple[Exact, ...]
-    eq_normals: tuple[tuple[Exact, ...], ...] = ()
-    eq_rhs: tuple[Exact, ...] = ()
-    nonneg: tuple[int, ...] = ()
 
 
 @record
@@ -78,28 +69,9 @@ class LpResult:
     duals: tuple[Fraction, ...] = ()
 
 
-def _exact(x) -> Exact:
-    """x as it is when an int or a Fraction, else converted to a Fraction."""
-    return x if isinstance(x, (int, Fraction)) else Fraction(x)
-
-
-def make_problem(normals, rhs, objective, *, eq_normals=(), eq_rhs=(),
-                 nonneg: Iterable[int] = ()) -> LpProblem:
-    """Check an LP's shape and build it, keeping int and Fraction entries as they are."""
-    normals = tuple(tuple(map(_exact, row)) for row in normals)
-    rhs = tuple(map(_exact, rhs))
-    eq_normals = tuple(tuple(map(_exact, row)) for row in eq_normals)
-    eq_rhs = tuple(map(_exact, eq_rhs))
-    objective = tuple(map(_exact, objective))
-    d = len(objective)
-    if (any(len(row) != d for row in normals + eq_normals) or len(normals) != len(rhs)
-            or len(eq_normals) != len(eq_rhs)):
-        raise DimensionMismatchError("inconsistent LP dimensions")
-    nonneg = set(nonneg)
-    if not nonneg <= set(range(d)):
-        raise DimensionMismatchError(f"nonneg indices must lie in range({d})")
-    return LpProblem(normals, rhs, objective, eq_normals, eq_rhs,
-                     tuple(j for j in range(d) if j in nonneg))
+def _read(values) -> list:
+    """Each value as it is when an int or a Fraction, else as a Fraction."""
+    return [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in values]
 
 
 def _reduced(row: list[int]) -> list[int]:
@@ -116,208 +88,161 @@ def _priced_out(rc: list[int], den: int, prow: list[int], c: int) -> tuple[list[
     return [a // g for a in rc], den // g
 
 
-class _Tableau:
-    """Dense simplex tableau in integer rows with Bland pivoting.
+def _pivot(rows: list[list[int]], basis: list[int], r: int, c: int) -> None:
+    """Pivot on (r, c): row i stands for rows[i] / rows[i][basis[i]], whose
+    basic entry is kept positive."""
+    prow = rows[r]
+    p = prow[c]
+    if p < 0:  # only a phase-1 drop pivot lands on a negative entry
+        prow = rows[r] = [-a for a in prow]
+        p = -p
+    for i, row in enumerate(rows):
+        q = row[c]
+        if q and i != r:
+            rows[i] = _reduced([p * a - q * b for a, b in zip(row, prow)])
+    basis[r] = c
 
-    Row i stands for the rational row rows[i] / rows[i][basis[i]], whose
-    basic entry is kept positive.
+
+def _run(rows: list[list[int]], basis: list[int], cost: list, ncols: int) -> Optional[tuple[list[int], int]]:
+    """Minimize cost.z from the basis by Bland's rule, entering only the
+    first ncols columns; rows and basis are pivoted in place.
+
+    Returns the final reduced cost row, rhs column included, as integers
+    over a positive denominator, or None when the minimum is unbounded.
     """
-
-    def __init__(self, rows, basis, ncols):
-        self.m = len(rows)
-        self.ncols = ncols
-        self.rows = rows
-        self.basis: list[int] = basis
-        self.costs: Optional[tuple[list[int], int]] = None  # final reduced costs of run
-
-    def pivot(self, r, c):
-        prow = self.rows[r]
-        p = prow[c]
-        if p < 0:  # only a phase-1 drop pivot lands on a negative entry
-            prow = self.rows[r] = [-a for a in prow]
-            p = -p
-        for i, row in enumerate(self.rows):
-            q = row[c]
-            if q and i != r:
-                self.rows[i] = _reduced([p * a - q * b for a, b in zip(row, prow)])
-        self.basis[r] = c
-
-    def reduced_costs(self, cost) -> tuple[list[int], int]:
-        # cost: per-column objective (to minimize); returns the reduced cost
-        # row, rhs column included, as integers over a positive denominator
-        rc, den = common_denominator(cost)
-        rc.append(0)
-        for row, bj in zip(self.rows, self.basis):
-            if rc[bj]:
-                rc, den = _priced_out(rc, den, row, bj)
-        return rc, den
-
-    def run(self, cost, allowed) -> Status:
-        """Minimize cost over the current basis; allowed marks usable columns."""
-        rc, den = self.reduced_costs(cost)
-        rows = self.rows
-        while True:
-            enter = next((j for j in range(self.ncols) if allowed[j] and rc[j] < 0), None)
-            if enter is None:
-                self.costs = (rc, den)
-                return "optimal"
-            # ratios rows[i][-1] / rows[i][enter], compared by cross products
-            leave = None
-            for i, row in enumerate(rows):
-                a = row[enter]
-                if a > 0:
-                    if leave is None:
-                        leave = i
-                        continue
-                    lhs, rhs = row[-1] * rows[leave][enter], rows[leave][-1] * a
-                    if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leave]):
-                        leave = i
-            if leave is None:
-                return "unbounded"
-            self.pivot(leave, enter)
-            rc, den = _priced_out(rc, den, rows[leave], enter)
+    rc, den = common_denominator(cost)
+    rc.append(0)
+    for row, bj in zip(rows, basis):
+        if rc[bj]:
+            rc, den = _priced_out(rc, den, row, bj)
+    while True:
+        enter = next((j for j in range(ncols) if rc[j] < 0), None)
+        if enter is None:
+            return rc, den
+        # ratios rows[i][-1] / rows[i][enter], compared by cross products
+        leave = None
+        for i, row in enumerate(rows):
+            a = row[enter]
+            if a > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                lhs, rhs = row[-1] * rows[leave][enter], rows[leave][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave = i
+        if leave is None:
+            return None
+        _pivot(rows, basis, leave, enter)
+        rc, den = _priced_out(rc, den, rows[leave], enter)
 
 
-def _cleared(problem: LpProblem) -> list[tuple[list[int], int, int]]:
-    """Each row (a, b), inequality rows first, as (a den, b den, den) for the
-    least den > 0 that makes it integer."""
-    out = []
-    for normal, b in zip(problem.normals + problem.eq_normals, problem.rhs + problem.eq_rhs):
-        nums, den = common_denominator(tuple(normal) + (b,))
-        out.append((nums[:-1], nums[-1], den))
-    return out
+def solve(normals: Sequence, rhs: Sequence, objective: Sequence, *, eq_normals: Sequence = (),
+          eq_rhs: Sequence = (), nonneg: Iterable[int] = ()) -> LpResult:
+    """Maximize objective.x over the rows exactly; see the module docstring for the method.
 
+    Raises DimensionMismatchError when a row's length is not the
+    objective's, the rows and right hand sides differ in number, or an
+    index in nonneg lies outside range(len(objective)).
+    """
+    obj = _read(objective)
+    d, n = len(obj), len(normals)
+    system = (*normals, *eq_normals)
+    if n != len(rhs) or len(eq_normals) != len(eq_rhs) or any(len(a) != d for a in system):
+        raise DimensionMismatchError("inconsistent LP dimensions")
+    nonneg = set(nonneg)
+    if not nonneg <= set(range(d)):
+        raise DimensionMismatchError(f"nonneg indices must lie in range({d})")
+    free = [j for j in range(d) if j not in nonneg]
+    # each row (a, b), inequality rows first, as the integers (a den, b den)
+    # over the least den > 0
+    cleared = [common_denominator(_read((*a, b))) for a, b in zip(system, (*rhs, *eq_rhs))]
 
-def _setup(problem: LpProblem, cleared):
     # internal minimization of c~.z over M z = r, z >= 0. Columns: u_j per
     # variable, w_j per free variable, a slack per inequality row, then an
     # artificial per row whose slack cannot start basic (a negative right
-    # hand side before sign normalization, or an equality row). Returns the
-    # row signs, the starting tableau, the artificial column of each such
-    # row and the number of columns before the artificials.
-    n = len(problem.rhs)
-    d = len(problem.objective)
-    free = [j for j in range(d) if j not in problem.nonneg]
-    sigma = [1 if r >= 0 else -1 for _, r, _ in cleared]
-    ncols_core = d + len(free) + n
-    art_cols: dict[int, int] = {}
+    # hand side before sign normalization, or an equality row)
+    sigma = [1 if nums[-1] >= 0 else -1 for nums, _ in cleared]
+    slack0 = d + len(free)
+    ncore = slack0 + n  # the columns before the artificials
+    art: dict[int, int] = {}
     for i, s in enumerate(sigma):
         if i >= n or s < 0:
-            art_cols[i] = ncols_core + len(art_cols)
+            art[i] = ncore + len(art)
+    ncols = ncore + len(art)
     rows, basis = [], []
-    for i, (a, r, den) in enumerate(cleared):
+    for i, (nums, den) in enumerate(cleared):
         # the row times sigma[i] * den
-        u = [sigma[i] * x for x in a]
-        extra = [0] * (n + len(art_cols))
+        u = [sigma[i] * x for x in nums[:-1]]
+        extra = [0] * (n + len(art))
         if i < n:
             extra[i] = sigma[i] * den
-        if i in art_cols:
-            extra[art_cols[i] - d - len(free)] = den
-        rows.append(_reduced(u + [-u[j] for j in free] + extra + [sigma[i] * r]))
-        basis.append(art_cols.get(i, d + len(free) + i))
-    return sigma, _Tableau(rows, basis, ncols_core + len(art_cols)), art_cols, ncols_core
+        if i in art:
+            extra[art[i] - slack0] = den
+        rows.append(_reduced(u + [-u[j] for j in free] + extra + [sigma[i] * nums[-1]]))
+        basis.append(art.get(i, slack0 + i))
 
+    if art:
+        _run(rows, basis, [0] * ncore + [1] * len(art), ncols)  # bounded below by 0
+        if any(row[-1] for row, bj in zip(rows, basis) if bj >= ncore):
+            return LpResult("infeasible", None, None)
+        # pivot leftover artificials out in row order, then delete the rows
+        # that became redundant
+        drop = []
+        for i, row in enumerate(rows):
+            if basis[i] >= ncore:
+                c = next((j for j in range(ncore) if row[j]), None)
+                if c is None:
+                    drop.append(i)
+                else:
+                    _pivot(rows, basis, i, c)
+        for i in reversed(drop):
+            del rows[i], basis[i]
 
-def _phase1(tab: _Tableau, art_cols, ncols_core) -> bool:
-    if not art_cols:
-        return True
-    art_set = set(art_cols.values())
-    cost = [1 if j in art_set else 0 for j in range(tab.ncols)]
-    status = tab.run(cost, [True] * tab.ncols)
-    assert status == "optimal"  # phase 1 is bounded below by 0
-    if any(row[-1] for row, bj in zip(tab.rows, tab.basis) if bj in art_set):
-        return False
-    # pivot leftover artificials out, dropping rows that became redundant
-    drop = []
-    for i in range(tab.m):
-        if tab.basis[i] in art_set:
-            c = next((j for j in range(ncols_core) if tab.rows[i][j] != 0), None)
-            if c is None:
-                drop.append(i)
-            else:
-                tab.pivot(i, c)
-    for i in sorted(drop, reverse=True):
-        del tab.rows[i]
-        del tab.basis[i]
-        tab.m -= 1
-    return True
-
-
-def solve(problem: LpProblem) -> LpResult:
-    """Solve an LP exactly; see the module docstring for the method.
-
-    The problem is used as given: make_problem has already checked it.
-    Only the numerators and denominators of its entries are read.
-    """
-    d = len(problem.objective)
-    obj = problem.objective
-
-    cleared = _cleared(problem)
-    sigma, tab, art_cols, ncols_core = _setup(problem, cleared)
-    if not _phase1(tab, art_cols, ncols_core):
-        return LpResult("infeasible", None, None)
-
-    free = [j for j in range(d) if j not in problem.nonneg]
-    cost = [0] * tab.ncols
-    for j in range(d):
-        cost[j] = -obj[j]
-    for k, j in enumerate(free):
-        cost[d + k] = obj[j]
-    allowed = [j < ncols_core for j in range(tab.ncols)]
-    status = tab.run(cost, allowed)
-    if status == "unbounded":
+    cost = [-c for c in obj] + [obj[j] for j in free] + [0] * (ncols - slack0)
+    costs = _run(rows, basis, cost, ncore)
+    if costs is None:
         return LpResult("unbounded", None, None)
-
-    z = [Fraction(0)] * tab.ncols
-    for row, bj in zip(tab.rows, tab.basis):
+    z = [Fraction(0)] * ncols
+    for row, bj in zip(rows, basis):
         z[bj] = Fraction(row[-1], row[bj])
     x = z[:d]
     for k, j in enumerate(free):
         x[j] -= z[d + k]
     point = tuple(x)
     value = dot(obj, point)
-    duals = _validate_certificate(problem, cleared, tab, art_cols, ncols_core, sigma, obj, value)
-    return LpResult("optimal", value, point, duals)
 
-
-def _validate_certificate(problem, cleared, tab, art_cols, ncols_core, sigma, obj, value):
-    # read the duals y = ys / den off the final reduced costs, check them
-    # exactly in integers and return them
-    for bj in tab.basis:
-        if bj >= ncols_core:
-            raise InternalInconsistencyError("artificial variable left in the final basis")
+    # the certificate: read the duals y = ys / den off the final reduced
+    # costs, check them exactly in integers and return them
+    if any(bj >= ncore for bj in basis):
+        raise InternalInconsistencyError("artificial variable left in the final basis")
     # every row keeps its slack or artificial column, also a row phase 1 dropped
-    rc, den = tab.costs
-    n = len(problem.rhs)
-    slack0 = ncols_core - n
-    ys = rc[slack0:slack0 + n] + [sigma[i] * rc[art_cols[i]] for i in range(n, len(cleared))]
+    rc, den = costs
+    ys = rc[slack0:ncore] + [sigma[i] * rc[art[i]] for i in range(n, len(cleared))]
     if any(v < 0 for v in ys[:n]):
         raise InternalInconsistencyError("negative dual multiplier on an inequality row")
     # row i is (a_i, r_i) / den_i; over the common multiple scale of the
     # den_i and of the objective's denominators, y_i times row i is
     # w_i (a_i, r_i) / (den scale), so every check below is scaled by den scale
-    scale = lcm(*(dn for _, _, dn in cleared), *(c.denominator for c in obj))
-    w = [v * (scale // dn) for v, (_, _, dn) in zip(ys, cleared)]
+    scale = lcm(*(dn for _, dn in cleared), *(c.denominator for c in obj))
+    w = [v * (scale // dn) for v, (_, dn) in zip(ys, cleared)]
     for j, c in enumerate(obj):
-        reduced = (sum(wi * a[j] for wi, (a, _, _) in zip(w, cleared))
+        reduced = (sum(wi * nums[j] for wi, (nums, _) in zip(w, cleared))
                    - den * c.numerator * (scale // c.denominator))
-        if reduced < 0 or (reduced > 0 and j not in problem.nonneg):
+        if reduced < 0 or (reduced > 0 and j not in nonneg):
             raise InternalInconsistencyError("dual multipliers do not reproduce the objective")
-    if sum(wi * r for wi, (_, r, _) in zip(w, cleared)) * value.denominator != value.numerator * den * scale:
+    if sum(wi * nums[-1] for wi, (nums, _) in zip(w, cleared)) * value.denominator != value.numerator * den * scale:
         raise InternalInconsistencyError("duality gap in exact arithmetic")
-    return tuple(Fraction(v, den) for v in ys)
+    return LpResult("optimal", value, point, tuple(Fraction(v, den) for v in ys))
 
 
 def is_feasible(normals: Sequence, rhs: Sequence, *, eq_normals: Sequence = (),
                 eq_rhs: Sequence = (), nonneg: Iterable[int] = ()) -> bool:
-    """Exact feasibility: solve with the zero objective; the arguments are as in make_problem.
+    """Exact feasibility: solve with the zero objective; the arguments are as in solve.
 
     Systems without rows are feasible.
     """
-    if len(normals) != len(rhs) or len(eq_normals) != len(eq_rhs):
-        raise DimensionMismatchError("inconsistent system dimensions")
-    if not normals and not eq_normals:
+    rows = (*normals, *eq_normals)
+    if not rows and not rhs and not eq_rhs:
         return True
-    d = len(normals[0] if normals else eq_normals[0])
-    problem = make_problem(normals, rhs, [0] * d, eq_normals=eq_normals, eq_rhs=eq_rhs, nonneg=nonneg)
-    return solve(problem).status == "optimal"
+    return solve(normals, rhs, [0] * len(rows[0] if rows else ()), eq_normals=eq_normals,
+                 eq_rhs=eq_rhs, nonneg=nonneg).status == "optimal"

@@ -111,8 +111,8 @@ def test_tampered_shift_duals_are_rejected(monkeypatch):
     p = fig1()
     solve = lp.solve
 
-    def zero_first_positive_dual(problem):
-        res = solve(problem)
+    def zero_first_positive_dual(*args, **kwargs):
+        res = solve(*args, **kwargs)
         i = next(i for i, v in enumerate(res.duals) if v > 0)
         return lp.LpResult(res.status, res.value, res.point, res.duals[:i] + (Fraction(0),) + res.duals[i + 1:])
 
@@ -258,8 +258,8 @@ def test_an_lp_point_off_the_core_is_rejected(monkeypatch):
     # by 1/10 along x_1 it leaves the core row x_1 + 2 x_2 + 2 x_3 <= 2 - c*
     solve = lp.solve
 
-    def moved_point(problem):
-        res = solve(problem)
+    def moved_point(*args, **kwargs):
+        res = solve(*args, **kwargs)
         return lp.LpResult(res.status, res.value, (res.point[0] + Fraction(1, 10),) + res.point[1:], res.duals)
 
     monkeypatch.setattr(lp, "solve", moved_point)

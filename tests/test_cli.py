@@ -22,7 +22,7 @@ import polyadj
 from polyadj.adjunction import adjunction_data
 from polyadj import cli
 from polyadj.cli import CENSUS_COLUMNS, main
-from polyadj.generators import random_lattice_polytope
+from polyadj.generators import SplitMix64, fig1, random_lattice_polytope, scaled_simplex
 from polyadj.polyfile import format_polytope
 from polyadj.polytope import from_inequalities
 
@@ -344,3 +344,72 @@ def test_a_grid_of_more_than_sys_maxsize_values_is_reported_by_its_size(capsys, 
     code, out, _ = run(capsys, ["spectrum", "--from-polytope", str(path)])
     superset = json.loads(out)
     assert code == 0 and (superset["values"], superset["n_values"]) == (None, n_values)
+
+
+# valid H, V and A documents, each with the command that reads it
+FUZZ_BASES = (
+    (format_polytope(fig1()), ["analyze", "-"]),
+    (format_polytope(scaled_simplex(3, 2)), ["spectrum", "--from-polytope", "-"]),
+    ("dim 2\nV\n0 0\n2 0\n0 3\n1 1\n", ["analyze", "-"]),
+    ("dim 3\nV\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n1 1 1\n", ["analyze", "--format", "text", "-"]),
+    ("dim 2\nA\n1 0\n0 1\n-1 -1\n", ["spectrum", "-"]),
+    ("dim 3\nA\n1 0 0\n0 1 0\n0 0 1\n-1 -1 -1\n", ["spectrum", "-"]),
+)
+FUZZ_WORDS = ("1/0", "0.5", "x", "-", "7/3", "-1/2", "2/-3", "V", "dim")
+# Drawn integers stay within +-99. The lattice walks have no budget yet, and
+# one large entry makes a valid input run long: the V file of 0, e_2, e_3 and
+# (1, -(10^k - 1), 0) makes verify_lemmas walk about 2 10^k values of x_1 over
+# its acore, 0.28 s at k = 5 and ten times that for each further digit.
+FUZZ_CAP = 99
+
+
+def fuzzed(text: str, rng: SplitMix64) -> str:
+    """text with one to three mutations: a token dropped or duplicated, the
+    rows emptied, an entry replaced by a word of FUZZ_WORDS or by a drawn
+    integer, or a row dropped or duplicated."""
+    lines = [line.split() for line in text.splitlines()]
+
+    def pick(seq):
+        return seq[rng.randint(0, len(seq) - 1)]
+
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randint(0, 9)
+        if kind <= 1 and any(lines):
+            tokens = pick([t for t in lines if t])
+            j = rng.randint(0, len(tokens) - 1)
+            if kind == 0:
+                del tokens[j]
+            else:
+                tokens.insert(j, tokens[j])
+        elif kind == 2:
+            del lines[2:]
+        elif len(lines) > 2:
+            i = rng.randint(2, len(lines) - 1)
+            if kind <= 4:
+                lines[i][rng.randint(0, len(lines[i]) - 1)] = pick(FUZZ_WORDS)
+            elif kind <= 7:
+                lines[i][rng.randint(0, len(lines[i]) - 1)] = str(rng.randint(-FUZZ_CAP, FUZZ_CAP))
+            elif kind == 8:
+                del lines[i]
+            else:
+                lines.insert(i, list(lines[i]))
+    return "\n".join(" ".join(t) for t in lines) + "\n"
+
+
+def test_mutated_documents_exit_0_2_or_3(capsys, monkeypatch):
+    # A seeded fuzz of main in process: every input either succeeds, fails
+    # to parse or is refused with a typed error, and none ends in exit 4 or
+    # an uncaught exception. No alarm bounds a case: main maps OSError, and
+    # so TimeoutError, to exit 2, which would pass a case that ran too long.
+    rng = SplitMix64(0)
+    exits = {0: 0, 2: 0, 3: 0}
+    for k in range(2000):
+        base, argv = FUZZ_BASES[k % len(FUZZ_BASES)]
+        text = fuzzed(base, rng)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code = main(argv)
+        capsys.readouterr()
+        assert code in exits, text
+        exits[code] += 1
+    # every outcome is reached, so the mutations reach past the reader
+    assert min(exits.values()) > 100

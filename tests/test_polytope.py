@@ -360,29 +360,13 @@ def test_padded_facet_rows_canonicalize_to_the_brute_force_hull_4d(pts, data):
         _check_padded_facets_canonicalize_to_the_hull(pts, data)
 
 
-def _count_calls(monkeypatch) -> dict:
-    """Count calls of lp.solve, lp.is_feasible and the double-description
-    kernel, at every binding in polytope and fan, from here on."""
-    calls = {"solve": 0, "is_feasible": 0, "double_description": 0}
-
-    def counting(name, f):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return f(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(lp, "solve", counting("solve", lp.solve))
-    monkeypatch.setattr(lp, "is_feasible", counting("is_feasible", lp.is_feasible))
-    kernel = counting("double_description", double_description)
-    for module in (polytope, fan):
-        if hasattr(module, "double_description"):
-            monkeypatch.setattr(module, "double_description", kernel)
-    return calls
+# the calls that count_calls(*LP_AND_DD) counts: the LP and the double-description kernel
+LP_AND_DD = ((lp, "solve"), (lp, "is_feasible"), (polytope, "double_description"))
 
 
-def test_from_inequalities_makes_no_lp_and_one_double_description(monkeypatch):
+def test_from_inequalities_makes_no_lp_and_one_double_description(count_calls):
     rows = list(zip(fig1().normals, fig1().rhs)) + [((1, 1), 8)]  # x + y <= 8 touches (5, 3)
-    calls = _count_calls(monkeypatch)
+    calls = count_calls(*LP_AND_DD)
     p = from_inequalities(rows)
     assert calls == {"solve": 0, "is_feasible": 0, "double_description": 1}
     # the vertices came along, so nothing downstream enumerates them again
@@ -530,7 +514,7 @@ def test_implicit_equalities_found_by_double_description():
     assert emb.vertices == ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)))
 
 
-def test_implicit_equalities_reject_empty_and_prune_loose_candidates(monkeypatch):
+def test_implicit_equalities_reject_empty_and_prune_loose_candidates(count_calls):
     with pytest.raises(EmptyPolytopeError):
         implicit_equalities(make_system([((1, 0), 0), ((-1, 0), -1)]))
     assert implicit_equalities(make_system(TRIANGLE_ROWS)) == ()
@@ -538,7 +522,7 @@ def test_implicit_equalities_reject_empty_and_prune_loose_candidates(monkeypatch
     segment = make_system([((1, 0), 0), ((-1, 0), 0), ((0, 1), 0), ((0, -1), 1)])
     p = fig1()
     fig1_core = adjunction.adjoint(p, adjunction.critical_shift(p))
-    calls = _count_calls(monkeypatch)
+    calls = count_calls(*LP_AND_DD)
     assert implicit_equalities(segment) == (0, 1)
     assert calls == {"solve": 0, "is_feasible": 0, "double_description": 1}
     # one double description in each call, and embed_system one more for the hull of the vertices
@@ -553,7 +537,7 @@ def test_implicit_equalities_reject_empty_and_prune_loose_candidates(monkeypatch
     assert calls["solve"] == 1 and calls["is_feasible"] == 0
 
 
-def test_core_config_reads_positive_spanning_off_the_acore(monkeypatch):
+def test_core_config_reads_positive_spanning_off_the_acore(monkeypatch, count_calls):
     easy = adjunction.adjunction_data(fig1())
     # a degenerate critical-shift LP: a core normal of d2-s1033 has dual 0
     hard = adjunction.adjunction_data(random_lattice_polytope(2, 7, 1033, box=5))
@@ -562,7 +546,7 @@ def test_core_config_reads_positive_spanning_off_the_acore(monkeypatch):
     expected = [spectrum.make_config(data.core_normals) for data in (easy, hard)]
     validated = []
     monkeypatch.setattr(spectrum, "validate_config", validated.append)
-    calls = _count_calls(monkeypatch)
+    calls = count_calls(*LP_AND_DD)
     # the acore that adjunction_data built is the hull of the core normals,
     # so the test needs no LP, no double description and no validate_config
     for data, cfg in zip((easy, hard), expected):
@@ -640,11 +624,11 @@ def test_hull_any_dim_rejects_mixed_point_lengths():
             from_vertices(pts)
 
 
-def test_hull_any_dim_of_a_flat_set_makes_one_double_description_and_no_solve(monkeypatch):
+def test_hull_any_dim_of_a_flat_set_makes_one_double_description_and_no_solve(monkeypatch, count_calls):
     # a parallelogram in a plane of R^3: its facets and vertices come off the
     # double description of its points' valid rows, in ambient coordinates
     pts = [(0, 0, 0), (2, 2, 4), (1, 0, 1), (3, 2, 5)]
-    calls = _count_calls(monkeypatch)
+    calls = count_calls(*LP_AND_DD)
     for name in ("from_vertices", "solve_linear"):
         def forbidden(*args, name=name, **kwargs):
             raise AssertionError(f"hull_any_dim called {name}")
@@ -831,12 +815,12 @@ def test_lattice_points_of_embedded_sets():
     assert lattice_points(pt) == ()
 
 
-def test_relative_interior_of_a_flat_scaled_acore_needs_no_hull_and_no_linear_solve(monkeypatch):
+def test_relative_interior_of_a_flat_scaled_acore_needs_no_hull_and_no_linear_solve(monkeypatch, count_calls):
     # the acore of d4-s4022 lies in x_3 = 0, so levels 3 and 4 are flat
     acore = adjunction.adjunction_data(random_lattice_polytope(4, 6, 4022, box=2)).acore
     assert acore.dim == 3
     shrinks = (1, Fraction(2, 3), Fraction(1, 2))
-    calls = _count_calls(monkeypatch)
+    calls = count_calls(*LP_AND_DD)
     for name in ("hull_any_dim", "from_vertices", "solve_linear"):
         def forbidden(*args, name=name, **kwargs):
             raise AssertionError(f"lattice_points called {name}")
