@@ -106,12 +106,16 @@ def test_fractional_data_stays_exact():
     res = solve([[1.5]], [0.75], [1])
     assert res == solve([[Fraction(3, 2)]], [Fraction(3, 4)], [1])
     assert (res.value, res.duals) == (Fraction(1, 2), (Fraction(2, 3),))
-    # int entries solve like the same entries as Fractions
-    rows, rhs, obj = [[1, 0], [0, 1], [-1, -1]], [1, 2, 0], [3, -1]
-    res = solve(rows, rhs, obj, eq_normals=[[1, -2]], eq_rhs=[-1], nonneg=[1])
+
+
+def test_a_hand_built_problem_of_ints_solves_like_a_converted_one():
+    # rows of int tuples, as a caller builds them by hand, solve like the
+    # same rows converted to Fractions
+    res = solve(((1, 0), (0, 1), (-1, -1)), (1, 2, 0), (3, -1),
+                eq_normals=((1, -2),), eq_rhs=(-1,), nonneg=(1,))
     assert res.status == "optimal"
-    as_fractions = [[Fraction(x) for x in a] for a in rows]
-    assert res == solve(as_fractions, list(map(Fraction, rhs)), list(map(Fraction, obj)),
+    rows = [[Fraction(x) for x in a] for a in ((1, 0), (0, 1), (-1, -1))]
+    assert res == solve(rows, list(map(Fraction, (1, 2, 0))), list(map(Fraction, (3, -1))),
                         eq_normals=[[Fraction(1), Fraction(-2)]], eq_rhs=[Fraction(-1)], nonneg=[1])
 
 
