@@ -19,16 +19,18 @@ span, which heights and the scan keep, and when it is empty the vertex
 A cone holds that description from the moment it is built: cone() and
 normal_fan() pass in the one they validated its generators with, and a
 cone built by hand must be cone() of its rays, whose description it
-keeps, or raises InvalidConeError, so a fan takes no integer kernel, no
-rank and no second dual description after it is built. The canonicity
-scan enumerates one region per cone, conv(0, rays), shrunk by t = 1/2^k
-on a ladder that starts at the lower bound on heights that the dual
-vertices prove, 1 / max s over their primitive (u, s). Across a fan
-each cone's ladder is capped at the least threshold of the cones before
-it. A cone compiles the levels of its region (polytope.projected_levels,
-from the cone of its valid rows: one double description of its points,
-or none when the dual region has one vertex, whose double description
-already holds those rows) only when its ladder takes a rung. A normal fan
+keeps, or raises InvalidConeError, so a normal fan, whose cones span,
+takes no integer kernel, no rank and no second dual description after it
+is built. The canonicity
+scan enumerates one region per cone, conv(0, rays), shrunk by t on a
+ladder that starts at the lower bound on heights that the dual vertices
+and the rays prove (_height_floor) and never passes the least height
+listed. Across a fan each cone's ladder is capped at the least threshold
+of the cones before it. A cone compiles the levels of its region
+(polytope.projected_levels, from the cone of its valid rows: one double
+description of its points, or none when the dual region has one vertex,
+whose double description already holds those rows) only when its ladder
+takes a rung. A normal fan
 reads each maximal cone off the polytope's vertex-facet incidence and
 proves it full-dimensional with its dual height description, which has a
 lineality exactly when the rays do not span.
@@ -37,7 +39,7 @@ lineality exactly when the rays do not span.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Optional, Sequence
 
@@ -254,53 +256,76 @@ def _cone_levels(rays: Sequence[IntVector], region, lineality) -> list:
     vertex (u, s), every ray has <u, r> = s, so Q is the cone cut by <u, x>
     <= s, and region already holds Q's facet rows with their tight sets:
     (-f, 0) for each of its facets (f, 0) and (u, s). Otherwise one double
-    description of Q's points gives them.
+    description of Q's points gives them, and 0 and the rays, sorted,
+    level 1.
     """
     d = len(rays[0])
+    points = sorted([(0,) * d, *rays])
     if sum(1 for z, _ in region if z[d]) == 1:
-        return projected_levels([(z if z[d] else tuple(-x for x in z), t) for z, t in region], lineality)
+        return projected_levels([(z if z[d] else tuple(-x for x in z), t) for z, t in region], lineality, points)
     rows = [(0,) * d + (1,)] + [tuple(-x for x in r) + (1,) for r in rays]
-    return projected_levels(*double_description(rows, d + 1))
+    return projected_levels(*double_description(rows, d + 1), points)
+
+
+def _height_floor(c: Cone) -> int:
+    """m = min(max s, M), with every nonzero lattice point of c at height >= 1 / m.
+
+    s is the least s > 0 of a dual vertex class (u, s) + lineality, where
+    it is an integer functional, positive on the cone's lattice points: the
+    primitive s when the rays span, else the gcd of the s of the integer
+    kernel of <r, u'> s = <r, u> s' over the rays. M is the largest |entry|
+    of the rays, as height h puts a point in h conv(0, rays) in [-hM, hM]^d.
+    """
+    region, lineality, _, _ = c.functionals
+    if lineality:
+        top = max(gcd(*(v[-1] for v in integer_kernel_basis(
+            [tuple(z[-1] * x for x in r) + (-dot(r, z[:-1]),) for r in c.rays], ncols=len(z))))
+            for z, _ in region if z[-1])
+    else:
+        top = max(z[-1] for z, _ in region)
+    return min(top, max(abs(x) for r in c.rays for x in r))
 
 
 def canonicity_threshold(c: Cone, below=1) -> tuple[Fraction, Optional[CanonicityWitness]]:
     """min(below, least height of a nonzero lattice point of the cone), with a witness when under below.
 
-    Heights are min_w <w, x> / scale over the dual height vertices w, where
-    w = (scale / s) u for a primitive integer dual vertex (u, s) and <u, x>
-    is a positive integer at each nonzero lattice point x of the cone: every
-    height is at least 1 / max s, so with 1 / max s >= below the answer is
-    below with no point listed. A point of height at most t lies in t R_w,
-    R_w = conv(0, scale r / <w, r>), for its minimizing w, and <w, r> >=
-    scale puts every apex on [0, r], so it lies in t Q, Q = conv(0, rays).
-    The ladder takes t = 1/2^k for the largest 2^k <= max s, then doubles t,
-    keeping the nonzero points of t Q of height at most t. It stops at the
-    first rung that keeps a point, which keeps every point of least height,
-    so the least height is exact and the witness is the lexicographically
-    smallest point attaining it; or at the first t >= below, which lists
-    every point of height under below; or at t = 1. The levels of Q are
-    compiled (_cone_levels) only when the ladder takes a rung. A cone of
-    lower rank is scanned in Z^d, its levels holding the equations of its
-    span, so its witness too is the lexicographically smallest point in Z^d.
-    below must lie in (0, 1].
+    Heights are min_w <w, x> / scale over the dual height vertices w. Each
+    is at least 1 / m (_height_floor), so with 1 / m >= below the answer
+    is below, with no level compiled. A point of height at most t lies in
+    t R_w, R_w = conv(0, scale r / <w, r>), for its minimizing w, and <w,
+    r> >= scale puts every apex on [0, r], so it lies in t Q, Q = conv(0,
+    rays). Rung t keeps the nonzero points of t Q of height at most t. The
+    first is t = 1/2^k for the largest 2^k <= m; t doubles while a rung
+    lists no nonzero point, then becomes min(5/4 t, least height listed,
+    below), a Fraction shrink. The ladder stops at the first rung that
+    keeps a point, which keeps every point of least height, so the witness
+    is the lexicographically smallest point attaining it; or at the first
+    t >= below. A cone of lower rank is scanned in Z^d, its levels holding
+    the equations of its span, so its witness too is the lexicographically
+    smallest point in Z^d. below must lie in (0, 1].
     """
     below = Fraction(below)
     num, den = below.numerator, below.denominator
     if not 0 < num <= den:
         raise ValueError("below must lie in (0, 1]")
-    region, lineality, duals, scale = c.functionals
-    top = max(z[-1] for z, _ in region)
+    top = _height_floor(c)
     if num * top <= den:
         return below, None
+    region, lineality, duals, scale = c.functionals
     levels = _cone_levels(c.rays, region, lineality)
-    shrink = 1 << (top.bit_length() - 1)
+    t = Fraction(1, 1 << (top.bit_length() - 1))
     while True:
-        heights = ((min([sum(map(mul, w, pt)) for w in duals]), pt)
-                   for pt in level_points(levels, shrink=shrink) if any(pt))
-        found = [(h, pt) for h, pt in heights if h * shrink <= scale]
-        if found or num * shrink <= den:
+        # a unit fraction's shrink is an int, which the walk floors faster
+        shrink = t.denominator if t.numerator == 1 else 1 / t
+        listed = [(min([sum(map(mul, w, pt)) for w in duals]), pt)
+                  for pt in level_points(levels, shrink=shrink) if any(pt)]
+        found = [(h, pt) for h, pt in listed if h * t.denominator <= scale * t.numerator]
+        if found or t >= below:
             break
-        shrink //= 2
+        if listed:
+            t = min(t * 5 / 4, Fraction(min(h for h, _ in listed), scale), below)
+        else:
+            t *= 2
     if not found:
         return below, None
     best, point = min(found)

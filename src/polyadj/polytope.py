@@ -19,10 +19,10 @@ onto x_1..x_j (projected_levels). The valid rows (a, beta) of a set form
 a cone whose rays are its facets and whose lineality is the equations of
 its affine hull; those of the projection onto x_1..x_j are the ones of
 the projection onto x_1..x_{j+1} with a_{j+1} = 0. So every projection
-is read off the cone of the set itself by equality cuts (_cut), each one
-step of the same kernel on the rays and tight sets in hand, and no
-Fourier-Motzkin elimination, hull or fresh double description of a
-projection is needed. The cone of a polytope is read off its facet rows,
+down to x_1..x_2 is read off the cone of the set itself by equality cuts
+(_cut), each one step of the same kernel on the rays and tight sets in
+hand, the one onto x_1 off the sorted vertices, and no Fourier-Motzkin
+elimination, hull or fresh double description of a projection is needed. The cone of a polytope is read off its facet rows,
 its equations and its vertex-facet incidence (_valid_row_cone), which
 each polytope holds from the moment it is built.
 Each level is compiled once into the integer rows that bound its
@@ -140,7 +140,8 @@ class EmbeddedPolytope:
     the set is a single point); on a flat set each is one representative
     modulo the equations. vertices are sorted, and incidence holds the
     facets' tight sets over them. The constructors pass it in; a set built
-    by hand gets it when it is built, by exact products <a, v> == beta.
+    by hand gets it when it is built, by exact products <a, v> == beta, and
+    raises ValueError when its vertices are not sorted.
     """
 
     subspace: AffineSubspace
@@ -150,6 +151,8 @@ class EmbeddedPolytope:
 
     def __post_init__(self):
         if self.incidence is None:
+            if list(self.vertices) != sorted(self.vertices):
+                raise ValueError("a hand-built EmbeddedPolytope must have sorted vertices")
             object.__setattr__(self, "incidence", tuple(
                 sum(1 << k for k, v in enumerate(self.vertices) if dot(a, v) == beta) for a, beta in self.facets))
 
@@ -575,36 +578,41 @@ def is_lattice_polytope(s) -> bool:
 # lattice point enumeration
 
 
-def projected_levels(rays, lineality) -> list:
+def projected_levels(rays, lineality, points) -> list:
     """Bounds of the lattice-point enumeration of a set S in Q^d, one level per coordinate.
 
     rays and lineality are the cone of the valid rows (a, beta), <a, x> <=
     beta on S, as double_description gives it: its primitive integer
     extreme rays, each with its tight set, and a basis of its lineality,
-    the equations of the affine hull of S. Level j (1 <= j <= d) is read
-    off the cone of the projection of S onto x_1..x_j (_projections):
-    each ray is a row, each lineality vector two opposite rows. Each level
-    is an exact projection, so a row without x_j is implied by level j - 1
-    and a prefix passing level j extends to a point of S. levels[j] holds
-    each row with a nonzero x_j coefficient compiled once for level_points
-    (_compiled); levels[0] is None.
+    the equations of the affine hull of S, the hull of the sorted points.
+    Level j >= 2 is read off the cone of the projection of S onto
+    x_1..x_j (_projections): each ray is a row, each lineality vector two
+    opposite rows. Level 1 is [x_1 of the first point, x_1 of the last],
+    as the rows q x_1 <= p and -q' x_1 <= -p' of its ends p/q and p'/q',
+    the rows the cut down to x_1 gives. Each level is an exact projection,
+    so a row without x_j is implied by level j - 1 and a prefix passing
+    level j extends to a point of S. levels[j] holds each row with a
+    nonzero x_j coefficient compiled once for level_points (_compiled);
+    levels[0] is None.
     """
+    lo, hi = points[0][0], points[-1][0]
     levels = [_compiled([z for z, _ in rays] + list(lineality) + [tuple(-x for x in z) for z in lineality])
               for rays, lineality in _projections(rays, lineality)]
-    return [None] + levels[::-1]
+    return [None, [(hi.denominator, hi.numerator, ()), (-lo.denominator, -lo.numerator, ())]] + levels[::-1]
 
 
 def _projections(rays, lineality):
-    """The valid-row cones of the projections of S onto x_1..x_j, j = d down to 1, as (rays, lineality).
+    """The valid-row cones of the projections of S onto x_1..x_j, j = d down to 2, as (rays, lineality).
 
     The valid rows of the projection onto x_1..x_j are those of the
     projection onto x_1..x_{j+1} with a_{j+1} = 0, so each cone is the one
     before it cut by that equality (_cut), and no projection is described
-    afresh.
+    afresh: d - 2 cuts.
     """
     d = len(rays[0][0]) - 1
-    yield rays, lineality
-    for j in range(d - 1, 0, -1):
+    if d > 1:
+        yield rays, lineality
+    for j in range(d - 1, 1, -1):
         rays, lineality = _cut(rays, lineality, j, j + 2)
         yield rays, lineality
 
@@ -737,15 +745,15 @@ def lattice_points(s, region: str = "all", shrink=1):
     s may be an HPolytope or an EmbeddedPolytope, and the returned points
     are integer tuples in lexicographic order. The enumeration runs over
     projected_levels of the cone of the valid rows of s, read off the
-    incidence s keeps (_valid_row_cone), with none recounted, and
-    level_points walks them at shrink. The relative_interior region keeps
+    incidence s keeps (_valid_row_cone), with none recounted, and of its
+    sorted vertices, and level_points walks them at shrink. The relative_interior region keeps
     the points x strictly inside every facet row (a, beta) of s / shrink,
     <a, x> num < beta den for shrink = num / den, in integers.
     """
     if region not in ("all", "relative_interior"):
         raise ValueError(f"unknown region {region!r}")
     rays, lineality = _valid_row_cone(s)
-    result = level_points(projected_levels(rays, lineality), shrink)
+    result = level_points(projected_levels(rays, lineality, s.vertices), shrink)
     if region == "relative_interior":
         num, den = shrink.numerator, shrink.denominator
         result = [x for x in result if all(dot(z[:-1], x) * num < z[-1] * den for z, _ in rays)]

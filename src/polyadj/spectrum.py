@@ -53,8 +53,9 @@ class ReciprocalGrid(Sequence[Fraction]):
     Described by step and size alone: an entry is made when it is read,
     and membership is one division, not a scan. The number of values
     grows as 1/(epsilon*step), into the millions for fine steps; len()
-    of one past sys.maxsize raises GridTooLargeError, and size holds the
-    count. Equal to the tuple of its values, and hashed as that tuple.
+    and hash() of one past sys.maxsize raise GridTooLargeError, and size
+    holds the count. Equal to the tuple of its values, and hashed as that
+    tuple.
     """
 
     __slots__ = ("step", "size")
@@ -106,6 +107,8 @@ class ReciprocalGrid(Sequence[Fraction]):
         return NotImplemented
 
     def __hash__(self) -> int:
+        if self.size > sys.maxsize:
+            raise GridTooLargeError(self.size)
         return hash(tuple(self))
 
     def __repr__(self) -> str:

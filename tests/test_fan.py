@@ -1,5 +1,6 @@
 """Normal fans, cone heights, canonicity thresholds, Gorenstein indices."""
 
+import hashlib
 import itertools
 import json
 import os
@@ -41,7 +42,7 @@ from polyadj.fan import (
     is_smooth_cone,
     normal_fan,
 )
-from polyadj.generators import cube, fig1, random_lattice_polytope, scaled_simplex
+from polyadj.generators import SplitMix64, cube, fig1, random_lattice_polytope, scaled_simplex
 from polyadj.polytope import (
     double_description,
     from_vertices,
@@ -305,18 +306,16 @@ def test_threshold_of_non_simplicial_cones_matches_the_box_scan(d, data):
     _agrees_with_the_box_scan(c)
 
 
-def _lower_rank_cone(d, data):
-    """(cone, its extreme rays in Z^k, the map Z^k -> Z^d) for a cone of rank k < d.
+def _placed(local, d, shears):
+    """(cone, its extreme rays in Z^k, the map Z^k -> Z^d) for full-rank rays of Z^k placed in Z^d.
 
-    Full-rank rays of Z^k are placed in Z^d by x -> U (x, 0) for a
-    unimodular U, which maps Z^k onto the lattice points of the span.
+    The map is x -> U (x, 0), U the identity with m times row j added to
+    row i for each shear (i, j, m), i != j: a unimodular U, which maps Z^k
+    onto the lattice points of the span.
     """
-    k = data.draw(st.integers(1, d - 1))
-    local = data.draw(_upper_rays(k, k, k + 2))
-    assume(any(laplace_det([list(r) for r in s]) != 0 for s in itertools.combinations(local, k)))
+    k = len(local[0])
     u = [[int(i == j) for j in range(d)] for i in range(d)]
-    for i, j, m in data.draw(st.lists(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1),
-                                                st.integers(-1, 1)), max_size=6)):
+    for i, j, m in shears:
         if i != j:
             u[i] = [a + m * b for a, b in zip(u[i], u[j])]
 
@@ -330,14 +329,68 @@ def _lower_rank_cone(d, data):
     return c, [primitivize(r)[0] for r in extreme], to_ambient
 
 
+def _lower_rank_cone(d, data):
+    """_placed of drawn full-rank rays of Z^k, a cone of rank k < d."""
+    k = data.draw(st.integers(1, d - 1))
+    local = data.draw(_upper_rays(k, k, k + 2))
+    assume(any(laplace_det([list(r) for r in s]) != 0 for s in itertools.combinations(local, k)))
+    return _placed(local, d, data.draw(st.lists(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1),
+                                                          st.integers(-1, 1)), max_size=6)))
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.integers(3, 4), st.data())
 def test_threshold_of_lower_rank_cones_matches_the_box_scan(d, data):
     _agrees_with_the_box_scan(*_lower_rank_cone(d, data))
 
 
+def _seeded_lower_rank_cones(count, seed):
+    """count cones of rank k < d in Z^d, d = 2-4, drawn by SplitMix64(seed) as _lower_rank_cone draws them."""
+    rng = SplitMix64(seed)
+    cones = []
+    while len(cones) < count:
+        d = rng.randint(2, 4)
+        k = rng.randint(1, d - 1)
+        local = [tuple(rng.randint(-3, 3) for _ in range(k - 1)) + (rng.randint(1, 3),)
+                 for _ in range(rng.randint(k, k + 2))]
+        shears = [(rng.randint(0, d - 1), rng.randint(0, d - 1), rng.randint(-1, 1))
+                  for _ in range(rng.randint(0, 6))]
+        if rank(local) == k:
+            cones.append(_placed(local, d, shears)[0])
+    return cones
+
+
+def test_the_ladder_on_lower_rank_cones_starts_at_the_least_s_of_each_class(monkeypatch):
+    # the primitive (u, s) of a dual vertex class of a lower-rank cone can
+    # have a larger s than the class's least; starting from the least s,
+    # the box bound and the shrunk rungs, the 1500 cones list 1889 points
+    # in 603 rungs, where the doubling ladder from the primitive
+    # representatives' max s listed 2459 in 1009 (1999 in 673 from those
+    # representatives with the rest of this ladder). The thresholds and
+    # witnesses, 317 of them under 1, are pinned as that ladder gave them
+    listed = []
+
+    def listing(*args, **kwargs):
+        points = level_points(*args, **kwargs)
+        listed.append(len(points))
+        return points
+
+    monkeypatch.setattr("polyadj.fan.level_points", listing)
+    out = []
+    for c in _seeded_lower_rank_cones(1500, 0):
+        t, w = canonicity_threshold(c)
+        out.append((c.rays, t, None if w is None else w.point))
+    assert (sum(listed), len(listed)) == (1889, 603)
+    assert sum(1 for _, t, _ in out if t < 1) == 317
+    digest = hashlib.sha256(repr(out).encode()).hexdigest()
+    assert digest == "84c4392b0d5611d41010a7d5046a7bf71b4babdf1f717e29a71da24e6ae53684"
+
+
 def _cone_points_match_the_box_scan(c, local_rays=None, to_ambient=None):
-    """level_points of the levels of Q = conv(0, rays) against a box scan of Q / shrink, shrink = 1, 2, 3, 7, 64.
+    """level_points of the levels of Q = conv(0, rays) against a box scan of Q / shrink.
+
+    shrink is 1, 2, 3, 7, 64 and the Fraction rungs 3/2 and 16/5, and the
+    levels hold level 1 read off 0 and the rays.
 
     The box scan keeps the points of the bounding box of 0 and the r /
     shrink on the inner side of every facet of their hull (brute_facets;
@@ -350,8 +403,8 @@ def _cone_points_match_the_box_scan(c, local_rays=None, to_ambient=None):
     assert len(levels) == c.ambient_dim + 1
     rays = local_rays or c.rays
     d = len(rays[0])
-    for shrink in (1, 2, 3, 7, 64):
-        corners = [(Fraction(0),) * d] + [tuple(Fraction(x, shrink) for x in r) for r in rays]
+    for shrink in (1, 2, 3, 7, 64, Fraction(3, 2), Fraction(16, 5)):
+        corners = [(Fraction(0),) * d] + [tuple(Fraction(x) / shrink for x in r) for r in rays]
         facets = brute_facets(corners) if d > 1 else ()
 
         def inside(x):
@@ -416,7 +469,9 @@ def test_the_one_vertex_top_gives_the_levels_of_the_double_description(c):
     d = c.ambient_dim
     region, lineality = _dual_height_vertices(c.rays, d)
     rows = [(0,) * d + (1,)] + [tuple(-x for x in r) + (1,) for r in c.rays]
-    got, expected = _cone_levels(c.rays, region, lineality), projected_levels(*double_description(rows, d + 1))
+    points = sorted([(0,) * d, *c.rays])
+    got = _cone_levels(c.rays, region, lineality)
+    expected = projected_levels(*double_description(rows, d + 1), points)
     assert got[0] is expected[0] is None
     assert [set(level) for level in got[1:]] == [set(level) for level in expected[1:]]
 
@@ -533,12 +588,15 @@ def test_points_scanned_by_the_threshold_are_pinned(monkeypatch):
     # scan of conv(0, rays) visited 5, 5 and, on the cones of d4-s4029,
     # 42546, 46417, 4201, 68286, 78831 and 14514 points, and the ladder over
     # the regions R_w from 1/64 up, one enumeration per w, 7, 22 and 10, 25,
-    # 14, 10, 28, 15. The plane cone starts at 1/2 and keeps (1, 0); the skew
+    # 14, 10, 28, 15. The doubling ladder from 1 / max s listed 5, 23, 5, 7,
+    # 39 and 12; starting at the box bound, with the rungs after the first
+    # points shrunk to min(5/4 t, least height listed), it lists 3, 19, 3,
+    # 3, 36 and 8. The plane cone starts at 1/2 and keeps (1, 0); the skew
     # cone has s = 1 at both dual vertices and lists nothing
     assert _points_scanned(monkeypatch, cone([(2, -1), (2, 1)])) == 2
     assert _points_scanned(monkeypatch, cone(SKEW_RAYS)) == 0
     cones = normal_fan(random_lattice_polytope(4, 6, 4029, box=2)).maximal_cones
-    assert [_points_scanned(monkeypatch, c) for c in cones] == [5, 23, 5, 7, 39, 12]
+    assert [_points_scanned(monkeypatch, c) for c in cones] == [3, 19, 3, 3, 36, 8]
 
 
 def _first_minimum(cones):
@@ -616,15 +674,18 @@ def test_the_fan_scan_work_is_pinned(monkeypatch, suite):
     # each cone's ladder stops below the least threshold of the cones
     # before it. Uncapped, the ladders took (91, 34, 6) on the cones of
     # d4-s4029, (780, 341, 10) on (5, 10, 2, box=5) and (7598, 3150, 896)
-    # over the suite's fans
+    # over the suite's fans. Capped, the doubling ladder from 1 / max s took
+    # (32, 30, 6), (408, 336, 10) and (4909, 2755, 803); the box bound and
+    # the rungs shrunk to min(5/4 t, least height listed, below) once a rung
+    # lists points take what is pinned here
     fan = normal_fan(random_lattice_polytope(4, 6, 4029, box=2))
-    assert _ladder_work(monkeypatch, fan) == (32, 30, 6)
+    assert _ladder_work(monkeypatch, fan) == (13, 11, 6)
     fan = normal_fan(random_lattice_polytope(5, 10, 2, box=5))
-    assert _ladder_work(monkeypatch, fan) == (408, 336, 10)
+    assert _ladder_work(monkeypatch, fan) == (100, 27, 10)
     total = [0, 0, 0]
     for _, p in suite:
         total = [a + b for a, b in zip(total, _ladder_work(monkeypatch, normal_fan(p)))]
-    assert total == [4909, 2755, 803]
+    assert total == [3466, 1488, 770]
 
 
 @settings(deadline=None, max_examples=60)
@@ -644,37 +705,73 @@ def test_the_cap_must_lie_in_the_unit_interval():
 
 PROBE = """
 import hashlib, json
-from polyadj.fan import fan_canonicity_threshold, normal_fan
+from polyadj import fan
 from polyadj.generators import random_lattice_polytope
-out = []
-for d, n, seed, box in ((5, 10, 2, 5), (5, 10, 4, 5), (6, 11, 2, 2), (7, 12, 2, 2)):
-    t, w = fan_canonicity_threshold(normal_fan(random_lattice_polytope(d, n, seed, box=box)))
+walk, scan, duals, work = fan.level_points, fan.canonicity_threshold, [0], [0, 0, 0]
+
+def counted_scan(c, below):
+    duals[0] = len(c.functionals[2])
+    return scan(c, below)
+
+def counted_walk(levels, shrink):
+    points = walk(levels, shrink=shrink)
+    work[0] += len(points)
+    work[1] += 1
+    work[2] += sum(1 for pt in points if any(pt)) * duals[0]
+    return points
+
+fan.level_points, fan.canonicity_threshold = counted_walk, counted_scan
+digests, counts = [], []
+for d, n, seed, box in ((5, 10, 2, 5), (5, 10, 4, 5), (6, 11, 2, 2), (7, 12, 2, 2), (7, 12, 1, 2)):
+    work[:] = [0, 0, 0]
+    t, w = fan.fan_canonicity_threshold(fan.normal_fan(random_lattice_polytope(d, n, seed, box=box)))
     text = repr((str(t), None if w is None else (w.cone.rays, w.point)))
-    out.append(hashlib.sha256(text.encode()).hexdigest())
-print(json.dumps(out))
+    digests.append(hashlib.sha256(text.encode()).hexdigest())
+    counts.append(work[:])
+print(json.dumps({"digests": digests, "work": counts}))
 """
 # sha256 of repr((str(threshold), (witness cone rays, witness point))): the
 # first three from the ladder over the regions R_w, which took 10.5, 9.3
-# and 10.0 s on Python 3.11.7 with 2 CPUs, the d=7 one from the uncapped
-# ladders, which took 7.6 s there
+# and 10.0 s on Python 3.11.7 with 2 CPUs, the d=7 s=2 one from the
+# uncapped ladders, which took 7.6 s there, and the d=7 s=1 one from the
+# doubling ladder from 1 / max s (2.8 s there)
 PROBE_DIGESTS = [
     "c628ba77e0817b27f1e12f5d8acdcf1d94c5d96fa032e76c1810af6e1bb5732d",
     "f7ab4a219e3471a4243b8868670303daa59fc8d435bc3f8de10e65cdc45a144f",
     "02f55aab96c32067f0e641d9ee50520eb4b3c6fe48279bfaab359d7c81b780ff",
     "1b777c31fa02a4cb0c89feb3b0a4646c49e14e54603f5e5e1adf7c0b0399455d",
+    "066f79c79bb3b3f659b2d8dcbeff6268f04fcc1c00ffa13e1cb493ec06ef0050",
 ]
 
 
-def test_d5_to_d7_fan_thresholds_within_a_time_cap():
-    # thresholds of order 10^-3 to 10^-6 on cones with entries in the
-    # thousands: the ladder starts at the proven bound 1 / max s. The time
-    # limit is generous: the four probes take about 4 s on Python 3.11.7
-    # with 2 CPUs, and a hang fails the test
+@pytest.fixture(scope="module")
+def probe_run():
+    """The PROBE script's output, run once in a fresh interpreter with a time limit."""
     package_root = str(Path(polyadj.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", PROBE], env={**os.environ, "PYTHONPATH": pythonpath},
                          capture_output=True, text=True, timeout=60, check=True)
-    assert json.loads(out.stdout) == PROBE_DIGESTS
+    return json.loads(out.stdout)
+
+
+def test_d5_to_d7_fan_thresholds_within_a_time_cap(probe_run):
+    # thresholds of order 10^-3 to 10^-6 on cones with entries in the
+    # thousands: the ladder starts at the proven bound 1 / min(max s, M),
+    # M the largest |entry| of the rays. The time limit is generous: the
+    # five probes take about 4.6 s on Python 3.11.7 with 2 CPUs, 3 s of it
+    # (7, 12, 1, 2), and a hang fails the test
+    assert probe_run["digests"] == PROBE_DIGESTS
+
+
+def test_the_ladder_work_on_the_probe_fans_is_pinned(probe_run):
+    # (points listed, rungs, height dot products) of each probe fan's scan,
+    # a dot product being one <w, x> of a dual vertex w at a nonzero point
+    # x listed. The doubling ladder from 1 / max s took (408, 336, 2281),
+    # (327, 302, 739), (912, 199, 75594), (514, 456, 20575) and
+    # (1455, 441, 434151); the rungs shrunk to min(5/4 t, least height
+    # listed, below) once a rung lists points take what is pinned here
+    assert probe_run["work"] == [[100, 27, 2321], [50, 25, 739], [319, 45, 29499], [92, 34, 20575],
+                                 [302, 43, 110701]]
 
 
 def test_fan_threshold_of_the_scaled_triangle():

@@ -132,15 +132,18 @@ SQUARE_NORMALS = ((-1, 0), (0, -1), (0, 1), (1, 0))
     (lambda: fan.Cone(2, ((1, 0), (0, 1), (1, 1))), InvalidConeError, "hand-built"),
     (lambda: fan.Cone(2, ((1, 0), (-1, 0))), InvalidConeError, "containing a line"),
     (lambda: fan.Cone(3, ((0, 1), (1, 0))), InvalidConeError, "hand-built"),
+    (lambda: polytope.EmbeddedPolytope(*(lambda s: (s.subspace, s.facets, s.vertices[::-1]))(
+        hull_any_dim([(0, 0), (1, 1)]))), ValueError, "hand-built"),
 ], ids=["non-primitive-normal", "redundant-row", "repeated-normal", "unsorted-rows",
-        "non-primitive-ray", "non-extreme-ray", "line", "other-ambient-dim"])
+        "non-primitive-ray", "non-extreme-ray", "line", "other-ambient-dim", "unsorted-vertices"])
 def test_a_hand_built_record_that_is_not_canonical_is_refused(build, error, message):
     # a record built without its derived data is its canonicalizer's
     # output, from_inequalities of its rows or cone() of its rays, or it is
     # refused: the unit square with the row 2 x_1 <= 2, or with the
     # redundant row x_1 + x_2 <= 5, x_1 <= 1 given twice, its rows out of
     # order; a non-primitive ray, a ray inside the cone of the others, a
-    # line, rays of Z^2 in a cone of Q^3
+    # line, rays of Z^2 in a cone of Q^3; a segment with its vertices out of
+    # order, which lattice_points would read level 1 off
     with pytest.raises(error, match=message):
         build()
 
@@ -486,7 +489,8 @@ def test_kernel_work_on_the_hull_point_sets_is_pinned(count_kernel_work):
     # pointed, then farthest from the centroid first, and lattice_points
     # cuts its projections off the cone that keeps: on the 28 point sets of
     # the hull benchmark's seed 0 that order cut 22523 pairs and 2427 rays
-    # to 8595 and 1332
+    # to 8595 and 1332. lattice_points reads level 1 off the vertices, so it
+    # makes no cut down to x_1: 1405 pairs and 69 rays -> 1302 and 62 here
     sets = []
     for seed in range(6000, 6010):
         rng = SplitMix64(seed)
@@ -496,7 +500,7 @@ def test_kernel_work_on_the_hull_point_sets_is_pinned(count_kernel_work):
     hulls = []
     assert count_kernel_work(lambda: hulls.extend(from_vertices(pts) for pts in sets)) == {"pairs": 3294,
                                                                                            "created": 495}
-    assert count_kernel_work(lambda: [lattice_points(p) for p in hulls]) == {"pairs": 1405, "created": 69}
+    assert count_kernel_work(lambda: [lattice_points(p) for p in hulls]) == {"pairs": 1302, "created": 62}
 
 
 def test_from_vertices_needs_full_dimension():
@@ -909,7 +913,8 @@ def test_the_walk_over_the_hull_inputs_makes_a_pinned_number_of_term_products():
     # then costs one product per row with an x_{d-1} term: 145543 -> 80688
     counter = [0]
     for seed in range(6000, 6028):
-        levels = projected_levels(*polytope._valid_row_cone(read_polytope(_hull_document(seed))))
+        p = read_polytope(_hull_document(seed))
+        levels = projected_levels(*polytope._valid_row_cone(p), p.vertices)
         counted = [None] + [[(m, num, tuple((i, _CountingInt(c, counter)) for i, c in terms))
                              for m, num, terms in level] for level in levels[1:]]
         assert level_points(counted) == level_points(levels)
@@ -917,7 +922,8 @@ def test_the_walk_over_the_hull_inputs_makes_a_pinned_number_of_term_products():
 
 
 def test_level_points_take_a_positive_int_shrink():
-    levels = projected_levels(*polytope._valid_row_cone(cube(2)))
+    square = cube(2)
+    levels = projected_levels(*polytope._valid_row_cone(square), square.vertices)
     assert level_points(levels, 1) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert level_points(levels, 2) == [(0, 0)]
     for shrink in (0, -1, -2, 2.0, "2"):
@@ -936,7 +942,8 @@ def test_scale_embedded_needs_a_positive_factor():
 
 
 def test_level_points_take_a_positive_rational_shrink():
-    levels = projected_levels(*polytope._valid_row_cone(cube(2)))
+    square = cube(2)
+    levels = projected_levels(*polytope._valid_row_cone(square), square.vertices)
     assert level_points(levels, 1) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert level_points(levels, Fraction(2)) == level_points(levels, 2) == [(0, 0)]
     assert level_points(levels, Fraction(1, 2)) == [(x, y) for x in range(3) for y in range(3)]
@@ -1030,14 +1037,17 @@ def test_lattice_points_of_rational_polytopes_match_the_box_scan(d, data):
 def test_level_points_of_a_set_list_the_points_of_the_set_shrunk(d, data):
     # the walk floors each beta / k once: the levels of a set s at shrink k
     # list the lattice points of s / k, also for sets away from the origin
-    # (rows with beta < 0), flat sets, odd k and rational k
+    # (rows with beta < 0), flat sets, odd k and rational k. Level 1 comes
+    # from the vertices; the set with x_1 fixed at shift[0], flat whenever
+    # d > 1, is the one whose cut down to x_1 would keep a redundant row
     shift = data.draw(st.tuples(*[coord] * d))
     drawn = data.draw(st.lists(st.tuples(*[st.one_of(small, fraction)] * d), min_size=1, max_size=d + 2))
     pts = [vec_add(x, shift) for x in drawn]
-    sets = [hull_any_dim(pts)] + ([from_vertices(pts)] if len(pts) > d and _full_dimensional(pts) else [])
+    sets = [hull_any_dim(pts), hull_any_dim([shift[:1] + x[1:] for x in pts])]
+    sets += [from_vertices(pts)] if len(pts) > d and _full_dimensional(pts) else []
     for s in sets:
-        levels = projected_levels(*polytope._valid_row_cone(s))
-        corners = s.vertices if isinstance(s, polytope.EmbeddedPolytope) else vertices(s)
+        levels = projected_levels(*polytope._valid_row_cone(s), s.vertices)
+        corners = s.vertices
         for k in (1, 2, 3, 7, Fraction(3, 2), Fraction(1, 2)):
             expected = box_lattice_points([tuple(Fraction(c) / k for c in v) for v in corners],
                                           lambda x: s.contains(tuple(k * c for c in x)))
@@ -1206,14 +1216,15 @@ def _oracle_facets(points):
 
 
 def _projection_cones(s, points):
-    """(j, rays, lineality, projected points) of each level projected_levels reads, j = d down to 1.
+    """(j, rays, lineality, projected points) of each level projected_levels cuts, j = d down to 2.
 
-    points are the sorted vertices of s, which its tight sets index.
+    points are the sorted vertices of s, which its tight sets index. Level
+    1 is read off the points, with no cone.
     """
     d = len(points[0])
     cones = list(polytope._projections(*polytope._valid_row_cone(s)))
-    assert len(cones) == d
-    for j, (rays, lineality) in zip(range(d, 0, -1), cones):
+    assert len(cones) == d - 1
+    for j, (rays, lineality) in zip(range(d, 1, -1), cones):
         yield j, rays, lineality, [v[:j] for v in points]
 
 
@@ -1269,6 +1280,32 @@ def test_each_projection_cone_of_a_flat_hull_holds_its_equations_and_facets(d, d
         assert all(sum(a * xi for a, xi in zip(z, x)) <= z[-1] for z, _ in rays for x in projected)
         assert all(t == _tight_bits(z, projected) for z, t in rays)
         assert sorted(t for _, t in rays) == sorted(_facet_tight_sets(projected))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 4), st.data())
+def test_level_one_read_off_the_vertices_is_the_cut_down_to_x1(d, data):
+    # the two rows of [min x_1, max x_1] are those of the cone of the level
+    # above cut by a_2 = 0, the cut projected_levels no longer makes; when
+    # x_1 is fixed on the set, as on the second set here, the cut can also
+    # keep a ray whose row is valid on the set and implied by the two, and
+    # both walk alike
+    pts = data.draw(st.lists(st.tuples(*[st.one_of(small, fraction)] * d), min_size=1, max_size=d + 2))
+    for s in (hull_any_dim(pts), hull_any_dim([(Fraction(1, 2),) + x[1:] for x in pts])):
+        rays, lineality = polytope._valid_row_cone(s)
+        first = sorted(projected_levels(rays, lineality, s.vertices)[1])
+        cones = list(polytope._projections(rays, lineality))
+        rays, lineality = polytope._cut(*cones[-1], 1, 3) if cones else (rays, lineality)
+        rows = [z for z, _ in rays] + list(lineality) + [tuple(-x for x in z) for z in lineality]
+        cut = sorted(polytope._compiled(rows))
+        lo, hi = min(v[0] for v in s.vertices), max(v[0] for v in s.vertices)
+        if lo < hi:
+            assert first == cut
+        else:
+            assert set(first) <= set(cut)
+            assert all(m * lo <= b for m, b, _ in cut)
+        for k in (1, 3, Fraction(2, 3)):
+            assert level_points([None, cut], k) == level_points([None, first], k)
 
 
 @st.composite

@@ -185,6 +185,22 @@ def test_len_of_a_grid_past_sys_maxsize_raises_a_typed_error():
     assert len(ReciprocalGrid(Fraction(1), sys.maxsize)) == sys.maxsize
 
 
+def test_hash_of_a_grid_past_sys_maxsize_raises_before_it_makes_a_value(monkeypatch):
+    # hash() is the hash of the tuple of values, which a grid past
+    # sys.maxsize cannot hold; with __iter__ refusing, a missing guard fails
+    # at once instead of filling memory
+    def no_scan(self):
+        raise AssertionError("hash iterated over the grid")
+
+    monkeypatch.setattr(ReciprocalGrid, "__iter__", no_scan)
+    grid = ReciprocalGrid(Fraction(1, 10**20), sys.maxsize + 1)
+    with pytest.raises(GridTooLargeError) as info:
+        hash(grid)
+    assert info.value.size == sys.maxsize + 1
+    monkeypatch.undo()
+    assert hash(ReciprocalGrid(Fraction(1, 2), 3)) == hash((Fraction(2), Fraction(1), Fraction(2, 3)))
+
+
 def test_membership_of_floats_and_non_numbers_scans_nothing(monkeypatch):
     def no_scan(self):
         raise AssertionError("membership iterated over the grid")
