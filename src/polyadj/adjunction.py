@@ -131,7 +131,7 @@ def adjunction_data(p: HPolytope) -> AdjunctionData:
     system = adjoint(p, c_star)
     implicit = None
     if rank([a for a, v in zip(p.normals, y) if v]) == p.dim:
-        core = _embedded((res.point[:p.dim],), ())
+        core = _embedded((res.point[:p.dim],))
     else:
         core, implicit = embed_system(system)  # raises EmptyPolytopeError if the adjoint is empty
     if core.dim >= p.dim:

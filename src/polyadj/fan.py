@@ -39,6 +39,7 @@ lineality exactly when the rays do not span.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 from typing import Optional, Sequence
@@ -275,15 +276,21 @@ def _height_floor(c: Cone) -> int:
     primitive s when the rays span, else the gcd of the s of the integer
     kernel of <r, u'> s = <r, u> s' over the rays. M is the largest |entry|
     of the rays, as height h puts a point in h conv(0, rays) in [-hM, hM]^d.
+    The least s of a class divides its primitive s, so the classes are
+    visited by decreasing primitive s, and kernels stop at the first class
+    whose primitive s is at most the max so far, or once the max reaches M.
     """
     region, lineality, _, _ = c.functionals
-    if lineality:
-        top = max(gcd(*(v[-1] for v in integer_kernel_basis(
-            [tuple(z[-1] * x for x in r) + (-dot(r, z[:-1]),) for r in c.rays], ncols=len(z))))
-            for z, _ in region if z[-1])
-    else:
-        top = max(z[-1] for z, _ in region)
-    return min(top, max(abs(x) for r in c.rays for x in r))
+    bound = max(abs(x) for r in c.rays for x in r)
+    if not lineality:
+        return min(max(z[-1] for z, _ in region), bound)
+    top = 1
+    for z in sorted((z for z, _ in region), key=lambda z: -z[-1]):
+        if z[-1] <= top or top >= bound:
+            break
+        top = max(top, gcd(*(v[-1] for v in integer_kernel_basis(
+            [tuple(z[-1] * x for x in r) + (-dot(r, z[:-1]),) for r in c.rays], ncols=len(z)))))
+    return min(top, bound)
 
 
 def canonicity_threshold(c: Cone, below=1) -> tuple[Fraction, Optional[CanonicityWitness]]:
@@ -405,10 +412,14 @@ def fan_gorenstein_index(fan: NormalFan) -> Optional[int]:
 
 
 def is_smooth_cone(c: Cone) -> bool:
-    """Whether the rays form part of a lattice basis (here: d rays, det +-1)."""
-    if c.n_rays != c.ambient_dim:
-        return False
-    return abs(det([list(r) for r in c.rays])) == 1
+    """Whether the rays form part of a lattice basis, for a cone of any rank.
+
+    That is whether the gcd of the k x k minors of the k rays is 1; the
+    minors all vanish when the rays are dependent, and there are none when
+    k > d. A cone of full rank has the one minor det.
+    """
+    minors = (det([[r[j] for j in cols] for r in c.rays]) for cols in combinations(range(c.ambient_dim), c.n_rays))
+    return gcd(*map(int, minors)) == 1
 
 
 def is_smooth(fan: NormalFan) -> bool:

@@ -41,11 +41,14 @@ halfspaces live in InequalitySystem. A compact set of any dimension is
 an EmbeddedPolytope, all in ambient coordinates: the equations of its
 affine hull (an AffineSubspace), its facet rows and its vertices, read
 off one double description of its points' valid rows (_embedded), with
-no local coordinates. Vertices are sorted, and the incidence of a
-polytope is one bitmask per facet row: bit k of incidence[i] is set iff
-facet i is tight at the k-th vertex. Both records hold them from the
-moment they are built; nothing fills them in later. Nothing here uses
-floating point, and the module imports no LP.
+no local coordinates. Its equations follow from the affine hull alone
+(the integer kernel of the saturated null basis of the lineality), so
+hull_any_dim and embed_system of one set store equal records. Vertices
+are sorted, and the incidence of a polytope is one bitmask per facet
+row: bit k of incidence[i] is set iff facet i is tight at the k-th
+vertex. Both records hold them from the moment they are built; nothing
+fills them in later. Nothing here uses floating point, and the module
+imports no LP.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -70,12 +73,11 @@ from .ratmath import (
     dot,
     int_vector,
     integer_kernel_basis,
+    null_basis,
     primitivize,
     saturate,
     scale_to_integer,
-    solve_linear,
     vec_add,
-    vec_sub,
 )
 from .record import record
 
@@ -489,17 +491,18 @@ def from_vertices(points: Sequence[Sequence]) -> HPolytope:
     return HPolytope(d, tuple(a for a, _ in facets), tuple(b for _, b in facets), verts, incidence)
 
 
-def _embedded(pts: Sequence[tuple], spanning: Iterable[Sequence]) -> EmbeddedPolytope:
+def _embedded(pts: Sequence[tuple]) -> EmbeddedPolytope:
     """The hull of sorted distinct points, all in ambient coordinates.
 
     The facets, incidence and vertices are one _point_hull; a single
     point x has no facet, and its equations are <e_i, x> = x_i. When the
     lineality is empty the points span Q^d, and the subspace is all of
-    it, with no equations and no kernel taken.
-    Otherwise spanning spans the directions of the points' affine hull,
-    and the equations are the integer kernel of saturate(spanning), each
-    with a positive leading entry, which depends on the spanning set and
-    not on the subspace alone, so each caller keeps its own.
+    it, with no equations and no kernel taken. Otherwise the lineality's
+    (a, beta) are the equations <a, x> = beta of the points' affine hull,
+    and its directions are the null_basis of the a, which depends on the
+    subspace alone. The equations are the integer kernel of those
+    directions saturated, each with a positive leading entry, so every
+    constructor of one affine hull stores the same equations.
     """
     d = len(pts[0])
     if len(pts) == 1:
@@ -509,7 +512,7 @@ def _embedded(pts: Sequence[tuple], spanning: Iterable[Sequence]) -> EmbeddedPol
     facets, incidence, verts, lineality = _point_hull(pts, d)
     if not lineality:
         return EmbeddedPolytope(AffineSubspace(d, d, ()), facets, verts, incidence)
-    directions = saturate(spanning)
+    directions = saturate(null_basis([z[:d] for z in lineality]))
     equations = []
     for a in integer_kernel_basis(list(directions), ncols=d):
         a = a if next(x for x in a if x) > 0 else tuple(-x for x in a)
@@ -519,12 +522,8 @@ def _embedded(pts: Sequence[tuple], spanning: Iterable[Sequence]) -> EmbeddedPol
 
 
 def hull_any_dim(points: Sequence[Sequence]) -> EmbeddedPolytope:
-    """Convex hull of points of any affine rank, as an embedded polytope.
-
-    Its affine hull is spanned by the differences from the least point.
-    """
-    pts = _distinct_points(points)
-    return _embedded(pts, (vec_sub(pt, pts[0]) for pt in pts[1:]))
+    """Convex hull of points of any affine rank, as an embedded polytope (_embedded)."""
+    return _embedded(_distinct_points(points))
 
 
 def _tight_everywhere(rays, n: int) -> tuple[int, ...]:
@@ -549,24 +548,15 @@ def embed_system(system: InequalitySystem) -> tuple[EmbeddedPolytope, tuple[int,
 
     One double description of the homogenized system gives both: the rays
     with s > 0 are the vertices x / s, and the rows tight at every ray are
-    the implicit equalities. The affine hull is spanned by the null basis
-    of the implicit equalities (one solve_linear), or by the unit vectors
-    when there are none; the facets are those of the vertices' hull
-    (_embedded). Raises EmptyPolytopeError on an empty system, then
-    UnboundedPolytopeError when its set contains a line or a ray
-    (_bounded_rays, as in from_inequalities).
+    the implicit equalities. The affine hull, facets and vertices are
+    those of the vertices' hull (_embedded). Raises EmptyPolytopeError on
+    an empty system, then UnboundedPolytopeError when its set contains a
+    line or a ray (_bounded_rays, as in from_inequalities).
     """
     d = system.dim
     rays = _bounded_rays(system.normals, system.rhs, d)
-    implicit = _tight_everywhere(rays, len(system.normals))
-    spanning = [tuple(int(i == j) for j in range(d)) for i in range(d)]
-    if implicit:
-        sol = solve_linear([system.normals[i] for i in implicit],
-                           [system.rhs[i] for i in implicit])
-        if sol is None:
-            raise InternalInconsistencyError("implicit equalities are inconsistent")
-        spanning = sol[1]
-    return _embedded(sorted(tuple(Fraction(x, z[d]) for x in z[:d]) for z, _ in rays), spanning), implicit
+    verts = sorted(tuple(Fraction(x, z[d]) for x in z[:d]) for z, _ in rays)
+    return _embedded(verts), _tight_everywhere(rays, len(system.normals))
 
 
 def is_lattice_polytope(s) -> bool:

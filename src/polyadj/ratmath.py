@@ -9,9 +9,9 @@ int_vector is the one reader that turns vector entries into ints: it
 takes integral Fractions and floats and rejects any other entry, never
 truncating. integer_kernel_basis is the one unimodular reduction of an
 integer lattice, and saturate takes the kernel of its kernel. rank,
-solve_linear and det share one fraction-free Gauss-Jordan elimination:
+null_basis and det share one fraction-free Gauss-Jordan elimination:
 each row's denominators are cleared once, the rows stay integer and
-gcd-reduced, and Fractions are formed only for the answer.
+gcd-reduced, and a Fraction is formed only for det's answer.
 """
 
 from __future__ import annotations
@@ -23,10 +23,8 @@ from typing import Iterable, Optional, Sequence
 from .errors import DimensionMismatchError, ParseError, ZeroVectorError
 
 IntVector = tuple[int, ...]
-RatVector = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def format_fraction(q: Fraction | int) -> str:
@@ -55,10 +53,6 @@ def dot(a: Sequence, x: Sequence) -> Fraction | int:
 
 def vec_add(a: Sequence, x: Sequence) -> tuple:
     return tuple(ai + xi for ai, xi in zip(a, x))
-
-
-def vec_sub(a: Sequence, x: Sequence) -> tuple:
-    return tuple(ai - xi for ai, xi in zip(a, x))
 
 
 def int_vector(v: Sequence) -> IntVector:
@@ -251,39 +245,33 @@ def rank(matrix: Sequence[Sequence]) -> int:
     return len(_eliminate([scale_to_integer(row) for row in matrix])[1])
 
 
-def solve_linear(matrix: Sequence[Sequence], rhs: Sequence) -> Optional[tuple[RatVector, tuple[RatVector, ...]]]:
-    """Solve matrix @ x = rhs exactly over the rationals.
+def null_basis(rows: Sequence[Sequence]) -> tuple[IntVector, ...]:
+    """Basis of {x : rows @ x = 0} over the rationals, which depends on the row space alone.
 
-    Returns None when inconsistent, otherwise (x0, nullspace_basis) where x0
-    sets every free variable to 0 and the basis spans the solution space:
-    one vector per free column, 1 there and 0 on the other free columns.
-    The elimination runs on the augmented rows in integers; Fractions are
-    formed only for the answer, row[n] / p and -row[f] / p for the pivot
-    entry p of each row.
+    One vector per free column f of the reduced row echelon form, in
+    column order: the primitive integer vector that is positive at f, 0 on
+    the other free columns, and proportional to -row[f] / row[c] on the
+    pivot column c of each reduced row. The elimination runs in integers
+    and no Fraction is formed.
     """
-    if len(matrix) != len(rhs):
-        raise DimensionMismatchError("rhs length does not match row count")
-    if not matrix:
-        raise DimensionMismatchError("solve_linear needs at least one row")
-    n = len(matrix[0])
-    reduced, pivots, _ = _eliminate([scale_to_integer(tuple(row) + (b,)) for row, b in zip(matrix, rhs)])
-    if pivots and pivots[-1] == n:
-        return None
-    x0 = [_ZERO] * n
-    for row, c in zip(reduced, pivots):
-        x0[c] = Fraction(row[n], row[c])
+    if not rows:
+        raise DimensionMismatchError("null_basis needs at least one row")
+    n = len(rows[0])
+    reduced, pivots, _ = _eliminate([scale_to_integer(row) for row in rows])
     pivot_set = set(pivots)
     basis = []
     for f in range(n):
         if f in pivot_set:
             continue
-        vec = [_ZERO] * n
-        vec[f] = _ONE
-        for row, c in zip(reduced, pivots):
-            if row[f]:
-                vec[c] = Fraction(-row[f], row[c])
-        basis.append(tuple(vec))
-    return tuple(x0), tuple(basis)
+        used = [(row, c) for row, c in zip(reduced, pivots) if row[f]]
+        scale = lcm(*(row[c] for row, c in used))
+        vec = [0] * n
+        vec[f] = scale
+        for row, c in used:
+            vec[c] = -row[f] * (scale // row[c])
+        g = gcd(*vec)
+        basis.append(tuple(x // g for x in vec))
+    return tuple(basis)
 
 
 def det(matrix: Sequence[Sequence]) -> Fraction:

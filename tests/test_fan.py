@@ -20,6 +20,7 @@ from oracles import (
     brute_facets,
     confirms_minimal_level,
     gauss_solve,
+    integer_solvable,
     laplace_det,
     lp_height,
     smallest_solvable_level,
@@ -32,6 +33,7 @@ from polyadj.fan import (
     NormalFan,
     _dual_height_vertices,
     _cone_levels,
+    _height_floor,
     canonicity_threshold,
     cone,
     fan_canonicity_threshold,
@@ -50,7 +52,7 @@ from polyadj.polytope import (
     projected_levels,
     vertices,
 )
-from polyadj.ratmath import dot, primitivize, rank
+from polyadj.ratmath import dot, primitivize, rank, saturate
 
 # pointed, non-simplicial, not Q-Gorenstein; (0,0,4) has representations
 # with total weight anywhere in [2, 4], so its height must come out as 4
@@ -386,6 +388,28 @@ def test_the_ladder_on_lower_rank_cones_starts_at_the_least_s_of_each_class(monk
     assert digest == "84c4392b0d5611d41010a7d5046a7bf71b4babdf1f717e29a71da24e6ae53684"
 
 
+def _least_s(rays, u, s):
+    """The least s' > 0 with an integer u' of <r, u'> = s' <r, u> / s on every ray, which divides s."""
+    return next(k for k in range(1, s + 1) if all(k * dot(r, u) % s == 0 for r in rays)
+                and integer_solvable(rays, [k * dot(r, u) // s for r in rays]))
+
+
+def test_the_height_floor_takes_a_kernel_only_where_it_can_raise_m(count_calls):
+    # the least s of a dual vertex class divides its primitive s, so the
+    # classes are visited by decreasing primitive s and the kernels stop at
+    # the first whose primitive s cannot raise m, or once m reaches the box
+    # bound: 364 kernels on the 1500 cones, where one per class took 1581.
+    # m is min(max least s, M), the least s found by a search
+    cones = _seeded_lower_rank_cones(1500, 0)
+    kernels = count_calls((ratmath, "integer_kernel_basis"))
+    floors = [_height_floor(c) for c in cones]
+    assert kernels == {"integer_kernel_basis": 364}
+    for c, m in zip(cones, floors):
+        rays = [list(r) for r in c.rays]
+        top = max(_least_s(rays, z[:-1], z[-1]) for z, _ in c.functionals[0] if z[-1])
+        assert m == min(top, max(abs(x) for r in c.rays for x in r))
+
+
 def _cone_points_match_the_box_scan(c, local_rays=None, to_ambient=None):
     """level_points of the levels of Q = conv(0, rays) against a box scan of Q / shrink.
 
@@ -542,6 +566,23 @@ def test_a_cone_with_every_dual_s_1_lists_no_point(monkeypatch):
         assert canonicity_threshold(cone(rays)) == (1, None)
     assert not is_smooth_cone(cone([(1, 0), (1, 2)]))
     assert calls == []
+
+
+def test_smoothness_of_cones_of_every_rank():
+    # smooth: the rays are part of a lattice basis, so they are independent
+    # and the gcd of their k x k minors is 1
+    assert is_smooth_cone(cone([(1, 0, 0), (0, 1, 0)]))
+    assert not is_smooth_cone(cone([(1, 1, 0), (1, -1, 0)]))
+    assert is_smooth_cone(cone([(1, 1, 1)])) and is_smooth_cone(cone([(2, 3, 0), (1, 1, 5)]))
+    # four extreme rays of a rank 3 cone in Z^4 are not simplicial
+    assert not is_smooth_cone(cone([(1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 1, 0), (0, 1, 1, 0)]))
+    # against the reference: the rays are independent and write each vector
+    # of the saturated lattice of their span with integer coefficients
+    for c in _seeded_lower_rank_cones(1500, 1):
+        columns = [list(col) for col in zip(*c.rays)]
+        smooth = rank(c.rays) == c.n_rays and all(
+            all(x.denominator == 1 for x in gauss_solve(columns, b)) for b in saturate(c.rays))
+        assert is_smooth_cone(c) == smooth
 
 
 @settings(deadline=None, max_examples=60)

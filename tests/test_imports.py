@@ -161,18 +161,18 @@ def test_fan_takes_no_rank():
 def test_fan_works_in_ambient_coordinates():
     # a cone of lower rank keeps the lineality of its dual height
     # description, the equations of its span, so no saturated basis of the
-    # span is built and no point is solved for in one
+    # span is built and no null basis of them is taken
     with open(os.path.join(PACKAGE, "fan.py"), encoding="utf-8") as fh:
         names = imported_names(fh.read())
     assert "saturate" not in names
-    assert "solve_linear" not in names
+    assert "null_basis" not in names
 
 
 def test_spectrum_reads_its_witness_off_the_step_elimination():
     # check_necessary_condition takes y from the rows that solved for the
-    # step, so it solves no second linear system
+    # step, so it solves no second linear system and takes no null basis
     with open(os.path.join(PACKAGE, "spectrum.py"), encoding="utf-8") as fh:
-        assert "solve_linear" not in imported_names(fh.read())
+        assert "null_basis" not in imported_names(fh.read())
 
 
 def test_spectrum_does_not_import_the_lp_solver():

@@ -633,11 +633,10 @@ def test_hull_any_dim_of_a_flat_set_makes_one_double_description_and_no_solve(mo
     # double description of its points' valid rows, in ambient coordinates
     pts = [(0, 0, 0), (2, 2, 4), (1, 0, 1), (3, 2, 5)]
     calls = count_calls(*LP_AND_DD)
-    for name in ("from_vertices", "solve_linear"):
-        def forbidden(*args, name=name, **kwargs):
-            raise AssertionError(f"hull_any_dim called {name}")
+    def forbidden(*args, **kwargs):
+        raise AssertionError("hull_any_dim called from_vertices")
 
-        monkeypatch.setattr(polytope, name, forbidden)
+    monkeypatch.setattr(polytope, "from_vertices", forbidden)
     emb = hull_any_dim(pts)
     assert calls == {"solve": 0, "is_feasible": 0, "double_description": 1}
     monkeypatch.undo()
@@ -662,16 +661,59 @@ def test_full_dimensional_hulls_take_no_integer_kernel(count_calls, suite):
 
 
 def test_core_equations_come_from_the_null_basis_of_the_implicit_rows():
-    # the printed equations are the integer kernel of a saturated spanning
-    # set, which is not a function of the subspace alone: the differences of
-    # the core's vertices would print the last two rows as
-    # ((1, -4, 0, -1, -4), -2965/458) and ((3, -8, 0, 0, -9), -5223/458)
+    # the printed equations are the integer kernel of the saturated
+    # reduced row echelon null basis of the equations of the affine hull,
+    # which depends on the subspace alone: the hull of the core's vertices
+    # stores the same ones
     core = adjunction.adjunction_data(random_lattice_polytope(5, 10, 4, box=2)).core
     assert core.subspace.equations == (
         ((0, 1, 1, 0, 2), Fraction(249, 229)),
         ((1, 0, 4, -1, 4), Fraction(-973, 458)),
         ((3, 0, 8, 0, 7), Fraction(-1239, 458)),
     )
+    assert hull_any_dim(core.vertices) == core
+
+
+def _as_system(s):
+    """The facet rows of an embedded set and both sides of each of its equations, as one InequalitySystem."""
+    rows = list(s.facets)
+    for a, beta in s.subspace.equations:
+        rows += [(a, beta), (tuple(-x for x in a), -beta)]
+    return make_system(rows)
+
+
+def test_a_flat_set_stores_the_same_equations_from_its_points_and_from_its_rows():
+    # the acore of this d=5 polytope is a quadrilateral in a 3-space: the
+    # differences from its least point saturate to another equation basis,
+    # (3, -1, -3, 0, 0) and (5, 0, -6, 1, 0), than its rows do, while the
+    # null basis of its hull's equations gives the rows' one
+    pts = [(-57, -45, -42, 33, -11), (0, 0, 0, 0, -1), (9, -9, 12, 27, 25), (26, 21, 19, -16, 20)]
+    acore = adjunction.adjunction_data(random_lattice_polytope(5, 8, 20219, box=2)).acore
+    hull = hull_any_dim(pts)
+    assert hull == acore
+    assert hull.subspace.equations == (((1, -2, 0, -1, 0), 0), ((3, -1, -3, 0, 0), 0))
+    assert embed_system(_as_system(hull))[0] == hull
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(4, 5), st.data())
+def test_hull_and_system_of_a_flat_set_store_the_same_equations(d, data):
+    # points base + M t for t in Z^k with 2 <= k <= d - 2, so the affine
+    # hull has dimension 2 or more, codimension 2 or more, and many bases
+    # of its equations: equations read off each constructor's own spanning
+    # set differ on about one such set in six
+    k = data.draw(st.integers(2, d - 2))
+    matrix = data.draw(st.lists(st.tuples(*[coord] * k), min_size=d, max_size=d))
+    base = data.draw(st.tuples(*[rational] * d))
+    local = data.draw(st.lists(st.tuples(*[coord] * k), min_size=1, max_size=6))
+    pts = [tuple(b + sum(m * t for m, t in zip(row, ts)) for row, b in zip(matrix, base)) for ts in local]
+    hull = hull_any_dim(pts)
+    assert hull.ambient_dim - hull.dim >= 2
+    embedded, implicit = embed_system(_as_system(hull))
+    assert embedded == hull
+    assert len(implicit) == 2 * len(hull.subspace.equations)
+    # a shuffled copy of the points, and the vertices alone, give the same record
+    assert hull_any_dim(data.draw(st.permutations(pts))) == hull_any_dim(hull.vertices) == hull
 
 
 def _lp_membership(points, x):
@@ -825,7 +867,7 @@ def test_relative_interior_of_a_flat_scaled_acore_needs_no_hull_and_no_linear_so
     assert acore.dim == 3
     shrinks = (1, Fraction(2, 3), Fraction(1, 2))
     calls = count_calls(*LP_AND_DD)
-    for name in ("hull_any_dim", "from_vertices", "solve_linear"):
+    for name in ("hull_any_dim", "from_vertices", "null_basis"):
         def forbidden(*args, name=name, **kwargs):
             raise AssertionError(f"lattice_points called {name}")
 

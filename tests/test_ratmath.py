@@ -28,14 +28,13 @@ from polyadj.ratmath import (
     format_fraction,
     int_vector,
     integer_kernel_basis,
+    null_basis,
     parse_rational,
     primitivize,
     rank,
     saturate,
     scale_to_integer,
-    solve_linear,
     vec_add,
-    vec_sub,
 )
 from polyadj.spectrum import make_config
 
@@ -88,7 +87,7 @@ def test_vector_helpers(a, b):
     n = min(len(a), len(b))
     a, b = a[:n], b[:n]
     assert dot(a, b) == sum(x * y for x, y in zip(a, b))
-    assert vec_sub(vec_add(a, b), b) == tuple(Fraction(x) for x in a)
+    assert vec_add(a, b) == tuple(x + y for x, y in zip(a, b))
 
 
 def test_vector_length_mismatch():
@@ -254,17 +253,20 @@ def test_det_matches_laplace_4x4(m):
 
 @given(matrices(3, 3), st.lists(ints, min_size=3, max_size=3))
 def test_solve_linear_agrees_with_reference(m, rhs):
-    got = solve_linear(m, rhs)
-    ref = gauss_solve(m, rhs)
-    if ref is None:
-        assert got is None
-    else:
-        assert got is not None
-        point, kernel = got
-        assert all(dot(row, point) == b for row, b in zip(m, rhs))
-        assert len(kernel) == 3 - rank(m)
-        for k in kernel:
-            assert all(dot(row, k) == 0 for row in m)
+    # null_basis, the kernel half of a linear solve: with its free columns
+    # pinned to their values, each vector is the one solution of m x = 0,
+    # and it is a primitive integer vector
+    kernel = null_basis(m)
+    assert len(kernel) == 3 - rank(m)
+    free = _free_columns(m)
+    for k in kernel:
+        assert all(type(x) is int for x in k) and gcd(*k) == 1
+        pinned = [list(row) for row in m] + [[int(j == f) for j in range(3)] for f in free]
+        assert gauss_solve(pinned, [0] * len(m) + [k[f] for f in free]) == k
+    # a solution of m x = rhs stays one along each of them
+    x = gauss_solve(m, rhs)
+    for k in kernel if x is not None else ():
+        assert all(dot(row, vec_add(x, k)) == b for row, b in zip(m, rhs))
 
 
 @given(matrices(3, 3, fractions) | matrices(2, 2, fractions))
@@ -302,19 +304,21 @@ def _free_columns(m):
 @settings(max_examples=300)
 @given(systems())
 def test_solve_linear_output_is_pinned_by_the_reference(system):
-    m, rhs = system
+    # null_basis is the reduced row echelon null basis, each vector 1 at its
+    # free column and -rref[r][f] at the pivot of row r, cleared of
+    # denominators; the systems' right hand sides are not used
+    m, _ = system
     assert rank(m) == gauss_rank(m)
-    got = solve_linear(m, rhs)
-    ref = gauss_solve(m, rhs)
-    if ref is None:
-        assert got is None
-        return
-    point, kernel = got
-    assert point == ref
+    kernel = null_basis(m)
+    ref_rows, pivots = gauss_rref(m)
     free = _free_columns(m)
     assert len(kernel) == len(free) == len(m[0]) - gauss_rank(m)
+    assert free == [j for j in range(len(m[0])) if j not in pivots]
     for f, k in zip(free, kernel):
-        assert [k[j] for j in free] == [int(j == f) for j in free]
+        vec = [Fraction(int(j == f)) for j in range(len(m[0]))]
+        for row, c in zip(ref_rows, pivots):
+            vec[c] = -row[f]
+        assert k == scale_to_integer(vec)
         assert all(sum(a * x for a, x in zip(row, k)) == 0 for row in m)
 
 
@@ -347,7 +351,11 @@ def test_scale_to_integer_returns_an_integer_row_as_it_is():
 
 
 def test_solve_linear_reports_full_solution_set():
-    point, kernel = solve_linear([[1, 1]], [2])
-    assert dot([1, 1], point) == 2
-    assert len(kernel) == 1
-    assert solve_linear([[1, 1], [1, 1]], [0, 1]) is None
+    # null_basis reads the kernel of the rows; it depends on their span alone
+    assert null_basis([[1, 1]]) == ((-1, 1),)
+    assert null_basis([[2, 2], [1, 1]]) == null_basis([[3, 3]]) == ((-1, 1),)
+    assert null_basis([[Fraction(1, 2), Fraction(1, 3), 0]]) == ((-2, 3, 0), (0, 0, 1))
+    assert null_basis([[0, 0]]) == ((1, 0), (0, 1))
+    assert null_basis([[1, 0], [0, 1]]) == ()
+    with pytest.raises(DimensionMismatchError):
+        null_basis([])
