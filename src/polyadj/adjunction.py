@@ -305,7 +305,13 @@ def analyze(p: HPolytope, alpha=None, epsilon=Fraction(1, 2)) -> AnalysisReport:
     """
     if not is_lattice_polytope(p):
         raise NotLatticePolytopeError("analysis requires a lattice polytope")
+    # a bad level or cutoff is refused before any work, with the message
+    # verify_lemmas or spectrum_superset would give after the whole scan
+    if alpha is not None and not 0 < Fraction(alpha) <= 1:
+        raise ValueError("alpha must lie in (0, 1]")
     epsilon = Fraction(epsilon)
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
     data = adjunction_data(p)
     fan = normal_fan(p)
     info = fan_summary(fan)

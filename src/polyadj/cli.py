@@ -42,21 +42,14 @@ DEFAULT_MAX_DIM = 8
 MAX_LISTED_VALUES = 1_000_000
 
 
-def _max_dim() -> int:
-    raw = os.environ.get("POLYADJ_MAX_DIM")
-    if raw is None:
-        return DEFAULT_MAX_DIM
+def _check_dim(d: int) -> None:
+    raw = os.environ.get("POLYADJ_MAX_DIM", str(DEFAULT_MAX_DIM))
     try:
         cap = int(raw)
     except ValueError:
         raise ValueError(f"POLYADJ_MAX_DIM must be an integer, got {raw!r}") from None
     if cap < 1:
         raise ValueError("POLYADJ_MAX_DIM must be positive")
-    return cap
-
-
-def _check_dim(d: int) -> None:
-    cap = _max_dim()
     if d > cap:
         raise ValueError(f"dimension {d} exceeds the safety cap POLYADJ_MAX_DIM={cap}")
 
@@ -175,9 +168,7 @@ def _render_text(doc: dict) -> str:
     lem = doc["lemmas"]
 
     def mark(value):
-        if value is None:
-            return "skipped"
-        return "pass" if value else "FAIL"
+        return "skipped" if value is None else "pass" if value else "FAIL"
 
     lines.append("lemma checks:"
                  f" origin_in_relint={mark(lem['origin_in_relative_interior'])}"
@@ -208,63 +199,54 @@ def _read_input(path: str) -> str:
 def _write_output(text: str, path: Optional[str]) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-        return
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    else:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+
+
+def _polytope_document(path: str):
+    """The parsed polytope file at path ('-' = stdin); an A section or a dimension over the cap is refused."""
+    doc = parse_document(_read_input(path))
+    if doc.kind == "A":
+        raise ValueError("expected a polytope file (H or V section);"
+                         " pass a configuration (A section) to spectrum positionally")
+    _check_dim(doc.dim)
+    return doc
 
 
 def cmd_analyze(args) -> int:
-    doc = parse_document(_read_input(args.file))
-    if doc.kind == "A":
-        raise ValueError("analyze expects a polytope file (H or V section)")
-    _check_dim(doc.dim)
-    raw_c: Optional[Fraction] = None
-    if args.raw:
-        raw_c = raw_critical_shift(raw_inequalities(doc))
-    p = polytope_from_document(doc)
-    report = analyze(p, alpha=args.alpha, epsilon=args.epsilon)
+    doc = _polytope_document(args.file)
+    raw_c = raw_critical_shift(raw_inequalities(doc)) if args.raw else None
+    report = analyze(polytope_from_document(doc), alpha=args.alpha, epsilon=args.epsilon)
     document = _report_document(report, raw_c)
-    if args.format == "json":
-        _write_output(json.dumps(document, indent=2) + "\n", args.out)
-    else:
-        _write_output(_render_text(document), args.out)
+    text = _render_text(document) if args.format == "text" else json.dumps(document, indent=2) + "\n"
+    _write_output(text, args.out)
     return 0
 
 
+# family: (builder, number of int parameters, usage); gen --help lists them in this order
+GEN_FAMILIES = {
+    "fig1": (fig1, 0, "no parameters"),
+    "cube": (cube, 1, "one parameter: d"),
+    "simplex-scaled": (scaled_simplex, 2, "two parameters: d a"),
+    "random": (random_lattice_polytope, 3, "three parameters: d n seed"),
+}
+
+
 def cmd_gen(args) -> int:
-    family = args.family
+    build, arity, usage = GEN_FAMILIES[args.family]
     params = args.params
-    comments = []
-
-    def need(n: int, usage: str):
-        if len(params) != n:
-            raise ValueError(f"{family} takes {usage}")
-
-    if family == "fig1":
-        need(0, "no parameters")
-        p = fig1()
-        comments.append("polyadj gen fig1")
-    elif family == "cube":
-        need(1, "one parameter: d")
+    if len(params) != arity:
+        raise ValueError(f"{args.family} takes {usage}")
+    if params:
         _check_dim(params[0])
-        p = cube(params[0])
-        comments.append(f"polyadj gen cube {params[0]}")
-    elif family == "simplex-scaled":
-        need(2, "two parameters: d a")
-        _check_dim(params[0])
-        p = scaled_simplex(params[0], params[1])
-        comments.append(f"polyadj gen simplex-scaled {params[0]} {params[1]}")
-    elif family == "random":
-        need(3, "three parameters: d n seed")
+    comments = [" ".join(["polyadj gen", args.family, *map(str, params)])]
+    if args.family == "random":
         d, n, seed = params
-        _check_dim(d)
-        p = random_lattice_polytope(d, n, seed, box=args.box)
-        comments.append(f"polyadj gen random {d} {n} {seed}")
+        p = build(d, n, seed, box=args.box)
         comments.append(f"prng splitmix64 seed={seed} points={n} box={args.box}")
     else:
-        raise ValueError(f"unknown family {family!r}")
+        p = build(*params)
     _write_output(format_polytope(p, comments=comments), args.out)
     return 0
 
@@ -281,39 +263,17 @@ def cmd_census(args) -> int:
     points = args.points if args.points is not None else args.dim + 5
     master = SplitMix64(args.seed)
     rows = []
-    lemma_failures = 0
-    smooth_count = 0
-    none_index_count = 0
-    max_index: Optional[int] = None
-    dilation_checks = 0
-    dilation_failures = 0
-    qcds_above: set[Fraction] = set()
+    indices: list[Optional[int]] = []  # max_gorenstein_index compares these as ints
     for i in range(args.count):
         iseed = master.next_u64()
         p = random_lattice_polytope(args.dim, points, iseed, box=args.box)
         report = analyze(p, alpha=args.alpha, epsilon=args.epsilon)
         data = report.data
-        ok = report.lemmas.all_hold
-        if not ok:
-            lemma_failures += 1
-        if report.fan_info.smooth:
-            smooth_count += 1
         idx = report.fan_info.gorenstein_index
-        if idx is None:
-            none_index_count += 1
-        elif max_index is None or idx > max_index:
-            max_index = idx
-        if report.lemmas.alpha_is_canonical and data.qcodegree >= args.epsilon:
-            qcds_above.add(data.qcodegree)
-        # dilation spot check on every fifth instance
-        if i % 5 == 0:
-            dilation_checks += 1
-            doubled = adjunction_data(dilate(p, 2))
-            dilation = "pass" if doubled.qcodegree == data.qcodegree / 2 else "fail"
-            if dilation == "fail":
-                dilation_failures += 1
-        else:
-            dilation = "-"
+        indices.append(idx)
+        dilation = "-"
+        if i % 5 == 0:  # a dilation spot check on every fifth instance
+            dilation = "pass" if adjunction_data(dilate(p, 2)).qcodegree == data.qcodegree / 2 else "fail"
         member = report.qcodegree_in_superset
         rows.append((str(i), str(iseed), _fr(data.qcodegree), _fr(data.critical_shift),
                      str(data.core.dim), str(len(data.core_normals)),
@@ -321,7 +281,7 @@ def cmd_census(args) -> int:
                      "none" if idx is None else str(idx),
                      _fr(report.fan_info.canonicity_threshold),
                      str(report.lemmas.alpha_is_canonical).lower(),
-                     str(ok).lower(),
+                     str(report.lemmas.all_hold).lower(),
                      "-" if member is None else str(member).lower(),
                      dilation))
     header = ["# polyadj census v1",
@@ -332,6 +292,10 @@ def cmd_census(args) -> int:
     csv_text = "\n".join(header + [",".join(row) for row in rows]) + "\n"
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(csv_text)
+    # the summary counts are those of the rows just written
+    column = {name: [row[j] for row in rows] for j, name in enumerate(CENSUS_COLUMNS)}
+    qcds_above = {Fraction(q) for q, canonical in zip(column["qcd"], column["alpha_canonical"])
+                  if canonical == "true" and Fraction(q) >= args.epsilon}
     summary = {
         "count": args.count,
         "dim": args.dim,
@@ -341,12 +305,12 @@ def cmd_census(args) -> int:
         "epsilon": _fr(args.epsilon),
         "alpha": None if args.alpha is None else _fr(args.alpha),
         "distinct_qcd_above_epsilon": [_fr(q) for q in sorted(qcds_above, reverse=True)],
-        "lemma_failures": lemma_failures,
-        "smooth_count": smooth_count,
-        "not_q_gorenstein_count": none_index_count,
-        "max_gorenstein_index": max_index,
-        "dilation_checks": dilation_checks,
-        "dilation_failures": dilation_failures,
+        "lemma_failures": column["lemmas_ok"].count("false"),
+        "smooth_count": column["smooth"].count("true"),
+        "not_q_gorenstein_count": column["gorenstein_index"].count("none"),
+        "max_gorenstein_index": max((k for k in indices if k is not None), default=None),
+        "dilation_checks": len(rows) - column["dilation_check"].count("-"),
+        "dilation_failures": column["dilation_check"].count("fail"),
         "csv": args.out,
     }
     sys.stdout.write(json.dumps(summary, indent=2) + "\n")
@@ -354,15 +318,10 @@ def cmd_census(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    if args.config is None and args.from_polytope is None:
-        raise ValueError("give a configuration file or --from-polytope")
-    if args.config is not None and args.from_polytope is not None:
+    if (args.config is None) == (args.from_polytope is None):
         raise ValueError("give either a configuration file or --from-polytope, not both")
     if args.from_polytope is not None:
-        doc = parse_document(_read_input(args.from_polytope))
-        if doc.kind == "A":
-            raise ValueError("--from-polytope expects a polytope file; pass the config positionally")
-        _check_dim(doc.dim)
+        doc = _polytope_document(args.from_polytope)
         cfg = core_config(adjunction_data(polytope_from_document(doc)))
     else:
         doc = parse_document(_read_input(args.config))
@@ -408,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.set_defaults(func=cmd_analyze)
 
     pg = sub.add_parser("gen", help="write a generated instance in canonical H form")
-    pg.add_argument("family", choices=("fig1", "cube", "simplex-scaled", "random"))
+    pg.add_argument("family", choices=GEN_FAMILIES)
     pg.add_argument("params", nargs="*", type=int,
                     help="fig1: none; cube: d; simplex-scaled: d a; random: d n seed")
     pg.add_argument("--box", type=int, default=5, help="box radius for random (default 5)")

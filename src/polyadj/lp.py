@@ -49,7 +49,7 @@ from math import gcd, lcm
 from typing import Iterable, Literal, Optional, Sequence
 
 from .errors import DimensionMismatchError, InternalInconsistencyError
-from .ratmath import common_denominator, dot
+from .ratmath import common_denominator, dot, exact_entries
 from .record import record
 
 Status = Literal["optimal", "infeasible", "unbounded"]
@@ -67,11 +67,6 @@ class LpResult:
     value: Optional[Fraction]
     point: Optional[tuple[Fraction, ...]]
     duals: tuple[Fraction, ...] = ()
-
-
-def _read(values) -> list:
-    """Each value as it is when an int or a Fraction, else as a Fraction."""
-    return [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in values]
 
 
 def _reduced(row: list[int]) -> list[int]:
@@ -144,7 +139,7 @@ def solve(normals: Sequence, rhs: Sequence, objective: Sequence, *, eq_normals: 
     objective's, the rows and right hand sides differ in number, or an
     index in nonneg lies outside range(len(objective)).
     """
-    obj = _read(objective)
+    obj = exact_entries(objective)
     d, n = len(obj), len(normals)
     system = (*normals, *eq_normals)
     if n != len(rhs) or len(eq_normals) != len(eq_rhs) or any(len(a) != d for a in system):
@@ -155,7 +150,7 @@ def solve(normals: Sequence, rhs: Sequence, objective: Sequence, *, eq_normals: 
     free = [j for j in range(d) if j not in nonneg]
     # each row (a, b), inequality rows first, as the integers (a den, b den)
     # over the least den > 0
-    cleared = [common_denominator(_read((*a, b))) for a, b in zip(system, (*rhs, *eq_rhs))]
+    cleared = [common_denominator(exact_entries((*a, b))) for a, b in zip(system, (*rhs, *eq_rhs))]
 
     # internal minimization of c~.z over M z = r, z >= 0. Columns: u_j per
     # variable, w_j per free variable, a slack per inequality row, then an

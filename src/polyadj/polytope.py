@@ -71,6 +71,7 @@ from .ratmath import (
     common_denominator,
     det,
     dot,
+    exact_entries,
     int_vector,
     integer_kernel_basis,
     null_basis,
@@ -427,11 +428,11 @@ def _as_fraction(x) -> Fraction:
 
 
 def _distinct_points(points: Sequence[Sequence]) -> list[tuple]:
-    """The distinct points, sorted, int coordinates kept as ints and any other read as a Fraction.
+    """The distinct points, sorted, each read by exact_entries.
 
     Raises on no points or on mixed lengths.
     """
-    pts = sorted({tuple(c if type(c) is int else _as_fraction(c) for c in pt) for pt in points})
+    pts = sorted({tuple(exact_entries(pt)) for pt in points})
     if not pts:
         raise EmptyPolytopeError("no points given")
     if any(len(pt) != len(pts[0]) for pt in pts):

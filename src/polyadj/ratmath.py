@@ -67,6 +67,12 @@ def int_vector(v: Sequence) -> IntVector:
     return tuple(int(x) for x in v)
 
 
+def exact_entries(v: Sequence) -> list:
+    """v's entries read exactly, the counterpart of int_vector: an int or
+    a Fraction as it is, and any other entry as a Fraction."""
+    return [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
+
+
 def primitivize(v: Sequence[int]) -> tuple[IntVector, int]:
     """Divide an integer vector, read by int_vector, by the gcd of its entries.
 
@@ -90,7 +96,7 @@ def scale_to_integer(v: Sequence) -> IntVector:
     """
     if all(type(x) is int for x in v):
         return tuple(v)
-    return tuple(common_denominator([x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v])[0])
+    return tuple(common_denominator(exact_entries(v))[0])
 
 
 def common_denominator(values: Sequence) -> tuple[list[int], int]:

@@ -406,6 +406,20 @@ def test_analyze_epsilon_above_qcd_leaves_membership_open():
         analyze(fig1(), epsilon=0)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"alpha": 2}, "alpha must lie in"),
+    ({"alpha": 0}, "alpha must lie in"),
+    ({"epsilon": 0}, "epsilon must be positive"),
+], ids=["alpha=2", "alpha=0", "epsilon=0"])
+def test_analyze_refuses_a_bad_alpha_or_epsilon_before_any_work(monkeypatch, kwargs, message):
+    def fail(*args, **kw):
+        raise AssertionError("adjunction_data ran on a refused alpha or epsilon")
+
+    monkeypatch.setattr(adjunction, "adjunction_data", fail)
+    with pytest.raises(ValueError, match=message):
+        analyze(fig1(), **kwargs)
+
+
 def test_analyze_requires_lattice_vertices():
     p = from_inequalities([((2, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)])
     with pytest.raises(NotLatticePolytopeError):

@@ -122,6 +122,20 @@ def test_gen_is_deterministic_and_labels_the_draw(capsys):
     assert other != second
 
 
+def test_gen_labels_each_family_with_its_command(capsys):
+    for argv in (["fig1"], ["cube", "3"], ["simplex-scaled", "3", "2"]):
+        code, out, _ = run(capsys, ["gen", *argv])
+        assert code == 0
+        assert [line for line in out.splitlines() if line.startswith("#")] == ["# polyadj gen " + " ".join(argv)]
+
+
+def test_gen_help_lists_the_families_in_order(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--help"])
+    assert exc.value.code == 0
+    assert "{fig1,cube,simplex-scaled,random}" in capsys.readouterr().out
+
+
 def test_gen_analyze_pipeline(capsys, tmp_path):
     path = tmp_path / "cube.poly"
     assert main(["gen", "cube", "3", "--out", str(path)]) == 0
@@ -180,29 +194,43 @@ def test_spectrum_from_polytope(capsys, tmp_path):
 
 
 def test_census_writes_csv_rows_and_a_consistent_summary(capsys, tmp_path):
-    out_csv = tmp_path / "census.csv"
-    code, out, _ = run(capsys, ["census", "6", "2", "--seed", "3", "--out", str(out_csv)])
-    assert code == 0
-    summary = json.loads(out)
-    lines = out_csv.read_text().splitlines()
-    assert lines[0] == "# polyadj census v1"
-    assert lines[2] == ",".join(CENSUS_COLUMNS)
-    rows = [line.split(",") for line in lines[3:]]
-    assert len(rows) == 6
-    by_name = [dict(zip(CENSUS_COLUMNS, row)) for row in rows]
-    assert [r["instance"] for r in by_name] == [str(i) for i in range(6)]
-    assert all(r["lemmas_ok"] == "true" for r in by_name)
-    assert [r["dilation_check"] for r in by_name] == ["pass", "-", "-", "-", "-", "pass"]
-    assert summary["count"] == 6
-    assert summary["lemma_failures"] == 0
-    assert summary["dilation_checks"] == 2
-    assert summary["dilation_failures"] == 0
-    assert summary["csv"] == str(out_csv)
-    expected_qcds = {Fraction(r["qcd"]) for r in by_name
-                     if r["alpha_canonical"] == "true" and Fraction(r["qcd"]) >= Fraction(1, 2)}
-    assert [Fraction(q) for q in summary["distinct_qcd_above_epsilon"]] \
-        == sorted(expected_qcds, reverse=True)
-    assert summary["smooth_count"] == sum(r["smooth"] == "true" for r in by_name)
+    # the second run, at alpha = 1, has rows that are not canonical, one of
+    # them with a Q-codegree above epsilon, and fans with no Gorenstein index
+    seen = []
+    for argv in (["6", "2", "--seed", "3"], ["6", "3", "--seed", "11", "--box", "1", "--alpha", "1"]):
+        out_csv = tmp_path / "census.csv"
+        code, out, _ = run(capsys, ["census", *argv, "--out", str(out_csv)])
+        assert code == 0
+        summary = json.loads(out)
+        lines = out_csv.read_text().splitlines()
+        assert lines[0] == "# polyadj census v1"
+        assert lines[2] == ",".join(CENSUS_COLUMNS)
+        rows = [line.split(",") for line in lines[3:]]
+        assert len(rows) == 6
+        by_name = [dict(zip(CENSUS_COLUMNS, row)) for row in rows]
+        assert [r["instance"] for r in by_name] == [str(i) for i in range(6)]
+        assert all(r["lemmas_ok"] == "true" for r in by_name)
+        assert [r["dilation_check"] for r in by_name] == ["pass", "-", "-", "-", "-", "pass"]
+        assert summary["count"] == 6
+        assert summary["lemma_failures"] == 0
+        assert summary["dilation_checks"] == 2
+        assert summary["dilation_failures"] == 0
+        assert summary["csv"] == str(out_csv)
+        expected_qcds = {Fraction(r["qcd"]) for r in by_name
+                         if r["alpha_canonical"] == "true" and Fraction(r["qcd"]) >= Fraction(1, 2)}
+        assert [Fraction(q) for q in summary["distinct_qcd_above_epsilon"]] \
+            == sorted(expected_qcds, reverse=True)
+        assert summary["smooth_count"] == sum(r["smooth"] == "true" for r in by_name)
+        # every summary count is the count of the CSV rows
+        assert summary["lemma_failures"] == sum(r["lemmas_ok"] == "false" for r in by_name)
+        assert summary["not_q_gorenstein_count"] == sum(r["gorenstein_index"] == "none" for r in by_name)
+        indices = [int(r["gorenstein_index"]) for r in by_name if r["gorenstein_index"] != "none"]
+        assert summary["max_gorenstein_index"] == max(indices, default=None)
+        assert summary["dilation_checks"] == sum(r["dilation_check"] != "-" for r in by_name)
+        assert summary["dilation_failures"] == sum(r["dilation_check"] == "fail" for r in by_name)
+        seen += by_name
+    assert any(r["gorenstein_index"] == "none" for r in seen)
+    assert any(r["alpha_canonical"] == "false" and Fraction(r["qcd"]) >= Fraction(1, 2) for r in seen)
 
 
 def test_census_count_zero_is_a_header_only_file(capsys, tmp_path):

@@ -228,6 +228,39 @@ def test_vector_entries_become_ints_only_in_int_vector():
     assert found == {"ratmath.py": ["int_vector"]}
 
 
+def environment_reads(source: str) -> list[str]:
+    """Dotted scopes of every read of the process environment: an
+    attribute or a name environ or getenv, as os.environ, os.getenv or
+    either name imported from os."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr in ("environ", "getenv")
+                    or isinstance(child, ast.Name) and child.id in ("environ", "getenv")):
+                found.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return sorted(set(found))
+
+
+def test_the_scan_finds_every_environment_read():
+    source = ("import os\ncap = os.environ['A']\n\nclass A:\n    def f(self):\n        return os.getenv('B')\n\n"
+              "def g():\n    from os import environ\n    return environ.get('C')\n\n"
+              "def h():\n    return os.path.join('a', 'b')\n")
+    assert environment_reads(source) == ["<module>", "A.f", "g"]
+
+
+def test_the_command_line_reads_its_environment_only_in_the_dimension_check():
+    # POLYADJ_MAX_DIM is read and checked in one place, _check_dim
+    with open(os.path.join(PACKAGE, "cli.py"), encoding="utf-8") as fh:
+        assert environment_reads(fh.read()) == ["_check_dim"]
+
+
 def frozen_writes(source: str) -> list[str]:
     """Dotted scopes of every call object.__setattr__(...), which writes a
     field of a frozen record."""
