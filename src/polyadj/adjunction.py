@@ -117,8 +117,9 @@ def adjunction_data(p: HPolytope) -> AdjunctionData:
     hold at the vertex barycenter, and a row equal there must be tight at
     every core vertex; those rows are the core rows, and they must be
     embed_system's implicit rows when it ran. The vertices are read over
-    the lcm of their denominators, and the barycenter as their sum over
-    that lcm times their number. Last, y is checked exactly: y >= 0, y A =
+    the lcm of their denominators, the barycenter as their sum over that
+    lcm times their number, and each b_i - c* over b_i's denominator times
+    c*'s, so no Fraction is formed. Last, y is checked exactly: y >= 0, y A =
     0, sum y = 1, y.b = c*, and y vanishes off the core rows. The duals are
     a Farkas certificate that adjoint(p, c) is empty for every c > c*,
     since y.(b - c 1 - A x) = c* - c < 0 while every point x of adjoint(p,
@@ -128,26 +129,29 @@ def adjunction_data(p: HPolytope) -> AdjunctionData:
     c_star, y = res.value, res.duals
     if c_star <= 0:
         raise InternalInconsistencyError("critical shift of a full-dimensional polytope must be positive")
-    system = adjoint(p, c_star)
     implicit = None
     if rank([a for a, v in zip(p.normals, y) if v]) == p.dim:
         core = _embedded((res.point[:p.dim],))
     else:
-        core, implicit = embed_system(system)  # raises EmptyPolytopeError if the adjoint is empty
+        core, implicit = embed_system(adjoint(p, c_star))  # raises EmptyPolytopeError if the adjoint is empty
     if core.dim >= p.dim:
         raise InternalInconsistencyError("core must have lower dimension than the polytope")
     flat, scale = common_denominator([x for v in core.vertices for x in v])
     verts = [flat[k:k + p.dim] for k in range(0, len(flat), p.dim)]
     center = [sum(col) for col in zip(*verts)]
+    cn, cd = c_star.numerator, c_star.denominator
     core_rows = []
-    for i, (a, b) in enumerate(zip(p.normals, system.rhs)):
-        # <a, v> = b at a vertex v = verts[k] / scale, and the same at the barycenter
-        at_vertex = b.numerator * scale
-        value, bound = dot(a, center) * b.denominator, at_vertex * len(verts)
+    for i, (a, b) in enumerate(zip(p.normals, p.rhs)):
+        # <a, v> = b - c* at a vertex v = verts[k] / scale, and the same at the
+        # barycenter, with b - c* = num / den unreduced: den > 0, so both
+        # tests read the same as over the reduced fraction
+        num, den = b.numerator * cd - cn * b.denominator, b.denominator * cd
+        at_vertex = num * scale
+        value, bound = dot(a, center) * den, at_vertex * len(verts)
         if value > bound:
             raise InternalInconsistencyError(f"the core's barycenter violates adjoint row {i}")
         if value == bound:
-            if len(verts) > 1 and any(dot(a, v) * b.denominator != at_vertex for v in verts):
+            if len(verts) > 1 and any(dot(a, v) * den != at_vertex for v in verts):
                 raise InternalInconsistencyError(f"adjoint row {i} is tight at the core's barycenter"
                                                  " but misses a core vertex")
             core_rows.append(i)

@@ -197,9 +197,11 @@ def solve(normals: Sequence, rhs: Sequence, objective: Sequence, *, eq_normals: 
     costs = _run(rows, basis, cost, ncore)
     if costs is None:
         return LpResult("unbounded", None, None)
-    z = [Fraction(0)] * ncols
+    # the point reads only the columns before the slacks
+    z = [Fraction(0)] * slack0
     for row, bj in zip(rows, basis):
-        z[bj] = Fraction(row[-1], row[bj])
+        if bj < slack0:
+            z[bj] = Fraction(row[-1], row[bj])
     x = z[:d]
     for k, j in enumerate(free):
         x[j] -= z[d + k]

@@ -77,7 +77,6 @@ from .ratmath import (
     null_basis,
     primitivize,
     saturate,
-    scale_to_integer,
     vec_add,
 )
 from .record import record
@@ -292,7 +291,7 @@ def double_description(rows: Sequence[Sequence[int]], n: int, key=None) -> tuple
     """
     if any(len(row) != n for row in rows):
         raise DimensionMismatchError(f"rows of a cone in dimension {n} have other lengths")
-    lineality = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
+    lineality = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
     rays: list[tuple[IntVector, int]] = []  # (ray, bitmask of the rows tight at it)
     k = 0
     while k < len(rows) and (lineality or key is None):
@@ -384,7 +383,7 @@ def _cut(rays, lineality, c: int, n: int) -> tuple[list, list]:
     which leaves as a ray with z_c > 0. The tight sets thus stay those of
     the cone's own rows.
     """
-    unit = tuple(int(i == c) for i in range(n))
+    unit = (0,) * c + (1,) + (0,) * (n - 1 - c)
     rays, lineality = _add_row(rays, lineality, unit, 0)
     return [(z[:c] + z[c + 1:], t) for z, t in rays if not z[c]], [z[:c] + z[c + 1:] for z in lineality]
 
@@ -397,7 +396,7 @@ def _homogenized(normals, rhs, d: int):
     rays alone. Raises EmptyPolytopeError when no ray has s > 0.
     """
     rows = [(0,) * d + (1,)]
-    rows += [scale_to_integer(tuple(-x for x in a) + (b,)) for a, b in zip(normals, rhs)]
+    rows += [_integer_row(tuple(-x for x in a), b) for a, b in zip(normals, rhs)]
     rays, lineality = double_description(rows, d + 1)
     if not any(z[d] for z, _ in rays):
         raise EmptyPolytopeError("system has no solution")
@@ -507,7 +506,7 @@ def _embedded(pts: Sequence[tuple]) -> EmbeddedPolytope:
     """
     d = len(pts[0])
     if len(pts) == 1:
-        units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+        units = [(0,) * i + (1,) + (0,) * (d - 1 - i) for i in range(d)]
         point = tuple(map(_as_fraction, pts[0]))
         return EmbeddedPolytope(AffineSubspace(0, d, tuple(sorted(zip(units, point)))), (), (point,), ())
     facets, incidence, verts, lineality = _point_hull(pts, d)

@@ -3,12 +3,14 @@
 A core normal configuration is a finite set of primitive integer vectors
 positively spanning the space (the origin is in the relative interior of
 their convex hull). For such a configuration A the values c admitting a
-point y with A y + c 1 integral form a group g Z; the step g is computed
-exactly from a lattice basis, every achievable critical shift is a
-multiple of g, and the Q-codegrees above a cutoff epsilon therefore lie in
-the finite set {1 / (k g) : k >= 1, 1 / (k g) >= epsilon}. Since c = 1 is
-achievable (y = 0), g = 1/N for a positive integer N, and the candidates
-are the values N/k.
+point y with A y + c 1 integral form a group g Z, every achievable
+critical shift is a multiple of g, and the Q-codegrees above a cutoff
+epsilon therefore lie in the finite set {1 / (k g) : k >= 1, 1 / (k g) >=
+epsilon}. The step is g = 1/N with N the gcd of the coordinate sums of a
+basis of the relations w (sum_i w_i a_i = 0, w integral): the projection of
+Z^m onto the orthogonal complement of span(A) is the lattice dual to those
+relations, so c 1 lies in Z^m + span(A) iff <w, c 1> = c sum(w) is an
+integer for every relation w. The candidates are the values N/k.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .ratmath import (
     dot,
     ext_gcd_list,
     int_vector,
+    integer_kernel_basis,
     primitivize,
     saturate,
 )
@@ -172,34 +175,38 @@ def _step_basis(cfg: CoreNormalConfig) -> tuple[list[list[int]], list[int]]:
     v_1[i], ..., v_k[i]), v_j a basis of Z^m intersected with span(columns
     of A, 1), which solves v_j = A y_j + c_j 1 for every j at once.
 
-    c_j is well defined when 1 is not in the span of the columns of A, that
-    is when the 1-column d holds the last pivot; then every solution of
-    A y + c 1 = 0 has c = 0, and c_j = row[d + 1 + j] / row[d] on the last
-    row. A configuration admits no y with A y = 1: any positive barycentric
-    combination of the rows kills A y but not 1.
+    For a configuration with a step (codegree_step), 1 is not in the span
+    of the columns of A, so the 1-column d holds the last pivot; then every
+    solution of A y + c 1 = 0 has c = 0, and c_j = row[d + 1 + j] / row[d]
+    on the last row.
     """
     d = cfg.dim
     cols = [tuple(a[j] for a in cfg.normals) for j in range(d)]
     basis = saturate(cols + [tuple([1] * cfg.n_rows)])
     reduced, pivots, _ = _eliminate([list(a) + [1] + [v[i] for v in basis]
                                      for i, a in enumerate(cfg.normals)])
-    if pivots[-1] > d:
-        raise InternalInconsistencyError("vector left the spanned lattice")
-    if pivots[-1] < d:
-        raise InvalidConfigError("configuration admits A y = 1; step is undefined")
+    if pivots[-1] != d:
+        raise InternalInconsistencyError("the 1-column does not hold the last pivot")
     return reduced, pivots
 
 
 def codegree_step(cfg: CoreNormalConfig) -> Fraction:
     """The positive generator g of {c : A y + c 1 is integral for some y}.
 
-    The achievable integral vectors A y + c 1 are exactly the lattice
-    Z^m intersected with span(columns of A, 1); g is the gcd of the
-    1-coefficients of a basis of that lattice. The vector 1 lies in that
-    lattice with 1-coefficient 1, so g = 1/N for a positive integer N.
+    One integer kernel of the d x m matrix whose rows are the coordinates
+    of the normals is a basis of the saturated lattice of relations w,
+    sum_i w_i a_i = 0, and g = 1/N with N the gcd of their coordinate sums:
+    c 1 lies in Z^m + span(A) iff <w, c 1> is an integer for every
+    relation w, since the projection of Z^m onto the complement of span(A)
+    is the lattice dual to the relations. N = 0 means A y = 1 for some y,
+    which no configuration around the origin admits: a positive barycentric
+    combination of the rows kills A y but not 1.
     """
-    last = _step_basis(cfg)[0][-1]
-    return Fraction(gcd(*last[cfg.dim + 1:]), last[cfg.dim])
+    rows = [[a[j] for a in cfg.normals] for j in range(cfg.dim)]
+    n = gcd(*(sum(w) for w in integer_kernel_basis(rows, ncols=cfg.n_rows)))
+    if n == 0:
+        raise InvalidConfigError("configuration admits A y = 1; step is undefined")
+    return Fraction(1, n)
 
 
 def spectrum_superset(cfg: CoreNormalConfig, epsilon) -> SpectrumSuperset:
@@ -216,18 +223,19 @@ def spectrum_superset(cfg: CoreNormalConfig, epsilon) -> SpectrumSuperset:
 def check_necessary_condition(cfg: CoreNormalConfig, c) -> tuple[bool, Optional[tuple[Fraction, ...]]]:
     """Whether some y makes A y + c 1 integral; returns (ok, witness y).
 
-    ok iff c = k step for an integer k. Then A y + c 1 is integral for y =
-    k sum_j coef_j y_j, coef the gcd combination of the c_j (_step_basis):
-    y_p = k sum_j coef_j row[d + 1 + j] / row[p] on each row of _step_basis
-    whose pivot is p < d, and 0 at the columns of A with no pivot.
+    ok iff c = k step for an integer k (codegree_step). Then A y + c 1 is
+    integral for y = k sum_j coef_j y_j, coef the gcd combination of the
+    c_j (_step_basis): y_p = k sum_j coef_j row[d + 1 + j] / row[p] on each
+    row of _step_basis whose pivot is p < d, and 0 at the columns of A with
+    no pivot.
     """
     c = Fraction(c)
-    d = cfg.dim
-    reduced, pivots = _step_basis(cfg)
-    gd, coeffs = ext_gcd_list(reduced[-1][d + 1:])
-    k = c / Fraction(gd, reduced[-1][d])
+    k = c / codegree_step(cfg)
     if k.denominator != 1:
         return False, None
+    d = cfg.dim
+    reduced, pivots = _step_basis(cfg)
+    _, coeffs = ext_gcd_list(reduced[-1][d + 1:])
     y = [Fraction(0)] * d
     for row, p in zip(reduced[:-1], pivots):
         y[p] = Fraction(k.numerator * sum(map(operator.mul, coeffs, row[d + 1:])), row[p])

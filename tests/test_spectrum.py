@@ -3,19 +3,21 @@
 import hashlib
 from decimal import Decimal
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 import sys
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import bland_simplex
+from polyadj import ratmath
 from polyadj.adjunction import adjunction_data, core_config
 from polyadj.errors import GridTooLargeError, InvalidConfigError, PolyadjError
 from polyadj.generators import cube, fig1
 from polyadj.spectrum import (
     CoreNormalConfig,
     ReciprocalGrid,
+    _step_basis,
     check_necessary_condition,
     codegree_step,
     make_config,
@@ -88,19 +90,69 @@ def test_make_config_accepts_exactly_the_configurations_around_the_origin(rows):
             make_config(rows)
 
 
+def relations(cfg):
+    """A basis of the integer relations w of the rows, sum_i w_i a_i = 0."""
+    return ratmath.integer_kernel_basis([[a[j] for a in cfg.normals] for j in range(cfg.dim)])
+
+
 @settings(deadline=None, max_examples=200)
 @given(configurations())
+@example(SQUARE)
+@example([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1), (1, 1, 1)])
+@example([(2, 1), (-1, 0), (0, -1), (1, 2), (-3, -2)])
 def test_the_step_of_every_configuration_is_one_over_a_positive_integer(rows):
     # c = 1 is achievable with y = 0, so 1 is a multiple of the step and
-    # the step is never 0
+    # the step is never 0. The step 1 / gcd of the relations' sums equals
+    # the gcd of the 1-coefficients of a basis of Z^m intersected with
+    # span(columns of A, 1), read off _step_basis; the examples have
+    # relation lattices of rank 2, 4 and 3
     try:
         cfg = make_config(rows)
     except InvalidConfigError:
         assume(False)
     step = codegree_step(cfg)
     assert step.numerator == 1 and step.denominator >= 1
+    assert len(relations(cfg)) == cfg.n_rows - ratmath.rank(cfg.normals)
+    last = _step_basis(cfg)[0][-1]
+    assert step == Fraction(gcd(*last[cfg.dim + 1:]), last[cfg.dim])
+    ok, witness = check_necessary_condition(cfg, step)
+    assert ok and all((sum(a * y for a, y in zip(row, witness)) + step).denominator == 1
+                      for row in cfg.normals)
     assert check_necessary_condition(cfg, 0) == (True, (0,) * cfg.dim)
     assert check_necessary_condition(cfg, 1)[0]
+
+
+def test_the_step_of_a_simplex_acore_is_read_off_its_one_relation(suite_reports):
+    # the core normals of a simplex acore have one relation w up to sign,
+    # all of one sign; the critical-shift duals on the core rows are w /
+    # sum(w), and the step is 1 / sum(w), the lcm of their denominators
+    ranks = {}
+    for key, rep in suite_reports.items():
+        cfg = core_config(rep.data)
+        basis = relations(cfg)
+        simplex = len(rep.data.acore.vertices) == rep.data.acore.dim + 1
+        ranks[simplex, len(basis)] = ranks.get((simplex, len(basis)), 0) + 1
+        if simplex:
+            (w,) = basis
+            w = w if sum(w) > 0 else tuple(-x for x in w)
+            assert all(x > 0 for x in w), key
+            y = [rep.data.shift_duals[i] for i in rep.data.core_normal_indices]
+            assert y == [Fraction(x, sum(w)) for x in w], key
+            assert rep.spectrum.step == Fraction(1, sum(w)) == Fraction(1, lcm(*(v.denominator for v in y))), key
+    assert ranks == {(True, 1): 184, (False, 2): 12, (False, 3): 4}
+
+
+def test_the_step_takes_one_integer_kernel(count_calls):
+    # the witness elimination runs only for a value on the grid
+    counts = count_calls((ratmath, "integer_kernel_basis"), (ratmath, "saturate"), (ratmath, "_eliminate"))
+    for rows in (SEGMENT, SQUARE, [(2, 1), (-1, 0), (0, -1)]):
+        cfg = make_config(rows)
+        counts.update(dict.fromkeys(counts, 0))
+        step = codegree_step(cfg)
+        assert counts == {"integer_kernel_basis": 1, "saturate": 0, "_eliminate": 0}
+        counts.update(dict.fromkeys(counts, 0))
+        assert check_necessary_condition(cfg, step / 2) == (False, None)
+        assert counts == {"integer_kernel_basis": 1, "saturate": 0, "_eliminate": 0}
 
 
 def test_core_config_agrees_with_make_config_on_the_suite(suite_reports):
