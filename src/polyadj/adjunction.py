@@ -252,7 +252,8 @@ def verify_lemmas(p: HPolytope, alpha=None, *, data: Optional[AdjunctionData] = 
 
     data and threshold, when given, are adjunction_data(p) and the
     canonicity threshold of p's normal fan; otherwise they are computed
-    here, the threshold from normal_fan(p).
+    here, the threshold from normal_fan(p). alpha defaults to the
+    threshold, and either must lie in (0, 1]: ValueError otherwise.
     """
     if not is_lattice_polytope(p):
         raise NotLatticePolytopeError("lemma checks require a lattice polytope")
@@ -265,14 +266,10 @@ def verify_lemmas(p: HPolytope, alpha=None, *, data: Optional[AdjunctionData] = 
 
     if threshold is None:
         threshold, _ = fan_canonicity_threshold(normal_fan(p))
-    if alpha is None:
-        alpha = threshold
-        canonical = True
-    else:
-        alpha = Fraction(alpha)
-        if not 0 < alpha <= 1:
-            raise ValueError("alpha must lie in (0, 1]")
-        canonical = threshold >= alpha
+    alpha = threshold if alpha is None else Fraction(alpha)
+    if not 0 < alpha <= 1:
+        raise ValueError("alpha must lie in (0, 1]")
+    canonical = threshold >= alpha
     if canonical:
         inner = lattice_points(data.acore, region="relative_interior", shrink=1 / alpha)
         scaled_points: Optional[tuple] = inner

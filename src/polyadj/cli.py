@@ -54,8 +54,7 @@ def _check_dim(d: int) -> None:
         raise ValueError(f"dimension {d} exceeds the safety cap POLYADJ_MAX_DIM={cap}")
 
 
-def _fr(x) -> str:
-    return format_fraction(Fraction(x))
+_fr = format_fraction
 
 
 def _point(p) -> list:
@@ -131,12 +130,13 @@ def _report_document(report: AnalysisReport, raw_c_star: Optional[Fraction]) -> 
     return doc
 
 
-def _render_text(doc: dict) -> str:
-    def pts(items):
-        return " ".join("(" + ", ".join(v) + ")" for v in items) if items else "none"
+def _tuple(items) -> str:
+    return "(" + ", ".join(map(str, items)) + ")"
 
-    def vecs(items):
-        return " ".join("(" + ", ".join(str(x) for x in a) + ")" for a in items) if items else "none"
+
+def _render_text(doc: dict) -> str:
+    def tuples(items):
+        return " ".join(map(_tuple, items)) or "none"
 
     lines = []
     lines.append(f"dim: {doc['input']['dim']}")
@@ -146,16 +146,16 @@ def _render_text(doc: dict) -> str:
     if "raw_c_star" in doc:
         lines.append(f"raw_c_star: {doc['raw_c_star']}")
     lines.append(f"core dim: {doc['core']['dim']}")
-    lines.append(f"core vertices: {pts(doc['core']['vertices'])}")
+    lines.append(f"core vertices: {tuples(doc['core']['vertices'])}")
     hull = doc["core"]["affine_hull"]
     if hull:
-        eqs = "; ".join("(" + ", ".join(str(x) for x in e["normal"]) + f") . x = {e['value']}" for e in hull)
+        eqs = "; ".join(f"{_tuple(e['normal'])} . x = {e['value']}" for e in hull)
     else:
         eqs = "all of space"
     lines.append(f"core affine hull: {eqs}")
-    lines.append(f"core normals: {vecs(doc['core_normals'])}")
+    lines.append(f"core normals: {tuples(doc['core_normals'])}")
     lines.append(f"acore dim: {doc['acore']['dim']}")
-    lines.append(f"acore vertices: {pts(doc['acore']['vertices'])}")
+    lines.append(f"acore vertices: {tuples(doc['acore']['vertices'])}")
     fan = doc["fan"]
     idx = fan["gorenstein_index"]
     lines.append(f"fan: smooth={str(fan['smooth']).lower()}"
@@ -163,7 +163,7 @@ def _render_text(doc: dict) -> str:
                  f" canonicity_threshold={fan['canonicity_threshold']}")
     if fan["threshold_witness"] is not None:
         w = fan["threshold_witness"]
-        lines.append(f"threshold witness: point ({', '.join(str(x) for x in w['point'])})"
+        lines.append(f"threshold witness: point {_tuple(w['point'])}"
                      f" height {w['height']}")
     lem = doc["lemmas"]
 
@@ -176,7 +176,7 @@ def _render_text(doc: dict) -> str:
                  f" scaled_lattice={mark(lem['scaled_check_holds'])}"
                  f" shift_integral={mark(lem['shift_is_integral'])}")
     lines.append(f"lemma alpha: {lem['alpha']} (canonical: {str(lem['alpha_is_canonical']).lower()})")
-    lines.append(f"shift vector: ({', '.join(lem['shift_vector'])})")
+    lines.append(f"shift vector: {_tuple(lem['shift_vector'])}")
     sp = doc["spectrum"]
     lines.append(f"spectrum step: {sp['step']}")
     if sp["values"] is None:

@@ -14,8 +14,9 @@ and its dual height vertices off one integer double description of its
 rays, in Z^d for a cone of any rank: the facets are its rays with s = 0,
 the vertices those with s > 0, a cone with no vertex contains a line, the
 lineality, empty exactly when the rays span, holds the equations of their
-span, which heights and the scan keep, and when it is empty the vertex
-(u, s) tight at every ray is the certificate, index s and functional u.
+span, which heights and the scan keep; the height floor and the index
+read a dual vertex by the least point of its class modulo it
+(_least_point), the vertex itself when the rays span.
 A cone holds that description from the moment it is built: cone() and
 normal_fan() pass in the one they validated its generators with, and a
 cone built by hand must be cone() of its rays, whose description it
@@ -45,6 +46,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .errors import (
+    DimensionMismatchError,
     InternalInconsistencyError,
     InvalidConeError,
     NotInConeError,
@@ -199,8 +201,11 @@ def height(c: Cone, point: Sequence) -> Fraction:
     sum(lambda_i ray_i) = w; it is finite because the cone is pointed. It
     is min <u, w> over the dual height vertices u, once w has passed the
     lineality rows, which vanish on the span of the rays, and the cone's
-    facet rows. Raises NotInConeError outside c.
+    facet rows. Raises DimensionMismatchError for a point of another
+    length, and NotInConeError outside c.
     """
+    if len(point) != c.ambient_dim:
+        raise DimensionMismatchError(f"point of length {len(point)} for a cone in dimension {c.ambient_dim}")
     target = [Fraction(x) for x in point]
     if all(x == 0 for x in target):
         return Fraction(0)
@@ -268,17 +273,31 @@ def _cone_levels(rays: Sequence[IntVector], region, lineality) -> list:
     return projected_levels(*double_description(rows, d + 1), points)
 
 
+def _least_point(c: Cone, z: IntVector) -> tuple[int, IntVector]:
+    """(s, u): the least s > 0 of the integer points (u, s) of dual vertex z's class modulo the lineality.
+
+    With no lineality the class is z. Otherwise it is the integer kernel of
+    <r, u> z_s = <r, z_u> s over the rays r: s is the gcd of the basis' s,
+    which divides z_s, and u the same combination of the basis.
+    """
+    if not c.functionals[1]:
+        return z[-1], z[:-1]
+    basis = integer_kernel_basis([tuple(z[-1] * x for x in r) + (-dot(r, z[:-1]),) for r in c.rays], ncols=len(z))
+    s, coeffs = ext_gcd_list([v[-1] for v in basis])
+    return s, tuple(sum(k * v[j] for k, v in zip(coeffs, basis)) for j in range(len(z) - 1))
+
+
 def _height_floor(c: Cone) -> int:
     """m = min(max s, M), with every nonzero lattice point of c at height >= 1 / m.
 
-    s is the least s > 0 of a dual vertex class (u, s) + lineality, where
-    it is an integer functional, positive on the cone's lattice points: the
-    primitive s when the rays span, else the gcd of the s of the integer
-    kernel of <r, u'> s = <r, u> s' over the rays. M is the largest |entry|
-    of the rays, as height h puts a point in h conv(0, rays) in [-hM, hM]^d.
-    The least s of a class divides its primitive s, so the classes are
-    visited by decreasing primitive s, and kernels stop at the first class
-    whose primitive s is at most the max so far, or once the max reaches M.
+    s is the least s > 0 of a dual vertex class (u, s) + lineality
+    (_least_point), where it is an integer functional, positive on the
+    cone's lattice points: the primitive s when the rays span. M is the
+    largest |entry| of the rays, as height h puts a point in h conv(0,
+    rays) in [-hM, hM]^d. The least s of a class divides its primitive s,
+    so the classes are visited by decreasing primitive s, and kernels stop
+    at the first class whose primitive s is at most the max so far, or once
+    the max reaches M.
     """
     region, lineality, _, _ = c.functionals
     bound = max(abs(x) for r in c.rays for x in r)
@@ -288,8 +307,7 @@ def _height_floor(c: Cone) -> int:
     for z in sorted((z for z, _ in region), key=lambda z: -z[-1]):
         if z[-1] <= top or top >= bound:
             break
-        top = max(top, gcd(*(v[-1] for v in integer_kernel_basis(
-            [tuple(z[-1] * x for x in r) + (-dot(r, z[:-1]),) for r in c.rays], ncols=len(z)))))
+        top = max(top, _least_point(c, z)[0])
     return min(top, bound)
 
 
@@ -304,11 +322,12 @@ def canonicity_threshold(c: Cone, below=1) -> tuple[Fraction, Optional[Canonicit
     rays). Rung t keeps the nonzero points of t Q of height at most t. The
     first is t = 1/2^k for the largest 2^k <= m; t doubles while a rung
     lists no nonzero point, then becomes min(5/4 t, least height listed,
-    below), a Fraction shrink. The ladder stops at the first rung that
-    keeps a point, which keeps every point of least height, so the witness
-    is the lexicographically smallest point attaining it; or at the first
-    t >= below. A cone of lower rank is scanned in Z^d, its levels holding
-    the equations of its span, so its witness too is the lexicographically
+    below), a Fraction shrink. The ladder stops at the first rung whose
+    least listed (height, point) has height at most t: the rung keeps every
+    point of least height, so that point is the witness, the
+    lexicographically smallest of them. Or it stops at the first t >=
+    below. A cone of lower rank is scanned in Z^d, its levels holding the
+    equations of its span, so its witness too is the lexicographically
     smallest point in Z^d. below must lie in (0, 1].
     """
     below = Fraction(below)
@@ -324,20 +343,14 @@ def canonicity_threshold(c: Cone, below=1) -> tuple[Fraction, Optional[Canonicit
     while True:
         # a unit fraction's shrink is an int, which the walk floors faster
         shrink = t.denominator if t.numerator == 1 else 1 / t
-        listed = [(min([sum(map(mul, w, pt)) for w in duals]), pt)
-                  for pt in level_points(levels, shrink=shrink) if any(pt)]
-        found = [(h, pt) for h, pt in listed if h * t.denominator <= scale * t.numerator]
-        if found or t >= below:
+        least = min(((min([sum(map(mul, w, pt)) for w in duals]), pt)
+                     for pt in level_points(levels, shrink=shrink) if any(pt)), default=None)
+        if (least is not None and least[0] * t.denominator <= scale * t.numerator) or t >= below:
             break
-        if listed:
-            t = min(t * 5 / 4, Fraction(min(h for h, _ in listed), scale), below)
-        else:
-            t *= 2
-    if not found:
+        t = t * 2 if least is None else min(t * 5 / 4, Fraction(least[0], scale), below)
+    if least is None or least[0] * den >= scale * num:
         return below, None
-    best, point = min(found)
-    if best * den >= scale * num:
-        return below, None
+    best, point = least
     threshold = Fraction(best, scale)
     return threshold, CanonicityWitness(c, point, threshold)
 
@@ -362,30 +375,20 @@ def fan_canonicity_threshold(fan: NormalFan) -> tuple[Fraction, Optional[Canonic
 def gorenstein_index(c: Cone) -> Optional[GorensteinCertificate]:
     """Least k >= 1 with an integer w satisfying <ray, w> = k for all rays, or None when there is none.
 
-    Integer solutions (w, k) of <ray, w> = k on every ray form a lattice.
-    When the rays span it has rank at most one, and for k > 0 (w, k) is k
-    times the point of the dual height region tight at every ray, a vertex:
-    its generator is the region's ray (u, s) tight at every ray, read off
-    the description the cone keeps, so the index is s and the functional u,
-    with no kernel. Rays that do not span take an integer kernel basis of
-    [R | -1]: the vertex is then a class modulo the lineality, whose
-    primitive representative need not have the least s, so the gcd of the
-    basis' k coordinates gives the least k, and the same gcd combination
-    gives w. Either route checks that the functional is primitive and
-    equals the index on every ray.
+    Integer solutions (w, k) with k > 0 are the points of the dual height
+    region tight at every ray, one class modulo the lineality, so the index
+    and w are its least point (_least_point, as _height_floor reads it):
+    the primitive vertex itself, with no kernel, when the rays span. No
+    region ray tight at every ray means no index, and no kernel is taken.
+    The functional is checked to be primitive and to equal the index on
+    every ray.
     """
-    region, lineality, _, _ = c.functionals
-    if lineality:
-        d = c.ambient_dim
-        basis = integer_kernel_basis([tuple(g) + (-1,) for g in c.rays], ncols=d + 1)
-        index, coeffs = ext_gcd_list([v[d] for v in basis])
-        functional = tuple(sum(coef * v[j] for coef, v in zip(coeffs, basis)) for j in range(d))
-    else:
-        every = (1 << (len(c.rays) + 1)) - 2
-        index, functional = next(((z[-1], z[:-1]) for z, t in region if z[-1] and t & every == every),
-                                 (0, ()))
-    if index == 0:
+    region, _, _, _ = c.functionals
+    every = (1 << (len(c.rays) + 1)) - 2
+    tight = next((z for z, t in region if z[-1] and t & every == every), None)
+    if tight is None:
         return None
+    index, functional = _least_point(c, tight)
     if primitivize(functional)[0] != functional:
         raise InternalInconsistencyError("minimal functional must be primitive")
     for ray in c.rays:

@@ -209,7 +209,7 @@ def from_inequalities(rows: Sequence[tuple[Sequence, object]]) -> HPolytope:
     by normal. Everything comes from one double description of the
     homogenized cone {(x, s) : b s - <a, x> >= 0, s >= 0}, with no LP: no
     ray with s > 0 means the set is empty, a lineality or a ray with s = 0
-    that it is unbounded (_bounded_rays), a row tight at every vertex x / s
+    that it is unbounded (_bounded_vertices), a row tight at every vertex x / s
     that it is flat, and the facets are the rows whose vertex sets are
     nonempty and maximal under inclusion. The result carries its vertices
     and incidence. Raises EmptyPolytopeError, UnboundedPolytopeError, or
@@ -233,7 +233,7 @@ def from_inequalities(rows: Sequence[tuple[Sequence, object]]) -> HPolytope:
     if not merged:
         raise UnboundedPolytopeError("only trivial constraints given")
     normals, rhs, d = list(merged), list(merged.values()), system.dim
-    pairs = sorted((tuple(Fraction(x, z[d]) for x in z[:d]), t) for z, t in _bounded_rays(normals, rhs, d))
+    pairs = _bounded_vertices(normals, rhs, d)
     on = _ray_sets(pairs, range(1, len(normals) + 1))
     if (1 << len(pairs)) - 1 in on:
         raise LowerDimensionalError("a row is tight at every vertex")
@@ -403,8 +403,8 @@ def _homogenized(normals, rhs, d: int):
     return rays, lineality
 
 
-def _bounded_rays(normals, rhs, d: int):
-    """The homogenized rays of a nonempty bounded system, all with s > 0.
+def _bounded_vertices(normals, rhs, d: int):
+    """The sorted (vertex, tight set) pairs of a nonempty bounded system, each vertex x / s of a homogenized ray.
 
     Raises EmptyPolytopeError, then UnboundedPolytopeError when the set
     contains a line (a lineality), then when it has a ray (s = 0).
@@ -414,7 +414,7 @@ def _bounded_rays(normals, rhs, d: int):
         raise UnboundedPolytopeError("the solution set contains a line")
     if any(z[d] == 0 for z, _ in rays):
         raise UnboundedPolytopeError("the solution set has a recession direction")
-    return rays
+    return sorted((tuple(Fraction(x, z[d]) for x in z[:d]), t) for z, t in rays)
 
 
 def vertices(p: HPolytope) -> tuple[tuple[Fraction, ...], ...]:
@@ -551,12 +551,10 @@ def embed_system(system: InequalitySystem) -> tuple[EmbeddedPolytope, tuple[int,
     the implicit equalities. The affine hull, facets and vertices are
     those of the vertices' hull (_embedded). Raises EmptyPolytopeError on
     an empty system, then UnboundedPolytopeError when its set contains a
-    line or a ray (_bounded_rays, as in from_inequalities).
+    line or a ray (_bounded_vertices, as in from_inequalities).
     """
-    d = system.dim
-    rays = _bounded_rays(system.normals, system.rhs, d)
-    verts = sorted(tuple(Fraction(x, z[d]) for x in z[:d]) for z, _ in rays)
-    return _embedded(verts), _tight_everywhere(rays, len(system.normals))
+    pairs = _bounded_vertices(system.normals, system.rhs, system.dim)
+    return _embedded([v for v, _ in pairs]), _tight_everywhere(pairs, len(system.normals))
 
 
 def is_lattice_polytope(s) -> bool:

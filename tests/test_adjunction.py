@@ -327,6 +327,14 @@ def test_lemma_alpha_override():
     assert verify_lemmas(cube(2), alpha=1).alpha_is_canonical
 
 
+def test_a_threshold_outside_the_unit_interval_is_refused_as_alpha():
+    # alpha defaults to the threshold and meets the same (0, 1] check as a
+    # caller's alpha; a real threshold always lies there
+    with pytest.raises(ValueError, match="alpha must lie in"):
+        verify_lemmas(fig1(), threshold=Fraction(2))
+    assert verify_lemmas(fig1(), threshold=Fraction(1)).alpha == 1
+
+
 def test_fan_summary_scans_each_maximal_cone_once(count_calls, suite):
     # the benchmark's traced run checks one fan.canonicity_threshold span per
     # maximal cone of every suite op, counted at every binding as here

@@ -27,7 +27,7 @@ from oracles import (
 )
 import polyadj
 from polyadj import fan as fan_module, polytope, ratmath
-from polyadj.errors import InternalInconsistencyError, InvalidConeError, NotInConeError
+from polyadj.errors import DimensionMismatchError, InternalInconsistencyError, InvalidConeError, NotInConeError
 from polyadj.fan import (
     Cone,
     NormalFan,
@@ -52,7 +52,7 @@ from polyadj.polytope import (
     projected_levels,
     vertices,
 )
-from polyadj.ratmath import dot, primitivize, rank, saturate
+from polyadj.ratmath import dot, ext_gcd_list, integer_kernel_basis, primitivize, rank, saturate
 
 # pointed, non-simplicial, not Q-Gorenstein; (0,0,4) has representations
 # with total weight anywhere in [2, 4], so its height must come out as 4
@@ -168,6 +168,15 @@ def test_height_on_a_simplicial_cone():
         height(flat, (1, 0, 1))
     with pytest.raises(NotInConeError, match="facet"):
         height(flat, (-1, 0, 0))
+
+
+def test_height_refuses_a_point_of_another_length():
+    # the zero point too: its height 0 is read only once its length is checked
+    c = cone([(1, 0), (0, 1)])
+    for point in ((0, 0, 0, 0), (0,), (0, 0, 0), (1, 1, 1)):
+        with pytest.raises(DimensionMismatchError):
+            height(c, point)
+    assert height(c, (0, 0)) == 0
 
 
 def test_height_takes_the_maximal_representation():
@@ -919,3 +928,35 @@ def test_gorenstein_index_takes_a_kernel_only_when_the_rays_do_not_span(count_ca
     cert = gorenstein_index(cone([(-2, -2, -2), (-2, 0, -1)]))
     assert counts == {"integer_kernel_basis": 1}
     assert (cert.index, cert.functional) == (1, (0, 0, -1))
+
+
+def test_a_lower_rank_cone_without_an_index_takes_no_integer_kernel(count_calls):
+    # no dual height vertex is tight at every ray of the first cone, so it
+    # has no index and no class to take a kernel of; the second has one
+    counts = count_calls((ratmath, "integer_kernel_basis"))
+    assert gorenstein_index(cone([(1, 0, 1, 0), (0, 1, 1, 0), (-1, 0, 1, 0), (0, -1, 2, 0)])) is None
+    assert counts == {"integer_kernel_basis": 0}
+    cert = gorenstein_index(cone([(1, 0, 1, 0), (0, 1, 1, 0), (-1, 0, 1, 0), (0, -1, 1, 0)]))
+    assert counts == {"integer_kernel_basis": 1}
+    assert (cert.index, cert.functional) == (1, (0, 0, 1, 0))
+
+
+def test_the_index_of_lower_rank_cones_is_the_least_level_of_the_solution_lattice():
+    # the integer solutions (w, k) of <ray, w> = k on every ray are the
+    # kernel of [R | -1]; the gcd of the basis' k coordinates is the least
+    # k, 0 when no k > 0 is attained (28 of the 600 cones), and the same
+    # gcd combination gives w
+    cones = _seeded_lower_rank_cones(600, 1)
+    missing = 0
+    for c in cones:
+        d = c.ambient_dim
+        basis = integer_kernel_basis([tuple(r) + (-1,) for r in c.rays], ncols=d + 1)
+        index, coeffs = ext_gcd_list([v[d] for v in basis])
+        cert = gorenstein_index(c)
+        if index == 0:
+            assert cert is None
+            missing += 1
+        else:
+            functional = tuple(sum(k * v[j] for k, v in zip(coeffs, basis)) for j in range(d))
+            assert (cert.index, cert.functional) == (index, functional)
+    assert missing == 28

@@ -188,6 +188,15 @@ def test_adjunction_solves_an_lp_only_for_the_critical_shift():
         assert functions_reading(fh.read(), "lp") == ["_shift_lp"]
 
 
+def test_fan_reads_integer_kernels_only_for_the_least_point_of_a_class():
+    # the height floor and the Gorenstein index read a dual vertex class by
+    # one rule, _least_point, the one place that takes a kernel and its gcd
+    with open(os.path.join(PACKAGE, "fan.py"), encoding="utf-8") as fh:
+        source = fh.read()
+    for name in ("integer_kernel_basis", "ext_gcd_list"):
+        assert functions_reading(source, name) == ["_least_point"], name
+
+
 def truncating_reads(source: str) -> list[str]:
     """Dotted scopes of every comprehension int(x) for x in ..., which reads
     an entry by truncating it."""
