@@ -263,14 +263,12 @@ def cmd_census(args) -> int:
     points = args.points if args.points is not None else args.dim + 5
     master = SplitMix64(args.seed)
     rows = []
-    indices: list[Optional[int]] = []  # max_gorenstein_index compares these as ints
     for i in range(args.count):
         iseed = master.next_u64()
         p = random_lattice_polytope(args.dim, points, iseed, box=args.box)
         report = analyze(p, alpha=args.alpha, epsilon=args.epsilon)
         data = report.data
         idx = report.fan_info.gorenstein_index
-        indices.append(idx)
         dilation = "-"
         if i % 5 == 0:  # a dilation spot check on every fifth instance
             dilation = "pass" if adjunction_data(dilate(p, 2)).qcodegree == data.qcodegree / 2 else "fail"
@@ -308,7 +306,8 @@ def cmd_census(args) -> int:
         "lemma_failures": column["lemmas_ok"].count("false"),
         "smooth_count": column["smooth"].count("true"),
         "not_q_gorenstein_count": column["gorenstein_index"].count("none"),
-        "max_gorenstein_index": max((k for k in indices if k is not None), default=None),
+        "max_gorenstein_index": max((parse_rational(k) for k in column["gorenstein_index"] if k != "none"),
+                                    default=None),
         "dilation_checks": len(rows) - column["dilation_check"].count("-"),
         "dilation_failures": column["dilation_check"].count("fail"),
         "csv": args.out,

@@ -7,17 +7,19 @@ bare "p" when the denominator is 1 (this is exactly str(Fraction)).
 
 int_vector is the one reader that turns vector entries into ints: it
 takes integral Fractions and floats and rejects any other entry, never
-truncating. integer_kernel_basis is the one unimodular reduction of an
-integer lattice, and saturate takes the kernel of its kernel. rank,
-null_basis and det share one fraction-free Gauss-Jordan elimination:
-each row's denominators are cleared once, the rows stay integer and
-gcd-reduced, and a Fraction is formed only for det's answer.
+truncating. _row_reduce is the one row reduction of an integer matrix, by
+unimodular row operations: integer_kernel_basis reads its zero rows, and
+saturate takes the kernel of a kernel. rank, det and null_basis reduce
+the rows with their denominators cleared once: rank counts the pivots,
+det multiplies them, and null_basis reads each vector by an integer back
+substitution. A Fraction is formed only for det's answer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatchError, ParseError, ZeroVectorError
@@ -90,9 +92,10 @@ def scale_to_integer(v: Sequence) -> IntVector:
     """Clear denominators: v times the lcm of its entries' denominators.
 
     That is not always the smallest positive integer multiple: (2, -4, 0)
-    stays as it is, and det relies on that factor. An all-int vector is
-    returned as it is, and ints and Fractions are read by numerator and
-    denominator, with no Fraction built.
+    stays as it is, and det divides that factor back out, read at each
+    row's first nonzero entry. An all-int vector is returned as it is, and
+    ints and Fractions are read by numerator and denominator, with no
+    Fraction built.
     """
     if all(type(x) is int for x in v):
         return tuple(v)
@@ -136,16 +139,72 @@ def ext_gcd_list(values: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     return g, tuple(coeffs)
 
 
+def _row_reduce(rows: list[Sequence[int]], m: int) -> tuple[int, int]:
+    """Unimodular reduction of integer rows, in place, on their first m columns.
+
+    In each column the entry of least absolute value below the finished
+    rows becomes the pivot and reduces the entries under it, until none is
+    left. Returns (r, sign): rows[:r] are in echelon form on the first m
+    columns, each with a nonzero pivot, the other rows are zero there, and
+    sign is the determinant of the row operations (each swap negates it).
+    A caller that needs the transform U appends a unit vector to each row,
+    and reads U off the appended columns.
+    """
+    n = len(rows)
+    r, sign = 0, 1
+    for c in range(m):
+        if r == n:
+            break
+        while True:
+            nz = [i for i in range(r, n) if rows[i][c] != 0]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: abs(rows[i][c]))  # the first of equal ones
+            if i0 != r:
+                rows[r], rows[i0] = rows[i0], rows[r]
+                sign = -sign
+            done = True
+            for i in range(r + 1, n):
+                if rows[i][c] != 0:
+                    q = rows[i][c] // rows[r][c]
+                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
+                    if rows[i][c] != 0:
+                        done = False
+            if done:
+                break
+        if rows[r][c] != 0:
+            r += 1
+    return r, sign
+
+
+def _back_substitute(echelon: Sequence[Sequence[int]], pivots: Sequence[int], n: int, f: int) -> list[int]:
+    """The integer x with echelon @ x = 0 that is den at column f and 0 at
+    the other columns without a pivot, for rows in the echelon form of
+    _row_reduce, their pivot columns, and f none of them. den is the
+    absolute product of the pivots, the determinant of the pivot columns up
+    to sign, so by Cramer's rule every division of the back substitution
+    is exact.
+    """
+    x = [0] * n
+    x[f] = abs(prod(row[p] for row, p in zip(echelon, pivots)))
+    for row, p in zip(reversed(echelon), reversed(pivots)):
+        x[p] = -sum(map(mul, row[p + 1:], x[p + 1:])) // row[p]
+    return x
+
+
+def _pivot_columns(echelon: Sequence[Sequence[int]]) -> list[int]:
+    """The column of the first nonzero entry of each row."""
+    return [next(j for j, a in enumerate(row) if a) for row in echelon]
+
+
 def integer_kernel_basis(matrix: Sequence[Sequence[int]], ncols: Optional[int] = None) -> tuple[IntVector, ...]:
     """Lattice basis of {x in Z^n : matrix @ x = 0}, read by int_vector.
 
     The rows of the transpose, each with its unit vector appended, are
-    reduced by unimodular row operations: in each column the entry of least
-    absolute value below the finished rows becomes the pivot and reduces
-    the entries under it, until none is left. The rows that end with a zero
-    left part are a basis of the kernel, and their appended parts are the
-    answer (the kernel of an integer matrix is saturated). Pass ncols for
-    matrices with zero rows, where the column count cannot be inferred.
+    reduced by _row_reduce. The rows that end with a zero left part are a
+    basis of the kernel, and their appended parts are the answer (the
+    kernel of an integer matrix is saturated). Pass ncols for matrices with
+    zero rows, where the column count cannot be inferred.
     """
     rows = [int_vector(row) for row in matrix]
     if not rows and ncols is None:
@@ -155,27 +214,7 @@ def integer_kernel_basis(matrix: Sequence[Sequence[int]], ncols: Optional[int] =
         raise DimensionMismatchError("ragged matrix")
     m = len(rows)
     work = [[row[j] for row in rows] + [int(i == j) for i in range(n)] for j in range(n)]
-    r = 0
-    for c in range(m):
-        if r == n:
-            break
-        while True:
-            nz = [i for i in range(r, n) if work[i][c] != 0]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: (abs(work[i][c]), i))
-            work[r], work[i0] = work[i0], work[r]
-            done = True
-            for i in range(r + 1, n):
-                if work[i][c] != 0:
-                    q = work[i][c] // work[r][c]
-                    work[i] = [a - q * b for a, b in zip(work[i], work[r])]
-                    if work[i][c] != 0:
-                        done = False
-            if done:
-                break
-        if work[r][c] != 0:
-            r += 1
+    r, _ = _row_reduce(work, m)
     return tuple(tuple(row[m:]) for row in work[r:])
 
 
@@ -200,98 +239,59 @@ def saturate(spanning: Iterable[Sequence]) -> tuple[IntVector, ...]:
     return integer_kernel_basis(complement, ncols=m)
 
 
-def _eliminate(rows: list[list[int]]) -> tuple[list[list[int]], list[int], tuple[int, int]]:
-    """Fraction-free Gauss-Jordan elimination of an integer matrix.
-
-    Each pivot is the first nonzero entry of its column at or below the
-    current row, made positive; every other row i with a nonzero entry f in
-    the pivot column c becomes p row_i - f row_r, divided by its gcd, where
-    p = row_r[c]. Returns (rows, pivots, (num, den)): the nonzero rows, the
-    pivot column of each, and the ratio num / den of the determinant of the
-    returned rows to that of the input (square input of full rank). Row r
-    divided by its pivot entry is row r of the reduced row echelon form.
-    """
-    work = [list(row) for row in rows]
-    ncols = len(work[0]) if work else 0
-    pivots = []
-    num = den = 1
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if pr is None:
-            continue
-        if pr != r:
-            work[r], work[pr] = work[pr], work[r]
-            num = -num
-        pivot_row = work[r]
-        p = pivot_row[c]
-        if p < 0:
-            pivot_row = work[r] = [-a for a in pivot_row]
-            p, num = -p, -num
-        for i in range(len(work)):
-            f = work[i][c]
-            if i != r and f != 0:
-                row = [p * a - f * b for a, b in zip(work[i], pivot_row)]
-                g = gcd(*row)
-                if g > 1:
-                    row = [a // g for a in row]
-                work[i] = row
-                num *= p
-                den *= g or 1
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return work[:r], pivots, (num, den)
+def _cleared_rows(matrix: Sequence[Sequence]) -> list[IntVector]:
+    """The rows of a matrix with their denominators cleared (scale_to_integer),
+    raising DimensionMismatchError on rows of unequal lengths."""
+    if any(len(row) != len(matrix[0]) for row in matrix):
+        raise DimensionMismatchError("ragged matrix")
+    return [scale_to_integer(row) for row in matrix]
 
 
 def rank(matrix: Sequence[Sequence]) -> int:
-    """Rank over the rationals, by fraction-free elimination of the rows
+    """Rank over the rationals: the pivot count of _row_reduce on the rows
     with their denominators cleared."""
-    return len(_eliminate([scale_to_integer(row) for row in matrix])[1])
+    rows = _cleared_rows(matrix)
+    return _row_reduce(rows, len(rows[0]) if rows else 0)[0]
 
 
 def null_basis(rows: Sequence[Sequence]) -> tuple[IntVector, ...]:
     """Basis of {x : rows @ x = 0} over the rationals, which depends on the row space alone.
 
-    One vector per free column f of the reduced row echelon form, in
-    column order: the primitive integer vector that is positive at f, 0 on
-    the other free columns, and proportional to -row[f] / row[c] on the
-    pivot column c of each reduced row. The elimination runs in integers
-    and no Fraction is formed.
+    One vector per free column f of the echelon form, in column order: the
+    primitive integer vector that is positive at f and 0 on the other free
+    columns, which is unique. It is read off the rows reduced by _row_reduce
+    with their denominators cleared, by an integer back substitution
+    (_back_substitute); no Fraction is formed.
     """
     if not rows:
         raise DimensionMismatchError("null_basis needs at least one row")
-    n = len(rows[0])
-    reduced, pivots, _ = _eliminate([scale_to_integer(row) for row in rows])
-    pivot_set = set(pivots)
+    work = _cleared_rows(rows)
+    n = len(work[0])
+    r, _ = _row_reduce(work, n)
+    echelon = work[:r]
+    pivots = _pivot_columns(echelon)
     basis = []
     for f in range(n):
-        if f in pivot_set:
-            continue
-        used = [(row, c) for row, c in zip(reduced, pivots) if row[f]]
-        scale = lcm(*(row[c] for row, c in used))
-        vec = [0] * n
-        vec[f] = scale
-        for row, c in used:
-            vec[c] = -row[f] * (scale // row[c])
-        g = gcd(*vec)
-        basis.append(tuple(x // g for x in vec))
+        if f not in pivots:
+            vec = _back_substitute(echelon, pivots, n, f)
+            g = gcd(*vec)
+            basis.append(tuple(x // g for x in vec))
     return tuple(basis)
 
 
 def det(matrix: Sequence[Sequence]) -> Fraction:
-    """Determinant by the fraction-free elimination: the product of the
-    pivots over the accumulated scale, which carries the sign of the row
-    swaps, and over the multiples that cleared each row's denominators."""
-    rows = [scale_to_integer(row) for row in matrix]
+    """Determinant by _row_reduce of the rows with their denominators
+    cleared: the sign of its row operations times the product of the
+    pivots, over the multiples that cleared each row's denominators."""
+    rows = _cleared_rows(matrix)
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise DimensionMismatchError("determinant of a non-square matrix")
-    reduced, pivots, (num, den) = _eliminate(rows)
-    if len(pivots) < n:
+    work = list(rows)
+    r, sign = _row_reduce(work, n)
+    if r < n:
         return _ZERO
-    value = Fraction(den * prod(row[c] for row, c in zip(reduced, pivots)), num)
+    value = Fraction(sign * prod(row[k] for k, row in enumerate(work)))
     for row, cleared in zip(matrix, rows):
         k = next(j for j, x in enumerate(cleared) if x)
         if cleared[k] != row[k]:

@@ -10,7 +10,9 @@ epsilon}. The step is g = 1/N with N the gcd of the coordinate sums of a
 basis of the relations w (sum_i w_i a_i = 0, w integral): the projection of
 Z^m onto the orthogonal complement of span(A) is the lattice dual to those
 relations, so c 1 lies in Z^m + span(A) iff <w, c 1> = c sum(w) is an
-integer for every relation w. The candidates are the values N/k.
+integer for every relation w. The candidates are the values N/k. For
+a c on the grid, a witness y is read off one integer row reduction of
+the rows (a_i | e_i), whose zero rows are the relations.
 """
 
 from __future__ import annotations
@@ -27,13 +29,13 @@ from .errors import GridTooLargeError, InternalInconsistencyError, InvalidConfig
 from .polytope import EmbeddedPolytope, hull_any_dim
 from .ratmath import (
     IntVector,
-    _eliminate,
+    _back_substitute,
+    _pivot_columns,
+    _row_reduce,
     dot,
-    ext_gcd_list,
     int_vector,
     integer_kernel_basis,
     primitivize,
-    saturate,
 )
 from .record import record
 
@@ -170,26 +172,6 @@ def _require_positive_spanning(hull: EmbeddedPolytope) -> None:
         raise InvalidConfigError("0 must lie in the relative interior of conv(rows)")
 
 
-def _step_basis(cfg: CoreNormalConfig) -> tuple[list[list[int]], list[int]]:
-    """(rows, pivots) of one fraction-free elimination of the rows (a_i, 1,
-    v_1[i], ..., v_k[i]), v_j a basis of Z^m intersected with span(columns
-    of A, 1), which solves v_j = A y_j + c_j 1 for every j at once.
-
-    For a configuration with a step (codegree_step), 1 is not in the span
-    of the columns of A, so the 1-column d holds the last pivot; then every
-    solution of A y + c 1 = 0 has c = 0, and c_j = row[d + 1 + j] / row[d]
-    on the last row.
-    """
-    d = cfg.dim
-    cols = [tuple(a[j] for a in cfg.normals) for j in range(d)]
-    basis = saturate(cols + [tuple([1] * cfg.n_rows)])
-    reduced, pivots, _ = _eliminate([list(a) + [1] + [v[i] for v in basis]
-                                     for i, a in enumerate(cfg.normals)])
-    if pivots[-1] != d:
-        raise InternalInconsistencyError("the 1-column does not hold the last pivot")
-    return reduced, pivots
-
-
 def codegree_step(cfg: CoreNormalConfig) -> Fraction:
     """The positive generator g of {c : A y + c 1 is integral for some y}.
 
@@ -223,23 +205,24 @@ def spectrum_superset(cfg: CoreNormalConfig, epsilon) -> SpectrumSuperset:
 def check_necessary_condition(cfg: CoreNormalConfig, c) -> tuple[bool, Optional[tuple[Fraction, ...]]]:
     """Whether some y makes A y + c 1 integral; returns (ok, witness y).
 
-    ok iff c = k step for an integer k (codegree_step). Then A y + c 1 is
-    integral for y = k sum_j coef_j y_j, coef the gcd combination of the
-    c_j (_step_basis): y_p = k sum_j coef_j row[d + 1 + j] / row[p] on each
-    row of _step_basis whose pivot is p < d, and 0 at the columns of A with
-    no pivot.
+    ok iff c is a multiple of codegree_step. The witness is read off one
+    _row_reduce of the rows (a_i | e_i), which gives U A = (H; 0) with U
+    unimodular, the zero rows of U A being the relations. y = -c y0, where
+    y0 solves H y0 = U_H 1 (U_H the rows of U beside H) with 0 at the
+    columns of H without a pivot, by the integer _back_substitute. Then
+    U (A y + c 1) is 0 beside H and c sum(w) beside each relation w, which
+    is integral on the grid, so A y + c 1 is integral too.
     """
     c = Fraction(c)
-    k = c / codegree_step(cfg)
-    if k.denominator != 1:
+    if (c / codegree_step(cfg)).denominator != 1:
         return False, None
-    d = cfg.dim
-    reduced, pivots = _step_basis(cfg)
-    _, coeffs = ext_gcd_list(reduced[-1][d + 1:])
-    y = [Fraction(0)] * d
-    for row, p in zip(reduced[:-1], pivots):
-        y[p] = Fraction(k.numerator * sum(map(operator.mul, coeffs, row[d + 1:])), row[p])
+    d, m = cfg.dim, cfg.n_rows
+    work = [list(a) + [int(i == j) for j in range(m)] for i, a in enumerate(cfg.normals)]
+    r, _ = _row_reduce(work, d)
+    echelon = [row[:d] + [-sum(row[d:])] for row in work[:r]]
+    *y0, den = _back_substitute(echelon, _pivot_columns(echelon), d + 1, d)
+    y = tuple(Fraction(-c.numerator * v, c.denominator * den) for v in y0)
     for a in cfg.normals:
         if (dot(a, y) + c).denominator != 1:
             raise InternalInconsistencyError("constructed witness is not integral")
-    return True, tuple(y)
+    return True, y

@@ -169,10 +169,26 @@ def test_fan_works_in_ambient_coordinates():
 
 
 def test_spectrum_reads_its_witness_off_the_step_elimination():
-    # check_necessary_condition takes y from the rows that solved for the
-    # step, so it solves no second linear system and takes no null basis
+    # check_necessary_condition takes y by back substitution from the rows
+    # whose reduction gives the relations, so it takes no null basis
     with open(os.path.join(PACKAGE, "spectrum.py"), encoding="utf-8") as fh:
         assert "null_basis" not in imported_names(fh.read())
+
+
+def test_ratmath_has_one_row_reduction():
+    # rank, det, null_basis and the integer kernel read one unimodular row
+    # reduction; the fraction-free elimination that served the first three
+    # is gone, and the spectrum's witness takes neither it nor the two
+    # kernels of saturate
+    with open(os.path.join(PACKAGE, "ratmath.py"), encoding="utf-8") as fh:
+        source = fh.read()
+    defined = {node.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)}
+    assert "_eliminate" not in defined
+    assert functions_reading(source, "_row_reduce") == ["det", "integer_kernel_basis", "null_basis", "rank"]
+    with open(os.path.join(PACKAGE, "spectrum.py"), encoding="utf-8") as fh:
+        names = imported_names(fh.read())
+    assert "saturate" not in names
+    assert "_eliminate" not in names
 
 
 def test_spectrum_does_not_import_the_lp_solver():

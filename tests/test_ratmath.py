@@ -20,7 +20,7 @@ from polyadj.fan import cone
 from polyadj.generators import SplitMix64
 from polyadj.polytope import make_system
 from polyadj.ratmath import (
-    _eliminate,
+    _row_reduce,
     det,
     dot,
     ext_gcd,
@@ -324,22 +324,55 @@ def test_solve_linear_output_is_pinned_by_the_reference(system):
 
 @settings(max_examples=300)
 @given(systems())
-def test_eliminated_rows_are_primitive_with_positive_pivots(system):
-    # the integer rows are the primitive multiples of the reduced row
-    # echelon rows, and (num, den) carries det through every row operation
+def test_the_row_reduction_is_an_echelon_form_by_a_unimodular_transform(system):
+    # the rows (M | I) reduced on M's columns are (U M | U): U M is in
+    # echelon form with the pivot columns of the reduced row echelon form,
+    # its rows below the pivots are zero, and det U is the returned sign
     m, _ = system
-    rows = [primitivize(r)[0] for r in (scale_to_integer(row) for row in m) if any(r)]
-    if not rows:
-        return
-    reduced, pivots, (num, den) = _eliminate(rows)
-    ref_rows, ref_pivots = gauss_rref(rows)
-    assert pivots == ref_pivots
-    for row, c, ref in zip(reduced, pivots, ref_rows):
-        assert row[c] > 0
-        assert gcd(*row) == 1
-        assert [Fraction(x, row[c]) for x in row] == ref
-    if len(pivots) == len(rows) == len(rows[0]):
-        assert laplace_det(reduced) * den == laplace_det(rows) * num
+    rows = [list(scale_to_integer(row)) for row in m]
+    n, k = len(rows[0]), len(rows)
+    work = [row + [int(i == j) for j in range(k)] for i, row in enumerate(rows)]
+    r, sign = _row_reduce(work, n)
+    left, u = [row[:n] for row in work], [row[n:] for row in work]
+    assert left == [[sum(a * b for a, b in zip(urow, col)) for col in zip(*rows)] for urow in u]
+    pivots = [next(j for j, x in enumerate(row) if x) for row in left[:r]]
+    assert pivots == gauss_rref(rows)[1]
+    assert all(row[j] == 0 for row, p in zip(left[:r], pivots) for j in range(p))
+    assert not any(x for row in left[r:] for x in row)
+    assert laplace_det(u) == sign
+
+
+def test_rank_det_and_null_basis_outputs_are_pinned():
+    # sha256 of the outputs on 2000 seeded matrices (0-6 rows, 1-7 columns,
+    # entries -4..4, every other one with denominators 1-4), det on each
+    # matrix's leading square block; the digests are those of the
+    # fraction-free Gauss-Jordan elimination they replaced
+    rng = SplitMix64(7001)
+    mats = []
+    for t in range(2000):
+        m, n = rng.randint(0, 6), rng.randint(1, 7)
+        if t % 2:
+            mats.append([tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(n)) for _ in range(m)])
+        else:
+            mats.append([tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(m)])
+    ranks = [rank(mat) for mat in mats]
+    kernels = [null_basis(mat) for mat in mats if mat]
+    dets = [det([row[:len(mat)] for row in mat]) for mat in mats if not mat or len(mat) <= len(mat[0])]
+    assert hashlib.sha256(repr(ranks).encode()).hexdigest() == (
+        "0fccf7eef11e73185a43a1bdcf5c08c61d5e11b8a6f679454c3283b75b9c4014")
+    assert hashlib.sha256(repr(kernels).encode()).hexdigest() == (
+        "930f0d0dc7a397a207e332ca72c72d35412b414ecc438b44db76f258aa687f47")
+    assert hashlib.sha256(repr(dets).encode()).hexdigest() == (
+        "b1f9cdc4f31d206a95edec09dfde1f9c3348105d73ca19e3f327377b7b3055e6")
+
+
+@pytest.mark.parametrize("read", [rank, null_basis, det], ids=["rank", "null_basis", "det"])
+def test_ragged_rows_are_refused(read):
+    # rank once read the column count off the first row, so [[1], [2, 3]]
+    # had rank 1 and no null basis, and [[1, 2], [3]] raised an IndexError
+    for matrix in ([[1], [2, 3]], [[1, 2], [3]], [[1, 2], [3, 4], [5]]):
+        with pytest.raises(DimensionMismatchError):
+            read(matrix)
 
 
 def test_scale_to_integer_returns_an_integer_row_as_it_is():

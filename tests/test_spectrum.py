@@ -9,7 +9,7 @@ import sys
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from oracles import bland_simplex
+from oracles import bland_simplex, gauss_rref
 from polyadj import ratmath
 from polyadj.adjunction import adjunction_data, core_config
 from polyadj.errors import GridTooLargeError, InvalidConfigError, PolyadjError
@@ -17,7 +17,6 @@ from polyadj.generators import cube, fig1
 from polyadj.spectrum import (
     CoreNormalConfig,
     ReciprocalGrid,
-    _step_basis,
     check_necessary_condition,
     codegree_step,
     make_config,
@@ -95,6 +94,21 @@ def relations(cfg):
     return ratmath.integer_kernel_basis([[a[j] for a in cfg.normals] for j in range(cfg.dim)])
 
 
+def step_of_the_saturated_span(cfg):
+    """The step as the gcd of the c_j of a basis v_j = A y_j + c_j 1 of Z^m
+    intersected with span(columns of A, 1). 1 is not in the span of the
+    columns of A, so the last row of the reduced row echelon form of the
+    rows (a_i, 1, v_1[i], ..., v_k[i]) has its pivot 1 at the 1-column,
+    and (c_1, ..., c_k) after it."""
+    d = cfg.dim
+    basis = ratmath.saturate([tuple(a[j] for a in cfg.normals) for j in range(d)] + [(1,) * cfg.n_rows])
+    rows, pivots = gauss_rref([list(a) + [1] + [v[i] for v in basis] for i, a in enumerate(cfg.normals)])
+    assert pivots[-1] == d
+    coefficients = rows[-1][d + 1:]
+    den = lcm(*(x.denominator for x in coefficients))
+    return Fraction(gcd(*(int(x * den) for x in coefficients)), den)
+
+
 @settings(deadline=None, max_examples=200)
 @given(configurations())
 @example(SQUARE)
@@ -104,7 +118,7 @@ def test_the_step_of_every_configuration_is_one_over_a_positive_integer(rows):
     # c = 1 is achievable with y = 0, so 1 is a multiple of the step and
     # the step is never 0. The step 1 / gcd of the relations' sums equals
     # the gcd of the 1-coefficients of a basis of Z^m intersected with
-    # span(columns of A, 1), read off _step_basis; the examples have
+    # span(columns of A, 1), step_of_the_saturated_span; the examples have
     # relation lattices of rank 2, 4 and 3
     try:
         cfg = make_config(rows)
@@ -113,8 +127,7 @@ def test_the_step_of_every_configuration_is_one_over_a_positive_integer(rows):
     step = codegree_step(cfg)
     assert step.numerator == 1 and step.denominator >= 1
     assert len(relations(cfg)) == cfg.n_rows - ratmath.rank(cfg.normals)
-    last = _step_basis(cfg)[0][-1]
-    assert step == Fraction(gcd(*last[cfg.dim + 1:]), last[cfg.dim])
+    assert step == step_of_the_saturated_span(cfg)
     ok, witness = check_necessary_condition(cfg, step)
     assert ok and all((sum(a * y for a, y in zip(row, witness)) + step).denominator == 1
                       for row in cfg.normals)
@@ -143,16 +156,20 @@ def test_the_step_of_a_simplex_acore_is_read_off_its_one_relation(suite_reports)
 
 
 def test_the_step_takes_one_integer_kernel(count_calls):
-    # the witness elimination runs only for a value on the grid
-    counts = count_calls((ratmath, "integer_kernel_basis"), (ratmath, "saturate"), (ratmath, "_eliminate"))
+    # a value off the grid takes the step's kernel alone; a value on it
+    # takes one more row reduction for the witness, and no saturate
+    counts = count_calls((ratmath, "integer_kernel_basis"), (ratmath, "saturate"), (ratmath, "_row_reduce"))
     for rows in (SEGMENT, SQUARE, [(2, 1), (-1, 0), (0, -1)]):
         cfg = make_config(rows)
         counts.update(dict.fromkeys(counts, 0))
         step = codegree_step(cfg)
-        assert counts == {"integer_kernel_basis": 1, "saturate": 0, "_eliminate": 0}
+        assert counts == {"integer_kernel_basis": 1, "saturate": 0, "_row_reduce": 1}
         counts.update(dict.fromkeys(counts, 0))
         assert check_necessary_condition(cfg, step / 2) == (False, None)
-        assert counts == {"integer_kernel_basis": 1, "saturate": 0, "_eliminate": 0}
+        assert counts == {"integer_kernel_basis": 1, "saturate": 0, "_row_reduce": 1}
+        counts.update(dict.fromkeys(counts, 0))
+        assert check_necessary_condition(cfg, step)[0]
+        assert counts == {"integer_kernel_basis": 1, "saturate": 0, "_row_reduce": 2}
 
 
 def test_core_config_agrees_with_make_config_on_the_suite(suite_reports):
