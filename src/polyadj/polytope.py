@@ -142,8 +142,8 @@ class EmbeddedPolytope:
     the set is a single point); on a flat set each is one representative
     modulo the equations. vertices are sorted, and incidence holds the
     facets' tight sets over them. The constructors pass it in; a set built
-    by hand gets it when it is built, by exact products <a, v> == beta, and
-    raises ValueError when its vertices are not sorted.
+    by hand without it must be the hull of its vertices (_embedded), or
+    raises ValueError; it then holds that hull's fields, incidence too.
     """
 
     subspace: AffineSubspace
@@ -153,10 +153,11 @@ class EmbeddedPolytope:
 
     def __post_init__(self):
         if self.incidence is None:
-            if list(self.vertices) != sorted(self.vertices):
-                raise ValueError("a hand-built EmbeddedPolytope must have sorted vertices")
-            object.__setattr__(self, "incidence", tuple(
-                sum(1 << k for k, v in enumerate(self.vertices) if dot(a, v) == beta) for a, beta in self.facets))
+            canonical = _embedded(_distinct_points(self.vertices))
+            if canonical != self:
+                raise ValueError("a hand-built EmbeddedPolytope must be the hull of its vertices")
+            for name in ("subspace", "facets", "vertices", "incidence"):
+                object.__setattr__(self, name, getattr(canonical, name))
 
     @property
     def dim(self) -> int:

@@ -10,9 +10,9 @@ epsilon}. The step is g = 1/N with N the gcd of the coordinate sums of a
 basis of the relations w (sum_i w_i a_i = 0, w integral): the projection of
 Z^m onto the orthogonal complement of span(A) is the lattice dual to those
 relations, so c 1 lies in Z^m + span(A) iff <w, c 1> = c sum(w) is an
-integer for every relation w. The candidates are the values N/k. For
-a c on the grid, a witness y is read off one integer row reduction of
-the rows (a_i | e_i), whose zero rows are the relations.
+integer for every relation w. The candidates are the values N/k. The
+step and, for a c on the grid, a witness y are read off one integer row
+reduction of the rows (a_i | e_i), whose zero rows are the relations.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .ratmath import (
     _row_reduce,
     dot,
     int_vector,
-    integer_kernel_basis,
     primitivize,
 )
 from .record import record
@@ -172,23 +171,26 @@ def _require_positive_spanning(hull: EmbeddedPolytope) -> None:
         raise InvalidConfigError("0 must lie in the relative interior of conv(rows)")
 
 
-def codegree_step(cfg: CoreNormalConfig) -> Fraction:
-    """The positive generator g of {c : A y + c 1 is integral for some y}.
-
-    One integer kernel of the d x m matrix whose rows are the coordinates
-    of the normals is a basis of the saturated lattice of relations w,
-    sum_i w_i a_i = 0, and g = 1/N with N the gcd of their coordinate sums:
-    c 1 lies in Z^m + span(A) iff <w, c 1> is an integer for every
-    relation w, since the projection of Z^m onto the complement of span(A)
-    is the lattice dual to the relations. N = 0 means A y = 1 for some y,
-    which no configuration around the origin admits: a positive barycentric
-    combination of the rows kills A y but not 1.
+def _reduced_rows(cfg: CoreNormalConfig) -> tuple[Fraction, list[list[int]]]:
+    """The step 1/N and the rows (H | U_H) of one _row_reduce of the rows
+    (a_i | e_i) on their first d columns, U A = (H; 0) with U unimodular.
+    The zero rows end in a basis of the lattice of relations w, sum_i w_i
+    a_i = 0, and N is the gcd of their sums. N = 0 would mean A y = 1 for
+    some y, which a positive barycentric combination of the rows rules out.
     """
-    rows = [[a[j] for a in cfg.normals] for j in range(cfg.dim)]
-    n = gcd(*(sum(w) for w in integer_kernel_basis(rows, ncols=cfg.n_rows)))
+    d, m = cfg.dim, cfg.n_rows
+    rows = [list(a) + [int(i == j) for j in range(m)] for i, a in enumerate(cfg.normals)]
+    r, _ = _row_reduce(rows, d)
+    n = gcd(*(sum(row[d:]) for row in rows[r:]))
     if n == 0:
         raise InvalidConfigError("configuration admits A y = 1; step is undefined")
-    return Fraction(1, n)
+    return Fraction(1, n), rows[:r]
+
+
+def codegree_step(cfg: CoreNormalConfig) -> Fraction:
+    """The positive generator g = 1/N of {c : A y + c 1 is integral for
+    some y}, read off one row reduction (_reduced_rows)."""
+    return _reduced_rows(cfg)[0]
 
 
 def spectrum_superset(cfg: CoreNormalConfig, epsilon) -> SpectrumSuperset:
@@ -205,21 +207,19 @@ def spectrum_superset(cfg: CoreNormalConfig, epsilon) -> SpectrumSuperset:
 def check_necessary_condition(cfg: CoreNormalConfig, c) -> tuple[bool, Optional[tuple[Fraction, ...]]]:
     """Whether some y makes A y + c 1 integral; returns (ok, witness y).
 
-    ok iff c is a multiple of codegree_step. The witness is read off one
-    _row_reduce of the rows (a_i | e_i), which gives U A = (H; 0) with U
-    unimodular, the zero rows of U A being the relations. y = -c y0, where
-    y0 solves H y0 = U_H 1 (U_H the rows of U beside H) with 0 at the
+    ok iff c is a multiple of the step. The step and y are read off the
+    same rows of _reduced_rows, U A = (H; 0), the zero rows being the
+    relations: y = -c y0, where y0 solves H y0 = U_H 1 with 0 at the
     columns of H without a pivot, by the integer _back_substitute. Then
     U (A y + c 1) is 0 beside H and c sum(w) beside each relation w, which
     is integral on the grid, so A y + c 1 is integral too.
     """
     c = Fraction(c)
-    if (c / codegree_step(cfg)).denominator != 1:
+    step, top = _reduced_rows(cfg)
+    if (c / step).denominator != 1:
         return False, None
-    d, m = cfg.dim, cfg.n_rows
-    work = [list(a) + [int(i == j) for j in range(m)] for i, a in enumerate(cfg.normals)]
-    r, _ = _row_reduce(work, d)
-    echelon = [row[:d] + [-sum(row[d:])] for row in work[:r]]
+    d = cfg.dim
+    echelon = [row[:d] + [-sum(row[d:])] for row in top]
     *y0, den = _back_substitute(echelon, _pivot_columns(echelon), d + 1, d)
     y = tuple(Fraction(-c.numerator * v, c.denominator * den) for v in y0)
     for a in cfg.normals:

@@ -356,7 +356,9 @@ def test_the_fan_path_takes_no_integer_kernel_and_one_dual_description_per_cone(
     # saturate (integer_kernel_basis 740 -> 568, saturate 428 -> 256). The
     # step of each op's configuration is one kernel of its relations, not
     # saturate's two kernels and an elimination: one kernel pair fewer per
-    # op (integer_kernel_basis 568 -> 368, saturate 256 -> 56)
+    # op (integer_kernel_basis 568 -> 368, saturate 256 -> 56). The step is
+    # read off the row reduction of the configuration's rows itself, so the
+    # 168 kernels left are the equations of the flat hulls (368 -> 168)
     counts = count_calls((fan, "gorenstein_index"), (ratmath, "integer_kernel_basis"),
                          (ratmath, "saturate"), (fan, "_dual_height_vertices"))
     for _, p in suite:
@@ -366,7 +368,7 @@ def test_the_fan_path_takes_no_integer_kernel_and_one_dual_description_per_cone(
     counts.update(dict.fromkeys(counts, 0))
     for _, p in suite:
         analyze(p)
-    assert counts == {"gorenstein_index": 627, "integer_kernel_basis": 368, "saturate": 56,
+    assert counts == {"gorenstein_index": 627, "integer_kernel_basis": 168, "saturate": 56,
                       "_dual_height_vertices": 1117}
 
 

@@ -179,16 +179,21 @@ def test_ratmath_has_one_row_reduction():
     # rank, det, null_basis and the integer kernel read one unimodular row
     # reduction; the fraction-free elimination that served the first three
     # is gone, and the spectrum's witness takes neither it nor the two
-    # kernels of saturate
+    # kernels of saturate. The spectrum takes no kernel either: one of its
+    # functions reduces the rows of a configuration, for the step and the
+    # witness alike
     with open(os.path.join(PACKAGE, "ratmath.py"), encoding="utf-8") as fh:
         source = fh.read()
     defined = {node.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)}
     assert "_eliminate" not in defined
     assert functions_reading(source, "_row_reduce") == ["det", "integer_kernel_basis", "null_basis", "rank"]
     with open(os.path.join(PACKAGE, "spectrum.py"), encoding="utf-8") as fh:
-        names = imported_names(fh.read())
+        source = fh.read()
+    names = imported_names(source)
     assert "saturate" not in names
     assert "_eliminate" not in names
+    assert "integer_kernel_basis" not in names
+    assert functions_reading(source, "_row_reduce") == ["_reduced_rows"]
 
 
 def test_spectrum_does_not_import_the_lp_solver():

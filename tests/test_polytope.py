@@ -134,8 +134,11 @@ SQUARE_NORMALS = ((-1, 0), (0, -1), (0, 1), (1, 0))
     (lambda: fan.Cone(3, ((0, 1), (1, 0))), InvalidConeError, "hand-built"),
     (lambda: polytope.EmbeddedPolytope(*(lambda s: (s.subspace, s.facets, s.vertices[::-1]))(
         hull_any_dim([(0, 0), (1, 1)]))), ValueError, "hand-built"),
+    (lambda: polytope.EmbeddedPolytope(*(lambda s: (s.subspace, s.facets, ((0, 0), (0, 2))))(
+        hull_any_dim([(0, 0), (0, 2), (2, 0), (2, 2)]))), ValueError, "hand-built"),
 ], ids=["non-primitive-normal", "redundant-row", "repeated-normal", "unsorted-rows",
-        "non-primitive-ray", "non-extreme-ray", "line", "other-ambient-dim", "unsorted-vertices"])
+        "non-primitive-ray", "non-extreme-ray", "line", "other-ambient-dim", "unsorted-vertices",
+        "missing-vertices"])
 def test_a_hand_built_record_that_is_not_canonical_is_refused(build, error, message):
     # a record built without its derived data is its canonicalizer's
     # output, from_inequalities of its rows or cone() of its rays, or it is
@@ -143,7 +146,9 @@ def test_a_hand_built_record_that_is_not_canonical_is_refused(build, error, mess
     # redundant row x_1 + x_2 <= 5, x_1 <= 1 given twice, its rows out of
     # order; a non-primitive ray, a ray inside the cone of the others, a
     # line, rays of Z^2 in a cone of Q^3; a segment with its vertices out of
-    # order, which lattice_points would read level 1 off
+    # order, which lattice_points would read level 1 off; the square [0, 2]^2
+    # with two of its four vertices, whose lattice_points would list 3 of
+    # its 9 points and which would contain (2, 2)
     with pytest.raises(error, match=message):
         build()
 
@@ -160,11 +165,11 @@ def test_a_hand_built_record_holds_its_canonical_fields():
 
 def test_hand_built_copies_carry_the_data_the_constructors_pass_in(suite, suite_reports):
     # a record built by hand fills what its caller did not pass when it is
-    # built: a polytope its vertices and incidence, an embedded set its
-    # incidence by exact products, a cone its dual height description. Over
-    # the suite each equals what the constructors pass in, for every
-    # polytope, every acore, every core (a core is always flat) and every
-    # maximal cone
+    # built: a polytope its vertices and incidence, an embedded set the
+    # incidence of the hull of its vertices, a cone its dual height
+    # description. Over the suite each equals what the constructors pass
+    # in, for every polytope, every acore, every core (a core is always
+    # flat) and every maximal cone
     for key, p in suite:
         by_hand = HPolytope(p.dim, p.normals, p.rhs)
         assert (by_hand.vertices, by_hand.incidence) == (p.vertices, p.incidence), key
@@ -897,7 +902,7 @@ def test_lattice_points_read_the_row_cone_each_set_keeps(count_calls):
     acore = adjunction.adjunction_data(random_lattice_polytope(4, 6, 4022, box=2)).acore
     sets, shrinks = (hull, flat, acore), (1, 1, Fraction(1, 2))
     # copies built by hand fill their incidence when they are built, by
-    # their own double description or by exact products
+    # their own double description
     bare = (HPolytope(hull.dim, hull.normals, hull.rhs),) + tuple(
         polytope.EmbeddedPolytope(s.subspace, s.facets, s.vertices) for s in sets[1:])
     expected = [lattice_points(s, region, k) for s, k in zip(bare, shrinks) for region in REGIONS]

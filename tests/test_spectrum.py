@@ -136,40 +136,49 @@ def test_the_step_of_every_configuration_is_one_over_a_positive_integer(rows):
 
 
 def test_the_step_of_a_simplex_acore_is_read_off_its_one_relation(suite_reports):
-    # the core normals of a simplex acore have one relation w up to sign,
-    # all of one sign; the critical-shift duals on the core rows are w /
-    # sum(w), and the step is 1 / sum(w), the lcm of their denominators
-    ranks = {}
+    # on every suite report the normals of the support of the critical-shift
+    # duals carry one relation w up to sign, all of one sign; the duals there
+    # are w / sum(w), and the step 1/N has N dividing sum(w), a proper
+    # divisor on 9 reports. On a simplex acore the support is all the core
+    # rows, and the step is 1 / sum(w), the lcm of the duals' denominators
+    ranks, proper = {}, 0
     for key, rep in suite_reports.items():
-        cfg = core_config(rep.data)
-        basis = relations(cfg)
-        simplex = len(rep.data.acore.vertices) == rep.data.acore.dim + 1
+        data = rep.data
+        basis = relations(core_config(data))
+        simplex = len(data.acore.vertices) == data.acore.dim + 1
         ranks[simplex, len(basis)] = ranks.get((simplex, len(basis)), 0) + 1
+        support = [i for i, y in enumerate(data.shift_duals) if y]
+        (w,) = relations(CoreNormalConfig(data.polytope.dim, tuple(data.polytope.normals[i] for i in support)))
+        w = w if sum(w) > 0 else tuple(-x for x in w)
+        assert all(x > 0 for x in w), key
+        y = [data.shift_duals[i] for i in support]
+        assert y == [Fraction(x, sum(w)) for x in w], key
+        step = rep.spectrum.step
+        assert step.numerator == 1 and sum(w) % step.denominator == 0, key
+        proper += sum(w) != step.denominator
         if simplex:
-            (w,) = basis
-            w = w if sum(w) > 0 else tuple(-x for x in w)
-            assert all(x > 0 for x in w), key
-            y = [rep.data.shift_duals[i] for i in rep.data.core_normal_indices]
-            assert y == [Fraction(x, sum(w)) for x in w], key
-            assert rep.spectrum.step == Fraction(1, sum(w)) == Fraction(1, lcm(*(v.denominator for v in y))), key
+            assert support == list(data.core_normal_indices), key
+            assert step == Fraction(1, sum(w)) == Fraction(1, lcm(*(v.denominator for v in y))), key
     assert ranks == {(True, 1): 184, (False, 2): 12, (False, 3): 4}
+    assert proper == 9
 
 
 def test_the_step_takes_one_integer_kernel(count_calls):
-    # a value off the grid takes the step's kernel alone; a value on it
-    # takes one more row reduction for the witness, and no saturate
+    # the step and the check of a value, off the grid or on it, each take
+    # one row reduction, which serves the witness too, and no kernel and
+    # no saturate
     counts = count_calls((ratmath, "integer_kernel_basis"), (ratmath, "saturate"), (ratmath, "_row_reduce"))
     for rows in (SEGMENT, SQUARE, [(2, 1), (-1, 0), (0, -1)]):
         cfg = make_config(rows)
         counts.update(dict.fromkeys(counts, 0))
         step = codegree_step(cfg)
-        assert counts == {"integer_kernel_basis": 1, "saturate": 0, "_row_reduce": 1}
+        assert counts == {"integer_kernel_basis": 0, "saturate": 0, "_row_reduce": 1}
         counts.update(dict.fromkeys(counts, 0))
         assert check_necessary_condition(cfg, step / 2) == (False, None)
-        assert counts == {"integer_kernel_basis": 1, "saturate": 0, "_row_reduce": 1}
+        assert counts == {"integer_kernel_basis": 0, "saturate": 0, "_row_reduce": 1}
         counts.update(dict.fromkeys(counts, 0))
         assert check_necessary_condition(cfg, step)[0]
-        assert counts == {"integer_kernel_basis": 1, "saturate": 0, "_row_reduce": 2}
+        assert counts == {"integer_kernel_basis": 0, "saturate": 0, "_row_reduce": 1}
 
 
 def test_core_config_agrees_with_make_config_on_the_suite(suite_reports):
