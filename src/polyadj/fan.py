@@ -22,19 +22,20 @@ normal_fan() pass in the one they validated its generators with, and a
 cone built by hand must be cone() of its rays, whose description it
 keeps, or raises InvalidConeError, so a normal fan, whose cones span,
 takes no integer kernel, no rank and no second dual description after it
-is built. The canonicity
-scan enumerates one region per cone, conv(0, rays), shrunk by t on a
-ladder that starts at the lower bound on heights that the dual vertices
-and the rays prove (_height_floor) and never passes the least height
-listed. Across a fan each cone's ladder is capped at the least threshold
-of the cones before it. A cone compiles the levels of its region
-(polytope.projected_levels, from the cone of its valid rows: one double
-description of its points, or none when the dual region has one vertex,
-whose double description already holds those rows) only when its ladder
-takes a rung. A normal fan
-reads each maximal cone off the polytope's vertex-facet incidence and
-proves it full-dimensional with its dual height description, which has a
-lineality exactly when the rays do not span.
+is built. The canonicity scan enumerates one region per cone, conv(0,
+rays), shrunk by t on a ladder that starts at the lower bound on heights
+that the dual vertices and the rays prove (_height_floor) and never
+passes the least height listed. Across a fan each cone's ladder is
+capped at the least threshold of the cones before it. A cone compiles
+the levels of its region (polytope.projected_levels) only when its
+ladder takes a rung, from the cone of its valid rows, with no second
+double description: the dual height description holds those rows when
+the dual region has one vertex, and otherwise they are its pivot stage,
+which the cone keeps, with the sign of its one ray off s = 0 turned and
+the ray rows that waited added (_cone_levels). A normal fan reads each
+maximal cone off the polytope's vertex-facet incidence and proves it
+full-dimensional with its dual height description, which has a lineality
+exactly when the rays do not span.
 """
 
 from __future__ import annotations
@@ -54,9 +55,10 @@ from .errors import (
 )
 from .polytope import (
     HPolytope,
+    _add_waiting,
     _maximal,
+    _pivots,
     _ray_sets,
-    double_description,
     is_lattice_polytope,
     level_points,
     projected_levels,
@@ -77,7 +79,7 @@ from .record import record
 class Cone:
     """Pointed rational cone spanned by primitive extreme rays.
 
-    functionals is (region, lineality, duals, scale), the rays'
+    functionals is (region, lineality, duals, scale, start), the rays'
     _dual_height_vertices with the dual vertices over a common denominator
     (_functionals), as height, the canonicity scan and gorenstein_index
     read it. cone() and normal_fan() pass in the description they validated
@@ -162,7 +164,7 @@ def cone(generators: Sequence[Sequence[int]]) -> Cone:
             raise InvalidConeError("zero vector cannot generate a ray")
         prims.append(primitivize(vec)[0])
     prims = tuple(sorted(set(prims)))
-    region, lineality = _dual_height_vertices(prims, d)
+    region, lineality, start = _dual_height_vertices(prims, d)
     if not any(z[-1] for z, _ in region):
         raise InvalidConeError("generators span a cone containing a line")
     if len(prims) > 1:
@@ -170,7 +172,7 @@ def cone(generators: Sequence[Sequence[int]]) -> Cone:
         extreme = [prims[i] for i in _maximal(_ray_sets(facets, range(1, len(prims) + 1)))]
         if len(extreme) < len(prims):
             return cone(extreme)
-    return Cone(d, prims, _functionals(region, lineality))
+    return Cone(d, prims, _functionals(region, lineality, start))
 
 
 def normal_fan(p: HPolytope) -> NormalFan:
@@ -187,10 +189,10 @@ def normal_fan(p: HPolytope) -> NormalFan:
     cones = []
     for k in range(len(p.vertices)):
         tight = tuple(a for a, t in zip(p.normals, p.incidence) if t >> k & 1)
-        region, lineality = _dual_height_vertices(tight, p.dim)
+        region, lineality, start = _dual_height_vertices(tight, p.dim)
         if lineality:
             raise InternalInconsistencyError("vertex cone is not full-dimensional")
-        cones.append(Cone(p.dim, tight, _functionals(region, lineality)))
+        cones.append(Cone(p.dim, tight, _functionals(region, lineality, start)))
     return NormalFan(p.dim, p.normals, p.vertices, tuple(cones))
 
 
@@ -209,7 +211,7 @@ def height(c: Cone, point: Sequence) -> Fraction:
     target = [Fraction(x) for x in point]
     if all(x == 0 for x in target):
         return Fraction(0)
-    region, lineality, duals, scale = c.functionals
+    region, lineality, duals, scale, _ = c.functionals
     if any(dot(z[:-1], target) for z in lineality):
         raise NotInConeError("point is outside the cone's linear span")
     if any(dot(z[:-1], target) < 0 for z, _ in region if not z[-1]):
@@ -221,56 +223,63 @@ def _dual_height_vertices(rays: Sequence[IntVector], d: int) -> tuple:
     """The cone's facet normals and the vertices of its dual height region, with their tight sets.
 
     One double description of the cone {(u, s) : <ray, u> >= s, s >= 0}
-    gives both, as (region, lineality): its (ray, tight set) pairs with s
-    >= 0 as row 0 and the rays as rows 1..m, and its lineality {(u, 0) :
-    <ray, u> = 0}, empty exactly when the rays span Q^d; on their span each
-    ray stands for its class modulo it. Its rays with s > 0 are the
-    primitive integer (u, s) of the vertices u / s of {u : <ray, u> >= 1
-    for all rays}, one at least iff the cone is pointed. By LP duality the
+    gives both, as (region, lineality, start): its (ray, tight set) pairs
+    with s >= 0 as row 0 and the rays as rows 1..m, its lineality {(u, 0)
+    : <ray, u> = 0}, empty exactly when the rays span Q^d (on their span
+    each ray stands for its class modulo it), and the start its pivot
+    stage took (polytope._pivots), which _cone_levels reads. Its rays with
+    s > 0 are the primitive integer (u, s) of the vertices u / s of {u :
+    <ray, u> >= 1 for all rays}, one at least iff the cone is pointed. By LP duality the
     height of any point w of the cone is the minimum of <u, w> over that
     region, and the region is pointed, so the minimum is attained at a
     vertex. Its face {s = 0} is the dual cone, so its rays (f, 0) give the
     cone's primitive facet normals f, sorted.
     """
-    rows = [(0,) * d + (1,)] + [tuple(r) + (-1,) for r in rays]
-    return double_description(rows, d + 1)
+    start = _pivots([(0,) * d + (1,)] + [tuple(r) + (-1,) for r in rays], d + 1)
+    return (*_add_waiting(*start), start)
 
 
-def _functionals(region, lineality) -> tuple:
-    """(region, lineality, duals, scale), with height(x) = min_w <w, x> / scale on the cone.
+def _functionals(region, lineality, start) -> tuple:
+    """(region, lineality, duals, scale, start), with height(x) = min_w <w, x> / scale on the cone.
 
-    region and lineality are the rays' _dual_height_vertices. The duals w
-    are the vertices of the dual height region over a common denominator
-    scale, so <w, ray> >= scale on every ray.
+    region, lineality and start are the rays' _dual_height_vertices. The
+    duals w are the vertices of the dual height region over a common
+    denominator scale, so <w, ray> >= scale on every ray.
     """
     tops = [z for z, _ in region if z[-1]]
     if not tops:
         raise InternalInconsistencyError("dual height region of a pointed cone has no vertex")
     scale = lcm(*(z[-1] for z in tops))
     duals = tuple(tuple(x * (scale // z[-1]) for x in z[:-1]) for z in tops)
-    return region, lineality, duals, scale
+    return region, lineality, duals, scale, start
 
 
-def _cone_levels(rays: Sequence[IntVector], region, lineality) -> list:
+def _cone_levels(rays: Sequence[IntVector], region, lineality, start) -> list:
     """The compiled lattice levels (polytope.projected_levels) of Q = conv(0, rays), for rays of any rank.
 
-    region and lineality are the rays' _dual_height_vertices. The valid
-    rows (a, beta) of Q are the cone of beta >= 0 at the origin and beta -
-    <a, r> >= 0 at each ray r, whose lineality, the equations of the span
-    of the rays, is the region's: with the origin first and the rays after,
-    bit k of a tight set names the same row in both. When region has one
-    vertex (u, s), every ray has <u, r> = s, so Q is the cone cut by <u, x>
-    <= s, and region already holds Q's facet rows with their tight sets:
-    (-f, 0) for each of its facets (f, 0) and (u, s). Otherwise one double
-    description of Q's points gives them, and 0 and the rays, sorted,
-    level 1.
+    region, lineality and start are the rays' _dual_height_vertices. The
+    valid rows (a, beta) of Q are the cone V of beta >= 0 at the origin and
+    beta - <a, r> >= 0 at each ray r, whose lineality, the equations of the
+    span of the rays, is the region's: with the origin first and the rays
+    after, bit k of a tight set names the same row in both. When region
+    has one vertex (u, s), every ray has <u, r> = s, so Q is the cone cut
+    by <u, x> <= s, and region already holds Q's facet rows with their
+    tight sets: (-f, 0) for each of its facets (f, 0) and (u, s).
+    Otherwise -V is the cone of s <= 0 and the region's ray rows <r, u> >=
+    s, which differs from the region only in the sign of row 0. The
+    start's one ray off s = 0 is tight on every ray row the start took, so
+    negating it turns the start's cone into the cone of s <= 0 and those
+    rows; the ray rows that waited cut that down to -V, whose rays, negated,
+    are V's, with their tight sets. 0 and the rays, sorted, give level 1.
     """
     d = len(rays[0])
     points = sorted([(0,) * d, *rays])
     if sum(1 for z, _ in region if z[d]) == 1:
         return projected_levels([(z if z[d] else tuple(-x for x in z), t) for z, t in region], lineality, points)
-    rows = [(0,) * d + (1,)] + [tuple(-x for x in r) + (1,) for r in rays]
-    return projected_levels(*double_description(rows, d + 1), points)
+    pivoted, _, waiting = start
+    flipped = [(tuple(-x for x in z), t) if z[d] else (z, t) for z, t in pivoted]
+    below, _ = _add_waiting(flipped, lineality, waiting)
+    return projected_levels([(tuple(-x for x in z), t) for z, t in below], lineality, points)
 
 
 def _least_point(c: Cone, z: IntVector) -> tuple[int, IntVector]:
@@ -299,7 +308,7 @@ def _height_floor(c: Cone) -> int:
     at the first class whose primitive s is at most the max so far, or once
     the max reaches M.
     """
-    region, lineality, _, _ = c.functionals
+    region, lineality, _, _, _ = c.functionals
     bound = max(abs(x) for r in c.rays for x in r)
     if not lineality:
         return min(max(z[-1] for z, _ in region), bound)
@@ -337,8 +346,8 @@ def canonicity_threshold(c: Cone, below=1) -> tuple[Fraction, Optional[Canonicit
     top = _height_floor(c)
     if num * top <= den:
         return below, None
-    region, lineality, duals, scale = c.functionals
-    levels = _cone_levels(c.rays, region, lineality)
+    region, lineality, duals, scale, start = c.functionals
+    levels = _cone_levels(c.rays, region, lineality, start)
     t = Fraction(1, 1 << (top.bit_length() - 1))
     while True:
         # a unit fraction's shrink is an int, which the walk floors faster
@@ -383,7 +392,7 @@ def gorenstein_index(c: Cone) -> Optional[GorensteinCertificate]:
     The functional is checked to be primitive and to equal the index on
     every ray.
     """
-    region, _, _, _ = c.functionals
+    region = c.functionals[0]
     every = (1 << (len(c.rays) + 1)) - 2
     tight = next((z for z, t in region if z[-1] and t & every == every), None)
     if tight is None:

@@ -8,12 +8,14 @@ facets and vertices of a hull (and hull_any_dim and embed_system those of
 a hull of any dimension), implicit_equalities and embed_system the
 implicit equalities and vertices of a possibly flat system, and fan the
 dual height vertices of a cone together with its facets, which also
-validate a cone's generators. The
-lineality of a homogenized system is its set's lines, so no LP and no
-cut is needed to decide emptiness or boundedness. The kernel works on
-primitive integer vectors only, pairs the rays on the two sides of each
-row and tests adjacency by counting tight sets; a hull of points adds its
-rows farthest first once the cone is pointed (_point_hull). Lattice points
+validate a cone's generators. Its pivot stage (_pivots), which fan also
+finishes for the valid rows of conv(0, rays), adds the rows nonzero on
+the lineality left; the others wait. The lineality of a homogenized
+system is its set's lines, so no LP and no cut is needed to decide
+emptiness or boundedness. The kernel works on primitive integer vectors
+only, pairs the rays on the two sides of each row and tests adjacency by
+counting tight sets; a hull of points adds the rows that wait farthest
+first (_point_hull). Lattice points
 are enumerated coordinate by coordinate over the projections of a set
 onto x_1..x_j (projected_levels). The valid rows (a, beta) of a set form
 a cone whose rays are its facets and whose lineality is the equations of
@@ -283,37 +285,66 @@ def double_description(rows: Sequence[Sequence[int]], n: int, key=None) -> tuple
     those of the extreme rays of the cone modulo its lineality. Every
     vector is primitive, so one on which a row vanishes is kept as it is.
 
-    Rows are added in index order. With a key, the rows left once the
-    lineality is empty are added sorted by key(k) instead, each still on
-    bit k; the cone is pointed from then on, and a pointed cone's
-    primitive extreme rays and their tight sets do not depend on the
-    order, so neither does the result. The order decides only how many
-    rays the steps between make.
+    The pivot stage (_pivots) takes the rows in index order and adds each
+    nonzero on the lineality left; the others wait, and are added after in
+    index order, or sorted by key(k) with a key, each still on bit k. The
+    pivots and the lineality are those of index order, and every ray lies
+    in the span of the pivot stage's rays, where each extreme ray modulo
+    the lineality has one primitive representative, so the result does not
+    depend on the order of the rows that waited. The order decides only
+    how many rays the steps between make.
+    """
+    rays, lineality, waiting = _pivots(rows, n)
+    if key is not None:
+        waiting = sorted(waiting, key=lambda w: key(w[0]))
+    return _add_waiting(rays, lineality, waiting)
+
+
+def _pivots(rows: Sequence[Sequence[int]], n: int) -> tuple:
+    """The pivot stage of double_description: (rays, lineality, waiting), its start.
+
+    Rows are taken in index order; each nonzero on the lineality left is
+    a pivot (_lift), and waiting holds the (k, row) of the others, in
+    index order. The lineality is then that of all the rows. A pivot marks
+    every earlier row, one that waits too, on which it does vanish: a
+    waiting row f is a combination of the pivot rows before it, so until f
+    is added a ray marks it exactly when it is tight on all of those, as is
+    any third ray tight on every row two such rays share. So the marks
+    change no adjacency test, whatever order the waiting rows take.
     """
     if any(len(row) != n for row in rows):
         raise DimensionMismatchError(f"rows of a cone in dimension {n} have other lengths")
     lineality = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
     rays: list[tuple[IntVector, int]] = []  # (ray, bitmask of the rows tight at it)
-    k = 0
-    while k < len(rows) and (lineality or key is None):
-        rays, lineality = _add_row(rays, lineality, rows[k], 1 << k)
-        k += 1
-    for k in sorted(range(k, len(rows)), key=key):
-        rays, lineality = _add_row(rays, lineality, rows[k], 1 << k)
+    waiting = []
+    for k, row in enumerate(rows):
+        lifted = lineality and _lift(rays, lineality, row, 1 << k)
+        if lifted:
+            rays, lineality = lifted
+        else:
+            waiting.append((k, row))
+    return tuple(rays), tuple(lineality), tuple(waiting)
+
+
+def _add_waiting(rays, lineality, waiting) -> tuple[tuple[tuple[IntVector, int], ...], tuple[IntVector, ...]]:
+    """(rays, lineality) cut by each (k, row) of waiting in turn, on bit k, as double_description returns it."""
+    for k, row in waiting:
+        rays, lineality = _add_row(rays, lineality, row, 1 << k)
     return tuple(sorted(rays)), tuple(lineality)
 
 
-def _add_row(rays: list, lineality: list, row: Sequence[int], bit: int) -> tuple[list, list]:
-    """One step of double_description: the cone of rays and lineality cut by <row, z> >= 0.
+def _lift(rays, lineality, row: Sequence[int], bit: int):
+    """The pivot step of double_description: the cone of rays and lineality cut by <row, z> >= 0.
 
-    bit is the row's bit in the tight sets; bit 0 marks no row, as _cut
-    needs. The rays come back unsorted. A step makes one pass and takes
-    the row once on each vector it reaches. It takes the row on the
-    lineality up to the first vector where it is nonzero, the pivot, then
-    on each ray and each later lineality vector, and lifts those on which
-    it is nonzero onto its hyperplane; the vectors before the pivot stay
-    as they are, since the row vanishes on them. With no pivot the pass
-    takes each ray's value and tight set.
+    None when the row vanishes on the lineality, where _add_row takes the
+    step. bit is the row's bit in the tight sets; bit 0 marks no row, as
+    _cut needs. The step makes one pass and takes the row once on each
+    vector it reaches. It takes the row on the lineality up to the first
+    vector where it is nonzero, the pivot, then on each ray and each later
+    lineality vector, and lifts those on which it is nonzero onto its
+    hyperplane; the vectors before the pivot stay as they are, since the
+    row vanishes on them. The pivot becomes a ray, tight on every earlier
+    row.
     """
     for i, pivot in enumerate(lineality):
         a = sum(map(mul, row, pivot))
@@ -341,6 +372,15 @@ def _add_row(rays: list, lineality: list, row: Sequence[int], bit: int) -> tuple
                     z = tuple(c // g for c in z)
             rest.append(z)
         return lifted, rest
+    return None
+
+
+def _add_row(rays, lineality, row: Sequence[int], bit: int) -> tuple[list, list]:
+    """The pair step of double_description: the cone of rays and lineality cut by <row, z> >= 0.
+
+    The row vanishes on the lineality, and bit is as for _lift. The rays
+    come back unsorted. The pass takes each ray's value and tight set once.
+    """
     kept, positive, negative, tights = [], [], [], []
     for z, t in rays:
         v = sum(map(mul, row, z))
@@ -377,15 +417,16 @@ def _cut(rays, lineality, c: int, n: int) -> tuple[list, list]:
     """The cone of rays and lineality in Q^n cut by {z_c = 0}, with coordinate c dropped.
 
     The cut is the face {z_c = 0} of the cone cut by z_c >= 0, so it is one
-    _add_row step on the unit row e_c, marking no row, of which only the
-    vectors with z_c = 0 are kept: a ray there stays, with its tight set,
+    step on the unit row e_c (_lift, or _add_row when every lineality
+    vector has z_c = 0), marking no row, of which only the vectors with
+    z_c = 0 are kept: a ray there stays, with its tight set,
     each adjacent pair across the hyperplane is combined, with the tight
     set they share, and a lineality vector nonzero there is the pivot,
     which leaves as a ray with z_c > 0. The tight sets thus stay those of
     the cone's own rows.
     """
     unit = (0,) * c + (1,) + (0,) * (n - 1 - c)
-    rays, lineality = _add_row(rays, lineality, unit, 0)
+    rays, lineality = lineality and _lift(rays, lineality, unit, 0) or _add_row(rays, lineality, unit, 0)
     return [(z[:c] + z[c + 1:], t) for z, t in rays if not z[c]], [z[:c] + z[c + 1:] for z in lineality]
 
 
@@ -448,11 +489,11 @@ def _point_hull(pts: Sequence[tuple], d: int):
     denominator. One double description gives its extreme rays, the facets
     (a primitive, sorted), with tight sets over pts, and its lineality, the
     equations of the points' affine hull; modulo those equations each ray
-    is one facet. Once the lineality is empty the rows left are added by
-    decreasing |m row - sum of the m rows|^2, the squared distance from
-    the points' centroid times m^2, ties by index (double_description's
-    key), which cuts the rays the steps between make; a flat set takes
-    every row in index order. Int coordinates stay ints until here. The
+    is one facet. The rows that wait for the pivots, a flat set's too,
+    are added by decreasing |m row - sum of the m rows|^2, the squared
+    distance from the points' centroid times m^2, ties by index
+    (double_description's key), which cuts the rays the steps between
+    make. Int coordinates stay ints until here. The
     vertices are the points, as Fractions, whose sets of tight facets
     are nonempty and maximal under inclusion, and each tight set is mapped
     from the points to the vertices.

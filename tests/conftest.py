@@ -112,12 +112,12 @@ def count_fractions():
 def count_kernel_work():
     """count_kernel_work(run) calls run() and returns the work of the double description's steps in it.
 
-    polytope._add_row, the one step of every double description and cut,
-    is wrapped for the call. A step on a row nonzero on a lineality vector
-    pivots and pairs nothing; any other step pairs each ray on the row's
-    positive side with each on its negative side, and combines the pairs
-    that are adjacent. Returns {"pairs": pairs visited, "created": rays
-    made by combining}, both summed over the steps.
+    polytope._add_row, the pair step of every double description and cut,
+    is wrapped for the call; a pivot step (polytope._lift) pairs nothing.
+    A pair step pairs each ray on the row's positive side with each on its
+    negative side, and combines the pairs that are adjacent. Returns
+    {"pairs": pairs visited, "created": rays made by combining}, both
+    summed over the steps.
     """
     def count(run):
         step = polytope._add_row
@@ -125,11 +125,10 @@ def count_kernel_work():
 
         def counting(rays, lineality, row, bit):
             out = step(rays, lineality, row, bit)
-            if not any(sum(map(mul, row, v)) for v in lineality):
-                values = [sum(map(mul, row, z)) for z, _ in rays]
-                negative = sum(v < 0 for v in values)
-                work["pairs"] += sum(v > 0 for v in values) * negative
-                work["created"] += len(out[0]) - (len(rays) - negative)
+            values = [sum(map(mul, row, z)) for z, _ in rays]
+            negative = sum(v < 0 for v in values)
+            work["pairs"] += sum(v > 0 for v in values) * negative
+            work["created"] += len(out[0]) - (len(rays) - negative)
             return out
 
         with pytest.MonkeyPatch.context() as patch:

@@ -28,6 +28,20 @@ def laplace_det(m):
     return total
 
 
+def normalized_volume(simplex):
+    """Normalized volume of a lattice simplex, in the lattice of the integer points of its directions.
+
+    With k edge vectors v_i - v_0, that is the gcd of their k x k minors,
+    the determinant of the edges in a basis of that lattice; a point has
+    volume 1.
+    """
+    edges = [[x - y for x, y in zip(v, simplex[0])] for v in simplex[1:]]
+    if not edges:
+        return 1
+    minors = itertools.combinations(range(len(edges[0])), len(edges))
+    return gcd(*(int(laplace_det([[row[j] for j in cols] for row in edges])) for cols in minors))
+
+
 def cramer_solve(m, rhs):
     """Unique solution of a square system, or None when det = 0."""
     d = laplace_det(m)

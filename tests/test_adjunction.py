@@ -381,11 +381,19 @@ def test_the_d4_suite_ops_make_a_pinned_number_of_ranks_and_kernel_steps(count_c
     # one-point core (208 ranks before, 178 of them the fan's). Level 1 of
     # every enumeration is read off its points, and the scan's box bound
     # compiles one cone fewer: 397 double descriptions and 3189 steps -> 396
-    # and 2987
-    counts = count_calls((ratmath, "rank"), (polytope, "double_description"), (polytope, "_add_row"))
+    # and 2987. Every description starts with one pivot stage, and the fan
+    # runs its cones' own, to keep their starts, so the pivot stages count
+    # the descriptions: 99 double_description calls and the 178 cones. A
+    # step is a pivot (_lift) or a pair step (_add_row); 60 of the _lift
+    # calls find the row vanishing on the lineality, a row that waits or a
+    # cut that pairs, and the other 1372 pivot. A multi-vertex cone builds
+    # the rows of its levels from its start, not from a description of its
+    # points: 396 descriptions and 2987 steps -> 277 and 1372 + 1020 = 2392
+    counts = count_calls((ratmath, "rank"), (polytope, "double_description"), (polytope, "_pivots"),
+                         (polytope, "_lift"), (polytope, "_add_row"))
     for seed in range(4000, 4030):
         analyze(read_polytope(format_polytope(random_lattice_polytope(4, 6, seed, box=2))))
-    assert counts == {"rank": 30, "double_description": 396, "_add_row": 2987}
+    assert counts == {"rank": 30, "double_description": 99, "_pivots": 277, "_lift": 1432, "_add_row": 1020}
 
 
 def test_fan_summary_contents():

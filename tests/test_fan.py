@@ -74,24 +74,26 @@ def test_cone_constructor_normalizes_generators():
 def test_a_validated_cone_keeps_its_dual_description(count_calls):
     # cone() validates the generators with their dual height double
     # description; when it keeps every generator, that is the cone's own,
-    # and a later height, scan or index reads it with no second description
-    counts = count_calls((polytope, "double_description"))
+    # and a later height, scan or index reads it with no second description.
+    # Every description starts with one pivot stage, which the fan runs
+    # itself to keep its start, so the pivot stages are what is counted
+    counts = count_calls((polytope, "_pivots"))
     c = cone(SKEW_RAYS)
     assert height(c, (0, 0, 4)) == 4
     assert gorenstein_index(c) is None and canonicity_threshold(c)[0] == 1
-    assert counts == {"double_description": 1}
+    assert counts == {"_pivots": 1}
     assert c.functionals == Cone(3, c.rays).functionals
     # the same for a plane in Q^3, whose description has a lineality and
     # is kept with it
-    counts["double_description"] = 0
+    counts["_pivots"] = 0
     plane = cone([(1, 0, 0), (1, 2, 0)])
-    assert height(plane, (1, 1, 0)) == 1 and counts == {"double_description": 1}
+    assert height(plane, (1, 1, 0)) == 1 and counts == {"_pivots": 1}
     assert plane.functionals == Cone(3, plane.rays).functionals
     # a dropped generator changes the rows, so the cone of the two extreme
     # rays describes itself once more inside cone()
-    counts["double_description"] = 0
+    counts["_pivots"] = 0
     square = cone([(1, 0), (0, 1), (1, 1)])
-    assert counts == {"double_description": 2}
+    assert counts == {"_pivots": 2}
     assert square.functionals == Cone(2, ((0, 1), (1, 0))).functionals
 
 
@@ -231,7 +233,7 @@ def test_dual_height_vertices_match_the_brute_force_scan():
     assert all(rank(c.rays) != c.n_rays for c in cones)
     for c in cones:
         d = c.ambient_dim
-        found, lineality = _dual_height_vertices(c.rays, d)
+        found, lineality, _ = _dual_height_vertices(c.rays, d)
         assert lineality == ()
         facets, got = [z[:d] for z, _ in found if not z[d]], [z for z, _ in found if z[d]]
         # the facets of conv(0, rays) through 0, with outer normals -f
@@ -397,6 +399,19 @@ def test_the_ladder_on_lower_rank_cones_starts_at_the_least_s_of_each_class(monk
     assert digest == "84c4392b0d5611d41010a7d5046a7bf71b4babdf1f717e29a71da24e6ae53684"
 
 
+def test_the_descriptions_of_seeded_lower_rank_cones_are_pinned():
+    # sha256 of the rays and the dual height description (region,
+    # lineality, duals, scale) of 1500 seeded cones of lower rank, 71 of
+    # them with more than one dual vertex, pinned before the double
+    # description took the rows that vanish on the lineality after its
+    # pivots: each ray is the one representative of its class in the span
+    # of the pivots, whatever the order of the rest
+    out = [(c.rays, c.functionals[:4]) for c in _seeded_lower_rank_cones(1500, 41)]
+    assert sum(1 for _, (region, *_) in out if sum(1 for z, _ in region if z[-1]) > 1) == 71
+    digest = hashlib.sha256(repr(out).encode()).hexdigest()
+    assert digest == "b62f0694aff2b49d871b011857b13ea24704f8e4cb486a661a766f50aa8a4f56"
+
+
 def _least_s(rays, u, s):
     """The least s' > 0 with an integer u' of <r, u'> = s' <r, u> / s on every ray, which divides s."""
     return next(k for k in range(1, s + 1) if all(k * dot(r, u) % s == 0 for r in rays)
@@ -431,8 +446,8 @@ def _cone_points_match_the_box_scan(c, local_rays=None, to_ambient=None):
     on full-rank local rays, and the levels, in Z^d, must give the image of
     its points under to_ambient, in lexicographic order.
     """
-    region, lineality, _, _ = c.functionals
-    levels = _cone_levels(c.rays, region, lineality)
+    region, lineality, _, _, start = c.functionals
+    levels = _cone_levels(c.rays, region, lineality, start)
     assert len(levels) == c.ambient_dim + 1
     rays = local_rays or c.rays
     d = len(rays[0])
@@ -500,13 +515,66 @@ def test_the_one_vertex_top_gives_the_levels_of_the_double_description(c):
     # the rows of conv(0, rays) read off the dual height double description
     # against one double description of its points, level by level
     d = c.ambient_dim
-    region, lineality = _dual_height_vertices(c.rays, d)
+    region, lineality, start = _dual_height_vertices(c.rays, d)
     rows = [(0,) * d + (1,)] + [tuple(-x for x in r) + (1,) for r in c.rays]
     points = sorted([(0,) * d, *c.rays])
-    got = _cone_levels(c.rays, region, lineality)
+    got = _cone_levels(c.rays, region, lineality, start)
     expected = projected_levels(*double_description(rows, d + 1), points)
     assert got[0] is expected[0] is None
     assert [set(level) for level in got[1:]] == [set(level) for level in expected[1:]]
+
+
+def _valid_rows_match_the_double_description_of_the_points(c):
+    """The valid-row cone _cone_levels hands to projected_levels for c, against one double description of its points.
+
+    The rays and their tight sets must be equal when the rays span. For a
+    lower-rank cone, each ray is one representative of its class modulo
+    the equations of the span: the lineality must span the same space, the
+    rays of one tight set must be parallel modulo it, and both levels must
+    list the same lattice points at shrinks 1, 2, 3 and 3/2. Returns
+    whether the rows came from the start, that is, whether the dual region
+    has more than one vertex.
+    """
+    d = c.ambient_dim
+    region, lineality, _, _, start = c.functionals
+    handed = []
+
+    def recording(rays, lineality, points):
+        handed.append((rays, lineality))
+        return projected_levels(rays, lineality, points)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fan_module, "projected_levels", recording)
+        levels = _cone_levels(c.rays, region, lineality, start)
+    (rays, kernel), = handed
+    rows = [(0,) * d + (1,)] + [tuple(-x for x in r) + (1,) for r in c.rays]
+    expected, expected_kernel = double_description(rows, d + 1)
+    if not expected_kernel:
+        assert kernel == () and sorted(rays) == list(expected)
+    else:
+        assert len(kernel) == len(expected_kernel) == rank(list(kernel) + list(expected_kernel))
+        by_tight = dict((t, z) for z, t in expected)
+        assert sorted(t for _, t in rays) == sorted(by_tight)
+        assert all(rank(list(kernel) + [z, by_tight[t]]) == len(kernel) + 1 for z, t in rays)
+        fresh = projected_levels(expected, expected_kernel, sorted([(0,) * d, *c.rays]))
+        for shrink in (1, 2, 3, Fraction(3, 2)):
+            assert level_points(levels, shrink=shrink) == level_points(fresh, shrink=shrink)
+    return sum(1 for z, _ in region if z[d]) > 1
+
+
+def test_the_valid_rows_of_the_suite_cones_are_the_double_description_of_their_points(suite):
+    from_start = [_valid_rows_match_the_double_description_of_the_points(c)
+                  for _, p in suite for c in normal_fan(p).maximal_cones]
+    assert (len(from_start), sum(from_start)) == (1117, 452)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(1, 4), st.booleans(), st.data())
+def test_the_valid_rows_of_drawn_cones_are_the_double_description_of_their_points(d, placed, data):
+    # cones of rank 1-4: rays with a positive last coordinate, of any rank,
+    # or full-rank rays of Z^k placed in Z^d by a unimodular map
+    c = _lower_rank_cone(d, data)[0] if placed and d > 1 else cone(data.draw(_upper_rays(d, 1, d + 3)))
+    _valid_rows_match_the_double_description_of_the_points(c)
 
 
 def _largest_dual_denominator(c):
@@ -516,46 +584,46 @@ def _largest_dual_denominator(c):
 
 def test_canonicity_threshold_makes_at_most_two_double_descriptions_and_no_rank(monkeypatch, count_calls):
     # a full-rank cone makes one double description for its dual vertices and
-    # facets and, when max s > 1, at most one more for the levels of
-    # conv(0, rays): one of its points for level d, each level below being an
-    # equality cut of the one above, and none when the dual region has one
-    # vertex, whose double description already holds the rows of level d, as
-    # for the plane and pyramid cones (the d4-s4029 cones have three). No
-    # from_vertices builds conv(0, rays), and the rays span, so no rank is
-    # taken. The cone of rank 2 in Z^3 is described once on its rays, whose
-    # lineality, the equation of its plane, its one-vertex levels keep, so
-    # it takes no rank either. A cone built by hand describes its rays when
-    # it is built, so each hand-made cone is built again inside the count
-    # and makes that one (cone() would pass in the one it validated with,
-    # test_a_validated_cone_keeps_its_dual_description). The normal fan's
-    # cones arrive with the description normal_fan proved them
-    # full-dimensional with, so each makes only the one for its levels
-    calls = {"from_vertices": 0, "double_description": 0}
-
-    def counting(name, f):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return f(*args, **kwargs)
-        return wrapper
-
+    # facets, and none for the levels of conv(0, rays): level d is read off
+    # it, each level below being an equality cut of the one above. When the
+    # dual region has one vertex, that description already holds the rows of
+    # level d, as for the plane and pyramid cones. Otherwise (the d4-s4029
+    # cones have three vertices) they come from its pivot stage, the start the
+    # cone keeps, with one sign changed and the 2 ray rows that waited added,
+    # then 2 cuts: 4 pair steps and no pivot on each of those cones, where a
+    # second double description of the points took 5 pivots and 2 pair steps
+    # before the cuts. No from_vertices builds conv(0, rays), and the rays
+    # span, so no rank is taken. The cone of rank 2 in Z^3 is described once
+    # on its rays, whose lineality, the equation of its plane, its one-vertex
+    # levels keep, so it takes no rank either. A cone built by hand describes
+    # its rays when it is built, so each hand-made cone is built again inside
+    # the count and makes that one pivot stage and its steps, and the pyramid
+    # and the flat cone one cut each; the skew cone, whose dual vertices all
+    # have s = 1, compiles no levels (cone() would pass in the description it
+    # validated with, test_a_validated_cone_keeps_its_dual_description). The
+    # normal fan's cones arrive with the description normal_fan proved them
+    # full-dimensional with, so they make no pivot stage. Every step of a
+    # description, a cut or the levels is one pivot (_lift) or one pair step
+    # (_add_row), counted per cone as (_lift, _add_row) calls; no row here
+    # waits on a lineality, so every _lift call pivots
     plane, pyramid, skew, flat = (Cone(len(gens[0]), cone(gens).rays) for gens in
                                   ([(2, -1), (2, 1)], PYRAMID_RAYS, SKEW_RAYS, [(2, -1, 0), (2, 1, 0)]))
     cones = normal_fan(random_lattice_polytope(4, 6, 4029, box=2)).maximal_cones
     assert [_largest_dual_denominator(c) for c in (pyramid, skew)] == [2, 1]
     assert all(_largest_dual_denominator(c) > 1 for c in cones)
     assert [len(brute_dual_vertices(c.rays)) for c in [plane, pyramid] + list(cones)] == [1, 1] + [3] * 6
-    monkeypatch.setattr("polyadj.polytope.from_vertices", counting("from_vertices", from_vertices))
-    # rank is counted at every binding: the fan imports none
-    ranks = count_calls((ratmath, "rank"))
-    # every binding of the kernel: fan's dual double description and projected_levels both run it
-    for module in (polytope, fan_module):
-        if hasattr(module, "double_description"):
-            monkeypatch.setattr(module, "double_description",
-                                counting("double_description", double_description))
+    built = []
+    monkeypatch.setattr("polyadj.polytope.from_vertices", lambda *args: built.append(args))
+    counts = count_calls((ratmath, "rank"), (polytope, "double_description"), (polytope, "_pivots"),
+                         (polytope, "_lift"), (polytope, "_add_row"))
+    steps = []
     for c, by_hand in [(plane, True), (pyramid, True), (skew, True), (flat, True)] + [(c, False) for c in cones]:
-        calls.update(double_description=0)
+        counts.update(_pivots=0, _lift=0, _add_row=0)
         canonicity_threshold(Cone(c.ambient_dim, c.rays) if by_hand else c)
-        assert calls == {"from_vertices": 0, "double_description": 1} and ranks == {"rank": 0}
+        assert counts["_pivots"] == by_hand and built == []
+        steps.append((counts["_lift"], counts["_add_row"]))
+    assert counts["rank"] == counts["double_description"] == 0
+    assert steps == [(3, 0), (4, 2), (4, 1), (4, 0)] + [(0, 4)] * 6
     assert canonicity_threshold(plane)[0] == Fraction(1, 2)
     assert canonicity_threshold(pyramid)[0] == Fraction(1, 2)
     assert canonicity_threshold(flat)[0] == Fraction(1, 2)

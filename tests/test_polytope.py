@@ -382,10 +382,13 @@ def test_from_inequalities_makes_no_lp_and_one_double_description(count_calls):
     assert is_lattice_polytope(p)
     # no second vertex enumeration: the fan proves each of its 5 maximal
     # cones full-dimensional with that cone's dual height description, which
-    # the cone keeps, and makes no other
+    # the cone keeps, and makes no other. The fan runs each description's
+    # pivot stage itself, to keep its start, so every description is
+    # counted by its one pivot stage
+    pivots = count_calls((polytope, "_pivots"))
     cones = fan.normal_fan(p).maximal_cones
     assert len(cones) == 5 and all(c.functionals is not None for c in cones)
-    assert calls["double_description"] == 1 + 5
+    assert calls["double_description"] == 1 and pivots == {"_pivots": 5}
     assert p == fig1()
 
 
@@ -823,12 +826,45 @@ def test_integer_points_give_the_hulls_of_the_same_points_as_fractions(d, data):
 @given(st.integers(2, 4).flatmap(lambda n: st.lists(st.tuples(*[small] * n), min_size=1, max_size=9)),
        st.data())
 def test_double_description_is_the_same_in_any_order_once_the_cone_is_pointed(rows, data):
-    # with a key, the rows left once the lineality is empty go in in its
-    # order; a pointed cone's primitive extreme rays and their tight sets
-    # are unique, and a cone with lines takes every row in index order
+    # with a key, the rows that wait for the pivots go in in its order; a
+    # pointed cone's primitive extreme rays and their tight sets are
+    # unique, and so is each ray of a cone with lines, the representative
+    # of its class in the span of the pivots
     order = data.draw(st.permutations(range(len(rows))))
     n = len(rows[0])
     assert double_description(rows, n, order.index) == double_description(rows, n)
+
+
+def _seeded_point_sets(count, seed):
+    """count point sets in Q^d, d = 1-4, of affine rank at most k = 1-d, drawn by SplitMix64(seed).
+
+    Each is 2-9 points base + M t, M a d x k matrix and t in [-2, 2]^k,
+    divided by a denominator 1-3, so flat sets, single points and
+    full-dimensional ones all occur.
+    """
+    rng = SplitMix64(seed)
+    sets = []
+    for _ in range(count):
+        d = rng.randint(1, 4)
+        k = rng.randint(1, d)
+        base = [rng.randint(-3, 3) for _ in range(d)]
+        matrix = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(d)]
+        q = rng.randint(1, 3)
+        local = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(rng.randint(2, 9))]
+        sets.append([tuple(Fraction(b + sum(m * t for m, t in zip(row, ts)), q) for row, b in zip(matrix, base))
+                     for ts in local])
+    return sets
+
+
+def test_the_hulls_of_seeded_point_sets_are_pinned():
+    # sha256 of hull_any_dim, incidence too, on 1500 seeded point sets,
+    # 945 of them flat, pinned before the double description took the
+    # rows that vanish on the lineality after its pivots: a pointed cone's
+    # rays do not depend on the order, and a flat set's rays are the one
+    # representative of each in the span of the pivots
+    out = [(h, h.incidence) for h in map(hull_any_dim, _seeded_point_sets(1500, 41))]
+    assert sum(1 for h, _ in out if h.dim < h.ambient_dim) == 945
+    assert _sha(out) == "17423b0da81442ad469a14e262bd03cad471175f18071cd27f351d606c124861"
 
 
 def test_lattice_flag():

@@ -9,7 +9,7 @@ import sys
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from oracles import bland_simplex, gauss_rref
+from oracles import bland_simplex, gauss_rref, normalized_volume
 from polyadj import ratmath
 from polyadj.adjunction import adjunction_data, core_config
 from polyadj.errors import GridTooLargeError, InvalidConfigError, PolyadjError
@@ -140,8 +140,13 @@ def test_the_step_of_a_simplex_acore_is_read_off_its_one_relation(suite_reports)
     # duals carry one relation w up to sign, all of one sign; the duals there
     # are w / sum(w), and the step 1/N has N dividing sum(w), a proper
     # divisor on 9 reports. On a simplex acore the support is all the core
-    # rows, and the step is 1 / sum(w), the lcm of the duals' denominators
-    ranks, proper = {}, 0
+    # rows, and the step is 1 / sum(w), the lcm of the duals' denominators.
+    # The support normals are a simplex S with 0 in its relative interior,
+    # so for any y with A y + c 1 integral, c = sum lambda_i (<a_i, y> + c)
+    # with lambda_i = |det(S minus a_i)| / V(S): c V(S) is an integer, and
+    # N divides the normalized volume V(S) (the paper's chain from the step
+    # to the volume of the acore), with V(S) != N on 69 reports
+    ranks, proper, above = {}, 0, 0
     for key, rep in suite_reports.items():
         data = rep.data
         basis = relations(core_config(data))
@@ -156,11 +161,14 @@ def test_the_step_of_a_simplex_acore_is_read_off_its_one_relation(suite_reports)
         step = rep.spectrum.step
         assert step.numerator == 1 and sum(w) % step.denominator == 0, key
         proper += sum(w) != step.denominator
+        volume = normalized_volume([data.polytope.normals[i] for i in support])
+        assert volume % step.denominator == 0, key
+        above += volume != step.denominator
         if simplex:
             assert support == list(data.core_normal_indices), key
             assert step == Fraction(1, sum(w)) == Fraction(1, lcm(*(v.denominator for v in y))), key
     assert ranks == {(True, 1): 184, (False, 2): 12, (False, 3): 4}
-    assert proper == 9
+    assert proper == 9 and above == 69
 
 
 def test_the_step_takes_one_integer_kernel(count_calls):
