@@ -766,6 +766,7 @@ def level_points(levels, shrink=1) -> list[IntVector]:
                 out.extend([point + (w,) for w in range(u, t + 1)])
 
     rec(1)
+    del rec  # rec holds itself through its cell: dropping it frees the walk without the cyclic collector
     return out
 
 

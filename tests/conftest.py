@@ -13,7 +13,7 @@ from operator import mul
 
 import pytest
 
-from polyadj import analyze, polytope
+from polyadj import analyze, lp, polytope
 from polyadj.generators import cube, fig1, random_lattice_polytope, scaled_simplex
 
 # (dim, points, box, first seed, count); 100 + 70 + 30 = 200 instances.
@@ -133,6 +133,35 @@ def count_kernel_work():
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(polytope, "_add_row", counting)
+            run()
+        return work
+
+    return count
+
+
+@pytest.fixture
+def count_pivot_rows():
+    """count_pivot_rows(run) calls run() and returns the rows the simplex pivots in it rewrite.
+
+    lp._pivot, the step of every simplex pivot of both phases, is wrapped
+    for the call. A pivot on (r, c) rewrites each stored row other than row
+    r with a nonzero entry in column c; a row stored as None is not
+    rewritten. Returns {"pivots": pivots, "rows": rows rewritten, "most":
+    the most rows one pivot rewrote}.
+    """
+    def count(run):
+        step = lp._pivot
+        work = {"pivots": 0, "rows": 0, "most": 0}
+
+        def counting(rows, basis, r, c):
+            rewritten = sum(1 for i, row in enumerate(rows) if i != r and row is not None and row[c])
+            work["pivots"] += 1
+            work["rows"] += rewritten
+            work["most"] = max(work["most"], rewritten)
+            return step(rows, basis, r, c)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lp, "_pivot", counting)
             run()
         return work
 

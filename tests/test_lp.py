@@ -9,6 +9,7 @@ from oracles import bland_simplex, fm_maximize, fm_project_feasible
 from polyadj.errors import DimensionMismatchError, InternalInconsistencyError
 from polyadj import lp
 from polyadj.adjunction import adjunction_data
+from polyadj.generators import random_lattice_polytope
 from polyadj.lp import is_feasible, solve
 from polyadj.ratmath import dot
 
@@ -29,6 +30,18 @@ def mixed_instances(d):
     return st.tuples(st.lists(rows, max_size=3), st.lists(rows, max_size=2),
                      st.sets(st.integers(min_value=0, max_value=d - 1)),
                      st.lists(small, min_size=d, max_size=d))
+
+
+@st.composite
+def tall_instances(draw):
+    """Mixed instances of 6-16 inequality rows in 2-4 variables, far more
+    rows than basic structural columns; about one right hand side in eight
+    is negative, so that phase 1 runs on most of them."""
+    d = draw(st.integers(min_value=2, max_value=4))
+    vector = st.lists(small, min_size=d, max_size=d)
+    ineqs = draw(st.lists(st.tuples(vector, st.integers(min_value=-1, max_value=6)), min_size=6, max_size=16))
+    eqs = draw(st.lists(st.tuples(vector, small), max_size=1))
+    return ineqs, eqs, draw(st.sets(st.integers(min_value=0, max_value=d - 1))), draw(vector)
 
 
 @st.composite
@@ -177,6 +190,38 @@ def test_the_shift_lp_pivots_are_pinned(count_calls, suite):
     assert counts["_pivot"] == 974
 
 
+ADJOINT_SEEDS = range(5000, 5060)  # the benchmark's adjoint workload at seed 0
+
+
+def test_the_adjoint_shift_lps_are_pinned_and_pivot_like_the_fraction_reference(count_calls):
+    # the shift LPs of 60 hulls of 12 points in [-4, 4]^3, about 16 rows in
+    # 4 variables each: one of them needs phase 1
+    counts = count_calls((lp, "_pivot"))
+    polytopes = [random_lattice_polytope(3, 12, s, box=4) for s in ADJOINT_SEEDS]
+    for p in polytopes:
+        adjunction_data(p)
+    assert counts["_pivot"] == 273
+    for p in polytopes:
+        normals = [a + (1,) for a in p.normals]
+        res = solve(normals, p.rhs, [0, 0, 0, 1], nonneg=[3])
+        status, value, point, _, duals = bland_simplex(normals, p.rhs, [0, 0, 0, 1], "max", nonneg=[3])
+        assert (res.status, res.value, res.point, res.duals) == (status, value, point, duals)
+
+
+def test_the_pivots_rewrite_only_the_stored_rows_of_the_structural_block(count_pivot_rows, suite):
+    # the work counter of a pivot: the stored rows it rewrites. Only a row
+    # whose basic column is a u or a w is stored, at most one per variable,
+    # so at most d + 1 for the shift LP of a d-polytope (5 in the suite's
+    # d = 4 and 4 in the adjoint LPs' d = 3). The tableau that stored every row
+    # rewrote 5699 rows over the suite's 974 pivots and 3637 over the
+    # adjoint LPs' 273
+    work = count_pivot_rows(lambda: [adjunction_data(p) for _, p in suite])
+    assert work == {"pivots": 974, "rows": 1638, "most": 5}
+    work = count_pivot_rows(lambda: [adjunction_data(random_lattice_polytope(3, 12, s, box=4))
+                                     for s in ADJOINT_SEEDS])
+    assert work == {"pivots": 273, "rows": 447, "most": 4}
+
+
 # max x0 / 2 + x1 / 5 with x0 free and x1 >= 0, rational in every row, rhs
 # and objective entry; row 1 is twice row 0 with a looser bound, and the
 # equality row's rhs is negative, so its dual is read with sign -1. The
@@ -192,8 +237,8 @@ def certified_solve(monkeypatch, edit=None):
     phase 2 replaced by edit(rc, den) before the certificate is checked."""
     run = lp._run
 
-    def tampering(rows, basis, cost, ncols):
-        costs = run(rows, basis, cost, ncols)
+    def tampering(tab, cost, ncols):
+        costs = run(tab, cost, ncols)
         if edit is not None and costs is not None and ncols < len(cost):  # phase 2
             rc, den = costs
             costs = edit(list(rc), den)
@@ -325,8 +370,8 @@ def test_rank_deficient_equalities_agree_with_elimination(data):
 
 
 @settings(deadline=None, max_examples=200)
-@given(st.one_of(mixed_instances(3), rank_deficient_instances(3)),
-       st.lists(st.integers(min_value=1, max_value=6), min_size=3, max_size=3))
+@given(st.one_of(mixed_instances(3), rank_deficient_instances(3), tall_instances()),
+       st.lists(st.integers(min_value=1, max_value=6), min_size=16, max_size=16))
 # phase 1 leaves an artificial basic in a row with two nonzero entries: the
 # duals depend on which one its drop pivot takes
 @example(([([2, 5], 1), ([3, -1], 3)], [([8, -2], 0), ([-8, 2], 0)], {0, 1}, [2, -5]), [1, 1, 1])
