@@ -310,9 +310,7 @@ def analyze(p: HPolytope, alpha=None, epsilon=Fraction(1, 2)) -> AnalysisReport:
     # verify_lemmas or spectrum_superset would give after the whole scan
     if alpha is not None and not 0 < Fraction(alpha) <= 1:
         raise ValueError("alpha must lie in (0, 1]")
-    epsilon = Fraction(epsilon)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    epsilon = spectrum_mod._positive_epsilon(epsilon)
     data = adjunction_data(p)
     fan = normal_fan(p)
     info = fan_summary(fan)

@@ -31,7 +31,7 @@ from .polyfile import (
 )
 from .polytope import dilate
 from .ratmath import format_fraction, parse_rational
-from .spectrum import check_necessary_condition, spectrum_superset
+from .spectrum import _positive_epsilon, check_necessary_condition, spectrum_superset
 
 DEFAULT_MAX_DIM = 8
 # Reports list a spectrum superset's values only up to this many, about 20 MB
@@ -319,6 +319,7 @@ def cmd_census(args) -> int:
 def cmd_spectrum(args) -> int:
     if (args.config is None) == (args.from_polytope is None):
         raise ValueError("give either a configuration file or --from-polytope, not both")
+    _positive_epsilon(args.epsilon)  # refused before any geometry, as analyze does
     if args.from_polytope is not None:
         doc = _polytope_document(args.from_polytope)
         cfg = core_config(adjunction_data(polytope_from_document(doc)))

@@ -43,7 +43,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
-from operator import mul
 from typing import Optional, Sequence
 
 from .errors import (
@@ -65,6 +64,7 @@ from .polytope import (
 )
 from .ratmath import (
     IntVector,
+    _int_kernels,
     det,
     dot,
     ext_gcd_list,
@@ -348,11 +348,12 @@ def canonicity_threshold(c: Cone, below=1) -> tuple[Fraction, Optional[Canonicit
         return below, None
     region, lineality, duals, scale, start = c.functionals
     levels = _cone_levels(c.rays, region, lineality, start)
+    value = _int_kernels(c.ambient_dim)[0]
     t = Fraction(1, 1 << (top.bit_length() - 1))
     while True:
         # a unit fraction's shrink is an int, which the walk floors faster
         shrink = t.denominator if t.numerator == 1 else 1 / t
-        least = min(((min([sum(map(mul, w, pt)) for w in duals]), pt)
+        least = min(((min([value(w, pt) for w in duals]), pt)
                      for pt in level_points(levels, shrink=shrink) if any(pt)), default=None)
         if (least is not None and least[0] * t.denominator <= scale * t.numerator) or t >= below:
             break

@@ -244,14 +244,16 @@ def solve(normals: Sequence, rhs: Sequence, objective: Sequence, *, eq_normals: 
     ncols = ncore + len(art)
     orig = []
     for i, (nums, den) in enumerate(cleared):
-        # the row times sigma[i] * den
+        # the row times sigma[i] * den, already coprime: it holds +-den at its
+        # slack or artificial, and no prime divides both den and every
+        # numerator, since den is the least common denominator of the row
         u = [sigma[i] * x for x in nums[:-1]]
         extra = [0] * (n + len(art))
         if i < n:
             extra[i] = sigma[i] * den
         if i in art:
             extra[art[i] - slack0] = den
-        orig.append(_reduced(u + [-u[j] for j in free] + extra + [sigma[i] * nums[-1]]))
+        orig.append(u + [-u[j] for j in free] + extra + [sigma[i] * nums[-1]])
     home = [None] * slack0 + orig[:n] + [orig[i] for i in art]
     tab = _Tableau([art.get(i, slack0 + i) for i in range(len(orig))], slack0, home)
 

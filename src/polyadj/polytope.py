@@ -15,7 +15,11 @@ system is its set's lines, so no LP and no cut is needed to decide
 emptiness or boundedness. The kernel works on primitive integer vectors
 only, pairs the rays on the two sides of each row and tests adjacency by
 counting tight sets; a hull of points adds the rows that wait farthest
-first (_point_hull). Lattice points
+first (_point_hull). Its steps (_lift, _add_row) see a few short vectors
+each, so they take a row's value on a vector, the combination of two
+vectors and the division by their gcd through the int kernels unrolled
+for the vectors' length (ratmath._int_kernels), with the arithmetic of
+the generic forms. Lattice points
 are enumerated coordinate by coordinate over the projections of a set
 onto x_1..x_j (projected_levels). The valid rows (a, beta) of a set form
 a cone whose rays are its facets and whose lineality is the equations of
@@ -57,7 +61,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from operator import mul
 from typing import Sequence
 
 from .errors import (
@@ -70,6 +73,7 @@ from .errors import (
 )
 from .ratmath import (
     IntVector,
+    _int_kernels,
     common_denominator,
     det,
     dot,
@@ -346,8 +350,9 @@ def _lift(rays, lineality, row: Sequence[int], bit: int):
     row vanishes on them. The pivot becomes a ray, tight on every earlier
     row.
     """
+    value, comb, div = _int_kernels(len(row))
     for i, pivot in enumerate(lineality):
-        a = sum(map(mul, row, pivot))
+        a = value(row, pivot)
         if not a:
             continue
         if a < 0:
@@ -355,21 +360,21 @@ def _lift(rays, lineality, row: Sequence[int], bit: int):
         # each z becomes the primitive part of a z - <row, z> pivot, on which the row vanishes
         lifted, rest = [], list(lineality[:i])
         for z, t in rays:
-            b = sum(map(mul, row, z))
+            b = value(row, z)
             if b:
-                z = tuple(a * x - b * y for x, y in zip(z, pivot))
+                z = comb(a, z, b, pivot)
                 g = gcd(*z)
                 if g > 1:
-                    z = tuple(c // g for c in z)
+                    z = div(z, g)
             lifted.append((z, t | bit))
         lifted.append((pivot, bit - 1))
         for z in lineality[i + 1:]:
-            b = sum(map(mul, row, z))
+            b = value(row, z)
             if b:
-                z = tuple(a * x - b * y for x, y in zip(z, pivot))
+                z = comb(a, z, b, pivot)
                 g = gcd(*z)
                 if g > 1:
-                    z = tuple(c // g for c in z)
+                    z = div(z, g)
             rest.append(z)
         return lifted, rest
     return None
@@ -381,15 +386,16 @@ def _add_row(rays, lineality, row: Sequence[int], bit: int) -> tuple[list, list]
     The row vanishes on the lineality, and bit is as for _lift. The rays
     come back unsorted. The pass takes each ray's value and tight set once.
     """
+    value, comb, div = _int_kernels(len(row))
     kept, positive, negative, tights = [], [], [], []
     for z, t in rays:
-        v = sum(map(mul, row, z))
+        v = value(row, z)
         tights.append(t)
         if v > 0:
             kept.append((z, t))
             positive.append((v, z, t))
         elif v < 0:
-            negative.append((-v, z, t))
+            negative.append((v, z, t))
         else:
             kept.append((z, t | bit))
     if positive and negative:
@@ -407,9 +413,9 @@ def _add_row(rays, lineality, row: Sequence[int], bit: int) -> tuple[list, list]
                         if seen == 3:
                             break
                 else:
-                    v = tuple(vi * x + vj * y for x, y in zip(zj, zi))
+                    v = comb(vi, zj, vj, zi)  # vi zj + |vj| zi, on which the row vanishes
                     g = gcd(*v)
-                    kept.append((tuple(c // g for c in v) if g > 1 else v, common | bit))
+                    kept.append((div(v, g) if g > 1 else v, common | bit))
     return kept, lineality
 
 

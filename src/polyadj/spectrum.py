@@ -193,12 +193,20 @@ def codegree_step(cfg: CoreNormalConfig) -> Fraction:
     return _reduced_rows(cfg)[0]
 
 
-def spectrum_superset(cfg: CoreNormalConfig, epsilon) -> SpectrumSuperset:
-    """All candidate Q-codegrees >= epsilon for polytopes with this core
-    normal set, in descending order."""
+def _positive_epsilon(epsilon) -> Fraction:
+    """epsilon as a Fraction, or ValueError unless it is positive: the one
+    check of a spectrum cutoff, which analyze and the command line also make
+    before any geometry."""
     eps = Fraction(epsilon)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
+    return eps
+
+
+def spectrum_superset(cfg: CoreNormalConfig, epsilon) -> SpectrumSuperset:
+    """All candidate Q-codegrees >= epsilon for polytopes with this core
+    normal set, in descending order."""
+    eps = _positive_epsilon(epsilon)
     g = codegree_step(cfg)
     kmax = floor(1 / (eps * g))
     return SpectrumSuperset(g, eps, ReciprocalGrid(g, kmax))

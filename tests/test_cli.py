@@ -193,6 +193,24 @@ def test_spectrum_from_polytope(capsys, tmp_path):
     assert run(capsys, ["spectrum"])[0] == 3
 
 
+@pytest.mark.parametrize("epsilon", ["0", "-1/2"])
+def test_spectrum_refuses_a_bad_epsilon_before_any_work(capsys, monkeypatch, tmp_path, epsilon):
+    # as analyze does: the cutoff is refused before the polytope's
+    # adjunction data and core configuration are computed
+    def fail(*args, **kw):
+        raise AssertionError("geometry ran on a refused epsilon")
+
+    monkeypatch.setattr(cli, "adjunction_data", fail)
+    monkeypatch.setattr(cli, "core_config", fail)
+    path = tmp_path / "fig1.poly"
+    main(["gen", "fig1", "--out", str(path)])
+    cfg = tmp_path / "pair.cfg"
+    cfg.write_text("dim 2\nA\n0 -1\n0 1\n")
+    for argv in (["--from-polytope", str(path)], [str(cfg)]):
+        code, out, err = run(capsys, ["spectrum", *argv, f"--epsilon={epsilon}"])
+        assert (code, out) == (3, "") and "epsilon must be positive" in err
+
+
 def test_census_writes_csv_rows_and_a_consistent_summary(capsys, tmp_path):
     # the second run, at alpha = 1, has rows that are not canonical, one of
     # them with a Q-codegree above epsilon, and fans with no Gorenstein index

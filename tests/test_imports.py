@@ -218,6 +218,24 @@ def test_fan_reads_integer_kernels_only_for_the_least_point_of_a_class():
         assert functions_reading(source, name) == ["_least_point"], name
 
 
+def test_the_unrolled_kernels_serve_the_double_description_steps_and_the_heights_alone():
+    # the pivot and pair steps and the scan's heights read the int kernels
+    # of ratmath._int_kernels; lp, whose row widths vary from LP to LP,
+    # does not, and the tests' own helpers and oracles keep the generic
+    # arithmetic, so they stay independent of the code they check
+    readers = {}
+    for module in ("polytope.py", "fan.py", "lp.py"):
+        with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+            readers[module] = functions_reading(fh.read(), "_int_kernels")
+    assert readers == {"polytope.py": ["_add_row", "_lift"], "fan.py": ["canonicity_threshold"], "lp.py": []}
+    with open(os.path.join(PACKAGE, "lp.py"), encoding="utf-8") as fh:
+        assert "_int_kernels" not in imported_names(fh.read())
+    here = os.path.dirname(os.path.abspath(__file__))
+    for name in ("conftest.py", "oracles.py"):
+        with open(os.path.join(here, name), encoding="utf-8") as fh:
+            assert "_int_kernels" not in fh.read(), name
+
+
 def truncating_reads(source: str) -> list[str]:
     """Dotted scopes of every comprehension int(x) for x in ..., which reads
     an entry by truncating it."""

@@ -512,6 +512,25 @@ def test_kernel_work_on_the_hull_point_sets_is_pinned(count_kernel_work):
     assert count_kernel_work(lambda: [lattice_points(p) for p in hulls]) == {"pairs": 1302, "created": 62}
 
 
+def test_double_description_of_seeded_systems_of_every_length_is_pinned():
+    # sha256 pinned before the steps read the unrolled kernels
+    # (ratmath._int_kernels), over lengths the suite never reaches: 12
+    # seeded systems for each n = 1..7 of n - 1 to n + 5 rows with entries
+    # in [-5, 5], each turned to be >= 0 on (1, ..., 1) so that its cone is
+    # not {0}; 794 rays in all, 350 at n = 7. With a key the waiting rows are
+    # added in another order, to the same rays, tight sets and lineality
+    rng = SplitMix64(4300)
+    plain, keyed = [], []
+    for n in range(1, 8):
+        for _ in range(12):
+            rows = [tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(rng.randint(max(1, n - 1), n + 5))]
+            rows = [r if sum(r) >= 0 else tuple(-x for x in r) for r in rows]
+            plain.append(double_description(rows, n))
+            keyed.append(double_description(rows, n, key=lambda k: (5 * k) % 7))
+    assert sum(len(rays) for rays, _ in plain) == 794
+    assert _sha(plain) == _sha(keyed) == "8cddac79115c80654bab900ea8eb07bd4f5476b19f95f35d925e5b3ee71aeb21"
+
+
 def test_from_vertices_needs_full_dimension():
     with pytest.raises(LowerDimensionalError):
         from_vertices([(0, 0), (1, 1), (2, 2)])

@@ -1,13 +1,19 @@
 """Exact linear algebra checked against naive reference implementations."""
 
 import hashlib
+import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import polyadj
 from oracles import gauss_rank, gauss_rref, gauss_solve, laplace_det
 from polyadj.errors import (
     DimensionMismatchError,
@@ -20,6 +26,7 @@ from polyadj.fan import cone
 from polyadj.generators import SplitMix64
 from polyadj.polytope import make_system
 from polyadj.ratmath import (
+    _int_kernels,
     _row_reduce,
     det,
     dot,
@@ -93,6 +100,68 @@ def test_vector_helpers(a, b):
 def test_vector_length_mismatch():
     with pytest.raises(DimensionMismatchError):
         dot([1, 2], [1])
+
+
+wide = st.integers(min_value=-2 ** 80, max_value=2 ** 80)
+
+
+@st.composite
+def kernel_arguments(draw):
+    """Three int vectors of one length n = 1..9 and two ints, entries up to 2^80 in absolute value."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    a, z, y = (tuple(draw(st.lists(wide, min_size=n, max_size=n))) for _ in range(3))
+    return a, z, y, draw(wide), draw(wide)
+
+
+@settings(max_examples=300)
+@given(kernel_arguments(), st.integers(min_value=1, max_value=2 ** 80))
+def test_the_unrolled_kernels_equal_the_generic_expressions(case, g):
+    a, z, y, p, q = case
+    value, comb, div = _int_kernels(len(z))
+    assert value(a, z) == sum(map(mul, a, z))
+    assert comb(p, z, q, y) == tuple(p * x - q * w for x, w in zip(z, y))
+    assert div(z, g) == tuple(x // g for x in z)
+    assert div(z, -g) == tuple(x // -g for x in z)
+
+
+def test_the_unrolled_kernels_refuse_another_length():
+    # each kernel unpacks its vectors, so none reads a prefix of a longer one
+    value, comb, div = _int_kernels(3)
+    for call in (lambda: value((1, 2, 3), (1, 2)), lambda: value((1, 2, 3, 4), (1, 2, 3)),
+                 lambda: comb(1, (1, 2, 3), 1, (1, 2, 3, 4)), lambda: div((2, 4), 2)):
+        with pytest.raises(ValueError):
+            call()
+    assert _int_kernels(0)[0]((), ()) == 0 and _int_kernels(0)[1](1, (), 1, ()) == ()
+
+
+def test_the_kernel_memo_holds_the_lengths_the_pipeline_used():
+    # the memo is keyed by length alone: after analyze on fig1 (d = 2), the
+    # cube (d = 3) and d4-s4029 it holds exactly the lengths d + 1 of their
+    # double descriptions and the length 4 of d4-s4029's cut and heights
+    # (the dual vertices of fig1 and the cube prove their thresholds, so
+    # their scans take no height), and lp, whose rows are read by generic
+    # loops, adds none. A length it holds is a hit when asked for again
+    code = (
+        "import json\n"
+        "from polyadj import analyze, lp\n"
+        "from polyadj.generators import cube, fig1, random_lattice_polytope\n"
+        "from polyadj.ratmath import _int_kernels\n"
+        "for p in (fig1(), cube(3), random_lattice_polytope(4, 6, 4029, box=2)):\n"
+        "    analyze(p)\n"
+        "size = _int_kernels.cache_info().currsize\n"
+        "lp.solve([(1, 1, 0), (0, -1, 1), (-1, 0, -1)], [4, 2, -1], (1, 2, 3), nonneg=[0])\n"
+        "after, held = _int_kernels.cache_info().currsize, []\n"
+        "for n in range(12):\n"
+        "    misses = _int_kernels.cache_info().misses\n"
+        "    _int_kernels(n)\n"
+        "    if _int_kernels.cache_info().misses == misses:\n"
+        "        held.append(n)\n"
+        "print(json.dumps([size, after, held]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(os.path.abspath(polyadj.__file__))))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+                         timeout=300).stdout
+    assert json.loads(out) == [3, 3, [3, 4, 5]]
 
 
 @given(st.lists(ints, min_size=1, max_size=5).filter(lambda v: any(v)))
