@@ -237,6 +237,16 @@ class LemmaReport:
         return all(checks)
 
 
+def _canonical_alpha(alpha) -> Fraction:
+    """alpha as a Fraction, or ValueError unless it lies in (0, 1]: the one
+    check of a canonicity level, which analyze and the command line also
+    make before any geometry."""
+    level = Fraction(alpha)
+    if not 0 < level <= 1:
+        raise ValueError("alpha must lie in (0, 1]")
+    return level
+
+
 def verify_lemmas(p: HPolytope, alpha=None, *, data: Optional[AdjunctionData] = None,
                   threshold: Optional[Fraction] = None) -> LemmaReport:
     """Check, on this one polytope, the structural facts the pipeline rests on.
@@ -266,9 +276,7 @@ def verify_lemmas(p: HPolytope, alpha=None, *, data: Optional[AdjunctionData] = 
 
     if threshold is None:
         threshold, _ = fan_canonicity_threshold(normal_fan(p))
-    alpha = threshold if alpha is None else Fraction(alpha)
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
+    alpha = _canonical_alpha(threshold if alpha is None else alpha)
     canonical = threshold >= alpha
     if canonical:
         inner = lattice_points(data.acore, region="relative_interior", shrink=1 / alpha)
@@ -308,8 +316,8 @@ def analyze(p: HPolytope, alpha=None, epsilon=Fraction(1, 2)) -> AnalysisReport:
         raise NotLatticePolytopeError("analysis requires a lattice polytope")
     # a bad level or cutoff is refused before any work, with the message
     # verify_lemmas or spectrum_superset would give after the whole scan
-    if alpha is not None and not 0 < Fraction(alpha) <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
+    if alpha is not None:
+        _canonical_alpha(alpha)
     epsilon = spectrum_mod._positive_epsilon(epsilon)
     data = adjunction_data(p)
     fan = normal_fan(p)

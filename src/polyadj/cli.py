@@ -15,11 +15,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Optional
 
-from .adjunction import AnalysisReport, adjunction_data, analyze, core_config, raw_critical_shift
+from .adjunction import AnalysisReport, _canonical_alpha, adjunction_data, analyze, core_config, raw_critical_shift
 from .errors import InternalInconsistencyError, ParseError, PolyadjError
 from .generators import SplitMix64, cube, fig1, random_lattice_polytope, scaled_simplex
 from .polyfile import (
@@ -260,6 +261,10 @@ def cmd_census(args) -> int:
     if args.count < 0:
         raise ValueError("count must be nonnegative")
     _check_dim(args.dim)
+    # refused before any draw, as analyze would refuse them at the first
+    _positive_epsilon(args.epsilon)
+    if args.alpha is not None:
+        _canonical_alpha(args.alpha)
     points = args.points if args.points is not None else args.dim + 5
     master = SplitMix64(args.seed)
     rows = []
@@ -399,9 +404,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# options whose value is a rational. argparse reads a value after a space
+# that starts with '-' as another option unless it looks like -1 or -0.5
+RATIONAL_OPTIONS = ("--alpha", "--epsilon", "--check")
+
+
+def _attach_negative_rationals(argv: list[str]) -> list[str]:
+    """argv with each rational option, or an abbreviation argparse accepts,
+    joined to a negative value after it, as --check -3/2 becomes
+    --check=-3/2: a value that starts with '-' and a digit or '-.' and a
+    digit, which no option name does."""
+    joined = []
+    for token in argv:
+        option = joined[-1] if joined else ""
+        if len(option) > 2 and any(name.startswith(option) for name in RATIONAL_OPTIONS) \
+                and re.match(r"-\.?\d", token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_rationals(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except ParseError as exc:

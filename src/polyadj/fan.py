@@ -29,13 +29,12 @@ passes the least height listed. Across a fan each cone's ladder is
 capped at the least threshold of the cones before it. A cone compiles
 the levels of its region (polytope.projected_levels) only when its
 ladder takes a rung, from the cone of its valid rows, with no second
-double description: the dual height description holds those rows when
-the dual region has one vertex, and otherwise they are its pivot stage,
-which the cone keeps, with the sign of its one ray off s = 0 turned and
-the ray rows that waited added (_cone_levels). A normal fan reads each
-maximal cone off the polytope's vertex-facet incidence and proves it
-full-dimensional with its dual height description, which has a lineality
-exactly when the rays do not span.
+double description: every cone reads those rows off the pivot stage of
+its dual height description, which it keeps, with the sign of its one
+ray off s = 0 turned and the ray rows that waited added (_cone_levels).
+A normal fan reads each maximal cone off the polytope's vertex-facet
+incidence and proves it full-dimensional with its dual height
+description, which has a lineality exactly when the rays do not span.
 """
 
 from __future__ import annotations
@@ -254,32 +253,27 @@ def _functionals(region, lineality, start) -> tuple:
     return region, lineality, duals, scale, start
 
 
-def _cone_levels(rays: Sequence[IntVector], region, lineality, start) -> list:
+def _cone_levels(rays: Sequence[IntVector], lineality, start) -> list:
     """The compiled lattice levels (polytope.projected_levels) of Q = conv(0, rays), for rays of any rank.
 
-    region, lineality and start are the rays' _dual_height_vertices. The
-    valid rows (a, beta) of Q are the cone V of beta >= 0 at the origin and
-    beta - <a, r> >= 0 at each ray r, whose lineality, the equations of the
-    span of the rays, is the region's: with the origin first and the rays
-    after, bit k of a tight set names the same row in both. When region
-    has one vertex (u, s), every ray has <u, r> = s, so Q is the cone cut
-    by <u, x> <= s, and region already holds Q's facet rows with their
-    tight sets: (-f, 0) for each of its facets (f, 0) and (u, s).
-    Otherwise -V is the cone of s <= 0 and the region's ray rows <r, u> >=
-    s, which differs from the region only in the sign of row 0. The
-    start's one ray off s = 0 is tight on every ray row the start took, so
-    negating it turns the start's cone into the cone of s <= 0 and those
-    rows; the ray rows that waited cut that down to -V, whose rays, negated,
-    are V's, with their tight sets. 0 and the rays, sorted, give level 1.
+    lineality and start are the rays' _dual_height_vertices. The valid rows
+    (a, beta) of Q are the cone V of beta >= 0 at the origin and beta -
+    <a, r> >= 0 at each ray r, whose lineality, the equations of the span
+    of the rays, is the region's: with the origin first and the rays after,
+    bit k of a tight set names the same row in both. -V is the cone of s
+    <= 0 and the region's ray rows <r, u> >= s, which differs from the
+    region only in the sign of row 0. The start's one ray off s = 0 is
+    tight on every ray row the start took, so negating it turns the start's
+    cone into the cone of s <= 0 and those rows; the ray rows that waited
+    cut that down to -V, whose rays, negated, are V's, with their tight
+    sets. Every cone takes this route, whatever the vertices of its region.
+    0 and the rays, sorted, give level 1.
     """
     d = len(rays[0])
-    points = sorted([(0,) * d, *rays])
-    if sum(1 for z, _ in region if z[d]) == 1:
-        return projected_levels([(z if z[d] else tuple(-x for x in z), t) for z, t in region], lineality, points)
     pivoted, _, waiting = start
     flipped = [(tuple(-x for x in z), t) if z[d] else (z, t) for z, t in pivoted]
     below, _ = _add_waiting(flipped, lineality, waiting)
-    return projected_levels([(tuple(-x for x in z), t) for z, t in below], lineality, points)
+    return projected_levels([(tuple(-x for x in z), t) for z, t in below], lineality, sorted([(0,) * d, *rays]))
 
 
 def _least_point(c: Cone, z: IntVector) -> tuple[int, IntVector]:
@@ -346,8 +340,8 @@ def canonicity_threshold(c: Cone, below=1) -> tuple[Fraction, Optional[Canonicit
     top = _height_floor(c)
     if num * top <= den:
         return below, None
-    region, lineality, duals, scale, start = c.functionals
-    levels = _cone_levels(c.rays, region, lineality, start)
+    _, lineality, duals, scale, start = c.functionals
+    levels = _cone_levels(c.rays, lineality, start)
     value = _int_kernels(c.ambient_dim)[0]
     t = Fraction(1, 1 << (top.bit_length() - 1))
     while True:

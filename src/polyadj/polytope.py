@@ -16,10 +16,10 @@ emptiness or boundedness. The kernel works on primitive integer vectors
 only, pairs the rays on the two sides of each row and tests adjacency by
 counting tight sets; a hull of points adds the rows that wait farthest
 first (_point_hull). Its steps (_lift, _add_row) see a few short vectors
-each, so they take a row's value on a vector, the combination of two
-vectors and the division by their gcd through the int kernels unrolled
-for the vectors' length (ratmath._int_kernels), with the arithmetic of
-the generic forms. Lattice points
+each, so they take a row's value on a vector and each new vector, the
+primitive part of a combination of two, by one call each to the int
+kernels unrolled for the vectors' length (ratmath._int_kernels), with
+the arithmetic of the generic forms. Lattice points
 are enumerated coordinate by coordinate over the projections of a set
 onto x_1..x_j (projected_levels). The valid rows (a, beta) of a set form
 a cone whose rays are its facets and whose lineality is the equations of
@@ -60,7 +60,6 @@ imports no LP.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
 from .errors import (
@@ -346,11 +345,11 @@ def _lift(rays, lineality, row: Sequence[int], bit: int):
     vector it reaches. It takes the row on the lineality up to the first
     vector where it is nonzero, the pivot, then on each ray and each later
     lineality vector, and lifts those on which it is nonzero onto its
-    hyperplane; the vectors before the pivot stay as they are, since the
-    row vanishes on them. The pivot becomes a ray, tight on every earlier
-    row.
+    hyperplane, by one comb call each; the vectors before the pivot stay
+    as they are, since the row vanishes on them. The pivot becomes a ray,
+    tight on every earlier row.
     """
-    value, comb, div = _int_kernels(len(row))
+    value, comb = _int_kernels(len(row))
     for i, pivot in enumerate(lineality):
         a = value(row, pivot)
         if not a:
@@ -363,18 +362,12 @@ def _lift(rays, lineality, row: Sequence[int], bit: int):
             b = value(row, z)
             if b:
                 z = comb(a, z, b, pivot)
-                g = gcd(*z)
-                if g > 1:
-                    z = div(z, g)
             lifted.append((z, t | bit))
         lifted.append((pivot, bit - 1))
         for z in lineality[i + 1:]:
             b = value(row, z)
             if b:
                 z = comb(a, z, b, pivot)
-                g = gcd(*z)
-                if g > 1:
-                    z = div(z, g)
             rest.append(z)
         return lifted, rest
     return None
@@ -386,7 +379,7 @@ def _add_row(rays, lineality, row: Sequence[int], bit: int) -> tuple[list, list]
     The row vanishes on the lineality, and bit is as for _lift. The rays
     come back unsorted. The pass takes each ray's value and tight set once.
     """
-    value, comb, div = _int_kernels(len(row))
+    value, comb = _int_kernels(len(row))
     kept, positive, negative, tights = [], [], [], []
     for z, t in rays:
         v = value(row, z)
@@ -413,9 +406,8 @@ def _add_row(rays, lineality, row: Sequence[int], bit: int) -> tuple[list, list]
                         if seen == 3:
                             break
                 else:
-                    v = comb(vi, zj, vj, zi)  # vi zj + |vj| zi, on which the row vanishes
-                    g = gcd(*v)
-                    kept.append((div(v, g) if g > 1 else v, common | bit))
+                    # the primitive part of vi zj + |vj| zi, on which the row vanishes
+                    kept.append((comb(vi, zj, vj, zi), common | bit))
     return kept, lineality
 
 

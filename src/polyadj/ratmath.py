@@ -13,9 +13,8 @@ saturate takes the kernel of a kernel. rank, det and null_basis reduce
 the rows with their denominators cleared once: rank counts the pivots,
 det multiplies them, and null_basis reads each vector by an integer back
 substitution. A Fraction is formed only for det's answer. _int_kernels
-compiles, once per vector length, the unrolled dot product, combination
-and exact division that the double description's steps and the
-canonicity scan's heights take on short int vectors.
+compiles, per vector length, the unrolled int kernels (dot and comb) that
+the double description's steps and the canonicity scan's heights take.
 """
 
 from __future__ import annotations
@@ -59,31 +58,31 @@ def dot(a: Sequence, x: Sequence) -> Fraction | int:
 
 @cache
 def _int_kernels(n: int) -> tuple:
-    """(dot, comb, div): unrolled kernels for int vectors of length n.
+    """(dot, comb): unrolled kernels for int vectors of length n.
 
-    dot(a, z) is <a, z>, comb(p, z, q, y) the vector p z - q y and div(z,
-    g) the vector z // g, each the generic expression's int or tuple of
-    ints, written out term by term for length n and compiled by one exec,
-    as record does for records. Each unpacks its vectors, so one of another
-    length raises ValueError. The double description's steps call them on
-    short vectors, d + 1 entries for a set in Q^d, where the generic forms
-    cost two to four times as much. The memo is keyed by n alone and holds code, not data:
-    its size is the number of distinct lengths asked for, and no returned
-    value depends on the calls before. lp does not use them: its row widths
-    vary from one LP to the next, and compiling one length costs more than
-    a solve would save.
+    dot(a, z) is <a, z> and comb(p, z, q, y) the primitive part of p z - q
+    y: the tuple over the gcd of its entries when that exceeds 1, () for n
+    = 0. Each is written out for length n, compiled by one exec as record
+    does for records, and unpacks its vectors, so one of another length
+    raises ValueError. On the d + 1 entries of a set in Q^d that the double
+    description's steps see, the generic forms cost two to four times as
+    much. The memo is keyed by n alone and holds code, not data: its size
+    is the number of distinct lengths asked for, and no returned value
+    depends on the calls before. lp does not use them: its row widths vary
+    from one LP to the next, and compiling one length costs more than a
+    solve would save.
     """
-    z, y, a = (f"[{', '.join(f'{v}{i}' for i in range(n))}]" for v in "zya")
+    z, y, a, c = (f"[{', '.join(f'{v}{i}' for i in range(n))}]" for v in "zyac")
     source = (
         f"def dot(a, z):\n    {a} = a\n    {z} = z\n"
         f"    return {' + '.join(f'a{i} * z{i}' for i in range(n)) or '0'}\n"
         f"def comb(p, z, q, y):\n    {z} = z\n    {y} = y\n"
-        f"    return ({''.join(f'p * z{i} - q * y{i}, ' for i in range(n))})\n"
-        f"def div(z, g):\n    {z} = z\n    return ({''.join(f'z{i} // g, ' for i in range(n))})\n"
+        f"    {c} = v = ({''.join(f'p * z{i} - q * y{i}, ' for i in range(n))})\n    g = gcd({c[1:-1]})\n"
+        f"    return ({''.join(f'c{i} // g, ' for i in range(n))}) if g > 1 else v\n"
     )
-    namespace = {}
+    namespace = {"gcd": gcd}
     exec(source, namespace)
-    return namespace["dot"], namespace["comb"], namespace["div"]
+    return namespace["dot"], namespace["comb"]
 
 
 def vec_add(a: Sequence, x: Sequence) -> tuple:

@@ -20,13 +20,13 @@ from pathlib import Path
 
 from oracles import (
     bisect_critical_shift,
+    bland_simplex,
     brute_vertices,
     fm_project_feasible,
     lp_height,
     smallest_solvable_level,
 )
 import polyadj
-from polyadj import lp
 from polyadj.adjunction import (
     adjunction_data,
     core_config,
@@ -181,12 +181,14 @@ def test_criterion_7_independent_routes_agree(suite, suite_reports):
         for key, p in suite:
             rep = suite_reports[key]
             step = codegree_step(core_config(rep.data))
+            # neither route is polyadj's simplex, which computed c*; the
+            # elimination takes minutes at d >= 3, the Fraction simplex seconds
             if p.dim == 2:
                 def feasible(c, p=p):
                     return fm_project_feasible(p.normals, [b - c for b in p.rhs])
             else:
                 def feasible(c, p=p):
-                    return lp.is_feasible(p.normals, [b - c for b in p.rhs])
+                    return bland_simplex(p.normals, [b - c for b in p.rhs], (0,) * p.dim)[0] == "optimal"
             assert bisect_critical_shift(p.normals, p.rhs, step, feasible) \
                 == rep.data.critical_shift, key
             assert set(vertices(p)) == brute_vertices(p.normals, p.rhs), key

@@ -260,6 +260,48 @@ def test_census_count_zero_is_a_header_only_file(capsys, tmp_path):
     assert run(capsys, ["census", "-1", "2", "--out", str(out_csv)])[0] == 3
 
 
+def test_rational_options_take_a_negative_value_after_a_space(capsys, tmp_path):
+    # argparse reads -1 and -0.5 as values but -3/2 as an unknown option;
+    # each rational option now hands it to the library as --option=-3/2 does
+    poly = tmp_path / "fig1.poly"
+    main(["gen", "fig1", "--out", str(poly)])
+    cfg = tmp_path / "pair.cfg"
+    cfg.write_text("dim 2\nA\n0 -1\n0 1\n")
+    joined = run(capsys, ["spectrum", str(cfg), "--check=-3/2"])
+    assert joined == run(capsys, ["spectrum", str(cfg), "--check", "-3/2"]) \
+        == run(capsys, ["spectrum", str(cfg), "--ch", "-3/2"])
+    assert json.loads(joined[1])["check"] == {"c": "-3/2", "admissible": True, "witness": ["0", "-3/2"]}
+    out_csv = tmp_path / "census.csv"
+    for argv, message in ((["spectrum", str(cfg), "--epsilon", "-1/2"], "epsilon must be positive"),
+                          (["analyze", str(poly), "--epsilon", "-1/2"], "epsilon must be positive"),
+                          (["analyze", str(poly), "--alpha", "-1/2"], "alpha must lie in (0, 1]"),
+                          (["analyze", str(poly), "--eps", "-.5e0"], "epsilon must be positive"),
+                          (["census", "1", "2", "--out", str(out_csv), "--epsilon", "-1/2"],
+                           "epsilon must be positive"),
+                          (["census", "1", "2", "--out", str(out_csv), "--alpha", "-1/2"],
+                           "alpha must lie in (0, 1]")):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (3, "") and message in err, argv
+    assert not out_csv.exists()
+
+
+def test_census_refuses_a_bad_alpha_or_epsilon_before_any_draw(capsys, monkeypatch, tmp_path):
+    # whatever the count: a count of 0 once wrote epsilon=-1 alpha=7 into
+    # its header, and a count of 1 refused only in the first analyze
+    def fail(*args, **kw):
+        raise AssertionError("a polytope was drawn for a refused census")
+
+    monkeypatch.setattr(cli, "random_lattice_polytope", fail)
+    out_csv = tmp_path / "census.csv"
+    for count in ("0", "1"):
+        for options, message in ((["--epsilon=-1"], "epsilon must be positive"),
+                                 (["--alpha=7"], "alpha must lie in (0, 1]"),
+                                 (["--alpha=0", "--epsilon=1/3"], "alpha must lie in (0, 1]")):
+            code, out, err = run(capsys, ["census", count, "3", "--out", str(out_csv), *options])
+            assert (code, out) == (3, "") and message in err, (count, options)
+            assert not out_csv.exists()
+
+
 def test_reported_input_reproduces_the_reported_shift(capsys, tmp_path):
     path = tmp_path / "r.poly"
     main(["gen", "random", "3", "8", "11", "--out", str(path)])

@@ -446,8 +446,8 @@ def _cone_points_match_the_box_scan(c, local_rays=None, to_ambient=None):
     on full-rank local rays, and the levels, in Z^d, must give the image of
     its points under to_ambient, in lexicographic order.
     """
-    region, lineality, _, _, start = c.functionals
-    levels = _cone_levels(c.rays, region, lineality, start)
+    _, lineality, _, _, start = c.functionals
+    levels = _cone_levels(c.rays, lineality, start)
     assert len(levels) == c.ambient_dim + 1
     rays = local_rays or c.rays
     d = len(rays[0])
@@ -512,13 +512,14 @@ def _one_vertex_cones(draw):
 @settings(deadline=None, max_examples=60)
 @given(_one_vertex_cones())
 def test_the_one_vertex_top_gives_the_levels_of_the_double_description(c):
-    # the rows of conv(0, rays) read off the dual height double description
-    # against one double description of its points, level by level
+    # the rows of conv(0, rays) read off the start of a cone whose dual
+    # height region has one vertex, which takes the route of every other
+    # cone, against one double description of its points, level by level
     d = c.ambient_dim
-    region, lineality, start = _dual_height_vertices(c.rays, d)
+    _, lineality, start = _dual_height_vertices(c.rays, d)
     rows = [(0,) * d + (1,)] + [tuple(-x for x in r) + (1,) for r in c.rays]
     points = sorted([(0,) * d, *c.rays])
-    got = _cone_levels(c.rays, region, lineality, start)
+    got = _cone_levels(c.rays, lineality, start)
     expected = projected_levels(*double_description(rows, d + 1), points)
     assert got[0] is expected[0] is None
     assert [set(level) for level in got[1:]] == [set(level) for level in expected[1:]]
@@ -531,9 +532,9 @@ def _valid_rows_match_the_double_description_of_the_points(c):
     lower-rank cone, each ray is one representative of its class modulo
     the equations of the span: the lineality must span the same space, the
     rays of one tight set must be parallel modulo it, and both levels must
-    list the same lattice points at shrinks 1, 2, 3 and 3/2. Returns
-    whether the rows came from the start, that is, whether the dual region
-    has more than one vertex.
+    list the same lattice points at shrinks 1, 2, 3 and 3/2. Every cone
+    reads the rows off its start; returns whether the dual region has more
+    than one vertex.
     """
     d = c.ambient_dim
     region, lineality, _, _, start = c.functionals
@@ -545,7 +546,7 @@ def _valid_rows_match_the_double_description_of_the_points(c):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fan_module, "projected_levels", recording)
-        levels = _cone_levels(c.rays, region, lineality, start)
+        levels = _cone_levels(c.rays, lineality, start)
     (rays, kernel), = handed
     rows = [(0,) * d + (1,)] + [tuple(-x for x in r) + (1,) for r in c.rays]
     expected, expected_kernel = double_description(rows, d + 1)
@@ -563,9 +564,9 @@ def _valid_rows_match_the_double_description_of_the_points(c):
 
 
 def test_the_valid_rows_of_the_suite_cones_are_the_double_description_of_their_points(suite):
-    from_start = [_valid_rows_match_the_double_description_of_the_points(c)
-                  for _, p in suite for c in normal_fan(p).maximal_cones]
-    assert (len(from_start), sum(from_start)) == (1117, 452)
+    several = [_valid_rows_match_the_double_description_of_the_points(c)
+               for _, p in suite for c in normal_fan(p).maximal_cones]
+    assert (len(several), sum(several)) == (1117, 452)
 
 
 @settings(deadline=None, max_examples=80)
@@ -585,20 +586,22 @@ def _largest_dual_denominator(c):
 def test_canonicity_threshold_makes_at_most_two_double_descriptions_and_no_rank(monkeypatch, count_calls):
     # a full-rank cone makes one double description for its dual vertices and
     # facets, and none for the levels of conv(0, rays): level d is read off
-    # it, each level below being an equality cut of the one above. When the
-    # dual region has one vertex, that description already holds the rows of
-    # level d, as for the plane and pyramid cones. Otherwise (the d4-s4029
-    # cones have three vertices) they come from its pivot stage, the start the
-    # cone keeps, with one sign changed and the 2 ray rows that waited added,
-    # then 2 cuts: 4 pair steps and no pivot on each of those cones, where a
-    # second double description of the points took 5 pivots and 2 pair steps
-    # before the cuts. No from_vertices builds conv(0, rays), and the rays
-    # span, so no rank is taken. The cone of rank 2 in Z^3 is described once
-    # on its rays, whose lineality, the equation of its plane, its one-vertex
-    # levels keep, so it takes no rank either. A cone built by hand describes
-    # its rays when it is built, so each hand-made cone is built again inside
-    # the count and makes that one pivot stage and its steps, and the pyramid
-    # and the flat cone one cut each; the skew cone, whose dual vertices all
+    # it, each level below being an equality cut of the one above. The rows
+    # of level d come from its pivot stage, the start the cone keeps, with
+    # one sign changed and the ray rows that waited added, whatever the
+    # vertices of the dual region: none on the plane cone, one on the
+    # pyramid (4 rays in Z^3; its one-vertex region held those rows
+    # already, and the one route costs it this pair step), and 2 on each
+    # d4-s4029 cone (three vertices), then 2 cuts: 4 pair steps and no pivot
+    # on each of those cones, where a second double description of the
+    # points took 5 pivots and 2 pair steps before the cuts. No
+    # from_vertices builds conv(0, rays), and the rays span, so no rank is
+    # taken. The cone of rank 2 in Z^3 is described once on its rays, whose
+    # lineality, the equation of its plane, its levels keep, so it takes no
+    # rank either. A cone built by hand describes its rays when it is built,
+    # so each hand-made cone is built again inside the count and makes that
+    # one pivot stage and its steps, the pyramid its waiting row again and
+    # one cut, and the flat cone one cut; the skew cone, whose dual vertices all
     # have s = 1, compiles no levels (cone() would pass in the description it
     # validated with, test_a_validated_cone_keeps_its_dual_description). The
     # normal fan's cones arrive with the description normal_fan proved them
@@ -623,7 +626,7 @@ def test_canonicity_threshold_makes_at_most_two_double_descriptions_and_no_rank(
         assert counts["_pivots"] == by_hand and built == []
         steps.append((counts["_lift"], counts["_add_row"]))
     assert counts["rank"] == counts["double_description"] == 0
-    assert steps == [(3, 0), (4, 2), (4, 1), (4, 0)] + [(0, 4)] * 6
+    assert steps == [(3, 0), (4, 3), (4, 1), (4, 0)] + [(0, 4)] * 6
     assert canonicity_threshold(plane)[0] == Fraction(1, 2)
     assert canonicity_threshold(pyramid)[0] == Fraction(1, 2)
     assert canonicity_threshold(flat)[0] == Fraction(1, 2)

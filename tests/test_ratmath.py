@@ -107,8 +107,8 @@ wide = st.integers(min_value=-2 ** 80, max_value=2 ** 80)
 
 @st.composite
 def kernel_arguments(draw):
-    """Three int vectors of one length n = 1..9 and two ints, entries up to 2^80 in absolute value."""
-    n = draw(st.integers(min_value=1, max_value=9))
+    """Three int vectors of one length n = 0..9 and two ints, entries up to 2^80 in absolute value."""
+    n = draw(st.integers(min_value=0, max_value=9))
     a, z, y = (tuple(draw(st.lists(wide, min_size=n, max_size=n))) for _ in range(3))
     return a, z, y, draw(wide), draw(wide)
 
@@ -116,22 +116,26 @@ def kernel_arguments(draw):
 @settings(max_examples=300)
 @given(kernel_arguments(), st.integers(min_value=1, max_value=2 ** 80))
 def test_the_unrolled_kernels_equal_the_generic_expressions(case, g):
+    # comb is the primitive part of the generic p z - q y: divided by the
+    # gcd of its entries when that exceeds 1, so also on a common factor g
     a, z, y, p, q = case
-    value, comb, div = _int_kernels(len(z))
+    value, comb = _int_kernels(len(z))
     assert value(a, z) == sum(map(mul, a, z))
-    assert comb(p, z, q, y) == tuple(p * x - q * w for x, w in zip(z, y))
-    assert div(z, g) == tuple(x // g for x in z)
-    assert div(z, -g) == tuple(x // -g for x in z)
+    for s, w, r, x in ((p, z, q, y), (g * p, z, g * q, y), (p, y, p, y)):
+        generic = tuple(s * u - r * v for u, v in zip(w, x))
+        common = gcd(*generic)
+        assert comb(s, w, r, x) == (tuple(u // common for u in generic) if common > 1 else generic)
 
 
 def test_the_unrolled_kernels_refuse_another_length():
     # each kernel unpacks its vectors, so none reads a prefix of a longer one
-    value, comb, div = _int_kernels(3)
+    value, comb = _int_kernels(3)
     for call in (lambda: value((1, 2, 3), (1, 2)), lambda: value((1, 2, 3, 4), (1, 2, 3)),
-                 lambda: comb(1, (1, 2, 3), 1, (1, 2, 3, 4)), lambda: div((2, 4), 2)):
+                 lambda: comb(1, (1, 2, 3), 1, (1, 2, 3, 4)), lambda: comb(1, (2, 4), 1, (2, 4))):
         with pytest.raises(ValueError):
             call()
     assert _int_kernels(0)[0]((), ()) == 0 and _int_kernels(0)[1](1, (), 1, ()) == ()
+    assert comb(3, (1, 2, 3), 1, (1, 0, -3)) == (1, 3, 6) and comb(1, (1, 2, 3), 1, (1, 2, 3)) == (0, 0, 0)
 
 
 def test_the_kernel_memo_holds_the_lengths_the_pipeline_used():
@@ -140,7 +144,8 @@ def test_the_kernel_memo_holds_the_lengths_the_pipeline_used():
     # double descriptions and the length 4 of d4-s4029's cut and heights
     # (the dual vertices of fig1 and the cube prove their thresholds, so
     # their scans take no height), and lp, whose rows are read by generic
-    # loops, adds none. A length it holds is a hit when asked for again
+    # loops, adds none. A length it holds is a hit when asked for again, and
+    # each entry is the pair of kernels (dot, comb)
     code = (
         "import json\n"
         "from polyadj import analyze, lp\n"
@@ -156,12 +161,12 @@ def test_the_kernel_memo_holds_the_lengths_the_pipeline_used():
         "    _int_kernels(n)\n"
         "    if _int_kernels.cache_info().misses == misses:\n"
         "        held.append(n)\n"
-        "print(json.dumps([size, after, held]))\n"
+        "print(json.dumps([size, after, held, [f.__name__ for f in _int_kernels(4)]]))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(os.path.abspath(polyadj.__file__))))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
                          timeout=300).stdout
-    assert json.loads(out) == [3, 3, [3, 4, 5]]
+    assert json.loads(out) == [3, 3, [3, 4, 5], ["dot", "comb"]]
 
 
 @given(st.lists(ints, min_size=1, max_size=5).filter(lambda v: any(v)))
