@@ -56,7 +56,7 @@ def adjoint(p: HPolytope, c) -> InequalitySystem:
 
 def critical_shift(p: HPolytope) -> Fraction:
     """c* = max {c >= 0 : adjoint(p, c) is nonempty}; positive for full-dimensional p."""
-    return raw_critical_shift(list(zip(p.normals, p.rhs)))
+    return _shift_lp(p).value
 
 
 def raw_critical_shift(rows: Sequence[tuple[Sequence[int], object]]) -> Fraction:
@@ -66,14 +66,20 @@ def raw_critical_shift(rows: Sequence[tuple[Sequence[int], object]]) -> Fraction
     rows and non-primitive normals influence the answer: every row recedes
     at unit speed regardless of its scaling.
     """
-    return _shift_lp(rows).value
-
-
-def _shift_lp(rows: Sequence[tuple[Sequence[int], object]]) -> lp.LpResult:
-    """The optimal critical-shift LP of rows, with one dual per row."""
     if not rows:
         raise UnboundedPolytopeError("no constraints given")
-    system = make_system(rows)
+    return _shift_lp(make_system(rows)).value
+
+
+def _shift_lp(system) -> lp.LpResult:
+    """The optimal critical-shift LP of system, with one dual per row.
+
+    system has dim, normals (int tuples) and rhs: an InequalitySystem, as
+    raw_critical_shift builds, or an HPolytope, whose canonical rows are
+    read as they are. Raises EmptyPolytopeError when the rows have no
+    common solution and UnboundedPolytopeError when they do not bound the
+    shift.
+    """
     d = system.dim
     # maximize t >= 0 subject to A x + t 1 <= b
     res = lp.solve([a + (1,) for a in system.normals], system.rhs, [0] * d + [1], nonneg=(d,))
@@ -125,7 +131,7 @@ def adjunction_data(p: HPolytope) -> AdjunctionData:
     since y.(b - c 1 - A x) = c* - c < 0 while every point x of adjoint(p,
     c) makes it nonnegative.
     """
-    res = _shift_lp(list(zip(p.normals, p.rhs)))
+    res = _shift_lp(p)
     c_star, y = res.value, res.duals
     if c_star <= 0:
         raise InternalInconsistencyError("critical shift of a full-dimensional polytope must be positive")

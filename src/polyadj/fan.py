@@ -253,14 +253,15 @@ def _functionals(region, lineality, start) -> tuple:
     return region, lineality, duals, scale, start
 
 
-def _cone_levels(rays: Sequence[IntVector], lineality, start) -> list:
+def _cone_levels(rays: Sequence[IntVector], start) -> list:
     """The compiled lattice levels (polytope.projected_levels) of Q = conv(0, rays), for rays of any rank.
 
-    lineality and start are the rays' _dual_height_vertices. The valid rows
-    (a, beta) of Q are the cone V of beta >= 0 at the origin and beta -
-    <a, r> >= 0 at each ray r, whose lineality, the equations of the span
-    of the rays, is the region's: with the origin first and the rays after,
-    bit k of a tight set names the same row in both. -V is the cone of s
+    start is the rays' _dual_height_vertices start, whose lineality the
+    region keeps (the rows that wait leave it as it is). The valid rows (a,
+    beta) of Q are the cone V of beta >= 0 at the origin and beta - <a, r>
+    >= 0 at each ray r, whose lineality, the equations of the span of the
+    rays, is the region's: with the origin first and the rays after, bit k
+    of a tight set names the same row in both. -V is the cone of s
     <= 0 and the region's ray rows <r, u> >= s, which differs from the
     region only in the sign of row 0. The start's one ray off s = 0 is
     tight on every ray row the start took, so negating it turns the start's
@@ -270,7 +271,7 @@ def _cone_levels(rays: Sequence[IntVector], lineality, start) -> list:
     0 and the rays, sorted, give level 1.
     """
     d = len(rays[0])
-    pivoted, _, waiting = start
+    pivoted, lineality, waiting = start
     flipped = [(tuple(-x for x in z), t) if z[d] else (z, t) for z, t in pivoted]
     below, _ = _add_waiting(flipped, lineality, waiting)
     return projected_levels([(tuple(-x for x in z), t) for z, t in below], lineality, sorted([(0,) * d, *rays]))
@@ -340,8 +341,8 @@ def canonicity_threshold(c: Cone, below=1) -> tuple[Fraction, Optional[Canonicit
     top = _height_floor(c)
     if num * top <= den:
         return below, None
-    _, lineality, duals, scale, start = c.functionals
-    levels = _cone_levels(c.rays, lineality, start)
+    _, _, duals, scale, start = c.functionals
+    levels = _cone_levels(c.rays, start)
     value = _int_kernels(c.ambient_dim)[0]
     t = Fraction(1, 1 << (top.bit_length() - 1))
     while True:

@@ -10,7 +10,10 @@ line is `dim d`. The next is a section marker, one of
 followed by the rows. Exactly one section per file; entries are integers
 or rationals `p/q` with the sign on the numerator. An integer token is
 read as an int and any other as a Fraction, so a V document of lattice
-points reaches the hull with no Fraction built.
+points reaches the hull with no Fraction built, and an H row's integer
+normal reaches from_inequalities as it is; only a normal with a rational
+entry is cleared, and a right hand side becomes a Fraction once, in
+make_system.
 """
 
 from __future__ import annotations
@@ -84,14 +87,17 @@ def polytope_from_document(doc: PolytopeDocument) -> HPolytope:
 
     H rows with rational normals describe the same halfspace after
     clearing denominators, so they are scaled to integers here; the
-    scaling is part of canonicalization and invisible in the result.
+    scaling is part of canonicalization and invisible in the result. A
+    normal of int tokens passes as it is.
     """
     if doc.kind == "H":
         rows = []
         for row in doc.rows:
             normal, b = row[:-1], row[-1]
-            nums, s = common_denominator(normal)
-            rows.append((tuple(nums), b if s == 1 else b * s))
+            if Fraction in map(type, normal):
+                nums, s = common_denominator(normal)
+                normal, b = tuple(nums), b if s == 1 else b * s
+            rows.append((normal, b))
         return from_inequalities(rows)
     if doc.kind == "V":
         return from_vertices(doc.rows)

@@ -12,10 +12,11 @@ validate a cone's generators. Its pivot stage (_pivots), which fan also
 finishes for the valid rows of conv(0, rays), adds the rows nonzero on
 the lineality left; the others wait. The lineality of a homogenized
 system is its set's lines, so no LP and no cut is needed to decide
-emptiness or boundedness. The kernel works on primitive integer vectors
-only, pairs the rays on the two sides of each row and tests adjacency by
-counting tight sets; a hull of points adds the rows that wait farthest
-first (_point_hull). Its steps (_lift, _add_row) see a few short vectors
+emptiness or boundedness. Its vertices x / s are sorted by integer keys
+and each is built once as Fractions (_bounded_vertices). The kernel
+works on primitive integer vectors only, pairs the rays on the two sides
+of each row and tests adjacency by counting tight sets; a hull of
+points adds the rows that wait farthest first (_point_hull). Its steps (_lift, _add_row) see a few short vectors
 each, so they take a row's value on a vector and each new vector, the
 primitive part of a combination of two, by one call each to the int
 kernels unrolled for the vectors' length (ratmath._int_kernels), with
@@ -60,6 +61,7 @@ imports no LP.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import (
@@ -210,7 +212,8 @@ def make_system(rows: Sequence[tuple[Sequence, object]]) -> InequalitySystem:
 def from_inequalities(rows: Sequence[tuple[Sequence, object]]) -> HPolytope:
     """Canonicalize a raw inequality system into an HPolytope.
 
-    Normals are primitivized (right hand sides rescaled along), duplicate
+    Each normal, read once by make_system, is divided by the gcd of its
+    entries when that exceeds 1 (its right hand side along), duplicate
     normals keep the binding (minimum) right hand side, and rows are sorted
     by normal. Everything comes from one double description of the
     homogenized cone {(x, s) : b s - <a, x> >= 0, s >= 0}, with no LP: no
@@ -227,15 +230,15 @@ def from_inequalities(rows: Sequence[tuple[Sequence, object]]) -> HPolytope:
     system = make_system(rows)
     merged: dict[IntVector, Fraction] = {}
     for vec, b in zip(system.normals, system.rhs):
-        if not any(vec):
+        g = gcd(*vec)
+        if not g:
             if b < 0:
                 raise EmptyPolytopeError("row 0 <= b with negative b")
             continue
-        prim, scale = primitivize(vec)
-        if scale != 1:
-            b = b / scale
-        if prim not in merged or b < merged[prim]:
-            merged[prim] = b
+        if g > 1:
+            vec, b = tuple([x // g for x in vec]), b / g
+        if vec not in merged or b < merged[vec]:
+            merged[vec] = b
     if not merged:
         raise UnboundedPolytopeError("only trivial constraints given")
     normals, rhs, d = list(merged), list(merged.values()), system.dim
@@ -268,7 +271,8 @@ def _maximal(sets: list[int]) -> list[int]:
 
 def _integer_row(a: IntVector, beta) -> IntVector:
     """The row <a, x> <= beta as one integer vector (a, beta), primitive when a is."""
-    return tuple(beta.denominator * x for x in a) + (beta.numerator,)
+    q = beta.denominator
+    return (*[q * x for x in a], beta.numerator)
 
 
 def double_description(rows: Sequence[Sequence[int]], n: int, key=None) -> tuple[tuple[tuple[IntVector, int], ...],
@@ -436,7 +440,10 @@ def _homogenized(normals, rhs, d: int):
     rays alone. Raises EmptyPolytopeError when no ray has s > 0.
     """
     rows = [(0,) * d + (1,)]
-    rows += [_integer_row(tuple(-x for x in a), b) for a, b in zip(normals, rhs)]
+    for a, b in zip(normals, rhs):
+        # b s - <a, x> >= 0 as the integers (-q a, p) of b = p / q
+        q = -b.denominator
+        rows.append((*[q * x for x in a], b.numerator))
     rays, lineality = double_description(rows, d + 1)
     if not any(z[d] for z, _ in rays):
         raise EmptyPolytopeError("system has no solution")
@@ -447,14 +454,24 @@ def _bounded_vertices(normals, rhs, d: int):
     """The sorted (vertex, tight set) pairs of a nonempty bounded system, each vertex x / s of a homogenized ray.
 
     Raises EmptyPolytopeError, then UnboundedPolytopeError when the set
-    contains a line (a lineality), then when it has a ray (s = 0).
+    contains a line (a lineality), then when it has a ray (s = 0). The
+    vertices are sorted by the integer keys x (L // s), L the lcm of the
+    s, which order them as their values do (distinct primitive rays give
+    distinct vertices), and then each is built once, of ints when s = 1.
     """
     rays, lineality = _homogenized(normals, rhs, d)
     if lineality:
         raise UnboundedPolytopeError("the solution set contains a line")
-    if any(z[d] == 0 for z, _ in rays):
+    scale = lcm(*[z[d] for z, _ in rays])
+    if not scale:
         raise UnboundedPolytopeError("the solution set has a recession direction")
-    return sorted((tuple(Fraction(x, z[d]) for x in z[:d]), t) for z, t in rays)
+    keyed = []
+    for z, t in rays:
+        m = scale // z[d]
+        keyed.append(([m * x for x in z[:d]], z, t))
+    keyed.sort()
+    return [(tuple(map(Fraction, z[:d])) if z[d] == 1 else tuple([Fraction(x, z[d]) for x in z[:d]]), t)
+            for _, z, t in keyed]
 
 
 def vertices(p: HPolytope) -> tuple[tuple[Fraction, ...], ...]:

@@ -109,6 +109,35 @@ def count_fractions():
 
 
 @pytest.fixture
+def count_fraction_compares():
+    """count_fraction_compares(run) calls run() and returns the Fraction comparisons it made, by operator.
+
+    Fraction's ==, <, <=, > and >= are wrapped for the call, as
+    count_fractions wraps Fraction.__new__. A comparison Python reflects
+    onto a Fraction operand (an int < a Fraction) counts as the reflected
+    operator, and != counts as ==. Returns {"==": n, "<": n, "<=": n, ">":
+    n, ">=": n}.
+    """
+    operators = {"__eq__": "==", "__lt__": "<", "__le__": "<=", "__gt__": ">", "__ge__": ">="}
+
+    def count(run):
+        counts = dict.fromkeys(operators.values(), 0)
+        with pytest.MonkeyPatch.context() as patch:
+            for name, op in operators.items():
+                original = getattr(Fraction, name)
+
+                def counting(a, b, op=op, original=original):
+                    counts[op] += 1
+                    return original(a, b)
+
+                patch.setattr(Fraction, name, counting)
+            run()
+        return counts
+
+    return count
+
+
+@pytest.fixture
 def count_kernel_work():
     """count_kernel_work(run) calls run() and returns the work of the double description's steps in it.
 

@@ -17,7 +17,12 @@ from polyadj.adjunction import (
     raw_critical_shift,
     verify_lemmas,
 )
-from polyadj.errors import DimensionMismatchError, InternalInconsistencyError, NotLatticePolytopeError
+from polyadj.errors import (
+    DimensionMismatchError,
+    InternalInconsistencyError,
+    NotLatticePolytopeError,
+    UnboundedPolytopeError,
+)
 from polyadj.fan import normal_fan
 from polyadj.generators import cube, fig1, random_lattice_polytope, scaled_simplex
 from polyadj.polyfile import format_polytope, read_polytope
@@ -57,6 +62,22 @@ def test_raw_shift_rejects_rational_and_mixed_normals():
         raw_critical_shift([((Fraction(1, 2), -1), 0), ((-1, 0), 0), ((1, 1), 3)])
     with pytest.raises(DimensionMismatchError):
         raw_critical_shift(TRIANGLE_ROWS + [((1, 0, 0), 1)])
+
+
+def test_the_shift_lp_reads_the_canonical_polytope_and_only_raw_rows_build_a_system(count_calls, suite):
+    # adjunction_data and critical_shift hand the HPolytope to the shift LP
+    # as it is; raw_critical_shift builds one system of its rows, after
+    # refusing an empty list
+    counts = count_calls((polytope, "make_system"))
+    for _, p in suite:
+        adjunction_data(p)
+        critical_shift(p)
+    assert counts["make_system"] == 0
+    assert raw_critical_shift(TRIANGLE_ROWS) == Fraction(3, 5)
+    assert counts["make_system"] == 1
+    with pytest.raises(UnboundedPolytopeError, match="^no constraints given$"):
+        raw_critical_shift([])
+    assert counts["make_system"] == 1
 
 
 def test_canonicalization_undoes_the_penalty():

@@ -446,8 +446,7 @@ def _cone_points_match_the_box_scan(c, local_rays=None, to_ambient=None):
     on full-rank local rays, and the levels, in Z^d, must give the image of
     its points under to_ambient, in lexicographic order.
     """
-    _, lineality, _, _, start = c.functionals
-    levels = _cone_levels(c.rays, lineality, start)
+    levels = _cone_levels(c.rays, c.functionals[4])
     assert len(levels) == c.ambient_dim + 1
     rays = local_rays or c.rays
     d = len(rays[0])
@@ -516,10 +515,10 @@ def test_the_one_vertex_top_gives_the_levels_of_the_double_description(c):
     # height region has one vertex, which takes the route of every other
     # cone, against one double description of its points, level by level
     d = c.ambient_dim
-    _, lineality, start = _dual_height_vertices(c.rays, d)
+    _, _, start = _dual_height_vertices(c.rays, d)
     rows = [(0,) * d + (1,)] + [tuple(-x for x in r) + (1,) for r in c.rays]
     points = sorted([(0,) * d, *c.rays])
-    got = _cone_levels(c.rays, lineality, start)
+    got = _cone_levels(c.rays, start)
     expected = projected_levels(*double_description(rows, d + 1), points)
     assert got[0] is expected[0] is None
     assert [set(level) for level in got[1:]] == [set(level) for level in expected[1:]]
@@ -537,7 +536,7 @@ def _valid_rows_match_the_double_description_of_the_points(c):
     than one vertex.
     """
     d = c.ambient_dim
-    region, lineality, _, _, start = c.functionals
+    region, _, _, _, start = c.functionals
     handed = []
 
     def recording(rays, lineality, points):
@@ -546,7 +545,7 @@ def _valid_rows_match_the_double_description_of_the_points(c):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fan_module, "projected_levels", recording)
-        levels = _cone_levels(c.rays, lineality, start)
+        levels = _cone_levels(c.rays, start)
     (rays, kernel), = handed
     rows = [(0,) * d + (1,)] + [tuple(-x for x in r) + (1,) for r in c.rays]
     expected, expected_kernel = double_description(rows, d + 1)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from polyadj.errors import ParseError
-from polyadj.generators import fig1
+from polyadj.generators import fig1, random_lattice_polytope
 from polyadj.polyfile import (
     config_from_document,
     format_polytope,
@@ -126,3 +126,21 @@ def test_integer_tokens_parse_to_ints_and_others_to_fractions():
 def test_format_roundtrips():
     p = fig1()
     assert read_polytope(format_polytope(p, comments=["made by a test"])) == p
+
+
+def test_reading_the_adjoint_documents_makes_no_fraction_comparison(count_fraction_compares):
+    # the benchmark's adjoint documents at seed 0, hulls of 12 points in
+    # [-4, 4]^3: the vertices are ordered by integer keys and the rows by
+    # their distinct integer normals. Sorting the vertices as Fraction
+    # tuples made 517 < and 1490 ==
+    texts = [format_polytope(random_lattice_polytope(3, 12, s, box=4)) for s in range(5000, 5060)]
+    assert count_fraction_compares(lambda: [read_polytope(t) for t in texts]) == dict.fromkeys(
+        ("==", "<", "<=", ">", ">="), 0)
+
+
+def test_reading_the_suite_documents_makes_no_fraction_comparison(count_fraction_compares, suite):
+    # the 200 suite documents: 917 < and 2452 == when the vertices were
+    # sorted as Fraction tuples
+    texts = [format_polytope(p) for _, p in suite]
+    assert count_fraction_compares(lambda: [read_polytope(t) for t in texts]) == dict.fromkeys(
+        ("==", "<", "<=", ">", ">="), 0)

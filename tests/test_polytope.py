@@ -1,9 +1,11 @@
 """H/V conversions, canonicalization, embeddings, lattice enumeration."""
 
+import collections
 import gc
 import hashlib
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -27,6 +29,7 @@ from polyadj.errors import (
     InvalidConeError,
     LowerDimensionalError,
     NonUnimodularError,
+    PolyadjError,
     UnboundedPolytopeError,
 )
 from polyadj.generators import SplitMix64, cube, fig1, random_lattice_polytope, scaled_simplex
@@ -885,6 +888,111 @@ def test_the_hulls_of_seeded_point_sets_are_pinned():
     out = [(h, h.incidence) for h in map(hull_any_dim, _seeded_point_sets(1500, 41))]
     assert sum(1 for h, _ in out if h.dim < h.ambient_dim) == 945
     assert _sha(out) == "17423b0da81442ad469a14e262bd03cad471175f18071cd27f351d606c124861"
+
+
+def test_from_inequalities_clears_each_row_by_one_gcd(count_calls, suite):
+    # the normals make_system read are divided by their gcd when it exceeds
+    # 1, with no primitivize, which would read them again
+    counts = count_calls((ratmath, "primitivize"))
+    scaled = [(tuple(3 * x for x in a), 3 * b) for a, b in zip(fig1().normals, fig1().rhs)]
+    assert from_inequalities(scaled) == fig1()
+    for _, p in suite:
+        assert from_inequalities(list(zip(p.normals, p.rhs))) == p
+    assert counts["primitivize"] == 0
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(1, 3), st.data())
+def test_bounded_vertices_come_in_the_order_of_their_values(d, data):
+    # a box around the origin, with positive rational bounds, and 0-5 rows
+    # that the origin satisfies. On systems whose vertices have different
+    # denominators, the integer keys order the vertices as sorting them by
+    # Fraction value does, and each vertex is the oracle's
+    bound = st.builds(Fraction, st.integers(1, 6), st.integers(1, 4))
+    units = [(0,) * i + (1,) + (0,) * (d - 1 - i) for i in range(d)]
+    rows = [(u, data.draw(bound)) for u in units] + [(tuple(-x for x in u), data.draw(bound)) for u in units]
+    rows += data.draw(st.lists(st.tuples(st.tuples(*[small] * d), bound), max_size=5))
+    rows = [(tuple(x // g for x in a), b / g) for a, b in rows for g in [gcd(*a)] if g]
+    normals, rhs = [a for a, _ in rows], [b for _, b in rows]
+    pairs = polytope._bounded_vertices(normals, rhs, d)
+    verts = [v for v, _ in pairs]
+    assume(len({lcm(*(x.denominator for x in v)) for v in verts}) > 1)
+    assert verts == sorted(verts)
+    assert all(type(x) is Fraction for v in verts for x in v)
+    assert set(verts) == brute_vertices(normals, rhs)
+
+
+def _seeded_h_documents(count, seed):
+    """count H documents in Q^d, d = 1-4, with the integer rows they hold, drawn by SplitMix64(seed).
+
+    Each is a box with rational bounds or d + 1 to 2d + 3 rows of entries in
+    [-3, 3], with right hand sides p / q, q = 1-4, then 0-3 extra rows: a
+    zero row, a duplicate, a multiple by 2 or 3, a redundant sum of two
+    rows, or the opposite of a row at its bound (flat) or past it (empty).
+    The rows are shuffled, and a quarter of them are written with their
+    normal over 2 or 3 as p/q tokens. So empty, unbounded, flat and
+    full-dimensional systems all occur.
+    """
+    rng = SplitMix64(seed)
+
+    def rhs():
+        return Fraction(rng.randint(-2, 12), rng.randint(1, 4))
+
+    docs = []
+    for _ in range(count):
+        d = rng.randint(1, 4)
+        if rng.randint(0, 1):
+            units = [(0,) * i + (1,) + (0,) * (d - 1 - i) for i in range(d)]
+            rows = [(u, rhs()) for u in units] + [(tuple(-x for x in u), rhs()) for u in units]
+        else:
+            rows = [(tuple(rng.randint(-3, 3) for _ in range(d)), rhs()) for _ in range(rng.randint(d + 1, 2 * d + 3))]
+        for _ in range(rng.randint(0, 3)):
+            kind = rng.randint(0, 5)
+            a, b = rows[rng.randint(0, len(rows) - 1)]
+            if kind == 0:
+                rows.append(((0,) * d, Fraction(rng.randint(-2, 2), rng.randint(1, 2))))
+            elif kind == 1:
+                rows.append((a, b + Fraction(rng.randint(-1, 1), 2)))
+            elif kind == 2:
+                m = rng.randint(2, 3)
+                rows.append((tuple(m * x for x in a), m * b + rng.randint(-1, 1)))
+            elif kind == 3:
+                a2, b2 = rows[rng.randint(0, len(rows) - 1)]
+                rows.append((tuple(x + y for x, y in zip(a, a2)), b + b2 + rng.randint(0, 2)))
+            else:
+                rows.append((tuple(-x for x in a), -b - (kind - 4)))
+        for i in range(len(rows) - 1, 0, -1):
+            j = rng.randint(0, i)
+            rows[i], rows[j] = rows[j], rows[i]
+        lines = [f"dim {d}", "H"]
+        for a, b in rows:
+            k = 1 if rng.randint(0, 3) else rng.randint(2, 3)
+            lines.append(" ".join(str(Fraction(x, k)) for x in a + (b,)))
+        docs.append(("\n".join(lines) + "\n", rows))
+    return docs
+
+
+def _outcome(build):
+    """repr((p, p.vertices, p.incidence)) of build(), or the class and message of the error it raises."""
+    try:
+        p = build()
+    except PolyadjError as exc:
+        return repr((type(exc).__name__, str(exc)))
+    return repr((p, p.vertices, p.incidence))
+
+
+def test_the_h_intake_of_seeded_systems_is_pinned():
+    # sha256 pinned before the H rows and the vertices crossed between ints
+    # and Fractions once each: read_polytope of 3000 seeded H documents, and
+    # embed_system of their integer rows, which reaches the vertices of
+    # flat systems too. Empty, unbounded and flat systems each raise,
+    # with their messages in the digest
+    out = [(_outcome(lambda: read_polytope(text)), _outcome(lambda: embed_system(make_system(rows))[0]))
+           for text, rows in _seeded_h_documents(3000, 45)]
+    kinds = collections.Counter(r.split("'")[1] if r.startswith("('") else "HPolytope" for r, _ in out)
+    assert kinds == {"HPolytope": 1047, "EmptyPolytopeError": 1259, "UnboundedPolytopeError": 406,
+                     "LowerDimensionalError": 288}
+    assert _sha(out) == "7369c9375eee3b91fd6e96e79d76fceb45f4db858393d97e1ace7116c9a1bf57"
 
 
 def test_lattice_flag():
