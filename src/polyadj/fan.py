@@ -11,12 +11,12 @@ are no smaller, which makes the maximal cones sufficient. Nothing here
 solves an LP or builds a polytope. Cone validation, heights, the
 canonicity scan and the Gorenstein certificate all read a cone's facets
 and its dual height vertices off one integer double description of its
-rays, in Z^d for a cone of any rank: the facets are its rays with s = 0,
-the vertices those with s > 0, a cone with no vertex contains a line, the
-lineality, empty exactly when the rays span, holds the equations of their
-span, which heights and the scan keep; the height floor and the index
-read a dual vertex by the least point of its class modulo it
-(_least_point), the vertex itself when the rays span.
+rays, built by _functionals in Z^d for a cone of any rank: the facets
+are its rays with s = 0, the vertices those with s > 0, a cone with no
+vertex contains a line, the lineality, empty exactly when the rays span,
+holds the equations of their span, which heights and the scan keep; the
+height floor and the index read a dual vertex by the least point of its
+class modulo it (_least_point), the vertex itself when the rays span.
 A cone holds that description from the moment it is built: cone() and
 normal_fan() pass in the one they validated its generators with, and a
 cone built by hand must be cone() of its rays, whose description it
@@ -78,12 +78,11 @@ from .record import record
 class Cone:
     """Pointed rational cone spanned by primitive extreme rays.
 
-    functionals is (region, lineality, duals, scale, start), the rays'
-    _dual_height_vertices with the dual vertices over a common denominator
-    (_functionals), as height, the canonicity scan and gorenstein_index
-    read it. cone() and normal_fan() pass in the description they validated
-    the rays with; a cone built by hand without it must be cone() of its
-    rays, whose fields it then holds, or raises InvalidConeError.
+    functionals is the rays' dual height description (_functionals), as
+    height, the canonicity scan and gorenstein_index read it. cone() and
+    normal_fan() pass in the description they validated the rays with; a
+    cone built by hand without it must be cone() of its rays, whose fields
+    it then holds, or raises InvalidConeError.
     """
 
     ambient_dim: int
@@ -141,12 +140,11 @@ class CanonicityWitness:
 def cone(generators: Sequence[Sequence[int]]) -> Cone:
     """Validating constructor: primitivize, drop non-extreme generators,
     and reject cones that contain a line, both read off the generators'
-    _dual_height_vertices, for a cone of any rank: with no ray s > 0 the
-    cone contains a line, and the extreme generators are those on maximal
-    sets of facets, its rays with s = 0 (a pointed cone of rank 1 has one).
-    When no generator is dropped that description is the cone's own, and
-    the cone keeps it in functionals; otherwise it is cone() of the extreme
-    generators, which describes them once more.
+    _functionals, for a cone of any rank: with no dual vertex the cone
+    contains a line, and the extreme generators are those on maximal sets
+    of facets, its rays with s = 0 (a pointed cone of rank 1 has one). When
+    no generator is dropped that description is the cone's own, and the
+    cone keeps it; otherwise the extreme generators take their own.
     """
     if not generators:
         raise InvalidConeError("a cone needs at least one generator")
@@ -163,15 +161,15 @@ def cone(generators: Sequence[Sequence[int]]) -> Cone:
             raise InvalidConeError("zero vector cannot generate a ray")
         prims.append(primitivize(vec)[0])
     prims = tuple(sorted(set(prims)))
-    region, lineality, start = _dual_height_vertices(prims, d)
-    if not any(z[-1] for z, _ in region):
+    functionals = _functionals(prims, d)
+    if not functionals[2]:
         raise InvalidConeError("generators span a cone containing a line")
     if len(prims) > 1:
-        facets = [(z, t) for z, t in region if not z[-1]]
-        extreme = [prims[i] for i in _maximal(_ray_sets(facets, range(1, len(prims) + 1)))]
+        facets = [(z, t) for z, t in functionals[0] if not z[-1]]
+        extreme = tuple(prims[i] for i in _maximal(_ray_sets(facets, range(1, len(prims) + 1))))
         if len(extreme) < len(prims):
-            return cone(extreme)
-    return Cone(d, prims, _functionals(region, lineality, start))
+            return Cone(d, extreme, _functionals(extreme, d))
+    return Cone(d, prims, functionals)
 
 
 def normal_fan(p: HPolytope) -> NormalFan:
@@ -179,19 +177,19 @@ def normal_fan(p: HPolytope) -> NormalFan:
 
     The maximal cone at the k-th vertex is read off the polytope's
     incidence, as the normals of the facets whose tight set holds bit k,
-    with no row evaluated. Its dual height double description
-    (_dual_height_vertices) proves it full-dimensional, as it has no
-    lineality, and the cone keeps it for the scan, its index and heights.
+    with no row evaluated. Its dual height description (_functionals)
+    proves it full-dimensional and pointed, as it has no lineality and a
+    dual vertex, and the cone keeps it for the scan, its index and heights.
     """
     if not is_lattice_polytope(p):
         raise NotLatticePolytopeError("normal fan invariants require lattice vertices")
     cones = []
     for k in range(len(p.vertices)):
         tight = tuple(a for a, t in zip(p.normals, p.incidence) if t >> k & 1)
-        region, lineality, start = _dual_height_vertices(tight, p.dim)
-        if lineality:
-            raise InternalInconsistencyError("vertex cone is not full-dimensional")
-        cones.append(Cone(p.dim, tight, _functionals(region, lineality, start)))
+        functionals = _functionals(tight, p.dim)
+        if functionals[1] or not functionals[2]:
+            raise InternalInconsistencyError("vertex cone is not full-dimensional and pointed")
+        cones.append(Cone(p.dim, tight, functionals))
     return NormalFan(p.dim, p.normals, p.vertices, tuple(cones))
 
 
@@ -218,36 +216,28 @@ def height(c: Cone, point: Sequence) -> Fraction:
     return Fraction(min(dot(w, target) for w in duals)) / scale
 
 
-def _dual_height_vertices(rays: Sequence[IntVector], d: int) -> tuple:
-    """The cone's facet normals and the vertices of its dual height region, with their tight sets.
+def _functionals(rays: Sequence[IntVector], d: int) -> tuple:
+    """(region, lineality, duals, scale, start), with height(x) = min_w <w, x> / scale on the cone.
 
     One double description of the cone {(u, s) : <ray, u> >= s, s >= 0}
-    gives both, as (region, lineality, start): its (ray, tight set) pairs
-    with s >= 0 as row 0 and the rays as rows 1..m, its lineality {(u, 0)
-    : <ray, u> = 0}, empty exactly when the rays span Q^d (on their span
-    each ray stands for its class modulo it), and the start its pivot
-    stage took (polytope._pivots), which _cone_levels reads. Its rays with
-    s > 0 are the primitive integer (u, s) of the vertices u / s of {u :
-    <ray, u> >= 1 for all rays}, one at least iff the cone is pointed. By LP duality the
+    gives the cone's facet normals and the vertices of its dual height
+    region, with their tight sets: region holds its (ray, tight set) pairs
+    with s >= 0 as row 0 and the rays as rows 1..m, lineality is {(u, 0) :
+    <ray, u> = 0}, empty exactly when the rays span Q^d (on their span each
+    ray stands for its class modulo it), and start is its pivot stage
+    (polytope._pivots), which _cone_levels reads. Its rays with s > 0 are
+    the primitive integer (u, s) of the vertices u / s of {u : <ray, u> >=
+    1 for all rays}, one at least iff the cone is pointed; the duals w are
+    those vertices over a common denominator scale, so <w, ray> >= scale
+    on every ray, and none when the cone holds a line. By LP duality the
     height of any point w of the cone is the minimum of <u, w> over that
     region, and the region is pointed, so the minimum is attained at a
     vertex. Its face {s = 0} is the dual cone, so its rays (f, 0) give the
     cone's primitive facet normals f, sorted.
     """
     start = _pivots([(0,) * d + (1,)] + [tuple(r) + (-1,) for r in rays], d + 1)
-    return (*_add_waiting(*start), start)
-
-
-def _functionals(region, lineality, start) -> tuple:
-    """(region, lineality, duals, scale, start), with height(x) = min_w <w, x> / scale on the cone.
-
-    region, lineality and start are the rays' _dual_height_vertices. The
-    duals w are the vertices of the dual height region over a common
-    denominator scale, so <w, ray> >= scale on every ray.
-    """
+    region, lineality = _add_waiting(*start)
     tops = [z for z, _ in region if z[-1]]
-    if not tops:
-        raise InternalInconsistencyError("dual height region of a pointed cone has no vertex")
     scale = lcm(*(z[-1] for z in tops))
     duals = tuple(tuple(x * (scale // z[-1]) for x in z[:-1]) for z in tops)
     return region, lineality, duals, scale, start
@@ -256,7 +246,7 @@ def _functionals(region, lineality, start) -> tuple:
 def _cone_levels(rays: Sequence[IntVector], start) -> list:
     """The compiled lattice levels (polytope.projected_levels) of Q = conv(0, rays), for rays of any rank.
 
-    start is the rays' _dual_height_vertices start, whose lineality the
+    start is the rays' _functionals start, whose lineality the
     region keeps (the rows that wait leave it as it is). The valid rows (a,
     beta) of Q are the cone V of beta >= 0 at the origin and beta - <a, r>
     >= 0 at each ray r, whose lineality, the equations of the span of the

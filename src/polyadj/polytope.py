@@ -266,7 +266,7 @@ def _ray_sets(rays, bits: range) -> list[int]:
 
 def _maximal(sets: list[int]) -> list[int]:
     """Positions of the sets that are nonempty and maximal under inclusion."""
-    return [i for i, m in enumerate(sets) if m and not any(m & o == m and o != m for o in sets)]
+    return [i for i, m in enumerate(sets) if m and not [o for o in sets if m & o == m != o]]
 
 
 def _integer_row(a: IntVector, beta) -> IntVector:

@@ -381,16 +381,16 @@ def test_the_fan_path_takes_no_integer_kernel_and_one_dual_description_per_cone(
     # read off the row reduction of the configuration's rows itself, so the
     # 168 kernels left are the equations of the flat hulls (368 -> 168)
     counts = count_calls((fan, "gorenstein_index"), (ratmath, "integer_kernel_basis"),
-                         (ratmath, "saturate"), (fan, "_dual_height_vertices"))
+                         (ratmath, "saturate"), (fan, "_functionals"))
     for _, p in suite:
         fan_summary(normal_fan(p))
     assert counts == {"gorenstein_index": 627, "integer_kernel_basis": 0, "saturate": 0,
-                      "_dual_height_vertices": 1117}
+                      "_functionals": 1117}
     counts.update(dict.fromkeys(counts, 0))
     for _, p in suite:
         analyze(p)
     assert counts == {"gorenstein_index": 627, "integer_kernel_basis": 168, "saturate": 56,
-                      "_dual_height_vertices": 1117}
+                      "_functionals": 1117}
 
 
 def test_the_d4_suite_ops_make_a_pinned_number_of_ranks_and_kernel_steps(count_calls):

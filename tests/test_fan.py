@@ -31,8 +31,8 @@ from polyadj.errors import DimensionMismatchError, InternalInconsistencyError, I
 from polyadj.fan import (
     Cone,
     NormalFan,
-    _dual_height_vertices,
     _cone_levels,
+    _functionals,
     _height_floor,
     canonicity_threshold,
     cone,
@@ -213,11 +213,13 @@ def test_normal_fan_cones_are_the_brute_tight_sets_on_the_suite(suite):
 def test_a_vertex_cone_whose_rays_do_not_span_is_an_internal_inconsistency():
     # the unit square with a hand-written incidence that leaves its vertex
     # (0, 0) tight on the row x >= 0 alone, or on x >= 0 and x <= 1: that
-    # vertex's cone, the ray (-1, 0) or the line through it, does not span Q^2
+    # vertex's cone, the ray (-1, 0) or the line through it, does not span
+    # Q^2; or on x >= 0, y >= 0 and x <= 1, whose cone spans but holds a line
     square = from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)])
     assert square.normals == ((-1, 0), (0, -1), (0, 1), (1, 0))
     assert vertices(square)[0] == (0, 0) and square.incidence == (0b11, 0b101, 0b1010, 0b1100)
-    for incidence in ((0b11, 0b100, 0b1010, 0b1100), (0b11, 0b100, 0b1010, 0b1101)):
+    for incidence in ((0b11, 0b100, 0b1010, 0b1100), (0b11, 0b100, 0b1010, 0b1101),
+                      (0b11, 0b101, 0b1010, 0b1101)):
         p = polytope.HPolytope(2, square.normals, square.rhs, vertices(square), incidence)
         with pytest.raises(InternalInconsistencyError, match="not full-dimensional"):
             normal_fan(p)
@@ -233,7 +235,7 @@ def test_dual_height_vertices_match_the_brute_force_scan():
     assert all(rank(c.rays) != c.n_rays for c in cones)
     for c in cones:
         d = c.ambient_dim
-        found, lineality, _ = _dual_height_vertices(c.rays, d)
+        found, lineality, _, _, _ = _functionals(c.rays, d)
         assert lineality == ()
         facets, got = [z[:d] for z, _ in found if not z[d]], [z for z, _ in found if z[d]]
         # the facets of conv(0, rays) through 0, with outer normals -f
@@ -515,7 +517,7 @@ def test_the_one_vertex_top_gives_the_levels_of_the_double_description(c):
     # height region has one vertex, which takes the route of every other
     # cone, against one double description of its points, level by level
     d = c.ambient_dim
-    _, _, start = _dual_height_vertices(c.rays, d)
+    start = _functionals(c.rays, d)[4]
     rows = [(0,) * d + (1,)] + [tuple(-x for x in r) + (1,) for r in c.rays]
     points = sorted([(0,) * d, *c.rays])
     got = _cone_levels(c.rays, start)
@@ -908,6 +910,17 @@ def test_index_r_cone_is_1_over_r_canonical():
         cert = gorenstein_index(c)
         t, _ = canonicity_threshold(c)
         assert t >= Fraction(1, cert.index)
+
+
+def test_every_q_gorenstein_suite_fan_is_1_over_r_canonical(suite_reports):
+    # the abstract's alpha = 1/r inclusion at the fan level: a fan of
+    # Gorenstein index r has canonicity threshold at least 1/r; on the
+    # suite 104 fans have an index and 9 of them meet the bound
+    bounds = [(rep.fan_info.canonicity_threshold, Fraction(1, rep.fan_info.gorenstein_index))
+              for rep in suite_reports.values() if rep.fan_info.gorenstein_index is not None]
+    assert len(bounds) == 104
+    assert all(t >= bound for t, bound in bounds)
+    assert sum(t == bound for t, bound in bounds) == 9
 
 
 def test_gorenstein_certificate_contents():

@@ -218,6 +218,14 @@ def test_fan_reads_integer_kernels_only_for_the_least_point_of_a_class():
         assert functions_reading(source, name) == ["_least_point"], name
 
 
+def test_fan_builds_a_cone_description_in_one_routine():
+    # cone() and normal_fan() both describe their rays with _functionals,
+    # so a second builder of the dual height description cannot come back
+    # unnoticed
+    with open(os.path.join(PACKAGE, "fan.py"), encoding="utf-8") as fh:
+        assert functions_reading(fh.read(), "_pivots") == ["_functionals"]
+
+
 def test_the_unrolled_kernels_serve_the_double_description_steps_and_the_heights_alone():
     # the pivot and pair steps and the scan's heights read the int kernels
     # of ratmath._int_kernels; lp, whose row widths vary from LP to LP,

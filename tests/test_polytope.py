@@ -286,6 +286,16 @@ def test_hull_facets_match_the_brute_force_scan_on_the_adjacency_case():
     _check_hull_against_the_brute_scan(ADJACENCY_CASE)
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.integers(0, 31), max_size=12))
+def test_maximal_keeps_the_nonempty_sets_with_no_strict_superset(sets):
+    # small bitmasks, so zeros, repeats and nested sets are all common;
+    # repeats of a maximal set are all kept, each at its own position
+    members = [frozenset(k for k in range(5) if m >> k & 1) for m in sets]
+    expected = [i for i, m in enumerate(members) if m and not any(m < o for o in members)]
+    assert polytope._maximal(sets) == expected
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.lists(st.tuples(small, small, small, small), min_size=5, max_size=11))
 def test_hull_facets_match_the_brute_force_scan_4d(pts):

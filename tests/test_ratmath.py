@@ -326,7 +326,7 @@ def test_det_matches_laplace_4x4(m):
 
 
 @given(matrices(3, 3), st.lists(ints, min_size=3, max_size=3))
-def test_solve_linear_agrees_with_reference(m, rhs):
+def test_null_basis_agrees_with_reference(m, rhs):
     # null_basis, the kernel half of a linear solve: with its free columns
     # pinned to their values, each vector is the one solution of m x = 0,
     # and it is a primitive integer vector
@@ -377,7 +377,7 @@ def _free_columns(m):
 
 @settings(max_examples=300)
 @given(systems())
-def test_solve_linear_output_is_pinned_by_the_reference(system):
+def test_null_basis_output_is_pinned_by_the_reference(system):
     # null_basis is the reduced row echelon null basis, each vector 1 at its
     # free column and -rref[r][f] at the pivot of row r, cleared of
     # denominators; the systems' right hand sides are not used
@@ -457,7 +457,7 @@ def test_scale_to_integer_returns_an_integer_row_as_it_is():
     assert scale_to_integer(()) == ()
 
 
-def test_solve_linear_reports_full_solution_set():
+def test_null_basis_reports_full_solution_set():
     # null_basis reads the kernel of the rows; it depends on their span alone
     assert null_basis([[1, 1]]) == ((-1, 1),)
     assert null_basis([[2, 2], [1, 1]]) == null_basis([[3, 3]]) == ((-1, 1),)
