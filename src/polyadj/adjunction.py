@@ -174,17 +174,19 @@ def _check_shift_duals(p: HPolytope, c_star: Fraction, y: Sequence[Fraction],
                        core_rows: Sequence[int]) -> None:
     """Raise unless y certifies c* as in adjunction_data, supported on core_rows.
 
-    Checked in integers: y_i = ys[i] / ys_scale and b_i = bs[i] / bs_scale,
-    each over the lcm of its denominators.
+    A zero dual adds nothing to y A, y.b or sum y, so only the support of y
+    is read, in integers: over it y_i = ys[k] / ys_scale and b_i = bs[k] /
+    bs_scale, each over the lcm of its denominators.
     """
-    ys, ys_scale = common_denominator(y)
-    bs, bs_scale = common_denominator(p.rhs)
+    support = [i for i, v in enumerate(y[:p.n_facets]) if v]  # a y of another length fails below
+    ys, ys_scale = common_denominator([y[i] for i in support])
+    bs, bs_scale = common_denominator([p.rhs[i] for i in support])
+    normals = [p.normals[i] for i in support]
     if (len(y) != p.n_facets or any(v < 0 for v in ys) or sum(ys) != ys_scale
             or dot(ys, bs) * c_star.denominator != c_star.numerator * ys_scale * bs_scale
-            or any(sum(v * a[j] for v, a in zip(ys, p.normals)) for j in range(p.dim))):
+            or any(sum(v * a[j] for v, a in zip(ys, normals)) for j in range(p.dim))):
         raise InternalInconsistencyError("critical-shift duals do not certify an empty adjoint above c*")
-    core_rows = set(core_rows)
-    if any(v for i, v in enumerate(ys) if i not in core_rows):
+    if not set(support) <= set(core_rows):
         raise InternalInconsistencyError("critical-shift duals are supported off the core normals")
 
 
@@ -258,10 +260,12 @@ def verify_lemmas(p: HPolytope, alpha=None, *, data: Optional[AdjunctionData] = 
     """Check, on this one polytope, the structural facts the pipeline rests on.
 
     1. 0 lies in the relative interior of the hull of the core normals.
-    2. Every core normal is a vertex of that hull.
+    2. Every core normal is a vertex of that hull: the hull's vertices,
+       sorted, equal the sorted distinct core normals.
     3. For a canonical level alpha, the relative interior of the alpha
        scaled hull contains no nonzero lattice point. Its points are
-       those of the hull walked at shrink 1 / alpha (lattice_points).
+       those of the hull walked at shrink 1 / alpha (lattice_points),
+       whose walk floors by ints alone.
     4. At a core point, row value plus critical shift is integral on every
        core normal row. adjunction_data has proven each core row tight on
        the whole core, <a_i, y> = b_i - c*, so that value is b_i.
@@ -278,7 +282,8 @@ def verify_lemmas(p: HPolytope, alpha=None, *, data: Optional[AdjunctionData] = 
     d = p.dim
     origin = (0,) * d
     origin_ok = data.acore.contains(origin, strict=True)
-    vertices_ok = set(data.acore.vertices) == set(data.core_normals)  # an int equals and hashes as its Fraction
+    # both sides sorted and distinct, and an int equals its Fraction with no hash
+    vertices_ok = data.acore.vertices == tuple(sorted(set(data.core_normals)))
 
     if threshold is None:
         threshold, _ = fan_canonicity_threshold(normal_fan(p))
@@ -314,9 +319,13 @@ def analyze(p: HPolytope, alpha=None, epsilon=Fraction(1, 2)) -> AnalysisReport:
     """Full pipeline: critical shift, core data, fan invariants, lemma
     checks, and the spectrum superset of the core normal configuration.
 
-    Raises InternalInconsistencyError when the computed critical shift is
-    not a multiple of the configuration's step, since that would refute
-    the necessary condition the superset is built on.
+    The configuration is the core normals as they are once lemma 1 has
+    found 0 in the acore's relative interior, the positive spanning test
+    core_config makes, as p's rows are distinct and primitive; otherwise
+    core_config raises InvalidConfigError. Raises
+    InternalInconsistencyError when the computed critical shift is not a
+    multiple of the configuration's step, since that would refute the
+    necessary condition the superset is built on.
     """
     if not is_lattice_polytope(p):
         raise NotLatticePolytopeError("analysis requires a lattice polytope")
@@ -329,7 +338,8 @@ def analyze(p: HPolytope, alpha=None, epsilon=Fraction(1, 2)) -> AnalysisReport:
     fan = normal_fan(p)
     info = fan_summary(fan)
     lemmas = verify_lemmas(p, alpha, data=data, threshold=info.canonicity_threshold)
-    cfg = core_config(data)
+    cfg = (spectrum_mod.CoreNormalConfig(p.dim, data.core_normals) if lemmas.origin_in_relative_interior
+           else core_config(data))
     superset = spectrum_mod.spectrum_superset(cfg, epsilon)
     step = superset.step
     if (data.critical_shift / step).denominator != 1:

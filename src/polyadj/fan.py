@@ -316,15 +316,20 @@ def canonicity_threshold(c: Cone, below=1) -> tuple[Fraction, Optional[Canonicit
     rays). Rung t keeps the nonzero points of t Q of height at most t. The
     first is t = 1/2^k for the largest 2^k <= m; t doubles while a rung
     lists no nonzero point, then becomes min(5/4 t, least height listed,
-    below), a Fraction shrink. The ladder stops at the first rung whose
-    least listed (height, point) has height at most t: the rung keeps every
-    point of least height, so that point is the witness, the
-    lexicographically smallest of them. Or it stops at the first t >=
+    below). Each rung is held as a reduced int pair t = tn / td: doubling
+    halves an even td or else doubles tn, the min and both stop tests are
+    cross products, and the walk's shrink 1 / t is the int td for a unit
+    fraction and Fraction(td, tn) otherwise, so the only other Fraction
+    the ladder builds is the threshold it returns. The ladder stops at the
+    first rung whose least listed (height, point) has height at most t: the
+    rung keeps every point of least height, so that point is the witness,
+    the lexicographically smallest of them. Or it stops at the first t >=
     below. A cone of lower rank is scanned in Z^d, its levels holding the
     equations of its span, so its witness too is the lexicographically
     smallest point in Z^d. below must lie in (0, 1].
     """
-    below = Fraction(below)
+    if not isinstance(below, Fraction):
+        below = Fraction(below)
     num, den = below.numerator, below.denominator
     if not 0 < num <= den:
         raise ValueError("below must lie in (0, 1]")
@@ -334,15 +339,23 @@ def canonicity_threshold(c: Cone, below=1) -> tuple[Fraction, Optional[Canonicit
     _, _, duals, scale, start = c.functionals
     levels = _cone_levels(c.rays, start)
     value = _int_kernels(c.ambient_dim)[0]
-    t = Fraction(1, 1 << (top.bit_length() - 1))
+    tn, td = 1, 1 << (top.bit_length() - 1)  # the rung t = tn / td, reduced
     while True:
         # a unit fraction's shrink is an int, which the walk floors faster
-        shrink = t.denominator if t.numerator == 1 else 1 / t
+        shrink = td if tn == 1 else Fraction(td, tn)
         least = min(((min([value(w, pt) for w in duals]), pt)
                      for pt in level_points(levels, shrink=shrink) if any(pt)), default=None)
-        if (least is not None and least[0] * t.denominator <= scale * t.numerator) or t >= below:
+        if (least is not None and least[0] * td <= scale * tn) or tn * den >= num * td:
             break
-        t = t * 2 if least is None else min(t * 5 / 4, Fraction(least[0], scale), below)
+        if least is None:
+            tn, td = (tn, td >> 1) if td & 1 == 0 else (2 * tn, td)
+            continue
+        tn, td = 5 * tn, 4 * td
+        for n, m in ((least[0], scale), (num, den)):
+            if n * td < tn * m:
+                tn, td = n, m
+        g = gcd(tn, td)
+        tn, td = tn // g, td // g
     if least is None or least[0] * den >= scale * num:
         return below, None
     best, point = least

@@ -28,7 +28,9 @@ reads only signs, and the ratio test compares cross products, b_i a_k <
 b_k a_i; both are invariant under positive row scaling, so the pivots, the
 final basis and everything read off it are exactly those of a Fraction
 tableau. Fractions reappear only when the point, the value and the duals
-are returned.
+are returned. The value is read off the point, not off the cost row: the
+sum from Fraction 0 of its terms c_j x_j with c_j and x_j both nonzero,
+so the duality-gap check below tests the point returned.
 
 Every optimal solve reads dual multipliers y off the final reduced costs
 (of the slack column of each inequality row and of the artificial column
@@ -56,7 +58,7 @@ from math import gcd, lcm
 from typing import Iterable, Literal, Optional, Sequence
 
 from .errors import DimensionMismatchError, InternalInconsistencyError
-from .ratmath import common_denominator, dot, exact_entries
+from .ratmath import common_denominator, exact_entries
 from .record import record
 
 Status = Literal["optimal", "infeasible", "unbounded"]
@@ -290,7 +292,7 @@ def solve(normals: Sequence, rhs: Sequence, objective: Sequence, *, eq_normals: 
             else:
                 x[free[bj - d]] = Fraction(-row[-1], row[bj])
     point = tuple(x)
-    value = dot(obj, point)
+    value = sum((c * v for c, v in zip(obj, point) if c and v), _ZERO)
 
     # the certificate: read the duals y = ys / den off the final reduced
     # costs, check them exactly in integers and return them

@@ -696,14 +696,18 @@ def level_points(levels, shrink=1) -> list[IntVector]:
     The levels of a set S give the points of S / shrink, for a positive int
     or Fraction shrink. Every entry and prefix value is an integer, so a
     row bounds x_j by (floor(beta / shrink) - sum a_i x_i) / a_j, with
-    beta / shrink floored once at each node; an int floors by int
-    division and a Fraction exactly, to an int. At the parent of the last
-    level each last-level row's partial sum over x_1..x_{d-2} is taken
+    beta / shrink floored by int division once at each node: a shrink p / q
+    is read once, as every beta times q floored by p. At the parent of the
+    last level each last-level row's partial sum over x_1..x_{d-2} is taken
     once, so each value of x_{d-1} costs one product per row with an
     x_{d-1} term, and the run of x_d is added at once.
     """
     if not isinstance(shrink, (int, Fraction)) or shrink <= 0:
         raise ValueError("shrink must be a positive int or Fraction")
+    if isinstance(shrink, Fraction):
+        q, shrink = shrink.denominator, shrink.numerator
+        if q > 1:
+            levels = [None] + [[(m, s * q, t) for m, s, t in level] for level in levels[1:]]
     d = len(levels) - 1
     out = []
     prefix = [0] * d

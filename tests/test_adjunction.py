@@ -258,10 +258,11 @@ def test_double_descriptions_per_adjunction_data_are_pinned(monkeypatch, suite):
 def test_adjunction_data_evaluates_each_row_once_at_the_core(count_calls, suite):
     # one dot product per adjoint row at the core's vertex barycenter, one
     # per core vertex on a row tight there when the core has more than one
-    # vertex, one for y.b and one for the LP's value; the hulls of a core
-    # and an acore that are not full-dimensional take one per equation.
-    # scaled_simplex(3, 2) has 4 rows and a point core, fig1 5 rows and a
-    # segment core on 2 of them
+    # vertex and one for y.b; the hulls of a core and an acore that are not
+    # full-dimensional take one per equation. scaled_simplex(3, 2) has 4
+    # rows and a point core, fig1 5 rows and a segment core on 2 of them.
+    # The LP sums its value over the point's nonzero terms and takes no dot
+    # product for it: 6 / 13 / 1967 -> 5 / 12 / 1767
     counts = count_calls((adjunction, "dot"))
 
     def dots(p):
@@ -269,9 +270,9 @@ def test_adjunction_data_evaluates_each_row_once_at_the_core(count_calls, suite)
         adjunction_data(p)
         return counts["dot"]
 
-    assert dots(scaled_simplex(3, 2)) == 6
-    assert dots(fig1()) == 13
-    assert sum(dots(p) for _, p in suite) == 1967
+    assert dots(scaled_simplex(3, 2)) == 5
+    assert dots(fig1()) == 12
+    assert sum(dots(p) for _, p in suite) == 1767
 
 
 def test_an_lp_point_off_the_core_is_rejected(monkeypatch):
@@ -496,13 +497,42 @@ def test_the_spectrum_path_builds_a_pinned_number_of_fractions(count_fractions):
     # directions are an integer null basis, the LP's point and the core rows
     # read no slack and no b - c* as a Fraction, the adjoint system is
     # built only for embed_system, and the LP makes no Fraction for a zero
-    # dual or a point entry u_j - w_j: 3034 -> 2125 -> 1759 -> 1283 -> 1281
-    # -> 1019 -> 863 here, and 2459 -> 1630 -> 1522 -> 1054 -> 1052 -> 927
-    # -> 801 on 3.12, the last six measured on 3.12.1
+    # dual or a point entry u_j - w_j, and the LP's value sums only the
+    # point's nonzero objective terms, with no product by a zero entry:
+    # 3034 -> 2125 -> 1759 -> 1283 -> 1281 -> 1019 -> 863 -> 803 here, and
+    # 2459 -> 1630 -> 1522 -> 1054 -> 1052 -> 927 -> 801 -> 761 on 3.12,
+    # the last seven measured on 3.12.1
     texts = [format_polytope(random_lattice_polytope(3, 12, s, box=4)) for s in range(5000, 5010)]
 
     def run():
         for text in texts:
             spectrum_superset(core_config(adjunction_data(read_polytope(text))), Fraction(1, 2))
 
-    assert count_fractions(run) == (801 if hasattr(Fraction, "_from_coprime_ints") else 863)
+    assert count_fractions(run) == (761 if hasattr(Fraction, "_from_coprime_ints") else 803)
+
+
+def test_the_suite_analysis_makes_no_fraction_floor_division_or_hash(count_fraction_compares, suite):
+    # the 200 suite analyze calls, read excluded: the ladder holds its rungs
+    # as int pairs, a walk at a shrink p / q floors beta q by the int p,
+    # lemma 2 compares sorted tuples and the lemma 3 walk at 1 / alpha reads
+    # an integral shrink as an int. Before: 3931 floor divisions (all
+    # reflected, an int // a Fraction) and 2022 hashes, and 2080 ==, 89 <,
+    # 1640 > and 1309 >= comparisons
+    operators = ("__floordiv__", "__rfloordiv__", "__hash__")
+    counts = dict.fromkeys(operators, 0)
+
+    def run():
+        with pytest.MonkeyPatch.context() as patch:
+            for name in operators:
+                original = getattr(Fraction, name)
+
+                def counting(*args, name=name, original=original):
+                    counts[name] += 1
+                    return original(*args)
+
+                patch.setattr(Fraction, name, counting)
+            for _, p in suite:
+                analyze(p)
+
+    assert count_fraction_compares(run) == {"==": 2051, "<": 29, "<=": 1092, ">": 920, ">=": 400}
+    assert counts == dict.fromkeys(operators, 0)
