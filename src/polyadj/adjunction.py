@@ -248,8 +248,8 @@ class LemmaReport:
 def _canonical_alpha(alpha) -> Fraction:
     """alpha as a Fraction, or ValueError unless it lies in (0, 1]: the one
     check of a canonicity level, which analyze and the command line also
-    make before any geometry."""
-    level = Fraction(alpha)
+    make before any geometry. A Fraction is returned as it is."""
+    level = alpha if type(alpha) is Fraction else Fraction(alpha)
     if not 0 < level <= 1:
         raise ValueError("alpha must lie in (0, 1]")
     return level

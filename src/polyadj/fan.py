@@ -1,40 +1,16 @@
 """Normal fans of lattice polytopes and their singularity invariants.
 
-A cone is stored by its primitive extreme ray generators. The invariants
-computed here are the Gorenstein index of a cone (the least k such that
-some integer functional evaluates to k on every primitive generator), the
-canonicity threshold (how low a nonzero lattice point can sit relative to
-the generator heights), and smoothness. Fan level values aggregate over
-the maximal cones: a functional witnessing a maximal cone restricts to
-every face, so face indices divide the maximal ones and face thresholds
-are no smaller, which makes the maximal cones sufficient. Nothing here
-solves an LP or builds a polytope. Cone validation, heights, the
-canonicity scan and the Gorenstein certificate all read a cone's facets
-and its dual height vertices off one integer double description of its
-rays, built by _functionals in Z^d for a cone of any rank: the facets
-are its rays with s = 0, the vertices those with s > 0, a cone with no
-vertex contains a line, the lineality, empty exactly when the rays span,
-holds the equations of their span, which heights and the scan keep; the
-height floor and the index read a dual vertex by the least point of its
-class modulo it (_least_point), the vertex itself when the rays span.
-A cone holds that description from the moment it is built: cone() and
-normal_fan() pass in the one they validated its generators with, and a
-cone built by hand must be cone() of its rays, whose description it
-keeps, or raises InvalidConeError, so a normal fan, whose cones span,
-takes no integer kernel, no rank and no second dual description after it
-is built. The canonicity scan enumerates one region per cone, conv(0,
-rays), shrunk by t on a ladder that starts at the lower bound on heights
-that the dual vertices and the rays prove (_height_floor) and never
-passes the least height listed. Across a fan each cone's ladder is
-capped at the least threshold of the cones before it. A cone compiles
-the levels of its region (polytope.projected_levels) only when its
-ladder takes a rung, from the cone of its valid rows, with no second
-double description: every cone reads those rows off the pivot stage of
-its dual height description, which it keeps, with the sign of its one
-ray off s = 0 turned and the ray rows that waited added (_cone_levels).
-A normal fan reads each maximal cone off the polytope's vertex-facet
-incidence and proves it full-dimensional with its dual height
-description, which has a lineality exactly when the rays do not span.
+A cone is stored by its primitive extreme rays, sorted, and holds from
+the moment it is built one integer double description of its dual height
+region, made by _functionals in Z^d for a cone of any rank. cone
+validates generators on it, normal_fan proves each maximal cone
+full-dimensional and pointed with it, height and gorenstein_index read
+their values off its dual vertices, and canonicity_threshold bounds its
+ladder by them (_height_floor) and lists lattice points from its pivot
+stage (_cone_levels). Fan values (fan_gorenstein_index,
+fan_canonicity_threshold, is_smooth) aggregate over the maximal cones,
+which suffice: a functional witnessing a maximal cone restricts to every
+face. Nothing here solves an LP or builds a polytope.
 """
 
 from __future__ import annotations
@@ -50,6 +26,7 @@ from .errors import (
     InvalidConeError,
     NotInConeError,
     NotLatticePolytopeError,
+    ZeroVectorError,
 )
 from .polytope import (
     HPolytope,
@@ -67,7 +44,6 @@ from .ratmath import (
     det,
     dot,
     ext_gcd_list,
-    int_vector,
     integer_kernel_basis,
     primitivize,
 )
@@ -154,12 +130,11 @@ def cone(generators: Sequence[Sequence[int]]) -> Cone:
         if len(g) != d:
             raise InvalidConeError("mixed generator lengths")
         try:
-            vec = int_vector(g)
+            prims.append(primitivize(g)[0])
+        except ZeroVectorError:
+            raise InvalidConeError("zero vector cannot generate a ray") from None
         except ValueError:
             raise InvalidConeError("generators must be integer vectors") from None
-        if all(x == 0 for x in vec):
-            raise InvalidConeError("zero vector cannot generate a ray")
-        prims.append(primitivize(vec)[0])
     prims = tuple(sorted(set(prims)))
     functionals = _functionals(prims, d)
     if not functionals[2]:
@@ -179,7 +154,9 @@ def normal_fan(p: HPolytope) -> NormalFan:
     incidence, as the normals of the facets whose tight set holds bit k,
     with no row evaluated. Its dual height description (_functionals)
     proves it full-dimensional and pointed, as it has no lineality and a
-    dual vertex, and the cone keeps it for the scan, its index and heights.
+    dual vertex, and the cone keeps it for the scan, its index and heights,
+    so the fan takes no integer kernel, rank or second dual description
+    after it is built.
     """
     if not is_lattice_polytope(p):
         raise NotLatticePolytopeError("normal fan invariants require lattice vertices")
@@ -308,7 +285,8 @@ def _height_floor(c: Cone) -> int:
 def canonicity_threshold(c: Cone, below=1) -> tuple[Fraction, Optional[CanonicityWitness]]:
     """min(below, least height of a nonzero lattice point of the cone), with a witness when under below.
 
-    Heights are min_w <w, x> / scale over the dual height vertices w. Each
+    Heights are min_w <w, x> / scale over the dual height vertices w, each
+    <w, x> one call to the int dot of ratmath._int_kernels. Each height
     is at least 1 / m (_height_floor), so with 1 / m >= below the answer
     is below, with no level compiled. A point of height at most t lies in
     t R_w, R_w = conv(0, scale r / <w, r>), for its minimizing w, and <w,
@@ -370,6 +348,8 @@ def fan_canonicity_threshold(fan: NormalFan) -> tuple[Fraction, Optional[Canonic
     before it: it stops at the first rung at or above it, and a cone whose
     dual vertices already prove every height at least that low lists no
     point and compiles no levels. A tie keeps the earlier cone's witness.
+    The faces need no scan: a face's lattice points are points of a maximal
+    cone, of the same height there, so a face's threshold is no smaller.
     """
     best = Fraction(1)
     witness: Optional[CanonicityWitness] = None

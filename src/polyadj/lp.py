@@ -48,7 +48,7 @@ checks their shapes and the nonneg indices itself. It reads each entry
 once, an int or a Fraction by its numerator and denominator and any other
 entry as a Fraction, so a float is read exactly. is_feasible is solve with
 the zero objective, which phase 2 finds optimal at once on any feasible
-system.
+system. The library's one LP is the critical-shift solve of adjunction.
 """
 
 from __future__ import annotations

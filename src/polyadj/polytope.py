@@ -1,61 +1,28 @@
 """Exact polytopes: H and V representations, canonicalization, hulls,
 lattice point enumeration, and embeddings of lower-dimensional sets.
-Both canonical forms come from one double-description routine,
-double_description, which reports the rows tight at each extreme ray and
-a basis of the cone's lineality: from_inequalities reads the facets and
-vertices of an inequality system off those tight sets, from_vertices the
-facets and vertices of a hull (and hull_any_dim and embed_system those of
-a hull of any dimension), implicit_equalities and embed_system the
-implicit equalities and vertices of a possibly flat system, and fan the
-dual height vertices of a cone together with its facets, which also
-validate a cone's generators. Its pivot stage (_pivots), which fan also
-finishes for the valid rows of conv(0, rays), adds the rows nonzero on
-the lineality left; the others wait. The lineality of a homogenized
-system is its set's lines, so no LP and no cut is needed to decide
-emptiness or boundedness. Its vertices x / s are sorted by integer keys
-and each is built once as Fractions (_bounded_vertices). The kernel
-works on primitive integer vectors only, pairs the rays on the two sides
-of each row and tests adjacency by counting tight sets; a hull of
-points adds the rows that wait farthest first (_point_hull). Its steps (_lift, _add_row) see a few short vectors
-each, so they take a row's value on a vector and each new vector, the
-primitive part of a combination of two, by one call each to the int
-kernels unrolled for the vectors' length (ratmath._int_kernels), with
-the arithmetic of the generic forms. Lattice points
-are enumerated coordinate by coordinate over the projections of a set
-onto x_1..x_j (projected_levels). The valid rows (a, beta) of a set form
-a cone whose rays are its facets and whose lineality is the equations of
-its affine hull; those of the projection onto x_1..x_j are the ones of
-the projection onto x_1..x_{j+1} with a_{j+1} = 0. So every projection
-down to x_1..x_2 is read off the cone of the set itself by equality cuts
-(_cut), each one step of the same kernel on the rays and tight sets in
-hand, the one onto x_1 off the sorted vertices, and no Fourier-Motzkin
-elimination, hull or fresh double description of a projection is needed. The cone of a polytope is read off its facet rows,
-its equations and its vertex-facet incidence (_valid_row_cone), which
-each polytope holds from the moment it is built.
-Each level is compiled once into the integer rows that bound its
-coordinate. level_points reads them at any shrink k, a positive int or
-Fraction, by floor(beta / k), exact as every entry is an integer, so one
-walk lists the lattice points of S / k for every k; it reads the last
-coordinate off partial sums its parent takes once.
 
-Conventions. An HPolytope is always bounded, full-dimensional, and
-irredundant, with primitive integer facet normals, rational right hand
-sides, and rows sorted by normal; two HPolytopes are equal iff their row
-sets are. One built by hand without its vertices must be
-from_inequalities of its rows, or raises ValueError, so nothing checks
-these conventions twice. Possibly empty or degenerate intersections of
-halfspaces live in InequalitySystem. A compact set of any dimension is
-an EmbeddedPolytope, all in ambient coordinates: the equations of its
-affine hull (an AffineSubspace), its facet rows and its vertices, read
-off one double description of its points' valid rows (_embedded), with
-no local coordinates. Its equations follow from the affine hull alone
-(the integer kernel of the saturated null basis of the lineality), so
-hull_any_dim and embed_system of one set store equal records. Vertices
-are sorted, and the incidence of a polytope is one bitmask per facet
-row: bit k of incidence[i] is set iff facet i is tight at the k-th
-vertex. Both records hold them from the moment they are built; nothing
-fills them in later. Nothing here uses floating point, and the module
-imports no LP.
+One integer routine, double_description, gives the extreme rays of a cone
+with the rows tight at each, and a basis of its lineality. Off it
+from_inequalities reads the facets and vertices of an inequality system,
+from_vertices those of a hull, hull_any_dim and embed_system those of a
+set of any dimension (_embedded), implicit_equalities the implicit
+equalities of a system, and fan the facets and dual height vertices of a
+cone. Lattice points are listed coordinate by coordinate: projected_levels
+bounds each coordinate by the cone of the set's valid rows
+(_valid_row_cone) cut down by equalities (_projections), and level_points
+walks those levels at any shrink.
+
+Conventions. An HPolytope is bounded, full-dimensional and irredundant,
+with primitive integer facet normals, Fraction right hand sides and rows
+sorted by normal; two HPolytopes are equal iff their row sets are.
+Possibly empty or degenerate systems are InequalitySystems. A compact set
+of any dimension is an EmbeddedPolytope in ambient coordinates: the
+equations of its affine hull (an AffineSubspace), its facet rows and its
+vertices, with no local coordinates. Vertices are sorted, and a
+polytope's incidence is one bitmask per facet row: bit k of incidence[i]
+is set iff facet i is tight at the k-th vertex. Both records hold them
+from the moment they are built; nothing fills them in later. Nothing here
+uses floating point, and the module imports no LP.
 """
 
 from __future__ import annotations
@@ -351,7 +318,9 @@ def _lift(rays, lineality, row: Sequence[int], bit: int):
     lineality vector, and lifts those on which it is nonzero onto its
     hyperplane, by one comb call each; the vectors before the pivot stay
     as they are, since the row vanishes on them. The pivot becomes a ray,
-    tight on every earlier row.
+    tight on every earlier row. Each value and each new vector is one call
+    to the int kernels unrolled for the row's length (ratmath._int_kernels),
+    as in _add_row.
     """
     value, comb = _int_kernels(len(row))
     for i, pivot in enumerate(lineality):
@@ -652,7 +621,8 @@ def _projections(rays, lineality):
     The valid rows of the projection onto x_1..x_j are those of the
     projection onto x_1..x_{j+1} with a_{j+1} = 0, so each cone is the one
     before it cut by that equality (_cut), and no projection is described
-    afresh: d - 2 cuts.
+    afresh, by Fourier-Motzkin elimination, a hull or a double description:
+    d - 2 cuts.
     """
     d = len(rays[0][0]) - 1
     if d > 1:
@@ -700,7 +670,8 @@ def level_points(levels, shrink=1) -> list[IntVector]:
     is read once, as every beta times q floored by p. At the parent of the
     last level each last-level row's partial sum over x_1..x_{d-2} is taken
     once, so each value of x_{d-1} costs one product per row with an
-    x_{d-1} term, and the run of x_d is added at once.
+    x_{d-1} term, and the run of x_d is added at once. Any other shrink
+    raises ValueError.
     """
     if not isinstance(shrink, (int, Fraction)) or shrink <= 0:
         raise ValueError("shrink must be a positive int or Fraction")

@@ -12,7 +12,8 @@ unimodular row operations: integer_kernel_basis reads its zero rows, and
 saturate takes the kernel of a kernel. rank, det and null_basis reduce
 the rows with their denominators cleared once: rank counts the pivots,
 det multiplies them, and null_basis reads each vector by an integer back
-substitution. A Fraction is formed only for det's answer. _int_kernels
+substitution; all three raise DimensionMismatchError on rows of unequal
+lengths. A Fraction is formed only for det's answer. _int_kernels
 compiles, per vector length, the unrolled int kernels (dot and comb) that
 the double description's steps and the canonicity scan's heights take.
 """

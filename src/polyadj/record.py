@@ -1,7 +1,8 @@
 """Frozen records: the one class decorator the library's value types use.
 
 @record reads a class's fields from its own annotations, in order, with
-the class attribute of a field's name as its default. It builds
+the class attribute of a field's name as its default, and
+inspect.signature of the class lists them in that order. It builds
 __init__, __repr__, __eq__ and __hash__ for them from one generated
 source, compiled by one exec per class. A field whose default is None is
 derived data, which a constructor computes when it is not passed: it

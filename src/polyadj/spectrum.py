@@ -12,7 +12,8 @@ Z^m onto the orthogonal complement of span(A) is the lattice dual to those
 relations, so c 1 lies in Z^m + span(A) iff <w, c 1> = c sum(w) is an
 integer for every relation w. The candidates are the values N/k. The
 step and, for a c on the grid, a witness y are read off one integer row
-reduction of the rows (a_i | e_i), whose zero rows are the relations.
+reduction of the rows (a_i | e_i), whose zero rows are the relations. No
+LP is solved.
 """
 
 from __future__ import annotations
@@ -196,8 +197,9 @@ def codegree_step(cfg: CoreNormalConfig) -> Fraction:
 def _positive_epsilon(epsilon) -> Fraction:
     """epsilon as a Fraction, or ValueError unless it is positive: the one
     check of a spectrum cutoff, which analyze and the command line also make
-    before any geometry."""
-    eps = Fraction(epsilon)
+    before any geometry. A Fraction is returned as it is, so a cutoff read
+    once is not read again."""
+    eps = epsilon if type(epsilon) is Fraction else Fraction(epsilon)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
     return eps
@@ -220,7 +222,8 @@ def check_necessary_condition(cfg: CoreNormalConfig, c) -> tuple[bool, Optional[
     relations: y = -c y0, where y0 solves H y0 = U_H 1 with 0 at the
     columns of H without a pivot, by the integer _back_substitute. Then
     U (A y + c 1) is 0 beside H and c sum(w) beside each relation w, which
-    is integral on the grid, so A y + c 1 is integral too.
+    is integral on the grid, so A y + c 1 is integral too, which is
+    checked: InternalInconsistencyError otherwise.
     """
     c = Fraction(c)
     step, top = _reduced_rows(cfg)

@@ -11,12 +11,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import bland_simplex, gauss_rref, normalized_volume
 from polyadj import ratmath
-from polyadj.adjunction import adjunction_data, core_config
+from polyadj.adjunction import _canonical_alpha, adjunction_data, core_config
 from polyadj.errors import GridTooLargeError, InvalidConfigError, PolyadjError
 from polyadj.generators import cube, fig1
 from polyadj.spectrum import (
     CoreNormalConfig,
     ReciprocalGrid,
+    _positive_epsilon,
     check_necessary_condition,
     codegree_step,
     make_config,
@@ -316,6 +317,21 @@ def test_superset_epsilon_validation():
         spectrum_superset(cfg, 0)
     with pytest.raises(ValueError):
         spectrum_superset(cfg, Fraction(-1, 2))
+
+
+def test_a_fraction_cutoff_or_level_is_read_as_it_is():
+    # the one check of a cutoff or a level builds a Fraction only from
+    # another type, so analyze's epsilon and verify_lemmas' alpha are read once
+    for read, good, bad, message in ((_positive_epsilon, Fraction(1, 3), Fraction(-1, 2), "epsilon must be positive"),
+                                     (_canonical_alpha, Fraction(2, 3), Fraction(3, 2), "alpha must lie in \\(0, 1\\]")):
+        assert read(good) is good
+        for value in (1, "1/2", " 1/2 "):
+            assert read(value) == Fraction(value) and type(read(value)) is Fraction
+        for value in (bad, 0, "0", "-1/2"):
+            with pytest.raises(ValueError, match=message):
+                read(value)
+        with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+            read("half")
 
 
 def test_necessary_condition_on_and_off_the_grid():
